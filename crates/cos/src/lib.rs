@@ -31,7 +31,6 @@ mod onode;
 mod partition;
 mod radix;
 mod store;
-mod util;
 
 pub use btree::ExtentBTree;
 pub use layout::{CosOptions, PartGeometry, BLOCK_BYTES, SUPERBLOCK_BYTES};
@@ -40,4 +39,4 @@ pub use onode::{Extent, ExtentMap, Onode, INLINE_EXTENTS, ONODE_BYTES};
 pub use radix::RadixTree;
 pub use store::CosObjectStore;
 
-pub(crate) use util::crc32;
+pub(crate) use rablock_storage::crc::crc32;

@@ -5,13 +5,16 @@
 //! amplification in Table I. L0 compacts by run count (all runs + the
 //! overlapping L1 files merge into L1); deeper levels compact by size,
 //! pushing one file at a time into the next level.
+//!
+//! A compaction is a streaming k-way merge: each input's data region is
+//! read once into one buffer, cursors walk the buffers in place, and the
+//! winning record of each key is encoded straight into the output file.
+//! No record is materialised on the way.
 
-use std::collections::BTreeMap;
-
-use rablock_storage::{BlockDevice, MaintenanceReport, StoreError};
+use rablock_storage::{BlockDevice, IoCategory, MaintenanceReport, StoreError};
 
 use crate::db::Db;
-use crate::sst::Sst;
+use crate::sst::{Records, Sst};
 
 impl<D: BlockDevice> Db<D> {
     /// True if any level is over its trigger.
@@ -25,89 +28,163 @@ impl<D: BlockDevice> Db<D> {
     /// Performs a single compaction: L0→L1 when L0 hits its run-count
     /// trigger, otherwise one file from the most oversized level into the
     /// level below.
+    ///
+    /// # Errors
+    ///
+    /// On [`StoreError::NoSpace`] or a device error the database is as it
+    /// was before the call: the inputs are back in their levels and the
+    /// segments of outputs already built are free again.
     pub(crate) fn compact_once(&mut self) -> Result<MaintenanceReport, StoreError> {
-        let (upper, target_level) = if self.levels[0].len() >= self.opts.l0_trigger {
-            (std::mem::take(&mut self.levels[0]), 1)
+        let source_level = if self.levels[0].len() >= self.opts.l0_trigger {
+            0
         } else {
             let Some(level) = (1..self.levels.len() - 1)
                 .find(|&i| self.level_bytes(i) > self.opts.level_target(i))
             else {
                 return Ok(MaintenanceReport::default());
             };
-            let idx = self.compact_cursor[level] % self.levels[level].len();
-            self.compact_cursor[level] = self.compact_cursor[level].wrapping_add(1);
-            let victim = self.levels[level].remove(idx);
-            (vec![victim], level + 1)
+            level
+        };
+        let target_level = source_level + 1;
+        // The inputs leave `self.levels` for the duration of the merge and
+        // go back if it fails.
+        let upper = if source_level == 0 {
+            std::mem::take(&mut self.levels[0])
+        } else {
+            let idx = self.compact_cursor[source_level] % self.levels[source_level].len();
+            self.compact_cursor[source_level] = self.compact_cursor[source_level].wrapping_add(1);
+            vec![self.levels[source_level].remove(idx)]
         };
 
         // Key range of the inputs → overlapping files in the target level.
-        let min = upper
-            .iter()
-            .map(|s| s.min_key.clone())
-            .min()
-            .expect("nonempty inputs");
-        let max = upper
-            .iter()
-            .map(|s| s.max_key.clone())
-            .max()
-            .expect("nonempty inputs");
-        let mut lower: Vec<Sst> = Vec::new();
-        let target = &mut self.levels[target_level];
-        let mut i = 0;
-        while i < target.len() {
-            if target[i].overlaps(&min, &max) {
-                lower.push(target.remove(i));
-            } else {
-                i += 1;
+        let min = upper.iter().map(|s| &s.min_key).min().cloned();
+        let max = upper.iter().map(|s| &s.max_key).max().cloned();
+        let (min, max) = (min.expect("nonempty inputs"), max.expect("nonempty inputs"));
+        let (lower, kept): (Vec<Sst>, Vec<Sst>) = std::mem::take(&mut self.levels[target_level])
+            .into_iter()
+            .partition(|s| s.overlaps(&min, &max));
+        self.levels[target_level] = kept;
+
+        let first_output_id = self.next_sst_id;
+        match self.merge_into(target_level, &upper, &lower, &min, &max) {
+            Ok(report) => {
+                for sst in upper.iter().chain(&lower) {
+                    self.free_sst(sst);
+                }
+                Ok(report)
+            }
+            Err(e) => {
+                // Outputs built so far are garbage; the inputs still hold
+                // every acknowledged key and return where they were.
+                let (outputs, kept): (Vec<Sst>, Vec<Sst>) =
+                    std::mem::take(&mut self.levels[target_level])
+                        .into_iter()
+                        .partition(|s| s.id >= first_output_id);
+                self.levels[target_level] = kept;
+                for sst in &outputs {
+                    self.free_sst(sst);
+                }
+                for sst in lower {
+                    self.insert_sorted(target_level, sst);
+                }
+                if source_level == 0 {
+                    self.levels[0] = upper;
+                } else {
+                    for sst in upper {
+                        self.insert_sorted(source_level, sst);
+                    }
+                }
+                Err(e)
             }
         }
+    }
 
-        let mut bytes_read = 0u64;
-        // Merge oldest→newest so later inserts overwrite earlier ones.
+    /// Inserts `sst` into a deeper level, which is ordered by `min_key`.
+    fn insert_sorted(&mut self, level: usize, sst: Sst) {
+        let pos = self.levels[level].partition_point(|s| s.min_key < sst.min_key);
+        self.levels[level].insert(pos, sst);
+    }
+
+    /// Merges the inputs into new files of `target_level` and checkpoints
+    /// the manifest. Outputs enter the level as they are built; on error the
+    /// caller takes them out again.
+    fn merge_into(
+        &mut self,
+        target_level: usize,
+        upper: &[Sst],
+        lower: &[Sst],
+        min: &[u8],
+        max: &[u8],
+    ) -> Result<MaintenanceReport, StoreError> {
+        // Oldest → newest, so that among equal keys the last input wins.
         // Target-level files are the oldest; L0 is stored newest-first so
         // iterate it in reverse.
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for sst in &lower {
+        let mut bytes_read = 0u64;
+        let mut inputs = Vec::with_capacity(lower.len() + upper.len());
+        for sst in lower.iter().chain(upper.iter().rev()) {
             bytes_read += sst.len;
-            for (k, v) in self.scan_sst(sst)? {
-                merged.insert(k, v);
-            }
+            inputs.push(self.read_sst_data(sst)?);
         }
-        for sst in upper.iter().rev() {
-            bytes_read += sst.len;
-            for (k, v) in self.scan_sst(sst)? {
-                merged.insert(k, v);
-            }
-        }
-
         // Tombstones can be dropped when nothing below could still hold an
         // older version of these keys.
-        let deepest_needed = (target_level + 1..self.levels.len())
-            .any(|lvl| self.levels[lvl].iter().any(|s| s.overlaps(&min, &max)));
-        if !deepest_needed {
-            merged.retain(|_, v| v.is_some());
-        }
+        let drop_tombstones = !(target_level + 1..self.levels.len())
+            .any(|lvl| self.levels[lvl].iter().any(|s| s.overlaps(min, max)));
 
-        let outputs = self.build_output_ssts(merged)?;
-        let bytes_written: u64 = outputs.iter().map(|s| s.len).sum();
-        for sst in outputs {
-            let pos = self.levels[target_level].partition_point(|s| s.min_key < sst.min_key);
-            self.levels[target_level].insert(pos, sst);
+        let mut cursors: Vec<_> = inputs
+            .iter()
+            .map(|data| Records::new(data).peekable())
+            .collect();
+        let mut bytes_written = 0u64;
+        let mut run_bytes = 0u64;
+        loop {
+            // The smallest head key and its newest version. An L0's runs
+            // plus the overlapped files of one level make a handful of
+            // cursors, so a scan beats a heap.
+            let mut head: Option<(&[u8], Option<&[u8]>)> = None;
+            for cursor in &mut cursors {
+                if let Some(&(key, value)) = cursor.peek() {
+                    if head.is_none_or(|(best, _)| key <= best) {
+                        head = Some((key, value));
+                    }
+                }
+            }
+            let Some((key, value)) = head else { break };
+            for cursor in &mut cursors {
+                // Keys are unique within one input.
+                cursor.next_if(|&(k, _)| k == key);
+            }
+            if value.is_none() && drop_tombstones {
+                continue;
+            }
+            run_bytes += (key.len() + value.map_or(0, <[u8]>::len) + 16) as u64;
+            self.sst_writer.add(key, value);
+            if run_bytes >= self.opts.sst_max_bytes {
+                bytes_written += self.emit_output(target_level)?;
+                run_bytes = 0;
+            }
+        }
+        if !self.sst_writer.is_empty() {
+            bytes_written += self.emit_output(target_level)?;
         }
         debug_assert!(self.level_is_sorted_nonoverlapping(target_level));
 
         // Persist the new shape before releasing the inputs' segments, so a
         // crash between the two never loses referenced data.
         self.write_manifest()?;
-        for sst in upper.iter().chain(lower.iter()) {
-            self.free_sst(sst);
-        }
-
         Ok(MaintenanceReport {
             bytes_read,
             bytes_written,
             did_work: true,
         })
+    }
+
+    /// Persists the writer's records as one file of `level`; returns its
+    /// length.
+    fn emit_output(&mut self, level: usize) -> Result<u64, StoreError> {
+        let sst = self.finish_sst(IoCategory::Compaction)?;
+        let len = sst.len;
+        self.insert_sorted(level, sst);
+        Ok(len)
     }
 
     pub(crate) fn level_is_sorted_nonoverlapping(&self, level: usize) -> bool {
@@ -123,10 +200,10 @@ mod tests {
     use crate::options::LsmOptions;
     use rablock_storage::MemDisk;
 
-    fn kv(i: u64) -> crate::db::BatchEntry {
+    fn kv(i: u64) -> crate::wal::BatchEntry {
         (
             format!("key{:08}", i).into_bytes(),
-            Some(vec![(i % 251) as u8; 64]),
+            Some(vec![(i % 251) as u8; 64].into()),
         )
     }
 
@@ -180,7 +257,8 @@ mod tests {
         for round in 0u64..40 {
             for i in 0..50 {
                 let key = format!("dup{:04}", i).into_bytes();
-                db.apply(&[(key, Some(vec![round as u8; 128]))]).unwrap();
+                db.apply(&[(key, Some(vec![round as u8; 128].into()))])
+                    .unwrap();
                 while db.needs_maintenance() {
                     db.maintenance().unwrap();
                 }
@@ -188,7 +266,7 @@ mod tests {
         }
         for i in 0..50 {
             let key = format!("dup{:04}", i).into_bytes();
-            assert_eq!(db.get(&key).unwrap(), Some(vec![39u8; 128]));
+            assert_eq!(db.get(&key).unwrap(), Some(vec![39u8; 128].into()));
         }
     }
 
@@ -210,6 +288,66 @@ mod tests {
             let (k, v) = kv(i);
             let expect = if i % 2 == 0 { None } else { v };
             assert_eq!(db.get(&k).unwrap(), expect, "key {i}");
+        }
+    }
+
+    /// Keys scattered over the key space, so every compaction overlaps most
+    /// of the level below and needs far more free space than a flush does.
+    fn scattered(i: u64) -> crate::wal::BatchEntry {
+        let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        (
+            format!("key{k:08}-{i:06}").into_bytes(),
+            Some(vec![(i % 251) as u8; 200].into()),
+        )
+    }
+
+    #[test]
+    fn failed_compaction_keeps_every_acked_key_and_leaks_no_segment() {
+        // 1 MiB device: 384 KiB of manifest slots and WAL, 40 segments.
+        let mut db = Db::open(MemDisk::new(1 << 20), LsmOptions::tiny()).unwrap();
+        let total_segments = db.free_segments();
+        let mut acked = 0u64;
+        let mut failures = 0;
+        'fill: for i in 0..20_000 {
+            if db.apply(&[scattered(i)]).is_err() {
+                break; // a stalled writer could not flush: the device is full
+            }
+            acked = i + 1;
+            if i % 50 != 49 {
+                continue;
+            }
+            if db.flush_all().is_err() {
+                break;
+            }
+            while db.needs_compaction() {
+                let before = (db.level_file_counts(), db.free_segments());
+                match db.compact_once() {
+                    Ok(_) => {}
+                    Err(e) => {
+                        assert_eq!(e, StoreError::NoSpace);
+                        assert_eq!(
+                            (db.level_file_counts(), db.free_segments()),
+                            before,
+                            "a failed compaction changes nothing"
+                        );
+                        failures += 1;
+                        if failures == 3 {
+                            break 'fill;
+                        }
+                        break; // keep writing on top of the refused compaction
+                    }
+                }
+            }
+        }
+        assert!(failures > 0, "the device never filled up ({acked} writes)");
+        for i in 0..acked {
+            let (k, v) = scattered(i);
+            assert_eq!(db.get(&k).unwrap(), v, "key {i} of {acked}");
+        }
+        let held: usize = db.levels.iter().flatten().map(|s| s.segments.len()).sum();
+        assert_eq!(db.free_segments() + held, total_segments);
+        for level in 1..db.levels.len() {
+            assert!(db.level_is_sorted_nonoverlapping(level), "level {level}");
         }
     }
 

@@ -9,21 +9,19 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use rablock_storage::crc::crc32;
 use rablock_storage::{
-    BlockDevice, IoCategory, MaintenanceReport, StoreError, StoreStats, TraceIo, TraceKind,
+    BlockDevice, IoCategory, MaintenanceReport, Payload, StoreError, StoreStats, TraceIo, TraceKind,
 };
 
 use crate::alloc::SegAlloc;
 use crate::memtable::Memtable;
 use crate::options::LsmOptions;
-use crate::sst::{build_sst, load_index, sst_get, SegGeometry, Sst};
-use crate::util::{crc32, put_bytes, put_u32, put_u64, Cursor};
-use crate::wal::Wal;
+use crate::sst::{load_index, read_data, sst_get, Records, SegGeometry, Sst, SstWriter};
+use crate::util::{put_bytes, put_u32, put_u64, Cursor};
+use crate::wal::{decode_batch, BatchEntry, Wal};
 
 const MANIFEST_MAGIC: u32 = 0x4D41_4E46; // "MANF"
-
-/// One write in a batch: key plus value (`None` = delete).
-pub type BatchEntry = (Vec<u8>, Option<Vec<u8>>);
 
 /// An LSM key-value database over a raw block device.
 ///
@@ -32,8 +30,8 @@ pub type BatchEntry = (Vec<u8>, Option<Vec<u8>>);
 /// use rablock_storage::MemDisk;
 /// # fn main() -> Result<(), rablock_storage::StoreError> {
 /// let mut db = Db::open(MemDisk::new(8 << 20), LsmOptions::tiny())?;
-/// db.apply(&[(b"k".to_vec(), Some(b"v".to_vec()))])?;
-/// assert_eq!(db.get(b"k")?, Some(b"v".to_vec()));
+/// db.apply(&[(b"k".to_vec(), Some(b"v".to_vec().into()))])?;
+/// assert_eq!(db.get(b"k")?.as_deref(), Some(&b"v"[..]));
 /// # Ok(())
 /// # }
 /// ```
@@ -49,13 +47,16 @@ pub struct Db<D: BlockDevice> {
     /// `levels[0]` is newest-first; deeper levels are sorted by `min_key`
     /// and non-overlapping.
     pub(crate) levels: Vec<Vec<Sst>>,
-    next_sst_id: u64,
+    pub(crate) next_sst_id: u64,
     manifest_version: u64,
     replay_from: u64,
     pub(crate) compact_cursor: Vec<usize>,
     /// Segments holding raw (non-LSM) data, persisted in the manifest so
     /// recovery never re-allocates them.
     raw_segments: std::collections::BTreeSet<u32>,
+    /// The one SST builder of flush and compaction; its file-image buffer
+    /// is reused, so building a file touches no fresh memory.
+    pub(crate) sst_writer: SstWriter,
     trace: Vec<TraceIo>,
     stats: StoreStats,
     /// Times a writer had to wait for a synchronous flush (stall).
@@ -101,6 +102,7 @@ impl<D: BlockDevice> Db<D> {
             replay_from: 1,
             compact_cursor: vec![0; opts.levels],
             raw_segments: std::collections::BTreeSet::new(),
+            sst_writer: SstWriter::new(opts.block_bytes),
             trace: Vec::new(),
             stats: StoreStats::default(),
             stalls: 0,
@@ -130,40 +132,21 @@ impl<D: BlockDevice> Db<D> {
         self.trace.push(io);
     }
 
-    /// Applies an atomic batch: one WAL record, then memtable inserts.
+    /// Applies an atomic batch: one WAL record, then memtable inserts. The
+    /// memtable shares each value with the caller (a refcount, not a copy).
     ///
     /// # Errors
     ///
     /// Propagates device errors; allocation exhaustion surfaces as
     /// [`StoreError::NoSpace`].
     pub fn apply(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
-        let cap: usize = batch
-            .iter()
-            .map(|(k, v)| 9 + k.len() + v.as_ref().map_or(0, |v| 4 + v.len()))
-            .sum::<usize>()
-            + 4;
-        let mut payload = Vec::with_capacity(cap);
-        put_u32(&mut payload, batch.len() as u32);
-        for (k, v) in batch {
-            match v {
-                Some(value) => {
-                    payload.push(0);
-                    put_bytes(&mut payload, k);
-                    put_bytes(&mut payload, value);
-                }
-                None => {
-                    payload.push(1);
-                    put_bytes(&mut payload, k);
-                }
-            }
-        }
-        let written = match self.wal.append(&mut self.dev, &payload) {
+        let written = match self.wal.append(&mut self.dev, batch) {
             Ok(n) => n,
             Err(StoreError::NoSpace) => {
                 // WAL exhausted: flush everything and reset (write stall).
                 self.stalls += 1;
                 self.flush_all()?;
-                self.wal.append(&mut self.dev, &payload)?
+                self.wal.append(&mut self.dev, batch)?
             }
             Err(e) => return Err(e),
         };
@@ -206,7 +189,7 @@ impl<D: BlockDevice> Db<D> {
     /// # Errors
     ///
     /// Propagates device errors and corruption.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+    pub fn get(&mut self, key: &[u8]) -> Result<Option<Payload>, StoreError> {
         if let Some(hit) = self.mem.get(key) {
             return Ok(hit.cloned());
         }
@@ -297,25 +280,18 @@ impl<D: BlockDevice> Db<D> {
         let Some((epoch, imm)) = self.immutables.pop_front() else {
             return Ok(());
         };
-        let records: Vec<BatchEntry> = imm.into_entries().into_iter().collect();
-        if !records.is_empty() {
-            let id = self.next_sst_id;
-            self.next_sst_id += 1;
-            let mut trace = Vec::new();
-            let sst = build_sst(
-                &mut self.dev,
-                &mut self.alloc,
-                self.geom,
-                id,
-                &records,
-                self.opts.block_bytes,
-                IoCategory::MemtableFlush,
-                &mut trace,
-            )?;
-            for io in trace {
-                self.record(io);
+        if !imm.is_empty() {
+            for (key, value) in imm.iter() {
+                self.sst_writer.add(key, value.as_deref());
             }
-            self.levels[0].insert(0, sst);
+            match self.finish_sst(IoCategory::MemtableFlush) {
+                Ok(sst) => self.levels[0].insert(0, sst),
+                Err(e) => {
+                    // Acknowledged writes must stay readable.
+                    self.immutables.push_front((epoch, imm));
+                    return Err(e);
+                }
+            }
         }
         self.replay_from = epoch + 1;
         if self.immutables.is_empty() && self.mem.is_empty() {
@@ -331,61 +307,40 @@ impl<D: BlockDevice> Db<D> {
         self.levels[level].iter().map(|s| s.len).sum()
     }
 
-    pub(crate) fn build_output_ssts(
-        &mut self,
-        merged: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    ) -> Result<Vec<Sst>, StoreError> {
-        let mut outputs = Vec::new();
-        let mut run: Vec<BatchEntry> = Vec::new();
-        let mut run_bytes = 0u64;
-        let flush_run =
-            |db: &mut Self, run: &mut Vec<BatchEntry>| -> Result<Option<Sst>, StoreError> {
-                if run.is_empty() {
-                    return Ok(None);
-                }
-                let id = db.next_sst_id;
-                db.next_sst_id += 1;
-                let mut trace = Vec::new();
-                let sst = build_sst(
-                    &mut db.dev,
-                    &mut db.alloc,
-                    db.geom,
-                    id,
-                    run,
-                    db.opts.block_bytes,
-                    IoCategory::Compaction,
-                    &mut trace,
-                )?;
-                for io in trace {
-                    db.record(io);
-                }
-                run.clear();
-                Ok(Some(sst))
-            };
-        for (k, v) in merged {
-            run_bytes += (k.len() + v.as_ref().map_or(0, Vec::len) + 16) as u64;
-            run.push((k, v));
-            if run_bytes >= self.opts.sst_max_bytes {
-                if let Some(sst) = flush_run(self, &mut run)? {
-                    outputs.push(sst);
-                }
-                run_bytes = 0;
-            }
+    /// Persists what `sst_writer` holds as the next SST, recording its I/Os.
+    pub(crate) fn finish_sst(&mut self, category: IoCategory) -> Result<Sst, StoreError> {
+        let id = self.next_sst_id;
+        self.next_sst_id += 1;
+        let mut trace = Vec::new();
+        let sst = self.sst_writer.finish(
+            &mut self.dev,
+            &mut self.alloc,
+            self.geom,
+            id,
+            category,
+            &mut trace,
+        )?;
+        for io in trace {
+            self.record(io);
         }
-        if let Some(sst) = flush_run(self, &mut run)? {
-            outputs.push(sst);
-        }
-        Ok(outputs)
+        Ok(sst)
     }
 
-    /// Reads every record of `sst`, recording compaction-read trace I/Os.
-    pub(crate) fn scan_sst(&mut self, sst: &Sst) -> Result<Vec<BatchEntry>, StoreError> {
+    /// Reads the data region of `sst` (see [`Records`]), recording
+    /// compaction-read trace I/Os.
+    pub(crate) fn read_sst_data(&mut self, sst: &Sst) -> Result<Vec<u8>, StoreError> {
         let mut tmp = Vec::new();
-        let records = crate::sst::sst_scan(&mut self.dev, self.geom, sst, &mut tmp)?;
+        let data = read_data(&mut self.dev, self.geom, sst, &mut tmp)?;
         for io in tmp {
             self.record(io);
         }
-        Ok(records)
+        Ok(data)
+    }
+
+    /// Unallocated segments (tests: no failure path may leak one).
+    #[cfg(test)]
+    pub(crate) fn free_segments(&self) -> usize {
+        self.alloc.free_segments()
     }
 
     pub(crate) fn free_sst(&mut self, sst: &Sst) {
@@ -551,28 +506,16 @@ impl<D: BlockDevice> Db<D> {
         }
         // Replay the WAL into a fresh memtable. Records are (epoch, batch).
         let records = self.wal.scan(&mut self.dev)?;
-        let mut replay_bytes = 0u64;
         let mut max_epoch = current_epoch;
         for (epoch, payload) in records {
-            replay_bytes += payload.len() as u64;
             max_epoch = max_epoch.max(epoch);
             if epoch < self.replay_from {
                 continue; // already flushed to an SST
             }
-            let mut c = Cursor::new(&payload);
-            let n = c.get_u32().ok_or_else(trunc)?;
-            for _ in 0..n {
-                let flag = c.get_bytes_raw(1).ok_or_else(trunc)?[0];
-                let key = c.get_bytes().ok_or_else(trunc)?.to_vec();
-                let value = if flag == 0 {
-                    Some(c.get_bytes().ok_or_else(trunc)?.to_vec())
-                } else {
-                    None
-                };
+            for (key, value) in decode_batch(&payload).ok_or_else(trunc)? {
                 self.mem.insert(key, value);
             }
         }
-        let _ = replay_bytes;
         self.record(TraceIo {
             kind: TraceKind::Read,
             bytes: self.opts.wal_bytes,
@@ -705,35 +648,24 @@ impl<D: BlockDevice> Db<D> {
     /// # Errors
     ///
     /// Propagates device errors.
-    #[allow(clippy::type_complexity)]
-    pub fn scan_prefix(&mut self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, StoreError> {
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+    pub fn scan_prefix(&mut self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Payload)>, StoreError> {
+        let mut merged: BTreeMap<Vec<u8>, Option<Payload>> = BTreeMap::new();
         // Oldest to newest: deep levels, then L1.., then L0 back-to-front,
         // then immutables, then the memtable.
-        for level in (1..self.levels.len()).rev() {
-            for sst in self.levels[level].clone() {
-                for (k, v) in self.scan_sst(&sst)? {
-                    if k.starts_with(prefix) {
-                        merged.insert(k, v);
-                    }
-                }
-            }
-        }
-        for sst in self.levels[0].clone().into_iter().rev() {
-            for (k, v) in self.scan_sst(&sst)? {
+        let ssts: Vec<Sst> = (self.levels[1..].iter().rev().flatten())
+            .chain(self.levels[0].iter().rev())
+            .cloned()
+            .collect();
+        for sst in &ssts {
+            let data = self.read_sst_data(sst)?;
+            for (k, v) in Records::new(&data) {
                 if k.starts_with(prefix) {
-                    merged.insert(k, v);
+                    merged.insert(k.to_vec(), v.map(Payload::from));
                 }
             }
         }
-        for (_, imm) in self.immutables.iter() {
-            for (k, v) in imm.iter() {
-                if k.starts_with(prefix) {
-                    merged.insert(k.clone(), v.clone());
-                }
-            }
-        }
-        for (k, v) in self.mem.iter() {
+        let memtables = self.immutables.iter().map(|(_, imm)| imm);
+        for (k, v) in memtables.chain([&self.mem]).flat_map(Memtable::iter) {
             if k.starts_with(prefix) {
                 merged.insert(k.clone(), v.clone());
             }

@@ -33,6 +33,7 @@ mod wal;
 
 pub use bloom::Bloom;
 pub use cache::BlockCache;
-pub use db::{BatchEntry, Db};
+pub use db::Db;
 pub use options::LsmOptions;
 pub use store::{LsmObjectStore, LSM_BLOCK_BYTES};
+pub use wal::BatchEntry;

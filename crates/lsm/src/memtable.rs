@@ -2,10 +2,19 @@
 
 use std::collections::BTreeMap;
 
+use rablock_storage::Payload;
+
 /// A sorted in-memory buffer of recent writes. `None` values are tombstones.
+/// Values are shared with whoever wrote them (a refcount, not a copy).
 #[derive(Debug, Default, Clone)]
 pub struct Memtable {
-    entries: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    entries: BTreeMap<Vec<u8>, Option<Payload>>,
+    /// Drives the seal decision, and through it every flush, compaction and
+    /// traced device I/O: the arithmetic in [`Memtable::insert`] is
+    /// load-bearing for the simulated-result fingerprints, including its
+    /// quirk that an overwrite counts the key again (only the old *value*
+    /// is subtracted), so a memtable of hot keys seals earlier than its
+    /// resident bytes say. Do not "fix" it without re-recording them.
     approx_bytes: usize,
 }
 
@@ -16,8 +25,8 @@ impl Memtable {
     }
 
     /// Inserts or overwrites `key`. A `None` value records a deletion.
-    pub fn insert(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
-        let add = key.len() + value.as_ref().map_or(0, Vec::len) + 24;
+    pub fn insert(&mut self, key: Vec<u8>, value: Option<Payload>) {
+        let add = key.len() + value.as_ref().map_or(0, Payload::len) + 24;
         if let Some(old) = self.entries.insert(key, value) {
             self.approx_bytes = self.approx_bytes.saturating_sub(old.map_or(0, |v| v.len()));
             self.approx_bytes += add - 24; // key re-counted above; drop the fixed part once
@@ -28,7 +37,7 @@ impl Memtable {
 
     /// Looks up `key`. `Some(None)` means "deleted here"; `None` means
     /// "not present in this memtable, look further down".
-    pub fn get(&self, key: &[u8]) -> Option<Option<&Vec<u8>>> {
+    pub fn get(&self, key: &[u8]) -> Option<Option<&Payload>> {
         self.entries.get(key).map(Option::as_ref)
     }
 
@@ -49,13 +58,8 @@ impl Memtable {
     }
 
     /// Iterates entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Option<Vec<u8>>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Option<Payload>)> {
         self.entries.iter()
-    }
-
-    /// Consumes the memtable into its sorted entries.
-    pub fn into_entries(self) -> BTreeMap<Vec<u8>, Option<Vec<u8>>> {
-        self.entries
     }
 }
 
@@ -66,10 +70,10 @@ mod tests {
     #[test]
     fn insert_get_overwrite() {
         let mut m = Memtable::new();
-        m.insert(b"a".to_vec(), Some(b"1".to_vec()));
-        assert_eq!(m.get(b"a"), Some(Some(&b"1".to_vec())));
-        m.insert(b"a".to_vec(), Some(b"2".to_vec()));
-        assert_eq!(m.get(b"a"), Some(Some(&b"2".to_vec())));
+        m.insert(b"a".to_vec(), Some(b"1".to_vec().into()));
+        assert_eq!(m.get(b"a"), Some(Some(&b"1".to_vec().into())));
+        m.insert(b"a".to_vec(), Some(b"2".to_vec().into()));
+        assert_eq!(m.get(b"a"), Some(Some(&b"2".to_vec().into())));
         assert_eq!(m.len(), 1);
     }
 
@@ -85,18 +89,30 @@ mod tests {
     fn size_tracks_growth() {
         let mut m = Memtable::new();
         assert_eq!(m.approx_bytes(), 0);
-        m.insert(vec![0; 10], Some(vec![0; 100]));
+        m.insert(vec![0; 10], Some(vec![0; 100].into()));
         let after_one = m.approx_bytes();
         assert!(after_one >= 110);
-        m.insert(vec![1; 10], Some(vec![0; 100]));
+        m.insert(vec![1; 10], Some(vec![0; 100].into()));
         assert!(m.approx_bytes() > after_one);
+    }
+
+    #[test]
+    fn overwrite_counts_the_key_again() {
+        // Pinned on purpose: see the field comment on `approx_bytes`.
+        let mut m = Memtable::new();
+        m.insert(vec![0; 10], Some(vec![0; 100].into()));
+        assert_eq!(m.approx_bytes(), 10 + 100 + 24);
+        m.insert(vec![0; 10], Some(vec![0; 40].into()));
+        assert_eq!(m.approx_bytes(), (10 + 24) + (10 + 40));
+        m.insert(vec![0; 10], None);
+        assert_eq!(m.approx_bytes(), (10 + 24) + 10 + 10);
     }
 
     #[test]
     fn iter_is_key_ordered() {
         let mut m = Memtable::new();
         for k in [b"c", b"a", b"b"] {
-            m.insert(k.to_vec(), Some(vec![]));
+            m.insert(k.to_vec(), Some(Payload::empty()));
         }
         let keys: Vec<_> = m.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);

@@ -14,11 +14,12 @@
 //! footer:  u64 index_off, u32 index_len, u64 entries, u32 index_crc, u32 magic
 //! ```
 
-use rablock_storage::{BlockDevice, IoCategory, StoreError, TraceIo, TraceKind};
+use rablock_storage::crc::crc32;
+use rablock_storage::{BlockDevice, IoCategory, Payload, StoreError, TraceIo, TraceKind};
 
 use crate::alloc::SegAlloc;
 use crate::bloom::Bloom;
-use crate::util::{crc32, put_bytes, put_u32, put_u64, Cursor};
+use crate::util::{put_bytes, put_u32, put_u64, Cursor};
 
 const MAGIC: u32 = 0x5353_5442; // "SSTB"
 /// index_off u64, index_len u32, bloom_len u32, entries u64, crc u32, magic u32.
@@ -127,172 +128,223 @@ impl SegGeometry {
     }
 }
 
-/// Serializes sorted `(key, value-or-tombstone)` records into the on-disk
-/// file image plus its index. Internal to the builder and tests.
-fn encode_file(
-    records: &[(Vec<u8>, Option<Vec<u8>>)],
-    block_bytes: usize,
-) -> (Vec<u8>, Vec<IndexEntry>, u64) {
-    let mut file = Vec::new();
-    let mut index = Vec::new();
-    let mut block_start = 0usize;
-    let mut block_first: Option<Vec<u8>> = None;
-    let mut entries = 0u64;
-
-    let close_block =
-        |file: &mut Vec<u8>, start: usize, first: Option<Vec<u8>>, index: &mut Vec<IndexEntry>| {
-            if let Some(first_key) = first {
-                index.push(IndexEntry {
-                    first_key,
-                    offset: start as u64,
-                    len: (file.len() - start) as u32,
-                });
-            }
-        };
-
-    for (key, value) in records {
-        if block_first.is_none() {
-            block_first = Some(key.clone());
-            block_start = file.len();
-        }
-        match value {
-            Some(v) => {
-                file.push(0);
-                put_bytes(&mut file, key);
-                put_bytes(&mut file, v);
-            }
-            None => {
-                file.push(1);
-                put_bytes(&mut file, key);
-            }
-        }
-        entries += 1;
-        if file.len() - block_start >= block_bytes {
-            close_block(&mut file, block_start, block_first.take(), &mut index);
-        }
-    }
-    close_block(&mut file, block_start, block_first.take(), &mut index);
-    (file, index, entries)
+/// In-place iterator over the records of a data region — one block, or all
+/// blocks of a file, which are laid out back to back. Keys and values are
+/// windows into the region's buffer; nothing is copied. A truncated record
+/// ends the iteration.
+#[derive(Debug)]
+pub struct Records<'a> {
+    cur: Cursor<'a>,
 }
 
-fn decode_block(block: &[u8]) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-    let mut out = Vec::new();
-    let mut cur = Cursor::new(block);
-    while cur.remaining() > 0 {
-        let flag = {
-            let b = cur.get_bytes_raw(1);
-            match b {
-                Some(s) => s[0],
-                None => break,
-            }
-        };
-        let Some(key) = cur.get_bytes() else { break };
+impl<'a> Records<'a> {
+    /// Iterates the records encoded in `data`.
+    pub fn new(data: &'a [u8]) -> Self {
+        Records {
+            cur: Cursor::new(data),
+        }
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (&'a [u8], Option<&'a [u8]>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let flag = self.cur.get_bytes_raw(1)?[0];
+        let key = self.cur.get_bytes()?;
         if flag == 0 {
-            let Some(value) = cur.get_bytes() else { break };
-            out.push((key.to_vec(), Some(value.to_vec())));
+            Some((key, Some(self.cur.get_bytes()?)))
         } else {
-            out.push((key.to_vec(), None));
+            Some((key, None))
         }
     }
-    out
 }
 
-/// Builds and persists an SST from sorted records.
+/// Builds SSTs from records added in strictly ascending key order.
 ///
-/// Allocates segments, writes data + index + footer, and flushes. The trace
-/// receives one write per segment-sized chunk (category `category`).
-///
-/// # Errors
-///
-/// [`StoreError::NoSpace`] if the segment area cannot hold the file.
-///
-/// # Panics
-///
-/// Panics if `records` is empty or not sorted by key (caller bug).
-#[allow(clippy::too_many_arguments)]
-pub fn build_sst<D: BlockDevice>(
-    dev: &mut D,
-    alloc: &mut SegAlloc,
-    geom: SegGeometry,
-    id: u64,
-    records: &[(Vec<u8>, Option<Vec<u8>>)],
+/// Records are encoded straight into the file image, so a flush or a
+/// compaction copies each value once. The image buffer is kept across
+/// [`SstWriter::finish`] calls: after the first few files it neither grows
+/// nor touches fresh memory.
+#[derive(Debug)]
+pub struct SstWriter {
     block_bytes: usize,
-    category: IoCategory,
-    trace: &mut Vec<TraceIo>,
-) -> Result<Sst, StoreError> {
-    assert!(!records.is_empty(), "building an empty SST");
-    debug_assert!(
-        records.windows(2).all(|w| w[0].0 < w[1].0),
-        "records must be strictly sorted"
-    );
+    file: Vec<u8>,
+    index: Vec<IndexEntry>,
+    /// Start of the block being filled; its index entry is the last one.
+    open_block: Option<usize>,
+    entries: u64,
+    /// Where the most recently added key sits in `file`.
+    last_key: std::ops::Range<usize>,
+}
 
-    let (mut file, index, entries) = encode_file(records, block_bytes);
-    let bloom = Bloom::build(records.iter().map(|(k, _)| k.as_slice()), records.len(), 10);
-
-    // Index block + bloom block + footer.
-    let index_off = file.len() as u64;
-    let mut index_block = Vec::new();
-    put_u32(&mut index_block, index.len() as u32);
-    for e in &index {
-        put_bytes(&mut index_block, &e.first_key);
-        put_u64(&mut index_block, e.offset);
-        put_u32(&mut index_block, e.len);
-    }
-    let bloom_block = bloom.encode();
-    let mut meta = index_block.clone();
-    meta.extend_from_slice(&bloom_block);
-    let meta_crc = crc32(&meta);
-    file.extend_from_slice(&meta);
-    put_u64(&mut file, index_off);
-    put_u32(&mut file, index_block.len() as u32);
-    put_u32(&mut file, bloom_block.len() as u32);
-    put_u64(&mut file, entries);
-    put_u32(&mut file, meta_crc);
-    put_u32(&mut file, MAGIC);
-
-    let len = file.len() as u64;
-    let nsegs = len.div_ceil(geom.segment_bytes);
-    let mut segments = Vec::with_capacity(nsegs as usize);
-    for _ in 0..nsegs {
-        match alloc.alloc() {
-            Ok(s) => segments.push(s),
-            Err(e) => {
-                for s in segments {
-                    alloc.free(s);
-                }
-                return Err(e);
-            }
+impl SstWriter {
+    /// A writer closing data blocks at `block_bytes`.
+    pub fn new(block_bytes: usize) -> Self {
+        SstWriter {
+            block_bytes,
+            file: Vec::new(),
+            index: Vec::new(),
+            open_block: None,
+            entries: 0,
+            last_key: 0..0,
         }
     }
-    geom.write_range(dev, &segments, 0, &file)?;
-    dev.flush()?;
-    // Trace per segment-sized chunk so the device model sees realistic I/Os.
-    let mut remaining = len;
-    while remaining > 0 {
-        let chunk = remaining.min(geom.segment_bytes);
+
+    /// True if no record has been added since the last `finish`.
+    pub fn is_empty(&self) -> bool {
+        self.entries == 0
+    }
+
+    /// Appends one record; `None` is a tombstone.
+    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) {
+        debug_assert!(
+            self.entries == 0 || &self.file[self.last_key.clone()] < key,
+            "records must be strictly sorted"
+        );
+        let block_start = *self.open_block.get_or_insert_with(|| {
+            self.index.push(IndexEntry {
+                first_key: key.to_vec(),
+                offset: self.file.len() as u64,
+                len: 0, // set when the block closes
+            });
+            self.file.len()
+        });
+        self.file.push(value.is_none() as u8);
+        put_u32(&mut self.file, key.len() as u32);
+        self.last_key = self.file.len()..self.file.len() + key.len();
+        self.file.extend_from_slice(key);
+        if let Some(v) = value {
+            put_bytes(&mut self.file, v);
+        }
+        self.entries += 1;
+        if self.file.len() - block_start >= self.block_bytes {
+            self.close_block();
+        }
+    }
+
+    fn close_block(&mut self) {
+        if let Some(start) = self.open_block.take() {
+            let entry = self.index.last_mut().expect("open block is indexed");
+            entry.len = (self.file.len() - start) as u32;
+        }
+    }
+
+    /// Completes the file image (index, Bloom filter, footer), persists it
+    /// on freshly allocated segments and flushes. The trace receives one
+    /// write per segment-sized chunk (category `category`). The writer is
+    /// empty afterwards, whatever the outcome.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NoSpace`] if the segment area cannot hold the file; no
+    /// segment stays allocated then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no record was added (caller bug).
+    pub fn finish<D: BlockDevice>(
+        &mut self,
+        dev: &mut D,
+        alloc: &mut SegAlloc,
+        geom: SegGeometry,
+        id: u64,
+        category: IoCategory,
+        trace: &mut Vec<TraceIo>,
+    ) -> Result<Sst, StoreError> {
+        assert!(!self.is_empty(), "building an empty SST");
+        self.close_block();
+        let result = self.persist(dev, alloc, geom, id, category, trace);
+        self.file.clear();
+        self.index.clear();
+        self.entries = 0;
+        result
+    }
+
+    fn persist<D: BlockDevice>(
+        &mut self,
+        dev: &mut D,
+        alloc: &mut SegAlloc,
+        geom: SegGeometry,
+        id: u64,
+        category: IoCategory,
+        trace: &mut Vec<TraceIo>,
+    ) -> Result<Sst, StoreError> {
+        let file = &mut self.file;
+        let index_off = file.len();
+        let bloom = Bloom::build(
+            Records::new(file).map(|(k, _)| k),
+            self.entries as usize,
+            10,
+        );
+        put_u32(file, self.index.len() as u32);
+        for e in &self.index {
+            put_bytes(file, &e.first_key);
+            put_u64(file, e.offset);
+            put_u32(file, e.len);
+        }
+        let index_len = file.len() - index_off;
+        let bloom_block = bloom.encode();
+        file.extend_from_slice(&bloom_block);
+        let meta_crc = crc32(&file[index_off..]);
+        put_u64(file, index_off as u64);
+        put_u32(file, index_len as u32);
+        put_u32(file, bloom_block.len() as u32);
+        put_u64(file, self.entries);
+        put_u32(file, meta_crc);
+        put_u32(file, MAGIC);
+
+        let len = file.len() as u64;
+        let nsegs = len.div_ceil(geom.segment_bytes);
+        let mut segments = Vec::with_capacity(nsegs as usize);
+        for _ in 0..nsegs {
+            match alloc.alloc() {
+                Ok(s) => segments.push(s),
+                Err(e) => {
+                    for s in segments {
+                        alloc.free(s);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        let written = geom
+            .write_range(dev, &segments, 0, file)
+            .and_then(|()| dev.flush());
+        if let Err(e) = written {
+            for s in segments {
+                alloc.free(s);
+            }
+            return Err(e);
+        }
+        // Trace per segment-sized chunk so the device model sees realistic I/Os.
+        let mut remaining = len;
+        while remaining > 0 {
+            let chunk = remaining.min(geom.segment_bytes);
+            trace.push(TraceIo {
+                kind: TraceKind::Write,
+                bytes: chunk,
+                category,
+            });
+            remaining -= chunk;
+        }
         trace.push(TraceIo {
-            kind: TraceKind::Write,
-            bytes: chunk,
+            kind: TraceKind::Flush,
+            bytes: 0,
             category,
         });
-        remaining -= chunk;
-    }
-    trace.push(TraceIo {
-        kind: TraceKind::Flush,
-        bytes: 0,
-        category,
-    });
 
-    Ok(Sst {
-        id,
-        segments,
-        len,
-        min_key: records[0].0.clone(),
-        max_key: records[records.len() - 1].0.clone(),
-        entries,
-        index,
-        bloom,
-    })
+        Ok(Sst {
+            id,
+            segments,
+            len,
+            min_key: self.index[0].first_key.clone(),
+            max_key: file[self.last_key.clone()].to_vec(),
+            entries: self.entries,
+            index: std::mem::take(&mut self.index),
+            bloom,
+        })
+    }
 }
 
 /// Point lookup in one SST. `Ok(None)` means "key not in this file";
@@ -300,14 +352,14 @@ pub fn build_sst<D: BlockDevice>(
 ///
 /// # Errors
 ///
-/// Propagates device errors; a corrupt block yields [`StoreError::Corrupt`].
+/// Propagates device errors.
 pub fn sst_get<D: BlockDevice>(
     dev: &mut D,
     geom: SegGeometry,
     sst: &Sst,
     key: &[u8],
     trace: &mut Vec<TraceIo>,
-) -> Result<Option<Option<Vec<u8>>>, StoreError> {
+) -> Result<Option<Option<Payload>>, StoreError> {
     if !sst.covers(key) || !sst.bloom.may_contain(key) {
         return Ok(None);
     }
@@ -323,26 +375,24 @@ pub fn sst_get<D: BlockDevice>(
         bytes: entry.len as u64,
         category: IoCategory::Data,
     });
-    for (k, v) in decode_block(&block) {
-        if k == key {
-            return Ok(Some(v));
-        }
-    }
-    Ok(None)
+    // Scan the block in place; only the value asked for is copied out.
+    Ok(Records::new(&block)
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| v.map(Payload::from)))
 }
 
-/// Reads every record of an SST in key order (compaction input).
+/// Reads the data region of an SST — all its blocks, which
+/// [`Records`] iterates in key order — in one buffer (compaction input).
 ///
 /// # Errors
 ///
 /// Propagates device errors.
-#[allow(clippy::type_complexity)]
-pub fn sst_scan<D: BlockDevice>(
+pub fn read_data<D: BlockDevice>(
     dev: &mut D,
     geom: SegGeometry,
     sst: &Sst,
     trace: &mut Vec<TraceIo>,
-) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>, StoreError> {
+) -> Result<Vec<u8>, StoreError> {
     let data_len: u64 = sst.index.iter().map(|e| e.len as u64).sum();
     let raw = geom.read_range(dev, &sst.segments, 0, data_len)?;
     let mut remaining = data_len;
@@ -355,7 +405,7 @@ pub fn sst_scan<D: BlockDevice>(
         });
         remaining -= chunk;
     }
-    Ok(decode_block(&raw))
+    Ok(raw)
 }
 
 /// Reloads the block index of an SST whose footer is on disk (recovery).
@@ -455,22 +505,28 @@ mod tests {
             .collect()
     }
 
+    fn writer(n: u64) -> SstWriter {
+        let mut w = SstWriter::new(512);
+        for (k, v) in records(n) {
+            w.add(&k, v.as_deref());
+        }
+        w
+    }
+
     fn build(n: u64) -> (MemDisk, SegAlloc, Sst, Vec<TraceIo>) {
         let mut dev = MemDisk::new(1 << 22);
         let mut alloc = SegAlloc::new(1 << 10);
         let mut trace = Vec::new();
-        let recs = records(n);
-        let sst = build_sst(
-            &mut dev,
-            &mut alloc,
-            geom(),
-            1,
-            &recs,
-            512,
-            IoCategory::MemtableFlush,
-            &mut trace,
-        )
-        .unwrap();
+        let sst = writer(n)
+            .finish(
+                &mut dev,
+                &mut alloc,
+                geom(),
+                1,
+                IoCategory::MemtableFlush,
+                &mut trace,
+            )
+            .unwrap();
         (dev, alloc, sst, trace)
     }
 
@@ -480,6 +536,7 @@ mod tests {
         let mut trace = Vec::new();
         for (k, v) in records(200) {
             let got = sst_get(&mut dev, geom(), &sst, &k, &mut trace).unwrap();
+            let got = got.map(|v| v.map(|p| p.to_vec()));
             assert_eq!(got, Some(v), "key {}", String::from_utf8_lossy(&k));
         }
     }
@@ -506,8 +563,43 @@ mod tests {
     fn scan_returns_all_in_order() {
         let (mut dev, _a, sst, _t) = build(300);
         let mut trace = Vec::new();
-        let all = sst_scan(&mut dev, geom(), &sst, &mut trace).unwrap();
+        let data = read_data(&mut dev, geom(), &sst, &mut trace).unwrap();
+        let all: Vec<_> = Records::new(&data)
+            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+            .collect();
         assert_eq!(all, records(300));
+    }
+
+    #[test]
+    fn writer_is_reusable_and_builds_identical_files() {
+        let mut dev = MemDisk::new(1 << 22);
+        let mut alloc = SegAlloc::new(1 << 10);
+        let mut trace = Vec::new();
+        let mut w = writer(150);
+        let mut build = |w: &mut SstWriter, id| {
+            w.finish(
+                &mut dev,
+                &mut alloc,
+                geom(),
+                id,
+                IoCategory::Compaction,
+                &mut trace,
+            )
+            .unwrap()
+        };
+        let first = build(&mut w, 1);
+        assert!(w.is_empty());
+        for (k, v) in records(150) {
+            w.add(&k, v.as_deref());
+        }
+        let second = build(&mut w, 2);
+        assert_eq!(first.len, second.len);
+        assert_eq!(first.index, second.index);
+        assert_eq!(first.bloom, second.bloom);
+        assert_eq!(
+            (first.min_key, first.max_key),
+            (second.min_key, second.max_key)
+        );
     }
 
     #[test]
@@ -557,18 +649,17 @@ mod tests {
         let mut dev = MemDisk::new(1 << 20);
         let mut alloc = SegAlloc::new(2); // deliberately too small
         let mut trace = Vec::new();
-        let recs = records(2000);
-        let err = build_sst(
+        let mut w = writer(2000);
+        let err = w.finish(
             &mut dev,
             &mut alloc,
             geom(),
             1,
-            &recs,
-            512,
             IoCategory::MemtableFlush,
             &mut trace,
         );
         assert_eq!(err.err(), Some(StoreError::NoSpace));
+        assert!(w.is_empty(), "a failed finish still resets the writer");
         assert_eq!(
             alloc.free_segments(),
             2,

@@ -11,14 +11,15 @@
 use std::collections::HashMap;
 
 use rablock_storage::{
-    BlockDevice, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, StoreError, StoreStats,
-    TraceIo, Transaction,
+    BlockDevice, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, Payload, StoreError,
+    StoreStats, TraceIo, Transaction,
 };
 
 use crate::cache::BlockCache;
 use crate::db::Db;
 use crate::options::LsmOptions;
 use crate::util::{put_u64, Cursor};
+use crate::wal::BatchEntry;
 
 /// Data is chunked into blocks of this size inside the LSM.
 pub const LSM_BLOCK_BYTES: u64 = 4096;
@@ -67,13 +68,13 @@ struct StoredInfo {
 }
 
 impl StoredInfo {
-    fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Payload {
         let mut v = Vec::with_capacity(28);
         put_u64(&mut v, self.size);
         put_u64(&mut v, self.version);
         put_u64(&mut v, self.mtime);
         v.extend_from_slice(&self.generation.to_le_bytes());
-        v
+        v.into()
     }
 
     fn decode(raw: &[u8]) -> Result<Self, StoreError> {
@@ -128,6 +129,12 @@ pub struct LsmObjectStore<D: BlockDevice> {
     raw_chunks: HashMap<(u64, u32, u64), u32>,
     /// BlueStore-style object-data cache (write-through), paper SV-E.
     cache: BlockCache,
+    /// The last maintenance step failed (device full or faulty) and nothing
+    /// was submitted since. The step left the database as it was, so it
+    /// would fail again: maintenance reports "not due" until a transaction
+    /// changes the picture, instead of spinning callers that loop on
+    /// [`ObjectStore::needs_maintenance`].
+    maintenance_failed: bool,
     user_bytes: u64,
     transactions: u64,
 }
@@ -157,6 +164,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
             db,
             raw_chunks,
             cache,
+            maintenance_failed: false,
             user_bytes: 0,
             transactions: 0,
         })
@@ -180,7 +188,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         match self.db.get(&key)? {
             Some(raw) => {
                 // BlueStore caches onodes; so do we.
-                self.cache.put(key, raw.clone());
+                self.cache.put(&key, raw.clone());
                 Ok(Some(StoredInfo::decode(&raw)?))
             }
             None => Ok(None),
@@ -189,11 +197,11 @@ impl<D: BlockDevice> LsmObjectStore<D> {
 
     fn apply_write(
         &mut self,
-        batch: &mut Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        batch: &mut Vec<BatchEntry>,
         info: &mut StoredInfo,
         oid: ObjectId,
         offset: u64,
-        data: &[u8],
+        data: &Payload,
     ) -> Result<(), StoreError> {
         let end = offset + data.len() as u64;
         // Large-write path (BlueStore: big writes bypass RocksDB and land
@@ -232,7 +240,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
                 self.raw_chunks.insert(key, seg);
                 batch.push((
                     raw_key(oid, info.generation, chunk),
-                    Some(seg.to_le_bytes().to_vec()),
+                    Some(seg.to_le_bytes().as_slice().into()),
                 ));
             } else {
                 kv_ranges.push((p_start, p_end));
@@ -245,15 +253,17 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         Ok(())
     }
 
-    /// The small-write path: 4 KiB blocks as LSM values.
+    /// The small-write path: 4 KiB blocks as LSM values. A block the write
+    /// covers whole is a window into the client's buffer; cache, WAL frame
+    /// and memtable then share it.
     #[allow(clippy::too_many_arguments)]
     fn apply_kv_write(
         &mut self,
-        batch: &mut Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        batch: &mut Vec<BatchEntry>,
         info: &mut StoredInfo,
         oid: ObjectId,
         offset: u64,
-        data: &[u8],
+        data: &Payload,
         r_start: u64,
         r_end: u64,
     ) -> Result<(), StoreError> {
@@ -267,19 +277,19 @@ impl<D: BlockDevice> LsmObjectStore<D> {
             let copy_end = end.min(block_end);
             let key = data_key(oid, info.generation, block);
             let value = if copy_start == block_start && copy_end == block_end {
-                data[(copy_start - offset) as usize..(copy_end - offset) as usize].to_vec()
+                data.slice((copy_start - offset) as usize, LSM_BLOCK_BYTES as usize)
             } else {
                 // Unaligned: read-modify-write the block (the paper calls
                 // this out in the YCSB analysis, §V-E).
-                let mut existing = self.db.get(&key)?.unwrap_or_default();
-                existing.resize(LSM_BLOCK_BYTES as usize, 0);
-                existing[(copy_start - block_start) as usize..(copy_end - block_start) as usize]
+                let mut block = self.db.get(&key)?.map_or_else(Vec::new, |p| p.to_vec());
+                block.resize(LSM_BLOCK_BYTES as usize, 0);
+                block[(copy_start - block_start) as usize..(copy_end - block_start) as usize]
                     .copy_from_slice(
                         &data[(copy_start - offset) as usize..(copy_end - offset) as usize],
                     );
-                existing
+                block.into()
             };
-            self.cache.put(key.clone(), value.clone());
+            self.cache.put(&key, value.clone());
             batch.push((key, Some(value)));
         }
         info.size = info.size.max(end);
@@ -311,7 +321,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
                 None => {
                     let fetched = self.db.get(&key)?;
                     if let Some(v) = &fetched {
-                        self.cache.put(key, v.clone());
+                        self.cache.put(&key, v.clone());
                     }
                     fetched
                 }
@@ -331,7 +341,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
 
 impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
     fn submit(&mut self, txn: Transaction) -> Result<(), StoreError> {
-        let mut batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
+        let mut batch: Vec<BatchEntry> = Vec::new();
         // Info updates are coalesced per object within the transaction.
         let mut infos: Vec<(ObjectId, StoredInfo)> = Vec::new();
         let info_of = |store: &mut Self,
@@ -388,10 +398,10 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                 Op::SetXattr { oid, key, value } => {
                     let idx = info_of(self, &mut infos, *oid, true)?.expect("xattr creates info");
                     infos[idx].1.version += 1;
-                    batch.push((xattr_key(*oid, key), Some(value.clone())));
+                    batch.push((xattr_key(*oid, key), Some(value.as_slice().into())));
                 }
                 Op::MetaPut { key, value } => {
-                    batch.push((meta_key(key), Some(value.clone())));
+                    batch.push((meta_key(key), Some(value.as_slice().into())));
                 }
                 Op::MetaDelete { key } => {
                     batch.push((meta_key(key), None));
@@ -403,12 +413,14 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                     let generation = infos[idx].1.generation;
                     infos.retain(|(o, _)| o != oid);
                     // Release the large-write chunks of this generation.
-                    let doomed: Vec<(u64, u32, u64)> = self
+                    let mut doomed: Vec<(u64, u32, u64)> = self
                         .raw_chunks
                         .keys()
                         .filter(|(o, g, _)| *o == oid.raw() && *g == generation)
                         .copied()
                         .collect();
+                    // Map order is per-process; the device image must not be.
+                    doomed.sort_unstable();
                     for key in doomed {
                         let seg = self.raw_chunks.remove(&key).expect("just listed");
                         self.db.free_segment(seg)?;
@@ -420,10 +432,12 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
             }
         }
         for (oid, info) in infos {
+            let key = info_key(oid);
             let encoded = info.encode();
-            self.cache.put(info_key(oid), encoded.clone());
-            batch.push((info_key(oid), Some(encoded)));
+            self.cache.put(&key, encoded.clone());
+            batch.push((key, Some(encoded)));
         }
+        self.maintenance_failed = false;
         self.db.apply(&batch)?;
         self.transactions += 1;
         Ok(())
@@ -471,15 +485,19 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
     }
 
     fn get_meta(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.db.get(&meta_key(key)).ok().flatten()
+        let value = self.db.get(&meta_key(key)).ok().flatten()?;
+        Some(value.to_vec())
     }
 
     fn needs_maintenance(&self) -> bool {
-        self.db.needs_maintenance()
+        !self.maintenance_failed && self.db.needs_maintenance()
     }
 
     fn maintenance(&mut self) -> MaintenanceReport {
-        self.db.maintenance().unwrap_or_default()
+        self.db.maintenance().unwrap_or_else(|_| {
+            self.maintenance_failed = true;
+            MaintenanceReport::default()
+        })
     }
 
     fn take_trace(&mut self) -> Vec<TraceIo> {
@@ -668,6 +686,40 @@ mod tests {
         // The LSM path writes every byte at least twice (WAL + flush) and
         // compaction pushes total WAF toward the paper's ~3.
         assert!(stats.waf() > 2.0, "waf = {}", stats.waf());
+    }
+
+    #[test]
+    fn full_device_neither_spins_maintenance_nor_loses_acked_writes() {
+        // 1 MiB device, more distinct blocks than it can hold.
+        let mut s = LsmObjectStore::open(MemDisk::new(1 << 20), LsmOptions::tiny()).unwrap();
+        let mut acked: HashMap<(u64, u64), u8> = HashMap::new();
+        let mut refused = 0;
+        for seq in 0..600u64 {
+            let (o, block, fill) = (seq % 7, seq * 13 % 64, (seq % 251) as u8);
+            let txn = write_txn(seq + 1, oid(o), block * 4096, vec![fill; 4096]);
+            if s.submit(txn).is_err() {
+                break; // stalled on a flush the device has no room for
+            }
+            acked.insert((o, block), fill);
+            let mut steps = 0;
+            while s.needs_maintenance() {
+                s.maintenance();
+                steps += 1;
+                assert!(
+                    steps < 1_000,
+                    "maintenance spins on a step that cannot succeed"
+                );
+            }
+            refused += s.maintenance_failed as u32;
+        }
+        assert!(refused > 0, "the device never filled up");
+        for ((o, block), fill) in acked {
+            assert_eq!(
+                s.read(oid(o), block * 4096, 4096).unwrap(),
+                vec![fill; 4096],
+                "object {o} block {block}"
+            );
+        }
     }
 
     #[test]

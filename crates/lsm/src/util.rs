@@ -1,51 +1,4 @@
-//! Encoding helpers: CRC32 and little-endian record framing.
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-///
-/// Used to detect torn or partial records in the WAL and SST footers.
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    // Slice-by-8: eight derived tables let the hot loop fold 8 input bytes
-    // per iteration instead of one. Identical output to the classic
-    // byte-at-a-time form (same polynomial, same reflection).
-    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
-    let t = TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
-        for (i, e) in t[0].iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        for i in 0..256usize {
-            let mut c = t[0][i];
-            for k in 1..8 {
-                c = t[0][(c & 0xFF) as usize] ^ (c >> 8);
-                t[k][i] = c;
-            }
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes")) ^ crc;
-        let hi = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+//! Encoding helpers: little-endian record framing.
 
 /// Appends a `u32` little-endian.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -135,20 +88,6 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_detects_bit_flip() {
-        let a = crc32(b"hello world");
-        let b = crc32(b"hello worle");
-        assert_ne!(a, b);
-    }
 
     #[test]
     fn cursor_round_trips() {

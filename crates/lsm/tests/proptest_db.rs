@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rablock_lsm::{Db, LsmOptions};
-use rablock_storage::{CrashDisk, CrashPlan, MemDisk};
+use rablock_storage::{CrashDisk, CrashPlan, MemDisk, Payload};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
@@ -37,11 +37,11 @@ proptest! {
     #[test]
     fn db_matches_btreemap(script in ops()) {
         let mut db = Db::open(MemDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut model: BTreeMap<Vec<u8>, Payload> = BTreeMap::new();
         for op in script {
             match op {
                 DbOp::Put(k, f, l) => {
-                    let v = vec![f; l as usize];
+                    let v = Payload::from(vec![f; l as usize]);
                     db.apply(&[(key(k), Some(v.clone()))]).unwrap();
                     model.insert(key(k), v);
                 }
@@ -70,11 +70,11 @@ proptest! {
     #[test]
     fn db_crash_recovers_model(script in ops()) {
         let mut db = Db::open(CrashDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut model: BTreeMap<Vec<u8>, Payload> = BTreeMap::new();
         for op in script {
             match op {
                 DbOp::Put(k, f, l) => {
-                    let v = vec![f; l as usize];
+                    let v = Payload::from(vec![f; l as usize]);
                     db.apply(&[(key(k), Some(v.clone()))]).unwrap();
                     model.insert(key(k), v);
                 }

@@ -1,0 +1,204 @@
+//! Differential property test: [`LsmObjectStore`] against a plain map of
+//! 4 KiB blocks.
+//!
+//! Random transactions (aligned, unaligned and raw-path writes, xattr and
+//! meta records, deletes), interleaved with maintenance steps, reads and
+//! reopen through `into_device` → `open`, must always read back what the
+//! model holds — whichever of cache, memtable, SST level or raw segment the
+//! bytes currently live in.
+
+use std::collections::{HashMap, HashSet};
+
+use proptest::prelude::*;
+use rablock_lsm::{LsmObjectStore, LsmOptions};
+use rablock_storage::{GroupId, MemDisk, ObjectId, ObjectStore, Op, StoreError, Transaction};
+
+const BLOCK: u64 = 4096;
+const OBJECT_BYTES: u64 = 32 * BLOCK;
+
+#[derive(Debug, Clone)]
+enum StoreOp {
+    Write {
+        obj: u8,
+        offset: u64,
+        len: u64,
+        fill: u8,
+    },
+    Xattr {
+        obj: u8,
+        fill: u8,
+    },
+    MetaPut {
+        key: u8,
+        fill: u8,
+        len: u8,
+    },
+    MetaDelete {
+        key: u8,
+    },
+    Delete {
+        obj: u8,
+    },
+    Read {
+        obj: u8,
+        offset: u64,
+        len: u64,
+    },
+    Maintain,
+    Reopen,
+}
+
+fn write((obj, offset, len, fill): (u8, u64, u64, u8)) -> StoreOp {
+    StoreOp::Write {
+        obj,
+        offset,
+        len: len.min(OBJECT_BYTES - offset),
+        fill,
+    }
+}
+
+fn ops() -> impl Strategy<Value = Vec<StoreOp>> {
+    let obj = || 0u8..4;
+    proptest::collection::vec(
+        prop_oneof![
+            // Whole blocks: values are windows into the client's buffer.
+            6 => (obj(), 0u64..32, 1u64..4, any::<u8>())
+                .prop_map(|(o, block, n, fill)| write((o, block * BLOCK, n * BLOCK, fill))),
+            // Unaligned: read-modify-write of the edge blocks.
+            4 => (obj(), 0..OBJECT_BYTES - 1, 1u64..6_000, any::<u8>()).prop_map(write),
+            // Half a 16 KiB chunk or more: promoted to the raw path.
+            2 => (obj(), 0..OBJECT_BYTES - 1, 8_192u64..40_000, any::<u8>()).prop_map(write),
+            1 => (obj(), any::<u8>()).prop_map(|(obj, fill)| StoreOp::Xattr { obj, fill }),
+            2 => (0u8..8, any::<u8>(), 1u8..200)
+                .prop_map(|(key, fill, len)| StoreOp::MetaPut { key, fill, len }),
+            1 => (0u8..8).prop_map(|key| StoreOp::MetaDelete { key }),
+            1 => obj().prop_map(|obj| StoreOp::Delete { obj }),
+            5 => (obj(), 0..OBJECT_BYTES, 1u64..20_000)
+                .prop_map(|(obj, offset, len)| StoreOp::Read { obj, offset, len }),
+            4 => Just(StoreOp::Maintain),
+            1 => Just(StoreOp::Reopen),
+        ],
+        1..100,
+    )
+}
+
+#[derive(Default)]
+struct Model {
+    blocks: HashMap<(u8, u64), Vec<u8>>,
+    size: HashMap<u8, u64>,
+    /// Deleted objects are never written again: the store reuses the data
+    /// keys of a deleted object's generation, which this test leaves alone.
+    dead: HashSet<u8>,
+    meta: HashMap<u8, Vec<u8>>,
+}
+
+impl Model {
+    fn write(&mut self, obj: u8, offset: u64, data: &[u8]) {
+        for (i, &byte) in data.iter().enumerate() {
+            let pos = offset + i as u64;
+            let block = self
+                .blocks
+                .entry((obj, pos / BLOCK))
+                .or_insert_with(|| vec![0; BLOCK as usize]);
+            block[(pos % BLOCK) as usize] = byte;
+        }
+        let size = self.size.entry(obj).or_insert(0);
+        *size = (*size).max(offset + data.len() as u64);
+    }
+
+    fn read(&self, obj: u8, offset: u64, len: u64) -> Vec<u8> {
+        (offset..offset + len)
+            .map(|pos| {
+                self.blocks
+                    .get(&(obj, pos / BLOCK))
+                    .map_or(0, |b| b[(pos % BLOCK) as usize])
+            })
+            .collect()
+    }
+}
+
+fn oid(obj: u8) -> ObjectId {
+    ObjectId::new(GroupId(0), obj as u64)
+}
+
+fn meta_key(key: u8) -> Vec<u8> {
+    format!("pglog.0.{key}").into_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn store_matches_block_map(script in ops()) {
+        let mut store = LsmObjectStore::open(MemDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
+        let mut model = Model::default();
+        let mut seq = 0u64;
+        let mut submit = |store: &mut LsmObjectStore<MemDisk>, ops: Vec<Op>| {
+            seq += 1;
+            store.submit(Transaction::new(GroupId(0), seq, ops))
+        };
+        for op in script {
+            match op {
+                StoreOp::Write { obj, offset, len, fill } if !model.dead.contains(&obj) => {
+                    // A ramp, so a misplaced or stale byte cannot pass as right.
+                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    model.write(obj, offset, &data);
+                    submit(&mut store, vec![Op::Write { oid: oid(obj), offset, data: data.into() }]).unwrap();
+                }
+                StoreOp::Xattr { obj, fill } if !model.dead.contains(&obj) => {
+                    model.size.entry(obj).or_insert(0);
+                    submit(&mut store, vec![Op::SetXattr { oid: oid(obj), key: "oi".into(), value: vec![fill; 40] }]).unwrap();
+                }
+                StoreOp::MetaPut { key, fill, len } => {
+                    let value = vec![fill; len as usize];
+                    model.meta.insert(key, value.clone());
+                    submit(&mut store, vec![Op::MetaPut { key: meta_key(key), value }]).unwrap();
+                }
+                StoreOp::MetaDelete { key } => {
+                    model.meta.remove(&key);
+                    submit(&mut store, vec![Op::MetaDelete { key: meta_key(key) }]).unwrap();
+                }
+                StoreOp::Delete { obj } => {
+                    let existed = model.size.remove(&obj).is_some();
+                    model.blocks.retain(|(o, _), _| *o != obj);
+                    let result = submit(&mut store, vec![Op::Delete { oid: oid(obj) }]);
+                    if existed {
+                        model.dead.insert(obj);
+                        prop_assert_eq!(result, Ok(()));
+                    } else {
+                        prop_assert_eq!(result, Err(StoreError::NotFound));
+                    }
+                }
+                StoreOp::Read { obj, offset, len } => {
+                    let got = store.read(oid(obj), offset, len);
+                    match model.size.get(&obj) {
+                        None => prop_assert_eq!(got, Err(StoreError::NotFound)),
+                        Some(&size) if offset + len > size => {
+                            let out_of_bounds = matches!(got, Err(StoreError::OutOfBounds { .. }));
+                            prop_assert!(out_of_bounds, "{:?}", got);
+                        }
+                        Some(_) => prop_assert_eq!(got, Ok(model.read(obj, offset, len))),
+                    }
+                }
+                StoreOp::Maintain => {
+                    if store.needs_maintenance() {
+                        store.maintenance();
+                    }
+                }
+                StoreOp::Reopen => {
+                    store = LsmObjectStore::open(store.into_device(), LsmOptions::tiny()).unwrap();
+                }
+                StoreOp::Write { .. } | StoreOp::Xattr { .. } => {} // dead object
+            }
+        }
+        for (&obj, &size) in &model.size {
+            prop_assert_eq!(store.stat(oid(obj)).map(|i| i.size), Some(size));
+            if size > 0 {
+                prop_assert_eq!(store.read(oid(obj), 0, size), Ok(model.read(obj, 0, size)), "object {}", obj);
+            }
+        }
+        for key in 0u8..8 {
+            prop_assert_eq!(store.get_meta(&meta_key(key)), model.meta.get(&key).cloned(), "meta {}", key);
+        }
+    }
+}

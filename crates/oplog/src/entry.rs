@@ -4,6 +4,7 @@
 //! id, version, sequence number — plus the full transaction (offset, data,
 //! operation type per op), CRC-framed so recovery can trust what it reads.
 
+use rablock_storage::crc::{crc32, FrameCrc};
 use rablock_storage::{GroupId, ObjectId, Op, StoreError, Transaction};
 
 /// One durable record in a group's operation log.
@@ -15,164 +16,6 @@ pub struct LogRecord {
     pub seq: u64,
     /// The logged transaction.
     pub txn: Transaction,
-}
-
-const POLY: u32 = 0xEDB8_8320;
-
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    !crc32_update(!0, data)
-}
-
-/// Streaming form: feeds `data` into a raw (pre-inversion) CRC state, so a
-/// record's checksum can be computed piecewise as its body is built.
-/// `crc32(d) == !crc32_update(!0, d)`, and resuming with more bytes extends
-/// the checksummed stream.
-fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    // Slice-by-8: eight derived tables let the hot loop fold 8 input bytes
-    // per iteration instead of one. Identical output to the classic
-    // byte-at-a-time form (same polynomial, same reflection).
-    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
-    let t = TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
-        for (i, e) in t[0].iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        for i in 0..256usize {
-            let mut c = t[0][i];
-            for k in 1..8 {
-                c = t[0][(c & 0xFF) as usize] ^ (c >> 8);
-                t[k][i] = c;
-            }
-        }
-        t
-    });
-    let mut crc = state;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes")) ^ crc;
-        let hi = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
-}
-
-/// `sum ^= mat * vec` over GF(2): `mat` is a 32×32 bit matrix stored as
-/// column vectors, `vec` a 32-bit vector.
-fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
-    let mut sum = 0;
-    let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
-    }
-    sum
-}
-
-fn gf2_matrix_square(square: &mut [u32; 32], mat: &[u32; 32]) {
-    for n in 0..32 {
-        square[n] = gf2_matrix_times(mat, mat[n]);
-    }
-}
-
-/// The GF(2) operator that advances a finalized CRC-32 past `len` zero
-/// bytes — i.e. multiplication by `x^(8·len)` mod the CRC polynomial.
-/// Building it costs ~2·log₂(len) matrix squarings, so operators are
-/// memoized per distinct length (payload sizes cluster on a handful of
-/// values per workload).
-fn crc32_shift_op(len: u64) -> [u32; 32] {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    thread_local! {
-        static OPS: RefCell<HashMap<u64, [u32; 32]>> = RefCell::new(HashMap::new());
-    }
-    OPS.with(|ops| {
-        if let Some(op) = ops.borrow().get(&len) {
-            return *op;
-        }
-        // Operator for one zero byte (shift by 8 bits), as in zlib's
-        // crc32_combine: odd = poly operator, square twice per bit of len.
-        let mut odd = [0u32; 32];
-        odd[0] = POLY;
-        let mut row = 1u32;
-        for entry in odd.iter_mut().skip(1) {
-            *entry = row;
-            row <<= 1;
-        }
-        let mut even = [0u32; 32];
-        gf2_matrix_square(&mut even, &odd); // 2 bits
-        gf2_matrix_square(&mut odd, &even); // 4 bits
-
-        // Identity operator, then fold in a squaring per bit of `len`.
-        let mut acc = [0u32; 32];
-        for (n, entry) in acc.iter_mut().enumerate() {
-            *entry = 1 << n;
-        }
-        let mut remaining = len;
-        loop {
-            gf2_matrix_square(&mut even, &odd); // 8·2^k bits
-            if remaining & 1 != 0 {
-                acc = {
-                    let mut next = [0u32; 32];
-                    for (n, entry) in next.iter_mut().enumerate() {
-                        *entry = gf2_matrix_times(&even, acc[n]);
-                    }
-                    next
-                };
-            }
-            remaining >>= 1;
-            if remaining == 0 {
-                break;
-            }
-            gf2_matrix_square(&mut odd, &even);
-            if remaining & 1 != 0 {
-                acc = {
-                    let mut next = [0u32; 32];
-                    for (n, entry) in next.iter_mut().enumerate() {
-                        *entry = gf2_matrix_times(&odd, acc[n]);
-                    }
-                    next
-                };
-            }
-            remaining >>= 1;
-            if remaining == 0 {
-                break;
-            }
-        }
-        ops.borrow_mut().insert(len, acc);
-        acc
-    })
-}
-
-/// Splices a precomputed block checksum into a streaming CRC: given the raw
-/// state after some prefix `A` and the finalized `crc32(B)`, returns the
-/// raw state after `A || B` without touching `B`'s bytes. Identical to
-/// feeding `B` through [`crc32_update`] (zlib's crc32_combine, restated on
-/// raw states).
-fn crc32_splice(state: u32, block_crc: u32, block_len: u64) -> u32 {
-    if block_len == 0 {
-        return state;
-    }
-    let op = crc32_shift_op(block_len);
-    // Finalized prefix CRC shifted past the block, xor the block's CRC,
-    // back to raw state.
-    !(gf2_matrix_times(&op, !state) ^ block_crc)
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -243,15 +86,10 @@ impl LogRecord {
         let cap = 8 + 32 + self.txn.user_bytes() as usize + self.txn.ops.len() * 64;
         let mut body = Vec::with_capacity(cap);
         body.extend_from_slice(&[0u8; 8]);
-        // The record CRC is computed streamingly as the body is built, so
-        // large write payloads can contribute a *memoized* block checksum
-        // (spliced in via the GF(2) shift operator) instead of being
+        // The record CRC is kept while the body is built, so large write
+        // payloads contribute a *memoized* checksum instead of being
         // re-scanned for every replica's append of the same shared buffer.
-        // `crc_state` covers `body[8..crc_pos]`; the tail past `crc_pos` is
-        // folded in at the end.
-        const CRC_SPLICE_MIN: usize = 512;
-        let mut crc_state = !0u32;
-        let mut crc_pos = 8usize;
+        let mut crc = FrameCrc::new(8);
         put_u64(&mut body, self.version);
         put_u64(&mut body, self.seq);
         put_u32(&mut body, self.txn.group.0);
@@ -269,15 +107,7 @@ impl LogRecord {
                     put_u64(&mut body, oid.raw());
                     put_u64(&mut body, *offset);
                     put_u32(&mut body, data.len() as u32);
-                    if data.len() >= CRC_SPLICE_MIN {
-                        crc_state = crc32_update(crc_state, &body[crc_pos..]);
-                        let block = data.cached_full_checksum(crc32);
-                        crc_state = crc32_splice(crc_state, block, data.len() as u64);
-                        body.extend_from_slice(data);
-                        crc_pos = body.len();
-                    } else {
-                        body.extend_from_slice(data);
-                    }
+                    crc.append_payload(&mut body, data);
                 }
                 Op::SetXattr { oid, key, value } => {
                     body.push(2);
@@ -301,7 +131,7 @@ impl LogRecord {
             }
         }
         let body_len = (body.len() - 8) as u32;
-        let crc = !crc32_update(crc_state, &body[crc_pos..]);
+        let crc = crc.finish(&body);
         body[0..4].copy_from_slice(&body_len.to_le_bytes());
         body[4..8].copy_from_slice(&crc.to_le_bytes());
         body
@@ -413,22 +243,6 @@ mod tests {
                 ],
             ),
         }
-    }
-
-    #[test]
-    fn spliced_crc_matches_direct_scan() {
-        // The streaming + splice path must produce the exact CRC a flat
-        // scan of the body would, for any split of prefix/block/tail.
-        let a: Vec<u8> = (0u8..=255).cycle().take(733).collect();
-        let b: Vec<u8> = (0u8..=255).rev().cycle().take(4096).collect();
-        let c: Vec<u8> = vec![0xA5; 17];
-        let whole: Vec<u8> = [a.as_slice(), b.as_slice(), c.as_slice()].concat();
-        let mut state = crc32_update(!0, &a);
-        state = crc32_splice(state, crc32(&b), b.len() as u64);
-        state = crc32_update(state, &c);
-        assert_eq!(!state, crc32(&whole));
-        // Zero-length block is the identity.
-        assert_eq!(crc32_splice(state, crc32(&[]), 0), state);
     }
 
     #[test]

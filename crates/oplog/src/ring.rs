@@ -6,9 +6,8 @@
 //! monotone byte counters persisted in a small CRC-protected header, so a
 //! crashed node recovers its log by scanning `[tail, head)`.
 
+use rablock_storage::crc::crc32;
 use rablock_storage::{NvmRegion, StoreError};
-
-use crate::entry::crc32;
 
 const HEADER_BYTES: u64 = 48;
 const MAGIC: u32 = 0x4F50_4C47; // "OPLG"

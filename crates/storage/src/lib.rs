@@ -8,6 +8,8 @@
 //!   tests (lost, partial, and torn writes).
 //! * [`NvmRegion`] — byte-addressable non-volatile memory, as the paper's
 //!   ramdisk-emulated NVM.
+//! * [`crc`] — the one CRC-32 every framed storage format uses,
+//!   with the streaming and splice forms that keep shared payloads unread.
 //! * [`ObjectStore`] / [`Transaction`] — the transactional contract
 //!   implemented by both the BlueStore-like LSM backend (`rablock-lsm`) and
 //!   the paper's CPU-efficient object store (`rablock-cos`).
@@ -26,6 +28,7 @@
 
 mod blockdev;
 mod crash;
+pub mod crc;
 mod error;
 mod fxhash;
 mod nvm;

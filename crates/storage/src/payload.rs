@@ -15,6 +15,8 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
+use crate::crc::crc32;
+
 /// An immutable, cheaply-cloneable, slice-able byte buffer.
 ///
 /// Cloning bumps a refcount; slicing shares the same allocation. Equality
@@ -25,10 +27,9 @@ pub struct Payload {
     buf: Arc<[u8]>,
     off: usize,
     len: usize,
-    /// Lazily computed checksum of the *full* backing buffer, shared by all
+    /// Lazily computed CRC-32 of the *full* backing buffer, shared by all
     /// clones. Lets hot paths that checksum the same (interned, refcounted)
-    /// buffer over and over pay the scan once. See
-    /// [`Payload::cached_full_checksum`].
+    /// buffer over and over pay the scan once. See [`Payload::crc32`].
     checksum: Arc<OnceLock<u32>>,
 }
 
@@ -77,19 +78,16 @@ impl Payload {
         }
     }
 
-    /// The checksum of this view under `compute`, memoized when the view
-    /// covers its whole backing buffer (the hot case: replication fans the
-    /// same full-buffer payload to every replica, and workload generators
-    /// intern their fill patterns). Partial views are computed directly —
-    /// the memo slot belongs to the full buffer's bytes.
-    ///
-    /// The caller must pass the *same* pure `compute` function every time;
-    /// the first one wins and later calls return its memoized result.
-    pub fn cached_full_checksum(&self, compute: impl Fn(&[u8]) -> u32) -> u32 {
+    /// The CRC-32 ([`crate::crc::crc32`]) of this view, memoized when the
+    /// view covers its whole backing buffer (the hot case: replication fans
+    /// the same full-buffer payload to every replica, and workload
+    /// generators intern their fill patterns). Partial views are computed
+    /// directly — the memo slot belongs to the full buffer's bytes.
+    pub fn crc32(&self) -> u32 {
         if self.off == 0 && self.len == self.buf.len() {
-            *self.checksum.get_or_init(|| compute(&self.buf))
+            *self.checksum.get_or_init(|| crc32(&self.buf))
         } else {
-            compute(self.as_slice())
+            crc32(self.as_slice())
         }
     }
 
@@ -219,6 +217,16 @@ mod tests {
         let b = Payload::from(vec![0, 1, 2, 3]).slice(1, 3);
         assert_eq!(a, b);
         assert_eq!(a, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn crc32_is_memoized_for_full_views_and_exact_for_slices() {
+        let p: Payload = (0u8..=255).cycle().take(4096).collect::<Vec<u8>>().into();
+        assert_eq!(p.crc32(), crc32(&p));
+        assert_eq!(p.clone().crc32(), crc32(&p), "memo shared by clones");
+        let s = p.slice(100, 1000);
+        assert_eq!(s.crc32(), crc32(&s), "a partial view never reads the memo");
+        assert_eq!(p.slice(0, 4096).crc32(), crc32(&p));
     }
 
     #[test]

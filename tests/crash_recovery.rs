@@ -37,7 +37,7 @@ fn lsm_crash_loses_nothing_acknowledged() {
     let mut db = Db::open(CrashDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
     for i in 0..500u64 {
         let k = format!("key{:04}", i % 100).into_bytes();
-        db.apply(&[(k, Some(vec![i as u8; 64]))]).unwrap();
+        db.apply(&[(k, Some(vec![i as u8; 64].into()))]).unwrap();
         while db.needs_maintenance() {
             db.maintenance().unwrap();
         }
@@ -51,7 +51,7 @@ fn lsm_crash_loses_nothing_acknowledged() {
         let newest = (0..500u64).rev().find(|j| j % 100 == i).unwrap();
         assert_eq!(
             db2.get(&k).unwrap(),
-            Some(vec![newest as u8; 64]),
+            Some(vec![newest as u8; 64].into()),
             "key {i}"
         );
     }
@@ -60,7 +60,7 @@ fn lsm_crash_loses_nothing_acknowledged() {
 #[test]
 fn lsm_torn_wal_tail_is_dropped_cleanly() {
     let mut db = Db::open(CrashDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
-    db.apply(&[(b"committed".to_vec(), Some(b"yes".to_vec()))])
+    db.apply(&[(b"committed".to_vec(), Some(b"yes".to_vec().into()))])
         .unwrap();
     let mut dev = db.into_device();
     // Tear the very last write (the most recent WAL record).
@@ -69,7 +69,7 @@ fn lsm_torn_wal_tail_is_dropped_cleanly() {
     let mut db2 = Db::open(dev, LsmOptions::tiny()).unwrap();
     // Either the record survived its CRC or was dropped — never garbage.
     if let Some(v) = db2.get(b"committed").unwrap() {
-        assert_eq!(v, b"yes");
+        assert_eq!(v.as_slice(), b"yes");
     }
 }
 
