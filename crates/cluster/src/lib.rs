@@ -20,6 +20,7 @@
 //! * [`invariants::HistoryChecker`] + [`retry::RetryPolicy`] — safety
 //!   checking and the exactly-once client path for fault-injection runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod costs;

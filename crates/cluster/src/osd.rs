@@ -38,6 +38,31 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The pg-log key of a write, `pglog.{group}.{seq}`, built without the `fmt`
+/// machinery: every write takes one on every replica. The bytes are what
+/// `format!` gave, since the LSM backend writes the key to its WAL.
+fn pglog_key(group: GroupId, seq: u64) -> Vec<u8> {
+    fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[at..]);
+    }
+    let mut key = Vec::with_capacity(6 + 10 + 1 + 20);
+    key.extend_from_slice(b"pglog.");
+    push_decimal(&mut key, group.0 as u64);
+    key.push(b'.');
+    push_decimal(&mut key, seq);
+    key
+}
+
 /// FNV-style digest over a byte slice: the checksum recovery pushes are
 /// verified with and the unit replica contents are compared by.
 ///
@@ -856,7 +881,6 @@ impl Osd {
         offset: u64,
         data: Payload,
     ) -> Transaction {
-        let pglog_key = format!("pglog.{}.{seq}", group.0).into_bytes();
         Transaction::new(
             group,
             seq,
@@ -868,7 +892,7 @@ impl Osd {
                     value: vec![0xA5; 64],
                 },
                 Op::MetaPut {
-                    key: pglog_key,
+                    key: pglog_key(group, seq),
                     value: vec![0x5A; 180],
                 },
             ],
@@ -3548,6 +3572,22 @@ mod tests {
             ..OsdConfig::default()
         };
         Osd::new(OsdId(id), cfg, map())
+    }
+
+    #[test]
+    fn pglog_key_matches_format() {
+        for (g, seq) in [
+            (0, 0),
+            (7, 9),
+            (10, 100),
+            (u32::MAX, u64::MAX),
+            (123, 1 << 40),
+        ] {
+            assert_eq!(
+                pglog_key(GroupId(g), seq),
+                format!("pglog.{g}.{seq}").into_bytes()
+            );
+        }
     }
 
     fn a_group_with_primary(o: &Osd) -> GroupId {

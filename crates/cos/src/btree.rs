@@ -122,40 +122,31 @@ impl ExtentBTree {
         if self.root.max_len() < len {
             return Err(StoreError::NoSpace);
         }
-        let (start, consumed_whole) = Self::alloc_in(&mut self.root, len);
-        self.free_blocks -= len;
-        if consumed_whole {
-            self.extents -= 1;
+        // The rest of the extent is re-inserted under its new start, not
+        // shrunk in place: separators outlive the keys they were made from,
+        // so a start that grows inside its leaf can cross into the key range
+        // of the leaf to the right, where no descent finds it again.
+        let start = Self::first_fit(&self.root, len);
+        let had = self.remove(start).expect("first fit names a free extent");
+        if had > len {
+            self.insert(start + len, had - len)?;
         }
         Ok(start)
     }
 
-    fn alloc_in(node: &mut Node, want: u64) -> (u64, bool) {
-        match node {
-            Node::Leaf { starts, lens } => {
-                let j = lens
-                    .iter()
-                    .position(|&l| l >= want)
-                    .expect("max hint guaranteed a fit");
-                let start = starts[j];
-                let consumed_whole = lens[j] == want;
-                if consumed_whole {
-                    starts.remove(j);
-                    lens.remove(j);
-                } else {
-                    starts[j] += want;
-                    lens[j] -= want;
+    /// Start of the lowest extent of at least `want` blocks; the max hints
+    /// lead straight to its leaf.
+    fn first_fit(mut node: &Node, want: u64) -> u64 {
+        loop {
+            match node {
+                Node::Leaf { starts, lens } => {
+                    let j = lens.iter().position(|&l| l >= want);
+                    return starts[j.expect("max hint guaranteed a fit")];
                 }
-                (start, consumed_whole)
-            }
-            Node::Internal { children, maxs, .. } => {
-                let i = maxs
-                    .iter()
-                    .position(|&m| m >= want)
-                    .expect("max hint guaranteed a fit");
-                let out = Self::alloc_in(&mut children[i], want);
-                maxs[i] = children[i].max_len();
-                out
+                Node::Internal { children, maxs, .. } => {
+                    let i = maxs.iter().position(|&m| m >= want);
+                    node = &children[i.expect("max hint guaranteed a fit")];
+                }
             }
         }
     }
@@ -195,32 +186,26 @@ impl ExtentBTree {
         if len == 0 {
             return Err(StoreError::InvalidArgument("zero-length free".into()));
         }
-        if let Some((ps, pl)) = self.floor(start) {
-            if ps + pl > start {
+        let prev = self.floor(start);
+        let next = self.ceiling(start + 1);
+        // Refuse before touching the tree: a rejected free leaves it whole.
+        for (s, l) in prev.into_iter().chain(next) {
+            if s < start + len && start < s + l {
                 return Err(StoreError::Corrupt(format!(
-                    "double free: [{start},{}) overlaps free extent [{ps},{})",
+                    "double free: [{start},{}) overlaps free extent [{s},{})",
                     start + len,
-                    ps + pl
+                    s + l
                 )));
-            }
-            if ps + pl == start {
-                self.remove(ps).expect("floor extent exists");
-                start = ps;
-                len += pl;
             }
         }
-        if let Some((ns, nl)) = self.ceiling(start + 1) {
-            if ns < start + len {
-                return Err(StoreError::Corrupt(format!(
-                    "double free: [{start},{}) overlaps free extent [{ns},{})",
-                    start + len,
-                    ns + nl
-                )));
-            }
-            if start + len == ns {
-                self.remove(ns).expect("ceiling extent exists");
-                len += nl;
-            }
+        if let Some((ps, pl)) = prev.filter(|&(ps, pl)| ps + pl == start) {
+            self.remove(ps).expect("floor extent exists");
+            start = ps;
+            len += pl;
+        }
+        if let Some((ns, nl)) = next.filter(|&(ns, _)| ns == start + len) {
+            self.remove(ns).expect("ceiling extent exists");
+            len += nl;
         }
         self.insert(start, len)
     }
@@ -617,38 +602,168 @@ mod tests {
         t2.check_invariants();
     }
 
-    proptest! {
-        /// The tree must agree with a trivial model (sorted map of extents)
-        /// under arbitrary interleavings of alloc and free.
-        #[test]
-        fn matches_model(ops in proptest::collection::vec((0u8..2, 1u64..64), 1..400)) {
-            let total = 1 << 16;
-            let mut tree = ExtentBTree::new_free(0, total);
-            let mut allocated: Vec<(u64, u64)> = Vec::new();
-            for (kind, size) in ops {
-                if kind == 0 || allocated.is_empty() {
-                    match tree.alloc(size) {
-                        Ok(start) => {
-                            // No overlap with anything already allocated.
-                            for &(s, l) in &allocated {
-                                prop_assert!(start + size <= s || s + l <= start,
-                                    "overlapping allocation");
-                            }
-                            allocated.push((start, size));
-                        }
-                        Err(StoreError::NoSpace) => {
-                            prop_assert!(tree.largest_extent() < size);
-                        }
-                        Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
-                    }
-                } else {
-                    let (s, l) = allocated.swap_remove(0);
-                    tree.free(s, l).unwrap();
-                }
-                let in_use: u64 = allocated.iter().map(|a| a.1).sum();
-                prop_assert_eq!(tree.free_blocks() + in_use, total);
+    /// 33 one-block extents split the root at key 32; coalescing 30..33
+    /// removes that key but leaves it as the separator; `alloc(2)` then used
+    /// to move the merged extent's start from 30 to 32 *in place*, into the
+    /// key range of the right leaf, where no descent could find it again.
+    fn tree_with_an_extent_at_its_right_separator() -> ExtentBTree {
+        let mut t = ExtentBTree::new();
+        for i in 0..=32 {
+            t.free(i * 2, 1).unwrap();
+        }
+        t.free(31, 1).unwrap();
+        assert_eq!(t.alloc(2).unwrap(), 30);
+        t
+    }
+
+    #[test]
+    fn regression_free_finds_ceiling_extent_after_front_alloc() {
+        let mut t = tree_with_an_extent_at_its_right_separator();
+        t.free(30, 2).unwrap(); // panicked: "ceiling extent exists"
+        assert_eq!(t.debug_floor(31), Some((30, 3)));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn regression_free_finds_floor_extent_after_front_alloc() {
+        let mut t = tree_with_an_extent_at_its_right_separator();
+        t.free(33, 1).unwrap(); // panicked: "floor extent exists"
+        assert_eq!(t.debug_floor(35), Some((32, 3)));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn regression_rejected_free_leaves_the_tree_whole() {
+        let mut t = ExtentBTree::new_free(0, 10);
+        t.alloc_specific(4, 2).unwrap();
+        // Touches [0,4) exactly but runs into [6,10): the old code had
+        // already removed [0,4) when it found the overlap.
+        assert!(matches!(t.free(4, 3), Err(StoreError::Corrupt(_))));
+        assert_eq!(t.iter(), vec![(0, 4), (6, 4)]);
+        assert_eq!(t.free_blocks(), 8);
+    }
+
+    #[derive(Debug, Clone)]
+    enum TreeOp {
+        Alloc(u64),
+        AllocSpecific(u64, u64),
+        /// Frees the held extent at this index (modulo the held count).
+        FreeHeld(usize),
+        /// Frees an arbitrary range: usually a double free.
+        FreeAny(u64, u64),
+    }
+
+    const MODEL_BLOCKS: u64 = 1 << 12;
+
+    fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
+        proptest::collection::vec(
+            prop_oneof![
+                6 => (1u64..40).prop_map(TreeOp::Alloc),
+                1 => (0..MODEL_BLOCKS, 1u64..40).prop_map(|(s, l)| TreeOp::AllocSpecific(s, l)),
+                5 => any::<usize>().prop_map(TreeOp::FreeHeld),
+                1 => (0..MODEL_BLOCKS, 1u64..40).prop_map(|(s, l)| TreeOp::FreeAny(s, l)),
+            ],
+            1..1500,
+        )
+    }
+
+    /// The free list as a `BTreeMap` of `start -> len`, coalesced.
+    #[derive(Default)]
+    struct FreeModel(std::collections::BTreeMap<u64, u64>);
+
+    impl FreeModel {
+        fn alloc(&mut self, want: u64) -> Option<u64> {
+            let (&s, &l) = self.0.iter().find(|(_, &l)| l >= want)?;
+            self.take(s, l, s, want);
+            Some(s)
+        }
+
+        /// Carves `[start, start+len)` out of the free extent `[s, s+l)`.
+        fn take(&mut self, s: u64, l: u64, start: u64, len: u64) {
+            self.0.remove(&s);
+            if s < start {
+                self.0.insert(s, start - s);
             }
-            tree.check_invariants();
+            if start + len < s + l {
+                self.0.insert(start + len, s + l - (start + len));
+            }
+        }
+
+        fn alloc_specific(&mut self, start: u64, len: u64) -> bool {
+            match self.0.range(..=start).next_back() {
+                Some((&s, &l)) if s + l >= start + len => {
+                    self.take(s, l, start, len);
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn free(&mut self, mut start: u64, mut len: u64) -> bool {
+            let prev = self.0.range(..=start).next_back().map(|(&s, &l)| (s, l));
+            let next = self.0.range(start + 1..).next().map(|(&s, &l)| (s, l));
+            if prev.is_some_and(|(s, l)| s + l > start)
+                || next.is_some_and(|(s, _)| s < start + len)
+            {
+                return false;
+            }
+            if let Some((s, l)) = prev.filter(|(s, l)| s + l == start) {
+                self.0.remove(&s);
+                start = s;
+                len += l;
+            }
+            if let Some((s, l)) = next.filter(|(s, _)| *s == start + len) {
+                self.0.remove(&s);
+                len += l;
+            }
+            self.0.insert(start, len);
+            true
+        }
+    }
+
+    fn run_against_model(ops: &[TreeOp]) {
+        let mut tree = ExtentBTree::new_free(0, MODEL_BLOCKS);
+        let mut model = FreeModel::default();
+        model.0.insert(0, MODEL_BLOCKS);
+        let mut held: Vec<(u64, u64)> = Vec::new();
+        for op in ops {
+            match *op {
+                TreeOp::Alloc(len) => {
+                    let want = model.alloc(len);
+                    assert_eq!(tree.alloc(len).ok(), want, "{op:?}");
+                    held.extend(want.map(|s| (s, len)));
+                }
+                TreeOp::AllocSpecific(start, len) => {
+                    let ok = model.alloc_specific(start, len);
+                    assert_eq!(tree.alloc_specific(start, len).is_ok(), ok, "{op:?}");
+                    if ok {
+                        held.push((start, len));
+                    }
+                }
+                // Freeing a held extent succeeds unless a `FreeAny` already
+                // returned part of it; either way the two must agree.
+                TreeOp::FreeHeld(_) if held.is_empty() => {}
+                TreeOp::FreeHeld(i) => {
+                    let (start, len) = held.swap_remove(i % held.len());
+                    assert_eq!(tree.free(start, len).is_ok(), model.free(start, len));
+                }
+                TreeOp::FreeAny(start, len) => {
+                    assert_eq!(tree.free(start, len).is_ok(), model.free(start, len));
+                }
+            }
+            let want: Vec<_> = model.0.iter().map(|(&s, &l)| (s, l)).collect();
+            assert_eq!(tree.iter(), want, "after {op:?}");
+        }
+        tree.check_invariants();
+    }
+
+    proptest! {
+        /// `alloc` / `alloc_specific` / `free` against a `BTreeMap` free
+        /// list: same extents after every step, first fit, coalescing, a
+        /// double free is an `Err` and nothing ever panics.
+        #[test]
+        fn matches_free_list_model(ops in tree_ops()) {
+            run_against_model(&ops);
         }
     }
 }

@@ -79,7 +79,8 @@ pub struct PartGeometry {
     pub region_len: u64,
     /// Onode slots.
     pub onode_slots: u32,
-    /// Bytes reserved for free-tree checkpoints.
+    /// Bytes reserved for free-tree checkpoints (the configured size plus
+    /// the padding that aligns the data area).
     pub freetree_bytes: u64,
     /// Number of data blocks.
     pub data_blocks: u64,
@@ -102,9 +103,13 @@ impl PartGeometry {
         let usable = capacity
             .checked_sub(SUPERBLOCK_BYTES)
             .ok_or_else(|| StoreError::InvalidArgument("device smaller than superblock".into()))?;
-        let region_len = usable / count;
-        let meta =
-            PART_HEADER_BYTES + opts.onode_slots as u64 * ONODE_BYTES as u64 + opts.freetree_bytes;
+        // Regions and data areas start on block boundaries, so a data block
+        // never straddles two device blocks: regions are whole blocks, and
+        // the free-tree area takes the padding behind the onode table.
+        let region_len = usable / count / BLOCK_BYTES * BLOCK_BYTES;
+        let table = PART_HEADER_BYTES + opts.onode_slots as u64 * ONODE_BYTES as u64;
+        let freetree_bytes = (table + opts.freetree_bytes).next_multiple_of(BLOCK_BYTES) - table;
+        let meta = table + freetree_bytes;
         if region_len < meta + BLOCK_BYTES {
             return Err(StoreError::InvalidArgument(format!(
                 "partition of {region_len} bytes cannot hold {meta} metadata bytes plus data"
@@ -115,7 +120,7 @@ impl PartGeometry {
             region_off: SUPERBLOCK_BYTES + idx as u64 * region_len,
             region_len,
             onode_slots: opts.onode_slots,
-            freetree_bytes: opts.freetree_bytes,
+            freetree_bytes,
             data_blocks,
         })
     }
@@ -138,7 +143,9 @@ impl PartGeometry {
             "block {block} >= {}",
             self.data_blocks
         );
-        self.freetree_off() + self.freetree_bytes + block * BLOCK_BYTES
+        let off = self.freetree_off() + self.freetree_bytes + block * BLOCK_BYTES;
+        debug_assert!(off.is_multiple_of(BLOCK_BYTES), "unaligned data block");
+        off
     }
 }
 
@@ -168,6 +175,36 @@ mod tests {
         let g = PartGeometry::compute(32 << 20, 0, &CosOptions::tiny()).unwrap();
         assert!(g.onode_off(g.onode_slots - 1) + ONODE_BYTES as u64 <= g.freetree_off());
         assert!(g.freetree_off() + g.freetree_bytes <= g.block_off(0));
+    }
+
+    #[test]
+    fn data_blocks_are_device_block_aligned_for_any_geometry() {
+        for capacity in [192 << 20, (64 << 20) + 12_345, (48 << 20) - 1, 33_333_333] {
+            for partitions in [1, 2, 3, 4, 5, 7] {
+                for (onode_slots, freetree_bytes) in [(128, 16 << 10), (129, 1000), (7, 4097)] {
+                    let opts = CosOptions {
+                        partitions,
+                        onode_slots,
+                        freetree_bytes,
+                        ..CosOptions::tiny()
+                    };
+                    let mut prev_end = SUPERBLOCK_BYTES;
+                    for idx in 0..partitions {
+                        let g = PartGeometry::compute(capacity, idx, &opts).unwrap();
+                        assert_eq!(g.region_off, prev_end);
+                        assert_eq!(g.region_off % BLOCK_BYTES, 0);
+                        assert_eq!(g.block_off(0) % BLOCK_BYTES, 0);
+                        assert!(g.freetree_bytes >= freetree_bytes);
+                        assert!(g.freetree_bytes < freetree_bytes + BLOCK_BYTES);
+                        prev_end = g.region_off + g.region_len;
+                        assert!(g.block_off(g.data_blocks - 1) + BLOCK_BYTES <= prev_end);
+                        assert!(g.block_off(g.data_blocks - 1) + 2 * BLOCK_BYTES > prev_end);
+                    }
+                    assert!(prev_end <= capacity);
+                    assert!(prev_end + partitions as u64 * BLOCK_BYTES > capacity);
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! the REDO log; mount rebuilds allocator and index state from the onode
 //! table and replays the log above this layer (§IV-C-6).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod btree;

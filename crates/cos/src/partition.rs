@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use rablock_storage::{
-    BlockDevice, IoCategory, MaintenanceReport, ObjectId, StoreError, TraceIo, TraceKind,
+    BlockDevice, IoCategory, MaintenanceReport, ObjectId, Payload, StoreError, TraceIo, TraceKind,
 };
 
 use crate::btree::ExtentBTree;
@@ -437,8 +437,10 @@ impl Partition {
 
     /// Writes `data` at byte `offset` of the object, in place.
     ///
-    /// Unaligned edges are read-modified-written at block granularity, as
-    /// the paper observes for its YCSB runs (§V-E).
+    /// Block-aligned runs reach the device by reference
+    /// ([`BlockDevice::write_payload_at`]). Unaligned edges are
+    /// read-modified-written at block granularity, as the paper observes
+    /// for its YCSB runs (§V-E).
     ///
     /// # Errors
     ///
@@ -450,7 +452,7 @@ impl Partition {
         dev: &mut D,
         oid: ObjectId,
         offset: u64,
-        data: &[u8],
+        data: &Payload,
         seq: u64,
         opts: &CosOptions,
         trace: &mut Vec<TraceIo>,
@@ -537,19 +539,21 @@ impl Partition {
             let src_to = (run_end_byte - offset) as usize;
             if !head_partial && !tail_partial {
                 // Fully block-aligned run: the caller's bytes cover every
-                // touched block, so write them straight through instead of
-                // staging into a zeroed scratch buffer.
-                dev.write_at(self.geom.block_off(phys), &data[src_from..src_to])?;
+                // touched block, so hand the device the buffer itself — no
+                // staging, and a device that shares payloads copies nothing.
+                let run = data.slice(src_from, src_to - src_from);
+                dev.write_payload_at(self.geom.block_off(phys), &run)?;
                 trace.push(TraceIo {
                     kind: TraceKind::Write,
                     bytes: run_len * BLOCK_BYTES,
                     category: IoCategory::Data,
                 });
                 if self.checksums {
+                    // A write of exactly one block hits the CRC memo its
+                    // payload already carries (the oplog encoder filled it).
                     for i in 0..run_len {
-                        let s = src_from + (i * BLOCK_BYTES) as usize;
-                        new_crcs
-                            .push((block + i, crate::crc32(&data[s..s + BLOCK_BYTES as usize])));
+                        let s = (i * BLOCK_BYTES) as usize;
+                        new_crcs.push((block + i, run.slice(s, BLOCK_BYTES as usize).crc32()));
                     }
                 }
                 block += run_len;

@@ -9,11 +9,9 @@
 //! operation log for durability, never costing device I/O — one of the two
 //! big CPU/WAF savings over the LSM backend.
 
-use std::collections::HashMap;
-
 use rablock_storage::{
-    BlockDevice, GroupId, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, StoreError,
-    StoreStats, TraceIo, Transaction,
+    BlockDevice, FxHashMap, GroupId, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op,
+    StoreError, StoreStats, TraceIo, Transaction,
 };
 
 use crate::layout::{CosOptions, PartGeometry, SUPERBLOCK_BYTES};
@@ -43,7 +41,8 @@ pub struct CosObjectStore<D: BlockDevice> {
     partitions: Vec<Partition>,
     /// Store-level KV records (pg log, object_info_t). Durability comes from
     /// the NVM operation log above this layer, so they cost no device I/O.
-    meta_kv: HashMap<Vec<u8>, Vec<u8>>,
+    /// Never iterated, so hash order cannot leak into a result.
+    meta_kv: FxHashMap<Vec<u8>, Vec<u8>>,
     trace: Vec<TraceIo>,
     stats: StoreStats,
 }
@@ -71,7 +70,7 @@ impl<D: BlockDevice> CosObjectStore<D> {
             dev,
             opts,
             partitions,
-            meta_kv: HashMap::new(),
+            meta_kv: FxHashMap::default(),
             trace: Vec::new(),
             stats: StoreStats::default(),
         })
@@ -110,7 +109,7 @@ impl<D: BlockDevice> CosObjectStore<D> {
             dev,
             opts,
             partitions,
-            meta_kv: HashMap::new(),
+            meta_kv: FxHashMap::default(),
             trace,
             stats,
         })
@@ -199,34 +198,36 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
         let mut tmp = Vec::new();
         let seq = txn.seq;
         let opts = self.opts.clone();
-        for op in &txn.ops {
+        // The transaction is consumed: payloads, xattr values and KV
+        // records move into the store instead of being cloned out of it.
+        for op in txn.ops {
             match op {
                 Op::Create { oid, size } => {
                     let idx = self.partition_of(oid.group());
                     let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
-                    part.create(dev, *oid, *size, seq, &opts, &mut tmp)?;
+                    part.create(dev, oid, size, seq, &opts, &mut tmp)?;
                 }
                 Op::Write { oid, offset, data } => {
                     let idx = self.partition_of(oid.group());
                     let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
-                    part.write(dev, *oid, *offset, data, seq, &opts, &mut tmp)?;
+                    part.write(dev, oid, offset, &data, seq, &opts, &mut tmp)?;
                     self.stats.user_bytes += data.len() as u64;
                 }
                 Op::SetXattr { oid, key, value } => {
                     let idx = self.partition_of(oid.group());
                     let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
-                    part.set_xattr(dev, *oid, key, value.clone(), seq, &opts, &mut tmp)?;
+                    part.set_xattr(dev, oid, &key, value, seq, &opts, &mut tmp)?;
                 }
                 Op::MetaPut { key, value } => {
-                    self.meta_kv.insert(key.clone(), value.clone());
+                    self.meta_kv.insert(key, value);
                 }
                 Op::MetaDelete { key } => {
-                    self.meta_kv.remove(key);
+                    self.meta_kv.remove(&key);
                 }
                 Op::Delete { oid } => {
                     let idx = self.partition_of(oid.group());
                     let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
-                    part.delete(dev, *oid, seq, &opts, &mut tmp)?;
+                    part.delete(dev, oid, seq, &opts, &mut tmp)?;
                 }
             }
         }
@@ -700,6 +701,50 @@ mod tests {
         let before = a.csum_digest(o);
         a.corrupt_data_bit(o, 0, 0, 0).unwrap();
         assert_eq!(a.csum_digest(o), before);
+    }
+
+    #[test]
+    fn stores_sharing_one_payload_rot_independently() {
+        let opts = checked(CosOptions {
+            metadata_cache: false,
+            ..CosOptions::tiny()
+        });
+        let source: rablock_storage::Payload = (0..8192u32)
+            .map(|i| (i % 251) as u8)
+            .collect::<Vec<_>>()
+            .into();
+        let pristine = source.to_vec();
+        let o = oid(1, 60);
+        let mut a = fresh(opts.clone());
+        let mut b = fresh(opts.clone());
+        for s in [&mut a, &mut b] {
+            let data = source.clone();
+            let op = Op::Write {
+                oid: o,
+                offset: 4096,
+                data,
+            };
+            s.submit(Transaction::new(o.group(), 1, vec![op])).unwrap();
+        }
+        assert!(a.corrupt_data_bit(o, 2, 17, 5).unwrap());
+        assert_eq!(a.read(o, 8192, 4096), Err(StoreError::ChecksumMismatch));
+        assert_eq!(a.read(o, 4096, 4096).unwrap(), pristine[..4096]);
+        assert_eq!(source, pristine, "rot on a device never reaches the buffer");
+        assert_eq!(b.read(o, 4096, 8192).unwrap(), pristine);
+        // Blocks held by reference are part of the device a mount sees.
+        let mut b = CosObjectStore::mount(b.into_device(), opts).unwrap();
+        assert_eq!(b.read(o, 4096, 8192).unwrap(), pristine);
+    }
+
+    #[test]
+    fn unaligned_overwrite_of_a_shared_block_merges() {
+        let mut s = fresh(checked(CosOptions::tiny()));
+        let o = oid(0, 61);
+        s.submit(write_txn(1, o, 0, vec![0x33; 8192])).unwrap();
+        s.submit(write_txn(2, o, 4000, vec![0x44; 200])).unwrap();
+        let mut want = vec![0x33; 8192];
+        want[4000..4200].fill(0x44);
+        assert_eq!(s.read(o, 0, 8192).unwrap(), want, "merged, CRCs valid");
     }
 
     #[test]

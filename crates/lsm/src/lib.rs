@@ -17,6 +17,7 @@
 //!
 //! [`ObjectStore`]: rablock_storage::ObjectStore
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alloc;

@@ -78,63 +78,71 @@ fn trunc() -> StoreError {
 }
 
 impl LogRecord {
-    /// Serializes the record (header + ops + trailing CRC).
+    /// Serializes the record (header + ops + trailing CRC) into a fresh
+    /// buffer. Recovery, backfill and tests use this; the append path frames
+    /// into a buffer it keeps.
     pub fn encode(&self) -> Vec<u8> {
-        // One allocation, sized for the common case (a few ops dominated by
-        // write payloads); the 8-byte frame (length + CRC) is reserved up
-        // front and backpatched, avoiding a second full-record copy.
-        let cap = 8 + 32 + self.txn.user_bytes() as usize + self.txn.ops.len() * 64;
-        let mut body = Vec::with_capacity(cap);
+        let mut body = Vec::new();
+        self.encode_into(&mut body);
+        body
+    }
+
+    /// Serializes the record into `body`, replacing its contents.
+    pub(crate) fn encode_into(&self, body: &mut Vec<u8>) {
+        // Sized for the common case (a few ops dominated by write payloads);
+        // the 8-byte frame (length + CRC) is reserved up front and
+        // backpatched, avoiding a second full-record copy.
+        body.clear();
+        body.reserve(8 + 32 + self.txn.user_bytes() as usize + self.txn.ops.len() * 64);
         body.extend_from_slice(&[0u8; 8]);
         // The record CRC is kept while the body is built, so large write
         // payloads contribute a *memoized* checksum instead of being
         // re-scanned for every replica's append of the same shared buffer.
         let mut crc = FrameCrc::new(8);
-        put_u64(&mut body, self.version);
-        put_u64(&mut body, self.seq);
-        put_u32(&mut body, self.txn.group.0);
-        put_u64(&mut body, self.txn.seq);
-        put_u32(&mut body, self.txn.ops.len() as u32);
+        put_u64(body, self.version);
+        put_u64(body, self.seq);
+        put_u32(body, self.txn.group.0);
+        put_u64(body, self.txn.seq);
+        put_u32(body, self.txn.ops.len() as u32);
         for op in &self.txn.ops {
             match op {
                 Op::Create { oid, size } => {
                     body.push(0);
-                    put_u64(&mut body, oid.raw());
-                    put_u64(&mut body, *size);
+                    put_u64(body, oid.raw());
+                    put_u64(body, *size);
                 }
                 Op::Write { oid, offset, data } => {
                     body.push(1);
-                    put_u64(&mut body, oid.raw());
-                    put_u64(&mut body, *offset);
-                    put_u32(&mut body, data.len() as u32);
-                    crc.append_payload(&mut body, data);
+                    put_u64(body, oid.raw());
+                    put_u64(body, *offset);
+                    put_u32(body, data.len() as u32);
+                    crc.append_payload(body, data);
                 }
                 Op::SetXattr { oid, key, value } => {
                     body.push(2);
-                    put_u64(&mut body, oid.raw());
-                    put_bytes(&mut body, key.as_bytes());
-                    put_bytes(&mut body, value);
+                    put_u64(body, oid.raw());
+                    put_bytes(body, key.as_bytes());
+                    put_bytes(body, value);
                 }
                 Op::MetaPut { key, value } => {
                     body.push(3);
-                    put_bytes(&mut body, key);
-                    put_bytes(&mut body, value);
+                    put_bytes(body, key);
+                    put_bytes(body, value);
                 }
                 Op::MetaDelete { key } => {
                     body.push(4);
-                    put_bytes(&mut body, key);
+                    put_bytes(body, key);
                 }
                 Op::Delete { oid } => {
                     body.push(5);
-                    put_u64(&mut body, oid.raw());
+                    put_u64(body, oid.raw());
                 }
             }
         }
         let body_len = (body.len() - 8) as u32;
-        let crc = crc.finish(&body);
+        let crc = crc.finish(body);
         body[0..4].copy_from_slice(&body_len.to_le_bytes());
         body[4..8].copy_from_slice(&crc.to_le_bytes());
-        body
     }
 
     /// Decodes one record from the start of `raw`; returns the record and

@@ -81,6 +81,8 @@ pub struct GroupLog {
     pub flush_threshold: usize,
     /// Group version, bumped per append (§IV-C-7: kept in the log).
     version: u64,
+    /// The record being framed; kept so appends do not allocate.
+    scratch: Vec<u8>,
 }
 
 impl GroupLog {
@@ -103,6 +105,7 @@ impl GroupLog {
             index: HashMap::new(),
             flush_threshold,
             version: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -130,6 +133,7 @@ impl GroupLog {
             index: HashMap::new(),
             flush_threshold,
             version: 0,
+            scratch: Vec::new(),
         };
         let mut pos = 0usize;
         while pos < raw.len() {
@@ -171,6 +175,7 @@ impl GroupLog {
             index: HashMap::new(),
             flush_threshold,
             version: 0,
+            scratch: Vec::new(),
         };
         let mut pos = 0usize;
         while pos < raw.len() {
@@ -292,19 +297,17 @@ impl GroupLog {
             seq: txn.seq,
             txn,
         };
-        let raw = rec.encode();
-        match self.ring.append(nvm, &raw) {
-            Ok(()) => {}
-            Err(e) => {
-                self.version -= 1;
-                return Err(e);
-            }
+        rec.encode_into(&mut self.scratch);
+        let nvm_bytes = self.scratch.len() as u64;
+        if let Err(e) = self.ring.append(nvm, &self.scratch) {
+            self.version -= 1;
+            return Err(e);
         }
         self.index_record(&rec);
-        self.records.push_back((rec, raw.len() as u64));
+        self.records.push_back((rec, nvm_bytes));
         Ok(AppendOutcome {
             needs_flush: self.records.len() >= self.flush_threshold,
-            nvm_bytes: raw.len() as u64,
+            nvm_bytes,
         })
     }
 

@@ -18,6 +18,7 @@
 //! single covering write in the index cache (served straight from NVM), or
 //! forces a flush before touching the store — never a stale value.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod entry;

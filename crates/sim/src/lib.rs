@@ -45,6 +45,7 @@
 //! assert!(done);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod device;

@@ -7,6 +7,11 @@
 //! host-side write-amplification measurements (Table I / Fig. 8).
 
 use crate::error::StoreError;
+use crate::fxhash::FxHashMap;
+use crate::payload::Payload;
+
+/// Granularity at which [`MemDisk`] keeps payload writes by reference.
+const SHARE_BYTES: u64 = 4096;
 
 /// Counters of traffic through a device since the last reset.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,6 +50,18 @@ pub trait BlockDevice {
     /// Returns [`StoreError::OutOfBounds`] if the range exceeds capacity.
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError>;
 
+    /// Writes the bytes of `data` starting at `offset`: the same result and
+    /// the same [`DevCounters`] as [`BlockDevice::write_at`] of its slice. A
+    /// device may keep the (immutable, refcounted) buffer instead of
+    /// copying it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::OutOfBounds`] if the range exceeds capacity.
+    fn write_payload_at(&mut self, offset: u64, data: &Payload) -> Result<(), StoreError> {
+        self.write_at(offset, data.as_slice())
+    }
+
     /// Durably persists all completed writes.
     ///
     /// # Errors
@@ -61,6 +78,14 @@ pub trait BlockDevice {
 
 /// An in-memory block device.
 ///
+/// Bytes live in a flat image, except that whole 4 KiB-aligned blocks
+/// written through [`BlockDevice::write_payload_at`] are kept as [`Payload`]
+/// slices in a sparse overlay that shadows the image: the client's buffer is
+/// neither copied nor are the image's (lazily zeroed) pages touched. A byte
+/// write that overlaps a shared block takes it back first (copy-on-write), so
+/// a reader cannot tell which side holds a block. A shared block keeps its
+/// whole backing buffer alive until it is overwritten.
+///
 /// ```
 /// use rablock_storage::{BlockDevice, MemDisk};
 /// # fn main() -> Result<(), rablock_storage::StoreError> {
@@ -76,6 +101,9 @@ pub trait BlockDevice {
 #[derive(Debug, Clone)]
 pub struct MemDisk {
     data: Vec<u8>,
+    /// Blocks held by reference, keyed by block number; each value is
+    /// exactly [`SHARE_BYTES`] long and shadows `data` over its block.
+    shared: FxHashMap<u64, Payload>,
     counters: DevCounters,
 }
 
@@ -84,6 +112,7 @@ impl MemDisk {
     pub fn new(capacity: u64) -> Self {
         MemDisk {
             data: vec![0; capacity as usize],
+            shared: FxHashMap::default(),
             counters: DevCounters::default(),
         }
     }
@@ -103,6 +132,18 @@ impl MemDisk {
     }
 }
 
+/// Splits `[offset, offset + len)` at block boundaries into
+/// `(block number, byte range within that block)`.
+fn block_spans(offset: u64, len: usize) -> impl Iterator<Item = (u64, std::ops::Range<usize>)> {
+    let end = offset + len as u64;
+    (offset / SHARE_BYTES..end.div_ceil(SHARE_BYTES)).map(move |block| {
+        let base = block * SHARE_BYTES;
+        let from = offset.max(base) - base;
+        let to = end.min(base + SHARE_BYTES) - base;
+        (block, from as usize..to as usize)
+    })
+}
+
 impl BlockDevice for MemDisk {
     fn capacity(&self) -> u64 {
         self.data.len() as u64
@@ -110,8 +151,23 @@ impl BlockDevice for MemDisk {
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
         self.check(offset, buf.len() as u64)?;
-        let start = offset as usize;
-        buf.copy_from_slice(&self.data[start..start + buf.len()]);
+        if self.shared.is_empty() {
+            let start = offset as usize;
+            buf.copy_from_slice(&self.data[start..start + buf.len()]);
+        } else {
+            let mut done = 0;
+            for (block, within) in block_spans(offset, buf.len()) {
+                let dst = &mut buf[done..done + within.len()];
+                done += within.len();
+                match self.shared.get(&block) {
+                    Some(held) => dst.copy_from_slice(&held[within]),
+                    None => {
+                        let at = (block * SHARE_BYTES) as usize;
+                        dst.copy_from_slice(&self.data[at + within.start..at + within.end]);
+                    }
+                }
+            }
+        }
         self.counters.reads += 1;
         self.counters.bytes_read += buf.len() as u64;
         Ok(())
@@ -119,10 +175,37 @@ impl BlockDevice for MemDisk {
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         self.check(offset, data.len() as u64)?;
+        if !self.shared.is_empty() {
+            // Copy-on-write: the image takes back every shared block this
+            // write overlaps; one it covers only partly brings its bytes.
+            for (block, within) in block_spans(offset, data.len()) {
+                if let Some(held) = self.shared.remove(&block) {
+                    if within.len() < SHARE_BYTES as usize {
+                        let at = (block * SHARE_BYTES) as usize;
+                        self.data[at..at + SHARE_BYTES as usize].copy_from_slice(&held);
+                    }
+                }
+            }
+        }
         let start = offset as usize;
         self.data[start..start + data.len()].copy_from_slice(data);
         self.counters.writes += 1;
         self.counters.bytes_written += data.len() as u64;
+        Ok(())
+    }
+
+    fn write_payload_at(&mut self, offset: u64, data: &Payload) -> Result<(), StoreError> {
+        let len = data.len() as u64;
+        if !offset.is_multiple_of(SHARE_BYTES) || !len.is_multiple_of(SHARE_BYTES) {
+            return self.write_at(offset, data.as_slice());
+        }
+        self.check(offset, len)?;
+        for i in 0..len / SHARE_BYTES {
+            let block = data.slice((i * SHARE_BYTES) as usize, SHARE_BYTES as usize);
+            self.shared.insert(offset / SHARE_BYTES + i, block);
+        }
+        self.counters.writes += 1;
+        self.counters.bytes_written += len;
         Ok(())
     }
 
@@ -150,6 +233,9 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         (**self).write_at(offset, data)
     }
+    fn write_payload_at(&mut self, offset: u64, data: &Payload) -> Result<(), StoreError> {
+        (**self).write_payload_at(offset, data)
+    }
     fn flush(&mut self) -> Result<(), StoreError> {
         (**self).flush()
     }
@@ -164,6 +250,7 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_at_boundaries() {
@@ -220,5 +307,161 @@ mod tests {
         d.write_at(0, b"x").unwrap();
         assert_eq!(d.counters().writes, 1);
         assert_eq!(d.capacity(), 32);
+    }
+
+    #[test]
+    fn aligned_payload_write_is_kept_by_reference() {
+        let mut d: Box<MemDisk> = Box::new(MemDisk::new(64 << 10));
+        let backing: Payload = (0..3 * 4096)
+            .map(|i| (i / 7) as u8)
+            .collect::<Vec<_>>()
+            .into();
+        d.write_payload_at(8192, &backing.slice(4096, 8192))
+            .unwrap();
+        assert_eq!(
+            d.shared.len(),
+            2,
+            "through the Box, not the copying default"
+        );
+        assert!(std::ptr::eq(
+            d.shared[&2].as_slice().as_ptr(),
+            backing[4096..].as_ptr()
+        ));
+        let mut buf = vec![0u8; 8192 + 200];
+        d.read_at(8192 - 100, &mut buf).unwrap();
+        assert_eq!(&buf[..100], &[0u8; 100]);
+        assert_eq!(&buf[100..8292], &backing[4096..]);
+        assert_eq!(d.counters().bytes_written, 8192);
+        // A byte write into a shared block takes the block back, merged.
+        d.write_at(8192 + 10, b"xyz").unwrap();
+        assert_eq!(d.shared.len(), 1);
+        d.read_at(8192, &mut buf[..4096]).unwrap();
+        assert_eq!(&buf[..10], &backing[4096..4106]);
+        assert_eq!(&buf[10..13], b"xyz");
+        assert_eq!(&buf[13..4096], &backing[4109..8192]);
+        // Unaligned payload writes are plain byte writes.
+        d.write_payload_at(100, &backing.slice(0, 4096)).unwrap();
+        assert_eq!(d.shared.len(), 1);
+    }
+
+    const MODEL_BYTES: usize = 8 * 4096 + 100;
+
+    #[derive(Debug, Clone)]
+    struct Step {
+        /// Which of the two copies (after the fork) the step acts on.
+        on_fork: bool,
+        shared: bool,
+        offset: u64,
+        len: usize,
+        /// Bytes of the backing buffer before the written view.
+        lead: usize,
+        fill: u8,
+        read: (u64, usize),
+    }
+
+    fn a_range() -> impl Strategy<Value = (u64, usize)> {
+        (
+            prop_oneof![
+                (0..10u64).prop_map(|b| b * 4096),
+                0..MODEL_BYTES as u64 + 50
+            ],
+            prop_oneof![(0..4usize).prop_map(|b| b * 4096), 0..10_000usize],
+        )
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = (
+            any::<bool>(),
+            any::<bool>(),
+            a_range(),
+            prop_oneof![Just(0), 1..5000usize],
+            any::<u8>(),
+            a_range(),
+        )
+            .prop_map(|(on_fork, shared, (offset, len), lead, fill, read)| Step {
+                on_fork,
+                shared,
+                offset,
+                len,
+                lead,
+                fill,
+                read,
+            });
+        proptest::collection::vec(step, 1..60)
+    }
+
+    struct Pair {
+        disk: MemDisk,
+        model: Vec<u8>,
+        counters: DevCounters,
+    }
+
+    impl Pair {
+        fn in_bounds(offset: u64, len: usize) -> bool {
+            offset + len as u64 <= MODEL_BYTES as u64
+        }
+
+        fn apply(&mut self, step: &Step) {
+            let backing: Payload = (0..step.lead + step.len + 3)
+                .map(|i| (i as u8).wrapping_mul(31).wrapping_add(step.fill))
+                .collect::<Vec<_>>()
+                .into();
+            let view = backing.slice(step.lead, step.len);
+            let got = if step.shared {
+                self.disk.write_payload_at(step.offset, &view)
+            } else {
+                self.disk.write_at(step.offset, &view)
+            };
+            assert_eq!(got.is_ok(), Self::in_bounds(step.offset, step.len));
+            if got.is_ok() {
+                let at = step.offset as usize;
+                self.model[at..at + step.len].copy_from_slice(&view);
+                self.counters.writes += 1;
+                self.counters.bytes_written += step.len as u64;
+            }
+            let (offset, len) = step.read;
+            let mut buf = vec![0xEE; len];
+            let got = self.disk.read_at(offset, &mut buf);
+            assert_eq!(got.is_ok(), Self::in_bounds(offset, len));
+            if got.is_ok() {
+                assert_eq!(buf, self.model[offset as usize..offset as usize + len]);
+                self.counters.reads += 1;
+                self.counters.bytes_read += len as u64;
+            }
+            assert_eq!(self.disk.counters(), self.counters);
+        }
+
+        fn check_image(&mut self) {
+            let mut image = vec![0u8; MODEL_BYTES];
+            self.disk.read_at(0, &mut image).unwrap();
+            assert!(image == self.model, "device image differs from the model");
+        }
+    }
+
+    proptest! {
+        /// Byte writes and by-reference writes, aligned or not, leave a
+        /// device no reader can tell from a flat byte array — also after
+        /// `clone()`, when the two copies share blocks and then diverge.
+        #[test]
+        fn matches_flat_byte_array(before in steps(), after in steps()) {
+            let mut a = Pair {
+                disk: MemDisk::new(MODEL_BYTES as u64),
+                model: vec![0; MODEL_BYTES],
+                counters: DevCounters::default(),
+            };
+            for step in &before {
+                a.apply(step);
+            }
+            let mut b = Pair {
+                disk: a.disk.clone(),
+                model: a.model.clone(),
+                counters: a.counters,
+            };
+            for step in &after {
+                if step.on_fork { b.apply(step) } else { a.apply(step) }
+            }
+            a.check_image();
+            b.check_image();
+        }
     }
 }

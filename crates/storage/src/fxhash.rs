@@ -63,6 +63,11 @@ impl Hasher for FxHasher {
             // Fold the length in so "ab" and "ab\0" differ.
             self.mix(u64::from_le_bytes(tail) ^ (rem.len() as u64) << 56);
         }
+        // A multiply carries differences only upwards, and a string's last
+        // bytes sit in the high half of its last word: fold the high half
+        // down, because hash tables pick buckets from the low bits.
+        // (Integer keys, which vary in their low bits, skip this.)
+        self.hash ^= self.hash >> 32;
     }
 
     #[inline]
@@ -156,6 +161,17 @@ mod tests {
     fn byte_strings_respect_length() {
         assert_ne!(hash_of(&b"ab".as_slice()), hash_of(&b"ab\0".as_slice()));
         assert_ne!(hash_of(&b"".as_slice()), hash_of(&b"\0".as_slice()));
+    }
+
+    #[test]
+    fn byte_string_keys_spread_over_the_low_bits() {
+        // hashbrown picks the bucket from the low bits. Keys that differ in
+        // their last bytes (`pglog.{group}.{seq}`) differ in the *high* bytes
+        // of the last word, which a bare multiply never carries downwards.
+        let buckets: std::collections::HashSet<u64> = (0..4096)
+            .map(|seq| hash_of(&format!("pglog.3.{seq}").into_bytes()) & 0xFFF)
+            .collect();
+        assert!(buckets.len() > 2000, "{} of 4096 buckets", buckets.len());
     }
 
     #[test]
