@@ -94,6 +94,58 @@ fn bench_store_read(c: &mut Criterion) {
     group.finish();
 }
 
+/// A checksummed 4 KiB COS read costs three different things depending on
+/// where the block lives; one mixed number (the `cos` cell above, or the
+/// benchmark's `cos.read_4k_csum_ns`) reports whichever its set-up produced.
+fn bench_cos_read_csum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cos_read_4k_csum");
+    let oid = ObjectId::new(GroupId(0), 1);
+    let opts = CosOptions {
+        checksums: true,
+        ..CosOptions::default()
+    };
+    let mut cos = CosObjectStore::format(MemDisk::new(256 << 20), opts).unwrap();
+    cos.submit(Transaction::new(
+        GroupId(0),
+        1,
+        vec![Op::Create { oid, size: 4 << 20 }],
+    ))
+    .unwrap();
+    for s in 0..512u64 {
+        cos.submit(write_txn(s + 1, oid, s)).unwrap();
+    }
+    // An unaligned overwrite takes blocks 256..512 back into the flat image.
+    for s in 256..512u64 {
+        let patch = Op::Write {
+            oid,
+            offset: s * 4096 + 100,
+            data: vec![7u8; 10].into(),
+        };
+        cos.submit(Transaction::new(GroupId(0), 600 + s, vec![patch]))
+            .unwrap();
+    }
+    let cases = [
+        // Held by the device as the writer's buffer: CRC memo hit, no copy.
+        ("by_reference", 0u64),
+        // Bytes in the image: copied out and CRC-scanned.
+        ("image", 256),
+        // Pre-allocated, never written: copied out and compared with zero.
+        ("never_written", 512),
+    ];
+    for (name, first) in cases {
+        let mut i = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                i += 1;
+                let got = cos.read(oid, (first + i % 256) * 4096, 4096).unwrap();
+                let _ = cos.take_trace();
+                got
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_oplog_append(c: &mut Criterion) {
     let mut nvm = NvmRegion::new(64 << 20);
     let mut log = GroupLog::format(&mut nvm, GroupId(0), 0, 64 << 20, usize::MAX).unwrap();
@@ -147,6 +199,6 @@ fn bench_radix(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_store_submit, bench_store_read, bench_oplog_append, bench_extent_btree, bench_radix
+    targets = bench_store_submit, bench_store_read, bench_cos_read_csum, bench_oplog_append, bench_extent_btree, bench_radix
 }
 criterion_main!(benches);

@@ -231,7 +231,7 @@ pub enum PeerMsg {
         group: GroupId,
         /// `(object, full content)` pairs: the sender's complete state,
         /// read after syncing its backend with pending log records.
-        objects: Vec<(ObjectId, Vec<u8>)>,
+        objects: Vec<(ObjectId, Payload)>,
     },
     /// Peering: the new primary asks an acting-set peer for its pg_log so it
     /// can compute the peer's missing set.
@@ -264,9 +264,11 @@ pub enum PeerMsg {
         /// The primary's newest log entry for the object (`version` 0 for a
         /// backfill push of an object that fell off the log tail); the
         /// receiver skips the apply if it already holds something newer.
-        entry: PgLogEntry,
+        /// Boxed: this is the largest variant, and every simulated event
+        /// is as large as the largest message.
+        entry: Box<PgLogEntry>,
         /// Full object content as served by the primary.
-        data: Vec<u8>,
+        data: Payload,
         /// FNV-1a digest of `data`; the receiver verifies before applying.
         content_digest: u64,
     },

@@ -271,11 +271,11 @@ impl Backend {
         }
     }
 
-    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
+    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError> {
         match self {
             Backend::Lsm(s) => s.read(oid, offset, len),
             Backend::Cos(s) => s.read(oid, offset, len),
-            Backend::Null => Ok(vec![0; len as usize]),
+            Backend::Null => Ok(vec![0; len as usize].into()),
         }
     }
 
@@ -526,7 +526,7 @@ enum StoreCtx {
     Read {
         client: ClientId,
         op: OpId,
-        data: Vec<u8>,
+        data: Payload,
     },
     /// A batch flush of `group`; when durable, drain the log records whose
     /// version is at most `through_version` (the newest record exported
@@ -1160,7 +1160,7 @@ impl Osd {
         self.sync_group_log(oid.group());
         let r = self.backend.read(oid, 0, len);
         let _ = self.backend.take_trace();
-        r.ok()
+        r.ok().map(|data| data.to_vec())
     }
 
     /// Re-applies the group's pending (NVM-durable, unflushed) log records
@@ -1195,7 +1195,7 @@ impl Osd {
     /// Reads the authoritative content of `oid` for a recovery push: the
     /// backend is first brought up to date with the group's pending log
     /// records (reads prefer the log, so the backend alone may be stale).
-    fn authoritative_object(&mut self, group: GroupId, oid: ObjectId) -> Option<Vec<u8>> {
+    fn authoritative_object(&mut self, group: GroupId, oid: ObjectId) -> Option<Payload> {
         let len = *self.group_extents.get(&group)?.get(&oid)?;
         self.sync_group_log(group);
         let r = self.backend.read(oid, 0, len);
@@ -1252,7 +1252,7 @@ impl Osd {
         }
         self.backfill_budget = self.backfill_budget.saturating_sub(data.len() as u64);
         self.backfill_inflight.insert(key);
-        let entry = self.newest_entry(group, oid);
+        let entry = Box::new(self.newest_entry(group, oid));
         let content_digest = digest_bytes(&data);
         self.recovery_pushes += 1;
         if backfilling {
@@ -2378,10 +2378,7 @@ impl Osd {
                 } else {
                     fx.push(OsdEffect::Reply {
                         to: dr.client,
-                        msg: ClientReply::Data {
-                            op: dr.op,
-                            data: data.into(),
-                        },
+                        msg: ClientReply::Data { op: dr.op, data },
                     });
                 }
             }
@@ -2649,7 +2646,7 @@ impl Osd {
                             Op::Write {
                                 oid,
                                 offset: 0,
-                                data: data.into(),
+                                data,
                             },
                         ],
                     );
@@ -2830,7 +2827,7 @@ impl Osd {
                         Op::Write {
                             oid,
                             offset: 0,
-                            data: data.into(),
+                            data,
                         },
                     ],
                 );
@@ -2841,7 +2838,7 @@ impl Osd {
                     // carry no real log entry and are deliberately not
                     // logged.
                     let log = self.pg_log.entry(group).or_default();
-                    log.push_back(entry);
+                    log.push_back(*entry);
                     while log.len() > self.cfg.pg_log_limit {
                         log.pop_front();
                     }
@@ -3103,10 +3100,7 @@ impl Osd {
             StoreCtx::Read { client, op, data } => {
                 fx.push(OsdEffect::Reply {
                     to: client,
-                    msg: ClientReply::Data {
-                        op,
-                        data: data.into(),
-                    },
+                    msg: ClientReply::Data { op, data },
                 });
             }
             StoreCtx::Flush {
@@ -4328,7 +4322,7 @@ mod tests {
             OsdEffect::SendPeer {
                 to,
                 msg: PeerMsg::PushObject { entry, .. },
-            } => Some((*to, *entry)),
+            } => Some((*to, **entry)),
             _ => None,
         });
         let (to, entry) = push.expect("recovery push follows the NACK");
@@ -4536,13 +4530,13 @@ mod tests {
             msg: PeerMsg::PushObject {
                 group: g,
                 epoch: 1,
-                entry: PgLogEntry {
+                entry: Box::new(PgLogEntry {
                     epoch: 1,
                     version: 4,
                     oid,
                     digest: 9,
-                },
-                data: vec![5; 4096],
+                }),
+                data: vec![5; 4096].into(),
                 content_digest: 0xDEAD, // wrong
             },
         });
@@ -4586,14 +4580,14 @@ mod tests {
             msg: PeerMsg::PushObject {
                 group: g,
                 epoch: 1,
-                entry: PgLogEntry {
+                entry: Box::new(PgLogEntry {
                     epoch: 1,
                     version: 3,
                     oid,
                     digest: 1,
-                },
+                }),
                 content_digest: digest_bytes(&stale),
-                data: stale,
+                data: stale.into(),
             },
         });
         assert!(fx.is_empty(), "divergent stale push dropped: {fx:?}");
@@ -4654,14 +4648,14 @@ mod tests {
             msg: PeerMsg::PushObject {
                 group: g,
                 epoch: 1,
-                entry: PgLogEntry {
+                entry: Box::new(PgLogEntry {
                     epoch: 1,
                     version: 3,
                     oid,
                     digest: digest_bytes(&same),
-                },
+                }),
                 content_digest: digest_bytes(&same),
-                data: same,
+                data: same.into(),
             },
         });
         assert!(
@@ -4682,14 +4676,14 @@ mod tests {
             msg: PeerMsg::PushObject {
                 group: g,
                 epoch: 1,
-                entry: PgLogEntry {
+                entry: Box::new(PgLogEntry {
                     epoch: 1,
                     version: 5,
                     oid,
                     digest: 1,
-                },
+                }),
                 content_digest: digest_bytes(&stale),
-                data: stale,
+                data: stale.into(),
             },
         });
         assert!(fx.is_empty(), "divergent push after ack dropped: {fx:?}");

@@ -6,9 +6,9 @@
 //! weight) hashing. When an OSD goes down only the groups it served move —
 //! the property CRUSH provides that simple modulo hashing does not.
 
-use std::sync::Mutex;
+use std::sync::{Arc, OnceLock};
 
-use rablock_storage::{FxHashMap, SmallVec};
+use rablock_storage::SmallVec;
 
 use crate::msg::MonMsg;
 
@@ -53,16 +53,16 @@ impl OsdInfo {
 /// Unit placement weight (1.0 in 16.16 fixed point).
 pub const DEFAULT_OSD_WEIGHT: u32 = 1 << 16;
 
-/// Shard count of the acting-set cache: small enough to stay cheap, enough
-/// to keep live-driver threads resolving different groups off one lock.
-const CACHE_SHARDS: usize = 8;
-
 /// An acting set: at most the replication factor of OSDs (inline up to 4).
 pub type ActingSet = SmallVec<OsdId, 4>;
 
-type ActingSetCache = [Mutex<FxHashMap<u32, (u64, ActingSet)>>; CACHE_SHARDS];
-
 /// The versioned cluster map.
+///
+/// Placement is a function of `osds` and `replication`. Change them only
+/// through the mutators below (each starts a new epoch and a new acting-set
+/// cache), or directly on a map that has not answered a lookup yet — as the
+/// simulation driver does when it weights spares out of the very first map.
+#[derive(Clone)]
 pub struct OsdMap {
     /// Monotonic epoch; bumped by the monitor on every change.
     pub epoch: u64,
@@ -80,29 +80,17 @@ pub struct OsdMap {
     ///
     /// [`StoreError::Degraded`]: rablock_storage::StoreError::Degraded
     pub min_size: usize,
-    /// Memoized acting sets per group, each tagged with the epoch it was
-    /// computed at; an epoch bump (mark_down/mark_up) lazily invalidates.
-    /// Purely a lookup accelerator — excluded from equality, ignored by
-    /// `Debug`, and reset to empty on `Clone`. Boxed so the map stays small
-    /// when moved by value through messages and event queues.
-    cache: Box<ActingSetCache>,
+    /// Memoized acting set of each group below `pg_count`, filled on first
+    /// lookup. Clones of a map share the cells — the monitor's broadcast
+    /// reaches every OSD as a clone, so a set is ranked once per epoch, not
+    /// once per OSD — and every mutator leaves them behind for fresh ones,
+    /// so a cell only ever holds the answer for the `osds` it was filled
+    /// from. Purely a lookup accelerator: excluded from equality and `Debug`.
+    cache: Arc<[OnceLock<ActingSet>]>,
 }
 
-fn empty_cache() -> Box<ActingSetCache> {
-    Box::new(std::array::from_fn(|_| Mutex::new(FxHashMap::default())))
-}
-
-impl Clone for OsdMap {
-    fn clone(&self) -> Self {
-        OsdMap {
-            epoch: self.epoch,
-            osds: self.osds.clone(),
-            pg_count: self.pg_count,
-            replication: self.replication,
-            min_size: self.min_size,
-            cache: empty_cache(),
-        }
-    }
+fn empty_cache(pg_count: u32) -> Arc<[OnceLock<ActingSet>]> {
+    (0..pg_count).map(|_| OnceLock::new()).collect()
 }
 
 impl PartialEq for OsdMap {
@@ -156,7 +144,7 @@ impl OsdMap {
             pg_count,
             replication,
             min_size: (replication - replication / 2).max(1),
-            cache: empty_cache(),
+            cache: empty_cache(pg_count),
         }
     }
 
@@ -184,21 +172,10 @@ impl OsdMap {
     /// [`OsdMap::min_size`]. Placement itself never panics — losing nodes
     /// must degrade service, not crash it.
     pub fn acting_set(&self, group: rablock_storage::GroupId) -> ActingSet {
-        let shard = &self.cache[group.0 as usize % CACHE_SHARDS];
-        {
-            let guard = shard.lock().expect("acting-set cache poisoned");
-            if let Some((epoch, set)) = guard.get(&group.0) {
-                if *epoch == self.epoch {
-                    return set.clone();
-                }
-            }
+        match self.cache.get(group.0 as usize) {
+            Some(cell) => cell.get_or_init(|| self.compute_acting_set(group)).clone(),
+            None => self.compute_acting_set(group),
         }
-        let set = self.compute_acting_set(group);
-        shard
-            .lock()
-            .expect("acting-set cache poisoned")
-            .insert(group.0, (self.epoch, set.clone()));
-        set
     }
 
     /// Weighted rendezvous-hash ranking behind [`OsdMap::acting_set`]'s
@@ -208,28 +185,27 @@ impl OsdMap {
     /// groups. `mix` is a bijection on u64, so scores only collide across
     /// different weights; ids break those ties deterministically.
     fn compute_acting_set(&self, group: rablock_storage::GroupId) -> ActingSet {
-        let mut ranked: Vec<(u128, OsdId, NodeId)> = self
-            .in_osds()
-            .map(|o| {
-                let h = mix((group.0 as u64) << 32 | o.id.0 as u64);
-                ((h as u128) * (o.weight as u128), o.id, o.node)
-            })
-            .collect();
-        ranked.sort_by_key(|r| (std::cmp::Reverse(r.0), r.1));
+        let score = |o: &OsdInfo| {
+            let h = mix((group.0 as u64) << 32 | o.id.0 as u64);
+            (h as u128) * (o.weight as u128)
+        };
         let mut set = ActingSet::new();
         let mut used_nodes: SmallVec<NodeId, 4> = SmallVec::new();
-        for (_, id, node) in ranked {
-            if used_nodes.contains(&node) {
-                continue;
-            }
-            used_nodes.push(node);
-            set.push(id);
+        // One pass per member instead of a sort of all OSDs: the best score
+        // (lowest id on a tie) among the nodes not used yet. Running out of
+        // nodes early is degraded placement: the survivors are returned and
+        // writes are gated on `min_size`.
+        while let Some(best) = self
+            .in_osds()
+            .filter(|o| !used_nodes.contains(&o.node))
+            .max_by_key(|o| (score(o), std::cmp::Reverse(o.id)))
+        {
+            used_nodes.push(best.node);
+            set.push(best.id);
             if set.len() == self.replication {
-                return set;
+                break;
             }
         }
-        // Degraded placement: fewer distinct up nodes than the replication
-        // factor. Return the survivors; writes are gated on `min_size`.
         set
     }
 
@@ -255,16 +231,23 @@ impl OsdMap {
         self.acting_set(group)[0]
     }
 
+    /// Starts the next epoch: placement inputs changed, so this map stops
+    /// sharing acting sets with the clones of the previous one.
+    fn next_epoch(&mut self) {
+        self.epoch += 1;
+        self.cache = empty_cache(self.pg_count);
+    }
+
     /// Marks an OSD down and bumps the epoch.
     pub fn mark_down(&mut self, id: OsdId) {
         self.osds[id.0 as usize].up = false;
-        self.epoch += 1;
+        self.next_epoch();
     }
 
     /// Marks an OSD up (replacement joined) and bumps the epoch.
     pub fn mark_up(&mut self, id: OsdId) {
         self.osds[id.0 as usize].up = true;
-        self.epoch += 1;
+        self.next_epoch();
     }
 
     /// Registers a new OSD on `node` with the given placement weight and
@@ -278,7 +261,7 @@ impl OsdMap {
             up: true,
             weight,
         });
-        self.epoch += 1;
+        self.next_epoch();
         id
     }
 
@@ -290,7 +273,7 @@ impl OsdMap {
         let o = &mut self.osds[id.0 as usize];
         o.up = false;
         o.weight = 0;
-        self.epoch += 1;
+        self.next_epoch();
     }
 
     /// Changes an OSD's placement weight, bumping the epoch when it actually
@@ -303,7 +286,7 @@ impl OsdMap {
             return false;
         }
         o.weight = weight;
-        self.epoch += 1;
+        self.next_epoch();
         true
     }
 }
@@ -757,6 +740,74 @@ mod tests {
         assert!(m.epoch > last);
         assert!(!m.osd(id).up);
         assert_eq!(m.osd(id).weight, 0);
+    }
+
+    /// The ranking as the full sort `compute_acting_set` used to do.
+    fn by_full_sort(m: &OsdMap, group: GroupId) -> ActingSet {
+        let mut ranked: Vec<(u128, OsdId, NodeId)> = m
+            .in_osds()
+            .map(|o| {
+                let h = mix((group.0 as u64) << 32 | o.id.0 as u64);
+                ((h as u128) * (o.weight as u128), o.id, o.node)
+            })
+            .collect();
+        ranked.sort_by_key(|r| (std::cmp::Reverse(r.0), r.1));
+        let mut set = ActingSet::new();
+        let mut used_nodes: Vec<NodeId> = Vec::new();
+        for (_, id, node) in ranked {
+            if set.len() < m.replication && !used_nodes.contains(&node) {
+                used_nodes.push(node);
+                set.push(id);
+            }
+        }
+        set
+    }
+
+    #[test]
+    fn member_by_member_selection_matches_a_full_sort() {
+        let mut x = 0x9E37_79B9u64;
+        let mut next = move |n: u64| {
+            x = mix(x);
+            x % n
+        };
+        for round in 0..200 {
+            let (nodes, per_node) = (1 + next(6) as u32, 1 + next(4) as u32);
+            let mut m = OsdMap::new(nodes, per_node, 16, 1 + next(3) as usize);
+            for _ in 0..next(8) {
+                let id = OsdId(next(m.osds.len() as u64) as u32);
+                match next(4) {
+                    0 => m.mark_down(id),
+                    1 => {
+                        m.set_weight(id, next(3) as u32 * DEFAULT_OSD_WEIGHT / 2);
+                    }
+                    2 => {
+                        m.add_osd(NodeId(next(8) as u32), 1 + next(1 << 18) as u32);
+                    }
+                    _ => m.mark_up(id),
+                }
+            }
+            for g in 0..20 {
+                let got = m.acting_set(GroupId(g));
+                assert_eq!(got, by_full_sort(&m, GroupId(g)), "round {round}, {m:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_acting_sets_until_one_is_mutated() {
+        let a = map();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.cache, &b.cache));
+        let set = b.acting_set(GroupId(5));
+        assert_eq!(a.cache[5].get(), Some(&set), "ranked once for both");
+        assert_eq!(a.acting_set(GroupId(5)), set);
+        let victim = set[0];
+        b.mark_down(victim);
+        assert!(!Arc::ptr_eq(&a.cache, &b.cache));
+        assert!(!b.acting_set(GroupId(5)).contains(&victim));
+        assert_eq!(a.acting_set(GroupId(5)), set, "the old epoch still answers");
+        // Groups past pg_count are ranked on every call, never stored.
+        assert_eq!(a.acting_set(GroupId(64)), a.compute_acting_set(GroupId(64)));
     }
 
     #[test]

@@ -2226,8 +2226,9 @@ impl ClusterSim {
         sim.set_workers(cfg.shards.max(1));
         let mut map = OsdMap::new(cfg.nodes, cfg.osds_per_node, cfg.pg_count, cfg.replication);
         // Spares for grow scenarios start weighted out of placement. Applied
-        // before any map is distributed, so no epoch bump is needed — every
-        // OSD and the monitor begin from this same epoch-1 map.
+        // before any map is distributed or asked for an acting set, so no
+        // epoch bump (and no cache reset) is needed — every OSD and the
+        // monitor begin from this same epoch-1 map.
         for &spare in &cfg.initially_out {
             map.osds[spare as usize].weight = 0;
         }

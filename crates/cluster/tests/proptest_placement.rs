@@ -5,6 +5,15 @@ use proptest::prelude::*;
 use rablock_cluster::placement::{NodeId, OsdId, OsdMap, DEFAULT_OSD_WEIGHT};
 use rablock_storage::GroupId;
 
+/// A map equal to `map` that has never shared an acting-set cell with it:
+/// what it answers is ranked from `osds` there and then.
+fn ranked_afresh(map: &OsdMap) -> OsdMap {
+    let mut fresh = OsdMap::new(1, 1, map.pg_count, map.replication);
+    fresh.osds = map.osds.clone();
+    fresh.epoch = map.epoch;
+    fresh
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -146,6 +155,57 @@ proptest! {
                     prop_assert!(map.osd(o).in_set(), "group {} placed on an out OSD", g);
                 }
             }
+        }
+    }
+
+    /// Clones share memoized acting sets and mutators leave them behind:
+    /// whatever was looked up before, on whichever clone, every map answers
+    /// every group — also groups past `pg_count`, which are never memoized
+    /// — as a map ranked afresh from its own `osds`, and mutating one clone
+    /// never changes what another answers.
+    #[test]
+    fn clones_answer_as_a_fresh_map_and_never_see_each_others_mutations(
+        ops in proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>()), 1..40),
+    ) {
+        const PGS: u32 = 16;
+        let check = |map: &OsdMap| {
+            let fresh = ranked_afresh(map);
+            for g in 0..PGS + 3 {
+                prop_assert_eq!(map.acting_set(GroupId(g)), fresh.acting_set(GroupId(g)));
+            }
+            Ok(())
+        };
+        let mut maps = vec![OsdMap::new(3, 2, PGS, 2)];
+        for (kind, a, b) in ops {
+            let at = a as usize % maps.len();
+            let osd = OsdId(b % maps[at].osds.len() as u32);
+            match kind {
+                // A partial lookup, so later clones inherit half-filled cells.
+                0 => {
+                    let _ = maps[at].acting_set(GroupId(b % (PGS + 3)));
+                }
+                1 => {
+                    let clone = maps[at].clone();
+                    maps.push(clone);
+                }
+                2 => maps[at].mark_down(osd),
+                3 => maps[at].mark_up(osd),
+                4 => {
+                    maps[at].add_osd(NodeId(b % 5), (a % (3 * DEFAULT_OSD_WEIGHT)).max(1));
+                }
+                5 => maps[at].remove_osd(osd),
+                _ => {
+                    maps[at].set_weight(osd, a % (3 * DEFAULT_OSD_WEIGHT));
+                }
+            }
+            if kind >= 2 {
+                for map in &maps {
+                    check(map)?;
+                }
+            }
+        }
+        for map in &maps {
+            check(map)?;
         }
     }
 }

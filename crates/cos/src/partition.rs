@@ -567,29 +567,20 @@ impl Partition {
                               dev: &mut D,
                               trace: &mut Vec<TraceIo>|
              -> Result<(), StoreError> {
-                let off_in_buf = ((b - block) * BLOCK_BYTES) as usize;
-                dev.read_at(
+                let old = dev.read_payload_at(
                     self.geom.block_off(phys + (b - block)),
-                    &mut buf[off_in_buf..off_in_buf + BLOCK_BYTES as usize],
+                    BLOCK_BYTES as usize,
                 )?;
                 trace.push(TraceIo {
                     kind: TraceKind::Read,
                     bytes: BLOCK_BYTES,
                     category: IoCategory::Data,
                 });
-                if self.checksums {
-                    // An RMW edge folds old bytes into the new block; never
-                    // launder rotted bytes into a freshly valid checksum.
-                    let got = crate::crc32(&buf[off_in_buf..off_in_buf + BLOCK_BYTES as usize]);
-                    let want = self
-                        .csums
-                        .get(&slot)
-                        .and_then(|v| v.get(b as usize).copied())
-                        .unwrap_or_else(zero_block_crc);
-                    if got != want {
-                        return Err(StoreError::ChecksumMismatch);
-                    }
-                }
+                // An RMW edge folds old bytes into the new block; never
+                // launder rotted bytes into a freshly valid checksum.
+                self.verify_block(slot, b, &old)?;
+                let off_in_buf = ((b - block) * BLOCK_BYTES) as usize;
+                buf[off_in_buf..off_in_buf + BLOCK_BYTES as usize].copy_from_slice(&old);
                 Ok(())
             };
             if head_partial && !fresh.contains(&block) {
@@ -636,12 +627,34 @@ impl Partition {
         self.persist_onode(dev, slot, opts, alloc_changed, trace)
     }
 
-    /// Reads `len` bytes at `offset`. Unmapped holes read as zeroes.
+    /// Checks `blk`, logical block `block` of the object in `slot`, against
+    /// its recorded checksum (checksum option only). A block the device
+    /// still holds by reference answers from its CRC memo; a never-written
+    /// block is compared with zero, a stronger and cheaper test than its CRC.
+    fn verify_block(&self, slot: u32, block: u64, blk: &Payload) -> Result<(), StoreError> {
+        if !self.checksums {
+            return Ok(());
+        }
+        let want = self
+            .csums
+            .get(&slot)
+            .and_then(|v| v.get(block as usize).copied())
+            .unwrap_or_else(zero_block_crc);
+        if (want == zero_block_crc() && **blk == ZERO_BLOCK) || blk.crc32() == want {
+            Ok(())
+        } else {
+            Err(StoreError::ChecksumMismatch)
+        }
+    }
+
+    /// Reads `len` bytes at `offset`. Unmapped holes read as zeroes. A read
+    /// of exactly one block returns the device's buffer uncopied.
     ///
     /// # Errors
     ///
     /// [`StoreError::NotFound`] for missing/deleted objects,
-    /// [`StoreError::OutOfBounds`] past the object size.
+    /// [`StoreError::OutOfBounds`] past the object size,
+    /// [`StoreError::ChecksumMismatch`] for a rotted block (checksum option).
     pub fn read<D: BlockDevice>(
         &mut self,
         dev: &mut D,
@@ -649,7 +662,7 @@ impl Partition {
         offset: u64,
         len: u64,
         trace: &mut Vec<TraceIo>,
-    ) -> Result<Vec<u8>, StoreError> {
+    ) -> Result<Payload, StoreError> {
         let slot = self.slot_of(oid).ok_or(StoreError::NotFound)?;
         let onode = self.onodes.get(&slot).expect("radix maps to live slot");
         if onode.deleted {
@@ -662,67 +675,71 @@ impl Partition {
                 capacity: onode.size,
             });
         }
-        let mut out = vec![0u8; len as usize];
         if len == 0 {
-            return Ok(out);
+            return Ok(Payload::empty());
+        }
+        let first_block = offset / BLOCK_BYTES;
+        if len == BLOCK_BYTES && offset.is_multiple_of(BLOCK_BYTES) {
+            if let Some(phys) = onode.extents.map(first_block) {
+                let blk = dev.read_payload_at(self.geom.block_off(phys), BLOCK_BYTES as usize)?;
+                trace.push(TraceIo {
+                    kind: TraceKind::Read,
+                    bytes: BLOCK_BYTES,
+                    category: IoCategory::Data,
+                });
+                self.verify_block(slot, first_block, &blk)?;
+                return Ok(blk);
+            }
         }
         let end = offset + len;
-        let first_block = offset / BLOCK_BYTES;
         let last_block = (end - 1) / BLOCK_BYTES;
-        let mut block = first_block;
-        while block <= last_block {
-            let Some(phys) = onode.extents.map(block) else {
-                block += 1;
-                continue;
-            };
-            let mut run_len = 1u64;
-            while block + run_len <= last_block
-                && onode.extents.map(block + run_len) == Some(phys + run_len)
-            {
-                run_len += 1;
-            }
-            let from = (block * BLOCK_BYTES).max(offset);
-            let to = ((block + run_len) * BLOCK_BYTES).min(end);
-            if self.checksums {
-                // Verification is block-granular: read whole blocks, check
-                // each CRC, then copy out the requested byte range.
-                let mut blk = vec![0u8; (run_len * BLOCK_BYTES) as usize];
-                dev.read_at(self.geom.block_off(phys), &mut blk)?;
-                trace.push(TraceIo {
-                    kind: TraceKind::Read,
-                    bytes: run_len * BLOCK_BYTES,
-                    category: IoCategory::Data,
-                });
-                for i in 0..run_len {
-                    let s = (i * BLOCK_BYTES) as usize;
-                    let got = crate::crc32(&blk[s..s + BLOCK_BYTES as usize]);
-                    let want = self
-                        .csums
-                        .get(&slot)
-                        .and_then(|v| v.get((block + i) as usize).copied())
-                        .unwrap_or_else(zero_block_crc);
-                    if got != want {
-                        return Err(StoreError::ChecksumMismatch);
-                    }
+        Payload::build(len as usize, |out| {
+            let mut block = first_block;
+            while block <= last_block {
+                let Some(phys) = onode.extents.map(block) else {
+                    block += 1;
+                    continue;
+                };
+                let mut run_len = 1u64;
+                while block + run_len <= last_block
+                    && onode.extents.map(block + run_len) == Some(phys + run_len)
+                {
+                    run_len += 1;
                 }
-                let b0 = (from - block * BLOCK_BYTES) as usize;
-                out[(from - offset) as usize..(to - offset) as usize]
-                    .copy_from_slice(&blk[b0..b0 + (to - from) as usize]);
-            } else {
-                let dev_off = self.geom.block_off(phys) + (from - block * BLOCK_BYTES);
-                dev.read_at(
-                    dev_off,
-                    &mut out[(from - offset) as usize..(to - offset) as usize],
-                )?;
+                let from = (block * BLOCK_BYTES).max(offset);
+                let to = ((block + run_len) * BLOCK_BYTES).min(end);
+                let traced = if self.checksums {
+                    // Verification is block-granular: fetch whole blocks,
+                    // check each, copy out the requested part of it.
+                    for b in block..block + run_len {
+                        let blk = dev.read_payload_at(
+                            self.geom.block_off(phys + (b - block)),
+                            BLOCK_BYTES as usize,
+                        )?;
+                        self.verify_block(slot, b, &blk)?;
+                        let base = b * BLOCK_BYTES;
+                        let (lo, hi) = (from.max(base), to.min(base + BLOCK_BYTES));
+                        out[(lo - offset) as usize..(hi - offset) as usize]
+                            .copy_from_slice(&blk[(lo - base) as usize..(hi - base) as usize]);
+                    }
+                    run_len * BLOCK_BYTES
+                } else {
+                    let dev_off = self.geom.block_off(phys) + (from - block * BLOCK_BYTES);
+                    dev.read_at(
+                        dev_off,
+                        &mut out[(from - offset) as usize..(to - offset) as usize],
+                    )?;
+                    to - from
+                };
                 trace.push(TraceIo {
                     kind: TraceKind::Read,
-                    bytes: to - from,
+                    bytes: traced,
                     category: IoCategory::Data,
                 });
+                block += run_len;
             }
-            block += run_len;
-        }
-        Ok(out)
+            Ok(())
+        })
     }
 
     /// Sets an xattr; persists through the metadata path.
@@ -961,11 +978,13 @@ impl Partition {
     }
 }
 
+static ZERO_BLOCK: [u8; BLOCK_BYTES as usize] = [0; BLOCK_BYTES as usize];
+
 /// CRC32 of an all-zeroes 4 KiB block: the checksum of every block a write
 /// never touched (holes read as zeroes).
 fn zero_block_crc() -> u32 {
     static Z: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *Z.get_or_init(|| crate::crc32(&[0u8; BLOCK_BYTES as usize]))
+    *Z.get_or_init(|| crate::crc32(&ZERO_BLOCK))
 }
 
 /// Blocks needed to hold `n` per-block checksums (4 bytes each + header).
@@ -1033,4 +1052,350 @@ fn decode_spill(raw: &[u8], total_extents: usize) -> Result<Vec<Extent>, StoreEr
         r += 20;
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rablock_storage::{GroupId, MemDisk};
+
+    impl Partition {
+        /// The read path as it was before reads returned [`Payload`]s — one
+        /// device read per physically contiguous run into a staging vector,
+        /// every block CRC-scanned, the range copied out — kept as the
+        /// reference [`Partition::read`] must agree with, byte for byte and
+        /// traced I/O for traced I/O.
+        fn read_reference<D: BlockDevice>(
+            &self,
+            dev: &mut D,
+            oid: ObjectId,
+            offset: u64,
+            len: u64,
+            trace: &mut Vec<TraceIo>,
+        ) -> Result<Vec<u8>, StoreError> {
+            let slot = self.slot_of(oid).ok_or(StoreError::NotFound)?;
+            let onode = self.onodes.get(&slot).expect("radix maps to live slot");
+            if onode.deleted {
+                return Err(StoreError::NotFound);
+            }
+            if offset + len > onode.size {
+                return Err(StoreError::OutOfBounds {
+                    offset,
+                    len,
+                    capacity: onode.size,
+                });
+            }
+            let mut out = vec![0u8; len as usize];
+            if len == 0 {
+                return Ok(out);
+            }
+            let end = offset + len;
+            let last_block = (end - 1) / BLOCK_BYTES;
+            let mut block = offset / BLOCK_BYTES;
+            while block <= last_block {
+                let Some(phys) = onode.extents.map(block) else {
+                    block += 1;
+                    continue;
+                };
+                let mut run_len = 1u64;
+                while block + run_len <= last_block
+                    && onode.extents.map(block + run_len) == Some(phys + run_len)
+                {
+                    run_len += 1;
+                }
+                let from = (block * BLOCK_BYTES).max(offset);
+                let to = ((block + run_len) * BLOCK_BYTES).min(end);
+                if self.checksums {
+                    let mut blk = vec![0u8; (run_len * BLOCK_BYTES) as usize];
+                    dev.read_at(self.geom.block_off(phys), &mut blk)?;
+                    trace.push(TraceIo {
+                        kind: TraceKind::Read,
+                        bytes: run_len * BLOCK_BYTES,
+                        category: IoCategory::Data,
+                    });
+                    for i in 0..run_len {
+                        let s = (i * BLOCK_BYTES) as usize;
+                        let got = crate::crc32(&blk[s..s + BLOCK_BYTES as usize]);
+                        let want = self
+                            .csums
+                            .get(&slot)
+                            .and_then(|v| v.get((block + i) as usize).copied())
+                            .unwrap_or_else(zero_block_crc);
+                        if got != want {
+                            return Err(StoreError::ChecksumMismatch);
+                        }
+                    }
+                    let b0 = (from - block * BLOCK_BYTES) as usize;
+                    out[(from - offset) as usize..(to - offset) as usize]
+                        .copy_from_slice(&blk[b0..b0 + (to - from) as usize]);
+                } else {
+                    let dev_off = self.geom.block_off(phys) + (from - block * BLOCK_BYTES);
+                    dev.read_at(
+                        dev_off,
+                        &mut out[(from - offset) as usize..(to - offset) as usize],
+                    )?;
+                    trace.push(TraceIo {
+                        kind: TraceKind::Read,
+                        bytes: to - from,
+                        category: IoCategory::Data,
+                    });
+                }
+                block += run_len;
+            }
+            Ok(out)
+        }
+    }
+
+    const OBJ_BLOCKS: u64 = 12;
+    const OBJ_BYTES: u64 = OBJ_BLOCKS * BLOCK_BYTES;
+    const OBJECTS: u64 = 4;
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Pre-allocates the object: every block mapped, none written.
+        Create {
+            obj: u64,
+        },
+        /// `lead` bytes of the client's buffer precede the written view, so
+        /// aligned blocks reach the device as slices of a larger buffer.
+        Write {
+            obj: u64,
+            offset: u64,
+            len: u64,
+            lead: usize,
+            fill: u8,
+        },
+        Read {
+            obj: u64,
+            offset: u64,
+            len: u64,
+        },
+        /// Flips a bit, checks that it is caught, flips it back.
+        Rot {
+            obj: u64,
+            block: u64,
+            byte: u64,
+            bit: u8,
+        },
+    }
+
+    fn write(obj: u64, offset: u64, len: u64, lead: usize, fill: u8) -> Step {
+        Step::Write {
+            obj,
+            offset,
+            len: len.min(OBJ_BYTES - offset),
+            lead,
+            fill,
+        }
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let obj = || 0..OBJECTS;
+        let lead = || {
+            prop_oneof![
+                Just(0usize),
+                (1..4usize).prop_map(|b| b * 4096),
+                1..5000usize
+            ]
+        };
+        proptest::collection::vec(
+            prop_oneof![
+                1 => obj().prop_map(|obj| Step::Create { obj }),
+                // Whole blocks: kept by reference, full views or slices.
+                4 => (obj(), 0..OBJ_BLOCKS, 1..5u64, lead(), any::<u8>()).prop_map(
+                    |(o, b, n, lead, fill)| write(o, b * BLOCK_BYTES, n * BLOCK_BYTES, lead, fill)
+                ),
+                // Unaligned: RMW materialises the edge blocks in the image.
+                3 => (obj(), 0..OBJ_BYTES - 1, 1..10_000u64, lead(), any::<u8>())
+                    .prop_map(|(o, at, len, lead, fill)| write(o, at, len, lead, fill)),
+                // One whole block, a sub-block range, several runs.
+                3 => (obj(), 0..OBJ_BLOCKS)
+                    .prop_map(|(obj, b)| Step::Read { obj, offset: b * BLOCK_BYTES, len: BLOCK_BYTES }),
+                4 => (obj(), 0..OBJ_BYTES, 0..OBJ_BYTES)
+                    .prop_map(|(obj, offset, len)| Step::Read { obj, offset, len }),
+                2 => (obj(), 0..OBJ_BLOCKS, 0..BLOCK_BYTES, 0..8u8)
+                    .prop_map(|(obj, block, byte, bit)| Step::Rot { obj, block, byte, bit }),
+            ],
+            1..70,
+        )
+    }
+
+    fn oid(obj: u64) -> ObjectId {
+        ObjectId::new(GroupId(0), obj)
+    }
+
+    struct Harness {
+        part: Partition,
+        dev: MemDisk,
+        opts: CosOptions,
+        /// `(size, bytes)` of every object that exists.
+        model: Vec<Option<(u64, Vec<u8>)>>,
+        seq: u64,
+    }
+
+    impl Harness {
+        fn new(checksums: bool) -> Self {
+            let opts = CosOptions {
+                partitions: 1,
+                checksums,
+                ..CosOptions::tiny()
+            };
+            let dev = MemDisk::new(16 << 20);
+            let geom = PartGeometry::compute(dev.capacity(), 0, &opts).unwrap();
+            Harness {
+                part: Partition::format(geom, &opts),
+                dev,
+                opts,
+                model: vec![None; OBJECTS as usize],
+                seq: 0,
+            }
+        }
+
+        /// Both read paths on the same state: same bytes or same error, and
+        /// the same traced I/Os.
+        fn read_both(&mut self, obj: u64, offset: u64, len: u64) -> Result<Payload, StoreError> {
+            let (mut new_trace, mut old_trace) = (Vec::new(), Vec::new());
+            let before = self.dev.counters().bytes_read;
+            let new = self
+                .part
+                .read(&mut self.dev, oid(obj), offset, len, &mut new_trace);
+            let new_bytes_read = self.dev.counters().bytes_read - before;
+            let old =
+                self.part
+                    .read_reference(&mut self.dev, oid(obj), offset, len, &mut old_trace);
+            assert_eq!(
+                new.clone().map(|p| p.to_vec()),
+                old,
+                "object {obj} [{offset}, +{len})"
+            );
+            if new.is_ok() {
+                let key = |t: &TraceIo| (t.kind, t.bytes, t.category);
+                assert_eq!(
+                    new_trace.iter().map(key).collect::<Vec<_>>(),
+                    old_trace.iter().map(key).collect::<Vec<_>>()
+                );
+                let traced: u64 = new_trace.iter().map(|t| t.bytes).sum();
+                assert_eq!(new_bytes_read, traced, "the device saw what was traced");
+            }
+            new
+        }
+
+        fn apply(&mut self, step: &Step) {
+            self.seq += 1;
+            let mut trace = Vec::new();
+            match *step {
+                Step::Create { obj } => {
+                    self.part
+                        .create(
+                            &mut self.dev,
+                            oid(obj),
+                            OBJ_BYTES,
+                            self.seq,
+                            &self.opts,
+                            &mut trace,
+                        )
+                        .unwrap();
+                    self.model[obj as usize]
+                        .get_or_insert((0, vec![0; OBJ_BYTES as usize]))
+                        .0 = OBJ_BYTES;
+                }
+                Step::Write {
+                    obj,
+                    offset,
+                    len,
+                    lead,
+                    fill,
+                } => {
+                    let backing: Payload = (0..lead + len as usize + 5)
+                        .map(|i| (i as u8).wrapping_mul(29).wrapping_add(fill))
+                        .collect::<Vec<_>>()
+                        .into();
+                    let data = backing.slice(lead, len as usize);
+                    self.part
+                        .write(
+                            &mut self.dev,
+                            oid(obj),
+                            offset,
+                            &data,
+                            self.seq,
+                            &self.opts,
+                            &mut trace,
+                        )
+                        .unwrap();
+                    let m =
+                        self.model[obj as usize].get_or_insert((0, vec![0; OBJ_BYTES as usize]));
+                    m.0 = m.0.max(offset + len);
+                    m.1[offset as usize..(offset + len) as usize].copy_from_slice(&data);
+                }
+                Step::Read { obj, offset, len } => {
+                    let got = self.read_both(obj, offset, len);
+                    match &self.model[obj as usize] {
+                        None => assert_eq!(got, Err(StoreError::NotFound)),
+                        Some((size, _)) if offset + len > *size => {
+                            assert!(matches!(got, Err(StoreError::OutOfBounds { .. })))
+                        }
+                        Some((_, bytes)) => assert_eq!(
+                            got.unwrap(),
+                            bytes[offset as usize..(offset + len) as usize].to_vec()
+                        ),
+                    }
+                }
+                Step::Rot {
+                    obj,
+                    block,
+                    byte,
+                    bit,
+                } => {
+                    let at = block * BLOCK_BYTES;
+                    let in_range = self.model[obj as usize]
+                        .as_ref()
+                        .is_some_and(|(size, _)| at + BLOCK_BYTES <= *size);
+                    if !in_range {
+                        return;
+                    }
+                    // Warm whatever memo the block has, then rot it.
+                    self.read_both(obj, at, BLOCK_BYTES).unwrap();
+                    let flip = |h: &mut Harness| {
+                        h.part
+                            .corrupt_data_bit(&mut h.dev, oid(obj), block, byte, bit)
+                            .unwrap()
+                    };
+                    if !flip(self) {
+                        return; // a hole: nothing stored, nothing to rot
+                    }
+                    let whole = self.model[obj as usize].as_ref().unwrap().0;
+                    for (offset, len) in [(at, BLOCK_BYTES), (at + byte, 1), (0, whole)] {
+                        let got = self.read_both(obj, offset, len);
+                        if self.opts.checksums {
+                            assert_eq!(got, Err(StoreError::ChecksumMismatch));
+                        }
+                    }
+                    assert!(flip(self));
+                    self.read_both(obj, at, BLOCK_BYTES).unwrap();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// `Partition::read` against the copying read path it replaced and
+        /// against a byte model — over holes, never-written pre-allocated
+        /// blocks, blocks held by reference (whole buffers and slices),
+        /// RMW-materialised blocks, unaligned multi-run ranges and rot that
+        /// lands on a block whose CRC memo is warm.
+        #[test]
+        fn read_matches_reference_and_model(script in steps(), checksums in any::<bool>()) {
+            let mut h = Harness::new(checksums);
+            for step in &script {
+                h.apply(step);
+            }
+            for obj in 0..OBJECTS {
+                if let Some((size, bytes)) = h.model[obj as usize].clone() {
+                    let got = h.read_both(obj, 0, size).unwrap();
+                    prop_assert!(got == bytes[..size as usize].to_vec());
+                }
+            }
+        }
+    }
 }

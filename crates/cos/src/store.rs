@@ -11,7 +11,7 @@
 
 use rablock_storage::{
     BlockDevice, FxHashMap, GroupId, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op,
-    StoreError, StoreStats, TraceIo, Transaction,
+    Payload, StoreError, StoreStats, TraceIo, Transaction,
 };
 
 use crate::layout::{CosOptions, PartGeometry, SUPERBLOCK_BYTES};
@@ -31,7 +31,7 @@ const SB_MAGIC: u32 = 0x434F_5331; // "COS1"
 ///     Op::Create { oid, size: 4 << 20 },
 ///     Op::Write { oid, offset: 0, data: b"hello".to_vec().into() },
 /// ]))?;
-/// assert_eq!(store.read(oid, 0, 5)?, b"hello");
+/// assert_eq!(&store.read(oid, 0, 5)?[..], b"hello");
 /// # Ok(())
 /// # }
 /// ```
@@ -236,7 +236,7 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
         Ok(())
     }
 
-    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
+    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError> {
         let idx = self.partition_of(oid.group());
         let mut tmp = Vec::new();
         let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
@@ -728,12 +728,154 @@ mod tests {
         }
         assert!(a.corrupt_data_bit(o, 2, 17, 5).unwrap());
         assert_eq!(a.read(o, 8192, 4096), Err(StoreError::ChecksumMismatch));
-        assert_eq!(a.read(o, 4096, 4096).unwrap(), pristine[..4096]);
+        assert_eq!(a.read(o, 4096, 4096).unwrap()[..], pristine[..4096]);
         assert_eq!(source, pristine, "rot on a device never reaches the buffer");
         assert_eq!(b.read(o, 4096, 8192).unwrap(), pristine);
         // Blocks held by reference are part of the device a mount sees.
         let mut b = CosObjectStore::mount(b.into_device(), opts).unwrap();
         assert_eq!(b.read(o, 4096, 8192).unwrap(), pristine);
+    }
+
+    /// What a deep scrub does to one object (read every byte) and what its
+    /// repair does (the pushed copy: create + whole-object write).
+    fn scrub_then_repair(s: &mut CosObjectStore<MemDisk>, o: ObjectId, good: &[u8]) {
+        let size = good.len() as u64;
+        assert_eq!(s.read(o, 0, size), Err(StoreError::ChecksumMismatch));
+        let repair = vec![
+            Op::Create { oid: o, size },
+            Op::Write {
+                oid: o,
+                offset: 0,
+                data: good.to_vec().into(),
+            },
+        ];
+        s.submit(Transaction::new(o.group(), 99, repair)).unwrap();
+        assert_eq!(s.read(o, 0, size).unwrap(), good.to_vec());
+    }
+
+    #[test]
+    fn rot_is_caught_after_reads_warmed_the_crc_memo() {
+        let mut s = fresh(checked(CosOptions::tiny()));
+        let o = oid(0, 62);
+        // Two blocks from one 8 KiB buffer; both reads below answer their
+        // verification from the memo `Partition::write` filled.
+        s.submit(write_txn(1, o, 0, vec![0x5A; 8192])).unwrap();
+        for _ in 0..2 {
+            assert_eq!(s.read(o, 4096, 4096).unwrap(), vec![0x5A; 4096]);
+            assert_eq!(s.read(o, 0, 8192).unwrap(), vec![0x5A; 8192]);
+        }
+        let served = s.read(o, 4096, 4096).unwrap();
+        assert!(s.corrupt_data_bit(o, 1, 9, 2).unwrap());
+        assert_eq!(s.read(o, 4096, 4096), Err(StoreError::ChecksumMismatch));
+        assert_eq!(s.read(o, 4100, 10), Err(StoreError::ChecksumMismatch));
+        assert_eq!(s.read(o, 0, 4096).unwrap(), vec![0x5A; 4096]);
+        assert_eq!(served, vec![0x5A; 4096], "a served buffer never rots");
+        scrub_then_repair(&mut s, o, &[0x5A; 8192]);
+    }
+
+    #[test]
+    fn rot_is_caught_in_a_block_written_as_a_slice_of_an_object_sized_buffer() {
+        let mut s = fresh(checked(CosOptions::tiny()));
+        let o = oid(0, 63);
+        let good: Vec<u8> = (0..64u32 << 10).map(|i| (i / 9) as u8).collect();
+        // A recovery push: one buffer, sixteen blocks kept as slices of it.
+        s.submit(write_txn(1, o, 0, good.clone())).unwrap();
+        for block in 0..16u64 {
+            let at = (block * 4096) as usize;
+            assert_eq!(s.read(o, at as u64, 4096).unwrap()[..], good[at..at + 4096]);
+        }
+        assert_eq!(s.read(o, 0, 64 << 10).unwrap(), good);
+        assert!(s.corrupt_data_bit(o, 5, 4095, 7).unwrap());
+        assert_eq!(s.read(o, 5 * 4096, 4096), Err(StoreError::ChecksumMismatch));
+        assert_eq!(
+            s.read(o, 4 * 4096, 4096).unwrap()[..],
+            good[4 * 4096..5 * 4096]
+        );
+        assert_eq!(
+            s.read(o, 6 * 4096, 4096).unwrap()[..],
+            good[6 * 4096..7 * 4096]
+        );
+        scrub_then_repair(&mut s, o, &good);
+    }
+
+    #[test]
+    fn never_written_blocks_verify_against_zero_and_still_catch_rot() {
+        let mut s = fresh(checked(CosOptions::tiny()));
+        let o = oid(0, 64);
+        s.submit(Transaction::new(
+            o.group(),
+            1,
+            vec![Op::Create {
+                oid: o,
+                size: 64 << 10,
+            }],
+        ))
+        .unwrap();
+        // Block 9 gets a checksum entry; 0..9 get the zero CRC by fill-in,
+        // 10.. have no entry at all.
+        s.submit(write_txn(2, o, 9 * 4096, vec![3; 4096])).unwrap();
+        assert_eq!(s.read(o, 0, 64 << 10).unwrap()[..9 * 4096], [0u8; 9 * 4096]);
+        for block in [2u64, 12] {
+            assert!(s.corrupt_data_bit(o, block, 77, 0).unwrap());
+            assert_eq!(
+                s.read(o, block * 4096, 4096),
+                Err(StoreError::ChecksumMismatch)
+            );
+            assert_eq!(s.read(o, 0, 64 << 10), Err(StoreError::ChecksumMismatch));
+            // An unaligned write must not fold the rotted zeroes in either.
+            let rmw = s.submit(write_txn(3, o, block * 4096 + 10, vec![1; 10]));
+            assert_eq!(rmw, Err(StoreError::ChecksumMismatch));
+            assert!(s.corrupt_data_bit(o, block, 77, 0).unwrap());
+            assert_eq!(s.read(o, block * 4096, 4096).unwrap(), vec![0u8; 4096]);
+        }
+        s.submit(write_txn(4, o, 12 * 4096 + 10, vec![1; 10]))
+            .unwrap();
+        assert_eq!(s.read(o, 12 * 4096 + 8, 4).unwrap(), vec![0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn mounted_store_verifies_reads_against_the_persisted_checksums() {
+        let opts = checked(CosOptions {
+            metadata_cache: false,
+            ..CosOptions::tiny()
+        });
+        let mut s = fresh(opts.clone());
+        let o = oid(1, 65);
+        let good: Vec<u8> = (0..16u32 << 10).map(|i| (i / 5) as u8).collect();
+        s.submit(write_txn(1, o, 0, good.clone())).unwrap();
+        s.submit(write_txn(2, o, 100, vec![0xEE; 50])).unwrap(); // an image block
+        let mut want = good;
+        want[100..150].fill(0xEE);
+        assert_eq!(s.read(o, 0, 16 << 10).unwrap(), want);
+        assert!(s.corrupt_data_bit(o, 0, 120, 1).unwrap());
+        assert!(s.corrupt_data_bit(o, 3, 0, 0).unwrap());
+        let mut m = CosObjectStore::mount(s.into_device(), opts).unwrap();
+        assert_eq!(m.read(o, 0, 4096), Err(StoreError::ChecksumMismatch));
+        assert_eq!(m.read(o, 3 * 4096, 4096), Err(StoreError::ChecksumMismatch));
+        assert_eq!(m.read(o, 4096, 8192).unwrap()[..], want[4096..3 * 4096]);
+        assert!(m.corrupt_data_bit(o, 0, 120, 1).unwrap());
+        assert!(m.corrupt_data_bit(o, 3, 0, 0).unwrap());
+        assert_eq!(m.read(o, 0, 16 << 10).unwrap(), want);
+    }
+
+    #[test]
+    fn whole_block_read_returns_the_written_buffer() {
+        let mut s = fresh(checked(CosOptions::tiny()));
+        let o = oid(0, 66);
+        let data: rablock_storage::Payload = vec![0x42; 8192].into();
+        let op = Op::Write {
+            oid: o,
+            offset: 4096,
+            data: data.clone(),
+        };
+        s.submit(Transaction::new(o.group(), 1, vec![op])).unwrap();
+        let _ = s.take_trace();
+        let got = s.read(o, 8192, 4096).unwrap();
+        assert!(std::ptr::eq(got.as_ptr(), data[4096..].as_ptr()), "no copy");
+        let hole = s.read(o, 0, 4096).unwrap();
+        assert_eq!(hole, vec![0u8; 4096]);
+        let reads: Vec<u64> = s.take_trace().iter().map(|t| t.bytes).collect();
+        assert_eq!(reads, [4096], "one traced read; the hole costs none");
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn check_all(store: &mut CosObjectStore<MemDisk>, model: &[ModelObj]) {
             Some((size, bytes)) => {
                 if *size > 0 {
                     let got = store.read(oid(i as u64), 0, *size).unwrap();
-                    assert_eq!(&got, &bytes[..*size as usize], "object {i}");
+                    assert_eq!(&got[..], &bytes[..*size as usize], "object {i}");
                 }
             }
             None => assert!(

@@ -64,16 +64,35 @@ struct StoredInfo {
     size: u64,
     version: u64,
     mtime: u64,
+    /// Part of every data and raw key. Data blocks are not tombstoned on
+    /// delete, so each incarnation of an object must use a new one.
     generation: u32,
+    /// The object is gone; the record stays only to remember `generation`.
+    deleted: bool,
 }
 
 impl StoredInfo {
+    /// The first info of an object created at `generation`.
+    fn fresh(generation: u32) -> Self {
+        StoredInfo {
+            size: 0,
+            version: 0,
+            mtime: 0,
+            generation,
+            deleted: false,
+        }
+    }
+
     fn encode(&self) -> Payload {
-        let mut v = Vec::with_capacity(28);
+        let mut v = Vec::with_capacity(29);
         put_u64(&mut v, self.size);
         put_u64(&mut v, self.version);
         put_u64(&mut v, self.mtime);
         v.extend_from_slice(&self.generation.to_le_bytes());
+        if self.deleted {
+            // Live records keep their 28 bytes.
+            v.push(1);
+        }
         v.into()
     }
 
@@ -93,6 +112,7 @@ impl StoredInfo {
             version,
             mtime,
             generation,
+            deleted: c.get_bytes_raw(1).is_some(),
         })
     }
 }
@@ -112,7 +132,7 @@ fn bad_info() -> StoreError {
 /// store.submit(Transaction::new(GroupId(0), 1, vec![
 ///     Op::Write { oid, offset: 0, data: b"hello".to_vec().into() },
 /// ]))?;
-/// assert_eq!(store.read(oid, 0, 5)?, b"hello");
+/// assert_eq!(&store.read(oid, 0, 5)?[..], b"hello");
 /// # Ok(())
 /// # }
 /// ```
@@ -180,7 +200,13 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         self.db.into_device()
     }
 
+    /// The info of a live object.
     fn load_info(&mut self, oid: ObjectId) -> Result<Option<StoredInfo>, StoreError> {
+        Ok(self.load_info_record(oid)?.filter(|info| !info.deleted))
+    }
+
+    /// The info record of `oid`, which outlives the object as a marker.
+    fn load_info_record(&mut self, oid: ObjectId) -> Result<Option<StoredInfo>, StoreError> {
         let key = info_key(oid);
         if let Some(raw) = self.cache.get(&key) {
             return Ok(Some(StoredInfo::decode(&raw)?));
@@ -225,14 +251,11 @@ impl<D: BlockDevice> LsmObjectStore<D> {
             } else if (p_end - p_start) * RAW_PROMOTE_DEN >= chunk_bytes * RAW_PROMOTE_NUM {
                 // Promote: merge any existing KV blocks of this chunk, then
                 // write the whole chunk raw.
-                let mut merged = if info.size > c_start {
-                    let have = (info.size - c_start).min(chunk_bytes);
-                    let mut buf = self.read_kv_range(oid, info, c_start, have)?;
-                    buf.resize(chunk_bytes as usize, 0);
-                    buf
-                } else {
-                    vec![0u8; chunk_bytes as usize]
-                };
+                let mut merged = vec![0u8; chunk_bytes as usize];
+                if info.size > c_start {
+                    let have = (info.size - c_start).min(chunk_bytes) as usize;
+                    self.read_kv_into(oid, info, c_start, &mut merged[..have])?;
+                }
                 merged[(p_start - c_start) as usize..(p_end - c_start) as usize]
                     .copy_from_slice(&data[(p_start - offset) as usize..(p_end - offset) as usize]);
                 let seg = self.db.alloc_segments(1)?[0];
@@ -296,37 +319,44 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         Ok(())
     }
 
-    /// Assembles a byte range from KV blocks only (promotion merge).
-    fn read_kv_range(
+    /// One KV block of the object, through the write-through cache.
+    fn kv_block(
+        &mut self,
+        oid: ObjectId,
+        info: &StoredInfo,
+        block: u64,
+    ) -> Result<Option<Payload>, StoreError> {
+        let key = data_key(oid, info.generation, block);
+        if let Some(v) = self.cache.get(&key) {
+            return Ok(Some(v));
+        }
+        let fetched = self.db.get(&key)?;
+        if let Some(v) = &fetched {
+            self.cache.put(&key, v.clone());
+        }
+        Ok(fetched)
+    }
+
+    /// Fills the zeroed `out` with the object's bytes at `offset` from KV
+    /// blocks only; absent blocks stay zero (sparse object).
+    fn read_kv_into(
         &mut self,
         oid: ObjectId,
         info: &StoredInfo,
         offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, StoreError> {
-        let mut out = vec![0u8; len as usize];
-        if len == 0 {
-            return Ok(out);
+        out: &mut [u8],
+    ) -> Result<(), StoreError> {
+        if out.is_empty() {
+            return Ok(());
         }
-        let end = offset + len;
+        let end = offset + out.len() as u64;
         let first_block = offset / LSM_BLOCK_BYTES;
         let last_block = (end - 1) / LSM_BLOCK_BYTES;
         for block in first_block..=last_block {
             let block_start = block * LSM_BLOCK_BYTES;
             let copy_start = offset.max(block_start);
             let copy_end = end.min(block_start + LSM_BLOCK_BYTES);
-            let key = data_key(oid, info.generation, block);
-            let value = match self.cache.get(&key) {
-                Some(v) => Some(v),
-                None => {
-                    let fetched = self.db.get(&key)?;
-                    if let Some(v) = &fetched {
-                        self.cache.put(&key, v.clone());
-                    }
-                    fetched
-                }
-            };
-            if let Some(value) = value {
+            if let Some(value) = self.kv_block(oid, info, block)? {
                 let src_start = (copy_start - block_start) as usize;
                 let src_end = ((copy_end - block_start) as usize).min(value.len());
                 if src_end > src_start {
@@ -335,7 +365,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -349,28 +379,27 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                        oid: ObjectId,
                        create: bool|
          -> Result<Option<usize>, StoreError> {
-            if let Some(pos) = infos.iter().position(|(o, _)| *o == oid) {
-                return Ok(Some(pos));
-            }
-            match store.load_info(oid)? {
-                Some(info) => {
+            let pos = match infos.iter().position(|(o, _)| *o == oid) {
+                Some(pos) => pos,
+                None => {
+                    let info = match store.load_info_record(oid)? {
+                        Some(info) => info,
+                        None if create => StoredInfo::fresh(0),
+                        None => return Ok(None),
+                    };
                     infos.push((oid, info));
-                    Ok(Some(infos.len() - 1))
+                    infos.len() - 1
                 }
-                None if create => {
-                    infos.push((
-                        oid,
-                        StoredInfo {
-                            size: 0,
-                            version: 0,
-                            mtime: 0,
-                            generation: 0,
-                        },
-                    ));
-                    Ok(Some(infos.len() - 1))
+            };
+            let info = &mut infos[pos].1;
+            if info.deleted {
+                if !create {
+                    return Ok(None);
                 }
-                None => Ok(None),
+                // A new incarnation must not see the old one's data blocks.
+                *info = StoredInfo::fresh(info.generation + 1);
             }
+            Ok(Some(pos))
         };
 
         for op in &txn.ops {
@@ -411,7 +440,10 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                         return Err(StoreError::NotFound);
                     };
                     let generation = infos[idx].1.generation;
-                    infos.retain(|(o, _)| o != oid);
+                    infos[idx].1 = StoredInfo {
+                        deleted: true,
+                        ..StoredInfo::fresh(generation)
+                    };
                     // Release the large-write chunks of this generation.
                     let mut doomed: Vec<(u64, u32, u64)> = self
                         .raw_chunks
@@ -426,8 +458,6 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                         self.db.free_segment(seg)?;
                         batch.push((raw_key(*oid, generation, key.2), None));
                     }
-                    self.cache.invalidate(&info_key(*oid));
-                    batch.push((info_key(*oid), None));
                 }
             }
         }
@@ -443,7 +473,7 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
         Ok(())
     }
 
-    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
+    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError> {
         let info = self.load_info(oid)?.ok_or(StoreError::NotFound)?;
         if offset + len > info.size {
             return Err(StoreError::OutOfBounds {
@@ -453,27 +483,46 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
             });
         }
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(Payload::empty());
         }
-        let mut out = vec![0u8; len as usize];
         let end = offset + len;
         let chunk_bytes = self.db.segment_bytes();
         let first_chunk = offset / chunk_bytes;
-        let last_chunk = (end - 1) / chunk_bytes;
-        for chunk in first_chunk..=last_chunk {
-            let c_start = chunk * chunk_bytes;
-            let p_start = offset.max(c_start);
-            let p_end = end.min(c_start + chunk_bytes);
-            if let Some(&seg) = self.raw_chunks.get(&(oid.raw(), info.generation, chunk)) {
-                let raw = self.db.raw_read(seg, p_start - c_start, p_end - p_start)?;
-                out[(p_start - offset) as usize..(p_end - offset) as usize].copy_from_slice(&raw);
-            } else {
-                let kv = self.read_kv_range(oid, &info, p_start, p_end - p_start)?;
-                out[(p_start - offset) as usize..(p_end - offset) as usize].copy_from_slice(&kv);
+        if len == LSM_BLOCK_BYTES
+            && offset.is_multiple_of(LSM_BLOCK_BYTES)
+            && !self
+                .raw_chunks
+                .contains_key(&(oid.raw(), info.generation, first_chunk))
+        {
+            // One whole KV block: the memtable's or the cache's own buffer.
+            let value = self
+                .kv_block(oid, &info, offset / LSM_BLOCK_BYTES)?
+                .unwrap_or_default();
+            if value.len() as u64 == len {
+                return Ok(value);
             }
-            // Absent blocks/chunks read as zeroes (sparse object).
+            return Payload::build(len as usize, |out| {
+                let have = value.len().min(out.len());
+                out[..have].copy_from_slice(&value[..have]);
+                Ok(())
+            });
         }
-        Ok(out)
+        let last_chunk = (end - 1) / chunk_bytes;
+        Payload::build(len as usize, |out| {
+            for chunk in first_chunk..=last_chunk {
+                let c_start = chunk * chunk_bytes;
+                let p_start = offset.max(c_start);
+                let p_end = end.min(c_start + chunk_bytes);
+                let part = &mut out[(p_start - offset) as usize..(p_end - offset) as usize];
+                if let Some(&seg) = self.raw_chunks.get(&(oid.raw(), info.generation, chunk)) {
+                    let raw = self.db.raw_read(seg, p_start - c_start, p_end - p_start)?;
+                    part.copy_from_slice(&raw);
+                } else {
+                    self.read_kv_into(oid, &info, p_start, part)?;
+                }
+            }
+            Ok(())
+        })
     }
 
     fn stat(&mut self, oid: ObjectId) -> Option<ObjectInfo> {

@@ -2,12 +2,13 @@
 //! 4 KiB blocks.
 //!
 //! Random transactions (aligned, unaligned and raw-path writes, xattr and
-//! meta records, deletes), interleaved with maintenance steps, reads and
+//! meta records, deletes and re-creation of deleted objects), interleaved
+//! with maintenance steps, reads and
 //! reopen through `into_device` → `open`, must always read back what the
 //! model holds — whichever of cache, memtable, SST level or raw segment the
 //! bytes currently live in.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 use rablock_lsm::{LsmObjectStore, LsmOptions};
@@ -86,9 +87,6 @@ fn ops() -> impl Strategy<Value = Vec<StoreOp>> {
 struct Model {
     blocks: HashMap<(u8, u64), Vec<u8>>,
     size: HashMap<u8, u64>,
-    /// Deleted objects are never written again: the store reuses the data
-    /// keys of a deleted object's generation, which this test leaves alone.
-    dead: HashSet<u8>,
     meta: HashMap<u8, Vec<u8>>,
 }
 
@@ -139,13 +137,13 @@ proptest! {
         };
         for op in script {
             match op {
-                StoreOp::Write { obj, offset, len, fill } if !model.dead.contains(&obj) => {
+                StoreOp::Write { obj, offset, len, fill } => {
                     // A ramp, so a misplaced or stale byte cannot pass as right.
                     let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
                     model.write(obj, offset, &data);
                     submit(&mut store, vec![Op::Write { oid: oid(obj), offset, data: data.into() }]).unwrap();
                 }
-                StoreOp::Xattr { obj, fill } if !model.dead.contains(&obj) => {
+                StoreOp::Xattr { obj, fill } => {
                     model.size.entry(obj).or_insert(0);
                     submit(&mut store, vec![Op::SetXattr { oid: oid(obj), key: "oi".into(), value: vec![fill; 40] }]).unwrap();
                 }
@@ -162,12 +160,8 @@ proptest! {
                     let existed = model.size.remove(&obj).is_some();
                     model.blocks.retain(|(o, _), _| *o != obj);
                     let result = submit(&mut store, vec![Op::Delete { oid: oid(obj) }]);
-                    if existed {
-                        model.dead.insert(obj);
-                        prop_assert_eq!(result, Ok(()));
-                    } else {
-                        prop_assert_eq!(result, Err(StoreError::NotFound));
-                    }
+                    let expected = if existed { Ok(()) } else { Err(StoreError::NotFound) };
+                    prop_assert_eq!(result, expected);
                 }
                 StoreOp::Read { obj, offset, len } => {
                     let got = store.read(oid(obj), offset, len);
@@ -177,7 +171,7 @@ proptest! {
                             let out_of_bounds = matches!(got, Err(StoreError::OutOfBounds { .. }));
                             prop_assert!(out_of_bounds, "{:?}", got);
                         }
-                        Some(_) => prop_assert_eq!(got, Ok(model.read(obj, offset, len))),
+                        Some(_) => prop_assert_eq!(got, Ok(model.read(obj, offset, len).into())),
                     }
                 }
                 StoreOp::Maintain => {
@@ -188,17 +182,77 @@ proptest! {
                 StoreOp::Reopen => {
                     store = LsmObjectStore::open(store.into_device(), LsmOptions::tiny()).unwrap();
                 }
-                StoreOp::Write { .. } | StoreOp::Xattr { .. } => {} // dead object
             }
         }
         for (&obj, &size) in &model.size {
             prop_assert_eq!(store.stat(oid(obj)).map(|i| i.size), Some(size));
             if size > 0 {
-                prop_assert_eq!(store.read(oid(obj), 0, size), Ok(model.read(obj, 0, size)), "object {}", obj);
+                prop_assert_eq!(store.read(oid(obj), 0, size), Ok(model.read(obj, 0, size).into()), "object {}", obj);
             }
         }
         for key in 0u8..8 {
             prop_assert_eq!(store.get_meta(&meta_key(key)), model.meta.get(&key).cloned(), "meta {}", key);
         }
     }
+}
+
+/// A deleted object's data blocks stay in the LSM; its next incarnation must
+/// not read them back where it has not written itself — also after the
+/// memtable holding the delete has been flushed and the store reopened.
+#[test]
+fn recreated_object_does_not_see_its_previous_incarnation() {
+    let mut store = LsmObjectStore::open(MemDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
+    let o = oid(0);
+    let txn = |seq, ops| Transaction::new(GroupId(0), seq, ops);
+    let write = |offset, data: Vec<u8>| Op::Write {
+        oid: o,
+        offset,
+        data: data.into(),
+    };
+    // Incarnation one: three KV blocks and one raw chunk.
+    store
+        .submit(txn(1, vec![write(0, vec![0xAA; 3 * BLOCK as usize])]))
+        .unwrap();
+    store
+        .submit(txn(2, vec![write(16 * BLOCK, vec![0xBB; 16 << 10])]))
+        .unwrap();
+    store.submit(txn(3, vec![Op::Delete { oid: o }])).unwrap();
+    assert_eq!(store.read(o, 0, 1), Err(StoreError::NotFound));
+    assert!(store.stat(o).is_none());
+    assert_eq!(
+        store.submit(txn(4, vec![Op::Delete { oid: o }])),
+        Err(StoreError::NotFound)
+    );
+    while store.needs_maintenance() {
+        store.maintenance();
+    }
+    let mut store = LsmObjectStore::open(store.into_device(), LsmOptions::tiny()).unwrap();
+    assert_eq!(store.read(o, 0, 1), Err(StoreError::NotFound));
+    // Incarnation two writes only block 1 of a 20-block object.
+    store
+        .submit(txn(
+            5,
+            vec![
+                Op::Create {
+                    oid: o,
+                    size: 20 * BLOCK,
+                },
+                write(BLOCK, vec![0xCC; BLOCK as usize]),
+            ],
+        ))
+        .unwrap();
+    let mut want = vec![0u8; 20 * BLOCK as usize];
+    want[BLOCK as usize..2 * BLOCK as usize].fill(0xCC);
+    assert_eq!(store.read(o, 0, 20 * BLOCK).unwrap(), want);
+    // Delete and re-create inside one transaction.
+    store
+        .submit(txn(
+            6,
+            vec![Op::Delete { oid: o }, write(2 * BLOCK, vec![0xDD; 100])],
+        ))
+        .unwrap();
+    let mut want = vec![0u8; 2 * BLOCK as usize + 100];
+    want[2 * BLOCK as usize..].fill(0xDD);
+    assert_eq!(store.stat(o).unwrap().size, want.len() as u64);
+    assert_eq!(store.read(o, 0, want.len() as u64).unwrap(), want);
 }

@@ -43,6 +43,18 @@ pub trait BlockDevice {
     /// Returns [`StoreError::OutOfBounds`] if the range exceeds capacity.
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError>;
 
+    /// Reads `len` bytes starting at `offset`: the same bytes and the same
+    /// [`DevCounters`] as [`BlockDevice::read_at`] into a fresh buffer. A
+    /// device that holds the range as an (immutable, refcounted) buffer may
+    /// return that buffer instead of a copy; later writes never change it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::OutOfBounds`] if the range exceeds capacity.
+    fn read_payload_at(&mut self, offset: u64, len: usize) -> Result<Payload, StoreError> {
+        Payload::build(len, |buf| self.read_at(offset, buf))
+    }
+
     /// Writes `data` starting at `offset`.
     ///
     /// # Errors
@@ -130,6 +142,28 @@ impl MemDisk {
         }
         Ok(())
     }
+
+    /// Copies the (bounds-checked) range at `offset` into `buf` from
+    /// whichever side holds each block.
+    fn copy_out(&self, offset: u64, buf: &mut [u8]) {
+        if self.shared.is_empty() {
+            let start = offset as usize;
+            buf.copy_from_slice(&self.data[start..start + buf.len()]);
+            return;
+        }
+        let mut done = 0;
+        for (block, within) in block_spans(offset, buf.len()) {
+            let dst = &mut buf[done..done + within.len()];
+            done += within.len();
+            match self.shared.get(&block) {
+                Some(held) => dst.copy_from_slice(&held[within]),
+                None => {
+                    let at = (block * SHARE_BYTES) as usize;
+                    dst.copy_from_slice(&self.data[at + within.start..at + within.end]);
+                }
+            }
+        }
+    }
 }
 
 /// Splits `[offset, offset + len)` at block boundaries into
@@ -151,28 +185,30 @@ impl BlockDevice for MemDisk {
 
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
         self.check(offset, buf.len() as u64)?;
-        if self.shared.is_empty() {
-            let start = offset as usize;
-            buf.copy_from_slice(&self.data[start..start + buf.len()]);
-        } else {
-            let mut done = 0;
-            for (block, within) in block_spans(offset, buf.len()) {
-                let dst = &mut buf[done..done + within.len()];
-                done += within.len();
-                match self.shared.get(&block) {
-                    Some(held) => dst.copy_from_slice(&held[within]),
-                    None => {
-                        let at = (block * SHARE_BYTES) as usize;
-                        dst.copy_from_slice(&self.data[at + within.start..at + within.end]);
-                    }
-                }
-            }
-        }
+        self.copy_out(offset, buf);
         self.counters.reads += 1;
         self.counters.bytes_read += buf.len() as u64;
         Ok(())
     }
 
+    fn read_payload_at(&mut self, offset: u64, len: usize) -> Result<Payload, StoreError> {
+        self.check(offset, len as u64)?;
+        let one_block = len as u64 == SHARE_BYTES && offset.is_multiple_of(SHARE_BYTES);
+        let out = match self
+            .shared
+            .get(&(offset / SHARE_BYTES))
+            .filter(|_| one_block)
+        {
+            Some(held) => held.clone(),
+            None => Payload::build(len, |buf| {
+                self.copy_out(offset, buf);
+                Ok::<_, StoreError>(())
+            })?,
+        };
+        self.counters.reads += 1;
+        self.counters.bytes_read += len as u64;
+        Ok(out)
+    }
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         self.check(offset, data.len() as u64)?;
         if !self.shared.is_empty() {
@@ -229,6 +265,9 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     }
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
         (**self).read_at(offset, buf)
+    }
+    fn read_payload_at(&mut self, offset: u64, len: usize) -> Result<Payload, StoreError> {
+        (**self).read_payload_at(offset, len)
     }
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         (**self).write_at(offset, data)
@@ -344,6 +383,46 @@ mod tests {
         assert_eq!(d.shared.len(), 1);
     }
 
+    #[test]
+    fn payload_read_returns_the_held_block_and_never_sees_later_writes() {
+        let mut d: Box<MemDisk> = Box::new(MemDisk::new(64 << 10));
+        let backing: Payload = (0..2 * 4096)
+            .map(|i| (i / 5) as u8)
+            .collect::<Vec<_>>()
+            .into();
+        d.write_payload_at(4096, &backing).unwrap();
+        let before = d.counters();
+        let held = d.read_payload_at(8192, 4096).unwrap();
+        assert!(
+            std::ptr::eq(held.as_ptr(), backing[4096..].as_ptr()),
+            "through the Box, the client's own buffer"
+        );
+        let image = d.read_payload_at(0, 4096).unwrap();
+        let mixed = d.read_payload_at(4000, 5000).unwrap();
+        assert_eq!(&mixed[..96], &[0u8; 96]);
+        assert_eq!(&mixed[96..4192], &backing[..4096]);
+        assert_eq!(&mixed[4192..], &backing[4096..4096 + 808]);
+        assert!(d.read_payload_at(8192, 0).unwrap().is_empty());
+        assert!(matches!(
+            d.read_payload_at((64 << 10) - 10, 11),
+            Err(StoreError::OutOfBounds { .. })
+        ));
+        let after = d.counters();
+        assert_eq!(after.reads, before.reads + 4);
+        assert_eq!(after.bytes_read, before.bytes_read + 4096 + 4096 + 5000);
+        // Rot (a byte write), an overwrite and a diverging clone.
+        let mut fork = d.clone();
+        d.write_at(8192 + 7, &[0xFF]).unwrap();
+        d.write_at(0, &[1; 4096]).unwrap();
+        fork.write_payload_at(8192, &vec![9u8; 4096].into())
+            .unwrap();
+        assert_eq!(held, backing[4096..].to_vec());
+        assert_eq!(image, vec![0u8; 4096]);
+        assert_eq!(d.read_payload_at(8192, 4096).unwrap()[7], 0xFF);
+        assert_eq!(fork.read_payload_at(8192, 4096).unwrap(), vec![9u8; 4096]);
+        assert_eq!(held.crc32(), crate::crc::crc32(&backing[4096..]));
+    }
+
     const MODEL_BYTES: usize = 8 * 4096 + 100;
 
     #[derive(Debug, Clone)]
@@ -394,6 +473,8 @@ mod tests {
         disk: MemDisk,
         model: Vec<u8>,
         counters: DevCounters,
+        /// Every payload a read returned, with its bytes at that time.
+        handed_out: Vec<(Payload, Vec<u8>)>,
     }
 
     impl Pair {
@@ -428,6 +509,24 @@ mod tests {
                 self.counters.reads += 1;
                 self.counters.bytes_read += len as u64;
             }
+            // The same range again, as a payload.
+            let held = (len == 4096 && offset % 4096 == 0)
+                .then(|| self.disk.shared.get(&(offset / 4096)).cloned())
+                .flatten();
+            let got = self.disk.read_payload_at(offset, len);
+            assert_eq!(got.is_ok(), Self::in_bounds(offset, len));
+            if let Ok(got) = got {
+                assert_eq!(
+                    got,
+                    self.model[offset as usize..offset as usize + len].to_vec()
+                );
+                if let Some(held) = held {
+                    assert!(std::ptr::eq(got.as_ptr(), held.as_ptr()), "the held block");
+                }
+                self.counters.reads += 1;
+                self.counters.bytes_read += len as u64;
+                self.handed_out.push((got.clone(), got.to_vec()));
+            }
             assert_eq!(self.disk.counters(), self.counters);
         }
 
@@ -435,19 +534,34 @@ mod tests {
             let mut image = vec![0u8; MODEL_BYTES];
             self.disk.read_at(0, &mut image).unwrap();
             assert!(image == self.model, "device image differs from the model");
+            let whole = self.disk.read_payload_at(0, MODEL_BYTES).unwrap();
+            assert!(
+                whole == self.model,
+                "assembled image differs from the model"
+            );
+            // What a read handed out is a snapshot: overwrites, byte writes
+            // into a shared block and a diverging clone never reach it.
+            for (payload, then) in &self.handed_out {
+                assert!(
+                    payload == then,
+                    "a returned payload changed under its reader"
+                );
+            }
         }
     }
 
     proptest! {
         /// Byte writes and by-reference writes, aligned or not, leave a
-        /// device no reader can tell from a flat byte array — also after
-        /// `clone()`, when the two copies share blocks and then diverge.
+        /// device no reader — by bytes or by payload — can tell from a flat
+        /// byte array — also after `clone()`, when the two copies share
+        /// blocks and then diverge.
         #[test]
         fn matches_flat_byte_array(before in steps(), after in steps()) {
             let mut a = Pair {
                 disk: MemDisk::new(MODEL_BYTES as u64),
                 model: vec![0; MODEL_BYTES],
                 counters: DevCounters::default(),
+                handed_out: Vec::new(),
             };
             for step in &before {
                 a.apply(step);
@@ -456,6 +570,7 @@ mod tests {
                 disk: a.disk.clone(),
                 model: a.model.clone(),
                 counters: a.counters,
+                handed_out: a.handed_out.clone(),
             };
             for step in &after {
                 if step.on_fork { b.apply(step) } else { a.apply(step) }

@@ -260,6 +260,10 @@ mod tests {
         d.write_at(0, b"xyz").unwrap();
         assert_eq!(read(&mut d, 0, 3), b"xyz");
         assert_eq!(d.pending_writes(), 1);
+        // The trait's default payload read: a fresh buffer, same counters.
+        assert_eq!(d.read_payload_at(1, 2).unwrap(), b"yz".to_vec());
+        assert_eq!((d.counters().reads, d.counters().bytes_read), (2, 5));
+        assert!(d.read_payload_at(60, 5).is_err());
     }
 
     #[test]

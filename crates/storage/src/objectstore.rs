@@ -298,13 +298,15 @@ pub trait ObjectStore {
     /// invalid targets. On error the store remains consistent.
     fn submit(&mut self, txn: Transaction) -> Result<(), StoreError>;
 
-    /// Reads `len` bytes at `offset` from an object.
+    /// Reads `len` bytes at `offset` from an object. The result may share
+    /// the buffer the store itself holds (a whole-block read copies
+    /// nothing); later writes to the object never change it.
     ///
     /// # Errors
     ///
     /// Fails with [`StoreError::NotFound`] for missing objects or
     /// [`StoreError::OutOfBounds`] past the object end.
-    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Vec<u8>, StoreError>;
+    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError>;
 
     /// Metadata of an object, if it exists.
     fn stat(&mut self, oid: ObjectId) -> Option<ObjectInfo>;
