@@ -8,7 +8,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rablock_cos::{CosObjectStore, CosOptions, ExtentBTree, RadixTree};
 use rablock_lsm::{LsmObjectStore, LsmOptions};
 use rablock_oplog::GroupLog;
-use rablock_storage::{GroupId, MemDisk, NvmRegion, ObjectId, ObjectStore, Op, Transaction};
+use rablock_storage::{
+    GroupId, MemDisk, NvmRegion, ObjectId, ObjectStore, Op, Payload, Transaction,
+};
 
 fn write_txn(seq: u64, oid: ObjectId, block: u64) -> Transaction {
     Transaction::new(
@@ -147,20 +149,39 @@ fn bench_cos_read_csum(c: &mut Criterion) {
 }
 
 fn bench_oplog_append(c: &mut Criterion) {
-    let mut nvm = NvmRegion::new(64 << 20);
-    let mut log = GroupLog::format(&mut nvm, GroupId(0), 0, 64 << 20, usize::MAX).unwrap();
+    let mut group = c.benchmark_group("oplog_append_4k");
     let oid = ObjectId::new(GroupId(0), 1);
-    let mut seq = 0u64;
-    c.bench_function("oplog_append_4k", |b| {
-        b.iter(|| {
-            seq += 1;
-            log.append(&mut nvm, write_txn(seq, oid, seq % 256))
-                .unwrap();
-            if log.pending() >= 64 {
-                log.drain_for_flush(&mut nvm, 64).unwrap();
-            }
-        })
-    });
+    let block: Payload = vec![0x5A; 4096].into();
+    let cases = [
+        // Kept in NVM as the writer's buffer: framed around, not copied.
+        ("by_reference", block.clone()),
+        // Below the by-reference threshold: copied into the frame and ring.
+        ("small_inline", block.slice(0, 511)),
+    ];
+    for (name, data) in cases {
+        // A ring of the size the cluster gives a group: it wraps every ~60
+        // records, so its pages are warm, as they are after a cluster's
+        // first few milliseconds.
+        let mut nvm = NvmRegion::new(256 << 10);
+        let mut log = GroupLog::format(&mut nvm, GroupId(0), 0, 256 << 10, usize::MAX).unwrap();
+        let mut seq = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                seq += 1;
+                let write = Op::Write {
+                    oid,
+                    offset: seq % 256 * 4096,
+                    data: data.clone(),
+                };
+                log.append(&mut nvm, Transaction::new(GroupId(0), seq, vec![write]))
+                    .unwrap();
+                if log.pending() >= 32 {
+                    log.drain_for_flush(&mut nvm, 32).unwrap();
+                }
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_extent_btree(c: &mut Criterion) {

@@ -1169,13 +1169,11 @@ impl Osd {
     /// idempotent — so this never races the count-based flush completion.
     fn sync_group_log(&mut self, group: GroupId) {
         if self.logs.get(&group).is_some_and(|l| l.pending() > 0) {
-            let txns: Vec<Transaction> = self.logs[&group]
-                .export_records()
-                .into_iter()
-                .map(|r| r.txn)
-                .collect();
-            for txn in txns {
-                self.backend.submit(txn).expect("log re-apply for read");
+            let records = self.logs[&group]
+                .export_records(&mut self.nvm)
+                .expect("log export for re-apply");
+            for rec in records {
+                self.backend.submit(rec.txn).expect("log re-apply for read");
             }
             let _ = self.backend.take_trace();
         }
@@ -2211,35 +2209,32 @@ impl Osd {
             return (0, Some(token));
         }
         // Take the log out to satisfy the borrow checker across the
-        // flush-retry path.
+        // flush path.
         self.log_for(group);
         let mut log = self.logs.remove(&group).expect("ensured above");
         let mut stall_token = None;
-        let bytes = match log.append(&mut self.nvm, txn.clone()) {
-            Ok(outcome) => outcome.nvm_bytes,
-            Err(StoreError::NoSpace) => {
-                self.nvm_full_stalls += 1;
-                let txns = log
-                    .drain_for_flush(&mut self.nvm, usize::MAX)
-                    .expect("drain succeeds");
-                for t in txns {
-                    self.backend.submit(t).expect("flush submit");
-                }
-                let token = self.token();
-                let trace = self.backend.take_trace();
-                self.pending_store.insert(token, StoreCtx::Background);
-                fx.push(OsdEffect::StoreIo {
-                    token,
-                    trace,
-                    wait: true,
-                });
-                stall_token = Some(token);
-                log.append(&mut self.nvm, txn)
-                    .expect("append succeeds after full drain")
-                    .nvm_bytes
+        if !log.fits(&txn) {
+            self.nvm_full_stalls += 1;
+            let txns = log
+                .drain_for_flush(&mut self.nvm, usize::MAX)
+                .expect("drain succeeds");
+            for t in txns {
+                self.backend.submit(t).expect("flush submit");
             }
-            Err(e) => panic!("{}: unexpected op-log error: {e}", self.id),
-        };
+            let token = self.token();
+            let trace = self.backend.take_trace();
+            self.pending_store.insert(token, StoreCtx::Background);
+            fx.push(OsdEffect::StoreIo {
+                token,
+                trace,
+                wait: true,
+            });
+            stall_token = Some(token);
+        }
+        let bytes = log
+            .append(&mut self.nvm, txn)
+            .unwrap_or_else(|e| panic!("{}: unexpected op-log error: {e}", self.id))
+            .nvm_bytes;
         self.logs.insert(group, log);
         (bytes, stall_token)
     }
@@ -2573,11 +2568,10 @@ impl Osd {
                     to: requester,
                     msg: PeerMsg::Backfill { group, objects },
                 });
-                let records: Vec<Vec<u8>> = self
-                    .logs
-                    .get(&group)
-                    .map(|l| l.export_records().iter().map(LogRecord::encode).collect())
-                    .unwrap_or_default();
+                let records: Vec<Vec<u8>> = self.logs.get(&group).map_or_else(Vec::new, |l| {
+                    l.export_encoded(&mut self.nvm)
+                        .expect("log export for a pulling peer")
+                });
                 fx.push(OsdEffect::SendPeer {
                     to: requester,
                     msg: PeerMsg::LogRecords { group, records },
@@ -3148,11 +3142,10 @@ impl Osd {
             // backfill; hold off — the backfill's arrival re-arms the flush.
             return;
         }
-        let Some(log) = self.logs.get(&group) else {
+        let Some(log) = self.logs.get_mut(&group) else {
             return;
         };
-        let records = log.pending();
-        if records == 0 {
+        if log.pending() == 0 {
             // Nothing to flush; still serve any queued reads.
             let waiting = std::mem::take(&mut self.rt(group).waiting_reads);
             for dr in waiting {
@@ -3162,15 +3155,13 @@ impl Osd {
         }
         // Submit the batch to the backend; the log entries are drained only
         // once the store writes are durable (§IV-A-3: remove after flush).
-        let txns: Vec<Transaction> = self.logs[&group]
-            .export_records()
-            .into_iter()
-            .map(|r| r.txn)
-            .collect();
+        // The transactions themselves move into the store: until then a
+        // record needs only its place in the ring and in the index.
+        let through_version = log.version();
+        let txns = log.begin_flush(&mut self.nvm).expect("flush batch");
         for txn in txns {
             self.backend.submit(txn).expect("flush submit");
         }
-        let through_version = self.logs[&group].version();
         let token = self.token();
         let trace = self.backend.take_trace();
         self.pending_store.insert(
@@ -3468,16 +3459,14 @@ impl Osd {
             if old_set.contains(&self.id) {
                 // Survivor: persist pending data but keep the log so the
                 // replacement can synchronize from it.
-                let txns: Vec<Transaction> = self.logs[&group]
-                    .export_records()
-                    .into_iter()
-                    .map(|r| r.txn)
-                    .collect();
-                if txns.is_empty() {
+                let records = self.logs[&group]
+                    .export_records(&mut self.nvm)
+                    .expect("log export for recovery flush");
+                if records.is_empty() {
                     continue;
                 }
-                for txn in txns {
-                    self.backend.submit(txn).expect("recovery flush");
+                for rec in records {
+                    self.backend.submit(rec.txn).expect("recovery flush");
                 }
                 let through_version = self.logs[&group].version();
                 let token = self.token();

@@ -3,9 +3,13 @@
 //! Each appended record carries the paper's §IV-A-1 fields — logical group
 //! id, version, sequence number — plus the full transaction (offset, data,
 //! operation type per op), CRC-framed so recovery can trust what it reads.
+//!
+//! A record is framed as a [`Frame`]: the encoded stream with its large
+//! write payloads left out by reference, so appending a client's 4 KiB write
+//! copies the few dozen bytes around it, not the write.
 
-use rablock_storage::crc::{crc32, FrameCrc};
-use rablock_storage::{GroupId, ObjectId, Op, StoreError, Transaction};
+use rablock_storage::crc::{crc32_splice, crc32_update, FrameCrc};
+use rablock_storage::{GroupId, NvmPiece, ObjectId, Op, Payload, StoreError, Transaction};
 
 /// One durable record in a group's operation log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,93 +22,57 @@ pub struct LogRecord {
     pub txn: Transaction,
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
+/// Length prefix plus CRC in front of every record body.
+const FRAME_HEADER: usize = 8;
+
+/// An encoded record whose large write payloads are held by reference: the
+/// stream is `bytes` with each held payload spliced in before `bytes[at]`.
+/// Which payloads are large enough is [`FrameCrc`]'s splice threshold.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Frame {
+    bytes: Vec<u8>,
+    held: Vec<(usize, Payload)>,
 }
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let end = self.pos + 4;
-        if end > self.data.len() {
-            return Err(trunc());
-        }
-        let v = u32::from_le_bytes(self.data[self.pos..end].try_into().expect("4 bytes"));
-        self.pos = end;
-        Ok(v)
-    }
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let end = self.pos + 8;
-        if end > self.data.len() {
-            return Err(trunc());
-        }
-        let v = u64::from_le_bytes(self.data[self.pos..end].try_into().expect("8 bytes"));
-        self.pos = end;
-        Ok(v)
-    }
-    fn byte(&mut self) -> Result<u8, StoreError> {
-        if self.pos >= self.data.len() {
-            return Err(trunc());
-        }
-        let b = self.data[self.pos];
-        self.pos += 1;
-        Ok(b)
-    }
-    fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
-        let len = self.u32()? as usize;
-        let end = self.pos + len;
-        if end > self.data.len() {
-            return Err(trunc());
-        }
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-}
-
-fn trunc() -> StoreError {
-    StoreError::Corrupt("truncated operation-log record".into())
-}
-
-impl LogRecord {
-    /// Serializes the record (header + ops + trailing CRC) into a fresh
-    /// buffer. Recovery, backfill and tests use this; the append path frames
-    /// into a buffer it keeps.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        self.encode_into(&mut body);
-        body
+impl Frame {
+    /// Encoded length of the record: every byte of the stream.
+    pub(crate) fn len(&self) -> u64 {
+        let held: usize = self.held.iter().map(|(_, p)| p.len()).sum();
+        (self.bytes.len() + held) as u64
     }
 
-    /// Serializes the record into `body`, replacing its contents.
-    pub(crate) fn encode_into(&self, body: &mut Vec<u8>) {
-        // Sized for the common case (a few ops dominated by write payloads);
-        // the 8-byte frame (length + CRC) is reserved up front and
-        // backpatched, avoiding a second full-record copy.
+    /// The stream in order, as alternating byte runs and held payloads.
+    pub(crate) fn pieces(&self) -> impl Iterator<Item = NvmPiece<'_>> {
+        let mut from = 0;
+        let tail = self.held.last().map_or(0, |(at, _)| *at);
+        self.held
+            .iter()
+            .flat_map(move |(at, payload)| {
+                let run = &self.bytes[from..*at];
+                from = *at;
+                [NvmPiece::Bytes(run), NvmPiece::Held(payload)]
+            })
+            .chain(std::iter::once(NvmPiece::Bytes(&self.bytes[tail..])))
+    }
+
+    /// Frames the record `(version, seq, txn)`, replacing the contents.
+    pub(crate) fn record(&mut self, version: u64, seq: u64, txn: &Transaction) {
+        let body = &mut self.bytes;
         body.clear();
-        body.reserve(8 + 32 + self.txn.user_bytes() as usize + self.txn.ops.len() * 64);
-        body.extend_from_slice(&[0u8; 8]);
+        self.held.clear();
+        // The 8-byte frame (length + CRC) is reserved up front and
+        // backpatched once the body is known.
+        body.extend_from_slice(&[0u8; FRAME_HEADER]);
         // The record CRC is kept while the body is built, so large write
         // payloads contribute a *memoized* checksum instead of being
         // re-scanned for every replica's append of the same shared buffer.
-        let mut crc = FrameCrc::new(8);
-        put_u64(body, self.version);
-        put_u64(body, self.seq);
-        put_u32(body, self.txn.group.0);
-        put_u64(body, self.txn.seq);
-        put_u32(body, self.txn.ops.len() as u32);
-        for op in &self.txn.ops {
+        let mut crc = FrameCrc::new(FRAME_HEADER);
+        put_u64(body, version);
+        put_u64(body, seq);
+        put_u32(body, txn.group.0);
+        put_u64(body, txn.seq);
+        put_u32(body, txn.ops.len() as u32);
+        for op in &txn.ops {
             match op {
                 Op::Create { oid, size } => {
                     body.push(0);
@@ -116,7 +84,9 @@ impl LogRecord {
                     put_u64(body, oid.raw());
                     put_u64(body, *offset);
                     put_u32(body, data.len() as u32);
-                    crc.append_payload(body, data);
+                    if crc.append_payload_by_ref(body, data) {
+                        self.held.push((body.len(), data.clone()));
+                    }
                 }
                 Op::SetXattr { oid, key, value } => {
                     body.push(2);
@@ -139,10 +109,248 @@ impl LogRecord {
                 }
             }
         }
-        let body_len = (body.len() - 8) as u32;
         let crc = crc.finish(body);
-        body[0..4].copy_from_slice(&body_len.to_le_bytes());
-        body[4..8].copy_from_slice(&crc.to_le_bytes());
+        let body_len = (self.len() - FRAME_HEADER as u64) as u32;
+        self.bytes[0..4].copy_from_slice(&body_len.to_le_bytes());
+        self.bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Decodes the record the frame holds. A write payload the frame holds
+    /// in one piece comes back as that very buffer, unscanned.
+    pub(crate) fn decode(&self) -> Result<LogRecord, StoreError> {
+        parse(&self.bytes, &self.held)
+    }
+
+    /// Appends the next piece of the stream as NVM holds it (a frame read
+    /// back piece by piece holds whatever the region holds by reference).
+    pub(crate) fn push(&mut self, piece: NvmPiece<'_>) {
+        match piece {
+            NvmPiece::Bytes(run) => self.bytes.extend_from_slice(run),
+            NvmPiece::Held(payload) => self.held.push((self.bytes.len(), payload.clone())),
+        }
+    }
+
+    /// Drops the held views, so a frame kept as scratch pins no buffer.
+    pub(crate) fn unpin(&mut self) {
+        self.held.clear();
+    }
+
+    /// The stream as one buffer.
+    pub(crate) fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len() as usize);
+        for piece in self.pieces() {
+            out.extend_from_slice(piece.as_bytes());
+        }
+        out
+    }
+}
+
+/// Exactly the bytes a record of `txn` takes in the log: a sum of field
+/// sizes, so whether it fits can be known without framing it.
+pub(crate) fn encoded_len(txn: &Transaction) -> u64 {
+    let bytes = |b: usize| 4 + b;
+    let ops: usize = txn
+        .ops
+        .iter()
+        .map(|op| {
+            1 + match op {
+                Op::Create { .. } => 16,
+                Op::Write { data, .. } => 16 + bytes(data.len()),
+                Op::SetXattr { key, value, .. } => 8 + bytes(key.len()) + bytes(value.len()),
+                Op::MetaPut { key, value } => bytes(key.len()) + bytes(value.len()),
+                Op::MetaDelete { key } => bytes(key.len()),
+                Op::Delete { .. } => 8,
+            }
+        })
+        .sum();
+    (FRAME_HEADER + 32 + ops) as u64
+}
+
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+    put_u32(buf, b.len() as u32);
+    buf.extend_from_slice(b);
+}
+
+/// Reads a record's fields out of `data`, the byte runs of its stream, with
+/// `held` the payloads that sit between them (see [`Frame`]).
+struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+    held: std::iter::Peekable<std::slice::Iter<'a, (usize, Payload)>>,
+    /// Length of the whole stream: no field of it can be longer.
+    stream_len: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// The next `len` bytes, which must all lie in one byte run.
+    fn take(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
+        let end = self.pos + len;
+        if end > self.data.len() || self.held.peek().is_some_and(|(at, _)| *at < end) {
+            return Err(trunc());
+        }
+        let run = &self.data[self.pos..end];
+        self.pos = end;
+        Ok(run)
+    }
+    fn u32(&mut self) -> Result<u32, StoreError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+    fn u64(&mut self) -> Result<u64, StoreError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+    fn byte(&mut self) -> Result<u8, StoreError> {
+        Ok(self.take(1)?[0])
+    }
+    fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// The next `len` bytes of the stream as a payload: the held buffer
+    /// itself where exactly one makes them up, a copy assembled from byte
+    /// runs and held pieces otherwise (an inline payload, one the ring end
+    /// split in two, one rot made the image take back in part).
+    fn payload(&mut self) -> Result<Payload, StoreError> {
+        let len = self.u32()? as usize;
+        if len > self.stream_len {
+            return Err(trunc());
+        }
+        if let Some((_, whole)) = self
+            .held
+            .next_if(|(at, whole)| *at == self.pos && whole.len() == len)
+        {
+            return Ok(whole.clone());
+        }
+        Payload::build(len, |buf| {
+            let mut got = 0;
+            while got < len {
+                let piece: &[u8] = match self.held.next_if(|(at, _)| *at == self.pos) {
+                    Some((_, held)) => held,
+                    None => {
+                        let run_end = self.held.peek().map_or(self.data.len(), |(at, _)| *at);
+                        let run = self.take((run_end - self.pos).min(len - got))?;
+                        if run.is_empty() {
+                            return Err(trunc());
+                        }
+                        run
+                    }
+                };
+                let end = got + piece.len();
+                buf.get_mut(got..end)
+                    .ok_or_else(trunc)?
+                    .copy_from_slice(piece);
+                got = end;
+            }
+            Ok(())
+        })
+    }
+}
+
+fn trunc() -> StoreError {
+    StoreError::Corrupt("truncated operation-log record".into())
+}
+
+/// Decodes the record whose stream is `bytes` with each `held` payload
+/// spliced in before `bytes[at]`: exactly one record, nothing after it.
+fn parse(bytes: &[u8], held: &[(usize, Payload)]) -> Result<LogRecord, StoreError> {
+    let held_bytes: usize = held.iter().map(|(_, p)| p.len()).sum();
+    let mut r = Reader {
+        data: bytes,
+        pos: 0,
+        held: held.iter().peekable(),
+        stream_len: bytes.len() + held_bytes,
+    };
+    let len = r.u32()? as usize;
+    let stored_crc = r.u32()?;
+    if FRAME_HEADER + len != r.stream_len {
+        return Err(trunc());
+    }
+    // A held payload is immutable, so its memoized checksum stands in for
+    // its bytes; every byte run is scanned.
+    let mut state = !0;
+    let mut scanned = FRAME_HEADER;
+    for (at, payload) in held {
+        let run = bytes.get(scanned..*at).ok_or_else(trunc)?;
+        state = crc32_splice(
+            crc32_update(state, run),
+            payload.crc32(),
+            payload.len() as u64,
+        );
+        scanned = *at;
+    }
+    if !crc32_update(state, &bytes[scanned..]) != stored_crc {
+        return Err(StoreError::Corrupt(
+            "operation-log record crc mismatch".into(),
+        ));
+    }
+    let version = r.u64()?;
+    let seq = r.u64()?;
+    let group = GroupId(r.u32()?);
+    let txn_seq = r.u64()?;
+    let nops = r.u32()? as usize;
+    let mut ops = Vec::with_capacity(nops.min(bytes.len()));
+    for _ in 0..nops {
+        let tag = r.byte()?;
+        ops.push(match tag {
+            0 => Op::Create {
+                oid: ObjectId::from_raw(r.u64()?),
+                size: r.u64()?,
+            },
+            1 => Op::Write {
+                oid: ObjectId::from_raw(r.u64()?),
+                offset: r.u64()?,
+                data: r.payload()?,
+            },
+            2 => {
+                let oid = ObjectId::from_raw(r.u64()?);
+                let key = String::from_utf8(r.bytes()?.to_vec())
+                    .map_err(|_| StoreError::Corrupt("non-utf8 xattr key".into()))?;
+                let value = r.bytes()?.to_vec();
+                Op::SetXattr { oid, key, value }
+            }
+            3 => Op::MetaPut {
+                key: r.bytes()?.to_vec(),
+                value: r.bytes()?.to_vec(),
+            },
+            4 => Op::MetaDelete {
+                key: r.bytes()?.to_vec(),
+            },
+            5 => Op::Delete {
+                oid: ObjectId::from_raw(r.u64()?),
+            },
+            t => return Err(StoreError::Corrupt(format!("unknown op tag {t}"))),
+        });
+    }
+    if r.held.peek().is_some() {
+        return Err(StoreError::Corrupt(
+            "operation-log record holds a payload outside its writes".into(),
+        ));
+    }
+    Ok(LogRecord {
+        version,
+        seq,
+        txn: Transaction::new(group, txn_seq, ops),
+    })
+}
+
+impl LogRecord {
+    /// Serializes the record (length, CRC, header, ops) into a fresh buffer.
+    /// Recovery, backfill and tests use this; the append path keeps large
+    /// payloads out of the bytes it frames.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut frame = Frame::default();
+        frame.record(self.version, self.seq, &self.txn);
+        frame.to_vec()
     }
 
     /// Decodes one record from the start of `raw`; returns the record and
@@ -153,72 +361,192 @@ impl LogRecord {
     /// [`StoreError::Corrupt`] on truncation or CRC mismatch (expected crash
     /// residue at the ring head).
     pub fn decode(raw: &[u8]) -> Result<(LogRecord, usize), StoreError> {
-        let mut r = Reader { data: raw, pos: 0 };
-        let len = r.u32()? as usize;
-        let stored_crc = r.u32()?;
-        if r.pos + len > raw.len() {
-            return Err(trunc());
-        }
-        let body = &raw[r.pos..r.pos + len];
-        if crc32(body) != stored_crc {
-            return Err(StoreError::Corrupt(
-                "operation-log record crc mismatch".into(),
-            ));
-        }
-        let mut b = Reader { data: body, pos: 0 };
-        let version = b.u64()?;
-        let seq = b.u64()?;
-        let group = GroupId(b.u32()?);
-        let txn_seq = b.u64()?;
-        let nops = b.u32()? as usize;
-        let mut ops = Vec::with_capacity(nops);
-        for _ in 0..nops {
-            let tag = b.byte()?;
-            ops.push(match tag {
-                0 => Op::Create {
-                    oid: ObjectId::from_raw(b.u64()?),
-                    size: b.u64()?,
-                },
-                1 => {
-                    let oid = ObjectId::from_raw(b.u64()?);
-                    let offset = b.u64()?;
-                    let data = b.bytes()?.into();
-                    Op::Write { oid, offset, data }
-                }
-                2 => {
-                    let oid = ObjectId::from_raw(b.u64()?);
-                    let key = String::from_utf8(b.bytes()?.to_vec())
-                        .map_err(|_| StoreError::Corrupt("non-utf8 xattr key".into()))?;
-                    let value = b.bytes()?.to_vec();
-                    Op::SetXattr { oid, key, value }
-                }
-                3 => Op::MetaPut {
-                    key: b.bytes()?.to_vec(),
-                    value: b.bytes()?.to_vec(),
-                },
-                4 => Op::MetaDelete {
-                    key: b.bytes()?.to_vec(),
-                },
-                5 => Op::Delete {
-                    oid: ObjectId::from_raw(b.u64()?),
-                },
-                t => return Err(StoreError::Corrupt(format!("unknown op tag {t}"))),
-            });
-        }
-        Ok((
-            LogRecord {
-                version,
-                seq,
-                txn: Transaction::new(group, txn_seq, ops),
-            },
-            8 + len,
-        ))
+        let prefix = raw.get(..4).ok_or_else(trunc)?;
+        let len = FRAME_HEADER + u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+        let record = raw.get(..len).ok_or_else(trunc)?;
+        Ok((parse(record, &[])?, len))
     }
+}
+
+#[cfg(test)]
+use rablock_storage::crc::crc32;
+
+/// The record format written out flat, with no frame and no splice: the
+/// reference the segmented framing is pinned against.
+#[cfg(test)]
+pub(crate) fn reference_encode(rec: &LogRecord) -> Vec<u8> {
+    let mut body = Vec::new();
+    put_u64(&mut body, rec.version);
+    put_u64(&mut body, rec.seq);
+    put_u32(&mut body, rec.txn.group.0);
+    put_u64(&mut body, rec.txn.seq);
+    put_u32(&mut body, rec.txn.ops.len() as u32);
+    for op in &rec.txn.ops {
+        match op {
+            Op::Create { oid, size } => {
+                body.push(0);
+                put_u64(&mut body, oid.raw());
+                put_u64(&mut body, *size);
+            }
+            Op::Write { oid, offset, data } => {
+                body.push(1);
+                put_u64(&mut body, oid.raw());
+                put_u64(&mut body, *offset);
+                put_bytes(&mut body, data);
+            }
+            Op::SetXattr { oid, key, value } => {
+                body.push(2);
+                put_u64(&mut body, oid.raw());
+                put_bytes(&mut body, key.as_bytes());
+                put_bytes(&mut body, value);
+            }
+            Op::MetaPut { key, value } => {
+                body.push(3);
+                put_bytes(&mut body, key);
+                put_bytes(&mut body, value);
+            }
+            Op::MetaDelete { key } => {
+                body.push(4);
+                put_bytes(&mut body, key);
+            }
+            Op::Delete { oid } => {
+                body.push(5);
+                put_u64(&mut body, oid.raw());
+            }
+        }
+    }
+    let mut raw = Vec::new();
+    put_u32(&mut raw, body.len() as u32);
+    put_u32(&mut raw, crc32(&body));
+    raw.extend_from_slice(&body);
+    raw
+}
+
+/// Records around the by-reference threshold: write payloads of 0, 511, 512
+/// and 4096 bytes, a slice of a larger buffer, and several writes (held and
+/// inline) in one transaction between other ops.
+#[cfg(test)]
+pub(crate) fn threshold_records() -> Vec<LogRecord> {
+    let group = GroupId(3);
+    let oid = ObjectId::new(group, 9);
+    let backing: Payload = (0..3 * 4096)
+        .map(|i| (i / 5) as u8)
+        .collect::<Vec<_>>()
+        .into();
+    let write = |offset: u64, data: Payload| Op::Write { oid, offset, data };
+    let xattr = Op::SetXattr {
+        oid,
+        key: "oi".into(),
+        value: vec![0xA5; 64],
+    };
+    let ops: Vec<Vec<Op>> = vec![
+        vec![write(0, Payload::empty())],
+        vec![write(7, backing.slice(1, 511)), xattr.clone()],
+        vec![write(8, backing.slice(2, 512)), xattr.clone()],
+        vec![write(4096, vec![0xCD; 4096].into()), xattr.clone()],
+        vec![write(8192, backing.slice(4000, 4096))],
+        vec![
+            Op::Create { oid, size: 4 << 20 },
+            write(0, backing.slice(0, 4096)),
+            xattr,
+            write(4096, backing.slice(100, 100)),
+            write(8192, backing.slice(4096, 8192)),
+            Op::MetaPut {
+                key: b"pglog.3.7".to_vec(),
+                value: vec![0x5A; 180],
+            },
+        ],
+    ];
+    ops.into_iter()
+        .zip(1u64..)
+        .map(|(ops, seq)| LogRecord {
+            version: seq,
+            seq: 100 + seq,
+            txn: Transaction::new(group, 100 + seq, ops),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frame_stream_is_the_flat_reference_with_large_payloads_by_reference() {
+        let mut frame = Frame::default();
+        for rec in threshold_records().into_iter().chain([sample()]) {
+            let flat = reference_encode(&rec);
+            assert_eq!(rec.encode(), flat, "record {}", rec.version);
+            assert_eq!(encoded_len(&rec.txn), flat.len() as u64);
+            frame.record(rec.version, rec.seq, &rec.txn);
+            assert_eq!(frame.len(), flat.len() as u64);
+            // Exactly the write payloads of at least 512 bytes stay views of
+            // the writer's buffer; everything else is framed bytes.
+            let large: Vec<&Payload> = rec
+                .txn
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::Write { data, .. } if data.len() >= 512 => Some(data),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(frame.held.len(), large.len());
+            for ((_, held), data) in frame.held.iter().zip(large) {
+                assert!(std::ptr::eq(held.as_ptr(), data.as_ptr()));
+            }
+            let (back, used) = LogRecord::decode(&flat).unwrap();
+            assert_eq!((back, used), (rec, flat.len()));
+        }
+    }
+
+    #[test]
+    fn a_frame_decodes_to_its_record_however_nvm_holds_the_payloads() {
+        let mut frame = Frame::default();
+        for rec in threshold_records() {
+            frame.record(rec.version, rec.seq, &rec.txn);
+            let back = frame.decode().unwrap();
+            assert_eq!(back, rec);
+            for (op, original) in back.txn.ops.iter().zip(&rec.txn.ops) {
+                if let (Op::Write { data, .. }, Op::Write { data: written, .. }) = (op, original) {
+                    let by_ref = std::ptr::eq(data.as_ptr(), written.as_ptr());
+                    assert_eq!(by_ref, data.len() >= 512, "{} bytes", data.len());
+                }
+            }
+            // Read back in other pieces: every held payload split in two
+            // (the ring end), the first part taken back into the image (rot).
+            let (mut split, mut mixed) = (Frame::default(), Frame::default());
+            for piece in frame.pieces() {
+                match piece {
+                    NvmPiece::Bytes(run) => {
+                        split.push(piece);
+                        mixed.push(NvmPiece::Bytes(run));
+                    }
+                    NvmPiece::Held(payload) => {
+                        let (head, tail) = (
+                            payload.slice(0, 100),
+                            payload.slice(100, payload.len() - 100),
+                        );
+                        split.push(NvmPiece::Held(&head));
+                        split.push(NvmPiece::Held(&tail));
+                        mixed.push(NvmPiece::Bytes(&head));
+                        mixed.push(NvmPiece::Held(&tail));
+                    }
+                }
+            }
+            assert_eq!(split.decode().unwrap(), rec);
+            assert_eq!(mixed.decode().unwrap(), rec);
+            assert_eq!(mixed.to_vec(), frame.to_vec());
+        }
+        // A held piece where fields are expected is not a record of ours.
+        let raw = sample().encode();
+        let mut odd = Frame::default();
+        odd.push(NvmPiece::Bytes(&raw[..20]));
+        odd.push(NvmPiece::Held(&raw[20..30].into()));
+        odd.push(NvmPiece::Bytes(&raw[30..]));
+        assert_eq!(odd.to_vec(), raw);
+        assert!(matches!(odd.decode(), Err(StoreError::Corrupt(_))));
+    }
 
     fn sample() -> LogRecord {
         let oid = ObjectId::new(GroupId(3), 42);

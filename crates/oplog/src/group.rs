@@ -6,12 +6,19 @@
 //! object id so reads can be answered with strong consistency. Index entries
 //! are never overwritten — each one tracks one operation in the log
 //! (paper: "We do not overwrite them").
+//!
+//! A logged write exists once: its payload is framed into the ring by
+//! reference, the index entry holds a view of the same buffer, and a flush
+//! moves the transaction itself into the store.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
-use rablock_storage::{GroupId, NvmRegion, ObjectId, Op, Payload, StoreError, Transaction};
+use rablock_storage::{
+    GroupId, NvmRegion, ObjectId, Op, Payload, SmallVec, StoreError, Transaction,
+};
 
-use crate::entry::LogRecord;
+use crate::entry::{encoded_len, Frame, LogRecord};
 use crate::ring::NvmRing;
 
 /// What kind of operation an index entry tracks.
@@ -38,10 +45,9 @@ pub struct IndexEntry {
     pub seq: u64,
     /// Byte offset of the write within the object (0 for non-write ops).
     pub offset: u64,
-    /// Length of the write (0 for non-write ops).
-    pub len: u64,
-    /// Index of the op inside the logged transaction.
-    pub op_index: usize,
+    /// The written bytes, a view of the logged payload: `Some` exactly for
+    /// [`IndexKind::Write`]. An R1 read is answered from here.
+    pub data: Option<Payload>,
 }
 
 /// How a read can be satisfied, per the paper's R1/R2/R3 paths.
@@ -67,14 +73,30 @@ pub struct AppendOutcome {
     pub nvm_bytes: u64,
 }
 
+/// One queued record in the in-memory mirror of the ring.
+#[derive(Debug, Clone)]
+struct Pending {
+    version: u64,
+    seq: u64,
+    /// Bytes the record takes in the ring.
+    encoded_len: u64,
+    /// The objects whose index entries point at this record.
+    oids: SmallVec<u64, 2>,
+    /// The logged transaction, until a flush moves it into the store. A
+    /// *submitted* record (`None`) keeps only what releasing it takes: its
+    /// transaction is already applied to the store, and whoever still wants
+    /// it whole inside the flush window decodes it back out of the ring.
+    txn: Option<Transaction>,
+}
+
 /// The operation log and index cache of one logical group.
 #[derive(Debug, Clone)]
 pub struct GroupLog {
     group: GroupId,
     ring: NvmRing,
-    /// Decoded mirror of the ring: `(record, encoded_len)` in log order.
-    /// A deque so the flush path's FIFO drain is O(1) per record.
-    records: VecDeque<(LogRecord, u64)>,
+    /// Mirror of the ring, in log order. A deque so the flush path's FIFO
+    /// drain is O(1) per record.
+    records: VecDeque<Pending>,
     /// Recent operations per object (never overwritten, only appended).
     index: HashMap<u64, Vec<IndexEntry>>,
     /// Flush once this many records are pending (paper default: 16).
@@ -82,10 +104,22 @@ pub struct GroupLog {
     /// Group version, bumped per append (§IV-C-7: kept in the log).
     version: u64,
     /// The record being framed; kept so appends do not allocate.
-    scratch: Vec<u8>,
+    scratch: Frame,
 }
 
 impl GroupLog {
+    fn empty(group: GroupId, ring: NvmRing, flush_threshold: usize) -> Self {
+        GroupLog {
+            group,
+            ring,
+            records: VecDeque::new(),
+            index: HashMap::new(),
+            flush_threshold,
+            version: 0,
+            scratch: Frame::default(),
+        }
+    }
+
     /// Formats a fresh group log over `[base, base+len)` of `nvm`.
     ///
     /// # Errors
@@ -98,15 +132,36 @@ impl GroupLog {
         len: u64,
         flush_threshold: usize,
     ) -> Result<Self, StoreError> {
-        Ok(GroupLog {
-            group,
-            ring: NvmRing::format(nvm, base, len)?,
-            records: VecDeque::new(),
-            index: HashMap::new(),
-            flush_threshold,
-            version: 0,
-            scratch: Vec::new(),
-        })
+        let ring = NvmRing::format(nvm, base, len)?;
+        Ok(GroupLog::empty(group, ring, flush_threshold))
+    }
+
+    /// Reopens the ring and replays the valid prefix of its queued records
+    /// into a fresh mirror and index cache. Returns, beside the log, the
+    /// decode error that stopped the scan and the bytes left from there on,
+    /// if one did; the ring itself is not changed.
+    fn scan(
+        nvm: &mut NvmRegion,
+        group: GroupId,
+        base: u64,
+        len: u64,
+        flush_threshold: usize,
+    ) -> Result<(Self, Option<(u64, StoreError)>), StoreError> {
+        let ring = NvmRing::open(nvm, base, len)?;
+        let raw = ring.queued_bytes(nvm)?;
+        let mut g = GroupLog::empty(group, ring, flush_threshold);
+        let mut pos = 0usize;
+        while pos < raw.len() {
+            match LogRecord::decode(&raw[pos..]) {
+                Ok((rec, consumed)) => {
+                    g.version = g.version.max(rec.version);
+                    g.push_record(rec, consumed as u64);
+                    pos += consumed;
+                }
+                Err(e) => return Ok((g, Some(((raw.len() - pos) as u64, e)))),
+            }
+        }
+        Ok((g, None))
     }
 
     /// Recovers a group log from NVM after a crash or reboot: reopens the
@@ -124,26 +179,10 @@ impl GroupLog {
         len: u64,
         flush_threshold: usize,
     ) -> Result<Self, StoreError> {
-        let ring = NvmRing::open(nvm, base, len)?;
-        let raw = ring.queued_bytes(nvm)?;
-        let mut g = GroupLog {
-            group,
-            ring,
-            records: VecDeque::new(),
-            index: HashMap::new(),
-            flush_threshold,
-            version: 0,
-            scratch: Vec::new(),
-        };
-        let mut pos = 0usize;
-        while pos < raw.len() {
-            let (rec, consumed) = LogRecord::decode(&raw[pos..])?;
-            g.version = g.version.max(rec.version);
-            g.index_record(&rec);
-            g.records.push_back((rec, consumed as u64));
-            pos += consumed;
+        match Self::scan(nvm, group, base, len, flush_threshold)? {
+            (g, None) => Ok(g),
+            (_, Some((_, e))) => Err(e),
         }
-        Ok(g)
     }
 
     /// Recovers like [`GroupLog::recover`], but a record that fails its CRC
@@ -166,33 +205,11 @@ impl GroupLog {
         len: u64,
         flush_threshold: usize,
     ) -> Result<(Self, u64), StoreError> {
-        let mut ring = NvmRing::open(nvm, base, len)?;
-        let raw = ring.queued_bytes(nvm)?;
-        let mut g = GroupLog {
-            group,
-            ring: ring.clone(),
-            records: VecDeque::new(),
-            index: HashMap::new(),
-            flush_threshold,
-            version: 0,
-            scratch: Vec::new(),
-        };
-        let mut pos = 0usize;
-        while pos < raw.len() {
-            match LogRecord::decode(&raw[pos..]) {
-                Ok((rec, consumed)) => {
-                    g.version = g.version.max(rec.version);
-                    g.index_record(&rec);
-                    g.records.push_back((rec, consumed as u64));
-                    pos += consumed;
-                }
-                Err(_) => break, // torn tail: keep the valid prefix
-            }
-        }
-        let discarded = (raw.len() - pos) as u64;
+        let (mut g, torn) = Self::scan(nvm, group, base, len, flush_threshold)?;
+        let discarded = torn.map_or(0, |(bytes, _)| bytes);
         if discarded > 0 {
-            ring.truncate_head(nvm, pos as u64)?;
-            g.ring = ring;
+            let valid = g.ring.used() - discarded;
+            g.ring.truncate_head(nvm, valid)?;
         }
         Ok((g, discarded))
     }
@@ -207,10 +224,10 @@ impl GroupLog {
     ///
     /// Propagates NVM access errors.
     pub fn tear_tail(&self, nvm: &mut NvmRegion) -> Result<bool, StoreError> {
-        let Some((_, encoded_len)) = self.records.back() else {
+        let Some(newest) = self.records.back() else {
             return Ok(false);
         };
-        self.ring.corrupt_suffix(nvm, encoded_len / 2)?;
+        self.ring.corrupt_suffix(nvm, newest.encoded_len / 2)?;
         Ok(true)
     }
 
@@ -257,26 +274,45 @@ impl GroupLog {
         self.ring.used()
     }
 
-    fn index_record(&mut self, rec: &LogRecord) {
-        for (op_index, op) in rec.txn.ops.iter().enumerate() {
-            let (oid, kind, offset, len) = match op {
+    /// Indexes `rec` and queues it at the back of the mirror.
+    fn push_record(&mut self, rec: LogRecord, encoded_len: u64) {
+        let LogRecord { version, seq, txn } = rec;
+        let mut oids = SmallVec::new();
+        for op in &txn.ops {
+            let (oid, kind, offset, data) = match op {
                 Op::Write { oid, offset, data } => {
-                    (*oid, IndexKind::Write, *offset, data.len() as u64)
+                    (*oid, IndexKind::Write, *offset, Some(data.clone()))
                 }
-                Op::SetXattr { oid, .. } => (*oid, IndexKind::Xattr, 0, 0),
-                Op::Create { oid, .. } => (*oid, IndexKind::Create, 0, 0),
-                Op::Delete { oid } => (*oid, IndexKind::Delete, 0, 0),
+                Op::SetXattr { oid, .. } => (*oid, IndexKind::Xattr, 0, None),
+                Op::Create { oid, .. } => (*oid, IndexKind::Create, 0, None),
+                Op::Delete { oid } => (*oid, IndexKind::Delete, 0, None),
                 Op::MetaPut { .. } | Op::MetaDelete { .. } => continue,
             };
+            if !oids.contains(&oid.raw()) {
+                oids.push(oid.raw());
+            }
             self.index.entry(oid.raw()).or_default().push(IndexEntry {
                 kind,
-                version: rec.version,
-                seq: rec.seq,
+                version,
+                seq,
                 offset,
-                len,
-                op_index,
+                data,
             });
         }
+        self.records.push_back(Pending {
+            version,
+            seq,
+            encoded_len,
+            oids,
+            txn: Some(txn),
+        });
+    }
+
+    /// Whether [`GroupLog::append`] of `txn` would find room in the ring.
+    /// Exact (a record's length is a sum of field sizes), so a caller can
+    /// make room first instead of keeping a copy of `txn` for a retry.
+    pub fn fits(&self, txn: &Transaction) -> bool {
+        encoded_len(txn) <= self.ring.available()
     }
 
     /// Appends a transaction to the log (the priority thread's W1+W2).
@@ -284,27 +320,23 @@ impl GroupLog {
     /// # Errors
     ///
     /// [`StoreError::NoSpace`] when NVM is full — the caller must flush
-    /// synchronously and retry (the paper's degenerate case).
+    /// synchronously and retry (the paper's degenerate case);
+    /// [`GroupLog::fits`] tells beforehand.
     pub fn append(
         &mut self,
         nvm: &mut NvmRegion,
         txn: Transaction,
     ) -> Result<AppendOutcome, StoreError> {
         debug_assert_eq!(txn.group, self.group, "transaction routed to wrong group");
-        self.version += 1;
-        let rec = LogRecord {
-            version: self.version,
-            seq: txn.seq,
-            txn,
-        };
-        rec.encode_into(&mut self.scratch);
-        let nvm_bytes = self.scratch.len() as u64;
-        if let Err(e) = self.ring.append(nvm, &self.scratch) {
-            self.version -= 1;
-            return Err(e);
-        }
-        self.index_record(&rec);
-        self.records.push_back((rec, nvm_bytes));
+        let version = self.version + 1;
+        self.scratch.record(version, txn.seq, &txn);
+        let nvm_bytes = self.scratch.len();
+        let appended = self.ring.append(nvm, &self.scratch);
+        self.scratch.unpin();
+        appended?;
+        self.version = version;
+        let seq = txn.seq;
+        self.push_record(LogRecord { version, seq, txn }, nvm_bytes);
         Ok(AppendOutcome {
             needs_flush: self.records.len() >= self.flush_threshold,
             nvm_bytes,
@@ -320,44 +352,90 @@ impl GroupLog {
         let Some(entries) = self.index.get(&oid.raw()) else {
             return ReadPath::Store;
         };
-        if entries.is_empty() {
-            return ReadPath::Store;
+        let mut writes = 0;
+        let mut newest = None;
+        for entry in entries {
+            match (entry.kind, &entry.data) {
+                // Pending deletes or creates change object existence/size:
+                // always flush before reading.
+                (IndexKind::Delete | IndexKind::Create, _) => return ReadPath::FlushThenStore,
+                (IndexKind::Write, Some(data)) => {
+                    writes += 1;
+                    newest = Some((entry.offset, data));
+                }
+                // Xattr updates never affect data reads.
+                _ => {}
+            }
         }
-        // Pending deletes or creates change object existence/size: always
-        // flush before reading. Xattr updates never affect data reads.
-        if entries
-            .iter()
-            .any(|e| matches!(e.kind, IndexKind::Delete | IndexKind::Create))
-        {
-            return ReadPath::FlushThenStore;
-        }
-        let writes: Vec<&IndexEntry> = entries
-            .iter()
-            .filter(|e| e.kind == IndexKind::Write)
-            .collect();
-        let Some(newest) = writes.last() else {
+        let Some((at, data)) = newest else {
             return ReadPath::Store; // only xattr updates pending
         };
         // The newest write must fully cover the request ("if the length of
         // the request is not larger than it of the log entry") and be the
         // only pending write — otherwise older pending writes below could
         // matter after a flush.
-        let covers = newest.offset <= offset && offset + len <= newest.offset + newest.len;
-        if covers && writes.len() == 1 {
-            let (rec, _) = self
-                .records
-                .iter()
-                .find(|(r, _)| r.seq == newest.seq)
-                .expect("index entry references live record");
-            if let Op::Write {
-                offset: woff, data, ..
-            } = &rec.txn.ops[newest.op_index]
-            {
-                let from = (offset - woff) as usize;
-                return ReadPath::FromLog(data.slice(from, len as usize));
-            }
+        let covers = at <= offset && offset + len <= at + data.len() as u64;
+        if covers && writes == 1 {
+            return ReadPath::FromLog(data.slice((offset - at) as usize, len as usize));
         }
         ReadPath::FlushThenStore
+    }
+
+    /// Decodes the record of `len` bytes that starts `skip` bytes past the
+    /// ring's tail, for a record whose transaction a flush moved into the
+    /// store. `None` if NVM rot made it undecodable: the mirror no longer
+    /// has it either, but the store does — it is applied already.
+    fn reread(
+        &self,
+        nvm: &mut NvmRegion,
+        skip: u64,
+        len: u64,
+    ) -> Result<Option<Transaction>, StoreError> {
+        let record = self.ring.read_queued(nvm, skip, len)?;
+        Ok(record.decode().ok().map(|rec| rec.txn))
+    }
+
+    /// Moves the transactions of the `n` oldest records out of the mirror,
+    /// leaving the records *submitted*. One that was submitted before is
+    /// read back from the ring.
+    fn take_transactions(
+        &mut self,
+        nvm: &mut NvmRegion,
+        n: usize,
+    ) -> Result<Vec<Transaction>, StoreError> {
+        let mut out = Vec::with_capacity(n);
+        let mut skip = 0;
+        for i in 0..n {
+            let encoded_len = self.records[i].encoded_len;
+            match self.records[i].txn.take() {
+                Some(txn) => out.push(txn),
+                None => out.extend(self.reread(nvm, skip, encoded_len)?),
+            }
+            skip += encoded_len;
+        }
+        Ok(out)
+    }
+
+    /// Releases the `n` oldest records: their index entries and their NVM
+    /// space, with one tail advance (and one persisted header write) for
+    /// the whole batch — group commit on the consume side.
+    fn release_front(&mut self, nvm: &mut NvmRegion, n: usize) -> Result<(), StoreError> {
+        if n == 0 {
+            return Ok(());
+        }
+        let mut released = 0u64;
+        for rec in self.records.drain(..n) {
+            released += rec.encoded_len;
+            for oid in &rec.oids {
+                if let Some(entries) = self.index.get_mut(oid) {
+                    entries.retain(|e| e.seq != rec.seq);
+                    if entries.is_empty() {
+                        self.index.remove(oid);
+                    }
+                }
+            }
+        }
+        self.ring.consume(nvm, released)
     }
 
     /// Drains up to `max` oldest records for flushing to the backend store
@@ -373,14 +451,31 @@ impl GroupLog {
         max: usize,
     ) -> Result<Vec<Transaction>, StoreError> {
         let n = max.min(self.records.len());
-        self.drain_front(nvm, n)
+        let txns = self.take_transactions(nvm, n)?;
+        self.release_front(nvm, n)?;
+        Ok(txns)
     }
 
-    /// Drains every record whose log version is at most `version` (records
-    /// are version-ordered, oldest first). A flush completion uses this
-    /// with the version observed when the batch was exported, so records
-    /// appended — or drained by another path — while the flush was in
-    /// flight are never discarded by mistake; a count would be.
+    /// Opens a flush window: moves every pending transaction out, in log
+    /// order, for the caller to submit to the store. The records stay
+    /// queued, indexed and in NVM — reads are still served from the index
+    /// and a crash still recovers them — until
+    /// [`GroupLog::drain_through_version`] of the version observed now
+    /// closes the window.
+    ///
+    /// # Errors
+    ///
+    /// Propagates NVM access errors.
+    pub fn begin_flush(&mut self, nvm: &mut NvmRegion) -> Result<Vec<Transaction>, StoreError> {
+        self.take_transactions(nvm, self.records.len())
+    }
+
+    /// Releases every record whose log version is at most `version`
+    /// (records are version-ordered, oldest first) and returns how many. A
+    /// flush completion uses this with the version observed when the batch
+    /// was submitted, so records appended — or drained by another path —
+    /// while the flush was in flight are never discarded by mistake; a
+    /// count would be.
     ///
     /// # Errors
     ///
@@ -389,54 +484,72 @@ impl GroupLog {
         &mut self,
         nvm: &mut NvmRegion,
         version: u64,
-    ) -> Result<Vec<Transaction>, StoreError> {
+    ) -> Result<usize, StoreError> {
         let n = self
             .records
             .iter()
-            .take_while(|(r, _)| r.version <= version)
+            .take_while(|r| r.version <= version)
             .count();
-        self.drain_front(nvm, n)
+        self.release_front(nvm, n)?;
+        Ok(n)
     }
 
-    fn drain_front(
-        &mut self,
+    /// Every pending record as `(version, seq, transaction)` in log order:
+    /// borrowed from the mirror, or decoded back out of the ring where a
+    /// flush has moved the transaction into the store (such a record is
+    /// left out if NVM rot made it undecodable — it is applied already).
+    fn whole_records(
+        &self,
         nvm: &mut NvmRegion,
-        n: usize,
-    ) -> Result<Vec<Transaction>, StoreError> {
-        if n == 0 {
-            return Ok(Vec::new());
+    ) -> Result<Vec<(u64, u64, Cow<'_, Transaction>)>, StoreError> {
+        let mut out = Vec::with_capacity(self.records.len());
+        let mut skip = 0;
+        for rec in &self.records {
+            let txn = match &rec.txn {
+                Some(txn) => Some(Cow::Borrowed(txn)),
+                None => self.reread(nvm, skip, rec.encoded_len)?.map(Cow::Owned),
+            };
+            out.extend(txn.map(|txn| (rec.version, rec.seq, txn)));
+            skip += rec.encoded_len;
         }
-        let mut out = Vec::with_capacity(n);
-        let mut drained = 0u64;
-        for _ in 0..n {
-            let (rec, encoded_len) = self.records.pop_front().expect("n <= records.len()");
-            drained += encoded_len;
-            for op in &rec.txn.ops {
-                let oid = match op {
-                    Op::Write { oid, .. }
-                    | Op::Create { oid, .. }
-                    | Op::Delete { oid }
-                    | Op::SetXattr { oid, .. } => *oid,
-                    _ => continue,
-                };
-                if let Some(entries) = self.index.get_mut(&oid.raw()) {
-                    entries.retain(|e| e.seq != rec.seq);
-                    if entries.is_empty() {
-                        self.index.remove(&oid.raw());
-                    }
-                }
-            }
-            out.push(rec.txn);
-        }
-        // One tail advance (and one persisted header write) for the whole
-        // batch — group commit on the consume side.
-        self.ring.consume(nvm, drained)?;
         Ok(out)
     }
 
-    /// Exports every pending record (peer recovery, §IV-A-4 step ⑤).
-    pub fn export_records(&self) -> Vec<LogRecord> {
-        self.records.iter().map(|(r, _)| r.clone()).collect()
+    /// Copies of every pending record (a flush that keeps the log, log
+    /// re-apply before a direct store read). Works inside a flush window.
+    ///
+    /// # Errors
+    ///
+    /// Propagates NVM access errors.
+    pub fn export_records(&self, nvm: &mut NvmRegion) -> Result<Vec<LogRecord>, StoreError> {
+        let records = self.whole_records(nvm)?;
+        Ok(records
+            .into_iter()
+            .map(|(version, seq, txn)| LogRecord {
+                version,
+                seq,
+                txn: txn.into_owned(),
+            })
+            .collect())
+    }
+
+    /// Every pending record in its encoded form (peer recovery, §IV-A-4
+    /// step ⑤), framed from the mirror by reference: no transaction is
+    /// cloned. Works inside a flush window.
+    ///
+    /// # Errors
+    ///
+    /// Propagates NVM access errors.
+    pub fn export_encoded(&self, nvm: &mut NvmRegion) -> Result<Vec<Vec<u8>>, StoreError> {
+        let mut frame = Frame::default();
+        let records = self.whole_records(nvm)?;
+        Ok(records
+            .iter()
+            .map(|(version, seq, txn)| {
+                frame.record(*version, *seq, txn);
+                frame.to_vec()
+            })
+            .collect())
     }
 
     /// Imports records from a peer into an empty log (replacement node
@@ -458,12 +571,18 @@ impl GroupLog {
         }
         // All-or-nothing batch append: one persisted header write covers the
         // whole import, and a NoSpace failure leaves the log untouched.
-        let encoded: Vec<Vec<u8>> = records.iter().map(LogRecord::encode).collect();
-        self.ring.append_batch(nvm, &encoded)?;
-        for (rec, raw) in records.into_iter().zip(encoded) {
+        let frames: Vec<Frame> = records
+            .iter()
+            .map(|rec| {
+                let mut frame = Frame::default();
+                frame.record(rec.version, rec.seq, &rec.txn);
+                frame
+            })
+            .collect();
+        self.ring.append_batch(nvm, &frames)?;
+        for (rec, frame) in records.into_iter().zip(frames) {
             self.version = self.version.max(rec.version);
-            self.index_record(&rec);
-            self.records.push_back((rec, raw.len() as u64));
+            self.push_record(rec, frame.len());
         }
         Ok(())
     }
@@ -592,11 +711,11 @@ mod tests {
             .unwrap();
         }
         g.drain_for_flush(&mut nvm, 2).unwrap();
-        let exported = g.export_records();
+        let exported = g.export_records(&mut nvm).unwrap();
         nvm.reboot();
         let g2 = GroupLog::recover(&mut nvm, GroupId(1), 0, 1 << 20, 16).unwrap();
         assert_eq!(g2.pending(), 4);
-        assert_eq!(g2.export_records(), exported);
+        assert_eq!(g2.export_records(&mut nvm).unwrap(), exported);
         assert_eq!(g2.version(), g.version());
         // Index works after recovery: oid(0) has exactly one pending write
         // left (seq 3 at offset 30; seq 0 was drained before the crash).
@@ -678,6 +797,181 @@ mod tests {
             .unwrap();
     }
 
+    fn block_txn(seq: u64) -> Transaction {
+        let data: Vec<u8> = (0..4096).map(|i| (i as u64 * seq) as u8).collect();
+        write_txn(seq, oid(seq), 8192, data)
+    }
+
+    #[test]
+    fn fits_tells_exactly_whether_append_finds_room() {
+        let mut nvm = NvmRegion::new(8192);
+        let mut g = GroupLog::format(&mut nvm, GroupId(1), 0, 8192, 1000).unwrap();
+        let mut seq = 0;
+        for len in [
+            700, 0, 511, 512, 1500, 3000, 90, 2000, 1, 400, 300, 200, 100,
+        ] {
+            seq += 1;
+            let txn = write_txn(seq, oid(0), 0, vec![7; len]);
+            let fits = g.fits(&txn);
+            let got = g.append(&mut nvm, txn);
+            assert_eq!(got.is_ok(), fits, "payload of {len} bytes");
+            if !fits {
+                assert_eq!(got, Err(StoreError::NoSpace));
+                g.drain_for_flush(&mut nvm, 1).unwrap();
+            }
+        }
+        assert!(
+            g.pending() > 0 && g.pending() < 13,
+            "both outcomes were met"
+        );
+    }
+
+    #[test]
+    fn flush_window_keeps_submitted_records_until_it_closes() {
+        let (mut nvm, mut g) = fresh();
+        let first: Vec<Transaction> = (1..=5).map(block_txn).collect();
+        for txn in &first {
+            g.append(&mut nvm, txn.clone()).unwrap();
+        }
+        let through = g.version();
+        // Opening the window moves the transactions out; nothing else moves.
+        assert_eq!(g.begin_flush(&mut nvm).unwrap(), first);
+        assert_eq!(g.pending(), 5);
+        let exported = g.export_records(&mut nvm).unwrap();
+        let txns: Vec<Transaction> = exported.iter().map(|r| r.txn.clone()).collect();
+        assert_eq!(txns, first, "read back out of the ring");
+        assert_eq!(exported[4].version, through);
+        for (back, txn) in txns.iter().zip(&first) {
+            let (Op::Write { data: back, .. }, Op::Write { data, .. }) =
+                (&back.ops[0], &txn.ops[0])
+            else {
+                unreachable!()
+            };
+            assert!(std::ptr::eq(back.as_ptr(), data.as_ptr()), "by reference");
+        }
+        match g.read_path(oid(3), 8192 + 100, 50) {
+            ReadPath::FromLog(data) => {
+                let Op::Write { data: written, .. } = &first[2].ops[0] else {
+                    unreachable!()
+                };
+                assert!(std::ptr::eq(data.as_ptr(), written[100..].as_ptr()));
+            }
+            other => panic!("a submitted write still answers reads, got {other:?}"),
+        }
+        // Appends inside the window queue up behind the submitted records.
+        let later: Vec<Transaction> = (6..=8).map(block_txn).collect();
+        for txn in &later {
+            g.append(&mut nvm, txn.clone()).unwrap();
+        }
+        let all: Vec<Transaction> = first.iter().chain(&later).cloned().collect();
+        let whole = g.export_records(&mut nvm).unwrap();
+        assert_eq!(whole.iter().map(|r| r.txn.clone()).collect::<Vec<_>>(), all);
+        let encoded: Vec<Vec<u8>> = whole.iter().map(LogRecord::encode).collect();
+        assert_eq!(g.export_encoded(&mut nvm).unwrap(), encoded);
+        // A crash inside the window loses nothing: NVM holds all eight.
+        let mut crashed = nvm.clone();
+        crashed.reboot();
+        let recovered = GroupLog::recover(&mut crashed, GroupId(1), 0, 1 << 20, 16).unwrap();
+        assert_eq!(recovered.export_records(&mut crashed).unwrap(), whole);
+        // Closing the window releases the submitted records and only them.
+        assert_eq!(g.drain_through_version(&mut nvm, through).unwrap(), 5);
+        assert_eq!(g.pending(), 3);
+        assert_eq!(g.read_path(oid(3), 8192, 1), ReadPath::Store);
+        assert_eq!(g.drain_for_flush(&mut nvm, usize::MAX).unwrap(), later);
+        assert_eq!(g.nvm_used(), 0);
+    }
+
+    #[test]
+    fn full_ring_drain_inside_a_window_returns_submitted_records_too() {
+        let (mut nvm, mut g) = fresh();
+        let txns: Vec<Transaction> = (1..=6).map(block_txn).collect();
+        for txn in &txns[..4] {
+            g.append(&mut nvm, txn.clone()).unwrap();
+        }
+        let through = g.version();
+        g.begin_flush(&mut nvm).unwrap();
+        for txn in &txns[4..] {
+            g.append(&mut nvm, txn.clone()).unwrap();
+        }
+        // The synchronous-flush fallback drains everything, in log order;
+        // the late completion of the window then finds nothing of its own.
+        assert_eq!(g.drain_for_flush(&mut nvm, usize::MAX).unwrap(), txns);
+        assert_eq!(g.drain_through_version(&mut nvm, through).unwrap(), 0);
+    }
+
+    #[test]
+    fn rot_under_a_submitted_record_drops_only_its_redundant_copy() {
+        let (mut nvm, mut g) = fresh();
+        let txns: Vec<Transaction> = (1..=3).map(block_txn).collect();
+        for txn in &txns {
+            g.append(&mut nvm, txn.clone()).unwrap();
+        }
+        g.begin_flush(&mut nvm).unwrap();
+        g.append(&mut nvm, block_txn(4)).unwrap();
+        // A flip inside the second record, and one inside the fourth, whose
+        // transaction the mirror still holds.
+        let record = g.nvm_used() / 4;
+        assert!(g.rot_bit(&mut nvm, record + record / 2, 3).unwrap());
+        assert!(g.rot_bit(&mut nvm, 3 * record + record / 2, 3).unwrap());
+        let seqs = |records: Vec<LogRecord>| records.iter().map(|r| r.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(g.export_records(&mut nvm).unwrap()), [1, 3, 4]);
+        assert_eq!(g.export_encoded(&mut nvm).unwrap().len(), 3);
+        assert_eq!(g.drain_for_flush(&mut nvm, usize::MAX).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn damage_inside_a_by_reference_payload_is_caught_and_never_reaches_the_writer() {
+        for tear in [false, true] {
+            let (mut nvm, mut g) = fresh();
+            let txns: Vec<Transaction> = (1..=4).map(block_txn).collect();
+            let before: Vec<Vec<u8>> = txns
+                .iter()
+                .map(|t| match &t.ops[0] {
+                    Op::Write { data, .. } => data.to_vec(),
+                    _ => unreachable!(),
+                })
+                .collect();
+            for txn in &txns {
+                g.append(&mut nvm, txn.clone()).unwrap();
+            }
+            let record = g.nvm_used() / 4;
+            let survivors = if tear {
+                // The second half of the newest record: all payload.
+                assert!(g.tear_tail(&mut nvm).unwrap());
+                3
+            } else {
+                // One bit in the middle of the third record's payload.
+                assert!(g.rot_bit(&mut nvm, 2 * record + record / 2, 5).unwrap());
+                2
+            };
+            for (txn, then) in txns.iter().zip(&before) {
+                let Op::Write { data, .. } = &txn.ops[0] else {
+                    unreachable!()
+                };
+                assert_eq!(data, then, "the writer's buffer is not the log's to damage");
+            }
+            match g.read_path(oid(4), 8192, 4096) {
+                ReadPath::FromLog(data) => assert_eq!(data, before[3]),
+                other => panic!("the mirror stays clean, got {other:?}"),
+            }
+            nvm.reboot();
+            assert!(matches!(
+                GroupLog::recover(&mut nvm, GroupId(1), 0, 1 << 20, 16),
+                Err(StoreError::Corrupt(_))
+            ));
+            let (g2, discarded) =
+                GroupLog::recover_truncating(&mut nvm, GroupId(1), 0, 1 << 20, 16).unwrap();
+            assert_eq!(discarded, (4 - survivors) * record);
+            let kept: Vec<Transaction> = g2
+                .export_records(&mut nvm)
+                .unwrap()
+                .into_iter()
+                .map(|r| r.txn)
+                .collect();
+            assert_eq!(kept, txns[..survivors as usize]);
+        }
+    }
+
     #[test]
     fn peer_import_replicates_state() {
         let (mut nvm_a, mut a) = fresh();
@@ -687,11 +981,12 @@ mod tests {
         }
         let mut nvm_b = NvmRegion::new(1 << 20);
         let mut b = GroupLog::format(&mut nvm_b, GroupId(1), 0, 1 << 20, 16).unwrap();
-        b.import_records(&mut nvm_b, a.export_records()).unwrap();
+        let exported = a.export_records(&mut nvm_a).unwrap();
+        b.import_records(&mut nvm_b, exported.clone()).unwrap();
         assert_eq!(b.pending(), 5);
-        assert_eq!(b.export_records(), a.export_records());
+        assert_eq!(b.export_records(&mut nvm_b).unwrap(), exported);
         assert!(
-            b.import_records(&mut nvm_b, a.export_records()).is_err(),
+            b.import_records(&mut nvm_b, exported).is_err(),
             "non-empty import rejected"
         );
     }

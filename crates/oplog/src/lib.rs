@@ -14,6 +14,13 @@
 //! * [`LogRecord`] — CRC-framed record carrying (group, version, sequence,
 //!   transaction).
 //!
+//! A logged write exists once. Its payload is framed into the ring by
+//! reference (the NVM region keeps the writer's buffer as an extent; the
+//! byte stream is what [`LogRecord::encode`] gives), the index cache holds a
+//! view of the same buffer for reads, and a flush
+//! ([`GroupLog::begin_flush`]) moves the transaction into the store while
+//! the record stays queued until the store I/O completes.
+//!
 //! Strong consistency falls out of the structure: a read either finds a
 //! single covering write in the index cache (served straight from NVM), or
 //! forces a flush before touching the store — never a stale value.

@@ -7,11 +7,15 @@
 //! crashed node recovers its log by scanning `[tail, head)`.
 
 use rablock_storage::crc::crc32;
-use rablock_storage::{NvmRegion, StoreError};
+use rablock_storage::{NvmPiece, NvmRegion, StoreError};
+
+use crate::entry::Frame;
 
 const HEADER_BYTES: u64 = 48;
 const MAGIC: u32 = 0x4F50_4C47; // "OPLG"
 /// A persistent ring of encoded log records inside an [`NvmRegion`] slice.
+/// [`GroupLog`](crate::GroupLog) appends to it; the large write payloads of
+/// a record stay in the region by reference until the tail passes them.
 #[derive(Debug, Clone)]
 pub struct NvmRing {
     base: u64,
@@ -44,8 +48,14 @@ impl NvmRing {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] on bad magic/CRC.
+    /// [`StoreError::Corrupt`] on bad magic/CRC, a region too short for a
+    /// header, or counters no ring of this size can have reached.
     pub fn open(nvm: &mut NvmRegion, base: u64, len: u64) -> Result<Self, StoreError> {
+        if len < HEADER_BYTES {
+            return Err(StoreError::Corrupt(
+                "operation-log region shorter than its header".into(),
+            ));
+        }
         let raw = nvm.read(base, HEADER_BYTES)?;
         let stored_crc = u32::from_le_bytes(raw[36..40].try_into().expect("4 bytes"));
         if crc32(&raw[..36]) != stored_crc {
@@ -62,6 +72,11 @@ impl NvmRing {
         }
         let head = u64::from_le_bytes(raw[12..20].try_into().expect("8 bytes"));
         let tail = u64::from_le_bytes(raw[20..28].try_into().expect("8 bytes"));
+        if tail > head || head - tail > data_cap {
+            return Err(StoreError::Corrupt(
+                "operation-log head/tail out of range".into(),
+            ));
+        }
         Ok(NvmRing {
             base,
             data_cap,
@@ -101,7 +116,23 @@ impl NvmRing {
         self.data_cap - self.used()
     }
 
-    /// Appends one encoded record. Records may wrap around the region end
+    /// The physical pieces of the logical byte range `[from, to)`, as
+    /// `(region offset, length)`: one, or two when the range wraps around
+    /// the region end.
+    fn spans(&self, from: u64, to: u64) -> impl Iterator<Item = (u64, u64)> {
+        let (base, cap) = (self.base + HEADER_BYTES, self.data_cap);
+        let mut at = from;
+        std::iter::from_fn(move || {
+            (at < to).then(|| {
+                let pos = at % cap;
+                let chunk = (cap - pos).min(to - at);
+                at += chunk;
+                (base + pos, chunk)
+            })
+        })
+    }
+
+    /// Appends one framed record. Records may wrap around the region end
     /// (split into two physical writes); the logical stream stays
     /// contiguous.
     ///
@@ -110,12 +141,11 @@ impl NvmRing {
     /// [`StoreError::NoSpace`] when the ring cannot take the record — the
     /// caller must flush synchronously first (paper §IV-A: when NVM is full
     /// the logging degenerates to synchronous flushing).
-    pub fn append(&mut self, nvm: &mut NvmRegion, record: &[u8]) -> Result<(), StoreError> {
-        self.write_record(nvm, record)?;
-        self.write_header(nvm)
+    pub(crate) fn append(&mut self, nvm: &mut NvmRegion, record: &Frame) -> Result<(), StoreError> {
+        self.append_batch(nvm, std::slice::from_ref(record))
     }
 
-    /// Appends a batch of encoded records with a single header update at the
+    /// Appends a batch of framed records with a single header update at the
     /// end (group-commit admission: one persisted head advance covers the
     /// whole batch). All-or-nothing: space for the entire batch is checked up
     /// front, so a [`StoreError::NoSpace`] leaves the persisted state
@@ -124,47 +154,55 @@ impl NvmRing {
     /// # Errors
     ///
     /// [`StoreError::NoSpace`] when the ring cannot take the whole batch.
-    pub fn append_batch(
+    pub(crate) fn append_batch(
         &mut self,
         nvm: &mut NvmRegion,
-        records: &[Vec<u8>],
+        records: &[Frame],
     ) -> Result<(), StoreError> {
-        let total: u64 = records.iter().map(|r| r.len() as u64).sum();
+        let total: u64 = records.iter().map(Frame::len).sum();
         if total > self.available() {
             return Err(StoreError::NoSpace);
         }
         for record in records {
-            self.write_record(nvm, record)?;
+            assert!(
+                record.len() < self.data_cap,
+                "record larger than the whole ring"
+            );
+            for piece in record.pieces() {
+                self.write_piece(nvm, piece)?;
+            }
         }
         self.write_header(nvm)
     }
 
-    fn write_record(&mut self, nvm: &mut NvmRegion, record: &[u8]) -> Result<(), StoreError> {
-        let len = record.len() as u64;
-        assert!(len < self.data_cap, "record larger than the whole ring");
-        if len > self.available() {
-            return Err(StoreError::NoSpace);
+    /// Writes one piece of a record at the head: bytes are copied into the
+    /// region, a held payload is handed over by reference (sliced in two
+    /// where it straddles the region end).
+    fn write_piece(&mut self, nvm: &mut NvmRegion, piece: NvmPiece) -> Result<(), StoreError> {
+        let len = piece.as_bytes().len();
+        let mut done = 0;
+        for (at, chunk) in self.spans(self.head, self.head + len as u64) {
+            let chunk = chunk as usize;
+            match piece {
+                NvmPiece::Bytes(run) => nvm.write(at, &run[done..done + chunk])?,
+                NvmPiece::Held(payload) if chunk == len => nvm.write_payload(at, payload)?,
+                NvmPiece::Held(payload) => nvm.write_payload(at, &payload.slice(done, chunk))?,
+            }
+            done += chunk;
         }
-        let mut written = 0u64;
-        while written < len {
-            let pos = (self.head + written) % self.data_cap;
-            let chunk = (self.data_cap - pos).min(len - written);
-            nvm.write(
-                self.base + HEADER_BYTES + pos,
-                &record[written as usize..(written + chunk) as usize],
-            )?;
-            written += chunk;
-        }
-        self.head += len;
+        self.head += len as u64;
         Ok(())
     }
 
     /// Consumes `len` bytes from the tail (one or more records were flushed;
-    /// a drained batch advances the tail once for the whole batch).
+    /// a drained batch advances the tail once for the whole batch) and
+    /// releases the payloads the region held for them.
     pub fn consume(&mut self, nvm: &mut NvmRegion, len: u64) -> Result<(), StoreError> {
         debug_assert!(self.tail + len <= self.head, "consuming past the head");
+        let old_tail = self.tail;
         self.tail += len;
-        self.write_header(nvm)
+        self.write_header(nvm)?;
+        self.release(nvm, old_tail, self.tail)
     }
 
     /// Truncates the head so that only `new_used` queued bytes remain,
@@ -179,8 +217,19 @@ impl NvmRing {
             new_used <= self.used(),
             "cannot truncate to more than is queued"
         );
+        let old_head = self.head;
         self.head = self.tail + new_used;
-        self.write_header(nvm)
+        self.write_header(nvm)?;
+        self.release(nvm, self.head, old_head)
+    }
+
+    /// Unpins whatever the region holds by reference for the logical bytes
+    /// `[from, to)`, which just left the queue.
+    fn release(&self, nvm: &mut NvmRegion, from: u64, to: u64) -> Result<(), StoreError> {
+        for (at, chunk) in self.spans(from, to) {
+            nvm.release(at, chunk)?;
+        }
+        Ok(())
     }
 
     /// Fault injection: corrupts the newest `len` queued bytes in place
@@ -192,16 +241,12 @@ impl NvmRing {
     /// Propagates NVM access errors.
     pub fn corrupt_suffix(&self, nvm: &mut NvmRegion, len: u64) -> Result<(), StoreError> {
         let len = len.min(self.used());
-        let mut at = self.head - len;
-        while at < self.head {
-            let pos = at % self.data_cap;
-            let chunk = (self.data_cap - pos).min(self.head - at);
-            let mut buf = nvm.read(self.base + HEADER_BYTES + pos, chunk)?;
+        for (at, chunk) in self.spans(self.head - len, self.head) {
+            let mut buf = nvm.read(at, chunk)?;
             for b in &mut buf {
                 *b ^= 0xFF;
             }
-            nvm.write(self.base + HEADER_BYTES + pos, &buf)?;
-            at += chunk;
+            nvm.write(at, &buf)?;
         }
         Ok(())
     }
@@ -231,21 +276,44 @@ impl NvmRing {
     ///
     /// Propagates NVM access errors.
     pub fn queued_bytes(&self, nvm: &mut NvmRegion) -> Result<Vec<u8>, StoreError> {
-        let mut out = Vec::with_capacity(self.used() as usize);
-        let mut at = self.tail;
-        while at < self.head {
-            let pos = at % self.data_cap;
-            let chunk = (self.data_cap - pos).min(self.head - at);
-            out.extend_from_slice(&nvm.read(self.base + HEADER_BYTES + pos, chunk)?);
-            at += chunk;
+        Ok(self.read_queued(nvm, 0, self.used())?.to_vec())
+    }
+
+    /// Reads `len` queued bytes starting `skip` bytes past the tail, as a
+    /// frame: what the region holds by reference stays by reference.
+    ///
+    /// # Errors
+    ///
+    /// Propagates NVM access errors.
+    pub(crate) fn read_queued(
+        &self,
+        nvm: &mut NvmRegion,
+        skip: u64,
+        len: u64,
+    ) -> Result<Frame, StoreError> {
+        debug_assert!(skip + len <= self.used(), "reading past the head");
+        let mut frame = Frame::default();
+        let from = self.tail + skip;
+        for (at, chunk) in self.spans(from, from + len) {
+            nvm.read_pieces(at, chunk, |piece| frame.push(piece))?;
         }
-        Ok(out)
+        Ok(frame)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn raw(bytes: &[u8]) -> Frame {
+        let mut frame = Frame::default();
+        frame.push(NvmPiece::Bytes(bytes));
+        frame
+    }
+
+    fn bytes(fill: u8, len: usize) -> Frame {
+        raw(&vec![fill; len])
+    }
 
     fn ring(cap: u64) -> (NvmRegion, NvmRing) {
         let mut nvm = NvmRegion::new(cap + HEADER_BYTES);
@@ -256,8 +324,8 @@ mod tests {
     #[test]
     fn append_consume_cycle() {
         let (mut nvm, mut r) = ring(256);
-        r.append(&mut nvm, &[1u8; 64]).unwrap();
-        r.append(&mut nvm, &[2u8; 64]).unwrap();
+        r.append(&mut nvm, &bytes(1, 64)).unwrap();
+        r.append(&mut nvm, &bytes(2, 64)).unwrap();
         assert_eq!(r.used(), 128);
         let q = r.queued_bytes(&mut nvm).unwrap();
         assert_eq!(&q[..64], &[1u8; 64][..]);
@@ -270,19 +338,19 @@ mod tests {
     #[test]
     fn fills_up_and_reports_no_space() {
         let (mut nvm, mut r) = ring(128);
-        r.append(&mut nvm, &[0u8; 100]).unwrap();
-        assert_eq!(r.append(&mut nvm, &[0u8; 100]), Err(StoreError::NoSpace));
+        r.append(&mut nvm, &bytes(0, 100)).unwrap();
+        assert_eq!(r.append(&mut nvm, &bytes(0, 100)), Err(StoreError::NoSpace));
         r.consume(&mut nvm, 100).unwrap();
-        r.append(&mut nvm, &[0u8; 100]).unwrap();
+        r.append(&mut nvm, &bytes(0, 100)).unwrap();
     }
 
     #[test]
     fn wraps_across_the_region_end() {
         let (mut nvm, mut r) = ring(256);
-        r.append(&mut nvm, &[1u8; 200]).unwrap();
+        r.append(&mut nvm, &bytes(1, 200)).unwrap();
         r.consume(&mut nvm, 200).unwrap();
         // Next append would cross the end: wraps to physical 0.
-        r.append(&mut nvm, &[2u8; 100]).unwrap();
+        r.append(&mut nvm, &bytes(2, 100)).unwrap();
         assert_eq!(r.queued_bytes(&mut nvm).unwrap(), vec![2u8; 100]);
         r.consume(&mut nvm, 100).unwrap();
         assert_eq!(r.used(), 0);
@@ -292,8 +360,8 @@ mod tests {
     fn survives_reopen() {
         let mut nvm = NvmRegion::new(512);
         let mut r = NvmRing::format(&mut nvm, 0, 512).unwrap();
-        r.append(&mut nvm, b"alpha-record").unwrap();
-        r.append(&mut nvm, b"beta-record!").unwrap();
+        r.append(&mut nvm, &raw(b"alpha-record")).unwrap();
+        r.append(&mut nvm, &raw(b"beta-record!")).unwrap();
         r.consume(&mut nvm, 12).unwrap();
         nvm.reboot();
         let r2 = NvmRing::open(&mut nvm, 0, 512).unwrap();
@@ -304,8 +372,8 @@ mod tests {
     #[test]
     fn corrupt_suffix_then_truncate_recovers_prefix() {
         let (mut nvm, mut r) = ring(256);
-        r.append(&mut nvm, &[1u8; 64]).unwrap();
-        r.append(&mut nvm, &[2u8; 64]).unwrap();
+        r.append(&mut nvm, &bytes(1, 64)).unwrap();
+        r.append(&mut nvm, &bytes(2, 64)).unwrap();
         // Tear the second half of the last record.
         r.corrupt_suffix(&mut nvm, 32).unwrap();
         let q = r.queued_bytes(&mut nvm).unwrap();
@@ -317,7 +385,7 @@ mod tests {
         assert_eq!(r.used(), 64);
         assert_eq!(r.queued_bytes(&mut nvm).unwrap(), vec![1u8; 64]);
         // The ring still works after truncation.
-        r.append(&mut nvm, &[3u8; 64]).unwrap();
+        r.append(&mut nvm, &bytes(3, 64)).unwrap();
         assert_eq!(r.queued_bytes(&mut nvm).unwrap()[64..], [3u8; 64][..]);
     }
 
@@ -347,7 +415,7 @@ mod tests {
             })
             .collect();
         for rec in &recs {
-            r.append(&mut nvm, rec).unwrap();
+            r.append(&mut nvm, &raw(rec)).unwrap();
         }
         // Flip a single bit in the middle of the newest record's body — the
         // device-level corruption a torn NVM write leaves behind.
@@ -377,6 +445,72 @@ mod tests {
             matches!(err, StoreError::Corrupt(_)),
             "flip caught by crc: {err}"
         );
+    }
+
+    #[test]
+    fn segmented_appends_leave_the_flat_record_stream_also_across_the_wrap() {
+        use crate::entry::{reference_encode, threshold_records};
+
+        // A ring a little larger than the biggest record (12.5 KiB), so most
+        // appends wrap, somewhere inside a by-reference payload or around it.
+        let (mut nvm, mut r) = ring(14_000);
+        let records = threshold_records();
+        let mut frame = Frame::default();
+        let mut queued: Vec<Vec<u8>> = Vec::new();
+        let mut written = nvm.bytes_written();
+        for lap in 0..40 {
+            for rec in &records {
+                let flat = reference_encode(rec);
+                while r.available() < flat.len() as u64 {
+                    let oldest = queued.remove(0);
+                    r.consume(&mut nvm, oldest.len() as u64).unwrap();
+                    written += HEADER_BYTES;
+                }
+                frame.record(rec.version, rec.seq, &rec.txn);
+                r.append(&mut nvm, &frame).unwrap();
+                written += flat.len() as u64 + HEADER_BYTES;
+                queued.push(flat);
+                assert_eq!(
+                    r.queued_bytes(&mut nvm).unwrap(),
+                    queued.concat(),
+                    "lap {lap}"
+                );
+                assert_eq!(nvm.bytes_written(), written, "counted like byte writes");
+            }
+        }
+        assert!(r.head > 20 * r.data_cap, "the ring went round");
+        // A reopened ring reads the same stream back.
+        nvm.reboot();
+        let reopened = NvmRing::open(&mut nvm, 0, 14_000 + HEADER_BYTES).unwrap();
+        assert_eq!(reopened.queued_bytes(&mut nvm).unwrap(), queued.concat());
+    }
+
+    #[test]
+    fn open_rejects_a_header_no_ring_could_have_written() {
+        let len = 256 + HEADER_BYTES;
+        let mut nvm = NvmRegion::new(len);
+        let good = NvmRing::format(&mut nvm, 0, len).unwrap();
+        for (head, tail) in [(10, 11), (257, 0), (u64::MAX, 5)] {
+            // A valid CRC over impossible counters (a stray write that
+            // happens to checksum, or a header from another geometry).
+            NvmRing {
+                head,
+                tail,
+                ..good.clone()
+            }
+            .write_header(&mut nvm)
+            .unwrap();
+            assert!(
+                matches!(NvmRing::open(&mut nvm, 0, len), Err(StoreError::Corrupt(_))),
+                "head {head}, tail {tail}"
+            );
+        }
+        assert!(matches!(
+            NvmRing::open(&mut nvm, 0, HEADER_BYTES - 1),
+            Err(StoreError::Corrupt(_))
+        ));
+        good.write_header(&mut nvm).unwrap();
+        assert!(NvmRing::open(&mut nvm, 0, len).is_ok());
     }
 
     #[test]

@@ -13,6 +13,10 @@ enum LogOp {
         fill: u8,
     },
     Drain(u8),
+    /// Open a flush window (move every pending transaction out).
+    BeginFlush,
+    /// Close the open window, if any (the store I/O completed).
+    CompleteFlush,
     Reboot,
 }
 
@@ -22,6 +26,8 @@ fn script() -> impl Strategy<Value = Vec<LogOp>> {
             5 => (0u64..8, 0u64..32_768, 1u16..2048, any::<u8>())
                 .prop_map(|(obj, offset, len, fill)| LogOp::Append { obj, offset, len, fill }),
             2 => (1u8..8).prop_map(LogOp::Drain),
+            1 => Just(LogOp::BeginFlush),
+            1 => Just(LogOp::CompleteFlush),
             1 => Just(LogOp::Reboot),
         ],
         1..60,
@@ -36,13 +42,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The log is an exact FIFO of acknowledged transactions, across
-    /// arbitrary drain points and reboots (NVM recovery).
+    /// arbitrary drain points, flush windows and reboots (NVM recovery).
     #[test]
     fn log_is_a_durable_fifo(ops in script()) {
         let mut nvm = NvmRegion::new(1 << 20);
         let mut log = GroupLog::format(&mut nvm, GroupId(3), 0, 1 << 20, usize::MAX).unwrap();
-        // Model: the sequence of not-yet-drained transactions.
-        let mut pending: Vec<Transaction> = Vec::new();
+        // Model: the not-yet-drained transactions with their log versions,
+        // and the version an open flush window reaches through.
+        let mut pending: Vec<(u64, Transaction)> = Vec::new();
+        let mut window: Option<u64> = None;
+        let txns_of = |pending: &[(u64, Transaction)]| -> Vec<Transaction> {
+            pending.iter().map(|(_, t)| t.clone()).collect()
+        };
         let mut seq = 0u64;
         for op in ops {
             match op {
@@ -53,36 +64,48 @@ proptest! {
                         seq,
                         vec![Op::Write { oid: oid(obj), offset, data: vec![fill; len as usize].into() }],
                     );
-                    match log.append(&mut nvm, txn.clone()) {
-                        Ok(_) => pending.push(txn),
-                        Err(StoreError::NoSpace) => {
-                            // Model the synchronous-flush fallback: drain all.
-                            let drained = log.drain_for_flush(&mut nvm, usize::MAX).unwrap();
-                            prop_assert_eq!(&drained, &pending);
-                            pending.clear();
-                            log.append(&mut nvm, txn.clone()).unwrap();
-                            pending.push(txn);
-                        }
-                        Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
-                    }
+                    prop_assert!(log.fits(&txn), "a 1 MiB ring never fills here");
+                    log.append(&mut nvm, txn.clone()).unwrap();
+                    pending.push((log.version(), txn));
                 }
                 LogOp::Drain(n) => {
+                    // Submitted records drain like any other: read back
+                    // out of the ring, in log order.
                     let drained = log.drain_for_flush(&mut nvm, n as usize).unwrap();
-                    let expect: Vec<Transaction> = pending.drain(..drained.len()).collect();
-                    prop_assert_eq!(drained, expect);
+                    let expect: Vec<(u64, Transaction)> = pending.drain(..drained.len()).collect();
+                    prop_assert_eq!(drained, txns_of(&expect));
+                }
+                LogOp::BeginFlush => {
+                    if window.is_none() {
+                        window = Some(log.version());
+                        prop_assert_eq!(log.begin_flush(&mut nvm).unwrap(), txns_of(&pending));
+                    }
+                }
+                LogOp::CompleteFlush => {
+                    if let Some(through) = window.take() {
+                        let released = log.drain_through_version(&mut nvm, through).unwrap();
+                        let before = pending.len();
+                        pending.retain(|(version, _)| *version > through);
+                        prop_assert_eq!(released, before - pending.len());
+                    }
                 }
                 LogOp::Reboot => {
+                    // The window dies with the process; NVM has every record.
+                    window = None;
                     nvm.reboot();
                     log = GroupLog::recover(&mut nvm, GroupId(3), 0, 1 << 20, usize::MAX).unwrap();
                 }
             }
             prop_assert_eq!(log.pending(), pending.len());
+            let whole: Vec<Transaction> =
+                log.export_records(&mut nvm).unwrap().into_iter().map(|r| r.txn).collect();
+            prop_assert_eq!(whole, txns_of(&pending));
         }
         // Final recovery must reproduce exactly the pending suffix.
         nvm.reboot();
         let recovered = GroupLog::recover(&mut nvm, GroupId(3), 0, 1 << 20, usize::MAX).unwrap();
-        let txns: Vec<Transaction> = recovered.export_records().into_iter().map(|r| r.txn).collect();
-        prop_assert_eq!(txns, pending);
+        let txns: Vec<Transaction> = recovered.export_records(&mut nvm).unwrap().into_iter().map(|r| r.txn).collect();
+        prop_assert_eq!(txns, txns_of(&pending));
     }
 
     /// Differential CRC-reject property: flipping any single bit of any
@@ -92,7 +115,7 @@ proptest! {
     /// backwards into its predecessors.
     #[test]
     fn single_bit_rot_rejects_exactly_the_damaged_suffix(
-        lens in proptest::collection::vec((1u16..512, any::<u8>()), 2..12),
+        lens in proptest::collection::vec((1u16..1500, any::<u8>()), 2..12),
         victim_frac in 0.0f64..1.0,
         byte_frac in 0.0f64..1.0,
         bit in 0u8..8,
@@ -132,7 +155,7 @@ proptest! {
         let (recovered, discarded) =
             GroupLog::recover_truncating(&mut nvm, GroupId(3), 0, 1 << 20, usize::MAX).unwrap();
         let kept: Vec<Transaction> =
-            recovered.export_records().into_iter().map(|r| r.txn).collect();
+            recovered.export_records(&mut nvm).unwrap().into_iter().map(|r| r.txn).collect();
         prop_assert_eq!(&kept, &txns[..victim],
             "exactly the records before the flipped one survive");
         prop_assert_eq!(discarded, offsets[txns.len()] - offsets[victim],

@@ -71,17 +71,12 @@ pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
 
 /// `sum ^= mat * vec` over GF(2): `mat` is a 32×32 bit matrix stored as
 /// column vectors, `vec` a 32-bit vector.
-fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
-    let mut sum = 0;
-    let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
-    }
-    sum
+fn gf2_matrix_times(mat: &[u32; 32], vec: u32) -> u32 {
+    // Branch-free: the bits of `vec` are data, and a mispredicted branch per
+    // bit costs more than 32 masked xors (every spliced payload pays this).
+    mat.iter().enumerate().fold(0, |sum, (i, column)| {
+        sum ^ (column & ((vec >> i) & 1).wrapping_neg())
+    })
 }
 
 fn gf2_matrix_square(square: &mut [u32; 32], mat: &[u32; 32]) {
@@ -180,8 +175,10 @@ pub fn crc32_splice(state: u32, block_crc: u32, block_len: u64) -> u32 {
 /// payload appended through [`FrameCrc::append_payload`] is copied into the
 /// frame but, when large, enters the checksum through its memoized
 /// [`Payload::crc32`] — the same shared buffer is framed once per replica
-/// and once per log, and scanned once in all. The result is exactly the
-/// CRC a flat scan of the finished frame would give.
+/// and once per log, and scanned once in all.
+/// [`FrameCrc::append_payload_by_ref`] leaves such a payload out of the
+/// frame altogether. Either way the result is exactly the CRC a flat scan
+/// of the finished stream would give.
 #[derive(Debug)]
 pub struct FrameCrc {
     /// Raw CRC state over `frame[start..scanned]`.
@@ -200,17 +197,31 @@ impl FrameCrc {
 
     /// Appends `payload`'s bytes to `frame`.
     pub fn append_payload(&mut self, frame: &mut Vec<u8>, payload: &Payload) {
-        if payload.len() >= SPLICE_MIN {
-            self.state = crc32_update(self.state, &frame[self.scanned..]);
-            self.state = crc32_splice(self.state, payload.crc32(), payload.len() as u64);
+        if self.append_payload_by_ref(frame, payload) {
             frame.extend_from_slice(payload);
             self.scanned = frame.len();
-        } else {
-            frame.extend_from_slice(payload);
         }
     }
 
-    /// The CRC-32 of `frame[start..]`.
+    /// Takes `payload` as the frame's next bytes without copying a large
+    /// one: a payload long enough to splice enters only the checksum and
+    /// `true` is returned — its bytes belong after everything `frame` holds
+    /// now, and the caller keeps the view in their place. A shorter one is
+    /// copied into `frame` like any other bytes (`false`). With held
+    /// payloads, `frame` is the rest of the stream and
+    /// [`FrameCrc::finish`] still gives the CRC of the whole.
+    pub fn append_payload_by_ref(&mut self, frame: &mut Vec<u8>, payload: &Payload) -> bool {
+        if payload.len() < SPLICE_MIN {
+            frame.extend_from_slice(payload);
+            return false;
+        }
+        self.state = crc32_update(self.state, &frame[self.scanned..]);
+        self.state = crc32_splice(self.state, payload.crc32(), payload.len() as u64);
+        self.scanned = frame.len();
+        true
+    }
+
+    /// The CRC-32 of `frame[start..]` (with every held payload in its place).
     pub fn finish(self, frame: &[u8]) -> u32 {
         !crc32_update(self.state, &frame[self.scanned..])
     }
@@ -277,5 +288,20 @@ mod tests {
         }
         assert_eq!(crc.finish(&frame), crc32(&frame[8..]));
         assert_eq!(FrameCrc::new(3).finish(&[1, 2, 3]), crc32(&[]));
+
+        // The same stream with the large payloads held out of the frame.
+        let mut runs = vec![0xEE; 8];
+        let mut crc = FrameCrc::new(8);
+        let mut held = Vec::new();
+        for (i, p) in payloads.iter().enumerate() {
+            runs.extend_from_slice(&(i as u32).to_le_bytes());
+            if crc.append_payload_by_ref(&mut runs, p) {
+                held.push(p.len());
+            }
+            runs.push(0x5A);
+        }
+        assert_eq!(held, [SPLICE_MIN, 4096, 9000, 9000]);
+        assert_eq!(runs.len() + held.iter().sum::<usize>(), frame.len());
+        assert_eq!(crc.finish(&runs), crc32(&frame[8..]));
     }
 }

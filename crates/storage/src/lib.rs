@@ -40,7 +40,7 @@ pub use blockdev::{BlockDevice, DevCounters, MemDisk};
 pub use crash::{CrashDisk, CrashPlan};
 pub use error::StoreError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use nvm::NvmRegion;
+pub use nvm::{NvmPiece, NvmRegion};
 pub use objectstore::{
     GroupId, IoCategory, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, StoreStats,
     TraceIo, TraceKind, Transaction,

@@ -117,7 +117,7 @@ fn cos_mount_replays_to_acknowledged_state_via_oplog() {
     let mut store2 = CosObjectStore::mount(dev, opts).unwrap();
     let log2 = GroupLog::recover(&mut nvm, GroupId(0), 0, 1 << 20, 16).unwrap();
     assert_eq!(log2.pending(), 10, "unflushed suffix survives in NVM");
-    for rec in log2.export_records() {
+    for rec in log2.export_records(&mut nvm).unwrap() {
         store2.submit(rec.txn).unwrap();
     }
     // Every block holds the newest acknowledged write for that offset.
@@ -150,7 +150,7 @@ fn cos_recovers_even_when_everything_unflushed_is_lost() {
 
     let mut store2 = CosObjectStore::mount(dev, opts).unwrap();
     let log2 = GroupLog::recover(&mut nvm, GroupId(0), 0, 1 << 20, 16).unwrap();
-    for rec in log2.export_records() {
+    for rec in log2.export_records(&mut nvm).unwrap() {
         store2.submit(rec.txn).unwrap();
     }
     assert_eq!(store2.read(oid(2), 0, 128).unwrap(), vec![5u8; 128]);
