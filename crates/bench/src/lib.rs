@@ -15,9 +15,9 @@
 //! knees are). Absolute IOPS are therefore lower than the paper's numbers
 //! by roughly the scale factor; EXPERIMENTS.md records both.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gz;
 pub mod sweep;
 
 use std::io::Write as _;

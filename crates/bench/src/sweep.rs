@@ -735,9 +735,9 @@ pub fn figure_cells(smoke: bool, only: Option<&str>) -> Vec<Cell> {
     // cells so the delta isolates the scrub pass itself; the interval puts
     // exactly one whole-store deep pass inside the measured window, and the
     // shared recovery throttle is what bounds its read-back against client
-    // traffic (BENCH_pr9.json states the resulting p99 budget). Heartbeats
-    // are armed in both cells (the throttle replenishes on ticks) to keep
-    // the comparison fair.
+    // traffic (EXPERIMENTS.md "Scrub overhead" states the resulting p99
+    // budget). Heartbeats are armed in both cells (the throttle replenishes
+    // on ticks) to keep the comparison fair.
     for scrub_on in [false, true] {
         let key = if scrub_on {
             "scrub/deep-on"

@@ -29,7 +29,7 @@ use crate::placement::{ActingSet, OsdId, OsdMap};
 
 /// splitmix64 step: the deterministic stream fault injection draws rot
 /// targets from. Self-contained (no scheduler RNG) so the same seed rots
-/// the same bits under the wheel and heap schedulers alike.
+/// the same bits at every shard count.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

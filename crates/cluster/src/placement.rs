@@ -13,7 +13,7 @@ use rablock_storage::SmallVec;
 use crate::msg::MonMsg;
 
 /// Identifies one OSD daemon in the cluster.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct OsdId(pub u32);
 
 impl std::fmt::Display for OsdId {
@@ -23,7 +23,7 @@ impl std::fmt::Display for OsdId {
 }
 
 /// Identifies a storage node (failure domain).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// One OSD's entry in the map.

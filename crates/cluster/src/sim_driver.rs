@@ -19,9 +19,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use rablock_sim::{
     chrome_trace_json, AttributionReport, Component, Ctx, Device, DeviceProfile, DeviceStats,
-    FaultEvent, FaultPlan, IoRequest, LatSummary, Link, Priority, Recorder, RotMedia,
-    SchedulerKind, SimDuration, SimRng, SimTime, Simulation, SsdState, ThreadCfg, ThreadId,
-    TimeSeries, TraceId, Track,
+    FaultEvent, FaultPlan, IoRequest, LatSummary, Link, Priority, Recorder, RotMedia, SimDuration,
+    SimRng, SimTime, Simulation, SsdState, ThreadCfg, ThreadId, TimeSeries, TraceId, Track,
 };
 use rablock_storage::{GroupId, ObjectId, StoreError, StoreStats, TraceKind};
 
@@ -131,9 +130,6 @@ pub struct ClusterSimConfig {
     /// Check the no-lost-acked-write / read-your-writes invariants on every
     /// completed operation (fault-injection runs).
     pub check_history: bool,
-    /// Event-queue implementation for the DES engine. Results are
-    /// bit-identical across kinds; only wall-clock speed differs.
-    pub scheduler: SchedulerKind,
     /// Scheduled cluster-map churn: admin weight changes applied at the
     /// monitor at fixed times (grow-under-load, drains, rebalances). Empty
     /// by default. The backfill/recovery throttle knobs themselves live on
@@ -226,7 +222,6 @@ impl ClusterSimConfig {
             heartbeat_period: None,
             heartbeat_grace: SimDuration::millis(30),
             check_history: false,
-            scheduler: SchedulerKind::default(),
             churn: Vec::new(),
             initially_out: Vec::new(),
             flap_threshold: crate::placement::DEFAULT_FLAP_THRESHOLD,
@@ -311,7 +306,7 @@ enum Ev {
     /// (Driver thread) silent media corruption from the fault plan's
     /// timeline: flip bits on one OSD's SSD data blocks or NVM log ring.
     /// `seed` drives a self-contained target stream (never the scheduler
-    /// RNG), so wheel and heap runs rot the exact same bits.
+    /// RNG), so every shard count rots the exact same bits.
     BitRot {
         osd: usize,
         lo: u64,
@@ -548,6 +543,143 @@ impl SimReport {
             self.node_cpu_pct.iter().sum::<f64>() / self.node_cpu_pct.len() as f64
         }
     }
+
+    /// Position of `queue_high_water` in [`SimReport::fingerprint`]. It is
+    /// the one word that measures the *engine* rather than the simulation:
+    /// how many events sit pending at once depends on when cross-domain
+    /// events merge into the destination queue, which is what the lookahead
+    /// window batches — so a comparison across window sizes masks it.
+    pub const FINGERPRINT_QUEUE_HIGH_WATER: usize = 10;
+
+    /// Everything a run is allowed to vary by between two executions of the
+    /// same seed — nothing — flattened to integers so equality is
+    /// byte-for-byte: raw counters, latency percentiles in nanoseconds, CPU
+    /// percentages as IEEE-754 bit patterns, store/device accounting, and
+    /// (when history checking is on) the checker's `(writes_acked,
+    /// reads_checked)` verdict counts.
+    pub fn fingerprint(&self, checker: Option<(u64, u64)>) -> Vec<u64> {
+        // Exhaustive on purpose: a new report field does not compile until
+        // someone decides here whether it is fingerprinted.
+        let SimReport {
+            duration,
+            writes_done,
+            reads_done,
+            write_iops,
+            read_iops,
+            write_lat,
+            read_lat,
+            node_cpu_pct,
+            tag_cpu_pct,
+            class_cpu_pct,
+            context_switches,
+            events_processed,
+            store,
+            device,
+            nvm_bytes,
+            nvm_full_stalls,
+            client_errors,
+            recovery_pushes,
+            backfill_bytes,
+            backfill_queued,
+            backfill_throttled_nanos,
+            flaps_damped,
+            degraded_objects,
+            queue_high_water,
+            scrubs_completed,
+            scrub_errors_found,
+            scrub_errors_repaired,
+            scrub_bytes,
+            scrub_throttled_nanos,
+            read_checksum_errors,
+            // Only exists when tracing is armed; traced must equal untraced.
+            attribution: _,
+        } = self;
+        let StoreStats {
+            user_bytes,
+            wal_bytes,
+            flush_bytes,
+            compaction_bytes,
+            data_bytes,
+            metadata_bytes,
+            superblock_bytes,
+            read_bytes,
+            transactions,
+        } = *store;
+        let DeviceStats {
+            reads,
+            writes,
+            flushes,
+            bytes_read,
+            bytes_written,
+            total_latency_ns,
+        } = *device;
+        let mut v = vec![
+            duration.as_nanos(),
+            *writes_done,
+            *reads_done,
+            write_iops.to_bits(),
+            read_iops.to_bits(),
+            *context_switches,
+            *events_processed,
+            *nvm_bytes,
+            *nvm_full_stalls,
+            *client_errors,
+            *queue_high_water,
+            *recovery_pushes,
+            *backfill_bytes,
+            *degraded_objects,
+            *backfill_queued,
+            *backfill_throttled_nanos,
+            *flaps_damped,
+            *scrubs_completed,
+            *scrub_errors_found,
+            *scrub_errors_repaired,
+            *scrub_bytes,
+            *scrub_throttled_nanos,
+            *read_checksum_errors,
+        ];
+        debug_assert_eq!(v[Self::FINGERPRINT_QUEUE_HIGH_WATER], *queue_high_water);
+        let lat = write_lat.fields().into_iter().chain(read_lat.fields());
+        v.extend(lat.map(|d| d.as_nanos()));
+        let cpu = node_cpu_pct
+            .iter()
+            .chain(tag_cpu_pct.values())
+            .chain(class_cpu_pct.values());
+        v.extend(cpu.map(|p| p.to_bits()));
+        v.extend([
+            user_bytes,
+            wal_bytes,
+            flush_bytes,
+            compaction_bytes,
+            data_bytes,
+            metadata_bytes,
+            superblock_bytes,
+            read_bytes,
+            transactions,
+            reads,
+            writes,
+            flushes,
+            bytes_read,
+            bytes_written,
+            total_latency_ns,
+        ]);
+        v.extend(
+            checker
+                .into_iter()
+                .flat_map(|(acked, checked)| [acked, checked]),
+        );
+        v
+    }
+}
+
+/// FNV-1a over fingerprint words: one hash line to print and compare.
+pub fn fingerprint_hash(words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
 }
 
 struct World {
@@ -2207,12 +2339,11 @@ impl ClusterSim {
         assert!(!workloads.is_empty(), "at least one connection required");
         // Steady-state event population: every in-flight client op keeps a
         // handful of events live across its replica fan-out, plus one
-        // CoreFree per busy core. Sizing the wheel/heap up front avoids
-        // mid-run regrowth on paper-scale scenarios.
+        // CoreFree per busy core. Sizing the wheel up front avoids mid-run
+        // regrowth on paper-scale scenarios.
         let queue_hint = workloads.len() * cfg.queue_depth * cfg.replication
             + cfg.nodes as usize * cfg.cores_per_node;
-        let mut sim: Simulation<Ev> =
-            Simulation::with_scheduler(cfg.seed, cfg.scheduler, queue_hint);
+        let mut sim: Simulation<Ev> = Simulation::with_queue_hint(cfg.seed, queue_hint);
         sim.set_context_switch_cost(cfg.ctx_switch);
         // Partition: domain 0 = clients + monitor + driver control, domain
         // 1 + n = storage node n. Must happen before any entity is added.
@@ -2611,7 +2742,7 @@ impl ClusterSim {
                 } => {
                     // Rot targets derive from their own seed stream, mixed
                     // from run seed + strike coordinates — never from the
-                    // scheduler RNG — so wheel and heap runs rot the same
+                    // scheduler RNG — so every shard count rots the same
                     // bits no matter how event order interleaves.
                     let mut seed = cfg
                         .seed
@@ -3264,10 +3395,6 @@ pub(crate) mod tests {
     use rablock_cos::CosOptions;
     use rablock_lsm::LsmOptions;
 
-    pub(crate) fn run_mode_pub(mode: PipelineMode, conns: usize) -> SimReport {
-        run_mode(mode, conns)
-    }
-
     pub(crate) fn small_cfg_pub(mode: PipelineMode) -> ClusterSimConfig {
         small_cfg(mode)
     }
@@ -3456,7 +3583,6 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod debug_tests {
-    use super::tests::*;
     use super::*;
 
     /// Unloaded (queue-depth-1, single-connection) write latency must sit in
@@ -3510,35 +3636,5 @@ mod debug_tests {
             measured[1],
             measured[0]
         );
-    }
-
-    #[test]
-    #[ignore]
-    fn dump_scaling() {
-        for conns in [3, 6, 12, 24] {
-            let r = run_mode_pub(PipelineMode::Dop, conns);
-            println!(
-                "== conns={conns}: iops={:.0} lat={} prio_cpu={:?}",
-                r.write_iops,
-                r.write_lat.mean,
-                r.class_cpu_pct.get("priority")
-            );
-        }
-    }
-
-    #[test]
-    #[ignore]
-    fn dump_mode_reports() {
-        for mode in [
-            PipelineMode::Original,
-            PipelineMode::Cos,
-            PipelineMode::Ptc,
-            PipelineMode::Dop,
-        ] {
-            let r = run_mode_pub(mode, 6);
-            println!("== {mode:?}: iops={:.0} lat_mean={} p95={} cpu/node={:?} tags={:?} classes={:?} ctx={} dev_writes={} dev_lat={} stalls={}",
-                r.write_iops, r.write_lat.mean, r.write_lat.p95, r.node_cpu_pct, r.tag_cpu_pct, r.class_cpu_pct, r.context_switches,
-                r.device.writes, r.device.mean_latency(), r.nvm_full_stalls);
-        }
     }
 }

@@ -47,6 +47,7 @@
 //! For the deterministic simulation used to regenerate the paper's figures,
 //! see [`sim`] and the `rablock-bench` crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;
@@ -69,11 +70,12 @@ pub mod sim {
     pub use rablock_cluster::invariants::HistoryChecker;
     pub use rablock_cluster::retry::RetryPolicy;
     pub use rablock_cluster::sim_driver::{
-        ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, SimReport, WorkItem, MON_NODE,
+        fingerprint_hash, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, SimReport, WorkItem,
+        MON_NODE,
     };
     pub use rablock_sim::{
         chrome_trace_json, AttributionReport, BitRotSchedule, Component, CrashSchedule, FaultEvent,
-        FaultPlan, GrayWindow, LatSummary, LinkFault, Partition, RotMedia, SchedulerKind,
-        SimDuration, SimRng, SimTime, SlowOp, SsdState, TimeSeries, TraceId, Track,
+        FaultPlan, GrayWindow, LatSummary, LinkFault, Partition, RotMedia, SimDuration, SimRng,
+        SimTime, SlowOp, SsdState, TimeSeries, TraceId, Track,
     };
 }

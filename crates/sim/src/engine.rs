@@ -36,9 +36,9 @@
 //! `[gmin, gmin + L)` without hearing from its peers, because any event a
 //! peer could still send it lands at `gmin + L` or later. Cross-domain sends
 //! are buffered in per-destination outboxes during a round, stamped with the
-//! sender's `(time, domain, seq)` key, and merged between rounds; since both
-//! queue implementations order strictly by the `(time, key)` *value*, merge
-//! timing and worker interleaving cannot affect pop order.
+//! sender's `(time, domain, seq)` key, and merged between rounds; since the
+//! event queue orders strictly by the `(time, key)` *value*, merge timing and
+//! worker interleaving cannot affect pop order.
 //!
 //! Rounds are independent of how domains are mapped onto worker threads
 //! ([`Simulation::set_workers`]), which is what makes results byte-identical
@@ -53,7 +53,7 @@ use std::collections::VecDeque;
 use crate::device::{Device, IoRequest};
 use crate::metrics::{Metrics, StageTag};
 use crate::rng::SimRng;
-use crate::sched::{EventQueue, SchedulerKind};
+use crate::sched::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Index of a simulated thread.
@@ -286,7 +286,6 @@ impl<M> DomainCore<M> {
     fn new(
         id: u32,
         root_seed: u64,
-        kind: SchedulerKind,
         queue_hint: usize,
         ctx_switch_cost: SimDuration,
         n_domains: usize,
@@ -295,7 +294,7 @@ impl<M> DomainCore<M> {
             id,
             now: SimTime::ZERO,
             seq: 0,
-            events: EventQueue::new(kind, queue_hint),
+            events: EventQueue::new(queue_hint),
             threads: Vec::new(),
             cores: Vec::new(),
             devices: Vec::new(),
@@ -335,7 +334,7 @@ impl<M> DomainCore<M> {
             .push(time, key, EventKind::Deliver { thread, msg });
     }
 
-    fn peek_nanos(&mut self) -> Option<u64> {
+    fn peek_nanos(&self) -> Option<u64> {
         self.events.peek_time().map(|t| t.nanos())
     }
 
@@ -681,7 +680,6 @@ pub struct Simulation<M> {
     now: SimTime,
     stopped: bool,
     seed: u64,
-    kind: SchedulerKind,
     queue_hint: usize,
     ctx_switch_cost: SimDuration,
     lookahead: SimDuration,
@@ -695,34 +693,25 @@ impl<M> Simulation<M> {
     /// direct + indirect (cache pollution) cost on the paper's class of Xeon
     /// servers; override with [`Simulation::set_context_switch_cost`].
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, SchedulerKind::default(), 4096)
+        Self::with_queue_hint(seed, 4096)
     }
 
-    /// Creates an empty simulation with an explicit event-queue
-    /// implementation and sizing hint.
+    /// Creates an empty simulation with an explicit event-queue sizing hint.
     ///
     /// `queue_hint` is the expected steady-state event population (e.g.
-    /// connections × replicas × pipeline depth); it sizes the timing wheel /
-    /// heap up front so paper-scale scenarios don't regrow the queue mid-run.
+    /// connections × replicas × pipeline depth); it sizes the timing wheel
+    /// up front so paper-scale scenarios don't regrow the queue mid-run.
     /// It affects performance only, never results.
-    pub fn with_scheduler(seed: u64, kind: SchedulerKind, queue_hint: usize) -> Self {
+    pub fn with_queue_hint(seed: u64, queue_hint: usize) -> Self {
         let ctx_switch_cost = SimDuration::nanos(1_200);
         Simulation {
-            domains: vec![DomainCore::new(
-                0,
-                seed,
-                kind,
-                queue_hint,
-                ctx_switch_cost,
-                1,
-            )],
+            domains: vec![DomainCore::new(0, seed, queue_hint, ctx_switch_cost, 1)],
             thread_domain: Vec::new(),
             core_domain: Vec::new(),
             dev_domain: Vec::new(),
             now: SimTime::ZERO,
             stopped: false,
             seed,
-            kind,
             queue_hint,
             ctx_switch_cost,
             lookahead: SimDuration::ZERO,
@@ -752,7 +741,6 @@ impl<M> Simulation<M> {
                 DomainCore::new(
                     d as u32,
                     self.seed,
-                    self.kind,
                     self.queue_hint,
                     self.ctx_switch_cost,
                     n,
@@ -797,13 +785,8 @@ impl<M> Simulation<M> {
         self.workers
     }
 
-    /// Which event-queue implementation this simulation runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.kind
-    }
-
     /// Sum over domains of the largest pending-event population reached so
-    /// far (sizing signal for [`Simulation::with_scheduler`]'s `queue_hint`).
+    /// far (sizing signal for [`Simulation::with_queue_hint`]).
     pub fn queue_high_water(&self) -> u64 {
         self.domains
             .iter()
@@ -1082,7 +1065,7 @@ impl<M> Simulation<M> {
             if self.domains.iter().any(|d| d.stopped) {
                 break;
             }
-            let gmin = self.domains.iter_mut().filter_map(|d| d.peek_nanos()).min();
+            let gmin = self.domains.iter().filter_map(|d| d.peek_nanos()).min();
             let Some(gmin) = gmin else { break };
             if gmin > deadline_n {
                 break;
@@ -1138,7 +1121,7 @@ impl<M> Simulation<M> {
 
         let mins: Vec<AtomicU64> = self
             .domains
-            .iter_mut()
+            .iter()
             .map(|d| AtomicU64::new(d.peek_nanos().unwrap_or(u64::MAX)))
             .collect();
         let stop_flag = AtomicBool::new(self.domains.iter().any(|d| d.stopped));

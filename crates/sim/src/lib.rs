@@ -67,7 +67,6 @@ pub use faults::{
 pub use link::Link;
 pub use metrics::{Metrics, StageTag};
 pub use rng::SimRng;
-pub use sched::SchedulerKind;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     chrome_trace_json, AttributionReport, Component, LatSummary, Recorder, SlowOp, Span,

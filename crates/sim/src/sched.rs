@@ -1,21 +1,17 @@
-//! Event queues for the engine: a calendar queue (hierarchical timing wheel)
-//! and the original binary-heap oracle.
+//! The engine's event queue: a calendar queue (hierarchical timing wheel).
 //!
 //! The simulation pops every event in strict `(time, seq)` order; the queue
-//! implementation is the hottest data structure in the workspace. The
-//! [`BinaryHeap`] pays O(log n) per push/pop with poor locality. The calendar
-//! queue buckets events by time into a power-of-two wheel of slots (1024 ns
-//! per slot): push is an append into the target slot's vector, pop drains the
-//! current slot after one deferred sort, so both are amortized O(1). Events
-//! beyond the wheel's window (far-future timers: heartbeats, retry backoff)
-//! land in an *overflow tier* — a small binary heap — and cascade into the
-//! wheel when the window rotates past them.
+//! is the hottest data structure in the workspace. A binary heap pays
+//! O(log n) per push/pop with poor locality. The calendar queue buckets
+//! events by time into a power-of-two wheel of slots (1024 ns per slot): push
+//! is an append into the target slot's vector, pop drains the current slot
+//! after one deferred sort, so both are amortized O(1). Events beyond the
+//! wheel's window (far-future timers: heartbeats, retry backoff) land in an
+//! *overflow tier* — a small binary heap — and cascade into the wheel when
+//! the window rotates past them.
 //!
-//! Both implementations are always compiled; [`SchedulerKind::default`] picks
-//! the wheel unless the crate is built with the `heap-sched` feature, which
-//! restores the heap as an oracle for differential testing. Tie-break is the
-//! same `(time, seq)` order in both, so event order — and therefore every
-//! simulation fingerprint — is bit-identical between them.
+//! The plain `BinaryHeap` the wheel replaced survives only as the reference
+//! model of the differential proptest at the bottom of this file.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -29,32 +25,8 @@ const SLOT_SHIFT: u32 = 10;
 const MIN_SLOTS: usize = 1024;
 const MAX_SLOTS: usize = 16_384;
 
-/// Which event-queue implementation a [`Simulation`](crate::Simulation) uses.
-///
-/// Both are always compiled; this selects at construction time. The default
-/// is [`SchedulerKind::Wheel`] unless the `heap-sched` feature is enabled,
-/// which flips the default to the [`SchedulerKind::Heap`] oracle.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// Calendar queue: timing wheel with an overflow tier. Amortized O(1).
-    Wheel,
-    /// The original `BinaryHeap` implementation. O(log n), kept as an oracle.
-    Heap,
-}
-
-impl Default for SchedulerKind {
-    #[cfg(not(feature = "heap-sched"))]
-    fn default() -> Self {
-        SchedulerKind::Wheel
-    }
-    #[cfg(feature = "heap-sched")]
-    fn default() -> Self {
-        SchedulerKind::Heap
-    }
-}
-
-/// One queued event. Heap ordering is reversed on `(time, seq)` so the
-/// `BinaryHeap` max-heap yields the earliest event first.
+/// One event of the overflow tier. Heap ordering is reversed on
+/// `(time, seq)` so the `BinaryHeap` max-heap yields the earliest event first.
 struct HeapEntry<T> {
     time: SimTime,
     seq: u64,
@@ -150,9 +122,7 @@ impl<T> Wheel<T> {
         if self.in_wheel == 0 {
             // Window exhausted: jump straight to the earliest overflow event
             // and cascade everything that now fits into the wheel.
-            self.overflow.peek()?;
-            let first = self.overflow.peek().expect("peeked above");
-            let start = first.time.nanos() >> SLOT_SHIFT;
+            let start = self.overflow.peek()?.time.nanos() >> SLOT_SHIFT;
             self.cursor = start;
             self.window_end = start + self.mask + 1;
             self.cur_sorted = false;
@@ -215,34 +185,25 @@ impl<T> Wheel<T> {
     }
 }
 
-enum Imp<T> {
-    Wheel(Wheel<T>),
-    Heap(BinaryHeap<HeapEntry<T>>),
-}
-
 /// The engine's pending-event queue. Pops in strict ascending `(time, seq)`
-/// order regardless of the backing implementation.
+/// order.
 pub(crate) struct EventQueue<T> {
-    imp: Imp<T>,
+    wheel: Wheel<T>,
     high_water: usize,
 }
 
 impl<T> EventQueue<T> {
-    /// `hint` sizes the structure for the expected steady-state population
-    /// (wheel slot count / heap capacity); it is a performance knob only.
-    pub fn new(kind: SchedulerKind, hint: usize) -> Self {
-        let imp = match kind {
-            SchedulerKind::Wheel => Imp::Wheel(Wheel::new(hint)),
-            SchedulerKind::Heap => Imp::Heap(BinaryHeap::with_capacity(hint.max(16))),
-        };
-        EventQueue { imp, high_water: 0 }
+    /// `hint` sizes the wheel for the expected steady-state population; it
+    /// affects performance only.
+    pub fn new(hint: usize) -> Self {
+        EventQueue {
+            wheel: Wheel::new(hint),
+            high_water: 0,
+        }
     }
 
     pub fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.len(),
-            Imp::Heap(h) => h.len(),
-        }
+        self.wheel.len()
     }
 
     /// Largest population the queue ever reached (cold-start sizing signal).
@@ -251,30 +212,17 @@ impl<T> EventQueue<T> {
     }
 
     pub fn push(&mut self, time: SimTime, seq: u64, payload: T) {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.push(time, seq, payload),
-            Imp::Heap(h) => h.push(HeapEntry { time, seq, payload }),
-        }
-        let len = self.len();
-        if len > self.high_water {
-            self.high_water = len;
-        }
+        self.wheel.push(time, seq, payload);
+        self.high_water = self.high_water.max(self.len());
     }
 
-    /// Time of the earliest pending event. Mutates (the wheel may rotate and
-    /// sort the head slot) but never changes the queue's contents.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.peek_time(),
-            Imp::Heap(h) => h.peek().map(|e| e.time),
-        }
+    /// Time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.wheel.peek_time()
     }
 
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.pop(),
-            Imp::Heap(h) => h.pop().map(|e| (e.time, e.seq, e.payload)),
-        }
+        self.wheel.pop()
     }
 }
 
@@ -294,16 +242,14 @@ mod tests {
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut q: EventQueue<u32> = EventQueue::new(kind, 64);
-            q.push(SimTime::from_nanos(500), 0, 0);
-            q.push(SimTime::from_nanos(100), 1, 1);
-            q.push(SimTime::from_nanos(100), 2, 2);
-            q.push(SimTime::from_nanos(2_000_000), 3, 3); // beyond a 1k wheel
-            q.push(SimTime::ZERO, 4, 4);
-            let order: Vec<u32> = drain_order(&mut q).iter().map(|e| e.2).collect();
-            assert_eq!(order, vec![4, 1, 2, 0, 3], "{kind:?}");
-        }
+        let mut q: EventQueue<u32> = EventQueue::new(64);
+        q.push(SimTime::from_nanos(500), 0, 0);
+        q.push(SimTime::from_nanos(100), 1, 1);
+        q.push(SimTime::from_nanos(100), 2, 2);
+        q.push(SimTime::from_nanos(2_000_000), 3, 3); // beyond a 1k wheel
+        q.push(SimTime::ZERO, 4, 4);
+        let order: Vec<u32> = drain_order(&mut q).iter().map(|e| e.2).collect();
+        assert_eq!(order, vec![4, 1, 2, 0, 3]);
     }
 
     #[test]
@@ -311,7 +257,7 @@ mod tests {
         // Heartbeat/backoff-style horizon: a 1024-slot wheel spans ~1 ms, so
         // timers at +10 ms / +50 ms / +1 s must take the overflow tier and
         // cascade back in exact order as the window rotates past them.
-        let mut q: EventQueue<u32> = EventQueue::new(SchedulerKind::Wheel, MIN_SLOTS);
+        let mut q: EventQueue<u32> = EventQueue::new(MIN_SLOTS);
         let horizon_ns = (MIN_SLOTS as u64) << SLOT_SHIFT;
         let mut expect = Vec::new();
         for (i, t) in [
@@ -336,7 +282,7 @@ mod tests {
 
     #[test]
     fn push_into_slot_being_drained_keeps_order() {
-        let mut q: EventQueue<u32> = EventQueue::new(SchedulerKind::Wheel, MIN_SLOTS);
+        let mut q: EventQueue<u32> = EventQueue::new(MIN_SLOTS);
         // Three events in one slot; pop one (sorting the slot), then push two
         // more into the same slot — one earlier, one later than the remainder.
         for (seq, (t, p)) in [(100u64, 0u32), (900, 1), (500, 2)].into_iter().enumerate() {
@@ -351,20 +297,33 @@ mod tests {
 
     proptest! {
         /// Differential oracle: random pushes (with ties, far-future bursts,
-        /// and interleaved pops) drain in the exact same order from the wheel
-        /// and the heap.
+        /// and interleaved pops and peeks) drain in the exact same order from
+        /// the wheel and a plain `BinaryHeap`. The peek arm is the sharded engine's round:
+        /// every domain is peeked, and events delivered from other shards then
+        /// land anywhere between the last popped time and the peeked head, so
+        /// a peek that committed the cursor would strand them.
         #[test]
         fn wheel_matches_heap_on_random_streams(seed in 0u64..1_000_000) {
             let mut rng = SimRng::seed(seed);
-            let mut wheel: EventQueue<u32> = EventQueue::new(SchedulerKind::Wheel, 256);
-            let mut heap: EventQueue<u32> = EventQueue::new(SchedulerKind::Heap, 256);
+            let mut wheel: EventQueue<u32> = EventQueue::new(256);
+            let mut heap: BinaryHeap<HeapEntry<u32>> = BinaryHeap::new();
             let mut seq = 0u64;
             let mut now = 0u64;
             let mut popped = Vec::new();
+            let mut push = |wheel: &mut EventQueue<u32>, heap: &mut BinaryHeap<_>, t: u64, i| {
+                let time = SimTime::from_nanos(t);
+                wheel.push(time, seq, i);
+                heap.push(HeapEntry { time, seq, payload: i });
+                seq += 1;
+            };
+            // Drain-heavy seeds empty the wheel tier mid-stream, so peeks and
+            // pops also meet the overflow head and the window rollover.
+            let pops = 4 + rng.below(8);
             for i in 0..600u32 {
-                if rng.chance(0.35) {
+                let op = rng.below(20);
+                if op < pops {
                     let a = wheel.pop();
-                    let b = heap.pop();
+                    let b = heap.pop().map(|e| (e.time, e.seq, e.payload));
                     match (a, b) {
                         (Some(x), Some(y)) => {
                             assert_eq!((x.0, x.1, x.2), (y.0, y.1, y.2));
@@ -378,6 +337,19 @@ mod tests {
                             b.map(|e| e.1)
                         ),
                     }
+                } else if op < pops + 4 {
+                    let head = wheel.peek_time();
+                    assert_eq!(head, heap.peek().map(|e| e.time));
+                    let Some(head) = head.map(|t| t.nanos()) else { continue };
+                    for _ in 0..=rng.below(3) {
+                        let t = match rng.below(5) {
+                            0 => now,                              // tie with the last pop
+                            1 => head,                             // tie with the peeked head
+                            2 => head + rng.below(50_000_000),     // far-future burst
+                            _ => now + rng.below(head - now + 1),  // inside the gap
+                        };
+                        push(&mut wheel, &mut heap, t, i);
+                    }
                 } else {
                     // Mix near-term, tie-heavy, and far-future (overflow) times.
                     let t = now + match rng.below(10) {
@@ -386,13 +358,13 @@ mod tests {
                         8 => rng.below(50_000_000),      // past the window
                         _ => 0,                          // exact tie with `now`
                     };
-                    wheel.push(SimTime::from_nanos(t), seq, i);
-                    heap.push(SimTime::from_nanos(t), seq, i);
-                    seq += 1;
+                    push(&mut wheel, &mut heap, t, i);
                 }
             }
             let rest_w = drain_order(&mut wheel);
-            let rest_h = drain_order(&mut heap);
+            let rest_h: Vec<_> = std::iter::from_fn(|| heap.pop())
+                .map(|e| (e.time.nanos(), e.seq, e.payload))
+                .collect();
             assert_eq!(rest_w, rest_h);
             // And the merged pop stream really is sorted by (time, seq).
             popped.extend(rest_w.iter().map(|e| (e.0, e.1)));
@@ -404,7 +376,7 @@ mod tests {
 
     #[test]
     fn high_water_tracks_peak_population() {
-        let mut q: EventQueue<u32> = EventQueue::new(SchedulerKind::Wheel, 64);
+        let mut q: EventQueue<u32> = EventQueue::new(64);
         for i in 0..10u64 {
             q.push(SimTime::from_nanos(i * 100), i, i as u32);
         }

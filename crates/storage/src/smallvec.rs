@@ -8,41 +8,33 @@
 //! (wide fan-out experiments) still work.
 
 use std::fmt;
-use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 
 /// A vector holding up to `N` elements inline, spilling to the heap beyond.
+///
+/// Every user stores plain ids (`OsdId`, `NodeId`, `u64`), so the inline
+/// buffer is an ordinary `[T; N]` padded with `T::default()` — no
+/// uninitialized memory and nothing to drop.
+#[derive(Clone)]
 pub struct SmallVec<T, const N: usize> {
-    /// Number of initialized inline elements; ignored once spilled.
+    /// Number of live inline elements; ignored once spilled.
     len: usize,
     data: Data<T, N>,
 }
 
+#[derive(Clone)]
 enum Data<T, const N: usize> {
-    Inline([MaybeUninit<T>; N]),
+    Inline([T; N]),
     Heap(Vec<T>),
 }
 
-impl<T, const N: usize> SmallVec<T, N> {
+impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
     /// An empty vector (no allocation).
     pub fn new() -> Self {
         SmallVec {
             len: 0,
-            data: Data::Inline([const { MaybeUninit::uninit() }; N]),
+            data: Data::Inline([T::default(); N]),
         }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        match &self.data {
-            Data::Inline(_) => self.len,
-            Data::Heap(v) => v.len(),
-        }
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Appends an element, spilling to the heap at the `N+1`-th push.
@@ -50,18 +42,11 @@ impl<T, const N: usize> SmallVec<T, N> {
         match &mut self.data {
             Data::Inline(buf) => {
                 if self.len < N {
-                    buf[self.len].write(value);
+                    buf[self.len] = value;
                     self.len += 1;
                 } else {
                     let mut v = Vec::with_capacity(N * 2);
-                    // Move the inline elements out; zero the length first so
-                    // Drop never sees half-moved storage.
-                    let len = std::mem::replace(&mut self.len, 0);
-                    for slot in buf.iter_mut().take(len) {
-                        // SAFETY: the first `len` slots were initialized by
-                        // `push` and are read exactly once here.
-                        v.push(unsafe { slot.assume_init_read() });
-                    }
+                    v.extend_from_slice(buf);
                     v.push(value);
                     self.data = Data::Heap(v);
                 }
@@ -70,61 +55,11 @@ impl<T, const N: usize> SmallVec<T, N> {
         }
     }
 
-    /// Removes all elements, keeping heap capacity if spilled.
-    pub fn clear(&mut self) {
-        match &mut self.data {
-            Data::Inline(buf) => {
-                let len = std::mem::replace(&mut self.len, 0);
-                for slot in buf.iter_mut().take(len) {
-                    // SAFETY: the first `len` slots were initialized.
-                    unsafe { slot.assume_init_drop() };
-                }
-            }
-            Data::Heap(v) => v.clear(),
-        }
-    }
-
-    /// The elements as a slice.
-    pub fn as_slice(&self) -> &[T] {
-        match &self.data {
-            // SAFETY: the first `len` inline slots are initialized.
-            Data::Inline(buf) => unsafe {
-                std::slice::from_raw_parts(buf.as_ptr().cast::<T>(), self.len)
-            },
-            Data::Heap(v) => v.as_slice(),
-        }
-    }
-
-    /// The elements as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        match &mut self.data {
-            // SAFETY: the first `len` inline slots are initialized.
-            Data::Inline(buf) => unsafe {
-                std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<T>(), self.len)
-            },
-            Data::Heap(v) => v.as_mut_slice(),
-        }
-    }
-
-    /// Iterates the elements.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.as_slice().iter()
-    }
-
     /// Converts into a plain `Vec`, allocating only if still inline.
-    pub fn into_vec(mut self) -> Vec<T> {
-        match &mut self.data {
-            Data::Heap(v) => std::mem::take(v),
-            Data::Inline(buf) => {
-                let len = std::mem::replace(&mut self.len, 0);
-                let mut v = Vec::with_capacity(len);
-                for slot in buf.iter_mut().take(len) {
-                    // SAFETY: the first `len` slots were initialized; the
-                    // length was zeroed above so Drop won't re-read them.
-                    v.push(unsafe { slot.assume_init_read() });
-                }
-                v
-            }
+    pub fn into_vec(self) -> Vec<T> {
+        match self.data {
+            Data::Inline(buf) => buf[..self.len].to_vec(),
+            Data::Heap(v) => v,
         }
     }
 
@@ -133,23 +68,12 @@ impl<T, const N: usize> SmallVec<T, N> {
         match &mut self.data {
             Data::Heap(v) => v.retain(|t| f(t)),
             Data::Inline(buf) => {
-                // Zero the length for the duration: if `f` panics the
-                // worst case is leaked elements, never a double drop.
-                let len = std::mem::replace(&mut self.len, 0);
                 let mut kept = 0;
-                for i in 0..len {
-                    // SAFETY: the first `len` slots were initialized; each
-                    // is read (moved or dropped) exactly once below.
-                    unsafe {
-                        if f(buf[i].assume_init_ref()) {
-                            if kept != i {
-                                let v = buf[i].assume_init_read();
-                                buf[kept].write(v);
-                            }
-                            kept += 1;
-                        } else {
-                            buf[i].assume_init_drop();
-                        }
+                for i in 0..self.len {
+                    let item = buf[i];
+                    if f(&item) {
+                        buf[kept] = item;
+                        kept += 1;
                     }
                 }
                 self.len = kept;
@@ -158,27 +82,50 @@ impl<T, const N: usize> SmallVec<T, N> {
     }
 }
 
-impl<T, const N: usize> Drop for SmallVec<T, N> {
-    fn drop(&mut self) {
-        if let Data::Inline(_) = self.data {
-            self.clear();
+impl<T, const N: usize> SmallVec<T, N> {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Removes all elements, keeping heap capacity if spilled.
+    pub fn clear(&mut self) {
+        match &mut self.data {
+            Data::Inline(_) => self.len = 0,
+            Data::Heap(v) => v.clear(),
         }
+    }
+
+    /// The elements as a slice.
+    pub fn as_slice(&self) -> &[T] {
+        match &self.data {
+            Data::Inline(buf) => &buf[..self.len],
+            Data::Heap(v) => v,
+        }
+    }
+
+    /// The elements as a mutable slice.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        match &mut self.data {
+            Data::Inline(buf) => &mut buf[..self.len],
+            Data::Heap(v) => v,
+        }
+    }
+
+    /// Iterates the elements.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.as_slice().iter()
     }
 }
 
-impl<T, const N: usize> Default for SmallVec<T, N> {
+impl<T: Copy + Default, const N: usize> Default for SmallVec<T, N> {
     fn default() -> Self {
         SmallVec::new()
-    }
-}
-
-impl<T: Clone, const N: usize> Clone for SmallVec<T, N> {
-    fn clone(&self) -> Self {
-        let mut out = SmallVec::new();
-        for item in self.iter() {
-            out.push(item.clone());
-        }
-        out
     }
 }
 
@@ -195,7 +142,7 @@ impl<T, const N: usize> DerefMut for SmallVec<T, N> {
     }
 }
 
-impl<T, const N: usize> Extend<T> for SmallVec<T, N> {
+impl<T: Copy + Default, const N: usize> Extend<T> for SmallVec<T, N> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for item in iter {
             self.push(item);
@@ -203,7 +150,7 @@ impl<T, const N: usize> Extend<T> for SmallVec<T, N> {
     }
 }
 
-impl<T, const N: usize> FromIterator<T> for SmallVec<T, N> {
+impl<T: Copy + Default, const N: usize> FromIterator<T> for SmallVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut out = SmallVec::new();
         out.extend(iter);
@@ -219,7 +166,7 @@ impl<'a, T, const N: usize> IntoIterator for &'a SmallVec<T, N> {
     }
 }
 
-impl<T, const N: usize> IntoIterator for SmallVec<T, N> {
+impl<T: Copy + Default, const N: usize> IntoIterator for SmallVec<T, N> {
     type Item = T;
     type IntoIter = std::vec::IntoIter<T>;
     /// By-value iteration goes through a `Vec` (allocates when inline);
@@ -246,6 +193,7 @@ impl<T: Eq, const N: usize> Eq for SmallVec<T, N> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn inline_until_capacity_then_spills() {
@@ -260,28 +208,15 @@ mod tests {
     }
 
     #[test]
-    fn drop_runs_for_inline_elements() {
-        use std::rc::Rc;
-        let tracker = Rc::new(());
-        {
-            let mut v: SmallVec<Rc<()>, 4> = SmallVec::new();
-            v.push(Rc::clone(&tracker));
-            v.push(Rc::clone(&tracker));
-            assert_eq!(Rc::strong_count(&tracker), 3);
-        }
-        assert_eq!(Rc::strong_count(&tracker), 1);
-    }
-
-    #[test]
     fn clear_keeps_reuse_working() {
-        let mut v: SmallVec<String, 2> = SmallVec::new();
-        v.push("a".into());
-        v.push("b".into());
-        v.push("c".into());
+        let mut v: SmallVec<u32, 2> = SmallVec::new();
+        v.push(1);
+        v.push(2);
+        v.push(3);
         v.clear();
         assert!(v.is_empty());
-        v.push("d".into());
-        assert_eq!(v.as_slice(), &["d".to_string()]);
+        v.push(4);
+        assert_eq!(v.as_slice(), &[4]);
     }
 
     #[test]
@@ -290,5 +225,59 @@ mod tests {
         let w = v.clone();
         assert_eq!(v, w);
         assert_eq!(w.len(), 3);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Push(u32),
+        /// Keep the elements not divisible by this.
+        Retain(u32),
+        Clear,
+        /// Carry on with a clone, checking the original stays as it was.
+        Clone,
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = prop_oneof![
+            6 => any::<u32>().prop_map(Step::Push),
+            2 => (2..5u32).prop_map(Step::Retain),
+            1 => Just(Step::Clear),
+            1 => Just(Step::Clone)
+        ];
+        proptest::collection::vec(step, 0..40)
+    }
+
+    proptest! {
+        /// `SmallVec<_, 4>` beside a `Vec` through pushes past the spill
+        /// boundary, retains that shrink it back under, clears and clones.
+        #[test]
+        fn matches_vec_across_the_spill_boundary(steps in steps()) {
+            let mut small: SmallVec<u32, 4> = SmallVec::new();
+            let mut model: Vec<u32> = Vec::new();
+            for step in steps {
+                match step {
+                    Step::Push(x) => {
+                        small.push(x);
+                        model.push(x);
+                    }
+                    Step::Retain(d) => {
+                        small.retain(|x| x % d != 0);
+                        model.retain(|x| x % d != 0);
+                    }
+                    Step::Clear => {
+                        small.clear();
+                        model.clear();
+                    }
+                    Step::Clone => {
+                        let copy = small.clone();
+                        let original = std::mem::replace(&mut small, copy);
+                        prop_assert_eq!(original.into_vec(), model.clone());
+                    }
+                }
+                prop_assert_eq!(small.as_slice(), model.as_slice());
+                prop_assert_eq!(small.len(), model.len());
+            }
+            prop_assert_eq!(small.into_vec(), model);
+        }
     }
 }

@@ -5,6 +5,7 @@
 //! ([`YcsbWorkload`]) with Zipfian/latest key skew, a constant-memory
 //! latency histogram ([`LogHistogram`]), and plain-text/CSV report tables.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fio;

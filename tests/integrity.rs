@@ -7,12 +7,12 @@
 //! (the history checker panics otherwise), every PG returns to Active, all
 //! surviving replicas end byte-identical with consistent checksum metadata
 //! — and the entire history, including which bits rotted, replays
-//! byte-identically from the seed on both schedulers.
+//! byte-identically from the seed.
 
 use proptest::prelude::*;
 use rablock::sim::{
     BitRotSchedule, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan,
-    RetryPolicy, RotMedia, SchedulerKind, SimDuration, SimRng, SimTime, WorkItem,
+    RetryPolicy, RotMedia, SimDuration, SimRng, SimTime, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
 use rablock_cluster::osd::OsdConfig;
@@ -236,27 +236,6 @@ fn run_with(
     let stuck = sim.stuck_pgs();
     let divergence = sim.replica_divergence();
     let digests = sim.replica_digest_inconsistency();
-    let mut fingerprint = vec![
-        report.duration.as_nanos(),
-        report.writes_done,
-        report.reads_done,
-        report.client_errors,
-        report.context_switches,
-        report.events_processed,
-        report.recovery_pushes,
-        report.backfill_bytes,
-        report.scrubs_completed,
-        report.scrub_errors_found,
-        report.scrub_errors_repaired,
-        report.scrub_bytes,
-        report.scrub_throttled_nanos,
-        report.read_checksum_errors,
-        acked,
-        checked,
-    ];
-    let wf = report.write_lat.fields();
-    let rf = report.read_lat.fields();
-    fingerprint.extend(wf.iter().chain(rf.iter()).map(|d| d.as_nanos()));
     Outcome {
         writes: report.writes_done,
         reads: report.reads_done,
@@ -271,7 +250,7 @@ fn run_with(
         stuck,
         divergence,
         digests,
-        fingerprint,
+        fingerprint: report.fingerprint(Some((acked, checked))),
     }
 }
 
@@ -398,24 +377,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(3)))]
 
-    /// The whole rot history is seed-reproducible, and reproducible across
-    /// the wheel and heap schedulers: four runs, one fingerprint.
+    /// The whole rot history — which bits rotted, what scrub found, every
+    /// counter and latency — replays byte-identically from the seed.
     #[test]
-    fn bit_rot_history_is_scheduler_independent(s in rot_scenarios()) {
-        let mut wheel = rot_config(&s);
-        wheel.scheduler = SchedulerKind::Wheel;
-        let a = run(wheel, CONNS, SimDuration::secs(5));
-        let mut wheel2 = rot_config(&s);
-        wheel2.scheduler = SchedulerKind::Wheel;
-        let b = run(wheel2, CONNS, SimDuration::secs(5));
-        prop_assert_eq!(&a, &b, "same seed, same scheduler: identical history");
-        let mut heap = rot_config(&s);
-        heap.scheduler = SchedulerKind::Heap;
-        let c = run(heap, CONNS, SimDuration::secs(5));
-        prop_assert_eq!(
-            &a.fingerprint, &c.fingerprint,
-            "wheel and heap replay the same rot history"
-        );
+    fn bit_rot_history_is_seed_reproducible(s in rot_scenarios()) {
+        let a = run(rot_config(&s), CONNS, SimDuration::secs(5));
+        let b = run(rot_config(&s), CONNS, SimDuration::secs(5));
+        prop_assert_eq!(&a, &b, "same seed: identical history");
         assert_healed(&a, CONNS)?;
     }
 }
