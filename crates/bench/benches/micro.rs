@@ -5,6 +5,7 @@
 //! append, the free-extent B+tree, and the onode radix tree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rablock_cluster::osd::digest_segments;
 use rablock_cos::{CosObjectStore, CosOptions, ExtentBTree, RadixTree};
 use rablock_lsm::{LsmObjectStore, LsmOptions};
 use rablock_oplog::GroupLog;
@@ -148,6 +149,105 @@ fn bench_cos_read_csum(c: &mut Criterion) {
     group.finish();
 }
 
+const OBJECT_BYTES: u64 = 256 << 10;
+
+/// A checksumming store holding two 256 KiB objects: every block of the
+/// first held by the device as the writer's buffer, every block of the
+/// second taken back into the flat image by an unaligned patch.
+fn scrub_store() -> (CosObjectStore<MemDisk>, ObjectId, ObjectId) {
+    let opts = CosOptions {
+        checksums: true,
+        ..CosOptions::default()
+    };
+    let mut cos = CosObjectStore::format(MemDisk::new(64 << 20), opts).unwrap();
+    let (by_reference, image) = (ObjectId::new(GroupId(0), 1), ObjectId::new(GroupId(0), 2));
+    let mut seq = 0;
+    for oid in [by_reference, image] {
+        let create = Op::Create {
+            oid,
+            size: OBJECT_BYTES,
+        };
+        cos.submit(Transaction::new(GroupId(0), 1, vec![create]))
+            .unwrap();
+        for block in 0..OBJECT_BYTES / 4096 {
+            seq += 1;
+            cos.submit(write_txn(seq, oid, block)).unwrap();
+        }
+    }
+    for block in 0..OBJECT_BYTES / 4096 {
+        let patch = Op::Write {
+            oid: image,
+            offset: block * 4096 + 100,
+            data: vec![7u8; 10].into(),
+        };
+        cos.submit(Transaction::new(GroupId(0), 1000 + block, vec![patch]))
+            .unwrap();
+    }
+    let _ = cos.take_trace();
+    (cos, by_reference, image)
+}
+
+/// What a deep scrub does to one object: read every byte, verify every
+/// block, digest the content.
+fn bench_scrub_object(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scrub_object_256k");
+    let (mut cos, by_reference, image) = scrub_store();
+    for (name, oid) in [("by_reference", by_reference), ("image", image)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let object = cos.read_segments(oid, 0, OBJECT_BYTES).unwrap();
+                let _ = cos.take_trace();
+                digest_segments(&object)
+            })
+        });
+    }
+    group.finish();
+}
+
+/// What the receiver of a recovery push does: create + whole-object write.
+fn bench_push_apply(c: &mut Criterion) {
+    let mut group = c.benchmark_group("push_apply_256k");
+    let (mut sender, by_reference, _) = scrub_store();
+    let object = sender.read_segments(by_reference, 0, OBJECT_BYTES).unwrap();
+    let flat = object.clone().into_payload();
+    let cases = [
+        // The sender's block views, each with its CRC memo warm.
+        ("by_reference", false),
+        // One buffer nobody has scanned, as an assembled object arrived.
+        ("fresh_buffer", true),
+    ];
+    for (name, fresh) in cases {
+        let (mut receiver, oid, _) = scrub_store();
+        let mut seq = 10_000;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                seq += 1;
+                let data = if fresh {
+                    Payload::from(flat.to_vec()).into()
+                } else {
+                    object.clone()
+                };
+                let push = vec![
+                    Op::Create {
+                        oid,
+                        size: OBJECT_BYTES,
+                    },
+                    Op::WriteV {
+                        oid,
+                        offset: 0,
+                        data,
+                    },
+                ];
+                receiver
+                    .submit(Transaction::new(GroupId(0), seq, push))
+                    .unwrap();
+                let _ = receiver.take_trace();
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_oplog_append(c: &mut Criterion) {
     let mut group = c.benchmark_group("oplog_append_4k");
     let oid = ObjectId::new(GroupId(0), 1);
@@ -220,6 +320,6 @@ fn bench_radix(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_store_submit, bench_store_read, bench_cos_read_csum, bench_oplog_append, bench_extent_btree, bench_radix
+    targets = bench_store_submit, bench_store_read, bench_cos_read_csum, bench_scrub_object, bench_push_apply, bench_oplog_append, bench_extent_btree, bench_radix
 }
 criterion_main!(benches);

@@ -74,6 +74,7 @@ use rablock_cluster::osd::OsdConfig;
 use rablock_cluster::placement::DEFAULT_OSD_WEIGHT;
 use rablock_cos::CosOptions;
 use rablock_lsm::LsmOptions;
+use rablock_sim::RoundStats;
 
 /// One timed scenario run.
 struct Sample {
@@ -500,7 +501,7 @@ fn scale_config(shards: usize) -> ClusterSimConfig {
 
 /// One point of the shard-scaling curve. Prefill happens outside the
 /// timed window; the timer brackets only the DES `run` call.
-fn run_scale(measure: SimDuration, shards: usize) -> (Sample, Vec<u64>) {
+fn run_scale(measure: SimDuration, shards: usize) -> (Sample, Vec<u64>, RoundStats) {
     let dataset = Dataset {
         images: SCALE_CONNS as u64,
         image_bytes: 256 << 10,
@@ -517,7 +518,11 @@ fn run_scale(measure: SimDuration, shards: usize) -> (Sample, Vec<u64>) {
     let report = sim.run(SimDuration::ZERO, measure);
     let wall_secs = t.elapsed().as_secs_f64();
     let fp = report.fingerprint(None);
-    (Sample::of(&report, wall_secs), fp)
+    (
+        Sample::of(&report, wall_secs),
+        fp,
+        sim.round_stats().clone(),
+    )
 }
 
 /// `--scale-curve`: run the scale scenario at 1/2/4/8 worker shards,
@@ -547,15 +552,15 @@ fn run_scale_curve(smoke: bool) {
     let iters = if smoke { 1 } else { 3 };
     let mut base_fp: Option<Vec<u64>> = None;
     for &shards in &[1usize, 2, 4, 8] {
-        let (mut s, fp) = run_scale(measure, shards);
+        let (mut s, fp, mut rounds) = run_scale(measure, shards);
         for _ in 1..iters {
-            let (again, fp_again) = run_scale(measure, shards);
+            let (again, fp_again, rounds_again) = run_scale(measure, shards);
             assert_eq!(
                 fp, fp_again,
                 "scale: shards={shards} fingerprint drifted between repeats"
             );
             if again.wall_secs < s.wall_secs {
-                s = again;
+                (s, rounds) = (again, rounds_again);
             }
         }
         println!(
@@ -566,6 +571,20 @@ fn run_scale_curve(smoke: bool) {
             s.events_per_sec(),
             fingerprint_hash(&fp),
         );
+        // Where each worker's wall clock went (nothing for one worker: the
+        // sequential loop has no barriers to wait at).
+        for (w, t) in rounds.workers.iter().enumerate() {
+            let secs = |ns: u64| ns as f64 / 1e9;
+            println!(
+                "          worker {w}: {} rounds  execute {:.3}s  wait {:.3}s  \
+                 merge {:.3}s  wait {:.3}s",
+                rounds.rounds,
+                secs(t.execute_ns),
+                secs(t.execute_wait_ns),
+                secs(t.merge_ns),
+                secs(t.merge_wait_ns),
+            );
+        }
         match &base_fp {
             None => base_fp = Some(fp),
             Some(base) => assert_eq!(

@@ -5,7 +5,7 @@
 //! and each knows its approximate wire size so network serialization and
 //! per-message CPU can be charged faithfully.
 
-use rablock_storage::{GroupId, ObjectId, Payload, StoreError, Transaction};
+use rablock_storage::{GroupId, ObjectId, Payload, Segments, StoreError, Transaction};
 
 use crate::placement::{OsdId, OsdMap};
 
@@ -230,8 +230,9 @@ pub enum PeerMsg {
         /// Group being synchronized.
         group: GroupId,
         /// `(object, full content)` pairs: the sender's complete state,
-        /// read after syncing its backend with pending log records.
-        objects: Vec<(ObjectId, Payload)>,
+        /// read after syncing its backend with pending log records. Each
+        /// content is the views the sender's store returned, unassembled.
+        objects: Vec<(ObjectId, Segments)>,
     },
     /// Peering: the new primary asks an acting-set peer for its pg_log so it
     /// can compute the peer's missing set.
@@ -267,8 +268,9 @@ pub enum PeerMsg {
         /// Boxed: this is the largest variant, and every simulated event
         /// is as large as the largest message.
         entry: Box<PgLogEntry>,
-        /// Full object content as served by the primary.
-        data: Payload,
+        /// Full object content as served by the primary: the views its
+        /// store returned, unassembled, each with its buffer's CRC memo.
+        data: Segments,
         /// FNV-1a digest of `data`; the receiver verifies before applying.
         content_digest: u64,
     },

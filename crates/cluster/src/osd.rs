@@ -20,8 +20,8 @@ use rablock_cos::{CosObjectStore, CosOptions};
 use rablock_lsm::{LsmObjectStore, LsmOptions};
 use rablock_oplog::{GroupLog, LogRecord, ReadPath};
 use rablock_storage::{
-    FxHashMap, GroupId, MemDisk, NvmRegion, ObjectId, ObjectStore, Op, Payload, StoreError,
-    StoreStats, TraceIo, Transaction,
+    FxHashMap, GroupId, MemDisk, NvmRegion, ObjectId, ObjectStore, Op, Payload, Segments,
+    StoreError, StoreStats, TraceIo, Transaction,
 };
 
 use crate::msg::{ClientId, ClientReply, ClientReq, OpId, PeerMsg, PgLogEntry, ScrubEntry};
@@ -73,48 +73,132 @@ fn pglog_key(group: GroupId, seq: u64) -> Vec<u8> {
 /// byte-at-a-time loop the hottest function in write-path profiles (every
 /// 4 KiB write is digested for its pg_log entry).
 pub fn digest_bytes(data: &[u8]) -> u64 {
+    let mut digest = Digest::new();
+    digest.update(data);
+    digest.finish()
+}
+
+/// [`digest_bytes`] of the concatenation of `data`'s views, computed
+/// without concatenating them: the same value for any segmentation.
+pub fn digest_segments(data: &Segments) -> u64 {
+    let mut digest = Digest::new();
+    for part in data.iter() {
+        digest.update(part);
+    }
+    digest.finish()
+}
+
+/// The state of [`digest_bytes`] over a byte string fed in pieces: the four
+/// lanes consume whole 32-byte blocks, so up to 31 bytes wait in `tail` for
+/// the next piece (or for `finish`, which folds the lanes and the rest).
+struct Digest {
+    lanes: [u64; 4],
+    tail: [u8; 32],
+    tail_len: usize,
+}
+
+impl Digest {
     const P: u64 = 0x0000_0100_0000_01B3;
-    const SEED: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut lanes = [
-        SEED,
-        SEED ^ 0x9E37_79B9_7F4A_7C15,
-        SEED.rotate_left(13),
-        SEED.rotate_left(31),
-    ];
-    let mut blocks = data.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-            *lane = (*lane ^ w).wrapping_mul(P);
+
+    #[inline]
+    fn new() -> Digest {
+        const SEED: u64 = 0xCBF2_9CE4_8422_2325;
+        Digest {
+            lanes: [
+                SEED,
+                SEED ^ 0x9E37_79B9_7F4A_7C15,
+                SEED.rotate_left(13),
+                SEED.rotate_left(31),
+            ],
+            tail: [0; 32],
+            tail_len: 0,
         }
     }
-    let mut h = lanes[0];
-    for &lane in &lanes[1..] {
-        h = (h ^ lane).wrapping_mul(P);
+
+    /// Folds whole 32-byte blocks into the lanes; returns what is left over.
+    #[inline]
+    fn blocks<'a>(&mut self, data: &'a [u8]) -> &'a [u8] {
+        // In locals, so the four multiply chains stay in registers.
+        let mut lanes = self.lanes;
+        let mut blocks = data.chunks_exact(32);
+        for block in &mut blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                *lane = (*lane ^ w).wrapping_mul(Self::P);
+            }
+        }
+        self.lanes = lanes;
+        blocks.remainder()
     }
-    let mut words = blocks.remainder().chunks_exact(8);
-    for word in &mut words {
-        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-        h = (h ^ w).wrapping_mul(P);
+
+    #[inline]
+    fn update(&mut self, mut data: &[u8]) {
+        if self.tail_len > 0 {
+            let take = (32 - self.tail_len).min(data.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&data[..take]);
+            self.tail_len += take;
+            data = &data[take..];
+            if self.tail_len < 32 {
+                return;
+            }
+            let tail = self.tail;
+            self.blocks(&tail);
+        }
+        let rest = self.blocks(data);
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
     }
-    for &b in words.remainder() {
-        h = (h ^ b as u64).wrapping_mul(P);
+
+    #[inline]
+    fn finish(self) -> u64 {
+        let mut h = self.lanes[0];
+        for &lane in &self.lanes[1..] {
+            h = (h ^ lane).wrapping_mul(Self::P);
+        }
+        let mut words = self.tail[..self.tail_len].chunks_exact(8);
+        for word in &mut words {
+            let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            h = (h ^ w).wrapping_mul(Self::P);
+        }
+        for &b in words.remainder() {
+            h = (h ^ b as u64).wrapping_mul(Self::P);
+        }
+        h
     }
-    h
 }
 
 /// Digest of one log-worthy op (offset + payload for writes, size for
 /// creates) so pg_log entries from different primaries never falsely match.
 fn digest_op(op: &Op) -> Option<(ObjectId, u64)> {
-    match op {
-        Op::Create { oid, size } => Some((*oid, digest_bytes(&size.to_le_bytes()) ^ 0x5EED)),
-        Op::Write { oid, offset, data } => {
-            let mut h = digest_bytes(&offset.to_le_bytes());
-            h ^= digest_bytes(data.as_slice()).rotate_left(17);
-            Some((*oid, h))
+    let (oid, offset, content) = match op {
+        Op::Create { oid, size } => {
+            return Some((*oid, digest_bytes(&size.to_le_bytes()) ^ 0x5EED))
         }
-        _ => None,
+        Op::Write { oid, offset, data } => (oid, offset, digest_bytes(data)),
+        Op::WriteV { oid, offset, data } => (oid, offset, digest_segments(data)),
+        _ => return None,
+    };
+    let h = digest_bytes(&offset.to_le_bytes()) ^ content.rotate_left(17);
+    Some((*oid, h))
+}
+
+/// The transaction a recovery push or a backfill applies: the object at its
+/// pushed size with `data`, the views the sender's store read, as its whole
+/// content. A zero-length object (created, never written) is the bare
+/// create — stores refuse an empty write.
+fn whole_object_txn(group: GroupId, seq: u64, oid: ObjectId, data: Segments) -> Transaction {
+    let mut ops = vec![Op::Create {
+        oid,
+        size: data.len() as u64,
+    }];
+    if !data.is_empty() {
+        ops.push(Op::WriteV {
+            oid,
+            offset: 0,
+            data,
+        });
     }
+    Transaction::new(group, seq, ops)
 }
 
 /// Which of the paper's systems an OSD runs as.
@@ -272,10 +356,21 @@ impl Backend {
     }
 
     fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError> {
+        Ok(self.read_segments(oid, offset, len)?.into_payload())
+    }
+
+    /// The range as the views the store holds it in: what scrub, push and
+    /// backfill digest and ship without assembling the object.
+    fn read_segments(
+        &mut self,
+        oid: ObjectId,
+        offset: u64,
+        len: u64,
+    ) -> Result<Segments, StoreError> {
         match self {
-            Backend::Lsm(s) => s.read(oid, offset, len),
-            Backend::Cos(s) => s.read(oid, offset, len),
-            Backend::Null => Ok(vec![0; len as usize].into()),
+            Backend::Lsm(s) => s.read_segments(oid, offset, len),
+            Backend::Cos(s) => s.read_segments(oid, offset, len),
+            Backend::Null => Ok(Payload::from(vec![0; len as usize]).into()),
         }
     }
 
@@ -1026,7 +1121,9 @@ impl Osd {
         for op in &txn.ops {
             let (oid, end) = match op {
                 Op::Create { oid, size } => (*oid, *size),
-                Op::Write { oid, offset, data } => (*oid, offset + data.len() as u64),
+                Op::Write { oid, offset, .. } | Op::WriteV { oid, offset, .. } => {
+                    (*oid, offset + op.user_bytes())
+                }
                 _ => continue,
             };
             let e = extents.entry(oid).or_insert(0);
@@ -1140,9 +1237,9 @@ impl Osd {
     /// (`None` if the backend cannot serve the range). Quiesce diagnostics.
     pub fn object_digest(&mut self, oid: ObjectId, len: u64) -> Option<u64> {
         self.sync_group_log(oid.group());
-        let r = self.backend.read(oid, 0, len);
+        let r = self.backend.read_segments(oid, 0, len);
         let _ = self.backend.take_trace();
-        r.ok().map(|data| digest_bytes(&data))
+        r.ok().map(|data| digest_segments(&data))
     }
 
     /// The backend's *persistent* light-scrub digest of `oid`: its size
@@ -1156,11 +1253,11 @@ impl Osd {
     }
 
     /// Raw backend bytes of an object's first `len` bytes (diagnostics).
-    pub fn debug_read(&mut self, oid: ObjectId, len: u64) -> Option<Vec<u8>> {
+    pub fn debug_read(&mut self, oid: ObjectId, len: u64) -> Option<Payload> {
         self.sync_group_log(oid.group());
         let r = self.backend.read(oid, 0, len);
         let _ = self.backend.take_trace();
-        r.ok().map(|data| data.to_vec())
+        r.ok()
     }
 
     /// Re-applies the group's pending (NVM-durable, unflushed) log records
@@ -1193,10 +1290,10 @@ impl Osd {
     /// Reads the authoritative content of `oid` for a recovery push: the
     /// backend is first brought up to date with the group's pending log
     /// records (reads prefer the log, so the backend alone may be stale).
-    fn authoritative_object(&mut self, group: GroupId, oid: ObjectId) -> Option<Payload> {
+    fn authoritative_object(&mut self, group: GroupId, oid: ObjectId) -> Option<Segments> {
         let len = *self.group_extents.get(&group)?.get(&oid)?;
         self.sync_group_log(group);
-        let r = self.backend.read(oid, 0, len);
+        let r = self.backend.read_segments(oid, 0, len);
         let _ = self.backend.take_trace();
         r.ok()
     }
@@ -1251,7 +1348,7 @@ impl Osd {
         self.backfill_budget = self.backfill_budget.saturating_sub(data.len() as u64);
         self.backfill_inflight.insert(key);
         let entry = Box::new(self.newest_entry(group, oid));
-        let content_digest = digest_bytes(&data);
+        let content_digest = digest_segments(&data);
         self.recovery_pushes += 1;
         if backfilling {
             self.backfill_bytes += data.len() as u64;
@@ -1629,15 +1726,15 @@ impl Osd {
                     Some((size, digest)) => entry(size, digest, false),
                     // No checksum metadata (LSM backend): light degrades to
                     // digesting the bytes, Err meaning the copy is gone.
-                    None => match self.backend.read(oid, 0, len) {
-                        Ok(data) => entry(len, digest_bytes(&data), false),
+                    None => match self.backend.read_segments(oid, 0, len) {
+                        Ok(data) => entry(len, digest_segments(&data), false),
                         Err(_) => entry(len, 0, true),
                     },
                 }
             } else {
                 self.scrub_bytes += len;
-                match self.backend.read(oid, 0, len) {
-                    Ok(data) => entry(len, digest_bytes(&data), false),
+                match self.backend.read_segments(oid, 0, len) {
+                    Ok(data) => entry(len, digest_segments(&data), false),
                     Err(_) => entry(len, 0, true),
                 }
             };
@@ -2550,7 +2647,7 @@ impl Osd {
                 extents.sort_by_key(|(o, _)| o.raw());
                 let mut objects = Vec::new();
                 for (oid, len) in extents {
-                    if let Ok(data) = self.backend.read(oid, 0, len) {
+                    if let Ok(data) = self.backend.read_segments(oid, 0, len) {
                         objects.push((oid, data));
                     }
                 }
@@ -2631,19 +2728,7 @@ impl Osd {
                 }
                 for (oid, data) in objects {
                     self.seq += 1;
-                    let size = data.len() as u64;
-                    let txn = Transaction::new(
-                        group,
-                        self.seq,
-                        vec![
-                            Op::Create { oid, size },
-                            Op::Write {
-                                oid,
-                                offset: 0,
-                                data,
-                            },
-                        ],
-                    );
+                    let txn = whole_object_txn(group, self.seq, oid, data);
                     self.note_txn(&txn);
                     self.backend.submit(txn).expect("backfill apply");
                 }
@@ -2717,7 +2802,7 @@ impl Osd {
                 data,
                 content_digest,
             } => {
-                if digest_bytes(&data) != content_digest {
+                if digest_segments(&data) != content_digest {
                     // Corrupted in flight; the primary re-pushes on its next
                     // heartbeat because no ack will arrive.
                     return;
@@ -2768,7 +2853,7 @@ impl Osd {
                         // below.
                         let matches = self
                             .authoritative_object(group, oid)
-                            .is_some_and(|local| digest_bytes(&local) == content_digest);
+                            .is_some_and(|local| digest_segments(&local) == content_digest);
                         if matches {
                             // Our copy reads clean and matches: any heal we
                             // were waiting on for it is moot.
@@ -2812,19 +2897,7 @@ impl Osd {
                     self.logs.insert(group, log);
                 }
                 self.seq += 1;
-                let size = data.len() as u64;
-                let txn = Transaction::new(
-                    group,
-                    self.seq,
-                    vec![
-                        Op::Create { oid, size },
-                        Op::Write {
-                            oid,
-                            offset: 0,
-                            data,
-                        },
-                    ],
-                );
+                let txn = whole_object_txn(group, self.seq, oid, data);
                 self.note_txn(&txn);
                 if entry.version != 0 {
                     // Adopt the pushed history so a later peering round sees
@@ -3555,6 +3628,69 @@ mod tests {
             ..OsdConfig::default()
         };
         Osd::new(OsdId(id), cfg, map())
+    }
+
+    fn ramp(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 7 + i / 256) as u8).collect()
+    }
+
+    /// Digests are compared between OSDs of one build only, but a pure
+    /// speed-up has no business changing them: values of the one-shot loop
+    /// this streaming form replaced.
+    #[test]
+    fn digest_values_are_what_they_were() {
+        for (n, want) in [
+            (0usize, 0xc6bd_f78e_2c98_a2a3u64),
+            (1, 0x4d6e_4995_c75c_5af9),
+            (7, 0x5246_9eb8_85bb_7b58),
+            (8, 0x4da3_d777_dafb_73f9),
+            (31, 0x3998_9f98_c352_a43a),
+            (32, 0xa44e_f23e_2597_6be9),
+            (33, 0xc990_a899_e04a_e04b),
+            (1000, 0xc75a_2974_f3c1_daa0),
+            (4096, 0x3c74_4173_6d66_3ba3),
+        ] {
+            assert_eq!(digest_bytes(&ramp(n)), want, "{n} bytes");
+        }
+    }
+
+    mod digest_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The streaming digest equals `digest_bytes` of the
+            /// concatenation for any segmentation: cuts of 1, 7, 31, 32 and
+            /// 33 bytes (around the 32-byte lane block), whole 4 KiB blocks
+            /// and arbitrary lengths, in any mix.
+            #[test]
+            fn streaming_digest_matches_digest_of_the_concatenation(
+                cuts in proptest::collection::vec(
+                    prop_oneof![
+                        Just(1usize), Just(7), Just(31), Just(32), Just(33),
+                        (1..4usize).prop_map(|b| b * 4096),
+                        0..5000usize
+                    ],
+                    0..24,
+                ),
+                lead in 0..64usize,
+            ) {
+                let flat = ramp(cuts.iter().sum());
+                // Every view sits at an odd offset of a buffer of its own.
+                let (mut segs, mut at) = (Segments::new(), 0);
+                for cut in cuts {
+                    let mut backing = vec![0xEE; lead];
+                    backing.extend_from_slice(&flat[at..at + cut]);
+                    segs.push(Payload::from(backing).slice(lead, cut));
+                    at += cut;
+                }
+                prop_assert_eq!(digest_segments(&segs), digest_bytes(&flat));
+                prop_assert_eq!(
+                    digest_segments(&Payload::from(flat.clone()).into()),
+                    digest_bytes(&flat)
+                );
+            }
+        }
     }
 
     #[test]
@@ -4525,12 +4661,101 @@ mod tests {
                     oid,
                     digest: 9,
                 }),
-                data: vec![5; 4096].into(),
+                data: Payload::from(vec![5; 4096]).into(),
                 content_digest: 0xDEAD, // wrong
             },
         });
         assert!(fx.is_empty(), "corrupt push ignored: {fx:?}");
         assert_eq!(o.object_digest(oid, 4096), None, "nothing applied");
+    }
+
+    /// An object created with size 0 is tracked at length 0, so a pull ships
+    /// it with empty content. The joiner used to panic on it (`backfill
+    /// apply: InvalidArgument("zero-length write")`).
+    #[test]
+    fn backfill_of_a_zero_length_object_applies_the_bare_create() {
+        let mut survivor = osd(PipelineMode::Dop, 0);
+        let g = a_group_with_primary(&survivor);
+        let oid = oid_in(g, 1);
+        survivor.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: ClientReq::Create {
+                op: OpId(1),
+                oid,
+                size: 0,
+            },
+        });
+        let fx = survivor.handle(OsdInput::Peer {
+            from: OsdId(1),
+            msg: PeerMsg::PullLog {
+                group: g,
+                from: OsdId(1),
+            },
+        });
+        let backfill = fx
+            .into_iter()
+            .find_map(|e| match e {
+                OsdEffect::SendPeer {
+                    msg: msg @ PeerMsg::Backfill { .. },
+                    ..
+                } => Some(msg),
+                _ => None,
+            })
+            .expect("the pull is answered");
+        let PeerMsg::Backfill { objects, .. } = &backfill else {
+            unreachable!()
+        };
+        assert_eq!(objects.len(), 1);
+        assert!(objects[0].1.is_empty(), "shipped with no content");
+
+        let mut joiner = osd(PipelineMode::Dop, 1);
+        joiner.awaiting_backfill.insert(g);
+        joiner.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: backfill,
+        });
+        assert_eq!(joiner.group_extent_map(g), vec![(oid, 0)]);
+        assert!(joiner.object_digest(oid, 0).is_some(), "the object exists");
+    }
+
+    /// The same object as a recovery push: the store refused the empty
+    /// write, no ack went out, and the primary re-pushed on every heartbeat
+    /// with the group stuck in Recovering.
+    #[test]
+    fn push_of_a_zero_length_object_is_applied_and_acked() {
+        let mut o = osd(PipelineMode::Dop, 1);
+        let g = (0..8)
+            .map(GroupId)
+            .find(|&g| o.map().primary(g) != o.id)
+            .unwrap();
+        let oid = oid_in(g, 1);
+        let fx = o.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: PeerMsg::PushObject {
+                group: g,
+                epoch: 1,
+                entry: Box::new(PgLogEntry {
+                    epoch: 1,
+                    version: 4,
+                    oid,
+                    digest: 9,
+                }),
+                data: Segments::new(),
+                content_digest: digest_bytes(&[]),
+            },
+        });
+        assert!(
+            fx.iter().any(|e| matches!(
+                e,
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::PushAck { oid: acked, .. },
+                    ..
+                } if *acked == oid
+            )),
+            "the empty push is acked: {fx:?}"
+        );
+        assert!(o.object_digest(oid, 0).is_some(), "the bare create landed");
+        assert_eq!(o.group_extent_map(g), vec![(oid, 0)]);
     }
 
     #[test]
@@ -4576,7 +4801,7 @@ mod tests {
                     digest: 1,
                 }),
                 content_digest: digest_bytes(&stale),
-                data: stale.into(),
+                data: Payload::from(stale).into(),
             },
         });
         assert!(fx.is_empty(), "divergent stale push dropped: {fx:?}");
@@ -4644,7 +4869,7 @@ mod tests {
                     digest: digest_bytes(&same),
                 }),
                 content_digest: digest_bytes(&same),
-                data: same.into(),
+                data: Payload::from(same).into(),
             },
         });
         assert!(
@@ -4672,7 +4897,7 @@ mod tests {
                     digest: 1,
                 }),
                 content_digest: digest_bytes(&stale),
-                data: stale.into(),
+                data: Payload::from(stale).into(),
             },
         });
         assert!(fx.is_empty(), "divergent push after ack dropped: {fx:?}");

@@ -22,7 +22,7 @@ use rablock_sim::{
     FaultEvent, FaultPlan, IoRequest, LatSummary, Link, Priority, Recorder, RotMedia, SimDuration,
     SimRng, SimTime, Simulation, SsdState, ThreadCfg, ThreadId, TimeSeries, TraceId, Track,
 };
-use rablock_storage::{GroupId, ObjectId, StoreError, StoreStats, TraceKind};
+use rablock_storage::{GroupId, ObjectId, Payload, StoreError, StoreStats, TraceKind};
 
 use crate::costs::{CostModel, CLIENT, MP, MT, OS, RP, TP};
 use crate::invariants::{HistoryChecker, ReplicaListing};
@@ -3033,7 +3033,7 @@ impl ClusterSim {
 
     /// Raw object bytes as served by one OSD's backend (diagnostics; call
     /// after [`ClusterSim::replica_divergence`] so logs are synced).
-    pub fn object_bytes(&mut self, osd: usize, oid: ObjectId, len: u64) -> Option<Vec<u8>> {
+    pub fn object_bytes(&mut self, osd: usize, oid: ObjectId, len: u64) -> Option<Payload> {
         self.osd_mut_ref(osd).debug_read(oid, len)
     }
 
@@ -3199,6 +3199,13 @@ impl ClusterSim {
         self.sampler.throttled = throttled;
         self.sampler.scrub_errors = scrub_errors;
         self.timeseries.push(now, vals);
+    }
+
+    /// The engine's account of its parallel rounds (see
+    /// [`Simulation::round_stats`]): zeros unless
+    /// [`ClusterSimConfig::shards`] put the run on several workers.
+    pub fn round_stats(&self) -> &rablock_sim::RoundStats {
+        self.sim.round_stats()
     }
 
     /// The telemetry time-series sampled during the measured phase (empty

@@ -10,7 +10,8 @@
 use std::collections::HashMap;
 
 use rablock_storage::{
-    BlockDevice, IoCategory, MaintenanceReport, ObjectId, Payload, StoreError, TraceIo, TraceKind,
+    BlockDevice, IoCategory, MaintenanceReport, ObjectId, Payload, Segments, StoreError, TraceIo,
+    TraceKind,
 };
 
 use crate::btree::ExtentBTree;
@@ -437,8 +438,10 @@ impl Partition {
 
     /// Writes `data` at byte `offset` of the object, in place.
     ///
-    /// Block-aligned runs reach the device by reference
-    /// ([`BlockDevice::write_payload_at`]). Unaligned edges are
+    /// Block-aligned runs reach the device by reference, one
+    /// [`BlockDevice::write_segments_at`] per physically contiguous run
+    /// however many views make it up, and a block that lies in one view
+    /// takes its checksum from that view's memo. Unaligned edges are
     /// read-modified-written at block granularity, as the paper observes
     /// for its YCSB runs (§V-E).
     ///
@@ -452,7 +455,7 @@ impl Partition {
         dev: &mut D,
         oid: ObjectId,
         offset: u64,
-        data: &Payload,
+        data: &Segments,
         seq: u64,
         opts: &CosOptions,
         trace: &mut Vec<TraceIo>,
@@ -541,20 +544,27 @@ impl Partition {
                 // Fully block-aligned run: the caller's bytes cover every
                 // touched block, so hand the device the buffer itself — no
                 // staging, and a device that shares payloads copies nothing.
-                let run = data.slice(src_from, src_to - src_from);
-                dev.write_payload_at(self.geom.block_off(phys), &run)?;
+                // (Which is the whole write more often than not: nothing to
+                // cut out then.)
+                let cut;
+                let run = if src_to - src_from == data.len() {
+                    data
+                } else {
+                    cut = data.slice(src_from, src_to - src_from);
+                    &cut
+                };
+                dev.write_segments_at(self.geom.block_off(phys), run)?;
                 trace.push(TraceIo {
                     kind: TraceKind::Write,
                     bytes: run_len * BLOCK_BYTES,
                     category: IoCategory::Data,
                 });
                 if self.checksums {
-                    // A write of exactly one block hits the CRC memo its
-                    // payload already carries (the oplog encoder filled it).
-                    for i in 0..run_len {
-                        let s = (i * BLOCK_BYTES) as usize;
-                        new_crcs.push((block + i, run.slice(s, BLOCK_BYTES as usize).crc32()));
-                    }
+                    // A block hits the CRC memo its view already carries:
+                    // the oplog encoder filled it for a client write, the
+                    // sender's verifying read for a pushed object.
+                    let crcs = run.chunks(BLOCK_BYTES as usize).map(|blk| blk.crc32());
+                    new_crcs.extend((block..).zip(crcs));
                 }
                 block += run_len;
                 continue;
@@ -593,7 +603,8 @@ impl Partition {
                 read_block(last_run_block, &mut buf, dev, trace)?;
             }
             let dst_from = (run_start_byte - block * BLOCK_BYTES) as usize;
-            buf[dst_from..dst_from + (src_to - src_from)].copy_from_slice(&data[src_from..src_to]);
+            data.slice(src_from, src_to - src_from)
+                .copy_to_slice(&mut buf[dst_from..dst_from + (src_to - src_from)]);
             // In-place overwrite of the whole touched block range.
             dev.write_at(self.geom.block_off(phys), &buf)?;
             trace.push(TraceIo {
@@ -647,8 +658,10 @@ impl Partition {
         }
     }
 
-    /// Reads `len` bytes at `offset`. Unmapped holes read as zeroes. A read
-    /// of exactly one block returns the device's buffer uncopied.
+    /// Reads `len` bytes at `offset` as the views the device returns: one per
+    /// verified block (checksum option) or one per physically contiguous run,
+    /// and views of the shared zero block for unmapped holes. A read of
+    /// exactly one block is the device's buffer, uncopied and unallocated.
     ///
     /// # Errors
     ///
@@ -662,7 +675,7 @@ impl Partition {
         offset: u64,
         len: u64,
         trace: &mut Vec<TraceIo>,
-    ) -> Result<Payload, StoreError> {
+    ) -> Result<Segments, StoreError> {
         let slot = self.slot_of(oid).ok_or(StoreError::NotFound)?;
         let onode = self.onodes.get(&slot).expect("radix maps to live slot");
         if onode.deleted {
@@ -675,71 +688,60 @@ impl Partition {
                 capacity: onode.size,
             });
         }
+        let mut out = Segments::new();
         if len == 0 {
-            return Ok(Payload::empty());
-        }
-        let first_block = offset / BLOCK_BYTES;
-        if len == BLOCK_BYTES && offset.is_multiple_of(BLOCK_BYTES) {
-            if let Some(phys) = onode.extents.map(first_block) {
-                let blk = dev.read_payload_at(self.geom.block_off(phys), BLOCK_BYTES as usize)?;
-                trace.push(TraceIo {
-                    kind: TraceKind::Read,
-                    bytes: BLOCK_BYTES,
-                    category: IoCategory::Data,
-                });
-                self.verify_block(slot, first_block, &blk)?;
-                return Ok(blk);
-            }
+            return Ok(out);
         }
         let end = offset + len;
         let last_block = (end - 1) / BLOCK_BYTES;
-        Payload::build(len as usize, |out| {
-            let mut block = first_block;
-            while block <= last_block {
-                let Some(phys) = onode.extents.map(block) else {
-                    block += 1;
-                    continue;
-                };
-                let mut run_len = 1u64;
-                while block + run_len <= last_block
-                    && onode.extents.map(block + run_len) == Some(phys + run_len)
-                {
-                    run_len += 1;
-                }
-                let from = (block * BLOCK_BYTES).max(offset);
-                let to = ((block + run_len) * BLOCK_BYTES).min(end);
-                let traced = if self.checksums {
-                    // Verification is block-granular: fetch whole blocks,
-                    // check each, copy out the requested part of it.
-                    for b in block..block + run_len {
-                        let blk = dev.read_payload_at(
-                            self.geom.block_off(phys + (b - block)),
-                            BLOCK_BYTES as usize,
-                        )?;
-                        self.verify_block(slot, b, &blk)?;
-                        let base = b * BLOCK_BYTES;
-                        let (lo, hi) = (from.max(base), to.min(base + BLOCK_BYTES));
-                        out[(lo - offset) as usize..(hi - offset) as usize]
-                            .copy_from_slice(&blk[(lo - base) as usize..(hi - base) as usize]);
-                    }
-                    run_len * BLOCK_BYTES
-                } else {
-                    let dev_off = self.geom.block_off(phys) + (from - block * BLOCK_BYTES);
-                    dev.read_at(
-                        dev_off,
-                        &mut out[(from - offset) as usize..(to - offset) as usize],
-                    )?;
-                    to - from
-                };
-                trace.push(TraceIo {
-                    kind: TraceKind::Read,
-                    bytes: traced,
-                    category: IoCategory::Data,
-                });
-                block += run_len;
+        let mut block = offset / BLOCK_BYTES;
+        while block <= last_block {
+            let Some(phys) = onode.extents.map(block) else {
+                let base = block * BLOCK_BYTES;
+                let hole = end.min(base + BLOCK_BYTES) - offset.max(base);
+                out.push_zeros(hole as usize);
+                block += 1;
+                continue;
+            };
+            let mut run_len = 1u64;
+            while block + run_len <= last_block
+                && onode.extents.map(block + run_len) == Some(phys + run_len)
+            {
+                run_len += 1;
             }
-            Ok(())
-        })
+            let from = (block * BLOCK_BYTES).max(offset);
+            let to = ((block + run_len) * BLOCK_BYTES).min(end);
+            let traced = if self.checksums {
+                // Verification is block-granular: fetch whole blocks, check
+                // each, hand out the requested part of it.
+                for b in block..block + run_len {
+                    let blk = dev.read_payload_at(
+                        self.geom.block_off(phys + (b - block)),
+                        BLOCK_BYTES as usize,
+                    )?;
+                    self.verify_block(slot, b, &blk)?;
+                    let base = b * BLOCK_BYTES;
+                    let (lo, hi) = (from.max(base), to.min(base + BLOCK_BYTES));
+                    out.push(if hi - lo == BLOCK_BYTES {
+                        blk
+                    } else {
+                        blk.slice((lo - base) as usize, (hi - lo) as usize)
+                    });
+                }
+                run_len * BLOCK_BYTES
+            } else {
+                let dev_off = self.geom.block_off(phys) + (from - block * BLOCK_BYTES);
+                out.push(dev.read_payload_at(dev_off, (to - from) as usize)?);
+                to - from
+            };
+            trace.push(TraceIo {
+                kind: TraceKind::Read,
+                bytes: traced,
+                category: IoCategory::Data,
+            });
+            block += run_len;
+        }
+        Ok(out)
     }
 
     /// Sets an xattr; persists through the metadata path.
@@ -1058,14 +1060,15 @@ fn decode_spill(raw: &[u8], total_extents: usize) -> Result<Vec<Extent>, StoreEr
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rablock_storage::{GroupId, MemDisk};
+    use rablock_storage::{DevCounters, GroupId, MemDisk};
 
     impl Partition {
-        /// The read path as it was before reads returned [`Payload`]s — one
-        /// device read per physically contiguous run into a staging vector,
-        /// every block CRC-scanned, the range copied out — kept as the
-        /// reference [`Partition::read`] must agree with, byte for byte and
-        /// traced I/O for traced I/O.
+        /// The copying read path — device reads into a staging vector (one
+        /// per block under checksums, one per physically contiguous run
+        /// without), every block CRC-scanned, the range copied out — kept as
+        /// the reference the segmented [`Partition::read`] must agree with:
+        /// byte for byte, device counter for device counter, traced I/O for
+        /// traced I/O.
         fn read_reference<D: BlockDevice>(
             &self,
             dev: &mut D,
@@ -1108,14 +1111,12 @@ mod tests {
                 let to = ((block + run_len) * BLOCK_BYTES).min(end);
                 if self.checksums {
                     let mut blk = vec![0u8; (run_len * BLOCK_BYTES) as usize];
-                    dev.read_at(self.geom.block_off(phys), &mut blk)?;
-                    trace.push(TraceIo {
-                        kind: TraceKind::Read,
-                        bytes: run_len * BLOCK_BYTES,
-                        category: IoCategory::Data,
-                    });
                     for i in 0..run_len {
                         let s = (i * BLOCK_BYTES) as usize;
+                        dev.read_at(
+                            self.geom.block_off(phys + i),
+                            &mut blk[s..s + BLOCK_BYTES as usize],
+                        )?;
                         let got = crate::crc32(&blk[s..s + BLOCK_BYTES as usize]);
                         let want = self
                             .csums
@@ -1126,6 +1127,11 @@ mod tests {
                             return Err(StoreError::ChecksumMismatch);
                         }
                     }
+                    trace.push(TraceIo {
+                        kind: TraceKind::Read,
+                        bytes: run_len * BLOCK_BYTES,
+                        category: IoCategory::Data,
+                    });
                     let b0 = (from - block * BLOCK_BYTES) as usize;
                     out[(from - offset) as usize..(to - offset) as usize]
                         .copy_from_slice(&blk[b0..b0 + (to - from) as usize]);
@@ -1252,31 +1258,49 @@ mod tests {
             }
         }
 
-        /// Both read paths on the same state: same bytes or same error, and
-        /// the same traced I/Os.
-        fn read_both(&mut self, obj: u64, offset: u64, len: u64) -> Result<Payload, StoreError> {
+        /// Both read paths on the same state: same bytes or same error, the
+        /// same device counters and the same traced I/Os — and segments of
+        /// the promised shape.
+        fn read_both(&mut self, obj: u64, offset: u64, len: u64) -> Result<Segments, StoreError> {
             let (mut new_trace, mut old_trace) = (Vec::new(), Vec::new());
-            let before = self.dev.counters().bytes_read;
+            let seen = |dev: &mut MemDisk, since: DevCounters| {
+                let now = dev.counters();
+                dev.reset_counters();
+                assert_eq!((now.writes, now.flushes), (since.writes, since.flushes));
+                (now.reads - since.reads, now.bytes_read - since.bytes_read)
+            };
+            let before = self.dev.counters();
             let new = self
                 .part
                 .read(&mut self.dev, oid(obj), offset, len, &mut new_trace);
-            let new_bytes_read = self.dev.counters().bytes_read - before;
+            let new_seen = seen(&mut self.dev, before);
             let old =
                 self.part
                     .read_reference(&mut self.dev, oid(obj), offset, len, &mut old_trace);
+            let old_seen = seen(&mut self.dev, DevCounters::default());
             assert_eq!(
-                new.clone().map(|p| p.to_vec()),
+                new.clone().map(|segs| segs.into_payload().to_vec()),
                 old,
                 "object {obj} [{offset}, +{len})"
             );
-            if new.is_ok() {
+            // (A failed read stops at the rotted block on either path, but
+            // the reference has then fetched the rest of its run.)
+            if let Ok(segs) = &new {
+                assert_eq!(new_seen, old_seen, "device reads and bytes read");
                 let key = |t: &TraceIo| (t.kind, t.bytes, t.category);
                 assert_eq!(
                     new_trace.iter().map(key).collect::<Vec<_>>(),
                     old_trace.iter().map(key).collect::<Vec<_>>()
                 );
                 let traced: u64 = new_trace.iter().map(|t| t.bytes).sum();
-                assert_eq!(new_bytes_read, traced, "the device saw what was traced");
+                assert_eq!(new_seen.1, traced, "the device saw what was traced");
+                assert_eq!(segs.len() as u64, len);
+                assert!(segs.iter().all(|part| !part.is_empty()));
+                if self.opts.checksums {
+                    // One view per block touched: nothing was assembled.
+                    let blocks = (offset + len).div_ceil(BLOCK_BYTES) - offset / BLOCK_BYTES;
+                    assert_eq!(segs.iter().count() as u64, blocks.min(len));
+                }
             }
             new
         }
@@ -1317,7 +1341,7 @@ mod tests {
                             &mut self.dev,
                             oid(obj),
                             offset,
-                            &data,
+                            &data.clone().into(),
                             self.seq,
                             &self.opts,
                             &mut trace,
@@ -1379,11 +1403,13 @@ mod tests {
     }
 
     proptest! {
-        /// `Partition::read` against the copying read path it replaced and
-        /// against a byte model — over holes, never-written pre-allocated
-        /// blocks, blocks held by reference (whole buffers and slices),
-        /// RMW-materialised blocks, unaligned multi-run ranges and rot that
-        /// lands on a block whose CRC memo is warm.
+        /// The segmented `Partition::read` against the copying read path it
+        /// replaced and against a byte model — over holes, never-written
+        /// pre-allocated blocks, blocks held by reference (whole buffers and
+        /// slices), RMW-materialised image blocks, unaligned offsets and
+        /// lengths over several runs, checksums on and off, and rot that
+        /// lands on a block whose CRC memo is warm — with equal bytes, equal
+        /// device counters and equal traces.
         #[test]
         fn read_matches_reference_and_model(script in steps(), checksums in any::<bool>()) {
             let mut h = Harness::new(checksums);

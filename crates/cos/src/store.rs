@@ -11,7 +11,7 @@
 
 use rablock_storage::{
     BlockDevice, FxHashMap, GroupId, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op,
-    Payload, StoreError, StoreStats, TraceIo, Transaction,
+    Segments, StoreError, StoreStats, TraceIo, Transaction,
 };
 
 use crate::layout::{CosOptions, PartGeometry, SUPERBLOCK_BYTES};
@@ -185,6 +185,24 @@ impl<D: BlockDevice> CosObjectStore<D> {
         self.partitions[idx].mapped_blocks(oid)
     }
 
+    /// The one data write of the store: [`Op::Write`] is its one-segment
+    /// case.
+    fn write(
+        &mut self,
+        oid: ObjectId,
+        offset: u64,
+        data: &Segments,
+        seq: u64,
+        opts: &CosOptions,
+        trace: &mut Vec<TraceIo>,
+    ) -> Result<(), StoreError> {
+        let idx = self.partition_of(oid.group());
+        let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
+        part.write(dev, oid, offset, data, seq, opts, trace)?;
+        self.stats.user_bytes += data.len() as u64;
+        Ok(())
+    }
+
     fn absorb(&mut self, tmp: Vec<TraceIo>) {
         for io in tmp {
             self.stats.record(io);
@@ -208,10 +226,10 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
                     part.create(dev, oid, size, seq, &opts, &mut tmp)?;
                 }
                 Op::Write { oid, offset, data } => {
-                    let idx = self.partition_of(oid.group());
-                    let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
-                    part.write(dev, oid, offset, &data, seq, &opts, &mut tmp)?;
-                    self.stats.user_bytes += data.len() as u64;
+                    self.write(oid, offset, &data.into(), seq, &opts, &mut tmp)?;
+                }
+                Op::WriteV { oid, offset, data } => {
+                    self.write(oid, offset, &data, seq, &opts, &mut tmp)?;
                 }
                 Op::SetXattr { oid, key, value } => {
                     let idx = self.partition_of(oid.group());
@@ -236,7 +254,12 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
         Ok(())
     }
 
-    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError> {
+    fn read_segments(
+        &mut self,
+        oid: ObjectId,
+        offset: u64,
+        len: u64,
+    ) -> Result<Segments, StoreError> {
         let idx = self.partition_of(oid.group());
         let mut tmp = Vec::new();
         let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
@@ -876,6 +899,99 @@ mod tests {
         assert_eq!(hole, vec![0u8; 4096]);
         let reads: Vec<u64> = s.take_trace().iter().map(|t| t.bytes).collect();
         assert_eq!(reads, [4096], "one traced read; the hole costs none");
+    }
+
+    /// A recovery push end to end at the store level: the sender's read
+    /// hands out its device's buffers, the receiver's apply keeps those very
+    /// buffers (and with them their CRC memo — the scan-free half is pinned
+    /// in `rablock_storage`'s `chunks_of_block_views_answer_from_the_senders_memo`),
+    /// as one device write per contiguous run.
+    #[test]
+    fn pushed_object_arrives_by_reference_in_one_write_per_run() {
+        let opts = checked(CosOptions::tiny());
+        let o = oid(0, 67);
+        let size = 8 * 4096u64;
+        let mut sender = fresh(opts.clone());
+        let create = Op::Create { oid: o, size };
+        sender
+            .submit(Transaction::new(o.group(), 1, vec![create]))
+            .unwrap();
+        // Blocks 1..=2 by reference, block 4 in the image, the rest never
+        // written.
+        let client: rablock_storage::Payload = (0..8192u32)
+            .map(|i| (i / 7) as u8)
+            .collect::<Vec<_>>()
+            .into();
+        let op = Op::Write {
+            oid: o,
+            offset: 4096,
+            data: client.clone(),
+        };
+        sender
+            .submit(Transaction::new(o.group(), 2, vec![op]))
+            .unwrap();
+        sender
+            .submit(write_txn(3, o, 4 * 4096 + 10, vec![9; 100]))
+            .unwrap();
+        let object = sender.read_segments(o, 0, size).unwrap();
+        assert_eq!(
+            object.iter().count(),
+            8,
+            "one view per block, none assembled"
+        );
+        assert!(std::ptr::eq(
+            object.iter().nth(2).unwrap().as_ptr(),
+            client[4096..].as_ptr()
+        ));
+
+        let mut receiver = fresh(opts);
+        let _ = receiver.take_trace();
+        let push = vec![
+            Op::Create { oid: o, size },
+            Op::WriteV {
+                oid: o,
+                offset: 0,
+                data: object.clone(),
+            },
+        ];
+        receiver
+            .submit(Transaction::new(o.group(), 9, push))
+            .unwrap();
+        let data_writes: Vec<u64> = receiver
+            .take_trace()
+            .iter()
+            .filter(|t| {
+                matches!(t.kind, rablock_storage::TraceKind::Write)
+                    && t.category == rablock_storage::IoCategory::Data
+            })
+            .map(|t| t.bytes)
+            .collect();
+        assert_eq!(data_writes, [size], "eight views, one device write");
+        assert_eq!(receiver.stats().user_bytes, size);
+        assert_eq!(receiver.csum_digest(o), sender.csum_digest(o));
+        let held = receiver.read(o, 2 * 4096, 4096).unwrap();
+        assert!(
+            std::ptr::eq(held.as_ptr(), client[4096..].as_ptr()),
+            "the client's buffer, never copied on the way"
+        );
+        assert!(receiver.read_segments(o, 0, size).unwrap() == object);
+        // Rot under a pushed block is the receiver's alone, and is caught.
+        assert!(receiver.corrupt_data_bit(o, 2, 5, 1).unwrap());
+        assert_eq!(
+            receiver.read(o, 2 * 4096, 4096),
+            Err(StoreError::ChecksumMismatch)
+        );
+        assert!(sender.read_segments(o, 0, size).unwrap() == object);
+        // An empty vectored write is refused like an empty write.
+        let empty = Op::WriteV {
+            oid: o,
+            offset: 0,
+            data: Segments::new(),
+        };
+        assert!(matches!(
+            receiver.submit(Transaction::new(o.group(), 10, vec![empty])),
+            Err(StoreError::InvalidArgument(_))
+        ));
     }
 
     #[test]

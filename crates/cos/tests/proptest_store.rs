@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use rablock_cos::{CosObjectStore, CosOptions};
-use rablock_storage::{GroupId, MemDisk, ObjectId, ObjectStore, Op, Transaction};
+use rablock_storage::{
+    BlockDevice, GroupId, MemDisk, ObjectId, ObjectStore, Op, Payload, Segments, Transaction,
+};
 
 const OBJ_BYTES: u64 = 64 << 10;
 const OBJECTS: u64 = 4;
@@ -54,7 +56,23 @@ fn oid(i: u64) -> ObjectId {
 /// Model entry: `(logical_size, bytes)`; `None` = deleted.
 type ModelObj = Option<(u64, Vec<u8>)>;
 
-fn run_script(opts: CosOptions, script: Vec<StoreOp>) -> (CosObjectStore<MemDisk>, Vec<ModelObj>) {
+/// How a script's writes reach the store.
+type MakeWrite<'a> = &'a dyn Fn(ObjectId, u64, Payload) -> Op;
+
+fn flat_write(oid: ObjectId, offset: u64, data: Payload) -> Op {
+    Op::Write { oid, offset, data }
+}
+
+/// The bytes of one write: position-dependent, so a misplaced piece shows.
+fn pattern(fill: u8, len: u64) -> Vec<u8> {
+    (0..len).map(|i| fill ^ (i / 3) as u8).collect()
+}
+
+fn run_script(
+    opts: CosOptions,
+    script: &[StoreOp],
+    make_write: MakeWrite<'_>,
+) -> (CosObjectStore<MemDisk>, Vec<ModelObj>) {
     let mut store = CosObjectStore::format(MemDisk::new(32 << 20), opts).unwrap();
     let mut model: Vec<ModelObj> = (0..OBJECTS)
         .map(|_| Some((OBJ_BYTES, vec![0u8; OBJ_BYTES as usize])))
@@ -75,22 +93,16 @@ fn run_script(opts: CosOptions, script: Vec<StoreOp>) -> (CosObjectStore<MemDisk
     }
     for op in script {
         seq += 1;
-        match op {
+        match *op {
             StoreOp::Write {
                 obj,
                 offset,
                 len,
                 fill,
             } => {
-                let txn = Transaction::new(
-                    oid(obj).group(),
-                    seq,
-                    vec![Op::Write {
-                        oid: oid(obj),
-                        offset,
-                        data: vec![fill; len as usize].into(),
-                    }],
-                );
+                let data = pattern(fill, len);
+                let write = make_write(oid(obj), offset, data.clone().into());
+                let txn = Transaction::new(oid(obj).group(), seq, vec![write]);
                 if model[obj as usize].is_none() {
                     // A write to a deleted object recreates it from zeroes,
                     // sized by the write's extent.
@@ -99,7 +111,7 @@ fn run_script(opts: CosOptions, script: Vec<StoreOp>) -> (CosObjectStore<MemDisk
                 store.submit(txn).unwrap();
                 let m = model[obj as usize].as_mut().unwrap();
                 m.0 = m.0.max(offset + len);
-                m.1[offset as usize..(offset + len) as usize].fill(fill);
+                m.1[offset as usize..(offset + len) as usize].copy_from_slice(&data);
             }
             StoreOp::Read { obj, offset, len } => {
                 let got = store.read(oid(obj), offset, len);
@@ -159,8 +171,48 @@ proptest! {
     #[test]
     fn store_matches_model(script in ops(), cache in any::<bool>(), prealloc in any::<bool>()) {
         let opts = CosOptions { metadata_cache: cache, pre_allocate: prealloc, ..CosOptions::tiny() };
-        let (mut store, model) = run_script(opts, script);
+        let (mut store, model) = run_script(opts, &script, &flat_write);
         check_all(&mut store, &model);
+    }
+
+    /// The segmented apply against the flat apply it generalises: the same
+    /// script with every write cut into pieces (`Op::WriteV`) leaves the
+    /// same bytes on read-back, the same checksum metadata, and has cost
+    /// the same device calls, the same `StoreStats` and the same trace.
+    #[test]
+    fn segmented_apply_matches_flat_apply(
+        script in ops(),
+        cuts in proptest::collection::vec(prop_oneof![Just(4096usize), 1..9000usize], 1..5),
+        checksums in any::<bool>(),
+        prealloc in any::<bool>(),
+    ) {
+        let opts = CosOptions { checksums, pre_allocate: prealloc, ..CosOptions::tiny() };
+        let cut_write = |oid: ObjectId, offset: u64, data: Payload| {
+            let (mut pieces, mut at) = (Segments::new(), 0);
+            for cut in cuts.iter().cycle() {
+                let take = (*cut).min(data.len() - at);
+                pieces.push(data.slice(at, take));
+                at += take;
+                if at == data.len() {
+                    break;
+                }
+            }
+            Op::WriteV { oid, offset, data: pieces }
+        };
+        let (mut flat, model) = run_script(opts.clone(), &script, &flat_write);
+        let (mut cut, _) = run_script(opts, &script, &cut_write);
+        prop_assert_eq!(cut.device().counters(), flat.device().counters());
+        prop_assert_eq!(cut.stats(), flat.stats());
+        let key = |t: rablock_storage::TraceIo| (t.kind, t.bytes, t.category);
+        prop_assert_eq!(
+            cut.take_trace().into_iter().map(key).collect::<Vec<_>>(),
+            flat.take_trace().into_iter().map(key).collect::<Vec<_>>()
+        );
+        for i in 0..OBJECTS {
+            prop_assert_eq!(cut.csum_digest(oid(i)), flat.csum_digest(oid(i)));
+        }
+        check_all(&mut cut, &model);
+        check_all(&mut flat, &model);
     }
 
     /// After any script + full flush, unmounting and remounting the device
@@ -168,7 +220,7 @@ proptest! {
     #[test]
     fn mount_round_trips_state(script in ops()) {
         let opts = CosOptions { metadata_cache: false, ..CosOptions::tiny() };
-        let (mut store, model) = run_script(opts.clone(), script);
+        let (mut store, model) = run_script(opts.clone(), &script, &flat_write);
         while store.needs_maintenance() {
             store.maintenance();
         }

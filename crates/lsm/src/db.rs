@@ -618,12 +618,13 @@ impl<D: BlockDevice> Db<D> {
         Ok(())
     }
 
-    /// Reads from raw segment `seg`.
+    /// Reads from raw segment `seg` (traced as a data read); the result is
+    /// the device's own buffer where it holds the range as one.
     ///
     /// # Errors
     ///
     /// Propagates device errors; the range must fit in the segment.
-    pub fn raw_read(&mut self, seg: u32, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
+    pub fn raw_read(&mut self, seg: u32, offset: u64, len: u64) -> Result<Payload, StoreError> {
         if offset + len > self.opts.segment_bytes {
             return Err(StoreError::OutOfBounds {
                 offset,
@@ -631,9 +632,8 @@ impl<D: BlockDevice> Db<D> {
                 capacity: self.opts.segment_bytes,
             });
         }
-        let mut out = vec![0u8; len as usize];
         let dev_off = self.geom.region_off + seg as u64 * self.opts.segment_bytes + offset;
-        self.dev.read_at(dev_off, &mut out)?;
+        let out = self.dev.read_payload_at(dev_off, len as usize)?;
         self.record(TraceIo {
             kind: TraceKind::Read,
             bytes: len,

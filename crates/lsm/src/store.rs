@@ -11,8 +11,8 @@
 use std::collections::HashMap;
 
 use rablock_storage::{
-    BlockDevice, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, Payload, StoreError,
-    StoreStats, TraceIo, Transaction,
+    BlockDevice, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, Payload, Segments,
+    StoreError, StoreStats, TraceIo, Transaction,
 };
 
 use crate::cache::BlockCache;
@@ -227,7 +227,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         info: &mut StoredInfo,
         oid: ObjectId,
         offset: u64,
-        data: &Payload,
+        data: &Segments,
     ) -> Result<(), StoreError> {
         let end = offset + data.len() as u64;
         // Large-write path (BlueStore: big writes bypass RocksDB and land
@@ -242,22 +242,23 @@ impl<D: BlockDevice> LsmObjectStore<D> {
             let p_start = offset.max(c_start);
             let p_end = end.min(c_end);
             let key = (oid.raw(), info.generation, chunk);
+            let part = || data.slice((p_start - offset) as usize, (p_end - p_start) as usize);
             if let Some(&seg) = self.raw_chunks.get(&key) {
-                self.db.raw_write(
-                    seg,
-                    p_start - c_start,
-                    &data[(p_start - offset) as usize..(p_end - offset) as usize],
-                )?;
+                self.db
+                    .raw_write(seg, p_start - c_start, &part().into_payload())?;
             } else if (p_end - p_start) * RAW_PROMOTE_DEN >= chunk_bytes * RAW_PROMOTE_NUM {
                 // Promote: merge any existing KV blocks of this chunk, then
                 // write the whole chunk raw.
                 let mut merged = vec![0u8; chunk_bytes as usize];
                 if info.size > c_start {
-                    let have = (info.size - c_start).min(chunk_bytes) as usize;
-                    self.read_kv_into(oid, info, c_start, &mut merged[..have])?;
+                    let have = (info.size - c_start).min(chunk_bytes);
+                    let mut old = Segments::new();
+                    self.read_kv(oid, info, c_start, have, &mut old)?;
+                    old.copy_to_slice(&mut merged[..have as usize]);
                 }
-                merged[(p_start - c_start) as usize..(p_end - c_start) as usize]
-                    .copy_from_slice(&data[(p_start - offset) as usize..(p_end - offset) as usize]);
+                part().copy_to_slice(
+                    &mut merged[(p_start - c_start) as usize..(p_end - c_start) as usize],
+                );
                 let seg = self.db.alloc_segments(1)?[0];
                 self.db.raw_write(seg, 0, &merged)?;
                 self.raw_chunks.insert(key, seg);
@@ -286,7 +287,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         info: &mut StoredInfo,
         oid: ObjectId,
         offset: u64,
-        data: &Payload,
+        data: &Segments,
         r_start: u64,
         r_end: u64,
     ) -> Result<(), StoreError> {
@@ -299,17 +300,21 @@ impl<D: BlockDevice> LsmObjectStore<D> {
             let copy_start = r_start.max(block_start);
             let copy_end = end.min(block_end);
             let key = data_key(oid, info.generation, block);
+            let part = data.slice(
+                (copy_start - offset) as usize,
+                (copy_end - copy_start) as usize,
+            );
             let value = if copy_start == block_start && copy_end == block_end {
-                data.slice((copy_start - offset) as usize, LSM_BLOCK_BYTES as usize)
+                part.into_payload()
             } else {
                 // Unaligned: read-modify-write the block (the paper calls
                 // this out in the YCSB analysis, §V-E).
                 let mut block = self.db.get(&key)?.map_or_else(Vec::new, |p| p.to_vec());
                 block.resize(LSM_BLOCK_BYTES as usize, 0);
-                block[(copy_start - block_start) as usize..(copy_end - block_start) as usize]
-                    .copy_from_slice(
-                        &data[(copy_start - offset) as usize..(copy_end - offset) as usize],
-                    );
+                part.copy_to_slice(
+                    &mut block
+                        [(copy_start - block_start) as usize..(copy_end - block_start) as usize],
+                );
                 block.into()
             };
             self.cache.put(&key, value.clone());
@@ -337,33 +342,36 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         Ok(fetched)
     }
 
-    /// Fills the zeroed `out` with the object's bytes at `offset` from KV
-    /// blocks only; absent blocks stay zero (sparse object).
-    fn read_kv_into(
+    /// Appends the object's bytes `[offset, offset + len)` to `out` from KV
+    /// blocks only: each value as the buffer the cache or memtable holds,
+    /// zeroes where a block is absent or short (sparse object).
+    fn read_kv(
         &mut self,
         oid: ObjectId,
         info: &StoredInfo,
         offset: u64,
-        out: &mut [u8],
+        len: u64,
+        out: &mut Segments,
     ) -> Result<(), StoreError> {
-        if out.is_empty() {
+        if len == 0 {
             return Ok(());
         }
-        let end = offset + out.len() as u64;
-        let first_block = offset / LSM_BLOCK_BYTES;
-        let last_block = (end - 1) / LSM_BLOCK_BYTES;
-        for block in first_block..=last_block {
+        let end = offset + len;
+        for block in offset / LSM_BLOCK_BYTES..=(end - 1) / LSM_BLOCK_BYTES {
             let block_start = block * LSM_BLOCK_BYTES;
-            let copy_start = offset.max(block_start);
-            let copy_end = end.min(block_start + LSM_BLOCK_BYTES);
+            // The wanted range within the block, and where the value ends.
+            let lo = (offset.max(block_start) - block_start) as usize;
+            let hi = (end.min(block_start + LSM_BLOCK_BYTES) - block_start) as usize;
+            let mut have = lo;
             if let Some(value) = self.kv_block(oid, info, block)? {
-                let src_start = (copy_start - block_start) as usize;
-                let src_end = ((copy_end - block_start) as usize).min(value.len());
-                if src_end > src_start {
-                    out[(copy_start - offset) as usize..][..src_end - src_start]
-                        .copy_from_slice(&value[src_start..src_end]);
-                }
+                have = value.len().clamp(lo, hi);
+                out.push(if (lo, have) == (0, value.len()) {
+                    value
+                } else {
+                    value.slice(lo, have - lo)
+                });
             }
+            out.push_zeros(hi - have);
         }
         Ok(())
     }
@@ -371,6 +379,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
 
 impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
     fn submit(&mut self, txn: Transaction) -> Result<(), StoreError> {
+        let Transaction { seq, ops, .. } = txn;
         let mut batch: Vec<BatchEntry> = Vec::new();
         // Info updates are coalesced per object within the transaction.
         let mut infos: Vec<(ObjectId, StoredInfo)> = Vec::new();
@@ -402,41 +411,55 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
             Ok(Some(pos))
         };
 
-        for op in &txn.ops {
+        let write = |store: &mut Self,
+                     infos: &mut Vec<(ObjectId, StoredInfo)>,
+                     batch: &mut Vec<BatchEntry>,
+                     oid: ObjectId,
+                     offset: u64,
+                     data: &Segments|
+         -> Result<(), StoreError> {
+            if data.is_empty() {
+                return Err(StoreError::InvalidArgument("zero-length write".into()));
+            }
+            let idx = info_of(store, infos, oid, true)?.expect("write creates info");
+            let mut info = infos[idx].1;
+            store.apply_write(batch, &mut info, oid, offset, data)?;
+            info.version += 1;
+            info.mtime = seq;
+            infos[idx].1 = info;
+            store.user_bytes += data.len() as u64;
+            Ok(())
+        };
+
+        for op in ops {
             match op {
                 Op::Create { oid, size } => {
                     let idx =
-                        info_of(self, &mut infos, *oid, true)?.expect("create always yields info");
+                        info_of(self, &mut infos, oid, true)?.expect("create always yields info");
                     let info = &mut infos[idx].1;
-                    info.size = info.size.max(*size);
+                    info.size = info.size.max(size);
                     info.version += 1;
-                    info.mtime = txn.seq;
+                    info.mtime = seq;
                 }
                 Op::Write { oid, offset, data } => {
-                    if data.is_empty() {
-                        return Err(StoreError::InvalidArgument("zero-length write".into()));
-                    }
-                    let idx = info_of(self, &mut infos, *oid, true)?.expect("write creates info");
-                    let mut info = infos[idx].1;
-                    self.apply_write(&mut batch, &mut info, *oid, *offset, data)?;
-                    info.version += 1;
-                    info.mtime = txn.seq;
-                    infos[idx].1 = info;
-                    self.user_bytes += data.len() as u64;
+                    write(self, &mut infos, &mut batch, oid, offset, &data.into())?;
+                }
+                Op::WriteV { oid, offset, data } => {
+                    write(self, &mut infos, &mut batch, oid, offset, &data)?;
                 }
                 Op::SetXattr { oid, key, value } => {
-                    let idx = info_of(self, &mut infos, *oid, true)?.expect("xattr creates info");
+                    let idx = info_of(self, &mut infos, oid, true)?.expect("xattr creates info");
                     infos[idx].1.version += 1;
-                    batch.push((xattr_key(*oid, key), Some(value.as_slice().into())));
+                    batch.push((xattr_key(oid, &key), Some(value.as_slice().into())));
                 }
                 Op::MetaPut { key, value } => {
-                    batch.push((meta_key(key), Some(value.as_slice().into())));
+                    batch.push((meta_key(&key), Some(value.as_slice().into())));
                 }
                 Op::MetaDelete { key } => {
-                    batch.push((meta_key(key), None));
+                    batch.push((meta_key(&key), None));
                 }
                 Op::Delete { oid } => {
-                    let Some(idx) = info_of(self, &mut infos, *oid, false)? else {
+                    let Some(idx) = info_of(self, &mut infos, oid, false)? else {
                         return Err(StoreError::NotFound);
                     };
                     let generation = infos[idx].1.generation;
@@ -456,7 +479,7 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                     for key in doomed {
                         let seg = self.raw_chunks.remove(&key).expect("just listed");
                         self.db.free_segment(seg)?;
-                        batch.push((raw_key(*oid, generation, key.2), None));
+                        batch.push((raw_key(oid, generation, key.2), None));
                     }
                 }
             }
@@ -473,7 +496,12 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
         Ok(())
     }
 
-    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError> {
+    fn read_segments(
+        &mut self,
+        oid: ObjectId,
+        offset: u64,
+        len: u64,
+    ) -> Result<Segments, StoreError> {
         let info = self.load_info(oid)?.ok_or(StoreError::NotFound)?;
         if offset + len > info.size {
             return Err(StoreError::OutOfBounds {
@@ -482,47 +510,25 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                 capacity: info.size,
             });
         }
+        // One whole KV block comes back as the memtable's or the cache's
+        // own buffer: one segment, nothing allocated.
+        let mut out = Segments::new();
         if len == 0 {
-            return Ok(Payload::empty());
+            return Ok(out);
         }
         let end = offset + len;
         let chunk_bytes = self.db.segment_bytes();
-        let first_chunk = offset / chunk_bytes;
-        if len == LSM_BLOCK_BYTES
-            && offset.is_multiple_of(LSM_BLOCK_BYTES)
-            && !self
-                .raw_chunks
-                .contains_key(&(oid.raw(), info.generation, first_chunk))
-        {
-            // One whole KV block: the memtable's or the cache's own buffer.
-            let value = self
-                .kv_block(oid, &info, offset / LSM_BLOCK_BYTES)?
-                .unwrap_or_default();
-            if value.len() as u64 == len {
-                return Ok(value);
+        for chunk in offset / chunk_bytes..=(end - 1) / chunk_bytes {
+            let c_start = chunk * chunk_bytes;
+            let p_start = offset.max(c_start);
+            let p_end = end.min(c_start + chunk_bytes);
+            if let Some(&seg) = self.raw_chunks.get(&(oid.raw(), info.generation, chunk)) {
+                out.push(self.db.raw_read(seg, p_start - c_start, p_end - p_start)?);
+            } else {
+                self.read_kv(oid, &info, p_start, p_end - p_start, &mut out)?;
             }
-            return Payload::build(len as usize, |out| {
-                let have = value.len().min(out.len());
-                out[..have].copy_from_slice(&value[..have]);
-                Ok(())
-            });
         }
-        let last_chunk = (end - 1) / chunk_bytes;
-        Payload::build(len as usize, |out| {
-            for chunk in first_chunk..=last_chunk {
-                let c_start = chunk * chunk_bytes;
-                let p_start = offset.max(c_start);
-                let p_end = end.min(c_start + chunk_bytes);
-                let part = &mut out[(p_start - offset) as usize..(p_end - offset) as usize];
-                if let Some(&seg) = self.raw_chunks.get(&(oid.raw(), info.generation, chunk)) {
-                    let raw = self.db.raw_read(seg, p_start - c_start, p_end - p_start)?;
-                    part.copy_from_slice(&raw);
-                } else {
-                    self.read_kv_into(oid, &info, p_start, part)?;
-                }
-            }
-            Ok(())
-        })
+        Ok(out)
     }
 
     fn stat(&mut self, oid: ObjectId) -> Option<ObjectInfo> {

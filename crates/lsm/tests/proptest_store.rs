@@ -12,7 +12,10 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use rablock_lsm::{LsmObjectStore, LsmOptions};
-use rablock_storage::{GroupId, MemDisk, ObjectId, ObjectStore, Op, StoreError, Transaction};
+use rablock_storage::{
+    BlockDevice, GroupId, MemDisk, ObjectId, ObjectStore, Op, Payload, Segments, StoreError,
+    TraceKind, Transaction,
+};
 
 const BLOCK: u64 = 4096;
 const OBJECT_BYTES: u64 = 32 * BLOCK;
@@ -123,76 +126,184 @@ fn meta_key(key: u8) -> Vec<u8> {
     format!("pglog.0.{key}").into_bytes()
 }
 
+/// How a script's writes reach the store.
+type MakeWrite<'a> = &'a dyn Fn(ObjectId, u64, Payload) -> Op;
+
+fn flat_write(oid: ObjectId, offset: u64, data: Payload) -> Op {
+    Op::Write { oid, offset, data }
+}
+
+/// Runs `script` against a fresh store and the block-map model; returns the
+/// store with everything it traced since its last reopen.
+fn drive(
+    script: &[StoreOp],
+    make_write: MakeWrite<'_>,
+) -> Result<(LsmObjectStore<MemDisk>, Vec<rablock_storage::TraceIo>), TestCaseError> {
+    let mut store = LsmObjectStore::open(MemDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
+    let mut trace = Vec::new();
+    let mut model = Model::default();
+    let mut seq = 0u64;
+    let mut submit = |store: &mut LsmObjectStore<MemDisk>, ops: Vec<Op>| {
+        seq += 1;
+        store.submit(Transaction::new(GroupId(0), seq, ops))
+    };
+    for op in script.iter().cloned() {
+        match op {
+            StoreOp::Write {
+                obj,
+                offset,
+                len,
+                fill,
+            } => {
+                // A ramp, so a misplaced or stale byte cannot pass as right.
+                let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                model.write(obj, offset, &data);
+                submit(&mut store, vec![make_write(oid(obj), offset, data.into())]).unwrap();
+            }
+            StoreOp::Xattr { obj, fill } => {
+                model.size.entry(obj).or_insert(0);
+                submit(
+                    &mut store,
+                    vec![Op::SetXattr {
+                        oid: oid(obj),
+                        key: "oi".into(),
+                        value: vec![fill; 40],
+                    }],
+                )
+                .unwrap();
+            }
+            StoreOp::MetaPut { key, fill, len } => {
+                let value = vec![fill; len as usize];
+                model.meta.insert(key, value.clone());
+                submit(
+                    &mut store,
+                    vec![Op::MetaPut {
+                        key: meta_key(key),
+                        value,
+                    }],
+                )
+                .unwrap();
+            }
+            StoreOp::MetaDelete { key } => {
+                model.meta.remove(&key);
+                submit(&mut store, vec![Op::MetaDelete { key: meta_key(key) }]).unwrap();
+            }
+            StoreOp::Delete { obj } => {
+                let existed = model.size.remove(&obj).is_some();
+                model.blocks.retain(|(o, _), _| *o != obj);
+                let result = submit(&mut store, vec![Op::Delete { oid: oid(obj) }]);
+                let expected = if existed {
+                    Ok(())
+                } else {
+                    Err(StoreError::NotFound)
+                };
+                prop_assert_eq!(result, expected);
+            }
+            StoreOp::Read { obj, offset, len } => {
+                // The segmented read: the model's bytes, in views that
+                // were never assembled, for device reads that were all
+                // traced; and `read` is its concatenation.
+                trace.extend(store.take_trace());
+                let before = store.db().device().counters().bytes_read;
+                let got = store.read_segments(oid(obj), offset, len);
+                let seen = store.db().device().counters().bytes_read - before;
+                let reads = store.take_trace();
+                let traced = reads.iter().filter(|t| t.kind == TraceKind::Read);
+                prop_assert_eq!(seen, traced.map(|t| t.bytes).sum::<u64>());
+                trace.extend(reads);
+                match model.size.get(&obj) {
+                    None => prop_assert_eq!(got, Err(StoreError::NotFound)),
+                    Some(&size) if offset + len > size => {
+                        let out_of_bounds = matches!(got, Err(StoreError::OutOfBounds { .. }));
+                        prop_assert!(out_of_bounds, "{:?}", got);
+                    }
+                    Some(_) => {
+                        let segs = got.unwrap();
+                        prop_assert!(segs == model.read(obj, offset, len));
+                        prop_assert!(segs.iter().all(|part| !part.is_empty()));
+                        // At most one view per KV block touched (a raw
+                        // chunk is one view for its four blocks).
+                        let blocks = (offset + len).div_ceil(BLOCK) - offset / BLOCK;
+                        prop_assert!(segs.iter().count() as u64 <= blocks);
+                        prop_assert_eq!(store.read(oid(obj), offset, len), Ok(segs.into_payload()));
+                    }
+                }
+            }
+            StoreOp::Maintain => {
+                if store.needs_maintenance() {
+                    store.maintenance();
+                }
+            }
+            StoreOp::Reopen => {
+                store = LsmObjectStore::open(store.into_device(), LsmOptions::tiny()).unwrap();
+                trace.clear();
+            }
+        }
+    }
+    // (In object order: two runs of one script must read alike.)
+    let mut sizes: Vec<(u8, u64)> = model.size.iter().map(|(&o, &s)| (o, s)).collect();
+    sizes.sort_unstable();
+    for (obj, size) in sizes {
+        prop_assert_eq!(store.stat(oid(obj)).map(|i| i.size), Some(size));
+        if size > 0 {
+            prop_assert_eq!(
+                store.read(oid(obj), 0, size),
+                Ok(model.read(obj, 0, size).into()),
+                "object {}",
+                obj
+            );
+        }
+    }
+    for key in 0u8..8 {
+        prop_assert_eq!(
+            store.get_meta(&meta_key(key)),
+            model.meta.get(&key).cloned(),
+            "meta {}",
+            key
+        );
+    }
+    trace.extend(store.take_trace());
+    Ok((store, trace))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn store_matches_block_map(script in ops()) {
-        let mut store = LsmObjectStore::open(MemDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
-        let mut model = Model::default();
-        let mut seq = 0u64;
-        let mut submit = |store: &mut LsmObjectStore<MemDisk>, ops: Vec<Op>| {
-            seq += 1;
-            store.submit(Transaction::new(GroupId(0), seq, ops))
+        drive(&script, &flat_write)?;
+    }
+
+    /// The segmented apply against the flat apply it generalises: the same
+    /// script with every write cut into pieces (`Op::WriteV`) reads back the
+    /// same (both runs are checked against the model) and has cost the same
+    /// device calls, the same `StoreStats` and the same trace.
+    #[test]
+    fn segmented_apply_matches_flat_apply(
+        script in ops(),
+        cuts in proptest::collection::vec(prop_oneof![Just(4096usize), 1..9000usize], 1..5),
+    ) {
+        let cut_write = |oid: ObjectId, offset: u64, data: Payload| {
+            let (mut pieces, mut at) = (Segments::new(), 0);
+            for cut in cuts.iter().cycle() {
+                let take = (*cut).min(data.len() - at);
+                pieces.push(data.slice(at, take));
+                at += take;
+                if at == data.len() {
+                    break;
+                }
+            }
+            Op::WriteV { oid, offset, data: pieces }
         };
-        for op in script {
-            match op {
-                StoreOp::Write { obj, offset, len, fill } => {
-                    // A ramp, so a misplaced or stale byte cannot pass as right.
-                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                    model.write(obj, offset, &data);
-                    submit(&mut store, vec![Op::Write { oid: oid(obj), offset, data: data.into() }]).unwrap();
-                }
-                StoreOp::Xattr { obj, fill } => {
-                    model.size.entry(obj).or_insert(0);
-                    submit(&mut store, vec![Op::SetXattr { oid: oid(obj), key: "oi".into(), value: vec![fill; 40] }]).unwrap();
-                }
-                StoreOp::MetaPut { key, fill, len } => {
-                    let value = vec![fill; len as usize];
-                    model.meta.insert(key, value.clone());
-                    submit(&mut store, vec![Op::MetaPut { key: meta_key(key), value }]).unwrap();
-                }
-                StoreOp::MetaDelete { key } => {
-                    model.meta.remove(&key);
-                    submit(&mut store, vec![Op::MetaDelete { key: meta_key(key) }]).unwrap();
-                }
-                StoreOp::Delete { obj } => {
-                    let existed = model.size.remove(&obj).is_some();
-                    model.blocks.retain(|(o, _), _| *o != obj);
-                    let result = submit(&mut store, vec![Op::Delete { oid: oid(obj) }]);
-                    let expected = if existed { Ok(()) } else { Err(StoreError::NotFound) };
-                    prop_assert_eq!(result, expected);
-                }
-                StoreOp::Read { obj, offset, len } => {
-                    let got = store.read(oid(obj), offset, len);
-                    match model.size.get(&obj) {
-                        None => prop_assert_eq!(got, Err(StoreError::NotFound)),
-                        Some(&size) if offset + len > size => {
-                            let out_of_bounds = matches!(got, Err(StoreError::OutOfBounds { .. }));
-                            prop_assert!(out_of_bounds, "{:?}", got);
-                        }
-                        Some(_) => prop_assert_eq!(got, Ok(model.read(obj, offset, len).into())),
-                    }
-                }
-                StoreOp::Maintain => {
-                    if store.needs_maintenance() {
-                        store.maintenance();
-                    }
-                }
-                StoreOp::Reopen => {
-                    store = LsmObjectStore::open(store.into_device(), LsmOptions::tiny()).unwrap();
-                }
-            }
-        }
-        for (&obj, &size) in &model.size {
-            prop_assert_eq!(store.stat(oid(obj)).map(|i| i.size), Some(size));
-            if size > 0 {
-                prop_assert_eq!(store.read(oid(obj), 0, size), Ok(model.read(obj, 0, size).into()), "object {}", obj);
-            }
-        }
-        for key in 0u8..8 {
-            prop_assert_eq!(store.get_meta(&meta_key(key)), model.meta.get(&key).cloned(), "meta {}", key);
-        }
+        let (flat, flat_trace) = drive(&script, &flat_write)?;
+        let (cut, cut_trace) = drive(&script, &cut_write)?;
+        prop_assert_eq!(cut.db().device().counters(), flat.db().device().counters());
+        prop_assert_eq!(cut.stats(), flat.stats());
+        let key = |t: &rablock_storage::TraceIo| (t.kind, t.bytes, t.category);
+        prop_assert_eq!(
+            cut_trace.iter().map(key).collect::<Vec<_>>(),
+            flat_trace.iter().map(key).collect::<Vec<_>>()
+        );
     }
 }
 

@@ -80,13 +80,13 @@ impl Frame {
                     put_u64(body, *size);
                 }
                 Op::Write { oid, offset, data } => {
-                    body.push(1);
-                    put_u64(body, oid.raw());
-                    put_u64(body, *offset);
-                    put_u32(body, data.len() as u32);
-                    if crc.append_payload_by_ref(body, data) {
-                        self.held.push((body.len(), data.clone()));
-                    }
+                    put_write(body, &mut crc, &mut self.held, *oid, *offset, data);
+                }
+                // Flattened: the log has one kind of write. (No caller logs
+                // one of these: pushes and backfill bypass the log.)
+                Op::WriteV { oid, offset, data } => {
+                    let flat = data.clone().into_payload();
+                    put_write(body, &mut crc, &mut self.held, *oid, *offset, &flat);
                 }
                 Op::SetXattr { oid, key, value } => {
                     body.push(2);
@@ -156,6 +156,7 @@ pub(crate) fn encoded_len(txn: &Transaction) -> u64 {
             1 + match op {
                 Op::Create { .. } => 16,
                 Op::Write { data, .. } => 16 + bytes(data.len()),
+                Op::WriteV { data, .. } => 16 + bytes(data.len()),
                 Op::SetXattr { key, value, .. } => 8 + bytes(key.len()) + bytes(value.len()),
                 Op::MetaPut { key, value } => bytes(key.len()) + bytes(value.len()),
                 Op::MetaDelete { key } => bytes(key.len()),
@@ -164,6 +165,25 @@ pub(crate) fn encoded_len(txn: &Transaction) -> u64 {
         })
         .sum();
     (FRAME_HEADER + 32 + ops) as u64
+}
+
+/// Frames one data write; a payload long enough to stay out of the framed
+/// bytes is held in its place.
+fn put_write(
+    body: &mut Vec<u8>,
+    crc: &mut FrameCrc,
+    held: &mut Vec<(usize, Payload)>,
+    oid: ObjectId,
+    offset: u64,
+    data: &Payload,
+) {
+    body.push(1);
+    put_u64(body, oid.raw());
+    put_u64(body, offset);
+    put_u32(body, data.len() as u32);
+    if crc.append_payload_by_ref(body, data) {
+        held.push((body.len(), data.clone()));
+    }
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -394,6 +414,7 @@ pub(crate) fn reference_encode(rec: &LogRecord) -> Vec<u8> {
                 put_u64(&mut body, *offset);
                 put_bytes(&mut body, data);
             }
+            Op::WriteV { .. } => unreachable!("the reference knows flat writes only"),
             Op::SetXattr { oid, key, value } => {
                 body.push(2);
                 put_u64(&mut body, oid.raw());

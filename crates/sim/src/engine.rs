@@ -650,6 +650,30 @@ impl<M> DomainCore<M> {
     }
 }
 
+/// Where one worker thread of the parallel executor spent its wall clock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkerRoundStats {
+    /// Executing its domains' events and publishing their outboxes.
+    pub execute_ns: u64,
+    /// Waiting at the barrier that ends the execute phase.
+    pub execute_wait_ns: u64,
+    /// Draining its domains' mailboxes and republishing their minima.
+    pub merge_ns: u64,
+    /// Waiting at the barrier that ends the merge phase.
+    pub merge_wait_ns: u64,
+}
+
+/// The parallel executor's account of its own wall clock, summed over every
+/// [`Simulation::run_until_parts`] call that ran on more than one worker.
+/// Host time only: it never feeds back into the simulation.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RoundStats {
+    /// Synchronization rounds executed.
+    pub rounds: u64,
+    /// One entry per worker thread (empty after sequential runs only).
+    pub workers: Vec<WorkerRoundStats>,
+}
+
 /// A deterministic discrete-event simulation of cores, threads and devices.
 ///
 /// ```
@@ -684,6 +708,7 @@ pub struct Simulation<M> {
     ctx_switch_cost: SimDuration,
     lookahead: SimDuration,
     workers: usize,
+    round_stats: RoundStats,
 }
 
 impl<M> Simulation<M> {
@@ -716,6 +741,7 @@ impl<M> Simulation<M> {
             ctx_switch_cost,
             lookahead: SimDuration::ZERO,
             workers: 1,
+            round_stats: RoundStats::default(),
         }
     }
 
@@ -783,6 +809,12 @@ impl<M> Simulation<M> {
     /// Configured worker count (before clamping to the domain count).
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Rounds and per-worker wall clock of the parallel executor so far
+    /// (all zeros if every run was sequential).
+    pub fn round_stats(&self) -> &RoundStats {
+        &self.round_stats
     }
 
     /// Sum over domains of the largest pending-event population reached so
@@ -1078,7 +1110,9 @@ impl<M> Simulation<M> {
             if d_count > 1 {
                 for src in 0..d_count {
                     for dst in 0..d_count {
-                        if src == dst {
+                        // (A domain never posts to itself, and most pairs
+                        // exchange nothing in a 20 µs window.)
+                        if self.domains[src].outbox[dst].is_empty() {
                             continue;
                         }
                         let mut buf = std::mem::take(&mut self.domains[src].outbox[dst]);
@@ -1109,6 +1143,7 @@ impl<M> Simulation<M> {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
         use std::sync::{Barrier, Mutex};
+        use std::time::Instant;
 
         // One (src, dst) mailbox slot: the events domain `src` published
         // for domain `dst` this round.
@@ -1141,16 +1176,26 @@ impl<M> Simulation<M> {
             buckets[i % workers].push((i, dom, part));
         }
 
-        std::thread::scope(|s| {
+        let stats: Vec<(u64, WorkerRoundStats)> = std::thread::scope(|s| {
+            let mut handles = Vec::new();
             for bucket in buckets {
                 let (mins, stop_flag, barrier) = (&mins, &stop_flag, &barrier);
                 let (mailbox, dirty, panic_slot) = (&mailbox, &dirty, &panic_slot);
-                s.spawn(move || {
+                handles.push(s.spawn(move || {
                     let mut bucket = bucket;
                     // A worker that panicked keeps honoring the barrier
                     // protocol (without touching sim state) until everyone
                     // agrees to break; the payload is rethrown at the end.
                     let mut poisoned = false;
+                    let (mut rounds, mut spent) = (0u64, WorkerRoundStats::default());
+                    let mut lap = Instant::now();
+                    // Nanoseconds since the previous call.
+                    let mut split = move || {
+                        let now = Instant::now();
+                        let ns = now.duration_since(lap).as_nanos() as u64;
+                        lap = now;
+                        ns
+                    };
                     loop {
                         // Post-barrier snapshot: identical on every worker.
                         let gmin = mins.iter().map(|a| a.load(SeqCst)).min().unwrap();
@@ -1184,7 +1229,9 @@ impl<M> Simulation<M> {
                                 poisoned = true;
                             }
                         }
+                        spent.execute_ns += split();
                         barrier.wait();
+                        spent.execute_wait_ns += split();
                         if !poisoned {
                             let r = catch_unwind(AssertUnwindSafe(|| {
                                 for (i, dom, _) in bucket.iter_mut() {
@@ -1208,14 +1255,34 @@ impl<M> Simulation<M> {
                                 poisoned = true;
                             }
                         }
+                        spent.merge_ns += split();
                         barrier.wait();
+                        spent.merge_wait_ns += split();
+                        rounds += 1;
                     }
-                });
+                    (rounds, spent)
+                }));
             }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panics are caught inside"))
+                .collect()
         });
 
         if let Some(p) = panic_slot.into_inner().unwrap() {
             resume_unwind(p);
+        }
+        // Every worker counts the same rounds: all break on one snapshot.
+        self.round_stats.rounds += stats[0].0;
+        let known = self.round_stats.workers.len().max(workers);
+        self.round_stats
+            .workers
+            .resize(known, WorkerRoundStats::default());
+        for (total, (_, spent)) in self.round_stats.workers.iter_mut().zip(stats) {
+            total.execute_ns += spent.execute_ns;
+            total.execute_wait_ns += spent.execute_wait_ns;
+            total.merge_ns += spent.merge_ns;
+            total.merge_wait_ns += spent.merge_wait_ns;
         }
     }
 
@@ -1543,6 +1610,26 @@ mod tests {
         assert_eq!(seq, par);
         let par4 = run(4); // clamps to 2 workers, must still match
         assert_eq!(seq, par4);
+    }
+
+    #[test]
+    fn round_stats_account_for_parallel_runs_only() {
+        let (mut sim, mut parts) = two_domain_setup(1);
+        sim.run_until_parts(&mut parts, SimTime::from_nanos(50_000_000));
+        assert_eq!(*sim.round_stats(), RoundStats::default());
+
+        let (mut sim, mut parts) = two_domain_setup(2);
+        sim.run_until_parts(&mut parts, SimTime::from_nanos(200_000));
+        let first = sim.round_stats().clone();
+        assert!(first.rounds > 0);
+        assert_eq!(first.workers.len(), 2);
+        sim.run_until_parts(&mut parts, SimTime::from_nanos(50_000_000));
+        let both = sim.round_stats();
+        assert!(both.rounds > first.rounds, "a second run adds its rounds");
+        for (now, then) in both.workers.iter().zip(&first.workers) {
+            assert!(now.execute_ns > then.execute_ns);
+            assert!(now.merge_ns > then.merge_ns);
+        }
     }
 
     #[test]

@@ -59,7 +59,10 @@ mod time;
 pub mod trace;
 
 pub use device::{Device, DeviceProfile, DeviceStats, IoKind, IoRequest, SsdState};
-pub use engine::{CoreId, Ctx, DeviceId, Handler, Priority, Simulation, ThreadCfg, ThreadId};
+pub use engine::{
+    CoreId, Ctx, DeviceId, Handler, Priority, RoundStats, Simulation, ThreadCfg, ThreadId,
+    WorkerRoundStats,
+};
 pub use faults::{
     BitRotSchedule, CrashSchedule, FaultEvent, FaultPlan, GrayWindow, LinkFault, MessageFate,
     Partition, RotMedia,

@@ -13,6 +13,7 @@
 //! The plain `BinaryHeap` the wheel replaced survives only as the reference
 //! model of the differential proptest at the bottom of this file.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -72,6 +73,10 @@ struct Wheel<T> {
     in_wheel: usize,
     /// Far-future events, min-first by `(time, seq)`.
     overflow: BinaryHeap<HeapEntry<T>>,
+    /// The earliest pending time, when a peek has worked it out and nothing
+    /// has been popped since: an idle domain is peeked every round, and its
+    /// next event (a heartbeat) can be a thousand empty slots away.
+    head: Cell<Option<SimTime>>,
 }
 
 impl<T> Wheel<T> {
@@ -87,6 +92,7 @@ impl<T> Wheel<T> {
             cur_sorted: false,
             in_wheel: 0,
             overflow: BinaryHeap::new(),
+            head: Cell::new(None),
         }
     }
 
@@ -97,6 +103,9 @@ impl<T> Wheel<T> {
     fn push(&mut self, time: SimTime, seq: u64, payload: T) {
         let slot = time.nanos() >> SLOT_SHIFT;
         debug_assert!(slot >= self.cursor, "event time regressed behind cursor");
+        if self.head.get().is_some_and(|head| time < head) {
+            self.head.set(Some(time));
+        }
         if slot >= self.window_end {
             self.overflow.push(HeapEntry { time, seq, payload });
             return;
@@ -157,6 +166,13 @@ impl<T> Wheel<T> {
     /// peek (as `advance` does) would strand them behind it. The cursor only
     /// moves in `pop`, i.e. only up to slots whose events actually executed.
     fn peek_time(&self) -> Option<SimTime> {
+        if self.head.get().is_none() {
+            self.head.set(self.scan_head());
+        }
+        self.head.get()
+    }
+
+    fn scan_head(&self) -> Option<SimTime> {
         if self.in_wheel == 0 {
             // Overflow events are all >= window_end, so when the wheel tier
             // is empty the overflow head is the global minimum.
@@ -178,6 +194,7 @@ impl<T> Wheel<T> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        self.head.set(None);
         let idx = self.advance()?;
         let e = self.buckets[idx].pop().expect("advance returned non-empty");
         self.in_wheel -= 1;
@@ -349,6 +366,9 @@ mod tests {
                             _ => now + rng.below(head - now + 1),  // inside the gap
                         };
                         push(&mut wheel, &mut heap, t, i);
+                        // Peek again: an answer remembered from the first
+                        // peek must have followed a push below it.
+                        assert_eq!(wheel.peek_time(), heap.peek().map(|e| e.time));
                     }
                 } else {
                     // Mix near-term, tie-heavy, and far-future (overflow) times.

@@ -8,7 +8,7 @@
 
 use crate::error::StoreError;
 use crate::fxhash::FxHashMap;
-use crate::payload::Payload;
+use crate::payload::{Payload, Segments};
 
 /// Granularity at which [`MemDisk`] keeps payload writes by reference.
 const SHARE_BYTES: u64 = 4096;
@@ -62,16 +62,17 @@ pub trait BlockDevice {
     /// Returns [`StoreError::OutOfBounds`] if the range exceeds capacity.
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError>;
 
-    /// Writes the bytes of `data` starting at `offset`: the same result and
-    /// the same [`DevCounters`] as [`BlockDevice::write_at`] of its slice. A
-    /// device may keep the (immutable, refcounted) buffer instead of
-    /// copying it.
+    /// Writes the bytes of `data`, which may sit in several buffers,
+    /// starting at `offset`, as *one* write: the same result and the same
+    /// [`DevCounters`] as [`BlockDevice::write_at`] of their concatenation.
+    /// A device may keep the (immutable, refcounted) buffers instead of
+    /// copying them.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::OutOfBounds`] if the range exceeds capacity.
-    fn write_payload_at(&mut self, offset: u64, data: &Payload) -> Result<(), StoreError> {
-        self.write_at(offset, data.as_slice())
+    fn write_segments_at(&mut self, offset: u64, data: &Segments) -> Result<(), StoreError> {
+        self.write_at(offset, &data.clone().into_payload())
     }
 
     /// Durably persists all completed writes.
@@ -91,7 +92,7 @@ pub trait BlockDevice {
 /// An in-memory block device.
 ///
 /// Bytes live in a flat image, except that whole 4 KiB-aligned blocks
-/// written through [`BlockDevice::write_payload_at`] are kept as [`Payload`]
+/// written through [`BlockDevice::write_segments_at`] are kept as [`Payload`]
 /// slices in a sparse overlay that shadows the image: the client's buffer is
 /// neither copied nor are the image's (lazily zeroed) pages touched. A byte
 /// write that overlaps a shared block takes it back first (copy-on-write), so
@@ -230,15 +231,16 @@ impl BlockDevice for MemDisk {
         Ok(())
     }
 
-    fn write_payload_at(&mut self, offset: u64, data: &Payload) -> Result<(), StoreError> {
+    fn write_segments_at(&mut self, offset: u64, data: &Segments) -> Result<(), StoreError> {
         let len = data.len() as u64;
         if !offset.is_multiple_of(SHARE_BYTES) || !len.is_multiple_of(SHARE_BYTES) {
-            return self.write_at(offset, data.as_slice());
+            return self.write_at(offset, &data.clone().into_payload());
         }
         self.check(offset, len)?;
-        for i in 0..len / SHARE_BYTES {
-            let block = data.slice((i * SHARE_BYTES) as usize, SHARE_BYTES as usize);
-            self.shared.insert(offset / SHARE_BYTES + i, block);
+        // A chunk that lies in one view is kept as that view; one that
+        // straddles two is the one copy an odd segmentation costs.
+        for (number, block) in (offset / SHARE_BYTES..).zip(data.chunks(SHARE_BYTES as usize)) {
+            self.shared.insert(number, block);
         }
         self.counters.writes += 1;
         self.counters.bytes_written += len;
@@ -272,8 +274,8 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         (**self).write_at(offset, data)
     }
-    fn write_payload_at(&mut self, offset: u64, data: &Payload) -> Result<(), StoreError> {
-        (**self).write_payload_at(offset, data)
+    fn write_segments_at(&mut self, offset: u64, data: &Segments) -> Result<(), StoreError> {
+        (**self).write_segments_at(offset, data)
     }
     fn flush(&mut self) -> Result<(), StoreError> {
         (**self).flush()
@@ -355,7 +357,7 @@ mod tests {
             .map(|i| (i / 7) as u8)
             .collect::<Vec<_>>()
             .into();
-        d.write_payload_at(8192, &backing.slice(4096, 8192))
+        d.write_segments_at(8192, &backing.slice(4096, 8192).into())
             .unwrap();
         assert_eq!(
             d.shared.len(),
@@ -379,8 +381,73 @@ mod tests {
         assert_eq!(&buf[10..13], b"xyz");
         assert_eq!(&buf[13..4096], &backing[4109..8192]);
         // Unaligned payload writes are plain byte writes.
-        d.write_payload_at(100, &backing.slice(0, 4096)).unwrap();
+        d.write_segments_at(100, &backing.slice(0, 4096).into())
+            .unwrap();
         assert_eq!(d.shared.len(), 1);
+    }
+
+    #[test]
+    fn vectored_write_is_one_write_and_keeps_every_view() {
+        let mut d: Box<MemDisk> = Box::new(MemDisk::new(64 << 10));
+        let block = |fill: u8| Payload::from(vec![fill; 3 * 4096]).slice(4096, 4096);
+        let (a, b) = (block(1), block(2));
+        let mut object = Segments::from(a.clone());
+        object.push(b.clone());
+        object.push_zeros(4096);
+        d.write_segments_at(8192, &object).unwrap();
+        assert_eq!(d.shared.len(), 3, "through the Box, not the default");
+        assert!(std::ptr::eq(d.shared[&2].as_ptr(), a.as_ptr()));
+        assert!(std::ptr::eq(d.shared[&3].as_ptr(), b.as_ptr()));
+        assert_eq!(
+            (d.counters().writes, d.counters().bytes_written),
+            (1, 12288)
+        );
+        let back = d.read_payload_at(8192, 12288).unwrap();
+        assert!(object == back);
+        // Views that do not line up with blocks are cut (one copy per block
+        // that straddles two); an unaligned target is one byte write.
+        d.write_segments_at(4096, &object.slice(100, 8192)).unwrap();
+        assert_eq!(d.shared.len(), 4);
+        d.write_segments_at(100, &object).unwrap();
+        assert_eq!(
+            d.shared.len(),
+            1,
+            "blocks 1..=3 taken back by the byte write"
+        );
+        assert_eq!(d.counters().writes, 3);
+        let mut image = vec![0u8; 100 + 12288];
+        d.read_at(0, &mut image).unwrap();
+        assert!(object == image[100..]);
+        assert!(matches!(
+            d.write_segments_at(60 << 10, &object),
+            Err(StoreError::OutOfBounds { .. })
+        ));
+        // A device without an override sees one write of the same bytes.
+        struct Plain(MemDisk);
+        impl BlockDevice for Plain {
+            fn capacity(&self) -> u64 {
+                self.0.capacity()
+            }
+            fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
+                self.0.read_at(offset, buf)
+            }
+            fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
+                self.0.write_at(offset, data)
+            }
+            fn flush(&mut self) -> Result<(), StoreError> {
+                self.0.flush()
+            }
+            fn counters(&self) -> DevCounters {
+                self.0.counters()
+            }
+            fn reset_counters(&mut self) {
+                self.0.reset_counters()
+            }
+        }
+        let mut plain = Plain(MemDisk::new(64 << 10));
+        plain.write_segments_at(8192, &object).unwrap();
+        assert_eq!(plain.counters().writes, 1);
+        assert!(object == plain.read_payload_at(8192, 12288).unwrap());
     }
 
     #[test]
@@ -390,7 +457,7 @@ mod tests {
             .map(|i| (i / 5) as u8)
             .collect::<Vec<_>>()
             .into();
-        d.write_payload_at(4096, &backing).unwrap();
+        d.write_segments_at(4096, &backing.clone().into()).unwrap();
         let before = d.counters();
         let held = d.read_payload_at(8192, 4096).unwrap();
         assert!(
@@ -414,7 +481,7 @@ mod tests {
         let mut fork = d.clone();
         d.write_at(8192 + 7, &[0xFF]).unwrap();
         d.write_at(0, &[1; 4096]).unwrap();
-        fork.write_payload_at(8192, &vec![9u8; 4096].into())
+        fork.write_segments_at(8192, &Payload::from(vec![9u8; 4096]).into())
             .unwrap();
         assert_eq!(held, backing[4096..].to_vec());
         assert_eq!(image, vec![0u8; 4096]);
@@ -489,7 +556,14 @@ mod tests {
                 .into();
             let view = backing.slice(step.lead, step.len);
             let got = if step.shared {
-                self.disk.write_payload_at(step.offset, &view)
+                // In pieces: whole blocks, odd sizes, or (`cut` past the
+                // end) the one-view case.
+                let cut = [4096, 1 + step.lead % 3000, 8192, usize::MAX][step.fill as usize % 4];
+                let mut pieces = Segments::new();
+                for at in (0..step.len).step_by(cut.min(step.len.max(1))) {
+                    pieces.push(view.slice(at, cut.min(step.len - at)));
+                }
+                self.disk.write_segments_at(step.offset, &pieces)
             } else {
                 self.disk.write_at(step.offset, &view)
             };
@@ -551,10 +625,11 @@ mod tests {
     }
 
     proptest! {
-        /// Byte writes and by-reference writes, aligned or not, leave a
-        /// device no reader — by bytes or by payload — can tell from a flat
-        /// byte array — also after `clone()`, when the two copies share
-        /// blocks and then diverge.
+        /// Byte writes and by-reference writes (of one view or of several),
+        /// aligned or not, leave a device no reader — by bytes or by payload
+        /// — can tell from a flat byte array, with one counted write each —
+        /// also after `clone()`, when the two copies share blocks and then
+        /// diverge.
         #[test]
         fn matches_flat_byte_array(before in steps(), after in steps()) {
             let mut a = Pair {

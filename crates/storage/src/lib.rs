@@ -46,5 +46,5 @@ pub use objectstore::{
     GroupId, IoCategory, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, StoreStats,
     TraceIo, TraceKind, Transaction,
 };
-pub use payload::Payload;
+pub use payload::{Payload, Segments};
 pub use smallvec::SmallVec;

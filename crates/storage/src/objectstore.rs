@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::error::StoreError;
-use crate::payload::Payload;
+use crate::payload::{Payload, Segments};
 
 /// Identifier of an object within the cluster.
 ///
@@ -107,6 +107,17 @@ pub enum Op {
         /// Payload (refcounted: cloning the op shares the bytes).
         data: Payload,
     },
+    /// [`Op::Write`] of bytes that sit in several buffers: an object as a
+    /// store read returned it, applied block view by block view (recovery
+    /// push, backfill). One write to the store, whatever the segmentation.
+    WriteV {
+        /// Target object.
+        oid: ObjectId,
+        /// Byte offset within the object.
+        offset: u64,
+        /// The bytes, in order.
+        data: Segments,
+    },
     /// Sets an extended attribute on the object.
     SetXattr {
         /// Target object.
@@ -141,6 +152,7 @@ impl Op {
     pub fn user_bytes(&self) -> u64 {
         match self {
             Op::Write { data, .. } => data.len() as u64,
+            Op::WriteV { data, .. } => data.len() as u64,
             _ => 0,
         }
     }
@@ -298,15 +310,31 @@ pub trait ObjectStore {
     /// invalid targets. On error the store remains consistent.
     fn submit(&mut self, txn: Transaction) -> Result<(), StoreError>;
 
-    /// Reads `len` bytes at `offset` from an object. The result may share
-    /// the buffer the store itself holds (a whole-block read copies
-    /// nothing); later writes to the object never change it.
+    /// Reads `len` bytes at `offset` from an object, as the views the store
+    /// itself holds them in (one per block, value or raw run; holes are
+    /// views of one shared zero block): nothing is copied into one buffer.
+    /// Later writes to the object never change the result.
     ///
     /// # Errors
     ///
     /// Fails with [`StoreError::NotFound`] for missing objects or
     /// [`StoreError::OutOfBounds`] past the object end.
-    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError>;
+    fn read_segments(
+        &mut self,
+        oid: ObjectId,
+        offset: u64,
+        len: u64,
+    ) -> Result<Segments, StoreError>;
+
+    /// [`ObjectStore::read_segments`] as one buffer: the store's own for a
+    /// read that is one segment (a whole block), one copy otherwise.
+    ///
+    /// # Errors
+    ///
+    /// As [`ObjectStore::read_segments`].
+    fn read(&mut self, oid: ObjectId, offset: u64, len: u64) -> Result<Payload, StoreError> {
+        Ok(self.read_segments(oid, offset, len)?.into_payload())
+    }
 
     /// Metadata of an object, if it exists.
     fn stat(&mut self, oid: ObjectId) -> Option<ObjectInfo>;

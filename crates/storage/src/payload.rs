@@ -235,6 +235,311 @@ impl fmt::Debug for Payload {
     }
 }
 
+/// The one all-zeroes block every hole of every [`Segments`] is a view of.
+fn zero_block() -> &'static Payload {
+    static ZERO: OnceLock<Payload> = OnceLock::new();
+    ZERO.get_or_init(|| vec![0u8; CRC_BLOCK].into())
+}
+
+/// An ordered run of [`Payload`] views that read as one byte string: what a
+/// store read *is* when the bytes sit in several buffers (one per block the
+/// device holds by reference, one per LSM value, one shared zero block for
+/// every hole). Nothing is assembled until someone asks for
+/// [`Segments::into_payload`]; a digest, a message or a block-wise apply
+/// walks the views instead, and every view keeps its buffer's CRC memo.
+///
+/// There is no `Deref<[u8]>`: the bytes are not contiguous. Equality is by
+/// content, whatever the segmentation. A value of zero or one segment
+/// allocates nothing.
+#[derive(Clone, Default)]
+pub struct Segments(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// Exactly one view, never empty.
+    One(Payload),
+    /// No view, or several; none of them empty. `len` is their total.
+    Many { parts: Vec<Payload>, len: usize },
+}
+
+impl Default for Repr {
+    fn default() -> Repr {
+        Repr::Many {
+            parts: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl Segments {
+    /// No bytes (and no allocation).
+    pub fn new() -> Segments {
+        Segments::default()
+    }
+
+    /// Total number of bytes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::One(part) => part.len(),
+            Repr::Many { len, .. } => *len,
+        }
+    }
+
+    /// True when there are no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    #[inline]
+    fn parts(&self) -> &[Payload] {
+        match &self.0 {
+            Repr::One(part) => std::slice::from_ref(part),
+            Repr::Many { parts, .. } => parts,
+        }
+    }
+
+    /// The views in order; none is empty.
+    pub fn iter(&self) -> std::slice::Iter<'_, Payload> {
+        self.parts().iter()
+    }
+
+    /// Appends a view (an empty one adds nothing).
+    #[inline]
+    pub fn push(&mut self, part: Payload) {
+        if part.is_empty() {
+            return;
+        }
+        match &mut self.0 {
+            Repr::Many { parts, .. } if parts.is_empty() => self.0 = Repr::One(part),
+            Repr::Many { parts, len } => {
+                *len += part.len();
+                parts.push(part);
+            }
+            Repr::One(_) => {
+                let Repr::One(first) = std::mem::take(&mut self.0) else {
+                    unreachable!("matched above")
+                };
+                self.0 = Repr::Many {
+                    len: first.len() + part.len(),
+                    parts: vec![first, part],
+                };
+            }
+        }
+    }
+
+    /// Appends `len` zero bytes as views of one shared zero block: a hole
+    /// costs no memory, however long.
+    pub fn push_zeros(&mut self, mut len: usize) {
+        while len > 0 {
+            let take = len.min(CRC_BLOCK);
+            self.push(zero_block().slice(0, take));
+            len -= take;
+        }
+    }
+
+    /// The sub-range `[offset, offset + len)` as views of the same buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds [`Segments::len`].
+    pub fn slice(&self, offset: usize, len: usize) -> Segments {
+        if let Repr::One(part) = &self.0 {
+            return part.slice(offset, len).into();
+        }
+        assert!(
+            offset + len <= self.len(),
+            "slice [{offset}, +{len}) out of segments of {} bytes",
+            self.len()
+        );
+        let (mut skip, mut want) = (offset, len);
+        let mut out = Segments::new();
+        for part in self.parts() {
+            if want == 0 {
+                break;
+            }
+            if skip >= part.len() {
+                skip -= part.len();
+                continue;
+            }
+            let take = (part.len() - skip).min(want);
+            out.push(part.slice(skip, take));
+            skip = 0;
+            want -= take;
+        }
+        out
+    }
+
+    /// The bytes cut into consecutive chunks of `size` (the last may be
+    /// shorter). A chunk that lies in one view is a view of the same buffer,
+    /// with that buffer's CRC memo; one that straddles views is a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is zero.
+    #[inline]
+    pub fn chunks(&self, size: usize) -> impl Iterator<Item = Payload> + '_ {
+        assert!(size > 0, "chunk size must be positive");
+        let mut walk = Walk {
+            parts: self.parts(),
+            at: 0,
+        };
+        let mut left = self.len();
+        std::iter::from_fn(move || {
+            let want = size.min(left);
+            left -= want;
+            (want > 0).then(|| walk.take(want))
+        })
+    }
+
+    /// Copies the bytes into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from [`Segments::len`].
+    pub fn copy_to_slice(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), self.len(), "destination length");
+        let mut done = 0;
+        for part in self.parts() {
+            out[done..done + part.len()].copy_from_slice(part);
+            done += part.len();
+        }
+    }
+
+    /// The bytes as one payload: the view itself for one segment, one copy
+    /// for several.
+    #[inline]
+    pub fn into_payload(self) -> Payload {
+        match self.0 {
+            Repr::One(part) => part,
+            Repr::Many { len: 0, .. } => Payload::empty(),
+            Repr::Many { len, .. } => assemble(len, |buf| self.copy_to_slice(buf)),
+        }
+    }
+
+    fn eq_bytes(&self, mut other: &[u8]) -> bool {
+        self.len() == other.len()
+            && self.parts().iter().all(|part| {
+                let (head, tail) = other.split_at(part.len());
+                other = tail;
+                part.as_slice() == head
+            })
+    }
+}
+
+/// A payload of `len` bytes that `fill` cannot fail to write.
+fn assemble(len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
+    Payload::build(len, |buf| {
+        fill(buf);
+        Ok::<_, std::convert::Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {})
+}
+
+/// A position in a run of views, for consuming it front to back.
+struct Walk<'a> {
+    /// The views not yet used up; the first is used up to `at`.
+    parts: &'a [Payload],
+    at: usize,
+}
+
+impl<'a> Walk<'a> {
+    /// The rest of the current view, at most `max` bytes of it.
+    #[inline]
+    fn run(&mut self, max: usize) -> &'a [u8] {
+        let (first, rest) = self.parts.split_first().expect("bytes left");
+        let take = (first.len() - self.at).min(max);
+        let run = &first.as_slice()[self.at..self.at + take];
+        self.at += take;
+        if self.at == first.len() {
+            (self.parts, self.at) = (rest, 0);
+        }
+        run
+    }
+
+    /// The next `len` bytes, which the caller knows exist: a view when one
+    /// part holds them all, a copy otherwise.
+    #[inline]
+    fn take(&mut self, len: usize) -> Payload {
+        let (first, at) = (&self.parts[0], self.at);
+        if first.len() - at >= len {
+            self.run(len);
+            return first.slice(at, len);
+        }
+        assemble(len, |buf| {
+            let mut done = 0;
+            while done < len {
+                let run = self.run(len - done);
+                buf[done..done + run.len()].copy_from_slice(run);
+                done += run.len();
+            }
+        })
+    }
+}
+
+impl From<Payload> for Segments {
+    #[inline]
+    fn from(part: Payload) -> Segments {
+        if part.is_empty() {
+            Segments::new()
+        } else {
+            Segments(Repr::One(part))
+        }
+    }
+}
+
+impl PartialEq for Segments {
+    fn eq(&self, other: &Segments) -> bool {
+        let mut theirs = Walk {
+            parts: other.parts(),
+            at: 0,
+        };
+        self.len() == other.len()
+            && self.iter().all(|part| {
+                let mut mine = part.as_slice();
+                while !mine.is_empty() {
+                    let run = theirs.run(mine.len());
+                    if mine[..run.len()] != *run {
+                        return false;
+                    }
+                    mine = &mine[run.len()..];
+                }
+                true
+            })
+    }
+}
+
+impl Eq for Segments {}
+
+impl PartialEq<[u8]> for Segments {
+    fn eq(&self, other: &[u8]) -> bool {
+        self.eq_bytes(other)
+    }
+}
+
+impl PartialEq<Vec<u8>> for Segments {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.eq_bytes(other)
+    }
+}
+
+impl PartialEq<Payload> for Segments {
+    fn eq(&self, other: &Payload) -> bool {
+        self.eq_bytes(other)
+    }
+}
+
+impl fmt::Debug for Segments {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "Segments({} bytes in {} views)",
+            self.len(),
+            self.parts().len()
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,5 +696,155 @@ mod tests {
         assert!(Payload::empty().is_empty());
         assert_eq!(Payload::default().len(), 0);
         assert_eq!(Payload::default().to_vec(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn one_segment_is_the_payload_itself() {
+        // No wider than the payload it stands in for in every message, and
+        // a round trip through it is the same view of the same buffer.
+        assert_eq!(
+            std::mem::size_of::<Segments>(),
+            std::mem::size_of::<Payload>()
+        );
+        let p = ramp(2, 0).slice(CRC_BLOCK, CRC_BLOCK);
+        let segs = Segments::from(p.clone());
+        assert!(matches!(segs.0, Repr::One(_)), "nothing allocated");
+        assert_eq!(segs.iter().count(), 1);
+        let sliced = segs.slice(0, CRC_BLOCK);
+        assert!(matches!(sliced.0, Repr::One(_)));
+        let back = sliced.into_payload();
+        assert!(std::ptr::eq(back.as_ptr(), p.as_ptr()));
+        // Empty parts vanish; an empty value is no view at all.
+        let mut none = Segments::from(Payload::empty());
+        none.push(p.slice(7, 0));
+        assert!(none.is_empty() && none.iter().next().is_none());
+        assert_eq!(none, Segments::new());
+        assert!(none.into_payload().is_empty());
+    }
+
+    #[test]
+    fn zeros_are_views_of_one_shared_block() {
+        let mut segs = Segments::new();
+        segs.push_zeros(3 * CRC_BLOCK + 5);
+        assert_eq!(segs.len(), 3 * CRC_BLOCK + 5);
+        assert_eq!(segs, vec![0u8; 3 * CRC_BLOCK + 5]);
+        let base = zero_block().as_ptr();
+        assert!(segs.iter().all(|part| std::ptr::eq(part.as_ptr(), base)));
+    }
+
+    /// What a receiver does with a pushed object: the sender's store read
+    /// it as one view per block (each verified there, so each memo cell is
+    /// warm), and the apply cuts the run it writes into blocks and asks each
+    /// for its CRC. Poisoned cells prove the answers come from the memo.
+    #[test]
+    fn chunks_of_block_views_answer_from_the_senders_memo() {
+        let backing = ramp(4, 0);
+        // Independent views, as four device reads return them.
+        let object: Segments = {
+            let mut segs = Segments::new();
+            for i in 0..4 {
+                segs.push(backing.clone().slice(i * CRC_BLOCK, CRC_BLOCK));
+            }
+            segs
+        };
+        for part in object.iter() {
+            part.crc32(); // the sender's verify_block
+        }
+        for (i, cell) in backing.checksum.blocks.get().unwrap().iter().enumerate() {
+            cell.store(CRC_KNOWN | (0xBAD0 + i as u64), Ordering::Relaxed);
+        }
+        let sent = object.clone(); // the message
+        let run = sent.slice(CRC_BLOCK, 3 * CRC_BLOCK);
+        let crcs: Vec<u32> = run.chunks(CRC_BLOCK).map(|blk| blk.crc32()).collect();
+        assert_eq!(crcs, [0xBAD1, 0xBAD2, 0xBAD3], "no block was scanned");
+        // A chunk that straddles two views is a fresh copy and does scan.
+        let skewed = sent.slice(100, 2 * CRC_BLOCK);
+        for (i, blk) in skewed.chunks(CRC_BLOCK).enumerate() {
+            let at = 100 + i * CRC_BLOCK;
+            assert_eq!(blk.crc32(), crc32(&backing[at..at + CRC_BLOCK]));
+        }
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Parts of a value under test: a buffer, and the view of it used.
+        fn parts() -> impl Strategy<Value = Vec<(usize, usize, usize, u8)>> {
+            let len = || {
+                prop_oneof![
+                    Just(0usize),
+                    1..40usize,
+                    (1..4usize).prop_map(|b| b * CRC_BLOCK),
+                    1..10_000usize
+                ]
+            };
+            proptest::collection::vec((0..5000usize, len(), 0..50usize, any::<u8>()), 0..8)
+        }
+
+        fn build(parts: &[(usize, usize, usize, u8)]) -> (Segments, Vec<u8>) {
+            let (mut segs, mut flat) = (Segments::new(), Vec::new());
+            for &(lead, len, trail, salt) in parts {
+                let backing: Payload = (0..lead + len + trail)
+                    .map(|i| (i as u8).wrapping_mul(37).wrapping_add(salt))
+                    .collect::<Vec<_>>()
+                    .into();
+                let view = backing.slice(lead, len);
+                flat.extend_from_slice(&view);
+                segs.push(view);
+            }
+            (segs, flat)
+        }
+
+        proptest! {
+            /// `Segments` against the flat `Vec<u8>` it stands for: length,
+            /// equality in every direction, `slice`, `chunks`,
+            /// `copy_to_slice`, `into_payload`, `From<Payload>` — for
+            /// empty, single and many views, aligned or not.
+            #[test]
+            fn segments_match_a_flat_byte_vector(
+                a in parts(),
+                b in parts(),
+                cut in (0..20_000usize, 0..20_000usize),
+                chunk in prop_oneof![Just(CRC_BLOCK), 1..6000usize],
+            ) {
+                let (segs, flat) = build(&a);
+                prop_assert_eq!(segs.len(), flat.len());
+                prop_assert_eq!(segs.is_empty(), flat.is_empty());
+                prop_assert!(segs.iter().all(|part| !part.is_empty()));
+                let (as_payload, as_one) = (Payload::from(flat.clone()), Segments::from(Payload::from(flat.clone())));
+                prop_assert!(segs == flat && segs == flat[..] && segs == as_payload && segs == as_one);
+                prop_assert!(segs.clone().into_payload() == flat);
+                let mut copy = vec![0xEE; flat.len()];
+                segs.copy_to_slice(&mut copy);
+                prop_assert!(copy == flat);
+
+                // Another value: equal exactly when the bytes are.
+                let (other, other_flat) = build(&b);
+                prop_assert_eq!(segs == other, flat == other_flat);
+                prop_assert_eq!(segs == other_flat, flat == other_flat);
+                if !flat.is_empty() {
+                    let mut off_by_one = flat.clone();
+                    *off_by_one.last_mut().unwrap() ^= 1;
+                    prop_assert!(segs != off_by_one);
+                    let off_by_one = Segments::from(Payload::from(off_by_one));
+                    prop_assert!(segs != off_by_one);
+                }
+
+                let from = cut.0 % (flat.len() + 1);
+                let len = cut.1 % (flat.len() - from + 1);
+                let sub = segs.slice(from, len);
+                prop_assert!(sub == flat[from..from + len]);
+                prop_assert!(sub.iter().count() <= segs.iter().count());
+                prop_assert!(sub.slice(0, len) == sub);
+
+                let chunks: Vec<Payload> = segs.chunks(chunk).collect();
+                prop_assert_eq!(chunks.len(), flat.len().div_ceil(chunk));
+                for (got, want) in chunks.iter().zip(flat.chunks(chunk)) {
+                    prop_assert!(got == &want.to_vec());
+                    prop_assert_eq!(got.crc32(), crc32(want));
+                }
+            }
+        }
     }
 }

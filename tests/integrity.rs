@@ -474,6 +474,70 @@ fn corrupted_replica_read_redirects_and_heals() {
     );
 }
 
+/// A repair rewrites the damaged copy with a pushed object: every block of
+/// it then sits on the device as a view of the *sender's* buffers, with the
+/// sender's checksum memo. Rot that later lands under such a block must
+/// still be found by the next deep scrub, and repaired again.
+#[test]
+fn rot_under_a_pushed_block_is_found_by_the_next_deep_scrub() {
+    let mut cfg = base_config(0x9A5E_D0B1, FaultPlan::none());
+    cfg.scrub_interval = Some(SimDuration::millis(10));
+    cfg.scrub_deep_every = 1;
+    let wl: Vec<Box<dyn ConnWorkload>> = (0..CONNS)
+        .map(|c| Box::new(IntegrityConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
+        .collect();
+    let objects: Vec<(ObjectId, u64)> = (0..CONNS)
+        .flat_map(|c| (0..8).map(move |k| (oid(c, k), OBJECT_BYTES)))
+        .collect();
+    let mut sim = ClusterSim::new(cfg, wl);
+    sim.prefill(&objects);
+    // All writes land and flush; scrubs find nothing.
+    let clean = sim.run(SimDuration::ZERO, SimDuration::millis(100));
+    assert_eq!(clean.scrub_errors_found, 0);
+    assert!(clean.scrubs_completed >= 1);
+
+    // Strike one object on a non-primary holder: the primary's deep scrub
+    // sees the damaged copy and pushes the object over it.
+    let target = oid(0, 0);
+    let victim = *sim.map().acting_set(target.group()).last().unwrap();
+    let victim = victim.0 as usize;
+    let strike = |sim: &mut ClusterSim, seed| {
+        let landed = sim.inject_data_rot(victim, target.raw(), target.raw() + 1, 16, seed);
+        assert!(landed > 0, "rot landed on mapped blocks");
+    };
+    let found = |sim: &ClusterSim| -> (u64, u64) {
+        (0..NODES).fold((0, 0), |(f, r), i| {
+            let (found, repaired, _) = sim.integrity_counters(i);
+            (f + found, r + repaired)
+        })
+    };
+    strike(&mut sim, 1);
+    let first = sim.run(SimDuration::millis(100), SimDuration::millis(100));
+    let (found_1, repaired_1) = found(&sim);
+    assert!(found_1 >= 1, "the first strike was found");
+    assert_eq!(repaired_1, found_1, "and repaired");
+    assert!(
+        first.recovery_pushes > clean.recovery_pushes,
+        "by a push: {} after {}",
+        first.recovery_pushes,
+        clean.recovery_pushes
+    );
+
+    // Every block of the victim's copy arrived by that push. Strike again.
+    strike(&mut sim, 2);
+    sim.run(SimDuration::millis(200), SimDuration::millis(100));
+    let (found_2, repaired_2) = found(&sim);
+    assert!(
+        found_2 > found_1,
+        "rot under pushed blocks was found: {found_2} after {found_1}"
+    );
+    assert_eq!(repaired_2, found_2, "and repaired");
+    assert!(sim.stuck_pgs().is_empty(), "{:?}", sim.stuck_pgs());
+    assert!(sim.replica_divergence().is_empty());
+    assert!(sim.replica_digest_inconsistency().is_empty());
+    assert_eq!(sim.client_errors(), 0);
+}
+
 /// Deep scrub charges the shared recovery byte budget. With a budget
 /// smaller than one group's tracked bytes, scrub rounds must defer across
 /// throttle windows — visible as `scrub_throttled_nanos` in the report —
