@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 use rablock::sim::{
-    BitRotSchedule, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan,
-    GrayWindow, LinkFault, Partition, RetryPolicy, RotMedia, SimDuration, SimReport, SimRng,
-    SimTime, WorkItem,
+    fingerprint_hash, BitRotSchedule, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload,
+    CrashSchedule, FaultPlan, GrayWindow, LinkFault, Partition, RetryPolicy, RotMedia, SimDuration,
+    SimReport, SimRng, SimTime, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
 use rablock_bench::{paper_cluster, randwrite_conns, Dataset};
@@ -562,4 +562,136 @@ proptest! {
             prop_assert_eq!(&base, &sharded, "shards {}", shards);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Golden fingerprints: every test above compares two runs of the *same*
+// build; these compare a run with constants recorded at commit 58538a5 (the
+// last one with `osd.rs` and `sim_driver.rs` as single files). A refactor
+// that keeps every simulated byte, event and cost keeps them; they change
+// only together with a deliberate change of protocol, cost model or report,
+// re-recorded in a commit that does nothing else.
+// ---------------------------------------------------------------------------
+
+/// Writes and read-backs over the small cluster's 16 objects, 70 / 30.
+fn mixed_workloads(conns: usize) -> Vec<Box<dyn ConnWorkload>> {
+    (0..conns)
+        .map(|c| {
+            let mut x = 0x1234_5678u64.wrapping_add(c as u64);
+            Box::new(move |_rng: &mut SimRng| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let i = (x >> 8) % 16;
+                let oid = ObjectId::new(GroupId((i % 16) as u32), i);
+                let offset = ((x >> 40) % 128) * 4096;
+                Some(if (x >> 20) % 10 < 7 {
+                    WorkItem::Write {
+                        oid,
+                        offset,
+                        len: 4096,
+                        fill: (x % 251) as u8,
+                    }
+                } else {
+                    WorkItem::Read {
+                        oid,
+                        offset,
+                        len: 4096,
+                    }
+                })
+            }) as Box<dyn ConnWorkload>
+        })
+        .collect()
+}
+
+/// The small `config(mode, seed)` cluster under a light link-fault plan
+/// (drops, duplicates, reordering on every link) with client retries and
+/// heartbeats armed, so every wire direction takes its drop and its
+/// duplicate branch: through the messenger relay (`Original`, `Cos`),
+/// directly, through the off-priority relay of `Ptc` / `Dop`, and past the
+/// run-to-completion gate.
+fn faulty_mixed_hash(mode: PipelineMode) -> u64 {
+    let mut cfg = config(mode, 0x601D);
+    cfg.faults = FaultPlan::none().with_link_fault(LinkFault {
+        link: None,
+        from: SimTime::ZERO,
+        until: ms(10_000),
+        drop_p: 0.02,
+        dup_p: 0.01,
+        reorder_p: 0.05,
+        reorder_max: SimDuration::nanos(200_000),
+        spike_p: 0.0,
+        spike: SimDuration::ZERO,
+    });
+    cfg.retry = Some(RetryPolicy {
+        timeout_nanos: 2_000_000,
+        backoff_base_nanos: 200_000,
+        backoff_multiplier: 2.0,
+        jitter_frac: 0.2,
+        max_attempts: 8,
+    });
+    cfg.heartbeat_period = Some(SimDuration::millis(1));
+    let mut sim = ClusterSim::new(cfg, mixed_workloads(4));
+    sim.prefill(
+        &(0..16u64)
+            .map(|i| (ObjectId::new(GroupId(i as u32 % 16), i), 1 << 20))
+            .collect::<Vec<_>>(),
+    );
+    let r = sim.run(SimDuration::millis(10), SimDuration::millis(40));
+    assert!(r.writes_done > 0 && r.reads_done > 0, "{mode:?} progresses");
+    fingerprint_hash(&r.fingerprint(None))
+}
+
+#[test]
+fn golden_fingerprints_are_what_they_were() {
+    let modes = [
+        (PipelineMode::Original, 0x739e_4d4a_c15b_1c7cu64),
+        (PipelineMode::RtcV1, 0x4599_94c2_1a8f_e382),
+        (PipelineMode::RtcV2, 0x5705_883f_c4c9_7f03),
+        (PipelineMode::RtcV3, 0x3a06_3662_b7b6_2a2e),
+        (PipelineMode::Cos, 0x40cc_7a80_941f_80b1),
+        (PipelineMode::Ptc, 0x0bff_eb37_cbe9_a892),
+        (PipelineMode::Dop, 0xd7a8_81c4_acb2_3f1b),
+        (PipelineMode::Ideal, 0x4c07_22db_1b58_66a2),
+    ];
+    let mut rows: Vec<(String, u64, u64)> = modes
+        .into_iter()
+        .map(|(mode, want)| {
+            (
+                format!("faulty mixed {mode:?}"),
+                faulty_mixed_hash(mode),
+                want,
+            )
+        })
+        .collect();
+    for (name, words, want) in [
+        (
+            "chaos",
+            chaos_fingerprint_opts(0xC0FFEE, false, 1, None, 100),
+            0x0593_7503_8bd6_3f12,
+        ),
+        (
+            "churn",
+            churn_fingerprint_sharded(0xE1A5, 1),
+            0x71f1_58da_8e11_d888,
+        ),
+        (
+            "scrub",
+            scrub_fingerprint_sharded(0xD00D, 1),
+            0x4822_59ed_c368_db96,
+        ),
+    ] {
+        rows.push((name.into(), fingerprint_hash(&words), want));
+    }
+    // All rows in one message, so a deliberate re-record is one run.
+    let moved: Vec<String> = rows
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(name, got, want)| format!("{name}: {got:#018x}, recorded {want:#018x}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "fingerprints moved:\n{}",
+        moved.join("\n")
+    );
 }
