@@ -1,0 +1,312 @@
+//! The top half: what a priority thread does with a client request. A write
+//! is admitted exactly once (the dedup windows), given a sequence number,
+//! replicated, and either logged to NVM and acked (decoupled, Fig. 3-b) or
+//! persisted to the backend first (coupled, Fig. 3-a); a read is answered
+//! from the operation log when it can be and handed to the bottom half
+//! (`flush.rs`) when it cannot.
+
+use std::collections::VecDeque;
+
+use rablock_oplog::ReadPath;
+use rablock_storage::{FxHashMap, GroupId, Op, StoreError, Transaction};
+
+use super::flush::{DeferredRead, StoreCtx};
+use super::{Osd, OsdEffect, DEDUP_WINDOW};
+use crate::msg::{ClientId, ClientReply, OpId};
+use crate::placement::ActingSet;
+
+/// The pg-log key of a write, `pglog.{group}.{seq}`, built without the `fmt`
+/// machinery: every write takes one on every replica. The bytes are what
+/// `format!` gave, since the LSM backend writes the key to its WAL.
+pub(super) fn pglog_key(group: GroupId, seq: u64) -> Vec<u8> {
+    fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[at..]);
+    }
+    let mut key = Vec::with_capacity(6 + 10 + 1 + 20);
+    key.extend_from_slice(b"pglog.");
+    push_decimal(&mut key, group.0 as u64);
+    key.push(b'.');
+    push_decimal(&mut key, seq);
+    key
+}
+
+/// The backend transaction for a client mutation. A write carries the
+/// metadata records Ceph attaches to every request (`object_info_t` xattr,
+/// pg-log entry) — the "many key-value writes" of §V-B.
+fn client_txn(group: GroupId, seq: u64, mutation: Op) -> Transaction {
+    let ops = match mutation {
+        Op::Write { oid, .. } => vec![
+            mutation,
+            Op::SetXattr {
+                oid,
+                key: "oi".into(),
+                value: vec![0xA5; 64],
+            },
+            Op::MetaPut {
+                key: pglog_key(group, seq),
+                value: vec![0x5A; 180],
+            },
+        ],
+        create => vec![create],
+    };
+    Transaction::new(group, seq, ops)
+}
+
+/// Pushes `id` into a dedup window, forgetting the oldest beyond the bound.
+pub(super) fn remember(window: &mut VecDeque<u64>, id: u64) {
+    window.push_back(id);
+    while window.len() > DEDUP_WINDOW {
+        window.pop_front();
+    }
+}
+
+pub(super) struct WriteOp {
+    pub(super) client: ClientId,
+    pub(super) op: OpId,
+    pub(super) group: GroupId,
+    /// The replicated transaction, kept so the primary itself can retransmit
+    /// to laggard replicas from the heartbeat timer (payloads are refcounted,
+    /// so this clone shares the data bytes).
+    pub(super) txn: Transaction,
+    pub(super) waiting_acks: ActingSet,
+    pub(super) local_done: bool,
+    /// Heartbeat ticks this op has been waiting on replica acks.
+    pub(super) ticks: u32,
+}
+
+/// The top half's volatile state: writes in flight at this primary and the
+/// two duplicate-suppression windows.
+#[derive(Default)]
+pub(super) struct TopHalf {
+    /// In-flight primary writes by replication sequence.
+    pub(super) inflight: FxHashMap<u64, WriteOp>,
+    /// `(client, op) -> seq` for in-flight writes, so a client retry can be
+    /// matched to its original operation instead of being applied again.
+    pub(super) inflight_ops: FxHashMap<(ClientId, OpId), u64>,
+    /// Recently completed write ops per client: a retry of one of these
+    /// re-acks immediately.
+    pub(super) completed: FxHashMap<ClientId, VecDeque<u64>>,
+    /// Recently applied replication seqs per group: a duplicate
+    /// `Repop`/`RepopNvm` re-acks without re-applying.
+    pub(super) replica_applied: FxHashMap<GroupId, VecDeque<u64>>,
+}
+
+impl Osd {
+    /// The client op behind an in-flight primary write `seq`, if any.
+    /// Read-only probe for the tracing layer.
+    pub fn inflight_client_op(&self, seq: u64) -> Option<(ClientId, OpId)> {
+        self.top.inflight.get(&seq).map(|w| (w.client, w.op))
+    }
+
+    /// Admits a client `Write` or `Create` (as the `Op` it asks for): a
+    /// completed op is re-acked, an op still replicating is retransmitted,
+    /// anything else gets the next sequence number and enters the pipeline.
+    pub(super) fn on_client_mutation(
+        &mut self,
+        from: ClientId,
+        op: OpId,
+        group: GroupId,
+        mutation: Op,
+    ) {
+        let completed = self.top.completed.get(&from);
+        if completed.is_some_and(|w| w.contains(&op.0)) {
+            self.reply_done(from, op);
+            return;
+        }
+        if let Some(&seq) = self.top.inflight_ops.get(&(from, op)) {
+            // Retry of an op still replicating: the original peer message
+            // may have been lost, so rebuild the identical transaction and
+            // retransmit to laggard replicas only.
+            let txn = client_txn(group, seq, mutation);
+            self.retransmit_pending(seq, group, txn);
+            return;
+        }
+        if self.below_write_quorum(group, from, op) {
+            return;
+        }
+        self.seq += 1;
+        let seq = self.seq;
+        let txn = client_txn(group, seq, mutation);
+        self.note_txn(&txn);
+        self.pg_log_note(group, seq, &txn);
+        let w = WriteOp {
+            client: from,
+            op,
+            group,
+            txn,
+            waiting_acks: self.replicas_of(group),
+            local_done: false,
+            ticks: 0,
+        };
+        for &r in &w.waiting_acks {
+            self.send(r, self.repop(group, seq, w.txn.clone()));
+        }
+        self.top.inflight_ops.insert((from, op), seq);
+        if self.cfg.mode.decoupled() {
+            self.write_decoupled(seq, w);
+        } else {
+            self.write_coupled(seq, w);
+        }
+    }
+
+    /// The `min_size` quorum gate (Ceph semantics): mutations are refused
+    /// with a retryable [`StoreError::Degraded`] while too few acting-set
+    /// members are up to accept the write safely. Never panics — losing
+    /// nodes degrades service instead of crashing placement.
+    fn below_write_quorum(&mut self, group: GroupId, from: ClientId, op: OpId) -> bool {
+        if self.map.acting_set(group).len() >= self.map.min_size {
+            return false;
+        }
+        let error = StoreError::Degraded;
+        self.reply(from, ClientReply::Error { op, error });
+        true
+    }
+
+    /// Stock write path: replicate and persist before acking (Fig. 3-a).
+    fn write_coupled(&mut self, seq: u64, mut w: WriteOp) {
+        let (from, op, txn) = (w.client, w.op, w.txn.clone());
+        w.local_done = self.cfg.mode.null_transaction() || self.cfg.mode.null_store();
+        let local_done = w.local_done;
+        self.top.inflight.insert(seq, w);
+        if local_done {
+            self.try_complete_write(seq);
+            return;
+        }
+        if self.cfg.mode.prioritized() {
+            // PTC: the priority thread never does storage processing; hand
+            // the transaction to a non-priority thread (§IV-B).
+            self.defer_submit(txn, StoreCtx::WriteLocal { seq });
+            return;
+        }
+        if let Err(error) = self.backend.submit(txn) {
+            self.top.inflight.remove(&seq);
+            self.top.inflight_ops.remove(&(from, op));
+            self.reply(from, ClientReply::Error { op, error });
+            return;
+        }
+        self.store_io(StoreCtx::WriteLocal { seq }, true);
+        self.kick_maintenance();
+    }
+
+    /// Decoupled write path (Fig. 3-b): log to NVM, replicate, ack; flush
+    /// later in batches.
+    fn write_decoupled(&mut self, seq: u64, mut w: WriteOp) {
+        let (bytes, stall) = self.log_append_with_fallback(w.group, w.txn.clone());
+        self.fx.push(OsdEffect::NvmWritten { bytes });
+        w.local_done = stall.is_none();
+        if let Some(token) = stall {
+            // Synchronous-flush backpressure: the ack waits until the
+            // forced flush is durable.
+            let ctx = StoreCtx::WriteLocal { seq };
+            self.bottom.pending_store.insert(token, ctx);
+        }
+        let group = w.group;
+        self.top.inflight.insert(seq, w);
+        self.wake_flush_if_due(group);
+        self.try_complete_write(seq);
+    }
+
+    /// Appends to the group log; when NVM is full, forces a synchronous
+    /// flush first (the paper's degenerate full-NVM case: "flushing needs
+    /// to be synchronously done before handling I/O operations"). Returns
+    /// the NVM bytes written plus, on a stall, the store token the caller
+    /// must wait on before acknowledging — that wait is the backpressure
+    /// that keeps a log-ahead system device-bound under sustained load.
+    pub(super) fn log_append_with_fallback(
+        &mut self,
+        group: GroupId,
+        txn: Transaction,
+    ) -> (u64, Option<u64>) {
+        // Oversized writes bypass the log entirely: a record that cannot
+        // fit the ring is persisted synchronously to the backend (real
+        // journals cap entry sizes the same way).
+        let estimated = txn.user_bytes() + 2048;
+        if estimated + 64 >= self.cfg.ring_bytes {
+            self.backend.submit(txn).expect("oversized bypass submit");
+            let token = self.store_io(StoreCtx::Background, true);
+            self.kick_maintenance();
+            return (0, Some(token));
+        }
+        // Take the log out to satisfy the borrow checker across the flush path.
+        self.log_for(group);
+        let mut log = self.logs.remove(&group).expect("ensured above");
+        let mut stall_token = None;
+        if !log.fits(&txn) {
+            self.nvm_full_stalls += 1;
+            let txns = log
+                .drain_for_flush(&mut self.nvm, usize::MAX)
+                .expect("drain succeeds");
+            for t in txns {
+                self.backend.submit(t).expect("flush submit");
+            }
+            stall_token = Some(self.store_io(StoreCtx::Background, true));
+        }
+        let bytes = log
+            .append(&mut self.nvm, txn)
+            .unwrap_or_else(|e| panic!("{}: unexpected op-log error: {e}", self.id))
+            .nvm_bytes;
+        self.logs.insert(group, log);
+        (bytes, stall_token)
+    }
+
+    pub(super) fn on_client_read(&mut self, dr: DeferredRead) {
+        let (from, op) = (dr.client, dr.op);
+        if self.cfg.mode.null_transaction() {
+            // No storage processing: answer immediately (Ideal / RTC-v3).
+            let data = vec![0; dr.len as usize].into();
+            self.reply(from, ClientReply::Data { op, data });
+            return;
+        }
+        if self.cfg.mode.decoupled() {
+            let group = dr.oid.group();
+            let path = self.logs.get(&group).map_or(ReadPath::Store, |log| {
+                log.read_path(dr.oid, dr.offset, dr.len)
+            });
+            match path {
+                ReadPath::FromLog(data) => self.reply(from, ClientReply::Data { op, data }),
+                // The backend may still miss data the backfill will bring;
+                // park the read until it arrives.
+                ReadPath::Store if self.peering.awaiting_backfill.contains(&group) => {
+                    self.rt(group).waiting_reads.push(dr)
+                }
+                ReadPath::Store => self.defer_read(dr),
+                ReadPath::FlushThenStore => {
+                    self.rt(group).waiting_reads.push(dr);
+                    if !self.rt(group).flushing {
+                        self.fx.push(OsdEffect::WakeFlush { group });
+                    }
+                }
+            }
+        } else if self.cfg.mode.prioritized() {
+            // PTC: store reads happen on non-priority threads too.
+            self.defer_read(dr);
+        } else {
+            // Stock thread-pool / RTC modes: read the backend inline.
+            self.read_store_now(dr);
+        }
+    }
+
+    pub(super) fn try_complete_write(&mut self, seq: u64) {
+        let done = self
+            .top
+            .inflight
+            .get(&seq)
+            .is_some_and(|w| w.local_done && w.waiting_acks.is_empty());
+        if done {
+            let w = self.top.inflight.remove(&seq).expect("checked above");
+            self.top.inflight_ops.remove(&(w.client, w.op));
+            remember(self.top.completed.entry(w.client).or_default(), w.op.0);
+            self.reply_done(w.client, w.op);
+        }
+    }
+}

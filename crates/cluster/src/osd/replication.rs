@@ -1,0 +1,198 @@
+//! Primary-backup replication: `Repop` (persist, then ack) and `RepopNvm`
+//! (log to NVM, ack at once) at the replica, `RepAck` / `RepNack` back at
+//! the primary, and the retransmits that keep a write moving when either
+//! direction loses a message.
+
+use rablock_storage::{GroupId, ObjectId, StoreError, Transaction};
+
+use super::digest::digest_op;
+use super::flush::StoreCtx;
+use super::peering::{PgRecovery, PgState};
+use super::pipeline::remember;
+use super::{Osd, OsdEffect};
+use crate::msg::PeerMsg;
+use crate::placement::OsdId;
+
+impl Osd {
+    /// The replication message for `txn`: a decoupled primary asks its
+    /// replicas to log to NVM, every other mode to persist.
+    pub(super) fn repop(&self, group: GroupId, seq: u64, txn: Transaction) -> PeerMsg {
+        if self.cfg.mode.decoupled() {
+            PeerMsg::RepopNvm { group, seq, txn }
+        } else {
+            PeerMsg::Repop { group, seq, txn }
+        }
+    }
+
+    /// Re-sends the replication message for an in-flight write to every
+    /// replica that has not acked yet. Nothing is re-applied locally; the
+    /// client will be answered by the original operation when it completes.
+    pub(super) fn retransmit_pending(&mut self, seq: u64, group: GroupId, txn: Transaction) {
+        let Some(w) = self.top.inflight.get(&seq) else {
+            return;
+        };
+        for r in w.waiting_acks.clone() {
+            self.send(r, self.repop(group, seq, txn.clone()));
+        }
+    }
+
+    fn replica_already_applied(&self, group: GroupId, seq: u64) -> bool {
+        self.top
+            .replica_applied
+            .get(&group)
+            .is_some_and(|w| w.contains(&seq))
+    }
+
+    /// Forgets a provisionally noted replication seq after a failed apply,
+    /// so a primary retransmit is applied for real instead of re-acked.
+    fn unnote_replica_applied(&mut self, group: GroupId, seq: u64) {
+        if let Some(w) = self.top.replica_applied.get_mut(&group) {
+            w.retain(|&s| s != seq);
+        }
+    }
+
+    fn note_replica_applied(&mut self, group: GroupId, seq: u64) {
+        remember(self.top.replica_applied.entry(group).or_default(), seq);
+    }
+
+    /// A failed apply must not kill the OSD: withdraw the provisional
+    /// bookkeeping and NACK, so the primary can mark this peer missing and
+    /// re-drive recovery.
+    pub(super) fn nack_failed_apply(
+        &mut self,
+        primary: OsdId,
+        group: GroupId,
+        seq: u64,
+        error: StoreError,
+    ) {
+        self.unnote_replica_applied(group, seq);
+        self.pg_log_unnote(group, seq);
+        let from = self.id;
+        let nack = PeerMsg::RepNack {
+            group,
+            seq,
+            from,
+            error,
+        };
+        self.send(primary, nack);
+    }
+
+    /// Heartbeat-driven replication retransmit: an in-flight write still
+    /// waiting on replica acks after two ticks has very likely lost either
+    /// the repop or the ack; re-send to the laggards. This is what guarantees
+    /// replicas converge even when the *client* has given up on the op.
+    pub(super) fn retransmit_stale_inflight(&mut self) {
+        let mut seqs: Vec<u64> = self.top.inflight.keys().copied().collect();
+        seqs.sort_unstable();
+        let mut stale: Vec<(u64, GroupId, Transaction)> = Vec::new();
+        for seq in seqs {
+            let w = self.top.inflight.get_mut(&seq).expect("listed");
+            if w.waiting_acks.is_empty() {
+                continue;
+            }
+            w.ticks += 1;
+            if w.ticks >= 2 {
+                w.ticks = 0;
+                stale.push((seq, w.group, w.txn.clone()));
+            }
+        }
+        for (seq, group, txn) in stale {
+            self.retransmit_pending(seq, group, txn);
+        }
+    }
+
+    /// Coupled replication at the replica: apply to the backend, ack once
+    /// the apply is durable.
+    pub(super) fn on_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
+        if self.replica_already_applied(group, seq) {
+            // Primary retransmit after a lost ack: re-ack only.
+            self.rep_ack(from, group, seq);
+            return;
+        }
+        self.note_replica_applied(group, seq);
+        if self.cfg.mode.null_transaction() || self.cfg.mode.null_store() {
+            self.rep_ack(from, group, seq);
+            return;
+        }
+        self.note_txn(&txn);
+        self.pg_log_note(group, seq, &txn);
+        let primary = from;
+        let ctx = StoreCtx::ReplicaPersist {
+            primary,
+            group,
+            seq,
+        };
+        if self.cfg.mode.prioritized() {
+            self.defer_submit(txn, ctx);
+            return;
+        }
+        match self.backend.submit(txn) {
+            Ok(()) => {
+                self.store_io(ctx, true);
+                self.kick_maintenance();
+            }
+            Err(error) => self.nack_failed_apply(primary, group, seq, error),
+        }
+    }
+
+    /// Decoupled replication at the replica (§IV-A): log to NVM, ack at once.
+    pub(super) fn on_repop_nvm(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
+        if self.replica_already_applied(group, seq) {
+            self.rep_ack(from, group, seq);
+            return;
+        }
+        self.note_replica_applied(group, seq);
+        self.note_txn(&txn);
+        self.pg_log_note(group, seq, &txn);
+        let (bytes, stall) = self.log_append_with_fallback(group, txn);
+        self.fx.push(OsdEffect::NvmWritten { bytes });
+        match stall {
+            None => self.rep_ack(from, group, seq),
+            Some(token) => {
+                // Backpressure on the replica too: ack only after the
+                // forced flush lands.
+                let primary = from;
+                let ctx = StoreCtx::ReplicaPersist {
+                    primary,
+                    group,
+                    seq,
+                };
+                self.bottom.pending_store.insert(token, ctx);
+            }
+        }
+        self.wake_flush_if_due(group);
+    }
+
+    pub(super) fn on_rep_ack(&mut self, seq: u64, replica: OsdId) {
+        if let Some(wop) = self.top.inflight.get_mut(&seq) {
+            wop.waiting_acks.retain(|&o| o != replica);
+        }
+        self.try_complete_write(seq);
+    }
+
+    /// The replica could not apply our repop. Stop waiting for its ack (the
+    /// write completes degraded) and schedule a recovery push of the
+    /// affected objects so it converges later.
+    pub(super) fn on_rep_nack(&mut self, group: GroupId, seq: u64, replica: OsdId) {
+        let ops = self.top.inflight.get(&seq).map_or(&[][..], |w| &w.txn.ops);
+        let oids: Vec<ObjectId> = ops.iter().filter_map(|op| Some(digest_op(op)?.0)).collect();
+        self.on_rep_ack(seq, replica);
+        if oids.is_empty() || self.map.try_primary(group) != Some(self.id) {
+            return;
+        }
+        let epoch = self.map.epoch;
+        let rec = self
+            .peering
+            .rounds
+            .entry(group)
+            .or_insert_with(|| PgRecovery::new(epoch, PgState::Recovering, Default::default()));
+        let slot = rec.missing.entry(replica).or_default();
+        for oid in &oids {
+            slot.insert(oid.raw(), *oid);
+        }
+        let epoch = rec.epoch;
+        for oid in oids {
+            self.push_object_to(group, epoch, replica, oid, false);
+        }
+    }
+}

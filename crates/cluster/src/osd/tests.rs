@@ -1,0 +1,1264 @@
+//! The unit tests `osd.rs` had before it was split by protocol, one sans-io
+//! `Osd` (or two) driven input by input. They stay together in this module
+//! because the test floor pins their paths (`osd::tests::*`); tests written
+//! since sit beside the code they test.
+
+use rablock_storage::{GroupId, Op, Payload, Segments, StoreError, Transaction};
+
+use super::pipeline::pglog_key;
+use super::testkit::*;
+use super::*;
+use crate::msg::PgLogEntry;
+
+/// Digests are compared between OSDs of one build only, but a pure
+/// speed-up has no business changing them: values of the one-shot loop
+/// this streaming form replaced.
+#[test]
+fn digest_values_are_what_they_were() {
+    for (n, want) in [
+        (0usize, 0xc6bd_f78e_2c98_a2a3u64),
+        (1, 0x4d6e_4995_c75c_5af9),
+        (7, 0x5246_9eb8_85bb_7b58),
+        (8, 0x4da3_d777_dafb_73f9),
+        (31, 0x3998_9f98_c352_a43a),
+        (32, 0xa44e_f23e_2597_6be9),
+        (33, 0xc990_a899_e04a_e04b),
+        (1000, 0xc75a_2974_f3c1_daa0),
+        (4096, 0x3c74_4173_6d66_3ba3),
+    ] {
+        assert_eq!(digest_bytes(&ramp(n)), want, "{n} bytes");
+    }
+}
+
+mod digest_model {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The streaming digest equals `digest_bytes` of the
+        /// concatenation for any segmentation: cuts of 1, 7, 31, 32 and
+        /// 33 bytes (around the 32-byte lane block), whole 4 KiB blocks
+        /// and arbitrary lengths, in any mix.
+        #[test]
+        fn streaming_digest_matches_digest_of_the_concatenation(
+            cuts in proptest::collection::vec(
+                prop_oneof![
+                    Just(1usize), Just(7), Just(31), Just(32), Just(33),
+                    (1..4usize).prop_map(|b| b * 4096),
+                    0..5000usize
+                ],
+                0..24,
+            ),
+            lead in 0..64usize,
+        ) {
+            let flat = ramp(cuts.iter().sum());
+            // Every view sits at an odd offset of a buffer of its own.
+            let (mut segs, mut at) = (Segments::new(), 0);
+            for cut in cuts {
+                let mut backing = vec![0xEE; lead];
+                backing.extend_from_slice(&flat[at..at + cut]);
+                segs.push(Payload::from(backing).slice(lead, cut));
+                at += cut;
+            }
+            prop_assert_eq!(digest_segments(&segs), digest_bytes(&flat));
+            prop_assert_eq!(
+                digest_segments(&Payload::from(flat.clone()).into()),
+                digest_bytes(&flat)
+            );
+        }
+    }
+}
+
+#[test]
+fn pglog_key_matches_format() {
+    for (g, seq) in [
+        (0, 0),
+        (7, 9),
+        (10, 100),
+        (u32::MAX, u64::MAX),
+        (123, 1 << 40),
+    ] {
+        assert_eq!(
+            pglog_key(GroupId(g), seq),
+            format!("pglog.{g}.{seq}").into_bytes()
+        );
+    }
+}
+
+#[test]
+fn coupled_write_completes_after_local_persist_and_ack() {
+    let mut o = osd(PipelineMode::Original, 0);
+    let g = a_group_with_primary(&o);
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid_in(g, 1)),
+    });
+    // Repop sent, local store submitted, no reply yet.
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::SendPeer {
+            msg: PeerMsg::Repop { .. },
+            ..
+        }
+    )));
+    assert!(!fx.iter().any(|e| matches!(e, OsdEffect::Reply { .. })));
+    let toks = tokens_of(&fx);
+    assert_eq!(toks.len(), 1);
+    // Local durable alone: still waiting for the replica.
+    let fx = o.handle(OsdInput::StoreDurable { token: toks[0] });
+    assert!(!fx.iter().any(|e| matches!(e, OsdEffect::Reply { .. })));
+    // Replica ack: now the client gets its reply.
+    let replica = o.map().acting_set(g)[1];
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::RepAck {
+            group: g,
+            seq: 1,
+            from: replica,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::Reply {
+            msg: ClientReply::Done { .. },
+            ..
+        }
+    )));
+}
+
+#[test]
+fn replica_acks_only_after_durable() {
+    let mut o = osd(PipelineMode::Original, 1);
+    let g = a_group_led_by_another(&o);
+    let oid = oid_in(g, 1);
+    let txn = Transaction::new(
+        g,
+        5,
+        vec![Op::Write {
+            oid,
+            offset: 0,
+            data: vec![1; 4096].into(),
+        }],
+    );
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::Repop {
+            group: g,
+            seq: 5,
+            txn,
+        },
+    });
+    assert!(!fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::SendPeer {
+            msg: PeerMsg::RepAck { .. },
+            ..
+        }
+    )));
+    let toks = tokens_of(&fx);
+    let fx = o.handle(OsdInput::StoreDurable { token: toks[0] });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::SendPeer {
+            msg: PeerMsg::RepAck { seq: 5, .. },
+            ..
+        }
+    )));
+}
+
+#[test]
+fn decoupled_write_acks_without_store() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid_in(g, 1)),
+    });
+    // NVM logged + RepopNvm sent; no store I/O on the write path.
+    assert!(fx.iter().any(|e| matches!(e, OsdEffect::NvmWritten { .. })));
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::SendPeer {
+            msg: PeerMsg::RepopNvm { .. },
+            ..
+        }
+    )));
+    assert!(tokens_of(&fx).is_empty());
+    // One replica ack completes the op.
+    let replica = o.map().acting_set(g)[1];
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::RepAck {
+            group: g,
+            seq: 1,
+            from: replica,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::Reply {
+            msg: ClientReply::Done { .. },
+            ..
+        }
+    )));
+}
+
+#[test]
+fn decoupled_replica_acks_immediately_from_nvm() {
+    let mut o = osd(PipelineMode::Dop, 1);
+    let g = a_group_led_by_another(&o);
+    let oid = oid_in(g, 1);
+    let txn = Transaction::new(
+        g,
+        5,
+        vec![Op::Write {
+            oid,
+            offset: 0,
+            data: vec![1; 4096].into(),
+        }],
+    );
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::RepopNvm {
+            group: g,
+            seq: 5,
+            txn,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::SendPeer {
+            msg: PeerMsg::RepAck { .. },
+            ..
+        }
+    )));
+    assert_eq!(o.log_pending(g), 1);
+}
+
+#[test]
+fn flush_cycle_drains_log_after_durable() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    let mut wake = None;
+    for i in 0..4 {
+        let fx = o.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: write_req(i, oid_in(g, i)),
+        });
+        for e in fx {
+            if let OsdEffect::WakeFlush { group } = e {
+                wake = Some(group);
+            }
+        }
+    }
+    assert_eq!(wake, Some(g), "threshold of 4 reached");
+    assert_eq!(o.log_pending(g), 4);
+    let fx = o.handle(OsdInput::FlushGroup { group: g });
+    let toks = tokens_of(&fx);
+    assert_eq!(toks.len(), 1);
+    assert_eq!(o.log_pending(g), 4, "entries stay until durable");
+    o.handle(OsdInput::StoreDurable { token: toks[0] });
+    assert_eq!(o.log_pending(g), 0, "drained after durable");
+}
+
+#[test]
+fn decoupled_read_served_from_log() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    let oid = oid_in(g, 1);
+    o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid),
+    });
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: ClientReq::Read {
+            op: OpId(2),
+            oid,
+            offset: 100,
+            len: 200,
+        },
+    });
+    let reply = fx.iter().find_map(|e| match e {
+        OsdEffect::Reply {
+            msg: ClientReply::Data { data, .. },
+            ..
+        } => Some(data.clone()),
+        _ => None,
+    });
+    assert_eq!(
+        reply,
+        Some(vec![7u8; 200].into()),
+        "read served from the operation log"
+    );
+}
+
+#[test]
+fn decoupled_read_of_cold_object_defers_to_store() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    let oid = oid_in(g, 9);
+    // Write then flush so the log is empty, store has the data.
+    o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid),
+    });
+    let fx = o.handle(OsdInput::FlushGroup { group: g });
+    for t in tokens_of(&fx) {
+        o.handle(OsdInput::StoreDurable { token: t });
+    }
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: ClientReq::Read {
+            op: OpId(2),
+            oid,
+            offset: 0,
+            len: 4096,
+        },
+    });
+    let token = fx.iter().find_map(|e| match e {
+        OsdEffect::WakeRead { token } => Some(*token),
+        _ => None,
+    });
+    let token = token.expect("cold read goes via non-priority thread");
+    let fx = o.handle(OsdInput::ReadFromStore { token });
+    let toks = tokens_of(&fx);
+    let fx = if toks.is_empty() {
+        fx
+    } else {
+        o.handle(OsdInput::StoreDurable { token: toks[0] })
+    };
+    let reply = fx.iter().find_map(|e| match e {
+        OsdEffect::Reply {
+            msg: ClientReply::Data { data, .. },
+            ..
+        } => Some(data.clone()),
+        _ => None,
+    });
+    assert_eq!(reply, Some(vec![7u8; 4096].into()));
+}
+
+#[test]
+fn rtc_v3_skips_storage_entirely() {
+    let mut o = osd(PipelineMode::RtcV3, 0);
+    let g = a_group_with_primary(&o);
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid_in(g, 1)),
+    });
+    assert!(tokens_of(&fx).is_empty(), "no store I/O in RTC-v3");
+    let replica = o.map().acting_set(g)[1];
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::RepAck {
+            group: g,
+            seq: 1,
+            from: replica,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(e, OsdEffect::Reply { .. })));
+}
+
+#[test]
+fn maintenance_reschedules_until_clean() {
+    let mut o = osd(PipelineMode::Original, 0);
+    let g = a_group_with_primary(&o);
+    // Pump enough writes to trigger LSM maintenance.
+    let mut woke = false;
+    for i in 0..200 {
+        let fx = o.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: write_req(i, oid_in(g, i % 4)),
+        });
+        woke |= fx.iter().any(|e| matches!(e, OsdEffect::WakeMaintenance));
+        for t in tokens_of(&fx) {
+            o.handle(OsdInput::StoreDurable { token: t });
+        }
+    }
+    assert!(woke, "LSM backend requested maintenance");
+    let mut steps = 0;
+    loop {
+        let fx = o.handle(OsdInput::MaintStep);
+        steps += 1;
+        let more = fx
+            .iter()
+            .any(|e| matches!(e, OsdEffect::Maintained { more: true, .. }));
+        if !more || steps > 100 {
+            break;
+        }
+    }
+    assert!(steps >= 1, "maintenance ran");
+    assert!(!o.backend().needs_maintenance(), "backend eventually clean");
+}
+
+#[test]
+fn nvm_exhaustion_forces_synchronous_flush() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    // Huge flush threshold so nothing drains; tiny ring fills up.
+    for (_, log) in o.logs.iter_mut() {
+        log.flush_threshold = usize::MAX;
+    }
+    let mut i = 0;
+    while o.nvm_full_stalls == 0 && i < 200 {
+        let fx = o.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: write_req(i, oid_in(g, i)),
+        });
+        // Raise the threshold on the lazily created log too.
+        if let Some(log) = o.logs.get_mut(&g) {
+            log.flush_threshold = usize::MAX;
+        }
+        for t in tokens_of(&fx) {
+            o.handle(OsdInput::StoreDurable { token: t });
+        }
+        i += 1;
+    }
+    assert!(
+        o.nvm_full_stalls > 0,
+        "ring filled and forced a stall flush"
+    );
+    assert!(o.log_pending(g) <= 1, "stall drained the log");
+}
+
+#[test]
+fn retried_write_applies_exactly_once() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    let oid = oid_in(g, 1);
+    let repops = |fx: &[OsdEffect]| {
+        fx.iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    OsdEffect::SendPeer {
+                        msg: PeerMsg::RepopNvm { .. },
+                        ..
+                    }
+                )
+            })
+            .count()
+    };
+    // First attempt: logged once, replicated once.
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid),
+    });
+    assert_eq!(repops(&fx), 1);
+    assert_eq!(o.log_pending(g), 1);
+    // Retry while the replica ack is outstanding (the original repop may
+    // have been dropped): retransmit only, no second application.
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid),
+    });
+    assert_eq!(
+        repops(&fx),
+        1,
+        "replication retransmitted to the laggard replica"
+    );
+    assert!(!fx.iter().any(|e| matches!(e, OsdEffect::NvmWritten { .. })));
+    assert!(!fx.iter().any(|e| matches!(e, OsdEffect::Reply { .. })));
+    assert_eq!(o.log_pending(g), 1, "no second log entry");
+    // The ack completes the original op.
+    let replica = o.map().acting_set(g)[1];
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::RepAck {
+            group: g,
+            seq: 1,
+            from: replica,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::Reply {
+            msg: ClientReply::Done { .. },
+            ..
+        }
+    )));
+    // A late retry after completion: re-acked from the dedup window.
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid),
+    });
+    assert_eq!(repops(&fx), 0);
+    assert_eq!(o.log_pending(g), 1, "still exactly one application");
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::Reply {
+            msg: ClientReply::Done { .. },
+            ..
+        }
+    )));
+}
+
+#[test]
+fn duplicate_replication_reacks_without_reapplying() {
+    let mut o = osd(PipelineMode::Dop, 1);
+    let g = a_group_led_by_another(&o);
+    let oid = oid_in(g, 1);
+    let txn = Transaction::new(
+        g,
+        5,
+        vec![Op::Write {
+            oid,
+            offset: 0,
+            data: vec![1; 4096].into(),
+        }],
+    );
+    o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::RepopNvm {
+            group: g,
+            seq: 5,
+            txn: txn.clone(),
+        },
+    });
+    assert_eq!(o.log_pending(g), 1);
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::RepopNvm {
+            group: g,
+            seq: 5,
+            txn,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::SendPeer {
+            msg: PeerMsg::RepAck { seq: 5, .. },
+            ..
+        }
+    )));
+    assert_eq!(o.log_pending(g), 1, "duplicate not re-logged");
+}
+
+#[test]
+fn restart_truncates_torn_tail_and_drains_log() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    for i in 0..3 {
+        o.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: write_req(i, oid_in(g, i)),
+        });
+    }
+    assert_eq!(o.log_pending(g), 3);
+    let discarded = o.restart_after_crash(true);
+    assert!(discarded > 0, "torn tail was cut off by the checksum scan");
+    assert_eq!(
+        o.log_pending(g),
+        0,
+        "recovered records drained into the backend"
+    );
+    // A surviving record's data is readable from the backend.
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(2),
+        req: ClientReq::Read {
+            op: OpId(9),
+            oid: oid_in(g, 0),
+            offset: 0,
+            len: 4096,
+        },
+    });
+    let token = fx
+        .iter()
+        .find_map(|e| match e {
+            OsdEffect::WakeRead { token } => Some(*token),
+            _ => None,
+        })
+        .expect("cold read defers to the store");
+    let fx = o.handle(OsdInput::ReadFromStore { token });
+    let toks = tokens_of(&fx);
+    let fx = if toks.is_empty() {
+        fx
+    } else {
+        o.handle(OsdInput::StoreDurable { token: toks[0] })
+    };
+    let reply = fx.iter().find_map(|e| match e {
+        OsdEffect::Reply {
+            msg: ClientReply::Data { data, .. },
+            ..
+        } => Some(data.clone()),
+        _ => None,
+    });
+    assert_eq!(reply, Some(vec![7u8; 4096].into()));
+}
+
+#[test]
+fn heartbeat_tick_emits_beacon() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let fx = o.handle(OsdInput::HeartbeatTick);
+    assert!(fx.iter().any(|e| matches!(e, OsdEffect::Heartbeat)));
+}
+
+#[test]
+fn survivor_keeps_log_and_new_member_pulls_it() {
+    // Three nodes so replication 2 survives one failure.
+    let map3 = OsdMap::new(3, 1, 8, 2);
+    let cfg = cfg(PipelineMode::Dop, 16);
+    // Find a group and its acting set.
+    let g = GroupId(0);
+    let set = map3.acting_set(g);
+    let (primary, secondary) = (set[0], set[1]);
+    let spare = (0..3).map(OsdId).find(|o| !set.contains(o)).unwrap();
+    let mut prim = Osd::new(primary, cfg.clone(), map3.clone());
+    // Log a few writes at the primary.
+    for i in 0..3 {
+        prim.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: write_req(i, oid_in(g, i)),
+        });
+    }
+    assert_eq!(prim.log_pending(g), 3);
+    // Secondary dies; map moves the group to include the spare.
+    let mut new_map = map3.clone();
+    new_map.mark_down(secondary);
+    let new_set = new_map.acting_set(g);
+    assert!(new_set.contains(&spare), "spare takes over");
+    let fx = prim.handle(OsdInput::MapUpdate(new_map.clone()));
+    // Survivor flushed-but-kept its log.
+    assert_eq!(prim.log_pending(g), 3, "entries kept for peer sync");
+    assert!(fx
+        .iter()
+        .any(|e| matches!(e, OsdEffect::StoreIo { wait: true, .. })));
+    // Spare joins: pulls the log.
+    let mut joiner = Osd::new(spare, cfg, map3.clone());
+    let fx = joiner.handle(OsdInput::MapUpdate(new_map));
+    let pull = fx.iter().find_map(|e| match e {
+        OsdEffect::SendPeer {
+            to,
+            msg: PeerMsg::PullLog { group, .. },
+        } => Some((*to, *group)),
+        _ => None,
+    });
+    let (peer, group) = pull.expect("joiner pulls the log");
+    assert_eq!(group, g);
+    // Route the pull to the survivor and the records back.
+    let fx = prim.handle(OsdInput::Peer {
+        from: peer,
+        msg: PeerMsg::PullLog {
+            group: g,
+            from: spare,
+        },
+    });
+    let records = fx
+        .into_iter()
+        .find_map(|e| match e {
+            OsdEffect::SendPeer {
+                msg: PeerMsg::LogRecords { records, .. },
+                ..
+            } => Some(records),
+            _ => None,
+        })
+        .expect("survivor exports records");
+    assert_eq!(records.len(), 3);
+    joiner.handle(OsdInput::Peer {
+        from: primary,
+        msg: PeerMsg::LogRecords { group: g, records },
+    });
+    assert_eq!(
+        joiner.log_pending(g),
+        3,
+        "log replicated to the replacement"
+    );
+    // The joiner can now serve a strongly consistent read from its log.
+    let fx = joiner.handle(OsdInput::Client {
+        from: ClientId(9),
+        req: ClientReq::Read {
+            op: OpId(99),
+            oid: oid_in(g, 2),
+            offset: 0,
+            len: 4096,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::Reply {
+            msg: ClientReply::Data { .. },
+            ..
+        }
+    )));
+}
+
+#[test]
+fn replica_apply_failure_nacks_instead_of_panicking() {
+    let mut o = osd(PipelineMode::Original, 1);
+    let g = a_group_led_by_another(&o);
+    let oid = oid_in(g, 1);
+    // A zero-length write is rejected by every backend.
+    let bad = Transaction::new(
+        g,
+        5,
+        vec![Op::Write {
+            oid,
+            offset: 0,
+            data: Vec::new().into(),
+        }],
+    );
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::Repop {
+            group: g,
+            seq: 5,
+            txn: bad,
+        },
+    });
+    assert!(
+        fx.iter().any(|e| matches!(
+            e,
+            OsdEffect::SendPeer {
+                to: OsdId(0),
+                msg: PeerMsg::RepNack { seq: 5, .. },
+            }
+        )),
+        "failed apply NACKs back to the primary: {fx:?}"
+    );
+    // The failed seq was un-noted: a retransmit with a good payload is
+    // applied for real (store I/O), not re-acked from the dedup window.
+    let good = Transaction::new(
+        g,
+        5,
+        vec![Op::Write {
+            oid,
+            offset: 0,
+            data: vec![3; 4096].into(),
+        }],
+    );
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::Repop {
+            group: g,
+            seq: 5,
+            txn: good,
+        },
+    });
+    assert_eq!(tokens_of(&fx).len(), 1, "retransmit applied: {fx:?}");
+}
+
+#[test]
+fn rep_nack_completes_write_degraded_and_pushes_recovery() {
+    let mut o = osd(PipelineMode::Original, 0);
+    let g = a_group_with_primary(&o);
+    let oid = oid_in(g, 1);
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid),
+    });
+    let toks = tokens_of(&fx);
+    o.handle(OsdInput::StoreDurable { token: toks[0] });
+    // Replica refuses the repop: the write completes without it and the
+    // primary immediately pushes the object to heal the divergence.
+    let replica = o.map().acting_set(g)[1];
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::RepNack {
+            group: g,
+            seq: 1,
+            from: replica,
+            error: StoreError::NoSpace,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::Reply {
+            msg: ClientReply::Done { .. },
+            ..
+        }
+    )));
+    let push = fx.iter().find_map(|e| match e {
+        OsdEffect::SendPeer {
+            to,
+            msg: PeerMsg::PushObject { entry, .. },
+        } => Some((*to, **entry)),
+        _ => None,
+    });
+    let (to, entry) = push.expect("recovery push follows the NACK");
+    assert_eq!(to, replica);
+    assert_eq!(entry.oid, oid);
+    assert!(o.degraded_objects() > 0);
+    // The replica's ack for the push clears the recovery round.
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::PushAck {
+            group: g,
+            epoch: o.map().epoch,
+            oid,
+            from: replica,
+        },
+    });
+    assert!(fx.is_empty(), "{fx:?}");
+    assert_eq!(o.degraded_objects(), 0);
+    assert_eq!(o.pg_state(g), PgState::Active);
+}
+
+#[test]
+fn peering_backfills_a_peer_with_no_shared_history() {
+    let map3 = OsdMap::new(3, 1, 8, 2);
+    let cfg = cfg(PipelineMode::Dop, 16);
+    let g = GroupId(0);
+    let set = map3.acting_set(g);
+    let (primary, secondary) = (set[0], set[1]);
+    let spare = (0..3).map(OsdId).find(|o| !set.contains(o)).unwrap();
+    let mut prim = Osd::new(primary, cfg.clone(), map3.clone());
+    let mut peer = Osd::new(secondary, cfg, map3.clone());
+    for i in 0..3 {
+        prim.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: write_req(i, oid_in(g, i)),
+        });
+    }
+    // Epoch bump that keeps the acting set: the primary re-peers.
+    let mut new_map = map3.clone();
+    new_map.mark_down(spare);
+    let fx = prim.handle(OsdInput::MapUpdate(new_map.clone()));
+    let query = fx.iter().find_map(|e| match e {
+        OsdEffect::SendPeer {
+            to,
+            msg: PeerMsg::PgQuery { group, epoch, .. },
+        } if *group == g => Some((*to, *epoch)),
+        _ => None,
+    });
+    let (to, epoch) = query.expect("primary queries the acting set");
+    assert_eq!(to, secondary);
+    assert_eq!(epoch, new_map.epoch);
+    assert_eq!(prim.pg_state(g), PgState::Peering);
+    // The secondary answers with an empty log (it has nothing): the
+    // primary backfills every object it tracks.
+    let fx = prim.handle(OsdInput::Peer {
+        from: secondary,
+        msg: PeerMsg::PgInfo {
+            group: g,
+            epoch,
+            from: secondary,
+            entries: Vec::new(),
+        },
+    });
+    assert_eq!(prim.pg_state(g), PgState::Backfilling);
+    let pushes: Vec<PeerMsg> = fx
+        .iter()
+        .filter_map(|e| match e {
+            OsdEffect::SendPeer {
+                to,
+                msg: msg @ PeerMsg::PushObject { .. },
+            } if *to == secondary => Some(msg.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(pushes.len(), 3, "all three objects pushed: {fx:?}");
+    assert!(prim.backfill_bytes > 0);
+    // Applying the pushes at the peer acks each one back; feeding the
+    // acks to the primary ends the round.
+    peer.handle(OsdInput::MapUpdate(new_map));
+    for push in pushes {
+        let fx = peer.handle(OsdInput::Peer {
+            from: primary,
+            msg: push,
+        });
+        let ack = fx
+            .into_iter()
+            .find_map(|e| match e {
+                OsdEffect::SendPeer {
+                    msg: msg @ PeerMsg::PushAck { .. },
+                    ..
+                } => Some(msg),
+                _ => None,
+            })
+            .expect("peer acks an applied push");
+        prim.handle(OsdInput::Peer {
+            from: secondary,
+            msg: ack,
+        });
+    }
+    assert_eq!(prim.pg_state(g), PgState::Active);
+    assert_eq!(prim.degraded_objects(), 0);
+    // The pushed bytes are now readable at the peer.
+    assert_eq!(
+        peer.object_digest(oid_in(g, 1), 4096),
+        prim.object_digest(oid_in(g, 1), 4096),
+    );
+}
+
+#[test]
+fn backfill_throttle_caps_inflight_pushes_and_drains_on_ack() {
+    let map3 = OsdMap::new(3, 1, 8, 2);
+    let cfg = OsdConfig {
+        max_backfill_inflight: 1,
+        ..cfg(PipelineMode::Dop, 16)
+    };
+    let g = GroupId(0);
+    let set = map3.acting_set(g);
+    let (primary, secondary) = (set[0], set[1]);
+    let spare = (0..3).map(OsdId).find(|o| !set.contains(o)).unwrap();
+    let mut prim = Osd::new(primary, cfg, map3.clone());
+    for i in 0..3 {
+        prim.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: write_req(i, oid_in(g, i)),
+        });
+    }
+    let mut new_map = map3.clone();
+    new_map.mark_down(spare);
+    prim.handle(OsdInput::MapUpdate(new_map));
+    let epoch = prim.map().epoch;
+    let count_pushes = |fx: &[OsdEffect]| {
+        fx.iter()
+            .filter_map(|e| match e {
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::PushObject { entry, .. },
+                    ..
+                } => Some(entry.oid),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    // Empty peer log: three objects need backfill, but the throttle
+    // admits only one push into the window; the rest are queued.
+    let fx = prim.handle(OsdInput::Peer {
+        from: secondary,
+        msg: PeerMsg::PgInfo {
+            group: g,
+            epoch,
+            from: secondary,
+            entries: Vec::new(),
+        },
+    });
+    let first = count_pushes(&fx);
+    assert_eq!(first.len(), 1, "inflight cap of 1: {fx:?}");
+    assert!(prim.backfill_queued() >= 2, "deferred work is counted");
+    assert_eq!(prim.pg_state(g), PgState::Backfilling);
+    // The tick closes the throttled window (accruing throttled time) and
+    // the retransmit sweep again offers everything — still one push.
+    let throttled_before = prim.backfill_throttled_nanos();
+    let fx = prim.handle(OsdInput::HeartbeatTick);
+    assert!(prim.backfill_throttled_nanos() > throttled_before);
+    assert_eq!(count_pushes(&fx).len(), 1, "still capped after tick");
+    // An ack frees the slot mid-window: the next object goes out
+    // immediately without waiting for the tick.
+    let fx = prim.handle(OsdInput::Peer {
+        from: secondary,
+        msg: PeerMsg::PushAck {
+            group: g,
+            epoch,
+            oid: first[0],
+            from: secondary,
+        },
+    });
+    let next = count_pushes(&fx);
+    assert_eq!(next.len(), 1, "ack drains the queue: {fx:?}");
+    assert_ne!(next[0], first[0], "a different object rides the slot");
+}
+
+#[test]
+fn push_with_bad_checksum_is_dropped() {
+    let mut o = osd(PipelineMode::Dop, 1);
+    let g = a_group_led_by_another(&o);
+    let oid = oid_in(g, 1);
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::PushObject {
+            group: g,
+            epoch: 1,
+            entry: Box::new(PgLogEntry {
+                epoch: 1,
+                version: 4,
+                oid,
+                digest: 9,
+            }),
+            data: Payload::from(vec![5; 4096]).into(),
+            content_digest: 0xDEAD, // wrong
+        },
+    });
+    assert!(fx.is_empty(), "corrupt push ignored: {fx:?}");
+    assert_eq!(o.object_digest(oid, 4096), None, "nothing applied");
+}
+
+/// An object created with size 0 is tracked at length 0, so a pull ships
+/// it with empty content. The joiner used to panic on it (`backfill
+/// apply: InvalidArgument("zero-length write")`).
+#[test]
+fn backfill_of_a_zero_length_object_applies_the_bare_create() {
+    let mut survivor = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&survivor);
+    let oid = oid_in(g, 1);
+    survivor.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: ClientReq::Create {
+            op: OpId(1),
+            oid,
+            size: 0,
+        },
+    });
+    let fx = survivor.handle(OsdInput::Peer {
+        from: OsdId(1),
+        msg: PeerMsg::PullLog {
+            group: g,
+            from: OsdId(1),
+        },
+    });
+    let backfill = fx
+        .into_iter()
+        .find_map(|e| match e {
+            OsdEffect::SendPeer {
+                msg: msg @ PeerMsg::Backfill { .. },
+                ..
+            } => Some(msg),
+            _ => None,
+        })
+        .expect("the pull is answered");
+    let PeerMsg::Backfill { objects, .. } = &backfill else {
+        unreachable!()
+    };
+    assert_eq!(objects.len(), 1);
+    assert!(objects[0].1.is_empty(), "shipped with no content");
+
+    let mut joiner = osd(PipelineMode::Dop, 1);
+    joiner.peering.awaiting_backfill.insert(g);
+    joiner.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: backfill,
+    });
+    assert_eq!(joiner.group_extent_map(g), vec![(oid, 0)]);
+    assert!(joiner.object_digest(oid, 0).is_some(), "the object exists");
+}
+
+/// The same object as a recovery push: the store refused the empty
+/// write, no ack went out, and the primary re-pushed on every heartbeat
+/// with the group stuck in Recovering.
+#[test]
+fn push_of_a_zero_length_object_is_applied_and_acked() {
+    let mut o = osd(PipelineMode::Dop, 1);
+    let g = a_group_led_by_another(&o);
+    let oid = oid_in(g, 1);
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::PushObject {
+            group: g,
+            epoch: 1,
+            entry: Box::new(PgLogEntry {
+                epoch: 1,
+                version: 4,
+                oid,
+                digest: 9,
+            }),
+            data: Segments::new(),
+            content_digest: digest_bytes(&[]),
+        },
+    });
+    assert!(
+        fx.iter().any(|e| matches!(
+            e,
+            OsdEffect::SendPeer {
+                msg: PeerMsg::PushAck { oid: acked, .. },
+                ..
+            } if *acked == oid
+        )),
+        "the empty push is acked: {fx:?}"
+    );
+    assert!(o.object_digest(oid, 0).is_some(), "the bare create landed");
+    assert_eq!(o.group_extent_map(g), vec![(oid, 0)]);
+}
+
+#[test]
+fn stale_push_with_divergent_content_is_dropped_not_acked() {
+    let mut o = osd(PipelineMode::Dop, 1);
+    let g = a_group_led_by_another(&o);
+    let oid = oid_in(g, 1);
+    // The replica applies a current write at (epoch 1, version 7)...
+    let txn = Transaction::new(
+        g,
+        7,
+        vec![Op::Write {
+            oid,
+            offset: 0,
+            data: vec![9; 4096].into(),
+        }],
+    );
+    o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::RepopNvm {
+            group: g,
+            seq: 7,
+            txn,
+        },
+    });
+    // ...then an older push with *different* bytes arrives. Acking it
+    // would clear the primary's missing mark while the replicas still
+    // diverge, so it must be dropped silently — the primary's heartbeat
+    // retry re-reads fresh content and pushes again.
+    let stale = vec![1u8; 4096];
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::PushObject {
+            group: g,
+            epoch: 1,
+            entry: Box::new(PgLogEntry {
+                epoch: 1,
+                version: 3,
+                oid,
+                digest: 1,
+            }),
+            content_digest: digest_bytes(&stale),
+            data: Payload::from(stale).into(),
+        },
+    });
+    assert!(fx.is_empty(), "divergent stale push dropped: {fx:?}");
+    // The newer log record survives: reads serve fill 9, not fill 1.
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(2),
+        req: ClientReq::Read {
+            op: OpId(1),
+            oid,
+            offset: 0,
+            len: 4096,
+        },
+    });
+    let data = fx.iter().find_map(|e| match e {
+        OsdEffect::Reply {
+            msg: ClientReply::Data { data, .. },
+            ..
+        } => Some(data.clone()),
+        _ => None,
+    });
+    assert_eq!(data, Some(vec![9u8; 4096].into()));
+}
+
+#[test]
+fn stale_push_with_matching_content_is_acked_but_not_applied() {
+    let mut o = osd(PipelineMode::Dop, 1);
+    let g = a_group_led_by_another(&o);
+    let oid = oid_in(g, 1);
+    // The replica holds (epoch 1, version 7) with fill 9.
+    let txn = Transaction::new(
+        g,
+        7,
+        vec![Op::Write {
+            oid,
+            offset: 0,
+            data: vec![9; 4096].into(),
+        }],
+    );
+    o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::RepopNvm {
+            group: g,
+            seq: 7,
+            txn,
+        },
+    });
+    // An older-versioned push whose bytes already match the local object
+    // (a torn-tail-restarted primary can never out-version the replica
+    // even when content agrees). It must be acked — without the ack the
+    // primary retries forever and the PG wedges in Recovering — but the
+    // newer local record must not be rolled back.
+    let same = vec![9u8; 4096];
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::PushObject {
+            group: g,
+            epoch: 1,
+            entry: Box::new(PgLogEntry {
+                epoch: 1,
+                version: 3,
+                oid,
+                digest: digest_bytes(&same),
+            }),
+            content_digest: digest_bytes(&same),
+            data: Payload::from(same).into(),
+        },
+    });
+    assert!(
+        fx.iter().any(|e| matches!(
+            e,
+            OsdEffect::SendPeer {
+                msg: PeerMsg::PushAck { .. },
+                ..
+            }
+        )),
+        "matching stale push acked: {fx:?}"
+    );
+    // Version 7 stays newest: a later same-object push at version 5
+    // with divergent bytes is still rejected.
+    let stale = vec![1u8; 4096];
+    let fx = o.handle(OsdInput::Peer {
+        from: OsdId(0),
+        msg: PeerMsg::PushObject {
+            group: g,
+            epoch: 1,
+            entry: Box::new(PgLogEntry {
+                epoch: 1,
+                version: 5,
+                oid,
+                digest: 1,
+            }),
+            content_digest: digest_bytes(&stale),
+            data: Payload::from(stale).into(),
+        },
+    });
+    assert!(fx.is_empty(), "divergent push after ack dropped: {fx:?}");
+}
+
+#[test]
+fn writes_below_min_size_quorum_return_degraded() {
+    // Replication 3 => min_size 2.
+    let mut map3 = OsdMap::new(3, 1, 8, 3);
+    assert_eq!(map3.min_size, 2);
+    let cfg = cfg(PipelineMode::Dop, 16);
+    map3.mark_down(OsdId(1));
+    map3.mark_down(OsdId(2));
+    let mut o = Osd::new(OsdId(0), cfg, map3);
+    let g = GroupId(0);
+    assert_eq!(o.pg_state(g), PgState::Degraded);
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid_in(g, 1)),
+    });
+    let err = fx.iter().find_map(|e| match e {
+        OsdEffect::Reply {
+            msg: ClientReply::Error { error, .. },
+            ..
+        } => Some(error.clone()),
+        _ => None,
+    });
+    assert_eq!(err, Some(StoreError::Degraded));
+    assert!(
+        !fx.iter()
+            .any(|e| matches!(e, OsdEffect::SendPeer { .. } | OsdEffect::NvmWritten { .. })),
+        "rejected write neither logged nor replicated: {fx:?}"
+    );
+}
+
+#[test]
+fn heartbeat_retransmits_stale_inflight_writes() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid_in(g, 1)),
+    });
+    // The repop (or its ack) was lost; after two heartbeat ticks the
+    // primary re-sends it on its own, without any client retry.
+    let fx = o.handle(OsdInput::HeartbeatTick);
+    assert!(
+        !fx.iter().any(|e| matches!(
+            e,
+            OsdEffect::SendPeer {
+                msg: PeerMsg::RepopNvm { .. },
+                ..
+            }
+        )),
+        "first tick only ages the op"
+    );
+    let fx = o.handle(OsdInput::HeartbeatTick);
+    assert!(
+        fx.iter().any(|e| matches!(
+            e,
+            OsdEffect::SendPeer {
+                msg: PeerMsg::RepopNvm { seq: 1, .. },
+                ..
+            }
+        )),
+        "second tick retransmits: {fx:?}"
+    );
+}

@@ -776,16 +776,6 @@ impl Partition {
         (!o.deleted).then_some((o.size, o.version, o.mtime))
     }
 
-    /// Reads back an xattr of a live object.
-    #[allow(dead_code)] // symmetric API to set_xattr; exercised via the store
-    pub fn xattr(&self, oid: ObjectId, key: &str) -> Option<Vec<u8>> {
-        let slot = self.slot_of(oid)?;
-        self.onodes
-            .get(&slot)
-            .and_then(|o| o.xattr(key))
-            .map(<[u8]>::to_vec)
-    }
-
     /// Marks the object deleted; blocks are deallocated later by
     /// [`Partition::maintenance`] (delayed deallocation, §IV-C-5).
     ///

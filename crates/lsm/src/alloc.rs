@@ -26,15 +26,9 @@ impl SegAlloc {
     }
 
     /// Number of free segments.
-    #[allow(dead_code)] // part of the allocator's natural API; used by tests
+    #[cfg(test)]
     pub fn free_segments(&self) -> usize {
         self.free
-    }
-
-    /// Total segments.
-    #[allow(dead_code)] // part of the allocator's natural API
-    pub fn total_segments(&self) -> usize {
-        self.used.len()
     }
 
     /// Allocates one segment.

@@ -47,7 +47,7 @@ impl Memtable {
     }
 
     /// Number of entries (tombstones included).
-    #[allow(dead_code)] // natural collection API; used by tests
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.entries.len()
     }

@@ -53,18 +53,6 @@ impl Wal {
         }
     }
 
-    /// Bytes already appended in this cycle.
-    #[allow(dead_code)] // diagnostics API
-    pub fn used(&self) -> u64 {
-        self.head
-    }
-
-    /// Bytes still available in this cycle.
-    #[allow(dead_code)] // diagnostics API
-    pub fn available(&self) -> u64 {
-        self.region_len - self.head
-    }
-
     /// Appends `batch` as one durable record with the current epoch.
     ///
     /// The record is framed once, into a buffer reused across appends, and
