@@ -571,10 +571,10 @@ fn run_scale_curve(smoke: bool) {
             s.events_per_sec(),
             fingerprint_hash(&fp),
         );
-        // Where each worker's wall clock went (nothing for one worker: the
-        // sequential loop has no barriers to wait at).
+        // Where each worker's wall clock went (nothing for one worker: it
+        // has no barriers to wait at).
+        let secs = |ns: u64| ns as f64 / 1e9;
         for (w, t) in rounds.workers.iter().enumerate() {
-            let secs = |ns: u64| ns as f64 / 1e9;
             println!(
                 "          worker {w}: {} rounds  execute {:.3}s  wait {:.3}s  \
                  merge {:.3}s  wait {:.3}s",
@@ -583,6 +583,24 @@ fn run_scale_curve(smoke: bool) {
                 secs(t.execute_wait_ns),
                 secs(t.merge_ns),
                 secs(t.merge_wait_ns),
+            );
+        }
+        // Where the domains' execution went, whichever worker claimed them.
+        let domains = &rounds.domain_execute_ns;
+        let by_time = |(_, ns): &(usize, &u64)| **ns;
+        let slowest = domains.iter().enumerate().max_by_key(by_time);
+        let fastest = domains.iter().enumerate().min_by_key(by_time);
+        if let (Some((slow, &slow_ns)), Some((fast, &fast_ns))) = (slowest, fastest) {
+            let total: u64 = domains.iter().sum();
+            let steals: u64 = rounds.workers.iter().map(|w| w.steals).sum();
+            println!(
+                "          domains: execute {:.3}s, domain 0 {:.1} %, slowest d{slow} {:.3}s, \
+                 fastest d{fast} {:.3}s; {:.1} steals/round",
+                secs(total),
+                domains[0] as f64 * 100.0 / total.max(1) as f64,
+                secs(slow_ns),
+                secs(fast_ns),
+                steals as f64 / rounds.rounds.max(1) as f64,
             );
         }
         match &base_fp {

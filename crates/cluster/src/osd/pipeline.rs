@@ -62,11 +62,41 @@ fn client_txn(group: GroupId, seq: u64, mutation: Op) -> Transaction {
     Transaction::new(group, seq, ops)
 }
 
-/// Pushes `id` into a dedup window, forgetting the oldest beyond the bound.
-pub(super) fn remember(window: &mut VecDeque<u64>, id: u64) {
-    window.push_back(id);
-    while window.len() > DEDUP_WINDOW {
-        window.pop_front();
+/// The last [`DEDUP_WINDOW`] ids remembered, duplicates included: the deque
+/// keeps them in eviction order, the counts answer membership in O(1).
+#[derive(Default)]
+pub(super) struct DedupWindow {
+    order: VecDeque<u64>,
+    counts: FxHashMap<u64, u32>,
+}
+
+impl DedupWindow {
+    /// Pushes `id`, forgetting the oldest beyond the bound.
+    pub(super) fn remember(&mut self, id: u64) {
+        self.order.push_back(id);
+        *self.counts.entry(id).or_default() += 1;
+        while self.order.len() > DEDUP_WINDOW {
+            let old = self.order.pop_front().expect("longer than the bound");
+            let n = self
+                .counts
+                .get_mut(&old)
+                .expect("every id in order is counted");
+            *n -= 1;
+            if *n == 0 {
+                self.counts.remove(&old);
+            }
+        }
+    }
+
+    pub(super) fn contains(&self, id: u64) -> bool {
+        self.counts.contains_key(&id)
+    }
+
+    /// Forgets every occurrence of `id`.
+    pub(super) fn forget(&mut self, id: u64) {
+        if self.counts.remove(&id).is_some() {
+            self.order.retain(|&x| x != id);
+        }
     }
 }
 
@@ -95,10 +125,10 @@ pub(super) struct TopHalf {
     pub(super) inflight_ops: FxHashMap<(ClientId, OpId), u64>,
     /// Recently completed write ops per client: a retry of one of these
     /// re-acks immediately.
-    pub(super) completed: FxHashMap<ClientId, VecDeque<u64>>,
+    pub(super) completed: FxHashMap<ClientId, DedupWindow>,
     /// Recently applied replication seqs per group: a duplicate
     /// `Repop`/`RepopNvm` re-acks without re-applying.
-    pub(super) replica_applied: FxHashMap<GroupId, VecDeque<u64>>,
+    pub(super) replica_applied: FxHashMap<GroupId, DedupWindow>,
 }
 
 impl Osd {
@@ -119,7 +149,7 @@ impl Osd {
         mutation: Op,
     ) {
         let completed = self.top.completed.get(&from);
-        if completed.is_some_and(|w| w.contains(&op.0)) {
+        if completed.is_some_and(|w| w.contains(op.0)) {
             self.reply_done(from, op);
             return;
         }
@@ -305,8 +335,50 @@ impl Osd {
         if done {
             let w = self.top.inflight.remove(&seq).expect("checked above");
             self.top.inflight_ops.remove(&(w.client, w.op));
-            remember(self.top.completed.entry(w.client).or_default(), w.op.0);
+            let window = self.top.completed.entry(w.client).or_default();
+            window.remember(w.op.0);
             self.reply_done(w.client, w.op);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The window answers exactly what the plain deque it replaced did:
+        /// a bounded FIFO of ids, duplicates kept, `contains` a scan and
+        /// `forget` a `retain`.
+        #[test]
+        fn dedup_window_matches_the_plain_deque(
+            steps in proptest::collection::vec((0u8..8, 0u64..200), 1..600),
+        ) {
+            let mut window = DedupWindow::default();
+            let mut model: VecDeque<u64> = VecDeque::new();
+            for (op, id) in steps {
+                match op {
+                    0 => {
+                        window.forget(id);
+                        model.retain(|&x| x != id);
+                    }
+                    1 | 2 => prop_assert_eq!(window.contains(id), model.contains(&id)),
+                    _ => {
+                        window.remember(id);
+                        model.push_back(id);
+                        while model.len() > DEDUP_WINDOW {
+                            model.pop_front();
+                        }
+                    }
+                }
+                prop_assert_eq!(&window.order, &model);
+                for probe in 0..200 {
+                    prop_assert_eq!(window.contains(probe), model.contains(&probe));
+                }
+            }
         }
     }
 }

@@ -8,7 +8,6 @@ use rablock_storage::{GroupId, ObjectId, StoreError, Transaction};
 use super::digest::digest_op;
 use super::flush::StoreCtx;
 use super::peering::{PgRecovery, PgState};
-use super::pipeline::remember;
 use super::{Osd, OsdEffect};
 use crate::msg::PeerMsg;
 use crate::placement::OsdId;
@@ -40,19 +39,20 @@ impl Osd {
         self.top
             .replica_applied
             .get(&group)
-            .is_some_and(|w| w.contains(&seq))
+            .is_some_and(|w| w.contains(seq))
     }
 
     /// Forgets a provisionally noted replication seq after a failed apply,
     /// so a primary retransmit is applied for real instead of re-acked.
     fn unnote_replica_applied(&mut self, group: GroupId, seq: u64) {
         if let Some(w) = self.top.replica_applied.get_mut(&group) {
-            w.retain(|&s| s != seq);
+            w.forget(seq);
         }
     }
 
     fn note_replica_applied(&mut self, group: GroupId, seq: u64) {
-        remember(self.top.replica_applied.entry(group).or_default(), seq);
+        let window = self.top.replica_applied.entry(group).or_default();
+        window.remember(seq);
     }
 
     /// A failed apply must not kill the OSD: withdraw the provisional

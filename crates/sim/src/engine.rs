@@ -44,11 +44,18 @@
 //! ([`Simulation::set_workers`]), which is what makes results byte-identical
 //! for every worker count: the round sequence, each domain's event order, its
 //! RNG stream (split per-domain from the root seed) and its metrics depend
-//! only on the topology, never on the parallelism. `workers == 1` runs the
-//! rounds in place with zero synchronization; a single-domain simulation
+//! only on the topology, never on the parallelism. Workers therefore claim
+//! domains afresh every round, stealing from each other, and `workers == 1`
+//! runs the same loop on the calling thread; a single-domain simulation
 //! degenerates to exactly the original single-threaded loop.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Release};
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::{Barrier, Mutex};
+use std::time::Instant;
 
 use crate::device::{Device, IoRequest};
 use crate::metrics::{Metrics, StageTag};
@@ -255,6 +262,9 @@ fn domain_seed(root: u64, domain: u32) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A cross-domain event, stamped `(time, sender's key, thread, msg)`.
+type Foreign<M> = (SimTime, u64, ThreadId, M);
+
 /// One shard of the entity space: its own clock, event queue, RNG stream,
 /// metrics and the (globally-indexed, sparsely populated) entities it owns.
 ///
@@ -278,8 +288,8 @@ struct DomainCore<M> {
     scratch_charges: Vec<(StageTag, SimDuration)>,
     scratch_effects: Vec<Effect<M>>,
     /// Cross-domain events produced during the current round, one buffer per
-    /// destination domain, each entry stamped `(time, key, thread, msg)`.
-    outbox: Vec<Vec<(SimTime, u64, ThreadId, M)>>,
+    /// destination domain.
+    outbox: Vec<Vec<Foreign<M>>>,
 }
 
 impl<M> DomainCore<M> {
@@ -334,8 +344,9 @@ impl<M> DomainCore<M> {
             .push(time, key, EventKind::Deliver { thread, msg });
     }
 
-    fn peek_nanos(&self) -> Option<u64> {
-        self.events.peek_time().map(|t| t.nanos())
+    /// The time of the earliest pending event (`u64::MAX`: none).
+    fn peek_nanos(&self) -> u64 {
+        self.events.peek_time().map_or(u64::MAX, |t| t.nanos())
     }
 
     fn thread(&self, t: ThreadId) -> &ThreadState<M> {
@@ -365,14 +376,6 @@ impl<M> DomainCore<M> {
     }
 
     fn add_thread(&mut self, global_id: ThreadId, cfg: ThreadCfg) {
-        for &c in &cfg.affinity {
-            self.cores
-                .get_mut(c)
-                .and_then(|s| s.as_mut())
-                .expect("affinity core owned by this domain")
-                .candidates
-                .push(global_id);
-        }
         if self.threads.len() <= global_id {
             self.threads.resize_with(global_id + 1, || None);
         }
@@ -381,44 +384,41 @@ impl<M> DomainCore<M> {
             queue: VecDeque::new(),
             running: false,
         });
-        // Keep candidate lists sorted by (priority, id) so tier scans are cheap.
+        // Keep candidate lists sorted by (priority, id) so tier scans are
+        // cheap. Only the new thread's affinity cores gain a member.
         let threads = &self.threads;
-        for core in self.cores.iter_mut().flatten() {
-            core.candidates.sort_by_key(|&t| {
-                (
-                    threads[t].as_ref().expect("candidate owned").cfg.priority,
-                    t,
-                )
-            });
+        let key = |t: ThreadId| {
+            let th = threads[t].as_ref().expect("candidate owned");
+            (th.cfg.priority, t)
+        };
+        let (new, added) = (key(global_id), threads[global_id].as_ref());
+        for &c in &added.expect("just added").cfg.affinity {
+            let candidates = &mut self
+                .cores
+                .get_mut(c)
+                .and_then(|s| s.as_mut())
+                .expect("affinity core owned by this domain")
+                .candidates;
+            let at = candidates.partition_point(|&t| key(t) <= new);
+            candidates.insert(at, global_id);
         }
     }
 
-    /// Executes every pending event with `time <= h_incl` (the inclusive
-    /// LBTS horizon of the current round). Cross-domain sends land in
-    /// [`DomainCore::outbox`]; everything else is identical to the original
-    /// single-threaded loop.
-    fn run_round<H: Handler<M>>(
-        &mut self,
-        handler: &mut H,
-        h_incl: SimTime,
-        registry: &[u32],
-        lookahead: SimDuration,
-    ) {
+    /// Executes every pending event up to the round's horizon. Cross-domain
+    /// sends land in [`DomainCore::outbox`]; everything else is identical to
+    /// the original single-threaded loop.
+    fn run_round<H: Handler<M>>(&mut self, handler: &mut H, round: Round<'_>) {
         while !self.stopped {
             match self.events.peek_time() {
-                Some(t) if t <= h_incl => {}
+                Some(t) if t <= round.horizon => {}
                 _ => break,
             }
             let (time, _key, kind) = self.events.pop().expect("peeked event exists");
             debug_assert!(time >= self.now, "event time regressed");
             self.now = time;
             match kind {
-                EventKind::Deliver { thread, msg } => {
-                    self.on_deliver(handler, thread, msg, registry, lookahead)
-                }
-                EventKind::CoreFree { core } => {
-                    self.on_core_free(handler, core, registry, lookahead)
-                }
+                EventKind::Deliver { thread, msg } => self.on_deliver(handler, thread, msg, round),
+                EventKind::CoreFree { core } => self.on_core_free(handler, core, round),
             }
         }
     }
@@ -428,8 +428,7 @@ impl<M> DomainCore<M> {
         handler: &mut H,
         thread: ThreadId,
         msg: M,
-        registry: &[u32],
-        lookahead: SimDuration,
+        round: Round<'_>,
     ) {
         let now = self.now;
         let th = self.thread_mut(thread);
@@ -439,45 +438,32 @@ impl<M> DomainCore<M> {
         }
         // Invariant: a runnable thread is only left waiting when all its
         // affinity cores are busy, so taking the first idle core is fair.
-        let idle = self.thread(thread).cfg.affinity.iter().copied().find(|&c| {
-            self.cores[c]
-                .as_ref()
-                .expect("affinity core owned")
-                .running
-                .is_none()
-        });
-        if let Some(core) = idle {
-            self.run_item(handler, core, thread, registry, lookahead);
+        if let Some(core) = self.idle_core(thread) {
+            self.run_item(handler, core, thread, round);
         }
     }
 
-    fn on_core_free<H: Handler<M>>(
-        &mut self,
-        handler: &mut H,
-        core: CoreId,
-        registry: &[u32],
-        lookahead: SimDuration,
-    ) {
+    /// The first idle core in `thread`'s affinity set.
+    fn idle_core(&self, thread: ThreadId) -> Option<CoreId> {
+        let running = |c: CoreId| self.cores[c].as_ref().expect("affinity core owned").running;
+        let mut affinity = self.thread(thread).cfg.affinity.iter().copied();
+        affinity.find(|&c| running(c).is_none())
+    }
+
+    fn on_core_free<H: Handler<M>>(&mut self, handler: &mut H, core: CoreId, round: Round<'_>) {
         let state = self.cores[core].as_mut().expect("core owned");
         let finished = state.running.take().expect("CoreFree for an idle core");
         state.last = Some(finished);
         self.thread_mut(finished).running = false;
         if let Some(next) = self.pick_for_core(core) {
-            self.run_item(handler, core, next, registry, lookahead);
+            self.run_item(handler, core, next, round);
         }
         // The finished thread may still have queued work and another idle
         // core elsewhere in its affinity set.
         let fin = self.thread(finished);
         if !fin.running && !fin.queue.is_empty() {
-            let idle = fin.cfg.affinity.iter().copied().find(|&c| {
-                self.cores[c]
-                    .as_ref()
-                    .expect("affinity core owned")
-                    .running
-                    .is_none()
-            });
-            if let Some(c) = idle {
-                self.run_item(handler, c, finished, registry, lookahead);
+            if let Some(c) = self.idle_core(finished) {
+                self.run_item(handler, c, finished, round);
             }
         }
     }
@@ -537,8 +523,7 @@ impl<M> DomainCore<M> {
         handler: &mut H,
         core: CoreId,
         thread: ThreadId,
-        registry: &[u32],
-        lookahead: SimDuration,
+        round: Round<'_>,
     ) {
         debug_assert!(self.cores[core]
             .as_ref()
@@ -559,14 +544,13 @@ impl<M> DomainCore<M> {
             SimDuration::ZERO
         };
 
-        let mut rng = std::mem::replace(&mut self.rng, SimRng::seed(0));
         let mut ctx = Ctx {
             now: self.now,
             queued: self.now.saturating_since(enqueued_at),
             spent: SimDuration::ZERO,
             charges: std::mem::take(&mut self.scratch_charges),
             effects: std::mem::take(&mut self.scratch_effects),
-            rng: &mut rng,
+            rng: &mut self.rng,
             stop: false,
         };
         handler.handle(thread, msg, &mut ctx);
@@ -577,7 +561,6 @@ impl<M> DomainCore<M> {
             stop,
             ..
         } = ctx;
-        self.rng = rng;
 
         let total = cs + spent;
         let end = self.now + total;
@@ -603,13 +586,14 @@ impl<M> DomainCore<M> {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg, delay } => {
-                    let dst = registry[to];
+                    let dst = round.registry[to];
                     if dst == self.id {
                         self.push_event(end + delay, EventKind::Deliver { thread: to, msg });
                     } else {
                         debug_assert!(
-                            delay >= lookahead,
-                            "cross-domain send with delay {delay} below lookahead {lookahead}"
+                            delay >= round.lookahead,
+                            "cross-domain send with delay {delay} below lookahead {}",
+                            round.lookahead
                         );
                         let key = self.next_key();
                         self.outbox[dst as usize].push((end + delay, key, to, msg));
@@ -622,7 +606,7 @@ impl<M> DomainCore<M> {
                     msg,
                 } => {
                     debug_assert!(
-                        registry[notify] == self.id,
+                        round.registry[notify] == self.id,
                         "I/O completion must notify a thread in the submitting domain"
                     );
                     let done = self.devices[dev]
@@ -653,14 +637,18 @@ impl<M> DomainCore<M> {
 /// Where one worker thread of the parallel executor spent its wall clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerRoundStats {
-    /// Executing its domains' events and publishing their outboxes.
+    /// Executing the domains it claimed and publishing their outboxes.
     pub execute_ns: u64,
     /// Waiting at the barrier that ends the execute phase.
     pub execute_wait_ns: u64,
-    /// Draining its domains' mailboxes and republishing their minima.
+    /// Draining the mailboxes of the domains it claimed, republishing minima.
     pub merge_ns: u64,
     /// Waiting at the barrier that ends the merge phase.
     pub merge_wait_ns: u64,
+    /// Domains it executed, one claim per domain per round.
+    pub claims: u64,
+    /// Of those claims, the ones taken from another worker's list.
+    pub steals: u64,
 }
 
 /// The parallel executor's account of its own wall clock, summed over every
@@ -670,8 +658,199 @@ pub struct WorkerRoundStats {
 pub struct RoundStats {
     /// Synchronization rounds executed.
     pub rounds: u64,
-    /// One entry per worker thread (empty after sequential runs only).
+    /// One entry per worker thread (empty after one-worker runs only).
     pub workers: Vec<WorkerRoundStats>,
+    /// Per domain id, host nanoseconds spent executing and publishing, by
+    /// whichever worker claimed it (empty after one-worker runs only).
+    pub domain_execute_ns: Vec<u64>,
+}
+
+/// What a domain's execution needs from its round: the inclusive horizon,
+/// each thread's domain, and the lookahead every cross-domain send carries.
+#[derive(Clone, Copy)]
+struct Round<'a> {
+    horizon: SimTime,
+    registry: &'a [u32],
+    lookahead: SimDuration,
+}
+
+/// The round loop every worker runs (DESIGN.md §15): execute the domains it
+/// claims, barrier, drain the mailboxes of those it claims next, barrier.
+/// Shared words are written in one phase and read after the barrier that
+/// ends it: Release stores pair with Acquire loads; one swap decides a claim.
+struct RoundLoop<'a, M, P> {
+    /// Per domain: the domain, the handler part that executes it and the
+    /// host time its executions took (more than one worker only).
+    slots: Vec<Mutex<(&'a mut DomainCore<M>, P, u64)>>,
+    workers: usize,
+    /// Per domain, the ticket of the last phase that claimed it: round `r`
+    /// claims with `2r` and `2r + 1`.
+    claims: Vec<AtomicU64>,
+    /// Per domain, its [`DomainCore::peek_nanos`].
+    mins: Vec<AtomicU64>,
+    /// `(src, dst)` mailboxes, row-major by source, flagged when published;
+    /// a drained one keeps its buffer for the producer's next swap.
+    mailbox: Vec<(AtomicBool, Mutex<Vec<Foreign<M>>>)>,
+    /// Per domain, whether any mailbox addressed to it was published to.
+    mail: Vec<AtomicBool>,
+    /// Read by the snapshot, so written only between a round's two barriers.
+    stop: AtomicBool,
+    /// A handler stopped its domain or panicked; `stop` after the barrier.
+    stop_requested: AtomicBool,
+    /// The first handler panic; once set, no worker touches simulation state.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    barrier: Barrier,
+    registry: &'a [u32],
+    lookahead: SimDuration,
+    deadline_n: u64,
+}
+
+/// Inclusive round horizon for a global minimum `gmin`: everything in
+/// `[gmin, gmin + lookahead)` is safe because the earliest cross-domain
+/// message generated this round arrives at `>= gmin + lookahead`.
+fn horizon_nanos(gmin: u64, deadline_n: u64, lookahead: SimDuration, domains: usize) -> u64 {
+    if domains == 1 {
+        // No cross-domain events exist: one round runs to the deadline.
+        return deadline_n;
+    }
+    let la = lookahead.as_nanos().max(1);
+    deadline_n.min(gmin.saturating_add(la).saturating_sub(1))
+}
+
+const UNPOISONED: &str = "only a handler panic poisons a lock, and then nobody takes it";
+
+impl<M, P> RoundLoop<'_, M, P> {
+    /// Runs worker `me` to the stop snapshot, `run` executing one domain's
+    /// round; adds where its wall clock went to `spent` (if not alone).
+    fn work<R>(&self, me: usize, spent: &mut WorkerRoundStats, mut run: R)
+    where
+        R: FnMut(&mut DomainCore<M>, &mut P, Round<'_>),
+    {
+        let (lone, mut lap) = (self.workers == 1, Instant::now());
+        // Nanoseconds since the previous call.
+        let mut split = || {
+            let now = if lone { lap } else { Instant::now() };
+            (now - std::mem::replace(&mut lap, now)).as_nanos() as u64
+        };
+        // A lone worker locks every domain once; others lock what they claim.
+        let lock = |d: usize| self.slots[d].lock().expect(UNPOISONED);
+        let mut held: Vec<_> = (0..self.slots.len()).filter(|_| lone).map(lock).collect();
+        for round_no in 1.. {
+            // Post-barrier snapshot: identical on every worker.
+            let gmin = self.mins.iter().map(|m| m.load(Acquire)).min();
+            let gmin = gmin.expect("at least one domain");
+            if self.stop.load(Acquire) || gmin == u64::MAX || gmin > self.deadline_n {
+                return;
+            }
+            let h = horizon_nanos(gmin, self.deadline_n, self.lookahead, self.slots.len());
+            let round = Round {
+                horizon: SimTime::from_nanos(h),
+                registry: self.registry,
+                lookahead: self.lookahead,
+            };
+            self.guarded(|| {
+                for slot in held.iter_mut() {
+                    let (dom, part, _) = &mut **slot;
+                    run(dom, part, round);
+                    self.publish(dom);
+                }
+                for (d, stolen) in self.claimed(me, 2 * round_no) {
+                    let mut slot = lock(d);
+                    let (dom, part, ns) = &mut *slot;
+                    spent.claims += 1;
+                    spent.steals += u64::from(stolen);
+                    let start = Instant::now();
+                    run(dom, part, round);
+                    self.publish(dom);
+                    *ns += start.elapsed().as_nanos() as u64;
+                }
+            });
+            spent.execute_ns += split();
+            if !lone {
+                self.barrier.wait();
+            }
+            spent.execute_wait_ns += split();
+            if self.stop_requested.load(Acquire) {
+                // What stopped while executing reaches the snapshot only now.
+                self.stop.store(true, Release);
+            }
+            self.guarded(|| {
+                held.iter_mut().for_each(|slot| self.merge(slot.0));
+                for (d, _) in self.claimed(me, 2 * round_no + 1) {
+                    self.merge(lock(d).0);
+                }
+            });
+            spent.merge_ns += split();
+            if !lone {
+                self.barrier.wait();
+            }
+            spent.merge_wait_ns += split();
+        }
+    }
+
+    /// Runs one phase of this worker's share unless a handler has panicked;
+    /// a panic is kept for the caller to re-raise and stops the loop.
+    fn guarded(&self, phase: impl FnOnce()) {
+        // A panic requests a stop first, so the lock is taken only then.
+        if self.stop_requested.load(Acquire) && self.panic.lock().expect(UNPOISONED).is_some() {
+            return;
+        }
+        if let Err(p) = catch_unwind(AssertUnwindSafe(phase)) {
+            self.panic.lock().expect(UNPOISONED).get_or_insert(p);
+            self.stop_requested.store(true, Release);
+        }
+    }
+
+    /// The domains worker `me` claims under `ticket` as the iterator
+    /// advances, with whether each was stolen; none for a lone worker.
+    fn claimed(&self, me: usize, ticket: u64) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let workers = self.workers;
+        let domains = if workers > 1 { self.slots.len() } else { 0 };
+        let list = move |w: usize| (w..domains).step_by(workers);
+        let own = list(me).map(|d| (d, false));
+        let others =
+            (1..workers).flat_map(move |k| list((me + k) % workers).rev().map(|d| (d, true)));
+        let claims = &self.claims;
+        own.chain(others).filter(move |&(d, _)| {
+            let claim = &claims[d];
+            claim.load(Acquire) < ticket && claim.swap(ticket, AcqRel) < ticket
+        })
+    }
+
+    /// Moves `dom`'s non-empty outboxes into its mailboxes; stops the loop
+    /// if a handler stopped `dom`.
+    fn publish(&self, dom: &mut DomainCore<M>) {
+        if dom.stopped {
+            self.stop_requested.store(true, Release);
+        }
+        let row = dom.id as usize * self.slots.len();
+        let outboxes = dom.outbox.iter_mut().zip(&self.mailbox[row..]);
+        for ((outbox, (dirty, mailbox)), mail) in outboxes.zip(&self.mail) {
+            if !outbox.is_empty() {
+                std::mem::swap(&mut *mailbox.lock().expect(UNPOISONED), outbox);
+                dirty.store(true, Release);
+                mail.store(true, Release);
+            }
+        }
+    }
+
+    /// Drains every mailbox addressed to `dom` in ascending source order and
+    /// republishes its earliest pending event.
+    fn merge(&self, dom: &mut DomainCore<M>) {
+        let (domains, dst) = (self.slots.len(), dom.id as usize);
+        if self.mail[dst].load(Acquire) {
+            self.mail[dst].store(false, Release);
+            for (dirty, mailbox) in self.mailbox[dst..].iter().step_by(domains) {
+                if dirty.load(Acquire) {
+                    dirty.store(false, Release);
+                    for (t, key, th, msg) in mailbox.lock().expect(UNPOISONED).drain(..) {
+                        dom.deliver_foreign(t, key, th, msg);
+                    }
+                }
+            }
+        }
+        self.mins[dst].store(dom.peek_nanos(), Release);
+    }
 }
 
 /// A deterministic discrete-event simulation of cores, threads and devices.
@@ -794,25 +973,15 @@ impl<M> Simulation<M> {
         self.lookahead = lookahead;
     }
 
-    /// Configured lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// Sets how many OS worker threads [`Simulation::run_until_parts`] may
-    /// use (clamped to the domain count; default 1 = run rounds in place).
+    /// use (clamped to the domain count; default 1 = the calling thread).
     /// Results are byte-identical for every value by construction.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
 
-    /// Configured worker count (before clamping to the domain count).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Rounds and per-worker wall clock of the parallel executor so far
-    /// (all zeros if every run was sequential).
+    /// Rounds, per-worker and per-domain wall clock of the runs on more than
+    /// one worker so far (all zeros if there were none).
     pub fn round_stats(&self) -> &RoundStats {
         &self.round_stats
     }
@@ -1007,29 +1176,17 @@ impl<M> Simulation<M> {
     /// `deadline` if the queue drained early, so measurement windows stay
     /// well-defined. Returns the instant the run stopped at.
     ///
-    /// One handler serves every domain; rounds execute sequentially (no
-    /// `Send` bound), so this is the reference path — and, for a
-    /// single-domain simulation, exactly the original engine loop.
+    /// One handler serves every domain, so the round loop runs with one
+    /// worker on the calling thread (no `Send` bound) — for a single-domain
+    /// simulation, exactly the original engine loop.
     pub fn run_until<H: Handler<M>>(&mut self, handler: &mut H, deadline: SimTime) -> SimTime {
-        self.seq_rounds(deadline, |_, dom, h, reg, la| {
-            dom.run_round(handler, h, reg, la)
-        });
-        self.collect_run_state();
-        if !self.stopped && self.now < deadline {
-            self.now = deadline;
-        }
-        self.now
+        self.run_shared(handler, Some(deadline))
     }
 
     /// Runs until the event queue is empty or a handler stops the run.
     /// The clock stops at the last processed event.
     pub fn run_to_completion<H: Handler<M>>(&mut self, handler: &mut H) -> SimTime {
-        let deadline = SimTime::from_nanos(u64::MAX);
-        self.seq_rounds(deadline, |_, dom, h, reg, la| {
-            dom.run_round(handler, h, reg, la)
-        });
-        self.collect_run_state();
-        self.now
+        self.run_shared(handler, None)
     }
 
     /// True if a handler called [`Ctx::stop`].
@@ -1044,7 +1201,8 @@ impl<M> Simulation<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `parts.len() != domain_count()`.
+    /// Panics if `parts.len() != domain_count()`, and re-raises the first
+    /// panic of any handler part.
     pub fn run_until_parts<P>(&mut self, parts: &mut [P], deadline: SimTime) -> SimTime
     where
         P: Handler<M> + Send,
@@ -1056,243 +1214,80 @@ impl<M> Simulation<M> {
             "one handler part per domain"
         );
         let workers = self.workers.min(self.domains.len()).max(1);
-        if workers == 1 {
-            self.seq_rounds(deadline, |i, dom, h, reg, la| {
-                dom.run_round(&mut parts[i], h, reg, la)
-            });
-        } else {
-            self.par_rounds(parts, deadline, workers);
-        }
-        self.collect_run_state();
-        if !self.stopped && self.now < deadline {
-            self.now = deadline;
-        }
-        self.now
-    }
-
-    /// Inclusive round horizon for a global minimum `gmin`: everything in
-    /// `[gmin, gmin + lookahead)` is safe because the earliest cross-domain
-    /// message generated this round arrives at `>= gmin + lookahead`.
-    fn horizon_nanos(&self, gmin: u64, deadline_n: u64) -> u64 {
-        if self.domains.len() == 1 {
-            // No cross-domain events exist: one round runs to the deadline.
-            return deadline_n;
-        }
-        let la = self.lookahead.as_nanos().max(1);
-        deadline_n.min(gmin.saturating_add(la).saturating_sub(1))
-    }
-
-    /// The sequential round loop (reference implementation): compute the
-    /// LBTS window, let every domain run it, merge outboxes in ascending
-    /// source-domain order, repeat. The parallel executor reproduces exactly
-    /// this round sequence.
-    fn seq_rounds<F>(&mut self, deadline: SimTime, mut run: F)
-    where
-        F: FnMut(usize, &mut DomainCore<M>, SimTime, &[u32], SimDuration),
-    {
-        let d_count = self.domains.len();
-        let deadline_n = deadline.nanos();
-        let lookahead = self.lookahead;
-        loop {
-            if self.domains.iter().any(|d| d.stopped) {
-                break;
+        self.round_loop(Some(deadline), workers, parts.iter_mut(), |lp, spent| {
+            let run = |dom: &mut DomainCore<M>, part: &mut &mut P, round: Round<'_>| {
+                dom.run_round(&mut **part, round)
+            };
+            if workers == 1 {
+                return lp.work(0, &mut WorkerRoundStats::default(), run);
             }
-            let gmin = self.domains.iter().filter_map(|d| d.peek_nanos()).min();
-            let Some(gmin) = gmin else { break };
-            if gmin > deadline_n {
-                break;
-            }
-            let h = SimTime::from_nanos(self.horizon_nanos(gmin, deadline_n));
-            let registry = &self.thread_domain;
-            for (i, dom) in self.domains.iter_mut().enumerate() {
-                run(i, dom, h, registry, lookahead);
-            }
-            if d_count > 1 {
-                for src in 0..d_count {
-                    for dst in 0..d_count {
-                        // (A domain never posts to itself, and most pairs
-                        // exchange nothing in a 20 µs window.)
-                        if self.domains[src].outbox[dst].is_empty() {
-                            continue;
-                        }
-                        let mut buf = std::mem::take(&mut self.domains[src].outbox[dst]);
-                        for (t, key, th, msg) in buf.drain(..) {
-                            self.domains[dst].deliver_foreign(t, key, th, msg);
-                        }
-                        self.domains[src].outbox[dst] = buf;
-                    }
+            // The calling thread built the entities; handler allocations in its
+            // malloc arena would raise peak RSS (~60 MiB at 256 OSDs).
+            std::thread::scope(|s| {
+                for (w, spent) in spent.iter_mut().enumerate().take(workers) {
+                    s.spawn(move || lp.work(w, spent, run));
                 }
-            }
-        }
+            });
+        })
     }
 
-    /// The parallel executor: domains are statically assigned to `workers`
-    /// scoped threads round-robin; each round is two barrier-separated
-    /// phases (execute + publish outboxes, then drain inboxes + republish
-    /// per-domain minima). Every mailbox slot has exactly one producer and
-    /// one consumer per round, so locks never contend; `dirty` flags let
-    /// consumers skip untouched slots. All workers derive identical round
-    /// decisions from the post-barrier atomic snapshot, so the loop cannot
-    /// split-brain, and the round sequence equals the sequential one — which
-    /// is what makes results worker-count-invariant.
-    fn par_rounds<P>(&mut self, parts: &mut [P], deadline: SimTime, workers: usize)
-    where
-        P: Handler<M> + Send,
-        M: Send,
-    {
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-        use std::sync::{Barrier, Mutex};
-        use std::time::Instant;
+    /// The one-worker round loop with a single handler for every domain.
+    fn run_shared<H: Handler<M>>(&mut self, handler: &mut H, deadline: Option<SimTime>) -> SimTime {
+        self.round_loop(deadline, 1, std::iter::repeat(()), |lp, _| {
+            let mut spent = WorkerRoundStats::default();
+            lp.work(0, &mut spent, |dom, _, round| dom.run_round(handler, round))
+        })
+    }
 
-        // One (src, dst) mailbox slot: the events domain `src` published
-        // for domain `dst` this round.
-        type MailboxSlot<M> = Mutex<Vec<(SimTime, u64, ThreadId, M)>>;
-
-        let d_count = self.domains.len();
-        let deadline_n = deadline.nanos();
-        let lookahead = self.lookahead;
-        let la = lookahead.as_nanos().max(1);
-
-        let mins: Vec<AtomicU64> = self
-            .domains
-            .iter()
-            .map(|d| AtomicU64::new(d.peek_nanos().unwrap_or(u64::MAX)))
-            .collect();
-        let stop_flag = AtomicBool::new(self.domains.iter().any(|d| d.stopped));
-        let barrier = Barrier::new(workers);
-        let mailbox: Vec<MailboxSlot<M>> = (0..d_count * d_count)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let dirty: Vec<AtomicBool> = (0..d_count * d_count)
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-        let registry: &[u32] = &self.thread_domain;
-        let mut buckets: Vec<Vec<(usize, &mut DomainCore<M>, &mut P)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, (dom, part)) in self.domains.iter_mut().zip(parts.iter_mut()).enumerate() {
-            buckets[i % workers].push((i, dom, part));
+    /// Lets `drive` run the [`RoundLoop`] of every domain and its part, then
+    /// re-raises a handler panic and returns the clock: the latest domain
+    /// clock, or the deadline unless a handler stopped the run.
+    fn round_loop<P>(
+        &mut self,
+        deadline: Option<SimTime>,
+        workers: usize,
+        parts: impl IntoIterator<Item = P>,
+        drive: impl FnOnce(&RoundLoop<'_, M, P>, &mut [WorkerRoundStats]),
+    ) -> SimTime {
+        let n = self.domains.len();
+        let lp = RoundLoop {
+            mins: self.domains.iter().map(|d| d.peek_nanos().into()).collect(),
+            stop: AtomicBool::new(self.domains.iter().any(|d| d.stopped)),
+            slots: (self.domains.iter_mut().zip(parts))
+                .map(|(dom, part)| Mutex::new((dom, part, 0)))
+                .collect(),
+            workers,
+            claims: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            mailbox: (0..n * n).map(|_| Default::default()).collect(),
+            mail: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            stop_requested: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            barrier: Barrier::new(workers),
+            registry: &self.thread_domain,
+            lookahead: self.lookahead,
+            deadline_n: deadline.map_or(u64::MAX, SimTime::nanos),
+        };
+        let stats = &mut self.round_stats;
+        if workers > stats.workers.len().max(1) {
+            stats.workers.resize(workers, WorkerRoundStats::default());
         }
-
-        let stats: Vec<(u64, WorkerRoundStats)> = std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for bucket in buckets {
-                let (mins, stop_flag, barrier) = (&mins, &stop_flag, &barrier);
-                let (mailbox, dirty, panic_slot) = (&mailbox, &dirty, &panic_slot);
-                handles.push(s.spawn(move || {
-                    let mut bucket = bucket;
-                    // A worker that panicked keeps honoring the barrier
-                    // protocol (without touching sim state) until everyone
-                    // agrees to break; the payload is rethrown at the end.
-                    let mut poisoned = false;
-                    let (mut rounds, mut spent) = (0u64, WorkerRoundStats::default());
-                    let mut lap = Instant::now();
-                    // Nanoseconds since the previous call.
-                    let mut split = move || {
-                        let now = Instant::now();
-                        let ns = now.duration_since(lap).as_nanos() as u64;
-                        lap = now;
-                        ns
-                    };
-                    loop {
-                        // Post-barrier snapshot: identical on every worker.
-                        let gmin = mins.iter().map(|a| a.load(SeqCst)).min().unwrap();
-                        if stop_flag.load(SeqCst) || gmin == u64::MAX || gmin > deadline_n {
-                            break;
-                        }
-                        let h = SimTime::from_nanos(
-                            deadline_n.min(gmin.saturating_add(la).saturating_sub(1)),
-                        );
-                        if !poisoned {
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                for (i, dom, part) in bucket.iter_mut() {
-                                    dom.run_round(&mut **part, h, registry, lookahead);
-                                    if dom.stopped {
-                                        stop_flag.store(true, SeqCst);
-                                    }
-                                    for dst in 0..d_count {
-                                        if dom.outbox[dst].is_empty() {
-                                            continue;
-                                        }
-                                        let slot = *i * d_count + dst;
-                                        let mut mb = mailbox[slot].lock().unwrap();
-                                        std::mem::swap(&mut *mb, &mut dom.outbox[dst]);
-                                        dirty[slot].store(true, SeqCst);
-                                    }
-                                }
-                            }));
-                            if let Err(p) = r {
-                                panic_slot.lock().unwrap().get_or_insert(p);
-                                stop_flag.store(true, SeqCst);
-                                poisoned = true;
-                            }
-                        }
-                        spent.execute_ns += split();
-                        barrier.wait();
-                        spent.execute_wait_ns += split();
-                        if !poisoned {
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                for (i, dom, _) in bucket.iter_mut() {
-                                    for src in 0..d_count {
-                                        let slot = src * d_count + *i;
-                                        if !dirty[slot].swap(false, SeqCst) {
-                                            continue;
-                                        }
-                                        let mut buf =
-                                            std::mem::take(&mut *mailbox[slot].lock().unwrap());
-                                        for (t, key, th, msg) in buf.drain(..) {
-                                            dom.deliver_foreign(t, key, th, msg);
-                                        }
-                                    }
-                                    mins[*i].store(dom.peek_nanos().unwrap_or(u64::MAX), SeqCst);
-                                }
-                            }));
-                            if let Err(p) = r {
-                                panic_slot.lock().unwrap().get_or_insert(p);
-                                stop_flag.store(true, SeqCst);
-                                poisoned = true;
-                            }
-                        }
-                        spent.merge_ns += split();
-                        barrier.wait();
-                        spent.merge_wait_ns += split();
-                        rounds += 1;
-                    }
-                    (rounds, spent)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panics are caught inside"))
-                .collect()
-        });
-
-        if let Some(p) = panic_slot.into_inner().unwrap() {
+        drive(&lp, &mut stats.workers);
+        if let Some(p) = lp.panic.into_inner().expect(UNPOISONED) {
             resume_unwind(p);
         }
-        // Every worker counts the same rounds: all break on one snapshot.
-        self.round_stats.rounds += stats[0].0;
-        let known = self.round_stats.workers.len().max(workers);
-        self.round_stats
-            .workers
-            .resize(known, WorkerRoundStats::default());
-        for (total, (_, spent)) in self.round_stats.workers.iter_mut().zip(stats) {
-            total.execute_ns += spent.execute_ns;
-            total.execute_wait_ns += spent.execute_wait_ns;
-            total.merge_ns += spent.merge_ns;
-            total.merge_wait_ns += spent.merge_wait_ns;
-        }
-    }
-
-    fn collect_run_state(&mut self) {
-        self.stopped = self.domains.iter().any(|d| d.stopped);
-        for d in &self.domains {
-            if d.now > self.now {
-                self.now = d.now;
+        if workers > 1 {
+            // Every round claims domain 0 with two tickets.
+            stats.rounds += lp.claims[0].load(Acquire) / 2;
+            stats.domain_execute_ns.resize(n, 0);
+            for (total, slot) in stats.domain_execute_ns.iter_mut().zip(lp.slots) {
+                *total += slot.into_inner().expect(UNPOISONED).2;
             }
         }
+        self.stopped = self.domains.iter().any(|d| d.stopped);
+        let reached = self.domains.iter().map(|d| d.now);
+        let reached = reached.chain(deadline.filter(|_| !self.stopped));
+        self.now = reached.fold(self.now, SimTime::max);
+        self.now
     }
 }
 
@@ -1316,6 +1311,56 @@ impl<M> std::fmt::Debug for Simulation<M> {
 mod tests {
     use super::*;
     use crate::device::{DeviceProfile, SsdState};
+    use proptest::prelude::*;
+    use std::sync::atomic::Ordering::SeqCst;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    impl<M> Simulation<M> {
+        /// The sequential reference the round loop is tested against:
+        /// compute the LBTS window, let every domain run it in id order,
+        /// merge outboxes in ascending source-domain order, repeat.
+        fn seq_rounds<P: Handler<M>>(&mut self, parts: &mut [P], deadline: SimTime) -> SimTime {
+            let d_count = self.domains.len();
+            let deadline_n = deadline.nanos();
+            loop {
+                if self.domains.iter().any(|d| d.stopped) {
+                    break;
+                }
+                let gmin = self.domains.iter().map(|d| d.peek_nanos()).min();
+                let gmin = gmin.expect("at least one domain");
+                if gmin == u64::MAX || gmin > deadline_n {
+                    break;
+                }
+                let h = horizon_nanos(gmin, deadline_n, self.lookahead, d_count);
+                let round = Round {
+                    horizon: SimTime::from_nanos(h),
+                    registry: &self.thread_domain,
+                    lookahead: self.lookahead,
+                };
+                for (dom, part) in self.domains.iter_mut().zip(parts.iter_mut()) {
+                    dom.run_round(part, round);
+                }
+                for src in 0..d_count {
+                    for dst in 0..d_count {
+                        let mut buf = std::mem::take(&mut self.domains[src].outbox[dst]);
+                        for (t, key, th, msg) in buf.drain(..) {
+                            self.domains[dst].deliver_foreign(t, key, th, msg);
+                        }
+                        self.domains[src].outbox[dst] = buf;
+                    }
+                }
+            }
+            self.stopped = self.domains.iter().any(|d| d.stopped);
+            for d in &self.domains {
+                self.now = self.now.max(d.now);
+            }
+            if !self.stopped {
+                self.now = self.now.max(deadline);
+            }
+            self.now
+        }
+    }
 
     fn one_core_one_thread() -> (Simulation<u32>, ThreadId) {
         let mut sim: Simulation<u32> = Simulation::new(42);
@@ -1610,6 +1655,13 @@ mod tests {
         assert_eq!(seq, par);
         let par4 = run(4); // clamps to 2 workers, must still match
         assert_eq!(seq, par4);
+        // Nine domains leave uneven lists at 2 and 8 workers, where stealing
+        // happens; 3 workers divide them evenly.
+        let busy = Busy::cfg(9, LOOKAHEAD);
+        let one = busy.run(1);
+        for workers in [2, 3, 8] {
+            assert_eq!(one, busy.run(workers), "{workers} workers");
+        }
     }
 
     #[test]
@@ -1630,6 +1682,7 @@ mod tests {
             assert!(now.execute_ns > then.execute_ns);
             assert!(now.merge_ns > then.merge_ns);
         }
+        assert_eq!(both.domain_execute_ns.len(), 2);
     }
 
     #[test]
@@ -1731,5 +1784,282 @@ mod tests {
         sim.set_domains(2);
         let c0 = sim.add_core_in(0);
         sim.add_thread_in(1, ThreadCfg::new("x", vec![c0], Priority::Normal));
+    }
+
+    /// Domain `domain`'s part of the [`Busy`] workload: every delivery is
+    /// logged, draws RNG jitter, burns `weight` units of host time and hops
+    /// on to its twin thread or to a thread of another domain.
+    struct BusyPart {
+        domain: usize,
+        domains: usize,
+        lookahead: SimDuration,
+        weight: u64,
+        /// The item at which this part stops the run.
+        stop_at: Option<usize>,
+        log: Vec<(u64, ThreadId, u32)>,
+    }
+
+    impl Handler<u32> for BusyPart {
+        fn handle(&mut self, thread: ThreadId, msg: u32, ctx: &mut Ctx<'_, u32>) {
+            self.log.push((ctx.now().nanos(), thread, msg));
+            let jitter = ctx.rng().below(700);
+            ctx.spend("w", SimDuration::nanos(300 + jitter));
+            let mut x = 0u64;
+            for i in 0..self.weight {
+                x = std::hint::black_box(x ^ i);
+            }
+            if self.stop_at == Some(self.log.len()) {
+                ctx.stop();
+            }
+            if msg == 0 {
+                return;
+            }
+            if msg.is_multiple_of(3) {
+                // Threads 2d and 2d + 1 are domain d's.
+                ctx.send(thread ^ 1, msg - 1);
+            } else {
+                let hop = 1 + msg as usize % (self.domains - 1);
+                let to = 2 * ((self.domain + hop) % self.domains) + (msg as usize & 1);
+                let delay = self.lookahead + SimDuration::nanos(ctx.rng().below(3_000));
+                ctx.send_after(to, msg - 1, delay);
+            }
+        }
+    }
+
+    /// Every domain's log, the merged metrics, the queue high water, the
+    /// clock and the stop flag: what a run must reproduce exactly, whatever
+    /// worker executed which domain.
+    type Outcome = (Vec<Vec<(u64, ThreadId, u32)>>, Metrics, u64, SimTime, bool);
+
+    /// A workload whose domains take skewed host time, so that claims and
+    /// steals really interleave: `domains` domains of one core and two
+    /// threads, three message chains seeded in each.
+    struct Busy {
+        domains: usize,
+        lookahead: SimDuration,
+        /// Host-time units each domain burns per item.
+        weights: Vec<u64>,
+        /// `(domain, item)`: that domain's part stops the run at that item.
+        stop: Option<(usize, usize)>,
+        deadline: SimTime,
+    }
+
+    impl Busy {
+        fn cfg(domains: usize, lookahead: SimDuration) -> Self {
+            Busy {
+                domains,
+                lookahead,
+                weights: (0..domains).map(|d| (d as u64 % 3) * 200).collect(),
+                stop: None,
+                deadline: SimTime::from_nanos(3_000_000),
+            }
+        }
+
+        fn build(&self, workers: usize) -> (Simulation<u32>, Vec<BusyPart>) {
+            let mut sim: Simulation<u32> = Simulation::new(77);
+            sim.set_domains(self.domains);
+            sim.set_lookahead(self.lookahead);
+            sim.set_workers(workers);
+            for d in 0..self.domains {
+                let c = sim.add_core_in(d);
+                for name in ["a", "b"] {
+                    sim.add_thread_in(d, ThreadCfg::new(name, vec![c], Priority::Normal));
+                }
+                for i in 0..3 {
+                    let at = SimTime::from_nanos(i * 4_000 + d as u64 * 100);
+                    sim.schedule(at, 2 * d + (i as usize & 1), 10 + i as u32);
+                }
+            }
+            let parts = (0..self.domains)
+                .map(|domain| BusyPart {
+                    domain,
+                    domains: self.domains,
+                    lookahead: self.lookahead,
+                    weight: self.weights[domain],
+                    stop_at: self
+                        .stop
+                        .and_then(|(d, item)| (d == domain).then_some(item)),
+                    log: Vec::new(),
+                })
+                .collect();
+            (sim, parts)
+        }
+
+        /// Runs to the deadline in two slices, the way `ClusterSim::run`
+        /// samples telemetry, through `run`.
+        fn outcome<R>(&self, workers: usize, mut run: R) -> Outcome
+        where
+            R: FnMut(&mut Simulation<u32>, &mut [BusyPart], SimTime),
+        {
+            let (mut sim, mut parts) = self.build(workers);
+            run(
+                &mut sim,
+                &mut parts,
+                SimTime::from_nanos(self.deadline.nanos() / 2),
+            );
+            run(&mut sim, &mut parts, self.deadline);
+            let logs = parts.into_iter().map(|p| p.log).collect();
+            let high_water = sim.queue_high_water();
+            (logs, sim.metrics(), high_water, sim.now(), sim.is_stopped())
+        }
+
+        fn run(&self, workers: usize) -> Outcome {
+            self.outcome(workers, |sim, parts, t| {
+                sim.run_until_parts(parts, t);
+            })
+        }
+
+        fn reference(&self) -> Outcome {
+            self.outcome(1, |sim, parts, t| {
+                sim.seq_rounds(parts, t);
+            })
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The round loop reproduces the sequential reference for any
+        /// domain count, worker count, window and stop request, while a
+        /// skewed host-time load makes workers claim and steal in a
+        /// different order every round.
+        #[test]
+        fn round_loop_matches_the_sequential_reference(
+            domains in 2usize..41,
+            workers in 1usize..9,
+            lookahead_ns in 1u64..20_001,
+            heavy in 0usize..40,
+            skew in 0u32..15,
+            stop in 0usize..80,
+            deadline_us in 20u64..800,
+        ) {
+            let mut busy = Busy::cfg(domains, SimDuration::nanos(lookahead_ns));
+            busy.weights[heavy % domains] = 1 << skew;
+            busy.stop = (stop < domains).then_some((stop, 1 + stop % 7));
+            busy.deadline = SimTime::from_nanos(deadline_us * 1_000);
+            prop_assert_eq!(busy.run(workers), busy.reference());
+        }
+
+        /// Inserting a new thread into its affinity cores' candidate lists
+        /// leaves every list exactly what a full re-sort would give.
+        #[test]
+        fn candidate_lists_equal_a_full_resort(
+            steps in proptest::collection::vec((0u8..3, 0usize..3, any::<u64>()), 1..60),
+        ) {
+            let mut sim: Simulation<u32> = Simulation::new(1);
+            sim.set_domains(3);
+            let mut cores: Vec<Vec<CoreId>> = vec![Vec::new(); 3];
+            for (kind, d, bits) in steps {
+                if kind == 0 || cores[d].is_empty() {
+                    cores[d].push(sim.add_core_in(d));
+                    continue;
+                }
+                // One to three of the domain's cores, repeats allowed.
+                let own = &cores[d];
+                let affinity = (0..1 + bits % 3)
+                    .map(|i| own[(bits >> (8 * i + 2)) as usize % own.len()])
+                    .collect();
+                let priority = [Priority::High, Priority::Normal, Priority::Low];
+                let priority = priority[(bits >> 40) as usize % 3];
+                sim.add_thread_in(d, ThreadCfg::new("t", affinity, priority));
+            }
+            for dom in &sim.domains {
+                for (c, core) in dom.cores.iter().enumerate() {
+                    let Some(core) = core else { continue };
+                    let mut want: Vec<ThreadId> = (dom.threads.iter().enumerate())
+                        .filter_map(|(t, th)| Some((t, th.as_ref()?)))
+                        .flat_map(|(t, th)| {
+                            th.cfg.affinity.iter().filter(|&&a| a == c).map(move |_| t)
+                        })
+                        .collect();
+                    want.sort_by_key(|&t| (dom.thread(t).cfg.priority, t));
+                    prop_assert_eq!(&core.candidates, &want);
+                }
+            }
+        }
+    }
+
+    /// Three domains on two workers: worker 0's list is `[0, 2]`, worker
+    /// 1's is `[1]`. Domain 0's first item holds its worker until domain 2
+    /// has run, so domain 2 runs on the other worker, stolen from the back
+    /// of worker 0's list (had worker 1 reached domain 0 first, it would
+    /// have taken domain 2 before it).
+    struct Steal {
+        domain: usize,
+        domain2_ran: Arc<AtomicBool>,
+        panics: bool,
+    }
+
+    impl Handler<u32> for Steal {
+        fn handle(&mut self, thread: ThreadId, msg: u32, ctx: &mut Ctx<'_, u32>) {
+            ctx.spend("w", SimDuration::micros(1));
+            if self.domain == 2 {
+                self.domain2_ran.store(true, SeqCst);
+                assert!(!self.panics, "stolen domain panicked");
+            }
+            if self.domain == 0 && msg == 0 {
+                let since = Instant::now();
+                while !self.domain2_ran.load(SeqCst) {
+                    assert!(
+                        since.elapsed() < Duration::from_secs(60),
+                        "domain 2 never ran"
+                    );
+                    std::thread::yield_now();
+                }
+            }
+            if msg < 30 {
+                // Thread d is domain d's.
+                ctx.send_after((thread + 1) % 3, msg + 1, LOOKAHEAD);
+            }
+        }
+    }
+
+    fn steal_setup(panics: bool) -> (Simulation<u32>, Vec<Steal>) {
+        let mut sim: Simulation<u32> = Simulation::new(5);
+        sim.set_domains(3);
+        sim.set_lookahead(LOOKAHEAD);
+        sim.set_workers(2);
+        for d in 0..3 {
+            let c = sim.add_core_in(d);
+            sim.add_thread_in(d, ThreadCfg::new("t", vec![c], Priority::Normal));
+        }
+        sim.schedule(SimTime::ZERO, 0, 0);
+        sim.schedule(SimTime::ZERO, 2, 0);
+        let domain2_ran = Arc::new(AtomicBool::new(false));
+        let parts = (0..3)
+            .map(|domain| Steal {
+                domain,
+                domain2_ran: Arc::clone(&domain2_ran),
+                panics,
+            })
+            .collect();
+        (sim, parts)
+    }
+
+    #[test]
+    #[should_panic(expected = "stolen domain panicked")]
+    fn a_panic_in_a_stolen_domain_is_reraised() {
+        let (mut sim, mut parts) = steal_setup(true);
+        sim.run_until_parts(&mut parts, SimTime::from_nanos(5_000_000));
+    }
+
+    #[test]
+    fn round_stats_count_claims_steals_and_domain_time() {
+        let (mut sim, mut parts) = steal_setup(false);
+        sim.run_until_parts(&mut parts, SimTime::from_nanos(5_000_000));
+        let stats = sim.round_stats();
+        let total = |f: fn(&WorkerRoundStats) -> u64| stats.workers.iter().map(f).sum::<u64>();
+        assert_eq!(
+            total(|w| w.claims),
+            3 * stats.rounds,
+            "one claim a domain a round"
+        );
+        assert!(total(|w| w.steals) > 0, "domain 2 was stolen");
+        let domains: u64 = stats.domain_execute_ns.iter().sum();
+        assert!(domains <= total(|w| w.execute_ns), "{stats:?}");
+        assert!(
+            stats.domain_execute_ns.iter().all(|&ns| ns > 0),
+            "{stats:?}"
+        );
     }
 }

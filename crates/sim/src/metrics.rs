@@ -17,7 +17,7 @@ use crate::time::{SimDuration, SimTime};
 pub type StageTag = &'static str;
 
 /// Aggregated counters for one simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// CPU nanoseconds per stage tag.
     tag_ns: BTreeMap<StageTag, u64>,
