@@ -84,6 +84,8 @@ struct Sample {
     sim_ops: u64,
     /// p99 write latency of the run, in simulated nanoseconds.
     p99_write_ns: u64,
+    /// Minor page faults the process took during the run (`None` off Linux).
+    minor_faults: Option<u64>,
 }
 
 /// Deterministic per-run observability artifacts (`--trace-out`).
@@ -119,12 +121,13 @@ fn attribution_csv(r: &SimReport) -> String {
 }
 
 impl Sample {
-    fn of(report: &SimReport, wall_secs: f64) -> Sample {
+    fn of(report: &SimReport, wall_secs: f64, minor_faults: Option<u64>) -> Sample {
         Sample {
             wall_secs,
             events: report.events_processed,
             sim_ops: report.writes_done + report.reads_done,
             p99_write_ns: report.write_lat.p99.as_nanos(),
+            minor_faults,
         }
     }
 
@@ -135,6 +138,34 @@ impl Sample {
     fn sim_ops_per_sec(&self) -> f64 {
         self.sim_ops as f64 / self.wall_secs
     }
+}
+
+/// Minor page faults this process has taken so far: field 10 of
+/// `/proc/self/stat`. `None` where that file does not exist (off Linux).
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 2, the command name, is in parentheses and may hold spaces.
+    let after_name = &stat[stat.rfind(')')? + 1..];
+    after_name.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Runs one timed section; returns its result, its wall seconds and the
+/// minor page faults the process took meanwhile. A first touch of fresh
+/// memory is a fault, and its cost shows in the wall time but nowhere else.
+fn timed<T>(run: impl FnOnce() -> T) -> (T, f64, Option<u64>) {
+    let before = minor_faults();
+    let t = Instant::now();
+    let out = run();
+    let wall_secs = t.elapsed().as_secs_f64();
+    let faults = minor_faults()
+        .zip(before)
+        .map(|(after, before)| after - before);
+    (out, wall_secs, faults)
+}
+
+/// A fault count as printed: the number, or "n/a".
+fn faults_text(faults: Option<u64>) -> String {
+    faults.map_or_else(|| "n/a".to_string(), |n| n.to_string())
 }
 
 /// Arms tracing + windowed telemetry on a config (`--trace-out` runs).
@@ -167,12 +198,10 @@ fn run_fig7(
     }
     let mut sim = ClusterSim::new(cfg, randwrite_conns(dataset, CONNS));
     sim.prefill(&dataset.all_objects());
-    let t = Instant::now();
-    let report = sim.run(SimDuration::ZERO, measure);
-    let wall_secs = t.elapsed().as_secs_f64();
+    let (report, wall_secs, faults) = timed(|| sim.run(SimDuration::ZERO, measure));
     let fp = report.fingerprint(None);
     let out = trace.then(|| trace_out(&sim, &report));
-    (Sample::of(&report, wall_secs), fp, out)
+    (Sample::of(&report, wall_secs, faults), fp, out)
 }
 
 const CHAOS_PGS: u32 = 8;
@@ -304,13 +333,11 @@ fn run_chaos(
         .flat_map(|c| (0..8).map(move |k| (chaos_oid(c, k), 1 << 20)))
         .collect();
     sim.prefill(&objects);
-    let t = Instant::now();
-    let report = sim.run(SimDuration::ZERO, measure);
-    let wall_secs = t.elapsed().as_secs_f64();
+    let (report, wall_secs, faults) = timed(|| sim.run(SimDuration::ZERO, measure));
     let checker = sim.checker().expect("history checking enabled");
     let fp = report.fingerprint(Some((checker.writes_acked(), checker.reads_checked())));
     let out = trace.then(|| trace_out(&sim, &report));
-    (Sample::of(&report, wall_secs), fp, out)
+    (Sample::of(&report, wall_secs, faults), fp, out)
 }
 
 // Grow scenario: 16 nodes x 4 OSDs pre-provisioned, 4 in service at start,
@@ -442,13 +469,11 @@ fn run_grow(
     } else {
         SimDuration::millis(25)
     };
-    let t = Instant::now();
-    let report = sim.run(warmup, measure);
-    let wall_secs = t.elapsed().as_secs_f64();
+    let (report, wall_secs, faults) = timed(|| sim.run(warmup, measure));
     let checker = sim.checker().expect("history checking enabled");
     let fp = report.fingerprint(Some((checker.writes_acked(), checker.reads_checked())));
     let out = trace.then(|| trace_out(&sim, &report));
-    (Sample::of(&report, wall_secs), fp, out)
+    (Sample::of(&report, wall_secs, faults), fp, out)
 }
 
 // Scale scenario (`--scale-curve`): the issue's target shape — 256 OSDs
@@ -514,12 +539,10 @@ fn run_scale(measure: SimDuration, shards: usize) -> (Sample, Vec<u64>, RoundSta
         .map(|image| (dataset.object(image, 0).0, dataset.image_bytes))
         .collect();
     sim.prefill(&objects);
-    let t = Instant::now();
-    let report = sim.run(SimDuration::ZERO, measure);
-    let wall_secs = t.elapsed().as_secs_f64();
+    let (report, wall_secs, faults) = timed(|| sim.run(SimDuration::ZERO, measure));
     let fp = report.fingerprint(None);
     (
-        Sample::of(&report, wall_secs),
+        Sample::of(&report, wall_secs, faults),
         fp,
         sim.round_stats().clone(),
     )
@@ -570,6 +593,10 @@ fn run_scale_curve(smoke: bool) {
             s.events,
             s.events_per_sec(),
             fingerprint_hash(&fp),
+        );
+        println!(
+            "          minor page faults {}",
+            faults_text(s.minor_faults)
         );
         // Where each worker's wall clock went (nothing for one worker: it
         // has no barriers to wait at).
@@ -663,7 +690,8 @@ fn measure_scenario(
     run: impl Fn() -> (Sample, Vec<u64>, Option<TraceOut>),
 ) -> (Sample, Vec<u64>) {
     let (first, fp_a, _) = run();
-    let (_, fp_b, _) = run();
+    let (second, fp_b, _) = run();
+    let mut faults = vec![first.minor_faults, second.minor_faults];
     assert_eq!(
         fp_a, fp_b,
         "{name}: same seed must replay a byte-identical metric fingerprint"
@@ -676,6 +704,7 @@ fn measure_scenario(
     let mut best = first;
     for _ in 1..iters.max(1) {
         let (s, _, _) = run();
+        faults.push(s.minor_faults);
         if s.events_per_sec() > best.events_per_sec() {
             best = s;
         }
@@ -686,6 +715,12 @@ fn measure_scenario(
         best.events,
         best.events_per_sec(),
         best.sim_ops_per_sec(),
+    );
+    // On a line of its own: CI compares the lines that carry fingerprints.
+    let faults: Vec<String> = faults.into_iter().map(faults_text).collect();
+    println!(
+        "  [{name}] minor page faults per timed run: {}",
+        faults.join(", ")
     );
     (best, fp_a)
 }

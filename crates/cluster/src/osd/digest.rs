@@ -20,11 +20,17 @@ pub fn digest_bytes(data: &[u8]) -> u64 {
 }
 
 /// [`digest_bytes`] of the concatenation of `data`'s views, computed
-/// without concatenating them: the same value for any segmentation.
+/// without concatenating them: the same value for any segmentation. A view
+/// that says it is zeros ([`Payload::is_zeros`](rablock_storage::Payload))
+/// is not read at all.
 pub fn digest_segments(data: &Segments) -> u64 {
     let mut digest = Digest::new();
     for part in data.iter() {
-        digest.update(part);
+        if part.is_zeros() {
+            digest.update_zeros(part.len());
+        } else {
+            digest.update(part);
+        }
     }
     digest.finish()
 }
@@ -88,6 +94,31 @@ impl Digest {
         let rest = self.blocks(data);
         self.tail[..rest.len()].copy_from_slice(rest);
         self.tail_len = rest.len();
+    }
+
+    /// [`Digest::update`] with `len` zero bytes. A block of zeros turns each
+    /// lane `l` into `(l ^ 0) * P`, so `k` blocks multiply it by `P^k`
+    /// (wrapping, like the scan; `wrapping_pow` squares): O(log len) instead
+    /// of a pass over zeros.
+    fn update_zeros(&mut self, mut len: usize) {
+        if self.tail_len > 0 {
+            let take = (32 - self.tail_len).min(len);
+            self.tail[self.tail_len..self.tail_len + take].fill(0);
+            self.tail_len += take;
+            len -= take;
+            if self.tail_len < 32 {
+                return;
+            }
+            let tail = self.tail;
+            self.blocks(&tail);
+        }
+        let blocks = u32::try_from(len / 32).expect("a view under 128 GiB");
+        let factor = Self::P.wrapping_pow(blocks);
+        for lane in &mut self.lanes {
+            *lane = lane.wrapping_mul(factor);
+        }
+        self.tail_len = len % 32;
+        self.tail[..self.tail_len].fill(0);
     }
 
     #[inline]

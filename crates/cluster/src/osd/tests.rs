@@ -38,27 +38,42 @@ mod digest_model {
         /// The streaming digest equals `digest_bytes` of the
         /// concatenation for any segmentation: cuts of 1, 7, 31, 32 and
         /// 33 bytes (around the 32-byte lane block), whole 4 KiB blocks
-        /// and arbitrary lengths, in any mix.
+        /// and arbitrary lengths, in any mix. Any view may be a zero view
+        /// — a slice of a `Payload::zeros` at any offset, or a hole
+        /// `push_zeros` makes — which is digested without being read,
+        /// whatever partial tail the views before it left.
         #[test]
         fn streaming_digest_matches_digest_of_the_concatenation(
             cuts in proptest::collection::vec(
-                prop_oneof![
-                    Just(1usize), Just(7), Just(31), Just(32), Just(33),
-                    (1..4usize).prop_map(|b| b * 4096),
-                    0..5000usize
-                ],
+                (
+                    prop_oneof![
+                        Just(1usize), Just(7), Just(31), Just(32), Just(33),
+                        (1..4usize).prop_map(|b| b * 4096),
+                        0..5000usize
+                    ],
+                    0..3u8,
+                ),
                 0..24,
             ),
             lead in 0..64usize,
         ) {
-            let flat = ramp(cuts.iter().sum());
-            // Every view sits at an odd offset of a buffer of its own.
-            let (mut segs, mut at) = (Segments::new(), 0);
-            for cut in cuts {
-                let mut backing = vec![0xEE; lead];
-                backing.extend_from_slice(&flat[at..at + cut]);
-                segs.push(Payload::from(backing).slice(lead, cut));
-                at += cut;
+            let data = ramp(cuts.iter().map(|&(cut, _)| cut).sum());
+            // Every data view sits at an odd offset of a buffer of its own.
+            let (mut segs, mut flat) = (Segments::new(), Vec::new());
+            for (cut, kind) in cuts {
+                let at = flat.len();
+                match kind {
+                    0 => {
+                        let mut backing = vec![0xEE; lead];
+                        backing.extend_from_slice(&data[at..at + cut]);
+                        segs.push(Payload::from(backing).slice(lead, cut));
+                        flat.extend_from_slice(&data[at..at + cut]);
+                        continue;
+                    }
+                    1 => segs.push(Payload::zeros(lead + cut).slice(lead, cut)),
+                    _ => segs.push_zeros(cut),
+                }
+                flat.resize(at + cut, 0);
             }
             prop_assert_eq!(digest_segments(&segs), digest_bytes(&flat));
             prop_assert_eq!(

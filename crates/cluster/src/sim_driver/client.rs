@@ -1,10 +1,8 @@
 //! The client side: closed- or open-loop connections issuing the workload,
 //! recording latency when replies arrive, and retrying on a timer.
 
-use std::collections::HashMap;
-
 use rablock_sim::{Ctx, LatSummary, SimDuration, SimTime, ThreadId};
-use rablock_storage::{Payload, StoreError};
+use rablock_storage::{FxHashMap, Payload, StoreError};
 
 use super::tracing::TraceOp;
 use super::world::{Ev, World};
@@ -48,7 +46,7 @@ pub(super) struct ConnState {
     pub(super) id: ClientId,
     pub(super) thread: ThreadId,
     pub(super) workload: Box<dyn ConnWorkload>,
-    pub(super) outstanding: HashMap<u64, Pending>,
+    pub(super) outstanding: FxHashMap<u64, Pending>,
     pub(super) next_op: u64,
     pub(super) exhausted: bool,
 }

@@ -3,7 +3,7 @@
 //! the client connections, one handler part per domain, and the events that
 //! start everything.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -11,6 +11,7 @@ use rablock_sim::{
     Device, DeviceProfile, FaultEvent, Priority, RotMedia, SimDuration, SimTime, Simulation,
     SsdState, ThreadCfg, ThreadId, TimeSeries,
 };
+use rablock_storage::FxHashMap;
 
 use super::client::{ConnState, LatencyRecorder};
 use super::report::SamplerState;
@@ -244,7 +245,7 @@ impl ClusterSim {
                 id: ClientId(i as u32),
                 thread,
                 workload,
-                outstanding: HashMap::new(),
+                outstanding: FxHashMap::default(),
                 next_op: 1,
                 exhausted: false,
             });
@@ -280,9 +281,9 @@ impl ClusterSim {
                     .collect(),
                 conns: conns.take_if(|_| part == 0).unwrap_or_default(),
                 link: cfg.link.clone(),
-                io_wait: HashMap::new(),
+                io_wait: FxHashMap::default(),
                 dead: vec![false; total_osds],
-                rtc_gate: HashMap::new(),
+                rtc_gate: FxHashMap::default(),
                 write_lat: LatencyRecorder::default(),
                 read_lat: LatencyRecorder::default(),
                 writes_done: 0,
@@ -294,7 +295,7 @@ impl ClusterSim {
                 checker: (part == 0 && cfg.check_history).then(HistoryChecker::new),
                 client_errors: 0,
                 fx_scratch: Vec::new(),
-                payload_cache: HashMap::new(),
+                payload_cache: FxHashMap::default(),
                 trace: cfg.trace.then(Box::<PartTrace>::default),
             })
             .collect();

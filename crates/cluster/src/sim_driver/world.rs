@@ -3,11 +3,10 @@
 //! its stage CPU, handled by the state machine, and its effects turned back
 //! into events, device I/O and messages.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rablock_sim::{Ctx, FaultEvent, Handler, IoRequest, Link, SimDuration, ThreadId};
-use rablock_storage::{GroupId, Payload, TraceIo, TraceKind};
+use rablock_storage::{FxHashMap, GroupId, Payload, TraceIo, TraceKind};
 
 use super::client::{ConnState, LatencyRecorder};
 use super::topology::Topology;
@@ -120,13 +119,13 @@ pub(super) struct World {
     pub(super) conns: Vec<ConnState>,
     /// This part's egress link: the node's, or the clients' shared one.
     pub(super) link: Link,
-    pub(super) io_wait: HashMap<(usize, u64), usize>,
+    pub(super) io_wait: FxHashMap<(usize, u64), usize>,
     /// OSDs that have failed (their events are dropped). Globally indexed;
     /// only the slots of this part's own OSDs are ever written.
     pub(super) dead: Vec<bool>,
     /// Run-to-completion gating: a busy RTC thread defers new client
     /// requests until the in-flight operation replies (paper §III-B).
-    pub(super) rtc_gate: HashMap<ThreadId, RtcGate>,
+    pub(super) rtc_gate: FxHashMap<ThreadId, RtcGate>,
     pub(super) write_lat: LatencyRecorder,
     pub(super) read_lat: LatencyRecorder,
     pub(super) writes_done: u64,
@@ -147,7 +146,7 @@ pub(super) struct World {
     /// produce constant-fill buffers, so identical ops can share one
     /// allocation (a `Payload` clone is a refcount bump) instead of paying
     /// a fresh memset + copy per issued write.
-    pub(super) payload_cache: HashMap<(u8, u64), Payload>,
+    pub(super) payload_cache: FxHashMap<(u8, u64), Payload>,
     /// Per-op span tracing; `None` when disabled (the common case).
     pub(super) trace: Option<Box<PartTrace>>,
 }

@@ -7,11 +7,9 @@
 //! the NVM metadata cache; deletes are deferred ("delayed deallocation") to
 //! the maintenance path.
 
-use std::collections::HashMap;
-
 use rablock_storage::{
-    BlockDevice, IoCategory, MaintenanceReport, ObjectId, Payload, Segments, StoreError, TraceIo,
-    TraceKind,
+    BlockDevice, FxHashMap, IoCategory, MaintenanceReport, ObjectId, Payload, Segments, StoreError,
+    TraceIo, TraceKind,
 };
 
 use crate::btree::ExtentBTree;
@@ -37,18 +35,18 @@ pub(crate) fn radix_key(oid: ObjectId) -> u64 {
 pub struct Partition {
     geom: PartGeometry,
     radix: RadixTree,
-    onodes: HashMap<u32, Onode>,
+    onodes: FxHashMap<u32, Onode>,
     /// Spill run (first physical block, block count) per slot, when the
     /// extent map overflows the onode's inline area.
-    spills: HashMap<u32, (u64, u64)>,
+    spills: FxHashMap<u32, (u64, u64)>,
     /// Per-logical-block CRC32 per slot (checksum option only). Blocks a
     /// write never touched carry the all-zeroes CRC, so the map is fully
     /// content-determined: two replicas holding identical bytes always
     /// hold identical checksum vectors regardless of write history.
-    csums: HashMap<u32, Vec<u32>>,
+    csums: FxHashMap<u32, Vec<u32>>,
     /// Checksum run (first physical block, block count) per slot, holding
     /// the persisted form of `csums` (same allocation scheme as spills).
-    csum_runs: HashMap<u32, (u64, u64)>,
+    csum_runs: FxHashMap<u32, (u64, u64)>,
     /// Verify data reads against `csums` and fail with `ChecksumMismatch`.
     checksums: bool,
     slot_used: Vec<bool>,
@@ -68,10 +66,10 @@ impl Partition {
     pub fn format(geom: PartGeometry, opts: &CosOptions) -> Self {
         Partition {
             radix: RadixTree::new(),
-            onodes: HashMap::new(),
-            spills: HashMap::new(),
-            csums: HashMap::new(),
-            csum_runs: HashMap::new(),
+            onodes: FxHashMap::default(),
+            spills: FxHashMap::default(),
+            csums: FxHashMap::default(),
+            csum_runs: FxHashMap::default(),
             checksums: opts.checksums,
             slot_used: vec![false; geom.onode_slots as usize],
             slot_cursor: 0,
@@ -640,8 +638,10 @@ impl Partition {
 
     /// Checks `blk`, logical block `block` of the object in `slot`, against
     /// its recorded checksum (checksum option only). A block the device
-    /// still holds by reference answers from its CRC memo; a never-written
-    /// block is compared with zero, a stronger and cheaper test than its CRC.
+    /// still holds by reference answers from its CRC memo, and the device's
+    /// zero view of a block no write touched says it is zero without being
+    /// read. Any other block recorded as zero is compared with zero, a
+    /// stronger and cheaper test than its CRC.
     fn verify_block(&self, slot: u32, block: u64, blk: &Payload) -> Result<(), StoreError> {
         if !self.checksums {
             return Ok(());
@@ -651,7 +651,12 @@ impl Partition {
             .get(&slot)
             .and_then(|v| v.get(block as usize).copied())
             .unwrap_or_else(zero_block_crc);
-        if (want == zero_block_crc() && **blk == ZERO_BLOCK) || blk.crc32() == want {
+        let good = if blk.is_zeros() {
+            want == zero_block_crc()
+        } else {
+            (want == zero_block_crc() && **blk == ZERO_BLOCK) || blk.crc32() == want
+        };
+        if good {
             Ok(())
         } else {
             Err(StoreError::ChecksumMismatch)

@@ -838,6 +838,12 @@ mod tests {
         // 10.. have no entry at all.
         s.submit(write_txn(2, o, 9 * 4096, vec![3; 4096])).unwrap();
         assert_eq!(s.read(o, 0, 64 << 10).unwrap()[..9 * 4096], [0u8; 9 * 4096]);
+        let views = s.read_segments(o, 0, 64 << 10).unwrap();
+        let zero_views = views.iter().filter(|v| v.is_zeros()).count();
+        assert_eq!(
+            zero_views, 15,
+            "every block but 9 is the device's zero view"
+        );
         for block in [2u64, 12] {
             assert!(s.corrupt_data_bit(o, block, 77, 0).unwrap());
             assert_eq!(
@@ -849,7 +855,9 @@ mod tests {
             let rmw = s.submit(write_txn(3, o, block * 4096 + 10, vec![1; 10]));
             assert_eq!(rmw, Err(StoreError::ChecksumMismatch));
             assert!(s.corrupt_data_bit(o, block, 77, 0).unwrap());
-            assert_eq!(s.read(o, block * 4096, 4096).unwrap(), vec![0u8; 4096]);
+            // Zero again, but written: the rot made it an image block.
+            let healed = s.read(o, block * 4096, 4096).unwrap();
+            assert!(healed == vec![0u8; 4096] && !healed.is_zeros());
         }
         s.submit(write_txn(4, o, 12 * 4096 + 10, vec![1; 10]))
             .unwrap();

@@ -2,17 +2,20 @@
 //!
 //! The device area behind the WAL and manifest regions is divided into
 //! fixed-size segments; SST files occupy an ordered list of segments. A
-//! simple next-fit bitmap is plenty — fragmentation is irrelevant because
-//! every allocation is exactly one segment.
+//! bitmap is plenty — fragmentation is irrelevant because every allocation
+//! is exactly one segment. It hands out the lowest free segment, so the
+//! device area in use is as small as the live data allows (a next-fit
+//! cursor would sweep the whole device and touch every page of it).
 
 use rablock_storage::StoreError;
 
-/// Bitmap allocator over `count` equal segments.
+/// Lowest-first bitmap allocator over `count` equal segments.
 #[derive(Debug, Clone)]
 pub struct SegAlloc {
     used: Vec<bool>,
     free: usize,
-    cursor: usize,
+    /// Every segment below this one is in use (`free` lowers it).
+    low_water: usize,
 }
 
 impl SegAlloc {
@@ -21,7 +24,7 @@ impl SegAlloc {
         SegAlloc {
             used: vec![false; count],
             free: count,
-            cursor: 0,
+            low_water: 0,
         }
     }
 
@@ -31,7 +34,7 @@ impl SegAlloc {
         self.free
     }
 
-    /// Allocates one segment.
+    /// Allocates the lowest free segment.
     ///
     /// # Errors
     ///
@@ -40,16 +43,13 @@ impl SegAlloc {
         if self.free == 0 {
             return Err(StoreError::NoSpace);
         }
-        for probe in 0..self.used.len() {
-            let idx = (self.cursor + probe) % self.used.len();
-            if !self.used[idx] {
-                self.used[idx] = true;
-                self.free -= 1;
-                self.cursor = (idx + 1) % self.used.len();
-                return Ok(idx as u32);
-            }
-        }
-        unreachable!("free count positive but no free segment found");
+        let idx = (self.low_water..self.used.len())
+            .find(|&idx| !self.used[idx])
+            .expect("free count positive but no free segment found");
+        self.used[idx] = true;
+        self.free -= 1;
+        self.low_water = idx + 1;
+        Ok(idx as u32)
     }
 
     /// Frees a segment.
@@ -62,6 +62,7 @@ impl SegAlloc {
         assert!(self.used[idx], "double free of segment {seg}");
         self.used[idx] = false;
         self.free += 1;
+        self.low_water = self.low_water.min(idx);
     }
 
     /// Marks a segment as used during recovery (manifest replay).
@@ -93,6 +94,18 @@ mod tests {
         assert_eq!(a.free_segments(), 2);
         a.free(s0);
         assert_eq!(a.free_segments(), 3);
+    }
+
+    #[test]
+    fn alloc_takes_the_lowest_free_segment() {
+        let mut a = SegAlloc::new(8);
+        a.mark_used(1);
+        let first: Vec<u32> = (0..4).map(|_| a.alloc().unwrap()).collect();
+        assert_eq!(first, [0, 2, 3, 4]);
+        a.free(3);
+        a.free(0);
+        let again: Vec<u32> = (0..3).map(|_| a.alloc().unwrap()).collect();
+        assert_eq!(again, [0, 3, 5], "freed segments first, lowest first");
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! keys with a byte-capacity bound, write-through on updates. Values are
 //! [`Payload`]s, so a cached block shares the writer's buffer.
 
-use std::collections::HashMap;
-
-use rablock_storage::Payload;
+use rablock_storage::{FxHashMap, Payload};
 
 /// "No neighbour" in the recency list.
 const NIL: usize = usize::MAX;
@@ -32,7 +30,7 @@ struct Node {
 pub struct BlockCache {
     capacity_bytes: usize,
     used_bytes: usize,
-    map: HashMap<Vec<u8>, usize>,
+    map: FxHashMap<Vec<u8>, usize>,
     nodes: Vec<Option<Node>>,
     free: Vec<usize>,
     /// Most recently used entry.
@@ -50,7 +48,7 @@ impl BlockCache {
         BlockCache {
             capacity_bytes,
             used_bytes: 0,
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -179,6 +177,7 @@ impl BlockCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn block(fill: u8, len: usize) -> Payload {
         vec![fill; len].into()

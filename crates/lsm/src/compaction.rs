@@ -11,10 +11,22 @@
 //! winning record of each key is encoded straight into the output file.
 //! No record is materialised on the way.
 
+use std::cell::RefCell;
+
 use rablock_storage::{BlockDevice, IoCategory, MaintenanceReport, StoreError};
 
 use crate::db::Db;
 use crate::sst::{Records, Sst};
+
+thread_local! {
+    /// The buffers a merge reads its inputs into, kept for the next merge
+    /// on this thread, so that one reads into memory already touched
+    /// instead of fresh multi-MiB mappings that fault on every page. Kept
+    /// per thread rather than per database: a thread runs one compaction at
+    /// a time, and every database of a cluster holding its own largest
+    /// merge's worth cost more memory than the faults saved.
+    static MERGE_INPUTS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
 
 impl<D: BlockDevice> Db<D> {
     /// True if any level is over its trigger.
@@ -66,7 +78,10 @@ impl<D: BlockDevice> Db<D> {
         self.levels[target_level] = kept;
 
         let first_output_id = self.next_sst_id;
-        match self.merge_into(target_level, &upper, &lower, &min, &max) {
+        let mut inputs = MERGE_INPUTS.take();
+        let merged = self.merge_into(&mut inputs, target_level, &upper, &lower, &min, &max);
+        MERGE_INPUTS.set(inputs);
+        match merged {
             Ok(report) => {
                 for sst in upper.iter().chain(&lower) {
                     self.free_sst(sst);
@@ -106,10 +121,12 @@ impl<D: BlockDevice> Db<D> {
     }
 
     /// Merges the inputs into new files of `target_level` and checkpoints
-    /// the manifest. Outputs enter the level as they are built; on error the
-    /// caller takes them out again.
+    /// the manifest, reading the inputs into the first of `buffers` (more
+    /// are added when there are too few). Outputs enter the level as they
+    /// are built; on error the caller takes them out again.
     fn merge_into(
         &mut self,
+        buffers: &mut Vec<Vec<u8>>,
         target_level: usize,
         upper: &[Sst],
         lower: &[Sst],
@@ -119,11 +136,19 @@ impl<D: BlockDevice> Db<D> {
         // Oldest → newest, so that among equal keys the last input wins.
         // Target-level files are the oldest; L0 is stored newest-first so
         // iterate it in reverse.
+        let count = lower.len() + upper.len();
+        if buffers.len() < count {
+            buffers.resize_with(count, Vec::new);
+        }
+        let inputs = &mut buffers[..count];
         let mut bytes_read = 0u64;
-        let mut inputs = Vec::with_capacity(lower.len() + upper.len());
-        for sst in lower.iter().chain(upper.iter().rev()) {
+        for (sst, buf) in lower
+            .iter()
+            .chain(upper.iter().rev())
+            .zip(inputs.iter_mut())
+        {
             bytes_read += sst.len;
-            inputs.push(self.read_sst_data(sst)?);
+            self.read_sst_data(sst, buf)?;
         }
         // Tombstones can be dropped when nothing below could still hold an
         // older version of these keys.

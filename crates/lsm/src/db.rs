@@ -326,15 +326,15 @@ impl<D: BlockDevice> Db<D> {
         Ok(sst)
     }
 
-    /// Reads the data region of `sst` (see [`Records`]), recording
-    /// compaction-read trace I/Os.
-    pub(crate) fn read_sst_data(&mut self, sst: &Sst) -> Result<Vec<u8>, StoreError> {
+    /// Reads the data region of `sst` (see [`Records`]) into `out`,
+    /// recording compaction-read trace I/Os.
+    pub(crate) fn read_sst_data(&mut self, sst: &Sst, out: &mut Vec<u8>) -> Result<(), StoreError> {
         let mut tmp = Vec::new();
-        let data = read_data(&mut self.dev, self.geom, sst, &mut tmp)?;
+        read_data(&mut self.dev, self.geom, sst, &mut tmp, out)?;
         for io in tmp {
             self.record(io);
         }
-        Ok(data)
+        Ok(())
     }
 
     /// Unallocated segments (tests: no failure path may leak one).
@@ -656,8 +656,9 @@ impl<D: BlockDevice> Db<D> {
             .chain(self.levels[0].iter().rev())
             .cloned()
             .collect();
+        let mut data = Vec::new();
         for sst in &ssts {
-            let data = self.read_sst_data(sst)?;
+            self.read_sst_data(sst, &mut data)?;
             for (k, v) in Records::new(&data) {
                 if k.starts_with(prefix) {
                     merged.insert(k.to_vec(), v.map(Payload::from));

@@ -85,7 +85,7 @@ impl SegGeometry {
         self.region_off + segments[seg_idx] as u64 * self.segment_bytes + within
     }
 
-    /// Reads `len` logical bytes at `logical`, splitting at segment bounds.
+    /// Reads `len` logical bytes at `logical` into a fresh buffer.
     fn read_range<D: BlockDevice>(
         &self,
         dev: &mut D,
@@ -94,6 +94,20 @@ impl SegGeometry {
         len: u64,
     ) -> Result<Vec<u8>, StoreError> {
         let mut out = vec![0u8; len as usize];
+        self.read_into(dev, segments, logical, &mut out)?;
+        Ok(out)
+    }
+
+    /// Fills `out` with the logical bytes at `logical`, splitting at segment
+    /// bounds.
+    fn read_into<D: BlockDevice>(
+        &self,
+        dev: &mut D,
+        segments: &[u32],
+        logical: u64,
+        out: &mut [u8],
+    ) -> Result<(), StoreError> {
+        let len = out.len() as u64;
         let mut done = 0u64;
         while done < len {
             let pos = logical + done;
@@ -103,7 +117,7 @@ impl SegGeometry {
             dev.read_at(dev_off, &mut out[done as usize..(done + chunk) as usize])?;
             done += chunk;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Writes `data` at logical offset `logical`, splitting at segment bounds.
@@ -382,7 +396,9 @@ pub fn sst_get<D: BlockDevice>(
 }
 
 /// Reads the data region of an SST — all its blocks, which
-/// [`Records`] iterates in key order — in one buffer (compaction input).
+/// [`Records`] iterates in key order — into `out` (compaction input), which
+/// it leaves exactly that long. The buffer may be reused: past the data a
+/// stale tail would decode as records.
 ///
 /// # Errors
 ///
@@ -392,9 +408,11 @@ pub fn read_data<D: BlockDevice>(
     geom: SegGeometry,
     sst: &Sst,
     trace: &mut Vec<TraceIo>,
-) -> Result<Vec<u8>, StoreError> {
+    out: &mut Vec<u8>,
+) -> Result<(), StoreError> {
     let data_len: u64 = sst.index.iter().map(|e| e.len as u64).sum();
-    let raw = geom.read_range(dev, &sst.segments, 0, data_len)?;
+    out.resize(data_len as usize, 0);
+    geom.read_into(dev, &sst.segments, 0, out)?;
     let mut remaining = data_len;
     while remaining > 0 {
         let chunk = remaining.min(geom.segment_bytes);
@@ -405,7 +423,7 @@ pub fn read_data<D: BlockDevice>(
         });
         remaining -= chunk;
     }
-    Ok(raw)
+    Ok(())
 }
 
 /// Reloads the block index of an SST whose footer is on disk (recovery).
@@ -563,11 +581,40 @@ mod tests {
     fn scan_returns_all_in_order() {
         let (mut dev, _a, sst, _t) = build(300);
         let mut trace = Vec::new();
-        let data = read_data(&mut dev, geom(), &sst, &mut trace).unwrap();
+        let mut data = Vec::new();
+        read_data(&mut dev, geom(), &sst, &mut trace, &mut data).unwrap();
         let all: Vec<_> = Records::new(&data)
             .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
             .collect();
         assert_eq!(all, records(300));
+    }
+
+    #[test]
+    fn a_reused_buffer_holds_exactly_the_last_file_read() {
+        let mut dev = MemDisk::new(1 << 22);
+        let mut alloc = SegAlloc::new(1 << 10);
+        let mut trace = Vec::new();
+        let mut file = |n: u64, id| {
+            writer(n)
+                .finish(
+                    &mut dev,
+                    &mut alloc,
+                    geom(),
+                    id,
+                    IoCategory::Compaction,
+                    &mut trace,
+                )
+                .unwrap()
+        };
+        let (long, short) = (file(300, 1), file(20, 2));
+        let mut buf = Vec::new();
+        for (sst, n) in [(&long, 300), (&short, 20), (&long, 300)] {
+            read_data(&mut dev, geom(), sst, &mut trace, &mut buf).unwrap();
+            let all: Vec<_> = Records::new(&buf)
+                .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+                .collect();
+            assert_eq!(all, records(n), "file {}", sst.id);
+        }
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! stored as LSM values, object metadata and the per-request Ceph records
 //! (`object_info_t`, pg log) are LSM keys too.
 
-use std::collections::HashMap;
-
 use rablock_storage::{
-    BlockDevice, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, Payload, Segments,
-    StoreError, StoreStats, TraceIo, Transaction,
+    BlockDevice, FxHashMap, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, Payload,
+    Segments, StoreError, StoreStats, TraceIo, Transaction,
 };
 
 use crate::cache::BlockCache;
@@ -146,7 +144,7 @@ pub struct LsmObjectStore<D: BlockDevice> {
     /// BlueStore-style large-write map: `(oid, generation, chunk) → raw
     /// segment`. Chunks on this map hold the authoritative bytes; the LSM
     /// only stores their location record.
-    raw_chunks: HashMap<(u64, u32, u64), u32>,
+    raw_chunks: FxHashMap<(u64, u32, u64), u32>,
     /// BlueStore-style object-data cache (write-through), paper SV-E.
     cache: BlockCache,
     /// The last maintenance step failed (device full or faulty) and nothing
@@ -168,7 +166,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
     pub fn open(dev: D, opts: LsmOptions) -> Result<Self, StoreError> {
         let mut db = Db::open(dev, opts)?;
         // Rebuild the large-write map from its LSM records.
-        let mut raw_chunks = HashMap::new();
+        let mut raw_chunks = FxHashMap::default();
         for (k, v) in db.scan_prefix(b"R")? {
             if k.len() != 1 + 8 + 4 + 8 || v.len() != 4 {
                 continue;
@@ -747,7 +745,7 @@ mod tests {
     fn full_device_neither_spins_maintenance_nor_loses_acked_writes() {
         // 1 MiB device, more distinct blocks than it can hold.
         let mut s = LsmObjectStore::open(MemDisk::new(1 << 20), LsmOptions::tiny()).unwrap();
-        let mut acked: HashMap<(u64, u64), u8> = HashMap::new();
+        let mut acked: std::collections::HashMap<(u64, u64), u8> = Default::default();
         let mut refused = 0;
         for seq in 0..600u64 {
             let (o, block, fill) = (seq % 7, seq * 13 % 64, (seq % 251) as u8);

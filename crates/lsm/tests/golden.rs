@@ -16,6 +16,11 @@
 //! the generation, which the next incarnation bumps (before, it started
 //! again at generation 0 on top of the old data keys). With the script's
 //! deletes turned into no-ops the hashes of the two versions are equal.
+//! A third one moved the device image alone: the segment allocator hands
+//! out the lowest free segment instead of the next one round the device,
+//! so files land elsewhere while every I/O, and so the trace and the
+//! stats, stays what it was (with the next-fit allocator put back, all
+//! three hashes are those of before).
 
 use rablock_lsm::{LsmObjectStore, LsmOptions};
 use rablock_storage::{
@@ -23,7 +28,7 @@ use rablock_storage::{
     TraceKind, Transaction,
 };
 
-const DEVICE_HASH: u64 = 0xD544_3888_0E25_BA6F;
+const DEVICE_HASH: u64 = 0x4FC5_7896_3658_D29E;
 const TRACE_HASH: u64 = 0x2AF2_E537_1694_C518;
 const STATS_HASH: u64 = 0x3948_F014_3A98_878E;
 

@@ -99,6 +99,12 @@ pub trait BlockDevice {
 /// a reader cannot tell which side holds a block. A shared block keeps its
 /// whole backing buffer alive until it is overwritten.
 ///
+/// The device also knows which blocks no write has ever touched. A fresh
+/// image is mostly such blocks, and they are read without touching the
+/// image's pages: a byte read fills zeros, and a payload read of one whole
+/// block returns the device's one [`Payload::zeros`] block, which says it is
+/// zero to everyone who holds it.
+///
 /// ```
 /// use rablock_storage::{BlockDevice, MemDisk};
 /// # fn main() -> Result<(), rablock_storage::StoreError> {
@@ -117,6 +123,13 @@ pub struct MemDisk {
     /// Blocks held by reference, keyed by block number; each value is
     /// exactly [`SHARE_BYTES`] long and shadows `data` over its block.
     shared: FxHashMap<u64, Payload>,
+    /// One bit per [`SHARE_BYTES`] block, set by the first write that
+    /// touches the block and never cleared: a clear bit means the block is
+    /// in neither `shared` nor a page of `data` anyone wrote, so it is zero.
+    written: Vec<u64>,
+    /// What a payload read of a never-written block returns, made by the
+    /// first such read.
+    zero: Option<Payload>,
     counters: DevCounters,
 }
 
@@ -126,8 +139,40 @@ impl MemDisk {
         MemDisk {
             data: vec![0; capacity as usize],
             shared: FxHashMap::default(),
+            written: vec![0; capacity.div_ceil(SHARE_BYTES).div_ceil(64) as usize],
+            zero: None,
             counters: DevCounters::default(),
         }
+    }
+
+    fn is_written(&self, block: u64) -> bool {
+        self.written[(block / 64) as usize] >> (block % 64) & 1 == 1
+    }
+
+    /// Marks every block `[offset, offset + len)` overlaps as written.
+    fn mark_written(&mut self, offset: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        for block in offset / SHARE_BYTES..(offset + len).div_ceil(SHARE_BYTES) {
+            self.written[(block / 64) as usize] |= 1 << (block % 64);
+        }
+    }
+
+    /// Block `block` as a buffer the device already holds, if it does: the
+    /// view a by-reference write left there, or the zero block for a block
+    /// no write has touched.
+    fn held_block(&mut self, block: u64) -> Option<Payload> {
+        if let Some(held) = self.shared.get(&block) {
+            return Some(held.clone());
+        }
+        if self.is_written(block) {
+            return None;
+        }
+        let zero = self
+            .zero
+            .get_or_insert_with(|| Payload::zeros(SHARE_BYTES as usize));
+        Some(zero.clone())
     }
 
     fn check(&self, offset: u64, len: u64) -> Result<(), StoreError> {
@@ -145,10 +190,12 @@ impl MemDisk {
     }
 
     /// Copies the (bounds-checked) range at `offset` into `buf` from
-    /// whichever side holds each block.
+    /// whichever side holds each block; a never-written block is zeros
+    /// without a look at its pages.
     fn copy_out(&self, offset: u64, buf: &mut [u8]) {
-        if self.shared.is_empty() {
-            let start = offset as usize;
+        let start = offset as usize;
+        let mut blocks = offset / SHARE_BYTES..(offset + buf.len() as u64).div_ceil(SHARE_BYTES);
+        if self.shared.is_empty() && blocks.all(|block| self.is_written(block)) {
             buf.copy_from_slice(&self.data[start..start + buf.len()]);
             return;
         }
@@ -156,12 +203,13 @@ impl MemDisk {
         for (block, within) in block_spans(offset, buf.len()) {
             let dst = &mut buf[done..done + within.len()];
             done += within.len();
-            match self.shared.get(&block) {
-                Some(held) => dst.copy_from_slice(&held[within]),
-                None => {
-                    let at = (block * SHARE_BYTES) as usize;
-                    dst.copy_from_slice(&self.data[at + within.start..at + within.end]);
-                }
+            if !self.is_written(block) {
+                dst.fill(0);
+            } else if let Some(held) = self.shared.get(&block) {
+                dst.copy_from_slice(&held[within]);
+            } else {
+                let at = (block * SHARE_BYTES) as usize;
+                dst.copy_from_slice(&self.data[at + within.start..at + within.end]);
             }
         }
     }
@@ -195,12 +243,11 @@ impl BlockDevice for MemDisk {
     fn read_payload_at(&mut self, offset: u64, len: usize) -> Result<Payload, StoreError> {
         self.check(offset, len as u64)?;
         let one_block = len as u64 == SHARE_BYTES && offset.is_multiple_of(SHARE_BYTES);
-        let out = match self
-            .shared
-            .get(&(offset / SHARE_BYTES))
-            .filter(|_| one_block)
-        {
-            Some(held) => held.clone(),
+        let held = one_block
+            .then(|| self.held_block(offset / SHARE_BYTES))
+            .flatten();
+        let out = match held {
+            Some(held) => held,
             None => Payload::build(len, |buf| {
                 self.copy_out(offset, buf);
                 Ok::<_, StoreError>(())
@@ -212,6 +259,7 @@ impl BlockDevice for MemDisk {
     }
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         self.check(offset, data.len() as u64)?;
+        self.mark_written(offset, data.len() as u64);
         if !self.shared.is_empty() {
             // Copy-on-write: the image takes back every shared block this
             // write overlaps; one it covers only partly brings its bytes.
@@ -237,6 +285,7 @@ impl BlockDevice for MemDisk {
             return self.write_at(offset, &data.clone().into_payload());
         }
         self.check(offset, len)?;
+        self.mark_written(offset, len);
         // A chunk that lies in one view is kept as that view; one that
         // straddles two is the one copy an odd segmentation costs.
         for (number, block) in (offset / SHARE_BYTES..).zip(data.chunks(SHARE_BYTES as usize)) {
@@ -465,6 +514,7 @@ mod tests {
             "through the Box, the client's own buffer"
         );
         let image = d.read_payload_at(0, 4096).unwrap();
+        assert!(image.is_zeros(), "a never-written block is the zero view");
         let mixed = d.read_payload_at(4000, 5000).unwrap();
         assert_eq!(&mixed[..96], &[0u8; 96]);
         assert_eq!(&mixed[96..4192], &backing[..4096]);
@@ -485,6 +535,8 @@ mod tests {
             .unwrap();
         assert_eq!(held, backing[4096..].to_vec());
         assert_eq!(image, vec![0u8; 4096]);
+        assert!(!d.read_payload_at(0, 4096).unwrap().is_zeros());
+        assert!(fork.read_payload_at(0, 4096).unwrap().is_zeros());
         assert_eq!(d.read_payload_at(8192, 4096).unwrap()[7], 0xFF);
         assert_eq!(fork.read_payload_at(8192, 4096).unwrap(), vec![9u8; 4096]);
         assert_eq!(held.crc32(), crate::crc::crc32(&backing[4096..]));
@@ -539,6 +591,8 @@ mod tests {
     struct Pair {
         disk: MemDisk,
         model: Vec<u8>,
+        /// Per block: has a write ever touched it?
+        written: Vec<bool>,
         counters: DevCounters,
         /// Every payload a read returned, with its bytes at that time.
         handed_out: Vec<(Payload, Vec<u8>)>,
@@ -571,6 +625,9 @@ mod tests {
             if got.is_ok() {
                 let at = step.offset as usize;
                 self.model[at..at + step.len].copy_from_slice(&view);
+                if step.len > 0 {
+                    self.written[at / 4096..(at + step.len).div_ceil(4096)].fill(true);
+                }
                 self.counters.writes += 1;
                 self.counters.bytes_written += step.len as u64;
             }
@@ -584,7 +641,8 @@ mod tests {
                 self.counters.bytes_read += len as u64;
             }
             // The same range again, as a payload.
-            let held = (len == 4096 && offset % 4096 == 0)
+            let one_block = len == 4096 && offset % 4096 == 0;
+            let held = one_block
                 .then(|| self.disk.shared.get(&(offset / 4096)).cloned())
                 .flatten();
             let got = self.disk.read_payload_at(offset, len);
@@ -596,6 +654,12 @@ mod tests {
                 );
                 if let Some(held) = held {
                     assert!(std::ptr::eq(got.as_ptr(), held.as_ptr()), "the held block");
+                }
+                let never_written = one_block && !self.written[offset as usize / 4096];
+                assert_eq!(got.is_zeros(), never_written);
+                if never_written {
+                    let zero = self.disk.zero.as_ref().expect("made by this read");
+                    assert!(std::ptr::eq(got.as_ptr(), zero.as_ptr()), "the zero view");
                 }
                 self.counters.reads += 1;
                 self.counters.bytes_read += len as u64;
@@ -629,12 +693,15 @@ mod tests {
         /// aligned or not, leave a device no reader — by bytes or by payload
         /// — can tell from a flat byte array, with one counted write each —
         /// also after `clone()`, when the two copies share blocks and then
-        /// diverge.
+        /// diverge. A whole never-written block, and only that, reads as the
+        /// device's zero view; each copy keeps its own record of what was
+        /// written.
         #[test]
         fn matches_flat_byte_array(before in steps(), after in steps()) {
             let mut a = Pair {
                 disk: MemDisk::new(MODEL_BYTES as u64),
                 model: vec![0; MODEL_BYTES],
+                written: vec![false; MODEL_BYTES.div_ceil(4096)],
                 counters: DevCounters::default(),
                 handed_out: Vec::new(),
             };
@@ -644,6 +711,7 @@ mod tests {
             let mut b = Pair {
                 disk: a.disk.clone(),
                 model: a.model.clone(),
+                written: a.written.clone(),
                 counters: a.counters,
                 handed_out: a.handed_out.clone(),
             };

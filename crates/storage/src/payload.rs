@@ -34,6 +34,9 @@ struct CrcMemo {
     /// once computed. Allocated by the first block-sized aligned view that
     /// asks, so buffers that are never read by block pay nothing.
     blocks: OnceLock<Box<[AtomicU64]>>,
+    /// Every byte of the buffer is zero: set only by [`Payload::zeros`],
+    /// which made it so, never by looking.
+    zeros: bool,
 }
 
 /// An immutable, cheaply-cloneable, slice-able byte buffer.
@@ -60,6 +63,33 @@ impl Payload {
             len: 0,
             checksum: Arc::default(),
         }
+    }
+
+    /// `len` zero bytes that say so: every clone and slice answers
+    /// [`Payload::is_zeros`], and the CRC of the whole buffer is known from
+    /// the start. For the places zeros are created — a device's never-written
+    /// blocks, the holes of a [`Segments`] — so their consumers need not read
+    /// them.
+    pub fn zeros(len: usize) -> Payload {
+        let buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let checksum = CrcMemo {
+            full: OnceLock::from(crc32(&buf)),
+            zeros: true,
+            ..CrcMemo::default()
+        };
+        Payload {
+            buf,
+            off: 0,
+            len,
+            checksum: Arc::new(checksum),
+        }
+    }
+
+    /// True when this is a view of a [`Payload::zeros`] buffer, so every byte
+    /// is zero. False says nothing: other buffers may hold zeros too.
+    #[inline]
+    pub fn is_zeros(&self) -> bool {
+        self.checksum.zeros
     }
 
     /// Number of bytes in this view.
@@ -238,7 +268,7 @@ impl fmt::Debug for Payload {
 /// The one all-zeroes block every hole of every [`Segments`] is a view of.
 fn zero_block() -> &'static Payload {
     static ZERO: OnceLock<Payload> = OnceLock::new();
-    ZERO.get_or_init(|| vec![0u8; CRC_BLOCK].into())
+    ZERO.get_or_init(|| Payload::zeros(CRC_BLOCK))
 }
 
 /// An ordered run of [`Payload`] views that read as one byte string: what a
@@ -328,8 +358,9 @@ impl Segments {
         }
     }
 
-    /// Appends `len` zero bytes as views of one shared zero block: a hole
-    /// costs no memory, however long.
+    /// Appends `len` zero bytes as views of one shared [`Payload::zeros`]
+    /// block: a hole costs no memory, however long, and nobody has to read
+    /// it to know it is zero.
     pub fn push_zeros(&mut self, mut len: usize) {
         while len > 0 {
             let take = len.min(CRC_BLOCK);
@@ -729,7 +760,30 @@ mod tests {
         assert_eq!(segs.len(), 3 * CRC_BLOCK + 5);
         assert_eq!(segs, vec![0u8; 3 * CRC_BLOCK + 5]);
         let base = zero_block().as_ptr();
-        assert!(segs.iter().all(|part| std::ptr::eq(part.as_ptr(), base)));
+        assert!(segs
+            .iter()
+            .all(|part| std::ptr::eq(part.as_ptr(), base) && part.is_zeros()));
+    }
+
+    #[test]
+    fn zeros_say_so_in_every_view_and_know_their_crc() {
+        for n in [0, 1, 100, CRC_BLOCK, 3 * CRC_BLOCK + 5] {
+            let flat = vec![0u8; n];
+            let z = Payload::zeros(n);
+            assert!(z.is_zeros() && z == flat);
+            assert_eq!(z.checksum.full.get(), Some(&crc32(&flat)), "from the start");
+            assert_eq!(z.crc32(), crc32(&flat));
+            let s = z.slice(n / 3, n / 2);
+            assert!(s.is_zeros() && s.clone().is_zeros());
+            assert_eq!(s.crc32(), crc32(&flat[..n / 2]));
+        }
+        let block = Payload::zeros(2 * CRC_BLOCK).slice(CRC_BLOCK, CRC_BLOCK);
+        assert_eq!(block.crc32(), crc32(&[0u8; CRC_BLOCK]));
+        // The flag is set where zeros are made, never by looking.
+        assert!(!Payload::from(vec![0u8; CRC_BLOCK]).is_zeros());
+        assert!(!Payload::from(&[0u8; 8][..]).is_zeros());
+        assert!(!Payload::build(8, |_| Ok::<_, ()>(())).unwrap().is_zeros());
+        assert!(!Payload::empty().is_zeros());
     }
 
     /// What a receiver does with a pushed object: the sender's store read

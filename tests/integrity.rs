@@ -538,6 +538,62 @@ fn rot_under_a_pushed_block_is_found_by_the_next_deep_scrub() {
     assert_eq!(sim.client_errors(), 0);
 }
 
+/// A pre-allocated object no write touches reads, block by block, as the
+/// device's shared zero view, which deep scrub and checked reads trust
+/// without reading it. Rot that lands there writes the block, so it is no
+/// longer that view: a checked read of the copy must fail, and the next deep
+/// scrub must find and repair it.
+#[test]
+fn rot_in_a_never_written_block_is_found_by_deep_scrub_and_a_checked_read() {
+    let mut cfg = base_config(0x2E80_B10C, FaultPlan::none());
+    cfg.scrub_interval = Some(SimDuration::millis(10));
+    cfg.scrub_deep_every = 1;
+    let wl: Vec<Box<dyn ConnWorkload>> = (0..CONNS)
+        .map(|c| Box::new(IntegrityConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
+        .collect();
+    // No connection writes `idle`; it only exists.
+    let idle = oid(CONNS, 0);
+    let objects: Vec<(ObjectId, u64)> = (0..CONNS)
+        .flat_map(|c| (0..8).map(move |k| (oid(c, k), OBJECT_BYTES)))
+        .chain([(idle, OBJECT_BYTES)])
+        .collect();
+    let mut sim = ClusterSim::new(cfg, wl);
+    sim.prefill(&objects);
+    let clean = sim.run(SimDuration::ZERO, SimDuration::millis(100));
+    assert_eq!(clean.scrub_errors_found, 0);
+    assert!(clean.scrubs_completed >= 1);
+
+    let victim = sim.map().acting_set(idle.group()).last().unwrap().0 as usize;
+    let zeros = vec![0u8; OBJECT_BYTES as usize];
+    assert_eq!(
+        sim.object_bytes(victim, idle, OBJECT_BYTES),
+        Some(zeros.clone().into())
+    );
+    let landed = sim.inject_data_rot(victim, idle.raw(), idle.raw() + 1, 8, 3);
+    assert!(landed > 0, "rot landed on never-written blocks");
+    assert_eq!(
+        sim.object_bytes(victim, idle, OBJECT_BYTES),
+        None,
+        "a checked read of the rotted copy fails"
+    );
+
+    sim.run(SimDuration::millis(100), SimDuration::millis(100));
+    let (found, repaired) = (0..NODES).fold((0, 0), |(f, r), i| {
+        let (found, repaired, _) = sim.integrity_counters(i);
+        (f + found, r + repaired)
+    });
+    assert!(found >= 1, "deep scrub found the rot");
+    assert_eq!(repaired, found, "and repaired it");
+    assert_eq!(
+        sim.object_bytes(victim, idle, OBJECT_BYTES),
+        Some(zeros.into())
+    );
+    assert!(sim.stuck_pgs().is_empty(), "{:?}", sim.stuck_pgs());
+    assert!(sim.replica_divergence().is_empty());
+    assert!(sim.replica_digest_inconsistency().is_empty());
+    assert_eq!(sim.client_errors(), 0);
+}
+
 /// Deep scrub charges the shared recovery byte budget. With a budget
 /// smaller than one group's tracked bytes, scrub rounds must defer across
 /// throttle windows — visible as `scrub_throttled_nanos` in the report —
