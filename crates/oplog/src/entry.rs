@@ -239,7 +239,7 @@ impl<'a> Reader<'a> {
     /// The next `len` bytes of the stream as a payload: the held buffer
     /// itself where exactly one makes them up, a copy assembled from byte
     /// runs and held pieces otherwise (an inline payload, one the ring end
-    /// split in two, one rot made the image take back in part).
+    /// split in two, one part of which rot made the region take back as bytes).
     fn payload(&mut self) -> Result<Payload, StoreError> {
         let len = self.u32()? as usize;
         if len > self.stream_len {
@@ -535,7 +535,7 @@ mod tests {
                 }
             }
             // Read back in other pieces: every held payload split in two
-            // (the ring end), the first part taken back into the image (rot).
+            // (the ring end), the first part taken back as bytes (rot).
             let (mut split, mut mixed) = (Frame::default(), Frame::default());
             for piece in frame.pieces() {
                 match piece {

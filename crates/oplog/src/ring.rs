@@ -465,6 +465,9 @@ mod tests {
                     let oldest = queued.remove(0);
                     r.consume(&mut nvm, oldest.len() as u64).unwrap();
                     written += HEADER_BYTES;
+                    // What left the queue leaves the region: it holds the
+                    // queued records and the header, not a lap of the ring.
+                    assert!(nvm.resident_bytes() <= r.used() + HEADER_BYTES);
                 }
                 frame.record(rec.version, rec.seq, &rec.txn);
                 r.append(&mut nvm, &frame).unwrap();

@@ -10,6 +10,8 @@
 //!   ramdisk-emulated NVM.
 //! * [`crc`] — the one CRC-32 every framed storage format uses,
 //!   with the streaming and splice forms that keep shared payloads unread.
+//! * [`digest`] — the content digest replicas and recovery pushes are
+//!   compared by, streaming over segments and memoized per payload.
 //! * [`ObjectStore`] / [`Transaction`] — the transactional contract
 //!   implemented by both the BlueStore-like LSM backend (`rablock-lsm`) and
 //!   the paper's CPU-efficient object store (`rablock-cos`).
@@ -30,6 +32,7 @@
 mod blockdev;
 mod crash;
 pub mod crc;
+pub mod digest;
 mod error;
 mod fxhash;
 mod nvm;

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::crc::crc32;
+use crate::digest::digest_bytes;
 
 /// Granularity of the per-block CRC memo: the block size of both stores.
 const CRC_BLOCK: usize = 4096;
@@ -24,12 +25,15 @@ const CRC_BLOCK: usize = 4096;
 /// Tag bit of a filled [`CrcMemo::blocks`] cell (a CRC may itself be 0).
 const CRC_KNOWN: u64 = 1 << 32;
 
-/// Lazily computed CRC-32s of one backing buffer, shared by every clone and
-/// slice of it. A hit is a proof, not a guess: the buffer is immutable.
+/// Lazily computed CRC-32s and content digest of one backing buffer, shared
+/// by every clone and slice of it. A hit is a proof, not a guess: the buffer
+/// is immutable.
 #[derive(Default)]
 struct CrcMemo {
     /// Of the whole buffer.
     full: OnceLock<u32>,
+    /// [`digest_bytes`] of the whole buffer.
+    digest: OnceLock<u64>,
     /// Of each [`CRC_BLOCK`]-aligned block of the buffer, `CRC_KNOWN | crc`
     /// once computed. Allocated by the first block-sized aligned view that
     /// asks, so buffers that are never read by block pay nothing.
@@ -176,6 +180,18 @@ impl Payload {
         let crc = crc32(self.as_slice());
         cell.store(CRC_KNOWN | crc as u64, Ordering::Relaxed);
         crc
+    }
+
+    /// The content digest ([`digest_bytes`]) of this view, memoized when the
+    /// view covers its whole backing buffer, as [`Payload::crc32`] memoizes
+    /// its CRC: the primary and every replica digest the same (interned)
+    /// write buffer for their pg_log entries. Any other view is computed
+    /// directly.
+    pub fn digest(&self) -> u64 {
+        if self.off == 0 && self.len == self.buf.len() {
+            return *self.checksum.digest.get_or_init(|| digest_bytes(&self.buf));
+        }
+        digest_bytes(self.as_slice())
     }
 
     /// Copies the view out into an owned `Vec<u8>`.
@@ -620,6 +636,24 @@ mod tests {
         let s = p.slice(100, 1000);
         assert_eq!(s.crc32(), crc32(&s), "a partial view never reads the memo");
         assert_eq!(p.slice(0, 4096).crc32(), crc32(&p));
+    }
+
+    #[test]
+    fn digest_is_memoized_for_full_views_and_exact_for_slices() {
+        let p: Payload = (0u8..=255).cycle().take(5000).collect::<Vec<u8>>().into();
+        assert!(p.checksum.digest.get().is_none(), "computed when asked");
+        assert_eq!(p.digest(), digest_bytes(&p));
+        assert_eq!(p.checksum.digest.get(), Some(&digest_bytes(&p)));
+        // Poisoned: the whole buffer, through any view of all of it, answers
+        // from the memo; a partial view never reads it.
+        let q: Payload = p.to_vec().into();
+        q.checksum.digest.set(0xBAD).unwrap();
+        assert_eq!(q.clone().digest(), 0xBAD);
+        assert_eq!(q.slice(0, q.len()).digest(), 0xBAD);
+        for (at, len) in [(0, 4999), (1, 4999), (100, 1000), (7, 0)] {
+            let s = q.slice(at, len);
+            assert_eq!(s.digest(), digest_bytes(&s), "[{at}, +{len})");
+        }
     }
 
     fn ramp(blocks: usize, extra: usize) -> Payload {
