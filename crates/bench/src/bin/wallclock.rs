@@ -12,6 +12,10 @@
 //! * **sim-ops/sec** — completed simulated client operations per wall-clock
 //!   second.
 //!
+//! Each scenario and each `--scale-curve` point also prints, on lines of
+//! their own, the minor page faults of its timed runs and the process's peak
+//! RSS while it ran ("n/a" off Linux).
+//!
 //! Each scenario is also run twice with the same seed as a determinism
 //! guard: the full metric fingerprint (counters, latency percentiles, CPU%
 //! per stage, HistoryChecker verdicts) must be byte-identical, so a perf
@@ -575,6 +579,7 @@ fn run_scale_curve(smoke: bool) {
     let iters = if smoke { 1 } else { 3 };
     let mut base_fp: Option<Vec<u64>> = None;
     for &shards in &[1usize, 2, 4, 8] {
+        let reset = reset_peak_rss();
         let (mut s, fp, mut rounds) = run_scale(measure, shards);
         for _ in 1..iters {
             let (again, fp_again, rounds_again) = run_scale(measure, shards);
@@ -598,6 +603,7 @@ fn run_scale_curve(smoke: bool) {
             "          minor page faults {}",
             faults_text(s.minor_faults)
         );
+        println!("          peak RSS {}", rss_text(peak_rss_since(reset)));
         // Where each worker's wall clock went (nothing for one worker: it
         // has no barriers to wait at).
         let secs = |ns: u64| ns as f64 / 1e9;
@@ -681,6 +687,32 @@ fn run_jobs_check() {
     println!("  [jobs] check passed: two jobs are not slower than one");
 }
 
+/// Resets the process's peak resident set (`VmHWM`) to what it holds now,
+/// by writing `5` to `/proc/self/clear_refs`. False where that fails (off
+/// Linux).
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// The process's peak resident set since `reset_peak_rss`, in MiB: `VmHWM`
+/// of `/proc/self/status`. It includes what the process already held at the
+/// reset, heap the allocator kept from earlier runs too. `None` when the
+/// reset failed or the file is missing.
+fn peak_rss_since(reset: bool) -> Option<f64> {
+    if !reset {
+        return None;
+    }
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// A peak RSS as printed: MiB with one decimal, or "n/a".
+fn rss_text(mib: Option<f64>) -> String {
+    mib.map_or_else(|| "n/a".to_string(), |m| format!("{m:.1} MiB"))
+}
+
 /// Runs one scenario `iters` times (plus a determinism re-run of the first
 /// iteration) and returns the best sample by events/sec plus the first
 /// run's fingerprint (for traced-vs-untraced comparisons).
@@ -689,6 +721,7 @@ fn measure_scenario(
     iters: usize,
     run: impl Fn() -> (Sample, Vec<u64>, Option<TraceOut>),
 ) -> (Sample, Vec<u64>) {
+    let reset = reset_peak_rss();
     let (first, fp_a, _) = run();
     let (second, fp_b, _) = run();
     let mut faults = vec![first.minor_faults, second.minor_faults];
@@ -721,6 +754,10 @@ fn measure_scenario(
     println!(
         "  [{name}] minor page faults per timed run: {}",
         faults.join(", ")
+    );
+    println!(
+        "  [{name}] peak RSS over the runs: {}",
+        rss_text(peak_rss_since(reset))
     );
     (best, fp_a)
 }

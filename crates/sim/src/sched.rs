@@ -4,11 +4,15 @@
 //! is the hottest data structure in the workspace. A binary heap pays
 //! O(log n) per push/pop with poor locality. The calendar queue buckets
 //! events by time into a power-of-two wheel of slots (1024 ns per slot): push
-//! is an append into the target slot's vector, pop drains the current slot
-//! after one deferred sort, so both are amortized O(1). Events beyond the
-//! wheel's window (far-future timers: heartbeats, retry backoff) land in an
-//! *overflow tier* — a small binary heap — and cascade into the wheel when
+//! links the event at the head of its slot's chain, pop drains the current
+//! slot after one deferred sort, so both are amortized O(1). Events beyond
+//! the wheel's window (far-future timers: heartbeats, retry backoff) land in
+//! an *overflow tier* — a small binary heap — and cascade into the wheel when
 //! the window rotates past them.
+//!
+//! Every event waiting in a slot lives in one slab per queue, and the nodes
+//! of drained slots are reused, so the queue's memory follows the most events
+//! ever pending at once (the queue's high water), plus 12 B per slot.
 //!
 //! The plain `BinaryHeap` the wheel replaced survives only as the reference
 //! model of the differential proptest at the bottom of this file.
@@ -51,25 +55,57 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
+/// A chain link meaning "no node": the end of a slot's chain or of the free
+/// list.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: an event waiting in a wheel slot, or (with `payload:
+/// None`) a free node waiting for reuse. `next` links the slot's chain, or
+/// the free list.
+struct Node<T> {
+    time: SimTime,
+    seq: u64,
+    next: u32,
+    payload: Option<T>,
+}
+
 /// Calendar queue: `slots` time buckets of `1 << SLOT_SHIFT` ns each, plus a
 /// binary-heap overflow tier for events past the current window.
+///
+/// Every event waiting in a wheel slot lives in one slab, `nodes`; a slot is
+/// only the head of a singly linked chain through it. When the cursor
+/// reaches a slot, its events move into `current` and their nodes go onto a
+/// free list for reuse, so the slab never holds more nodes than the most
+/// events ever pending at once, and the steady state allocates nothing. (One
+/// vector per slot would instead keep, in every slot, the most events that
+/// slot ever held: a sum of per-slot maxima, not the live population.)
 struct Wheel<T> {
     /// Power-of-two slot count; `mask = slots - 1`.
     mask: u64,
-    /// Slot vectors, indexed by `absolute_slot & mask`. Only slots in
-    /// `[cursor, window_end)` may be non-empty; capacity is retained across
-    /// drains so steady state allocates nothing.
-    buckets: Vec<Vec<(SimTime, u64, T)>>,
+    /// The slab. A node's index is stable while its event waits in a chain.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list of `nodes`, or `NIL`.
+    free: u32,
+    /// Chain head per slot, indexed by `absolute_slot & mask`, or `NIL`. Only
+    /// slots in `[cursor, window_end)` may be non-empty. Chains are LIFO,
+    /// so a slot's earliest event may sit anywhere in its chain.
+    slots: Vec<u32>,
+    /// Earliest event time per slot, valid while the slot's chain is
+    /// non-empty: a peek reads it instead of walking the chain.
+    earliest: Vec<SimTime>,
+    /// The events of slot `cursor` once the cursor reached it, sorted
+    /// descending so `pop()` from the tail yields ascending `(time, seq)`.
+    /// While it is non-empty, that slot's chain is empty and pushes into the
+    /// slot land here at their sorted position.
+    current: Vec<(SimTime, u64, T)>,
     /// Absolute slot index currently being drained. Every event in a slot
     /// `< cursor` has already been popped.
     cursor: u64,
     /// Absolute slot index one past the window; events at `>= window_end`
     /// go to the overflow tier.
     window_end: u64,
-    /// Whether `buckets[cursor & mask]` is sorted (descending, so `pop()`
-    /// from the tail yields ascending `(time, seq)`).
-    cur_sorted: bool,
-    /// Events currently stored in wheel slots (excludes overflow).
+    /// Events currently stored in the wheel tier, `current` included
+    /// (excludes overflow).
     in_wheel: usize,
     /// Far-future events, min-first by `(time, seq)`.
     overflow: BinaryHeap<HeapEntry<T>>,
@@ -82,14 +118,15 @@ struct Wheel<T> {
 impl<T> Wheel<T> {
     fn new(hint: usize) -> Self {
         let slots = hint.next_power_of_two().clamp(MIN_SLOTS, MAX_SLOTS);
-        let mut buckets = Vec::with_capacity(slots);
-        buckets.resize_with(slots, Vec::new);
         Wheel {
             mask: slots as u64 - 1,
-            buckets,
+            nodes: Vec::new(),
+            free: NIL,
+            slots: vec![NIL; slots],
+            earliest: vec![SimTime::ZERO; slots],
+            current: Vec::new(),
             cursor: 0,
             window_end: slots as u64,
-            cur_sorted: false,
             in_wheel: 0,
             overflow: BinaryHeap::new(),
             head: Cell::new(None),
@@ -100,6 +137,36 @@ impl<T> Wheel<T> {
         self.in_wheel + self.overflow.len()
     }
 
+    /// Links an event at the head of its slot's chain, in a free node when
+    /// there is one.
+    fn link(&mut self, slot: u64, time: SimTime, seq: u64, payload: T) {
+        let at = (slot & self.mask) as usize;
+        let next = self.slots[at];
+        if next == NIL || time < self.earliest[at] {
+            self.earliest[at] = time;
+        }
+        let node = Node {
+            time,
+            seq,
+            next,
+            payload: Some(payload),
+        };
+        self.slots[at] = if self.free == NIL {
+            assert!(
+                self.nodes.len() < NIL as usize,
+                "more than u32::MAX - 1 events waiting in one wheel"
+            );
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        self.in_wheel += 1;
+    }
+
     fn push(&mut self, time: SimTime, seq: u64, payload: T) {
         let slot = time.nanos() >> SLOT_SHIFT;
         debug_assert!(slot >= self.cursor, "event time regressed behind cursor");
@@ -108,54 +175,60 @@ impl<T> Wheel<T> {
         }
         if slot >= self.window_end {
             self.overflow.push(HeapEntry { time, seq, payload });
-            return;
-        }
-        let bucket = &mut self.buckets[(slot & self.mask) as usize];
-        if slot == self.cursor && self.cur_sorted {
+        } else if slot == self.cursor && !self.current.is_empty() {
             // The slot is mid-drain: keep it sorted (descending) so the next
             // pop still takes the minimum. New events always have a larger
             // seq than anything already popped, so order stays exact.
             let key = (time, seq);
-            let at = bucket.partition_point(|e| (e.0, e.1) > key);
-            bucket.insert(at, (time, seq, payload));
+            let at = self.current.partition_point(|e| (e.0, e.1) > key);
+            self.current.insert(at, (time, seq, payload));
+            self.in_wheel += 1;
         } else {
-            bucket.push((time, seq, payload));
+            self.link(slot, time, seq, payload);
         }
-        self.in_wheel += 1;
     }
 
     /// Advances `cursor` to the next non-empty slot (rotating the window
-    /// forward over the overflow tier when the wheel is drained), sorts it if
-    /// needed, and returns its bucket index. `None` when the queue is empty.
-    fn advance(&mut self) -> Option<usize> {
+    /// forward over the overflow tier when the wheel is drained) and makes
+    /// sure `current` holds that slot's events, sorted. `None` when the queue
+    /// is empty.
+    fn advance(&mut self) -> Option<()> {
         if self.in_wheel == 0 {
             // Window exhausted: jump straight to the earliest overflow event
             // and cascade everything that now fits into the wheel.
             let start = self.overflow.peek()?.time.nanos() >> SLOT_SHIFT;
             self.cursor = start;
             self.window_end = start + self.mask + 1;
-            self.cur_sorted = false;
             while let Some(e) = self.overflow.peek() {
-                if e.time.nanos() >> SLOT_SHIFT >= self.window_end {
+                let slot = e.time.nanos() >> SLOT_SHIFT;
+                if slot >= self.window_end {
                     break;
                 }
                 let e = self.overflow.pop().expect("peeked above");
-                let slot = e.time.nanos() >> SLOT_SHIFT;
-                self.buckets[(slot & self.mask) as usize].push((e.time, e.seq, e.payload));
-                self.in_wheel += 1;
+                self.link(slot, e.time, e.seq, e.payload);
             }
         }
+        if !self.current.is_empty() {
+            return Some(());
+        }
         loop {
-            let idx = (self.cursor & self.mask) as usize;
-            if !self.buckets[idx].is_empty() {
-                if !self.cur_sorted {
-                    self.buckets[idx].sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
-                    self.cur_sorted = true;
+            let at = (self.cursor & self.mask) as usize;
+            let mut idx = std::mem::replace(&mut self.slots[at], NIL);
+            if idx != NIL {
+                // Move the chain's events out and free its nodes.
+                while idx != NIL {
+                    let node = &mut self.nodes[idx as usize];
+                    let payload = node.payload.take().expect("a chained node holds its event");
+                    self.current.push((node.time, node.seq, payload));
+                    let next = std::mem::replace(&mut node.next, self.free);
+                    self.free = idx;
+                    idx = next;
                 }
-                return Some(idx);
+                self.current
+                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
+                return Some(());
             }
             self.cursor += 1;
-            self.cur_sorted = false;
         }
     }
 
@@ -178,16 +251,15 @@ impl<T> Wheel<T> {
             // is empty the overflow head is the global minimum.
             return self.overflow.peek().map(|e| e.time);
         }
+        if let Some(e) = self.current.last() {
+            // Mid-drain slot: sorted descending, minimum at the tail.
+            return Some(e.0);
+        }
         let mut c = self.cursor;
         loop {
-            let idx = (c & self.mask) as usize;
-            let bucket = &self.buckets[idx];
-            if !bucket.is_empty() {
-                if c == self.cursor && self.cur_sorted {
-                    // Mid-drain slot: sorted descending, minimum at the tail.
-                    return bucket.last().map(|e| e.0);
-                }
-                return bucket.iter().map(|e| e.0).min();
+            let at = (c & self.mask) as usize;
+            if self.slots[at] != NIL {
+                return Some(self.earliest[at]);
             }
             c += 1;
         }
@@ -195,10 +267,9 @@ impl<T> Wheel<T> {
 
     fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.head.set(None);
-        let idx = self.advance()?;
-        let e = self.buckets[idx].pop().expect("advance returned non-empty");
+        self.advance()?;
         self.in_wheel -= 1;
-        Some(e)
+        self.current.pop()
     }
 }
 
@@ -240,6 +311,12 @@ impl<T> EventQueue<T> {
 
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.wheel.pop()
+    }
+
+    /// Nodes in the wheel's slab, free ones included.
+    #[cfg(test)]
+    fn slab_len(&self) -> usize {
+        self.wheel.nodes.len()
     }
 }
 
@@ -310,6 +387,74 @@ mod tests {
         q.push(SimTime::from_nanos(1000), 4, 4);
         let rest: Vec<u32> = drain_order(&mut q).iter().map(|e| e.2).collect();
         assert_eq!(rest, vec![3, 2, 1, 4]);
+    }
+
+    #[test]
+    fn a_steady_stream_reuses_the_slab() {
+        // A steady population of 64 pending events, each pop followed by a
+        // push up to ~50 µs ahead, for over four laps of a 1024-slot window:
+        // every slot is revisited, and a slot that ever held many events must
+        // not keep their nodes for itself.
+        let mut q: EventQueue<u32> = EventQueue::new(MIN_SLOTS);
+        let mut seq = 0u64;
+        for i in 0..64u64 {
+            q.push(SimTime::from_nanos(i * 700), seq, 0);
+            seq += 1;
+        }
+        let laps = 4 * ((MIN_SLOTS as u64) << SLOT_SHIFT);
+        let mut now = 0;
+        while now < laps {
+            let (t, _, _) = q.pop().expect("the population stays at 64");
+            assert!(t.nanos() >= now, "pops go forward in time");
+            now = t.nanos();
+            // Bursty offsets: most land within a slot or two, some pile up.
+            let ahead = match seq % 8 {
+                0 => 0,
+                1..=5 => (seq * 7_919) % 4_000,
+                _ => (seq * 104_729) % 50_000,
+            };
+            q.push(SimTime::from_nanos(now + ahead), seq, 0);
+            seq += 1;
+        }
+        assert_eq!(q.high_water(), 64);
+        assert!(
+            q.slab_len() <= q.high_water(),
+            "slab grew to {} nodes for {} events pending at most",
+            q.slab_len(),
+            q.high_water()
+        );
+    }
+
+    #[test]
+    fn peek_sees_the_minimum_of_an_unsorted_slot() {
+        // Slot chains are LIFO, so the earliest event of a slot nobody has
+        // drained yet can sit anywhere in its chain. Slot 5 of the window,
+        // offsets inside it; the mixed order repeats a time.
+        let base = 5 << SLOT_SHIFT;
+        for order in [
+            &[100u64, 200, 300, 400][..],
+            &[400, 300, 200, 100],
+            &[300, 100, 400, 100, 200],
+        ] {
+            // A fresh queue per prefix: a peek remembers its answer until
+            // the next pop, so only the first peek scans the slot.
+            for n in 1..=order.len() {
+                let mut q: EventQueue<u32> = EventQueue::new(MIN_SLOTS);
+                for (seq, &off) in order[..n].iter().enumerate() {
+                    q.push(SimTime::from_nanos(base + off), seq as u64, seq as u32);
+                }
+                let min = order[..n].iter().min().expect("non-empty prefix");
+                assert_eq!(q.peek_time(), Some(SimTime::from_nanos(base + min)));
+                let got: Vec<(u64, u64)> = drain_order(&mut q).iter().map(|e| (e.0, e.1)).collect();
+                let mut want: Vec<(u64, u64)> = order[..n]
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, &off)| (base + off, seq as u64))
+                    .collect();
+                want.sort();
+                assert_eq!(got, want, "order {order:?}, first {n}");
+            }
+        }
     }
 
     proptest! {
