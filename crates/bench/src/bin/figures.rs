@@ -1,11 +1,12 @@
-//! Reproduce every figure of the paper in one parallel sweep.
+//! Reproduce every figure of the paper in one parallel sweep, and check the
+//! paper's claims against it.
 //!
-//! The standalone `benches/*.rs` harnesses regenerate one figure each,
-//! sequentially. This binary enumerates the same (figure, configuration)
-//! grid as independent cells and fans them across worker threads; results
-//! merge in key order, so the data output is byte-identical for any
-//! `--jobs` value (each cell is a seeded, single-threaded simulation —
-//! see DESIGN.md §11).
+//! The binary enumerates the (figure, configuration) grid as independent
+//! cells and fans them across worker threads; results merge in key order,
+//! so the data output is byte-identical for any `--jobs` value (each cell
+//! is a seeded, single-threaded simulation — see DESIGN.md §11). After the
+//! sweep it checks every claim of `rablock_bench::claims`, prints them as
+//! one markdown table, and exits non-zero naming each claim that fails.
 //!
 //! Usage:
 //!
@@ -14,16 +15,20 @@
 //! ```
 //!
 //! `--jobs` defaults to all cores. `--smoke` shrinks measurement windows
-//! ~8× for CI. `--only fig09/` runs one figure's cells. The merged data
-//! lines (timing-free, deterministic) go to `--out` (default
-//! `results/figures_sweep.txt` at the workspace root) and to stdout.
-//! `--shards N` runs every cell's simulation on N engine worker threads
-//! (space-parallel domains); like `--jobs`, it can only change wall-clock,
-//! never a data line.
+//! ~8× for CI and checks only the claims that hold at smoke windows.
+//! `--only fig09/` runs one figure's cells and skips the claims whose cells
+//! it left out; without it, a missing cell fails its claim. The merged
+//! data lines (timing-free, deterministic) go to stdout and to `--out`; a
+//! full-window run of the whole grid writes them by default to
+//! `results/figures_sweep.txt` at the workspace root, the committed golden
+//! CI compares against. `--shards N` runs every cell's simulation on N
+//! engine worker threads (space-parallel domains); like `--jobs`, it can
+//! only change wall-clock, never a data line.
 
 use std::path::PathBuf;
 
 use rablock_bench::banner;
+use rablock_bench::claims::{self, Verdict};
 use rablock_bench::sweep::{figure_cells, run_sweep};
 
 fn workspace_root() -> PathBuf {
@@ -109,16 +114,27 @@ fn main() {
         println!("slowest cell: {} ({:.2}s)", s.key, s.wall_secs);
     }
 
-    let path = out.unwrap_or_else(|| {
-        let mut p = workspace_root();
-        p.push("results");
-        let _ = std::fs::create_dir_all(&p);
-        p.push("figures_sweep.txt");
-        p
+    // Only a full-window run of the whole grid replaces the golden.
+    let path = out.or_else(|| {
+        (!smoke && only.is_none()).then(|| workspace_root().join("results/figures_sweep.txt"))
     });
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
+    if let Some(path) = path {
+        if let Some(parent) = path.parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        std::fs::write(&path, &merged).expect("write merged sweep output");
+        println!("[out] {}", path.display());
     }
-    std::fs::write(&path, &merged).expect("write merged sweep output");
-    println!("[out] {}", path.display());
+
+    let outcomes = claims::check(&merged, smoke, only.is_none());
+    print!("{}", claims::render(&outcomes));
+    let red: Vec<&str> = outcomes
+        .iter()
+        .filter(|o| o.verdict == Verdict::Fails)
+        .map(|o| o.claim.id)
+        .collect();
+    if !red.is_empty() {
+        eprintln!("claims failed: {}", red.join(", "));
+        std::process::exit(1);
+    }
 }

@@ -1,6 +1,6 @@
 //! Wall-clock throughput harness for the simulator itself.
 //!
-//! Every figure harness drives the sans-io OSD core through the DES engine,
+//! Every figure cell drives the sans-io OSD core through the DES engine,
 //! so the wall-clock speed of that loop bounds how much of the parameter
 //! space a sweep can cover. This binary measures it directly: it runs the
 //! fig7 4 KiB random-write scenario, a chaos (fault-injection) scenario,

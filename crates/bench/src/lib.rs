@@ -1,16 +1,19 @@
-//! # rablock-bench — shared harness plumbing for the paper's experiments
+//! # rablock-bench — the paper's experiments
 //!
-//! Each `benches/*.rs` target regenerates one table or figure from the
-//! paper. This library holds what they share: the scaled-down cluster
-//! recipe, workload adapters from `rablock-workload` generators onto the
-//! simulation's per-connection interface, and result/CSV output helpers.
+//! One path leads from the code to the paper's numbers: [`sweep`]
+//! enumerates every table and figure as a grid of simulation cells, and
+//! [`claims`] checks the paper's values against the merged cell lines. The
+//! `figures` binary runs both. This library also holds what the cells
+//! share: the scaled-down cluster recipe and workload adapters from
+//! `rablock-workload` generators onto the simulation's per-connection
+//! interface.
 //!
 //! ## Scaling
 //!
 //! The paper's testbed is 4 storage nodes × 8 OSDs × 44 logical cores with
 //! 25 fio connections at queue depth 16×2. The simulation reproduces the
-//! *architecture* at reduced scale — 4 nodes × 2 OSDs × 12 cores, 8–16
-//! connections — so each harness finishes in seconds while preserving every
+//! *architecture* at reduced scale — 4 nodes × 2 OSDs × 16 cores, 3–16
+//! connections — so each cell finishes in seconds while preserving every
 //! ratio the paper's claims rest on (who wins, by what factor, where the
 //! knees are). Absolute IOPS are therefore lower than the paper's numbers
 //! by roughly the scale factor; EXPERIMENTS.md records both.
@@ -18,10 +21,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod sweep;
-
-use std::io::Write as _;
-use std::path::PathBuf;
 
 use rablock::sim::{ClusterSim, ClusterSimConfig, ConnWorkload, SimDuration, SimRng, WorkItem};
 use rablock::{GroupId, ObjectId, PipelineMode};
@@ -324,25 +325,9 @@ pub fn run_sim(
     sim.run(warmup, measure)
 }
 
-/// Default standard windows for the harnesses.
+/// Default warmup and measurement windows of a sweep cell.
 pub fn windows() -> (SimDuration, SimDuration) {
     (SimDuration::millis(40), SimDuration::millis(120))
-}
-
-/// Writes a CSV under `results/` at the workspace root, best-effort.
-pub fn write_csv(name: &str, csv: &str) {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop();
-    path.pop();
-    path.push("results");
-    if std::fs::create_dir_all(&path).is_err() {
-        return;
-    }
-    path.push(format!("{name}.csv"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(csv.as_bytes());
-        println!("[csv] {}", path.display());
-    }
 }
 
 /// Standard banner for a harness.
@@ -351,20 +336,6 @@ pub fn banner(id: &str, what: &str) {
     println!("{id}: {what}");
     println!("paper: ICDCS'21 'Re-architecting Distributed Block Storage…'");
     println!("==============================================================");
-}
-
-/// Pretty mode name matching the paper's terminology.
-pub fn mode_name(mode: PipelineMode) -> &'static str {
-    match mode {
-        PipelineMode::Original => "Original",
-        PipelineMode::RtcV1 => "RTC-v1",
-        PipelineMode::RtcV2 => "RTC-v2",
-        PipelineMode::RtcV3 => "RTC-v3",
-        PipelineMode::Cos => "COS",
-        PipelineMode::Ptc => "PTC",
-        PipelineMode::Dop => "DOP (Proposed)",
-        PipelineMode::Ideal => "Ideal",
-    }
 }
 
 /// A 4 KiB random-write fio connection set (Figures 1, 7, 11; Tables I, II).

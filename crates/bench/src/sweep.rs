@@ -1,19 +1,18 @@
-//! Parallel figure sweep: every table and figure of the paper as a flat
-//! grid of independent simulation cells, fanned across OS threads.
+//! The figure sweep: every table and figure of the paper as a flat grid
+//! of independent simulation cells, fanned across OS threads.
 //!
-//! Each `benches/*.rs` harness reproduces one figure with pretty-printed
-//! tables; reproducing *all* of them sequentially costs minutes of
-//! wall-clock because every cell is a single-threaded DES run. The cells
-//! are mutually independent, though — each builds its own cluster from a
-//! fixed seed — so the sweep runs them on a pool of worker threads
-//! ([`run_sweep`]) and merges results **by cell key, not completion
+//! [`figure_cells`] enumerates the grid — Figures 1 and 7–12, Tables I and
+//! II, the two extension ablations, an elastic expansion and the scrub
+//! overhead pair — with each configuration run once: where a figure needs
+//! a configuration another cell already runs, it reads that cell (Table
+//! II's Original and DOP rows are `fig07/write/original` and
+//! `fig07/write/dop`). The cells are mutually independent — each builds
+//! its own cluster from a fixed seed — so [`run_sweep`] runs them on a pool
+//! of worker threads and merges results **by cell key, not completion
 //! order**. Two runs with different `--jobs` produce byte-identical merged
 //! output; parallelism lives strictly *between* simulations, never inside
-//! one (see DESIGN.md §11).
-//!
-//! [`figure_cells`] enumerates the full grid: Figures 1, 7–12, Tables I
-//! and II, and the two extension ablations — the same configurations the
-//! standalone harnesses use, reporting raw counters instead of prose.
+//! one (see DESIGN.md §11). [`crate::claims`] checks the paper's numbers
+//! against the merged lines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -30,7 +29,7 @@ use crate::{
 };
 
 /// What one sweep cell reports back: the raw counters every cell shares
-/// plus the figure-specific fields its harness would tabulate.
+/// plus the figure-specific fields of its line.
 pub struct CellOut {
     /// Scheduler work items the cell's simulation executed.
     pub events: u64,
@@ -192,7 +191,7 @@ pub fn run_sweep(cells: Vec<Cell>, jobs: usize) -> SweepOutcome {
     }
 }
 
-/// Scales a harness window down for smoke runs (CI) while keeping the grid
+/// Scales a cell's window down for smoke runs (CI) while keeping the grid
 /// shape identical to a full sweep.
 fn scaled(d: SimDuration, smoke: bool) -> SimDuration {
     if smoke {
@@ -224,9 +223,9 @@ fn ns(d: rablock::sim::SimDuration) -> String {
     d.as_nanos().to_string()
 }
 
-/// The full figure grid: one [`Cell`] per (figure, configuration) point,
-/// mirroring the standalone harnesses in `benches/`. `only` filters by key
-/// prefix; `smoke` shrinks measurement windows without changing the grid.
+/// The full figure grid: one [`Cell`] per (figure, configuration) point.
+/// `only` filters by key prefix; `smoke` shrinks measurement windows
+/// without changing the grid.
 pub fn figure_cells(smoke: bool, only: Option<&str>) -> Vec<Cell> {
     let mut cells = Vec::new();
     // Cost hints in connection-milliseconds of simulated time — a coarse
@@ -353,13 +352,10 @@ pub fn figure_cells(smoke: bool, only: Option<&str>) -> Vec<Cell> {
         }
     }
 
-    // Table II — cumulative ablation Original → COS → PTC → DOP.
-    for mode in [
-        PipelineMode::Original,
-        PipelineMode::Cos,
-        PipelineMode::Ptc,
-        PipelineMode::Dop,
-    ] {
+    // Table II — cumulative ablation Original → COS → PTC → DOP. Its two
+    // end rows are Figure 7's write cells (same configuration), so only
+    // the middle rungs run here.
+    for mode in [PipelineMode::Cos, PipelineMode::Ptc] {
         cells.push(
             Cell::new(format!("table2/{}", mode_slug(mode)), move || {
                 let conns = 16;
@@ -631,6 +627,11 @@ pub fn figure_cells(smoke: bool, only: Option<&str>) -> Vec<Cell> {
     // Extension ablation B — context-switch cost sensitivity.
     for cost_ns in [0u64, 1_200, 3_000, 6_000] {
         for mode in [PipelineMode::Original, PipelineMode::Dop] {
+            // 1 200 ns and a 256 KiB ring are `paper_cluster`'s defaults:
+            // that DOP point is `abl-nvm/ring256k`.
+            if cost_ns == 1_200 && mode == PipelineMode::Dop {
+                continue;
+            }
             cells.push(
                 Cell::new(
                     format!("abl-ctx/cost{cost_ns:04}/{}", mode_slug(mode)),

@@ -64,12 +64,13 @@ fn run(mode: PipelineMode) -> Result<(), StoreError> {
         elapsed,
         total as f64 / elapsed.as_secs_f64()
     );
+    let us = |ns: u64| ns as f64 / 1e3;
     println!(
-        "  latency: mean={} p50={} p95={} p99={}",
-        rablock_workload::fmt_latency(hist.mean()),
-        rablock_workload::fmt_latency(hist.percentile(0.50)),
-        rablock_workload::fmt_latency(hist.percentile(0.95)),
-        rablock_workload::fmt_latency(hist.percentile(0.99)),
+        "  latency: mean={:.1}µs p50={:.1}µs p95={:.1}µs p99={:.1}µs",
+        us(hist.mean()),
+        us(hist.percentile(0.50)),
+        us(hist.percentile(0.95)),
+        us(hist.percentile(0.99)),
     );
     cluster.shutdown();
     Ok(())
@@ -81,6 +82,8 @@ fn main() -> Result<(), StoreError> {
     );
     run(PipelineMode::Original)?;
     run(PipelineMode::Dop)?;
-    println!("\n(for the paper's figures, run `cargo bench -p rablock-bench`)");
+    println!(
+        "\n(for the paper's figures, run `cargo run --release -p rablock-bench --bin figures`)"
+    );
     Ok(())
 }
