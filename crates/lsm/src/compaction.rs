@@ -7,25 +7,26 @@
 //! pushing one file at a time into the next level.
 //!
 //! A compaction is a streaming k-way merge: each input's data region is
-//! read once into one buffer, cursors walk the buffers in place, and the
+//! read once into one frame, cursors walk the frames in place, and the
 //! winning record of each key is encoded straight into the output file.
-//! No record is materialised on the way.
+//! No record is materialised on the way, and a value the device holds by
+//! reference goes from input to output as that same buffer.
 
 use std::cell::RefCell;
 
-use rablock_storage::{BlockDevice, IoCategory, MaintenanceReport, StoreError};
+use rablock_storage::{BlockDevice, Frame, IoCategory, MaintenanceReport, StoreError};
 
 use crate::db::Db;
-use crate::sst::{Records, Sst};
+use crate::sst::{Records, Sst, Value};
 
 thread_local! {
-    /// The buffers a merge reads its inputs into, kept for the next merge
-    /// on this thread, so that one reads into memory already touched
-    /// instead of fresh multi-MiB mappings that fault on every page. Kept
+    /// The frames a merge reads its inputs into, kept (holding no value) for
+    /// the next merge on this thread, so that one reads into byte buffers
+    /// already touched instead of fresh ones that fault on every page. Kept
     /// per thread rather than per database: a thread runs one compaction at
     /// a time, and every database of a cluster holding its own largest
     /// merge's worth cost more memory than the faults saved.
-    static MERGE_INPUTS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    static MERGE_INPUTS: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
 impl<D: BlockDevice> Db<D> {
@@ -80,6 +81,7 @@ impl<D: BlockDevice> Db<D> {
         let first_output_id = self.next_sst_id;
         let mut inputs = MERGE_INPUTS.take();
         let merged = self.merge_into(&mut inputs, target_level, &upper, &lower, &min, &max);
+        inputs.iter_mut().for_each(Frame::clear);
         MERGE_INPUTS.set(inputs);
         match merged {
             Ok(report) => {
@@ -126,7 +128,7 @@ impl<D: BlockDevice> Db<D> {
     /// are built; on error the caller takes them out again.
     fn merge_into(
         &mut self,
-        buffers: &mut Vec<Vec<u8>>,
+        buffers: &mut Vec<Frame>,
         target_level: usize,
         upper: &[Sst],
         lower: &[Sst],
@@ -138,7 +140,7 @@ impl<D: BlockDevice> Db<D> {
         // iterate it in reverse.
         let count = lower.len() + upper.len();
         if buffers.len() < count {
-            buffers.resize_with(count, Vec::new);
+            buffers.resize_with(count, Frame::new);
         }
         let inputs = &mut buffers[..count];
         let mut bytes_read = 0u64;
@@ -162,18 +164,20 @@ impl<D: BlockDevice> Db<D> {
         let mut bytes_written = 0u64;
         let mut run_bytes = 0u64;
         loop {
-            // The smallest head key and its newest version. An L0's runs
-            // plus the overlapped files of one level make a handful of
-            // cursors, so a scan beats a heap.
-            let mut head: Option<(&[u8], Option<&[u8]>)> = None;
-            for cursor in &mut cursors {
-                if let Some(&(key, value)) = cursor.peek() {
-                    if head.is_none_or(|(best, _)| key <= best) {
-                        head = Some((key, value));
+            // The cursor with the smallest head key, the last one among
+            // equals: the newest version. An L0's runs plus the overlapped
+            // files of one level make a handful of cursors, so a scan beats
+            // a heap.
+            let mut head: Option<(usize, &[u8])> = None;
+            for (i, cursor) in cursors.iter_mut().enumerate() {
+                if let Some(&(key, _)) = cursor.peek() {
+                    if head.is_none_or(|(_, best)| key <= best) {
+                        head = Some((i, key));
                     }
                 }
             }
-            let Some((key, value)) = head else { break };
+            let Some((newest, key)) = head else { break };
+            let (_, value) = cursors[newest].next().expect("peeked");
             for cursor in &mut cursors {
                 // Keys are unique within one input.
                 cursor.next_if(|&(k, _)| k == key);
@@ -181,8 +185,9 @@ impl<D: BlockDevice> Db<D> {
             if value.is_none() && drop_tombstones {
                 continue;
             }
-            run_bytes += (key.len() + value.map_or(0, <[u8]>::len) + 16) as u64;
-            self.sst_writer.add(key, value);
+            run_bytes += (key.len() + value.as_ref().map_or(0, Value::len) + 16) as u64;
+            self.sst_writer
+                .add(key, value.as_ref().map(Value::as_piece));
             if run_bytes >= self.opts.sst_max_bytes {
                 bytes_written += self.emit_output(target_level)?;
                 run_bytes = 0;
@@ -388,5 +393,42 @@ mod tests {
         // WAL + flush + compaction must exceed the flushed bytes alone:
         // the whole point of the paper's Table I.
         assert!(stats.total_written() > stats.flush_bytes + stats.wal_bytes);
+    }
+
+    #[test]
+    fn a_value_is_stored_once_by_reference_through_flush_and_compaction() {
+        let value = rablock_storage::Payload::from(vec![0xAB; 4096]);
+        let key = |i: u64| format!("key{i:08}").into_bytes();
+        // L1 big enough to keep every compacted key.
+        let opts = LsmOptions {
+            level_base_bytes: 8 << 20,
+            ..LsmOptions::tiny()
+        };
+        let mut db = Db::open(MemDisk::new(16 << 20), opts).unwrap();
+        for i in 0..300 {
+            db.apply(&[(key(i), Some(value.clone()))]).unwrap();
+            while db.needs_maintenance() {
+                db.maintenance().unwrap();
+            }
+        }
+        db.flush_all().unwrap();
+        // The first key went through the WAL, a flush to L0 and a
+        // compaction into L1, and no file of L0 can hold it now.
+        let first = key(0);
+        assert!(db.levels[0].iter().all(|sst| !sst.covers(&first)));
+        assert!(db.levels[1].iter().any(|sst| sst.covers(&first)));
+        let got = db.get(&first).unwrap().expect("written");
+        assert!(
+            std::ptr::eq(got.as_ptr(), value.as_ptr()),
+            "the writer's buffer, not a copy"
+        );
+        // What the device owns is framing: record headers, index, Bloom
+        // filter, footer and manifest, not values.
+        let dev = db.device();
+        let (owned, written) = (dev.resident_bytes(), dev.counters().bytes_written);
+        assert!(
+            owned * 20 < written,
+            "{owned} bytes owned of {written} written"
+        );
     }
 }

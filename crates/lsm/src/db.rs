@@ -11,13 +11,14 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rablock_storage::crc::crc32;
 use rablock_storage::{
-    BlockDevice, IoCategory, MaintenanceReport, Payload, StoreError, StoreStats, TraceIo, TraceKind,
+    BlockDevice, Frame, IoCategory, MaintenanceReport, NvmPiece, Payload, StoreError, StoreStats,
+    TraceIo, TraceKind,
 };
 
 use crate::alloc::SegAlloc;
 use crate::memtable::Memtable;
 use crate::options::LsmOptions;
-use crate::sst::{load_index, read_data, sst_get, Records, SegGeometry, Sst, SstWriter};
+use crate::sst::{load_index, read_data, sst_get, Records, SegGeometry, Sst, SstWriter, Value};
 use crate::util::{put_bytes, put_u32, put_u64, Cursor};
 use crate::wal::{decode_batch, BatchEntry, Wal};
 
@@ -281,8 +282,9 @@ impl<D: BlockDevice> Db<D> {
             return Ok(());
         };
         if !imm.is_empty() {
+            // The file holds the memtable's values by reference.
             for (key, value) in imm.iter() {
-                self.sst_writer.add(key, value.as_deref());
+                self.sst_writer.add(key, value.as_ref().map(NvmPiece::Held));
             }
             match self.finish_sst(IoCategory::MemtableFlush) {
                 Ok(sst) => self.levels[0].insert(0, sst),
@@ -328,7 +330,7 @@ impl<D: BlockDevice> Db<D> {
 
     /// Reads the data region of `sst` (see [`Records`]) into `out`,
     /// recording compaction-read trace I/Os.
-    pub(crate) fn read_sst_data(&mut self, sst: &Sst, out: &mut Vec<u8>) -> Result<(), StoreError> {
+    pub(crate) fn read_sst_data(&mut self, sst: &Sst, out: &mut Frame) -> Result<(), StoreError> {
         let mut tmp = Vec::new();
         read_data(&mut self.dev, self.geom, sst, &mut tmp, out)?;
         for io in tmp {
@@ -656,12 +658,12 @@ impl<D: BlockDevice> Db<D> {
             .chain(self.levels[0].iter().rev())
             .cloned()
             .collect();
-        let mut data = Vec::new();
+        let mut data = Frame::new();
         for sst in &ssts {
             self.read_sst_data(sst, &mut data)?;
             for (k, v) in Records::new(&data) {
                 if k.starts_with(prefix) {
-                    merged.insert(k.to_vec(), v.map(Payload::from));
+                    merged.insert(k.to_vec(), v.map(Value::into_payload));
                 }
             }
         }

@@ -15,7 +15,9 @@
 //! ```
 
 use rablock_storage::crc::crc32;
-use rablock_storage::{BlockDevice, IoCategory, Payload, StoreError, TraceIo, TraceKind};
+use rablock_storage::{
+    BlockDevice, Frame, FrameReader, IoCategory, NvmPiece, Payload, StoreError, TraceIo, TraceKind,
+};
 
 use crate::alloc::SegAlloc;
 use crate::bloom::Bloom;
@@ -85,6 +87,25 @@ impl SegGeometry {
         self.region_off + segments[seg_idx] as u64 * self.segment_bytes + within
     }
 
+    /// The logical range `[logical, logical + len)` cut at segment bounds,
+    /// as `(device offset, length)` in order.
+    fn spans<'a>(
+        &'a self,
+        segments: &'a [u32],
+        logical: u64,
+        len: u64,
+    ) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            (done < len).then(|| {
+                let pos = logical + done;
+                let chunk = (self.segment_bytes - pos % self.segment_bytes).min(len - done);
+                done += chunk;
+                (self.device_offset(segments, pos), chunk)
+            })
+        })
+    }
+
     /// Reads `len` logical bytes at `logical` into a fresh buffer.
     fn read_range<D: BlockDevice>(
         &self,
@@ -94,102 +115,142 @@ impl SegGeometry {
         len: u64,
     ) -> Result<Vec<u8>, StoreError> {
         let mut out = vec![0u8; len as usize];
-        self.read_into(dev, segments, logical, &mut out)?;
+        let mut done = 0;
+        for (at, chunk) in self.spans(segments, logical, len) {
+            dev.read_at(at, &mut out[done..done + chunk as usize])?;
+            done += chunk as usize;
+        }
         Ok(out)
     }
 
-    /// Fills `out` with the logical bytes at `logical`, splitting at segment
-    /// bounds.
-    fn read_into<D: BlockDevice>(
+    /// Appends the logical bytes at `logical` to `out`, one device read per
+    /// segment: what the device holds by reference comes back as views
+    /// (and a value that two segments hold in two parts of one buffer, as
+    /// one view).
+    fn read_frame<D: BlockDevice>(
         &self,
         dev: &mut D,
         segments: &[u32],
         logical: u64,
-        out: &mut [u8],
+        len: u64,
+        out: &mut Frame,
     ) -> Result<(), StoreError> {
-        let len = out.len() as u64;
-        let mut done = 0u64;
-        while done < len {
-            let pos = logical + done;
-            let within = pos % self.segment_bytes;
-            let chunk = (self.segment_bytes - within).min(len - done);
-            let dev_off = self.device_offset(segments, pos);
-            dev.read_at(dev_off, &mut out[done as usize..(done + chunk) as usize])?;
-            done += chunk;
+        for (at, chunk) in self.spans(segments, logical, len) {
+            dev.read_frame(at, chunk as usize, out)?;
         }
         Ok(())
     }
 
-    /// Writes `data` at logical offset `logical`, splitting at segment bounds.
-    fn write_range<D: BlockDevice>(
+    /// Writes `file` at logical offset 0, one device write per segment; its
+    /// held values stay by reference.
+    fn write_file<D: BlockDevice>(
         &self,
         dev: &mut D,
         segments: &[u32],
-        logical: u64,
-        data: &[u8],
+        file: &Frame,
     ) -> Result<(), StoreError> {
-        let mut done = 0u64;
-        let len = data.len() as u64;
-        while done < len {
-            let pos = logical + done;
-            let within = pos % self.segment_bytes;
-            let chunk = (self.segment_bytes - within).min(len - done);
-            let dev_off = self.device_offset(segments, pos);
-            dev.write_at(dev_off, &data[done as usize..(done + chunk) as usize])?;
-            done += chunk;
+        let spans = self.spans(segments, 0, file.len());
+        file.split(spans, |at, part| dev.write_frame(at, part))
+    }
+}
+
+/// A record's value as a data region holds it.
+#[derive(Debug, Clone)]
+pub enum Value<'a> {
+    /// Bytes of the region (a short value, or one a device handed back as
+    /// bytes).
+    Inline(&'a [u8]),
+    /// A held buffer: the one the value was written from, or a copy where
+    /// the device holds it in pieces of several.
+    Held(Payload),
+}
+
+impl Value<'_> {
+    /// Length of the value.
+    pub fn len(&self) -> usize {
+        self.as_piece().as_bytes().len()
+    }
+
+    /// The value as a piece of a stream, for [`SstWriter::add`].
+    pub fn as_piece(&self) -> NvmPiece<'_> {
+        match self {
+            Value::Inline(bytes) => NvmPiece::Bytes(bytes),
+            Value::Held(payload) => NvmPiece::Held(payload),
         }
-        Ok(())
+    }
+
+    /// The value as a payload: the held buffer itself, or a copy of inline
+    /// bytes.
+    pub fn into_payload(self) -> Payload {
+        match self {
+            Value::Inline(bytes) => Payload::from(bytes),
+            Value::Held(payload) => payload,
+        }
     }
 }
 
 /// In-place iterator over the records of a data region — one block, or all
-/// blocks of a file, which are laid out back to back. Keys and values are
-/// windows into the region's buffer; nothing is copied. A truncated record
-/// ends the iteration.
+/// blocks of a file, which are laid out back to back. Keys and inline
+/// values are windows into the region's bytes and held values are the
+/// region's views; nothing is copied unless a device handed a value back in
+/// pieces. A truncated record ends the iteration.
 #[derive(Debug)]
 pub struct Records<'a> {
-    cur: Cursor<'a>,
+    reader: FrameReader<'a>,
 }
 
 impl<'a> Records<'a> {
     /// Iterates the records encoded in `data`.
-    pub fn new(data: &'a [u8]) -> Self {
+    pub fn new(data: &'a Frame) -> Self {
         Records {
-            cur: Cursor::new(data),
+            reader: data.reader(),
         }
+    }
+
+    fn len_prefix(&mut self) -> Option<usize> {
+        let raw = self.reader.take(4)?;
+        Some(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
     }
 }
 
 impl<'a> Iterator for Records<'a> {
-    type Item = (&'a [u8], Option<&'a [u8]>);
+    type Item = (&'a [u8], Option<Value<'a>>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let flag = self.cur.get_bytes_raw(1)?[0];
-        let key = self.cur.get_bytes()?;
-        if flag == 0 {
-            Some((key, Some(self.cur.get_bytes()?)))
-        } else {
-            Some((key, None))
+        let flag = self.reader.take(1)?[0];
+        let key_len = self.len_prefix()?;
+        let key = self.reader.take(key_len)?;
+        if flag != 0 {
+            return Some((key, None));
         }
+        let len = self.len_prefix()?;
+        let value = match self.reader.take(len) {
+            Some(bytes) => Value::Inline(bytes),
+            None => Value::Held(self.reader.payload(len)?),
+        };
+        Some((key, Some(value)))
     }
 }
 
 /// Builds SSTs from records added in strictly ascending key order.
 ///
-/// Records are encoded straight into the file image, so a flush or a
-/// compaction copies each value once. The image buffer is kept across
-/// [`SstWriter::finish`] calls: after the first few files it neither grows
-/// nor touches fresh memory.
+/// Records are encoded straight into the file's frame: keys and short
+/// values as bytes, large values held by reference, so a flush or a
+/// compaction copies no value, and on a device that keeps frames by
+/// reference neither does the write. The frame's byte buffer is kept
+/// across [`SstWriter::finish`] calls: after the first few files it
+/// neither grows nor touches fresh memory.
 #[derive(Debug)]
 pub struct SstWriter {
     block_bytes: usize,
-    file: Vec<u8>,
+    file: Frame,
+    /// Where each key sits in the file's bytes, in order: the Bloom
+    /// filter's input.
+    keys: Vec<std::ops::Range<usize>>,
     index: Vec<IndexEntry>,
-    /// Start of the block being filled; its index entry is the last one.
-    open_block: Option<usize>,
-    entries: u64,
-    /// Where the most recently added key sits in `file`.
-    last_key: std::ops::Range<usize>,
+    /// Logical start of the block being filled; its index entry is the
+    /// last one.
+    open_block: Option<u64>,
 }
 
 impl SstWriter {
@@ -197,42 +258,49 @@ impl SstWriter {
     pub fn new(block_bytes: usize) -> Self {
         SstWriter {
             block_bytes,
-            file: Vec::new(),
+            file: Frame::new(),
+            keys: Vec::new(),
             index: Vec::new(),
             open_block: None,
-            entries: 0,
-            last_key: 0..0,
         }
     }
 
     /// True if no record has been added since the last `finish`.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.keys.is_empty()
     }
 
     /// Appends one record; `None` is a tombstone.
-    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) {
+    pub fn add(&mut self, key: &[u8], value: Option<NvmPiece<'_>>) {
         debug_assert!(
-            self.entries == 0 || &self.file[self.last_key.clone()] < key,
+            self.keys
+                .last()
+                .is_none_or(|last| &self.file.bytes()[last.clone()] < key),
             "records must be strictly sorted"
         );
+        let logical = self.file.len();
         let block_start = *self.open_block.get_or_insert_with(|| {
             self.index.push(IndexEntry {
                 first_key: key.to_vec(),
-                offset: self.file.len() as u64,
+                offset: logical,
                 len: 0, // set when the block closes
             });
-            self.file.len()
+            logical
         });
-        self.file.push(value.is_none() as u8);
-        put_u32(&mut self.file, key.len() as u32);
-        self.last_key = self.file.len()..self.file.len() + key.len();
-        self.file.extend_from_slice(key);
-        if let Some(v) = value {
-            put_bytes(&mut self.file, v);
+        let bytes = self.file.bytes_mut();
+        bytes.push(value.is_none() as u8);
+        put_u32(bytes, key.len() as u32);
+        self.keys.push(bytes.len()..bytes.len() + key.len());
+        bytes.extend_from_slice(key);
+        match value {
+            Some(NvmPiece::Bytes(value)) => put_bytes(bytes, value),
+            Some(NvmPiece::Held(value)) => {
+                put_u32(bytes, value.len() as u32);
+                self.file.append_payload(value);
+            }
+            None => {}
         }
-        self.entries += 1;
-        if self.file.len() - block_start >= self.block_bytes {
+        if self.file.len() - block_start >= self.block_bytes as u64 {
             self.close_block();
         }
     }
@@ -244,10 +312,10 @@ impl SstWriter {
         }
     }
 
-    /// Completes the file image (index, Bloom filter, footer), persists it
-    /// on freshly allocated segments and flushes. The trace receives one
-    /// write per segment-sized chunk (category `category`). The writer is
-    /// empty afterwards, whatever the outcome.
+    /// Completes the file (index, Bloom filter, footer), persists it on
+    /// freshly allocated segments and flushes. The trace receives one write
+    /// per segment-sized chunk (category `category`). The writer is empty
+    /// afterwards, whatever the outcome, and holds no value.
     ///
     /// # Errors
     ///
@@ -270,8 +338,8 @@ impl SstWriter {
         self.close_block();
         let result = self.persist(dev, alloc, geom, id, category, trace);
         self.file.clear();
+        self.keys.clear();
         self.index.clear();
-        self.entries = 0;
         result
     }
 
@@ -284,31 +352,34 @@ impl SstWriter {
         category: IoCategory,
         trace: &mut Vec<TraceIo>,
     ) -> Result<Sst, StoreError> {
-        let file = &mut self.file;
-        let index_off = file.len();
+        let entries = self.keys.len() as u64;
+        let index_off = self.file.len();
+        let file = self.file.bytes_mut();
         let bloom = Bloom::build(
-            Records::new(file).map(|(k, _)| k),
-            self.entries as usize,
+            self.keys.iter().map(|key| &file[key.clone()]),
+            entries as usize,
             10,
         );
+        // The metadata follows every held value: it is all bytes.
+        let meta_at = file.len();
         put_u32(file, self.index.len() as u32);
         for e in &self.index {
             put_bytes(file, &e.first_key);
             put_u64(file, e.offset);
             put_u32(file, e.len);
         }
-        let index_len = file.len() - index_off;
+        let index_len = file.len() - meta_at;
         let bloom_block = bloom.encode();
         file.extend_from_slice(&bloom_block);
-        let meta_crc = crc32(&file[index_off..]);
-        put_u64(file, index_off as u64);
+        let meta_crc = crc32(&file[meta_at..]);
+        put_u64(file, index_off);
         put_u32(file, index_len as u32);
         put_u32(file, bloom_block.len() as u32);
-        put_u64(file, self.entries);
+        put_u64(file, entries);
         put_u32(file, meta_crc);
         put_u32(file, MAGIC);
 
-        let len = file.len() as u64;
+        let len = self.file.len();
         let nsegs = len.div_ceil(geom.segment_bytes);
         let mut segments = Vec::with_capacity(nsegs as usize);
         for _ in 0..nsegs {
@@ -323,7 +394,7 @@ impl SstWriter {
             }
         }
         let written = geom
-            .write_range(dev, &segments, 0, file)
+            .write_file(dev, &segments, &self.file)
             .and_then(|()| dev.flush());
         if let Err(e) = written {
             for s in segments {
@@ -348,13 +419,14 @@ impl SstWriter {
             category,
         });
 
+        let last_key = self.keys.last().expect("not empty").clone();
         Ok(Sst {
             id,
             segments,
             len,
             min_key: self.index[0].first_key.clone(),
-            max_key: file[self.last_key.clone()].to_vec(),
-            entries: self.entries,
+            max_key: self.file.bytes()[last_key].to_vec(),
+            entries,
             index: std::mem::take(&mut self.index),
             bloom,
         })
@@ -383,22 +455,30 @@ pub fn sst_get<D: BlockDevice>(
         n => n - 1,
     };
     let entry = &sst.index[block_idx];
-    let block = geom.read_range(dev, &sst.segments, entry.offset, entry.len as u64)?;
+    let mut block = Frame::new();
+    geom.read_frame(
+        dev,
+        &sst.segments,
+        entry.offset,
+        entry.len as u64,
+        &mut block,
+    )?;
     trace.push(TraceIo {
         kind: TraceKind::Read,
         bytes: entry.len as u64,
         category: IoCategory::Data,
     });
-    // Scan the block in place; only the value asked for is copied out.
+    // Scan the block in place; the value asked for comes back as the
+    // device's view where it holds one, copied out of the block otherwise.
     Ok(Records::new(&block)
         .find(|(k, _)| *k == key)
-        .map(|(_, v)| v.map(Payload::from)))
+        .map(|(_, v)| v.map(Value::into_payload)))
 }
 
 /// Reads the data region of an SST — all its blocks, which
-/// [`Records`] iterates in key order — into `out` (compaction input), which
-/// it leaves exactly that long. The buffer may be reused: past the data a
-/// stale tail would decode as records.
+/// [`Records`] iterates in key order — into `out` (compaction input),
+/// replacing what it held: values the device holds by reference come back
+/// as views, not copies. The frame's byte buffer may be reused.
 ///
 /// # Errors
 ///
@@ -408,11 +488,11 @@ pub fn read_data<D: BlockDevice>(
     geom: SegGeometry,
     sst: &Sst,
     trace: &mut Vec<TraceIo>,
-    out: &mut Vec<u8>,
+    out: &mut Frame,
 ) -> Result<(), StoreError> {
     let data_len: u64 = sst.index.iter().map(|e| e.len as u64).sum();
-    out.resize(data_len as usize, 0);
-    geom.read_into(dev, &sst.segments, 0, out)?;
+    out.clear();
+    geom.read_frame(dev, &sst.segments, 0, data_len, out)?;
     let mut remaining = data_len;
     while remaining > 0 {
         let chunk = remaining.min(geom.segment_bytes);
@@ -526,7 +606,7 @@ mod tests {
     fn writer(n: u64) -> SstWriter {
         let mut w = SstWriter::new(512);
         for (k, v) in records(n) {
-            w.add(&k, v.as_deref());
+            w.add(&k, v.as_deref().map(NvmPiece::Bytes));
         }
         w
     }
@@ -581,10 +661,10 @@ mod tests {
     fn scan_returns_all_in_order() {
         let (mut dev, _a, sst, _t) = build(300);
         let mut trace = Vec::new();
-        let mut data = Vec::new();
+        let mut data = Frame::new();
         read_data(&mut dev, geom(), &sst, &mut trace, &mut data).unwrap();
         let all: Vec<_> = Records::new(&data)
-            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+            .map(|(k, v)| (k.to_vec(), v.map(|v| v.as_piece().as_bytes().to_vec())))
             .collect();
         assert_eq!(all, records(300));
     }
@@ -607,11 +687,11 @@ mod tests {
                 .unwrap()
         };
         let (long, short) = (file(300, 1), file(20, 2));
-        let mut buf = Vec::new();
+        let mut buf = Frame::new();
         for (sst, n) in [(&long, 300), (&short, 20), (&long, 300)] {
             read_data(&mut dev, geom(), sst, &mut trace, &mut buf).unwrap();
             let all: Vec<_> = Records::new(&buf)
-                .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+                .map(|(k, v)| (k.to_vec(), v.map(|v| v.as_piece().as_bytes().to_vec())))
                 .collect();
             assert_eq!(all, records(n), "file {}", sst.id);
         }
@@ -637,7 +717,7 @@ mod tests {
         let first = build(&mut w, 1);
         assert!(w.is_empty());
         for (k, v) in records(150) {
-            w.add(&k, v.as_deref());
+            w.add(&k, v.as_deref().map(NvmPiece::Bytes));
         }
         let second = build(&mut w, 2);
         assert_eq!(first.len, second.len);

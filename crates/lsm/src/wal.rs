@@ -12,7 +12,7 @@
 //! length-prefixed value.
 
 use rablock_storage::crc::{crc32, FrameCrc};
-use rablock_storage::{BlockDevice, Payload, StoreError};
+use rablock_storage::{BlockDevice, Frame, Payload, StoreError};
 
 use crate::util::{put_bytes, put_u32, put_u64, Cursor};
 
@@ -37,7 +37,7 @@ pub struct Wal {
     /// Epoch stamped on new appends (= active memtable generation).
     pub current_epoch: u64,
     /// The record being framed; kept so appends do not allocate.
-    scratch: Vec<u8>,
+    scratch: Frame,
 }
 
 impl Wal {
@@ -49,15 +49,16 @@ impl Wal {
             head: 0,
             base_epoch,
             current_epoch: base_epoch,
-            scratch: Vec::new(),
+            scratch: Frame::new(),
         }
     }
 
     /// Appends `batch` as one durable record with the current epoch.
     ///
-    /// The record is framed once, into a buffer reused across appends, and
+    /// The record is framed once, into a frame reused across appends, and
     /// its CRC is kept by a [`FrameCrc`] while the frame is built: a large
-    /// value is copied into the frame but never scanned.
+    /// value is neither copied into the frame nor scanned, but held by
+    /// reference, and so is it on a device that keeps frames that way.
     ///
     /// Returns the number of device bytes written.
     ///
@@ -79,21 +80,22 @@ impl Wal {
         if self.head + total > self.region_len {
             return Err(StoreError::NoSpace);
         }
-        let rec = &mut self.scratch;
-        rec.clear();
-        rec.reserve(total as usize);
+        let frame = &mut self.scratch;
+        frame.clear();
+        let rec = frame.bytes_mut();
         put_u32(rec, payload_len as u32);
         put_u32(rec, 0); // CRC, backpatched
         put_u64(rec, self.current_epoch);
         put_u32(rec, batch.len() as u32);
         let mut crc = FrameCrc::new(8);
         for (key, value) in batch {
+            let rec = frame.bytes_mut();
             match value {
                 Some(value) => {
                     rec.push(0);
                     put_bytes(rec, key);
                     put_u32(rec, value.len() as u32);
-                    crc.append_payload(rec, value);
+                    frame.append_payload_crc(&mut crc, value);
                 }
                 None => {
                     rec.push(1);
@@ -101,11 +103,15 @@ impl Wal {
                 }
             }
         }
-        debug_assert_eq!(rec.len() as u64, total);
-        let crc = crc.finish(rec);
-        rec[4..8].copy_from_slice(&crc.to_le_bytes());
-        dev.write_at(self.region_off + self.head, rec)?;
-        dev.flush()?;
+        debug_assert_eq!(frame.len(), total);
+        let crc = crc.finish(frame.bytes());
+        frame.bytes_mut()[4..8].copy_from_slice(&crc.to_le_bytes());
+        let written = dev
+            .write_frame(self.region_off + self.head, frame)
+            .and_then(|()| dev.flush());
+        // Let go of the values: the scratch frame pins no buffer.
+        frame.clear();
+        written?;
         self.head += total;
         Ok(total)
     }

@@ -10,6 +10,8 @@
 
 use crate::blockdev::{BlockDevice, DevCounters, MemDisk};
 use crate::error::StoreError;
+use crate::frame::Frame;
+use crate::payload::Segments;
 
 /// How much of the unflushed write stream survives a simulated crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +69,13 @@ impl CrashPlan {
 
 /// A block device that tracks unflushed writes and can simulate power loss.
 ///
+/// Both sides are [`MemDisk`]s, so payload and frame writes are kept by
+/// reference on either, as they are on a plain `MemDisk`: an unflushed write
+/// waits as a [`Frame`] holding the writer's buffers, a flush applies it to
+/// the persistent side, and a crash makes the volatile view a copy of the
+/// persistent one. The traffic counters are the volatile view's and run on
+/// across crashes.
+///
 /// ```
 /// use rablock_storage::{BlockDevice, CrashDisk, CrashPlan};
 /// # fn main() -> Result<(), rablock_storage::StoreError> {
@@ -86,9 +95,9 @@ pub struct CrashDisk {
     /// What a reader sees now (all completed writes applied).
     volatile: MemDisk,
     /// What survives power loss (writes up to the last flush).
-    persistent: Vec<u8>,
+    persistent: MemDisk,
     /// Writes since the last flush, in submission order.
-    pending: Vec<(u64, Vec<u8>)>,
+    pending: Vec<(u64, Frame)>,
     crashes: u64,
 }
 
@@ -97,7 +106,7 @@ impl CrashDisk {
     pub fn new(capacity: u64) -> Self {
         CrashDisk {
             volatile: MemDisk::new(capacity),
-            persistent: vec![0; capacity as usize],
+            persistent: MemDisk::new(capacity),
             pending: Vec::new(),
             crashes: 0,
         }
@@ -114,34 +123,25 @@ impl CrashDisk {
     }
 
     /// Simulates power loss per `plan`, resetting the volatile view to what
-    /// the media would actually hold. Pending writes are discarded.
+    /// the media would actually hold. Pending writes are discarded; the
+    /// traffic counters are kept.
     pub fn crash_with(&mut self, plan: CrashPlan) {
         let keep = plan.surviving_writes.min(self.pending.len());
-        for (i, (offset, data)) in self.pending.iter().take(keep).enumerate() {
-            let mut torn_half;
-            let effective: &[u8] = if plan.tear_last && i + 1 == keep {
-                torn_half = data[..data.len() / 2].to_vec();
+        for (i, (offset, write)) in self.pending.drain(..).take(keep).enumerate() {
+            let landed = if plan.tear_last && i + 1 == keep {
+                let mut torn_half = write.to_vec();
+                torn_half.truncate(torn_half.len() / 2);
                 if plan.corrupt_tear && !torn_half.is_empty() {
                     let mid = torn_half.len() / 2;
                     torn_half[mid] ^= 0x10;
                 }
-                &torn_half
+                self.persistent.write_at(offset, &torn_half)
             } else {
-                data
+                self.persistent.write_frame(offset, &write)
             };
-            let start = *offset as usize;
-            self.persistent[start..start + effective.len()].copy_from_slice(effective);
+            landed.expect("pending writes are in bounds");
         }
-        self.pending.clear();
-        let counters_before = self.volatile.counters();
-        self.volatile = MemDisk::new(self.persistent.len() as u64);
-        // Restore the media image into the fresh volatile view.
-        self.volatile
-            .write_at(0, &self.persistent.clone())
-            .expect("image fits");
-        self.volatile.reset_counters();
-        // Keep cumulative counters monotonic across the crash.
-        let _ = counters_before;
+        self.volatile.restore_from(&self.persistent);
         self.crashes += 1;
     }
 }
@@ -155,16 +155,35 @@ impl BlockDevice for CrashDisk {
         self.volatile.read_at(offset, buf)
     }
 
+    fn read_frame(&mut self, offset: u64, len: usize, out: &mut Frame) -> Result<(), StoreError> {
+        self.volatile.read_frame(offset, len, out)
+    }
+
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         self.volatile.write_at(offset, data)?;
-        self.pending.push((offset, data.to_vec()));
+        self.pending.push((offset, Frame::from(data)));
+        Ok(())
+    }
+
+    fn write_segments_at(&mut self, offset: u64, data: &Segments) -> Result<(), StoreError> {
+        self.volatile.write_segments_at(offset, data)?;
+        let mut write = Frame::new();
+        data.iter().for_each(|view| write.hold(view.clone()));
+        self.pending.push((offset, write));
+        Ok(())
+    }
+
+    fn write_frame(&mut self, offset: u64, frame: &Frame) -> Result<(), StoreError> {
+        self.volatile.write_frame(offset, frame)?;
+        self.pending.push((offset, frame.clone()));
         Ok(())
     }
 
     fn flush(&mut self) -> Result<(), StoreError> {
-        for (offset, data) in self.pending.drain(..) {
-            let start = offset as usize;
-            self.persistent[start..start + data.len()].copy_from_slice(&data);
+        for (offset, write) in self.pending.drain(..) {
+            self.persistent
+                .write_frame(offset, &write)
+                .expect("pending writes are in bounds");
         }
         self.volatile.flush()
     }
@@ -181,6 +200,7 @@ impl BlockDevice for CrashDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
 
     fn read(d: &mut CrashDisk, offset: u64, len: usize) -> Vec<u8> {
         let mut buf = vec![0; len];
@@ -273,5 +293,53 @@ mod tests {
         d.write_at(2, b"22").unwrap();
         d.crash_with(CrashPlan::keep(2));
         assert_eq!(read(&mut d, 0, 4), b"1122");
+    }
+
+    #[test]
+    fn counters_run_on_across_a_crash() {
+        let mut d = CrashDisk::new(64);
+        d.write_at(0, b"abc").unwrap();
+        d.flush().unwrap();
+        d.write_at(3, b"def").unwrap();
+        read(&mut d, 0, 6);
+        let before = d.counters();
+        assert_eq!(
+            (
+                before.writes,
+                before.flushes,
+                before.bytes_written,
+                before.reads
+            ),
+            (2, 1, 6, 1)
+        );
+        d.crash_with(CrashPlan::keep_torn(1));
+        assert_eq!(d.counters(), before, "a crash is not a reset");
+        assert_eq!(read(&mut d, 0, 6), b"abcd\0\0");
+        assert_eq!(d.counters().reads, before.reads + 1);
+        d.reset_counters();
+        assert_eq!(d.counters(), DevCounters::default());
+    }
+
+    #[test]
+    fn held_views_survive_a_flush_and_a_crash_by_reference() {
+        let mut d = CrashDisk::new(64 << 10);
+        let block = Payload::from(vec![5u8; 4096]);
+        d.write_segments_at(4096, &block.clone().into()).unwrap();
+        d.flush().unwrap();
+        let mut frame = Frame::new();
+        frame.bytes_mut().extend_from_slice(b"head");
+        frame.hold(block.clone());
+        d.write_frame(8192, &frame).unwrap();
+        assert_eq!(d.pending_writes(), 1);
+        d.crash_with(CrashPlan::lose_all());
+        let back = d.read_payload_at(4096, 4096).unwrap();
+        assert_eq!(back, block);
+        let mut after = Frame::new();
+        d.read_frame(4096, 4096, &mut after).unwrap();
+        assert!(
+            std::ptr::eq(after.held()[0].1.as_ptr(), block.as_ptr()),
+            "the writer's buffer, through both sides"
+        );
+        assert_eq!(read(&mut d, 8192, 8), [0; 8], "the unflushed frame is gone");
     }
 }

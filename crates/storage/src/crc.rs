@@ -14,8 +14,9 @@ use crate::payload::Payload;
 const POLY: u32 = 0xEDB8_8320;
 
 /// Payloads at least this long contribute their (memoized) checksum to a
-/// frame's CRC through [`crc32_splice`] instead of being scanned.
-const SPLICE_MIN: usize = 512;
+/// frame's CRC through [`crc32_splice`] instead of being scanned, and are
+/// held by reference in a [`Frame`](crate::Frame) instead of copied.
+pub(crate) const SPLICE_MIN: usize = 512;
 
 /// CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
@@ -171,14 +172,13 @@ pub fn crc32_splice(state: u32, block_crc: u32, block_len: u64) -> u32 {
 
 /// The CRC-32 of a frame kept while the frame is built in a `Vec<u8>`.
 ///
-/// Bytes the caller appends to the frame itself are scanned lazily; a
-/// payload appended through [`FrameCrc::append_payload`] is copied into the
-/// frame but, when large, enters the checksum through its memoized
+/// Bytes the caller appends to the frame itself are scanned lazily; a large
+/// payload appended through [`FrameCrc::append_payload_by_ref`] stays out of
+/// the frame and enters the checksum through its memoized
 /// [`Payload::crc32`] — the same shared buffer is framed once per replica
-/// and once per log, and scanned once in all.
-/// [`FrameCrc::append_payload_by_ref`] leaves such a payload out of the
-/// frame altogether. Either way the result is exactly the CRC a flat scan
-/// of the finished stream would give.
+/// and once per log, and scanned once in all (a [`Frame`](crate::Frame)
+/// holds it in its place). The result is exactly the CRC a flat scan of the
+/// finished stream would give.
 #[derive(Debug)]
 pub struct FrameCrc {
     /// Raw CRC state over `frame[start..scanned]`.
@@ -192,14 +192,6 @@ impl FrameCrc {
         FrameCrc {
             state: !0,
             scanned: start,
-        }
-    }
-
-    /// Appends `payload`'s bytes to `frame`.
-    pub fn append_payload(&mut self, frame: &mut Vec<u8>, payload: &Payload) {
-        if self.append_payload_by_ref(frame, payload) {
-            frame.extend_from_slice(payload);
-            self.scanned = frame.len();
         }
     }
 
@@ -279,14 +271,13 @@ mod tests {
             backing.clone(),          // the full buffer: memoized
             backing.clone(),
         ];
+        // The stream flat, as the reference.
         let mut frame = vec![0xEE; 8]; // header, outside the checksum
-        let mut crc = FrameCrc::new(8);
         for (i, p) in payloads.iter().enumerate() {
             frame.extend_from_slice(&(i as u32).to_le_bytes());
-            crc.append_payload(&mut frame, p);
+            frame.extend_from_slice(p);
             frame.push(0x5A);
         }
-        assert_eq!(crc.finish(&frame), crc32(&frame[8..]));
         assert_eq!(FrameCrc::new(3).finish(&[1, 2, 3]), crc32(&[]));
 
         // The same stream with the large payloads held out of the frame.

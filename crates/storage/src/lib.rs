@@ -7,7 +7,11 @@
 //! * [`CrashDisk`] / [`CrashPlan`] — power-loss injection for crash-recovery
 //!   tests (lost, partial, and torn writes).
 //! * [`NvmRegion`] — byte-addressable non-volatile memory, as the paper's
-//!   ramdisk-emulated NVM.
+//!   ramdisk-emulated NVM. It and [`MemDisk`] are faces of one sparse
+//!   medium that holds only what was written, payloads by reference.
+//! * [`Frame`] — a byte stream whose large payloads are held by reference:
+//!   what the operation log, the write-ahead log and SST files write, and
+//!   what the medium keeps without copying.
 //! * [`crc`] — the one CRC-32 every framed storage format uses,
 //!   with the streaming and splice forms that keep shared payloads unread.
 //! * [`digest`] — the content digest replicas and recovery pushes are
@@ -34,7 +38,9 @@ mod crash;
 pub mod crc;
 pub mod digest;
 mod error;
+mod frame;
 mod fxhash;
+mod medium;
 mod nvm;
 mod objectstore;
 mod payload;
@@ -43,8 +49,9 @@ mod smallvec;
 pub use blockdev::{BlockDevice, DevCounters, MemDisk};
 pub use crash::{CrashDisk, CrashPlan};
 pub use error::StoreError;
+pub use frame::{Frame, FrameReader, NvmPiece};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use nvm::{NvmPiece, NvmRegion};
+pub use nvm::NvmRegion;
 pub use objectstore::{
     GroupId, IoCategory, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, StoreStats,
     TraceIo, TraceKind, Transaction,

@@ -130,6 +130,17 @@ impl Payload {
         }
     }
 
+    /// This view and `next` as one view, when `next` continues this one in
+    /// the same buffer (as the two halves of a view a store cut in two do).
+    pub(crate) fn joined(&self, next: &Payload) -> Option<Payload> {
+        (Arc::ptr_eq(&self.buf, &next.buf) && self.off + self.len == next.off).then(|| Payload {
+            buf: Arc::clone(&self.buf),
+            off: self.off,
+            len: self.len + next.len,
+            checksum: Arc::clone(&self.checksum),
+        })
+    }
+
     /// A payload of `len` bytes written in place: `fill` gets the zeroed
     /// buffer before anyone else can see it. For results assembled from
     /// several sources, which would otherwise be staged in a `Vec` and
@@ -281,8 +292,9 @@ impl fmt::Debug for Payload {
     }
 }
 
-/// The one all-zeroes block every hole of every [`Segments`] is a view of.
-fn zero_block() -> &'static Payload {
+/// The one all-zeroes block every hole of every [`Segments`], and every
+/// never-written block a device hands out, is a view of.
+pub(crate) fn zero_block() -> &'static Payload {
     static ZERO: OnceLock<Payload> = OnceLock::new();
     ZERO.get_or_init(|| Payload::zeros(CRC_BLOCK))
 }
