@@ -19,7 +19,7 @@ impl World {
     /// the update, so the monitor part never needs another part's `dead` flags.
     fn install_map(&mut self, ctx: &mut Ctx<'_, Ev>, map: OsdMap) {
         self.map = map;
-        for peer in 0..self.osds.len() {
+        for peer in 0..self.topo.threads.len() {
             let input = OsdInput::MapUpdate(self.map.clone());
             let t = self.lane(peer, &input);
             ctx.send_after(t, Ev::osd_in(peer, input, None), self.topo.net_hold);
@@ -64,18 +64,20 @@ impl World {
     /// timeouts. Pending device completions for the dead process are
     /// forgotten so a post-restart token cannot collide.
     fn on_crash(&mut self, osd: usize, torn_tail: bool) {
-        self.dead[osd] = true;
-        self.crash_torn[osd] = torn_tail;
+        let at = self.local(osd);
+        self.dead[at] = true;
+        self.crash_torn[at] = torn_tail;
         self.io_wait.retain(|&(o, _), _| o != osd);
     }
 
     /// A crashed OSD restarts from its durable state.
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Ev>, osd: usize) {
-        if !self.dead[osd] {
+        let at = self.local(osd);
+        if !self.dead[at] {
             return;
         }
-        self.dead[osd] = false;
-        let torn = std::mem::replace(&mut self.crash_torn[osd], false);
+        self.dead[at] = false;
+        let torn = std::mem::replace(&mut self.crash_torn[at], false);
         let _ = self.osd_mut(osd).restart_after_crash(torn);
         // Hand the restarted OSD the monitor's current view — it is
         // usually marked down in it, so the mark-up broadcast that
@@ -98,7 +100,7 @@ impl World {
         // Keep ticking even while dead, so a restarted OSD resumes
         // beaconing (and rejoins) without driver help.
         ctx.send_after(thread, Ev::HeartbeatTick { osd }, period);
-        if self.dead[osd] {
+        if self.is_dead(osd) {
             return;
         }
         self.charge_input(ctx, &OsdInput::HeartbeatTick, None);

@@ -281,21 +281,17 @@ impl ClusterSim {
     /// Immutable access to one OSD (inspection helpers; the hot path uses
     /// `World::osd` inside the owning part).
     fn osd_ref(&self, osd: usize) -> &Osd {
-        self.parts[self.part_of_osd(osd)].osds[osd]
-            .as_ref()
-            .expect("OSD missing from its home part")
+        self.parts[self.part_of_osd(osd)].osd(osd)
     }
 
     fn osd_mut_ref(&mut self, osd: usize) -> &mut Osd {
         let part = self.part_of_osd(osd);
-        self.parts[part].osds[osd]
-            .as_mut()
-            .expect("OSD missing from its home part")
+        self.parts[part].osd_mut(osd)
     }
 
     /// Whether the owning part considers `osd` crashed.
     fn is_dead(&self, osd: usize) -> bool {
-        self.parts[self.part_of_osd(osd)].dead[osd]
+        self.parts[self.part_of_osd(osd)].is_dead(osd)
     }
 
     /// Every OSD, in id order.
@@ -577,7 +573,7 @@ impl ClusterSim {
             self.sim.device_mut(i).reset_stats();
         }
         for part in &mut self.parts {
-            for osd in part.osds.iter_mut().flatten() {
+            for osd in &mut part.osds {
                 osd.backend_mut().reset_stats();
             }
         }

@@ -232,3 +232,38 @@ fn unloaded_latency_envelope() {
         measured[0]
     );
 }
+
+/// An 8-node cluster, two OSDs a node.
+fn eight_nodes() -> ClusterSim {
+    let mut cfg = small_cfg(PipelineMode::Dop);
+    cfg.nodes = 8;
+    cfg.osds_per_node = 2;
+    cfg.priority_threads = 2;
+    ClusterSim::new(cfg, vec![randwrite_conn(32, 0)])
+}
+
+#[test]
+fn a_part_holds_only_its_nodes_osds() {
+    let sim = eight_nodes();
+    assert!(
+        sim.parts[0].osds.is_empty(),
+        "the clients' part owns no OSD"
+    );
+    for (part, world) in sim.parts.iter().enumerate().skip(1) {
+        let first = 2 * (part as u32 - 1);
+        let ids: Vec<OsdId> = world.osds.iter().map(|o| o.id).collect();
+        assert_eq!(ids, [OsdId(first), OsdId(first + 1)], "part {part}");
+        assert_eq!((world.dead.len(), world.crash_torn.len()), (2, 2));
+    }
+    for i in 0..16 {
+        assert_eq!(sim.osd_ref(i).id, OsdId(i as u32));
+        assert!(!sim.is_dead(i));
+    }
+}
+
+#[test]
+#[should_panic(expected = "OSD 2 not owned by this part")]
+fn a_foreign_osd_fails_loudly() {
+    let sim = eight_nodes();
+    let _ = sim.parts[1].osd(2);
+}

@@ -175,18 +175,24 @@ impl ClusterSim {
     /// than cores, zero threads, …).
     pub fn new(cfg: ClusterSimConfig, workloads: Vec<Box<dyn ConnWorkload>>) -> Self {
         assert!(!workloads.is_empty(), "at least one connection required");
-        // Steady-state event population: every in-flight client op keeps a
-        // handful of events live across its replica fan-out, plus one
-        // CoreFree per busy core. Sizing the wheel up front avoids mid-run
-        // regrowth on paper-scale scenarios.
-        let queue_hint = workloads.len() * cfg.queue_depth * cfg.replication
-            + cfg.nodes as usize * cfg.cores_per_node;
+        // Steady-state event population, sized up front so paper-scale
+        // scenarios do not regrow a wheel mid-run. Every in-flight client op
+        // keeps a reply or timer pending in the clients' domain and a handful
+        // of events across its replica fan-out in the storage nodes', plus
+        // one CoreFree per busy core; each domain's wheel is sized by its
+        // own share.
+        let in_flight = workloads.len() * cfg.queue_depth;
+        let client_cores = workloads.len().div_ceil(2).max(1);
+        let nodes = cfg.nodes as usize;
+        let per_node = (in_flight * cfg.replication).div_ceil(nodes.max(1)) + cfg.cores_per_node;
+        let queue_hint = in_flight * cfg.replication + nodes * cfg.cores_per_node;
         let mut sim: Simulation<Ev> = Simulation::with_queue_hint(cfg.seed, queue_hint);
         sim.set_context_switch_cost(cfg.ctx_switch);
-        let nodes = cfg.nodes as usize;
         // Partition: domain 0 = clients + monitor + driver control, domain
         // 1 + n = storage node n. Must happen before any entity is added.
-        sim.set_domains(nodes + 1);
+        let mut hints = vec![per_node; nodes + 1];
+        hints[0] = in_flight + client_cores;
+        sim.set_domains_sized(&hints);
         // Conservative lookahead: every cross-domain message rides a network
         // link, so the one-way link latency bounds how far ahead any domain
         // can safely run. Test overrides may shrink the window (torture
@@ -227,15 +233,11 @@ impl ClusterSim {
         if let Some(period) = cfg.heartbeat_period {
             osd_cfg.backfill_tick_nanos = period.as_nanos();
         }
-        let osds =
+        let mut osds =
             (0..threads.len() as u32).map(|id| Osd::new(OsdId(id), osd_cfg.clone(), map.clone()));
-        let mut osds: Vec<Option<Osd>> = osds.map(Some).collect();
 
         // Client threads: one core per two connections on client "nodes".
-        let client_cores: Vec<_> = spawner
-            .sim
-            .add_cores(workloads.len().div_ceil(2).max(1))
-            .collect();
+        let client_cores: Vec<_> = spawner.sim.add_cores(client_cores).collect();
         let mut conns = Vec::new();
         for (i, workload) in workloads.into_iter().enumerate() {
             let core = client_cores[i % client_cores.len()];
@@ -271,18 +273,24 @@ impl ClusterSim {
         let cfg = &topo.cfg;
         let mut conns = Some(conns);
         let mut monitor = Some(monitor);
+        // Parts 1.. take the OSDs in id order, one node's range each.
         let parts: Vec<World> = (0..nodes + 1)
-            .map(|part| World {
+            .map(|part| {
+                let owned = if part == 0 { 0 } else { osds_per_node };
+                let osds: Vec<Osd> = osds.by_ref().take(owned).collect();
+                (part, osds)
+            })
+            .map(|(part, osds)| World {
                 node: part.checked_sub(1).unwrap_or(nodes),
                 topo: topo.clone(),
                 map: map.clone(),
-                osds: (0..total_osds)
-                    .map(|i| osds[i].take_if(|_| part >= 1 && i / osds_per_node == part - 1))
-                    .collect(),
+                first_osd: part.saturating_sub(1) * osds_per_node,
+                dead: vec![false; osds.len()],
+                crash_torn: vec![false; osds.len()],
+                osds,
                 conns: conns.take_if(|_| part == 0).unwrap_or_default(),
                 link: cfg.link.clone(),
                 io_wait: FxHashMap::default(),
-                dead: vec![false; total_osds],
                 rtc_gate: FxHashMap::default(),
                 write_lat: LatencyRecorder::default(),
                 read_lat: LatencyRecorder::default(),
@@ -291,7 +299,6 @@ impl ClusterSim {
                 monitor: monitor
                     .take_if(|_| part == 0)
                     .unwrap_or_else(|| Monitor::new(map.clone())),
-                crash_torn: vec![false; total_osds],
                 checker: (part == 0 && cfg.check_history).then(HistoryChecker::new),
                 client_errors: 0,
                 fx_scratch: Vec::new(),

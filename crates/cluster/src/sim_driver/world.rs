@@ -113,15 +113,18 @@ pub(super) struct World {
     /// installs new epochs directly; storage parts converge through the
     /// `MapUpdate` inputs the monitor broadcasts (monotone by epoch).
     pub(super) map: OsdMap,
-    /// Sparse, globally indexed: `Some` only for the OSDs this part owns.
-    pub(super) osds: Vec<Option<Osd>>,
+    /// The OSDs this part owns, by id from `first_osd` (its node's
+    /// contiguous range; none for part 0).
+    pub(super) osds: Vec<Osd>,
+    /// Global id of `osds[0]`.
+    pub(super) first_osd: usize,
     /// Part 0 only (client events execute there); empty elsewhere.
     pub(super) conns: Vec<ConnState>,
     /// This part's egress link: the node's, or the clients' shared one.
     pub(super) link: Link,
     pub(super) io_wait: FxHashMap<(usize, u64), usize>,
-    /// OSDs that have failed (their events are dropped). Globally indexed;
-    /// only the slots of this part's own OSDs are ever written.
+    /// Per owned OSD (indexed like `osds`): failed, so its events are
+    /// dropped.
     pub(super) dead: Vec<bool>,
     /// Run-to-completion gating: a busy RTC thread defers new client
     /// requests until the in-flight operation replies (paper §III-B).
@@ -133,7 +136,8 @@ pub(super) struct World {
     /// The monitor: authoritative map plus heartbeat bookkeeping. Real on
     /// part 0, an inert placeholder elsewhere.
     pub(super) monitor: Monitor,
-    /// Pending torn-tail flag per crashed OSD, applied at restart.
+    /// Per owned OSD: the pending torn-tail flag of a crash, applied at
+    /// restart.
     pub(super) crash_torn: Vec<bool>,
     /// Safety-invariant checker, when armed.
     pub(super) checker: Option<HistoryChecker>,
@@ -152,18 +156,28 @@ pub(super) struct World {
 }
 
 impl World {
+    /// The index in `osds` of OSD `i`, which must be owned by this part.
+    pub(super) fn local(&self, i: usize) -> usize {
+        match i.checked_sub(self.first_osd) {
+            Some(at) if at < self.osds.len() => at,
+            _ => panic!("OSD {i} not owned by this part (event routed to wrong domain)"),
+        }
+    }
+
     /// The given OSD, which must be owned by this part.
     pub(super) fn osd(&self, i: usize) -> &Osd {
-        self.osds[i]
-            .as_ref()
-            .expect("OSD not owned by this part (event routed to wrong domain)")
+        &self.osds[self.local(i)]
     }
 
     /// The given OSD, mutably; must be owned by this part.
     pub(super) fn osd_mut(&mut self, i: usize) -> &mut Osd {
-        self.osds[i]
-            .as_mut()
-            .expect("OSD not owned by this part (event routed to wrong domain)")
+        let at = self.local(i);
+        &mut self.osds[at]
+    }
+
+    /// Whether OSD `i`, which must be owned by this part, has failed.
+    pub(super) fn is_dead(&self, i: usize) -> bool {
+        self.dead[self.local(i)]
     }
 
     /// Runs one OSD input through the reusable effect scratch buffer.
@@ -424,7 +438,7 @@ impl World {
                 self.map = m.clone();
             }
         }
-        if self.dead[osd] {
+        if self.is_dead(osd) {
             return; // failed OSDs process nothing
         }
         if self.topo.cfg.mode.run_to_completion() && matches!(input, OsdInput::Client { .. }) {
@@ -454,7 +468,7 @@ impl World {
 
     /// (Any thread) one device I/O of a store token completed.
     fn on_io_done(&mut self, ctx: &mut Ctx<'_, Ev>, thread: ThreadId, osd: usize, token: u64) {
-        if self.dead[osd] {
+        if self.is_dead(osd) {
             return;
         }
         // Background (wait:false) I/Os also land here; only tracked
@@ -484,7 +498,7 @@ impl World {
         ios: Vec<TraceIo>,
         pos: usize,
     ) {
-        if self.dead[osd] {
+        if self.is_dead(osd) {
             return; // crashed: its queued background work evaporates
         }
         let dev = self.topo.threads[osd].device;
@@ -509,7 +523,7 @@ impl World {
         // Re-arm first so the sweep survives a crash window and
         // resumes once the OSD restarts.
         ctx.send_after(thread, Ev::FlushSweep { osd }, self.topo.cfg.flush_sweep);
-        if self.dead[osd] {
+        if self.is_dead(osd) {
             return;
         }
         let pending = self.osd(osd).pending_groups();

@@ -224,7 +224,12 @@ impl<'a, M> Ctx<'a, M> {
 }
 
 struct ThreadState<M> {
-    cfg: ThreadCfg,
+    /// Global id: what the handler and every other domain call it.
+    id: ThreadId,
+    name: String,
+    priority: Priority,
+    /// Local indexes of the cores the thread may run on.
+    affinity: Vec<usize>,
     /// Pending messages, each stamped with its enqueue time so queue-wait
     /// can be attributed exactly (the stamp is never read by the scheduler).
     queue: VecDeque<(SimTime, M)>,
@@ -232,16 +237,52 @@ struct ThreadState<M> {
 }
 
 struct CoreState {
-    running: Option<ThreadId>,
-    last: Option<ThreadId>,
-    /// Threads whose affinity includes this core, sorted by (priority, id).
-    candidates: Vec<ThreadId>,
+    /// Global id, under which metrics report the core.
+    id: CoreId,
+    /// Local indexes of the threads it runs now and ran last.
+    running: Option<usize>,
+    last: Option<usize>,
+    /// Local indexes of the threads whose affinity includes this core,
+    /// sorted by (priority, index).
+    candidates: Vec<usize>,
     rr_cursor: usize,
 }
 
+/// Where one global thread, core or device id lives: its owning domain and
+/// its index in that domain's own storage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slot {
+    domain: u32,
+    local: u32,
+}
+
+/// The global-id → [`Slot`] tables [`Simulation`] keeps, one per entity
+/// kind, and lends to every round. A domain appends what it owns in the
+/// order it is added, so local indexes ascend with global ids.
+#[derive(Default)]
+struct Registry {
+    threads: Vec<Slot>,
+    cores: Vec<Slot>,
+    devices: Vec<Slot>,
+}
+
+impl Registry {
+    /// Files the next global id in `slots` as `domain`'s entity `local`;
+    /// returns that global id.
+    fn file(slots: &mut Vec<Slot>, domain: usize, local: usize) -> usize {
+        let slot = Slot {
+            domain: domain as u32,
+            local: u32::try_from(local).expect("fewer than 2^32 entities per domain"),
+        };
+        slots.push(slot);
+        slots.len() - 1
+    }
+}
+
+/// An event of one domain; `thread` and `core` are local indexes.
 enum EventKind<M> {
-    Deliver { thread: ThreadId, msg: M },
-    CoreFree { core: CoreId },
+    Deliver { thread: usize, msg: M },
+    CoreFree { core: usize },
 }
 
 /// Number of low bits of an event key reserved for the per-domain sequence
@@ -262,23 +303,27 @@ fn domain_seed(root: u64, domain: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A cross-domain event, stamped `(time, sender's key, thread, msg)`.
-type Foreign<M> = (SimTime, u64, ThreadId, M);
+/// A cross-domain event, stamped `(time, sender's key, thread, msg)`; the
+/// thread is the receiving domain's local index.
+type Foreign<M> = (SimTime, u64, usize, M);
 
 /// One shard of the entity space: its own clock, event queue, RNG stream,
-/// metrics and the (globally-indexed, sparsely populated) entities it owns.
+/// metrics and the entities it owns.
 ///
-/// Entity vectors are indexed by *global* ids with `None` holes for entities
-/// owned by other domains, so no id translation exists anywhere and a
-/// cross-domain access fails loudly instead of corrupting a neighbor.
+/// A domain stores only its own threads, cores and devices, densely, by
+/// local index; [`Registry`] maps a global id to its domain and local index.
+/// Events and candidate lists hold local indexes, so the dispatch path never
+/// translates; a global id arriving from a handler (an I/O's device or
+/// notified thread) is translated once and fails loudly if foreign.
 struct DomainCore<M> {
     id: u32,
     now: SimTime,
     seq: u64,
     events: EventQueue<EventKind<M>>,
-    threads: Vec<Option<ThreadState<M>>>,
-    cores: Vec<Option<CoreState>>,
-    devices: Vec<Option<Device>>,
+    threads: Vec<ThreadState<M>>,
+    cores: Vec<CoreState>,
+    devices: Vec<Device>,
+    /// Busy time by local thread and core index.
     metrics: Metrics,
     rng: SimRng,
     ctx_switch_cost: SimDuration,
@@ -335,7 +380,7 @@ impl<M> DomainCore<M> {
 
     /// Accepts an event merged from another domain, keeping the sender's
     /// key so the total order is independent of merge timing.
-    fn deliver_foreign(&mut self, time: SimTime, key: u64, thread: ThreadId, msg: M) {
+    fn deliver_foreign(&mut self, time: SimTime, key: u64, thread: usize, msg: M) {
         debug_assert!(
             time > self.now,
             "cross-domain event not beyond the local clock — lookahead violated"
@@ -349,59 +394,52 @@ impl<M> DomainCore<M> {
         self.events.peek_time().map_or(u64::MAX, |t| t.nanos())
     }
 
-    fn thread(&self, t: ThreadId) -> &ThreadState<M> {
-        self.threads
-            .get(t)
-            .and_then(|s| s.as_ref())
-            .unwrap_or_else(|| panic!("thread {t} is not owned by this domain"))
-    }
-
-    fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState<M> {
-        self.threads
-            .get_mut(t)
-            .and_then(|s| s.as_mut())
-            .unwrap_or_else(|| panic!("thread {t} is not owned by this domain"))
-    }
-
-    fn add_core(&mut self, global_id: CoreId) {
-        if self.cores.len() <= global_id {
-            self.cores.resize_with(global_id + 1, || None);
+    /// The local index of global id `id`, which must be one of this
+    /// domain's `what`s.
+    fn own(&self, slots: &[Slot], id: usize, what: &str) -> usize {
+        match slots.get(id) {
+            Some(s) if s.domain == self.id => s.local as usize,
+            _ => panic!("{what} {id} is not owned by this domain"),
         }
-        self.cores[global_id] = Some(CoreState {
+    }
+
+    /// Adds the core with global id `id`; returns its local index.
+    fn add_core(&mut self, id: CoreId) -> usize {
+        self.cores.push(CoreState {
+            id,
             running: None,
             last: None,
             candidates: Vec::new(),
             rr_cursor: 0,
         });
+        self.metrics.grow(self.threads.len(), self.cores.len());
+        self.cores.len() - 1
     }
 
-    fn add_thread(&mut self, global_id: ThreadId, cfg: ThreadCfg) {
-        if self.threads.len() <= global_id {
-            self.threads.resize_with(global_id + 1, || None);
-        }
-        self.threads[global_id] = Some(ThreadState {
-            cfg,
+    /// Adds the thread with global id `id`, whose affinity `cfg` gives in
+    /// local core indexes; returns its local index.
+    fn add_thread(&mut self, id: ThreadId, cfg: ThreadCfg) -> usize {
+        let local = self.threads.len();
+        self.threads.push(ThreadState {
+            id,
+            name: cfg.name,
+            priority: cfg.priority,
+            affinity: cfg.affinity,
             queue: VecDeque::new(),
             running: false,
         });
-        // Keep candidate lists sorted by (priority, id) so tier scans are
+        self.metrics.grow(self.threads.len(), self.cores.len());
+        // Keep candidate lists sorted by (priority, index) so tier scans are
         // cheap. Only the new thread's affinity cores gain a member.
         let threads = &self.threads;
-        let key = |t: ThreadId| {
-            let th = threads[t].as_ref().expect("candidate owned");
-            (th.cfg.priority, t)
-        };
-        let (new, added) = (key(global_id), threads[global_id].as_ref());
-        for &c in &added.expect("just added").cfg.affinity {
-            let candidates = &mut self
-                .cores
-                .get_mut(c)
-                .and_then(|s| s.as_mut())
-                .expect("affinity core owned by this domain")
-                .candidates;
+        let key = |t: usize| (threads[t].priority, t);
+        let new = key(local);
+        for &c in &threads[local].affinity {
+            let candidates = &mut self.cores[c].candidates;
             let at = candidates.partition_point(|&t| key(t) <= new);
-            candidates.insert(at, global_id);
+            candidates.insert(at, local);
         }
+        local
     }
 
     /// Executes every pending event up to the round's horizon. Cross-domain
@@ -426,12 +464,12 @@ impl<M> DomainCore<M> {
     fn on_deliver<H: Handler<M>>(
         &mut self,
         handler: &mut H,
-        thread: ThreadId,
+        thread: usize,
         msg: M,
         round: Round<'_>,
     ) {
         let now = self.now;
-        let th = self.thread_mut(thread);
+        let th = &mut self.threads[thread];
         th.queue.push_back((now, msg));
         if th.running {
             return;
@@ -444,23 +482,22 @@ impl<M> DomainCore<M> {
     }
 
     /// The first idle core in `thread`'s affinity set.
-    fn idle_core(&self, thread: ThreadId) -> Option<CoreId> {
-        let running = |c: CoreId| self.cores[c].as_ref().expect("affinity core owned").running;
-        let mut affinity = self.thread(thread).cfg.affinity.iter().copied();
-        affinity.find(|&c| running(c).is_none())
+    fn idle_core(&self, thread: usize) -> Option<usize> {
+        let mut affinity = self.threads[thread].affinity.iter().copied();
+        affinity.find(|&c| self.cores[c].running.is_none())
     }
 
-    fn on_core_free<H: Handler<M>>(&mut self, handler: &mut H, core: CoreId, round: Round<'_>) {
-        let state = self.cores[core].as_mut().expect("core owned");
+    fn on_core_free<H: Handler<M>>(&mut self, handler: &mut H, core: usize, round: Round<'_>) {
+        let state = &mut self.cores[core];
         let finished = state.running.take().expect("CoreFree for an idle core");
         state.last = Some(finished);
-        self.thread_mut(finished).running = false;
+        self.threads[finished].running = false;
         if let Some(next) = self.pick_for_core(core) {
             self.run_item(handler, core, next, round);
         }
         // The finished thread may still have queued work and another idle
         // core elsewhere in its affinity set.
-        let fin = self.thread(finished);
+        let fin = &self.threads[finished];
         if !fin.running && !fin.queue.is_empty() {
             if let Some(c) = self.idle_core(finished) {
                 self.run_item(handler, c, finished, round);
@@ -474,37 +511,36 @@ impl<M> DomainCore<M> {
     /// Two passes over the (priority-sorted) candidate list instead of
     /// collecting the runnable tier into a Vec: this runs once per work item,
     /// so keeping it allocation-free matters for wall-clock throughput.
-    fn pick_for_core(&mut self, core: CoreId) -> Option<ThreadId> {
-        let state = self.cores[core].as_ref().expect("core owned");
+    fn pick_for_core(&mut self, core: usize) -> Option<usize> {
+        let state = &self.cores[core];
         let mut tier: Option<Priority> = None;
         let mut count = 0usize;
         for &t in &state.candidates {
-            let th = self.threads[t].as_ref().expect("candidate owned");
+            let th = &self.threads[t];
             if th.running || th.queue.is_empty() {
                 continue;
             }
             match tier {
                 None => {
-                    tier = Some(th.cfg.priority);
+                    tier = Some(th.priority);
                     count = 1;
                 }
-                Some(p) if th.cfg.priority == p => count += 1,
+                Some(p) if th.priority == p => count += 1,
                 // Candidates are sorted by priority, so a worse tier means
                 // we have seen the whole best tier already.
                 Some(_) => break,
             }
         }
         let tier = tier?;
-        let state = self.cores[core].as_ref().expect("core owned");
         let idx = state.rr_cursor % count;
         let mut seen = 0usize;
         let mut pick = None;
         for &t in &state.candidates {
-            let th = self.threads[t].as_ref().expect("candidate owned");
+            let th = &self.threads[t];
             if th.running || th.queue.is_empty() {
                 continue;
             }
-            if th.cfg.priority != tier {
+            if th.priority != tier {
                 break;
             }
             if seen == idx {
@@ -513,7 +549,7 @@ impl<M> DomainCore<M> {
             }
             seen += 1;
         }
-        let state = self.cores[core].as_mut().expect("core owned");
+        let state = &mut self.cores[core];
         state.rr_cursor = state.rr_cursor.wrapping_add(1);
         pick
     }
@@ -521,23 +557,20 @@ impl<M> DomainCore<M> {
     fn run_item<H: Handler<M>>(
         &mut self,
         handler: &mut H,
-        core: CoreId,
-        thread: ThreadId,
+        core: usize,
+        thread: usize,
         round: Round<'_>,
     ) {
-        debug_assert!(self.cores[core]
-            .as_ref()
-            .expect("core owned")
-            .running
-            .is_none());
-        debug_assert!(!self.thread(thread).running);
-        let (enqueued_at, msg) = self
-            .thread_mut(thread)
+        debug_assert!(self.cores[core].running.is_none());
+        debug_assert!(!self.threads[thread].running);
+        let th = &mut self.threads[thread];
+        let (enqueued_at, msg) = th
             .queue
             .pop_front()
             .expect("run_item on thread with empty queue");
+        let global = th.id;
 
-        let switching = self.cores[core].as_ref().expect("core owned").last != Some(thread);
+        let switching = self.cores[core].last != Some(thread);
         let cs = if switching {
             self.ctx_switch_cost
         } else {
@@ -553,7 +586,7 @@ impl<M> DomainCore<M> {
             rng: &mut self.rng,
             stop: false,
         };
-        handler.handle(thread, msg, &mut ctx);
+        handler.handle(global, msg, &mut ctx);
         let Ctx {
             spent,
             mut charges,
@@ -577,18 +610,20 @@ impl<M> DomainCore<M> {
         self.scratch_charges = charges;
         self.metrics.items_run += 1;
 
-        self.cores[core].as_mut().expect("core owned").running = Some(thread);
-        self.thread_mut(thread).running = true;
+        self.cores[core].running = Some(thread);
+        self.threads[thread].running = true;
         if stop {
             self.stopped = true;
         }
 
+        let registry = round.registry;
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg, delay } => {
-                    let dst = round.registry[to];
-                    if dst == self.id {
-                        self.push_event(end + delay, EventKind::Deliver { thread: to, msg });
+                    let dst = registry.threads[to];
+                    let thread = dst.local as usize;
+                    if dst.domain == self.id {
+                        self.push_event(end + delay, EventKind::Deliver { thread, msg });
                     } else {
                         debug_assert!(
                             delay >= round.lookahead,
@@ -596,7 +631,7 @@ impl<M> DomainCore<M> {
                             round.lookahead
                         );
                         let key = self.next_key();
-                        self.outbox[dst as usize].push((end + delay, key, to, msg));
+                        self.outbox[dst.domain as usize].push((end + delay, key, thread, msg));
                     }
                 }
                 Effect::Io {
@@ -605,27 +640,15 @@ impl<M> DomainCore<M> {
                     notify,
                     msg,
                 } => {
-                    debug_assert!(
-                        round.registry[notify] == self.id,
-                        "I/O completion must notify a thread in the submitting domain"
-                    );
-                    let done = self.devices[dev]
-                        .as_mut()
-                        .expect("device owned by the submitting domain")
-                        .submit(end, req);
-                    self.push_event(
-                        done,
-                        EventKind::Deliver {
-                            thread: notify,
-                            msg,
-                        },
-                    );
+                    // Both must belong to the submitting domain.
+                    let dev = self.own(&registry.devices, dev, "device");
+                    let thread = self.own(&registry.threads, notify, "thread");
+                    let done = self.devices[dev].submit(end, req);
+                    self.push_event(done, EventKind::Deliver { thread, msg });
                 }
                 Effect::DeviceMultiplier { dev, multiplier } => {
-                    self.devices[dev]
-                        .as_mut()
-                        .expect("device owned by the tuning domain")
-                        .set_service_multiplier(multiplier);
+                    let dev = self.own(&registry.devices, dev, "device");
+                    self.devices[dev].set_service_multiplier(multiplier);
                 }
             }
         }
@@ -666,11 +689,12 @@ pub struct RoundStats {
 }
 
 /// What a domain's execution needs from its round: the inclusive horizon,
-/// each thread's domain, and the lookahead every cross-domain send carries.
+/// where every global id lives, and the lookahead every cross-domain send
+/// carries.
 #[derive(Clone, Copy)]
 struct Round<'a> {
     horizon: SimTime,
-    registry: &'a [u32],
+    registry: &'a Registry,
     lookahead: SimDuration,
 }
 
@@ -700,7 +724,7 @@ struct RoundLoop<'a, M, P> {
     /// The first handler panic; once set, no worker touches simulation state.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     barrier: Barrier,
-    registry: &'a [u32],
+    registry: &'a Registry,
     lookahead: SimDuration,
     deadline_n: u64,
 }
@@ -874,12 +898,8 @@ impl<M, P> RoundLoop<'_, M, P> {
 /// ```
 pub struct Simulation<M> {
     domains: Vec<DomainCore<M>>,
-    /// Owning domain of each global thread id.
-    thread_domain: Vec<u32>,
-    /// Owning domain of each global core id.
-    core_domain: Vec<u32>,
-    /// Owning domain of each global device id.
-    dev_domain: Vec<u32>,
+    /// Owning domain and local index of every global id.
+    registry: Registry,
     now: SimTime,
     stopped: bool,
     seed: u64,
@@ -910,9 +930,7 @@ impl<M> Simulation<M> {
         let ctx_switch_cost = SimDuration::nanos(1_200);
         Simulation {
             domains: vec![DomainCore::new(0, seed, queue_hint, ctx_switch_cost, 1)],
-            thread_domain: Vec::new(),
-            core_domain: Vec::new(),
-            dev_domain: Vec::new(),
+            registry: Registry::default(),
             now: SimTime::ZERO,
             stopped: false,
             seed,
@@ -924,7 +942,8 @@ impl<M> Simulation<M> {
         }
     }
 
-    /// Repartitions the (still empty) simulation into `n` domains.
+    /// Repartitions the (still empty) simulation into `n` domains, each
+    /// domain's event queue sized for an even share of the queue hint.
     ///
     /// Must be called before any entity is added: the partition is part of
     /// the topology, so results depend on `n` (domain RNG streams, event
@@ -935,22 +954,32 @@ impl<M> Simulation<M> {
     /// Panics if `n == 0` or if entities were already added.
     pub fn set_domains(&mut self, n: usize) {
         assert!(n >= 1, "at least one domain required");
+        self.set_domains_sized(&vec![self.queue_hint.div_ceil(n); n]);
+    }
+
+    /// Like [`Simulation::set_domains`], with one domain per entry of
+    /// `hints`, each event queue sized for its own share of the population:
+    /// the events its entities keep pending (a clients' domain holds every
+    /// client's, a storage domain its node's share). Hints affect
+    /// performance only, never results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hints` is empty or if entities were already added.
+    pub fn set_domains_sized(&mut self, hints: &[usize]) {
+        let n = hints.len();
+        assert!(n >= 1, "at least one domain required");
+        let Registry {
+            threads,
+            cores,
+            devices,
+        } = &self.registry;
         assert!(
-            self.thread_domain.is_empty()
-                && self.core_domain.is_empty()
-                && self.dev_domain.is_empty(),
+            threads.is_empty() && cores.is_empty() && devices.is_empty(),
             "set_domains must run before any entity is added"
         );
-        self.domains = (0..n)
-            .map(|d| {
-                DomainCore::new(
-                    d as u32,
-                    self.seed,
-                    self.queue_hint,
-                    self.ctx_switch_cost,
-                    n,
-                )
-            })
+        self.domains = (hints.iter().enumerate())
+            .map(|(d, &hint)| DomainCore::new(d as u32, self.seed, hint, self.ctx_switch_cost, n))
             .collect();
     }
 
@@ -961,7 +990,7 @@ impl<M> Simulation<M> {
 
     /// The domain owning thread `t`.
     pub fn domain_of_thread(&self, t: ThreadId) -> usize {
-        self.thread_domain[t] as usize
+        self.registry.threads[t].domain as usize
     }
 
     /// Sets the conservative lookahead: the minimum delay every cross-domain
@@ -1010,12 +1039,9 @@ impl<M> Simulation<M> {
 
     /// Adds one core to `domain`; returns its global id.
     pub fn add_core_in(&mut self, domain: usize) -> CoreId {
-        let id = self.core_domain.len();
-        self.core_domain.push(domain as u32);
-        self.domains[domain].add_core(id);
-        let (threads, cores) = (self.thread_domain.len(), self.core_domain.len());
-        self.domains[domain].metrics.grow(threads, cores);
-        id
+        let id = self.registry.cores.len();
+        let local = self.domains[domain].add_core(id);
+        Registry::file(&mut self.registry.cores, domain, local)
     }
 
     /// Adds `n` cores to domain 0; returns their contiguous id range.
@@ -1025,11 +1051,11 @@ impl<M> Simulation<M> {
 
     /// Adds `n` cores to `domain`; returns their contiguous global id range.
     pub fn add_cores_in(&mut self, domain: usize, n: usize) -> std::ops::Range<CoreId> {
-        let start = self.core_domain.len();
+        let start = self.registry.cores.len();
         for _ in 0..n {
             self.add_core_in(domain);
         }
-        start..self.core_domain.len()
+        start..self.registry.cores.len()
     }
 
     /// Adds a thread to domain 0; returns its id.
@@ -1054,25 +1080,22 @@ impl<M> Simulation<M> {
             "thread {:?} has empty affinity",
             cfg.name
         );
-        for &c in &cfg.affinity {
+        let mut cfg = cfg;
+        for c in &mut cfg.affinity {
+            let Some(slot) = self.registry.cores.get(*c) else {
+                panic!("thread {:?} affinity references unknown core {c}", cfg.name)
+            };
             assert!(
-                c < self.core_domain.len(),
-                "thread {:?} affinity references unknown core {c}",
-                cfg.name
-            );
-            assert!(
-                self.core_domain[c] as usize == domain,
+                slot.domain as usize == domain,
                 "thread {:?} affinity core {c} belongs to domain {}, not {domain}",
                 cfg.name,
-                self.core_domain[c]
+                slot.domain
             );
+            *c = slot.local as usize;
         }
-        let id = self.thread_domain.len();
-        self.thread_domain.push(domain as u32);
-        self.domains[domain].add_thread(id, cfg);
-        let (threads, cores) = (self.thread_domain.len(), self.core_domain.len());
-        self.domains[domain].metrics.grow(threads, cores);
-        id
+        let id = self.registry.threads.len();
+        let local = self.domains[domain].add_thread(id, cfg);
+        Registry::file(&mut self.registry.threads, domain, local)
     }
 
     /// Adds a device to domain 0; returns its id.
@@ -1082,33 +1105,26 @@ impl<M> Simulation<M> {
 
     /// Adds a device to `domain`; returns its global id.
     pub fn add_device_in(&mut self, domain: usize, device: Device) -> DeviceId {
-        let id = self.dev_domain.len();
-        self.dev_domain.push(domain as u32);
-        let dom = &mut self.domains[domain];
-        if dom.devices.len() <= id {
-            dom.devices.resize_with(id + 1, || None);
-        }
-        dom.devices[id] = Some(device);
-        id
+        let devices = &mut self.domains[domain].devices;
+        devices.push(device);
+        Registry::file(&mut self.registry.devices, domain, devices.len() - 1)
     }
 
     /// Immutable access to a device (stats, profile).
     pub fn device(&self, id: DeviceId) -> &Device {
-        self.domains[self.dev_domain[id] as usize].devices[id]
-            .as_ref()
-            .expect("device owned by its domain")
+        let Slot { domain, local } = self.registry.devices[id];
+        &self.domains[domain as usize].devices[local as usize]
     }
 
     /// Mutable access to a device (reset stats after warm-up).
     pub fn device_mut(&mut self, id: DeviceId) -> &mut Device {
-        self.domains[self.dev_domain[id] as usize].devices[id]
-            .as_mut()
-            .expect("device owned by its domain")
+        let Slot { domain, local } = self.registry.devices[id];
+        &mut self.domains[domain as usize].devices[local as usize]
     }
 
     /// Number of devices added so far.
     pub fn device_count(&self) -> usize {
-        self.dev_domain.len()
+        self.registry.devices.len()
     }
 
     /// The current simulated instant (the maximum over domain clocks; equal
@@ -1117,16 +1133,21 @@ impl<M> Simulation<M> {
         self.now
     }
 
-    /// Accumulated metrics, merged over domains in domain-id order.
+    /// Accumulated metrics, merged over domains in domain-id order and
+    /// indexed by global thread and core id.
     ///
-    /// Per-domain thread/core busy vectors are globally indexed with
-    /// disjoint non-zero slots, so the merge is an order-independent
-    /// elementwise sum — identical for any worker count. Bind the result
-    /// once per report; the merge is O(entity count), not free.
+    /// Each domain counts busy time by its own local indexes; the merge
+    /// scatters them to their global ids (disjoint across domains) and sums
+    /// everything else, so it is identical for any worker count. Bind the
+    /// result once per report; the merge is O(entity count), not free.
     pub fn metrics(&self) -> Metrics {
-        let mut merged = self.domains[0].metrics.clone();
-        for dom in &self.domains[1..] {
-            merged.merge(&dom.metrics);
+        let mut merged = Metrics::new(self.registry.threads.len(), self.registry.cores.len());
+        let start = self.domains.iter().map(|d| d.metrics.window_start()).min();
+        merged.reset_window(start.expect("at least one domain"));
+        for dom in &self.domains {
+            let threads = dom.threads.iter().map(|t| t.id);
+            let cores = dom.cores.iter().map(|c| c.id);
+            merged.merge(&dom.metrics, threads, cores);
         }
         merged
     }
@@ -1141,19 +1162,18 @@ impl<M> Simulation<M> {
 
     /// Name of a thread (for reports).
     pub fn thread_name(&self, t: ThreadId) -> &str {
-        &self.domains[self.thread_domain[t] as usize]
-            .thread(t)
-            .cfg
-            .name
+        &self.thread(t).name
     }
 
     /// Number of messages currently waiting in `t`'s queue (telemetry probe;
     /// does not count the item being executed).
     pub fn thread_queue_len(&self, t: ThreadId) -> usize {
-        self.domains[self.thread_domain[t] as usize]
-            .thread(t)
-            .queue
-            .len()
+        self.thread(t).queue.len()
+    }
+
+    fn thread(&self, t: ThreadId) -> &ThreadState<M> {
+        let Slot { domain, local } = self.registry.threads[t];
+        &self.domains[domain as usize].threads[local as usize]
     }
 
     /// Injects a message for delivery at absolute time `at`.
@@ -1167,8 +1187,9 @@ impl<M> Simulation<M> {
     /// Panics if `at` is in the simulated past.
     pub fn schedule(&mut self, at: SimTime, thread: ThreadId, msg: M) {
         assert!(at >= self.now, "cannot schedule into the past");
-        let dom = self.thread_domain[thread] as usize;
-        self.domains[dom].push_event(at, EventKind::Deliver { thread, msg });
+        let Slot { domain, local } = self.registry.threads[thread];
+        let thread = local as usize;
+        self.domains[domain as usize].push_event(at, EventKind::Deliver { thread, msg });
     }
 
     /// Runs until `deadline` (inclusive) or until a handler calls
@@ -1263,7 +1284,7 @@ impl<M> Simulation<M> {
             stop_requested: AtomicBool::new(false),
             panic: Mutex::new(None),
             barrier: Barrier::new(workers),
-            registry: &self.thread_domain,
+            registry: &self.registry,
             lookahead: self.lookahead,
             deadline_n: deadline.map_or(u64::MAX, SimTime::nanos),
         };
@@ -1296,9 +1317,9 @@ impl<M> std::fmt::Debug for Simulation<M> {
         f.debug_struct("Simulation")
             .field("now", &self.now)
             .field("domains", &self.domains.len())
-            .field("threads", &self.thread_domain.len())
-            .field("cores", &self.core_domain.len())
-            .field("devices", &self.dev_domain.len())
+            .field("threads", &self.registry.threads.len())
+            .field("cores", &self.registry.cores.len())
+            .field("devices", &self.registry.devices.len())
             .field(
                 "pending_events",
                 &self.domains.iter().map(|d| d.events.len()).sum::<usize>(),
@@ -1335,7 +1356,7 @@ mod tests {
                 let h = horizon_nanos(gmin, deadline_n, self.lookahead, d_count);
                 let round = Round {
                     horizon: SimTime::from_nanos(h),
-                    registry: &self.thread_domain,
+                    registry: &self.registry,
                     lookahead: self.lookahead,
                 };
                 for (dom, part) in self.domains.iter_mut().zip(parts.iter_mut()) {
@@ -1763,10 +1784,118 @@ mod tests {
         sim.set_domains(2);
         let c1 = sim.add_core_in(1);
         let t1 = sim.add_thread_in(1, ThreadCfg::new("b", vec![c1], Priority::Normal));
-        // Thread t1 lives in domain 1; asking domain 0's view for it in a
-        // handler would panic, and so does a mis-routed queue probe if the
-        // registry were bypassed. Simulate the bypass directly:
-        let _ = sim.domains[0].thread(t1);
+        // Thread t1 lives in domain 1; domain 0 translating its global id
+        // (an I/O completion notifying it) must refuse. Simulate directly:
+        let _ = sim.domains[0].own(&sim.registry.threads, t1, "thread");
+    }
+
+    /// Threads, cores and devices added interleaved across four domains.
+    fn interleaved(domains: usize) -> Simulation<u32> {
+        let mut sim: Simulation<u32> = Simulation::with_queue_hint(1, 1 << 14);
+        sim.set_domains(domains);
+        for round in 0..3 {
+            for d in 0..domains {
+                let c = sim.add_core_in(d);
+                for t in 0..=d {
+                    let cfg =
+                        ThreadCfg::new(format!("d{d}.r{round}.t{t}"), vec![c], Priority::Normal);
+                    sim.add_thread_in(d, cfg);
+                }
+                let profile = DeviceProfile::nvme_pm1725a(SsdState::Steady);
+                sim.add_device_in(d, Device::new(format!("dev{d}.{round}"), profile));
+            }
+        }
+        sim
+    }
+
+    #[test]
+    fn a_domain_stores_only_what_it_owns() {
+        let sim = interleaved(4);
+        for (d, dom) in sim.domains.iter().enumerate() {
+            // Domain d added 3 cores, 3 devices and 3 × (d + 1) threads.
+            assert_eq!(dom.cores.len(), 3);
+            assert_eq!(dom.devices.len(), 3);
+            assert_eq!(dom.threads.len(), 3 * (d + 1));
+            assert_eq!(dom.metrics.sizes(), (3 * (d + 1), 3));
+            // Local order follows global order, and the registry agrees.
+            let ids: Vec<usize> = dom.threads.iter().map(|t| t.id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            for (local, &id) in ids.iter().enumerate() {
+                let want = Slot {
+                    domain: d as u32,
+                    local: local as u32,
+                };
+                assert_eq!(sim.registry.threads[id], want);
+                assert!(sim.thread_name(id).starts_with(&format!("d{d}.")));
+            }
+            for (local, core) in dom.cores.iter().enumerate() {
+                let want = Slot {
+                    domain: d as u32,
+                    local: local as u32,
+                };
+                assert_eq!(sim.registry.cores[core.id], want);
+            }
+        }
+        assert_eq!(sim.device(6).name(), "dev2.1");
+        // The merged report is still indexed by global id.
+        let m = sim.metrics();
+        assert_eq!(m.sizes(), (sim.registry.threads.len(), 12));
+    }
+
+    #[test]
+    #[should_panic(expected = "device 1 is not owned by this domain")]
+    fn io_on_a_foreign_device_fails_loudly() {
+        let mut sim = interleaved(2);
+        // Device 1 lives in domain 1; thread 0 runs in domain 0.
+        sim.schedule(SimTime::ZERO, 0, 0);
+        sim.run_to_completion(&mut |t: usize, _m: u32, ctx: &mut Ctx<'_, u32>| {
+            ctx.submit_io(1, IoRequest::write(4096), t, 1);
+        });
+    }
+
+    #[test]
+    fn busy_time_is_reported_by_global_id() {
+        let mut sim = interleaved(3);
+        let threads = sim.registry.threads.len();
+        for t in 0..threads {
+            sim.schedule(SimTime::ZERO, t, t as u32);
+        }
+        let mut parts: Vec<_> = (0..3)
+            .map(|_| {
+                |t: usize, _m: u32, ctx: &mut Ctx<'_, u32>| {
+                    ctx.spend("w", SimDuration::nanos(1_000 * (t as u64 + 1)));
+                }
+            })
+            .collect();
+        sim.set_context_switch_cost(SimDuration::ZERO);
+        sim.run_until_parts(&mut parts, SimTime::from_nanos(1_000_000));
+        let m = sim.metrics();
+        for t in 0..threads {
+            assert_eq!(m.thread_busy(t), 1_000 * (t as u64 + 1), "thread {t}");
+        }
+        let busy: u64 = (0..sim.registry.cores.len()).map(|c| m.core_busy(c)).sum();
+        assert_eq!(busy, (1..=threads as u64).map(|t| 1_000 * t).sum::<u64>());
+    }
+
+    #[test]
+    fn a_domain_queue_is_sized_by_its_share() {
+        // With no shares given, each domain gets an even split of the hint.
+        let whole = EventQueue::<()>::new(1 << 14).slot_count();
+        let even = EventQueue::<()>::new((1 << 14) / 4).slot_count();
+        let sim = interleaved(4);
+        for dom in &sim.domains {
+            assert_eq!(dom.events.slot_count(), even);
+            assert!(dom.events.slot_count() < whole);
+        }
+        // A clients' domain sized by its own share keeps the others small.
+        let mut sim: Simulation<u32> = Simulation::with_queue_hint(1, 1 << 14);
+        sim.set_domains_sized(&[1 << 14, 1000, 1000]);
+        assert_eq!(sim.domains[0].events.slot_count(), whole);
+        let small = EventQueue::<()>::new(1000).slot_count();
+        for dom in &sim.domains[1..] {
+            assert_eq!(dom.events.slot_count(), small);
+            assert!(small < even);
+        }
     }
 
     #[test]
@@ -1965,14 +2094,10 @@ mod tests {
             }
             for dom in &sim.domains {
                 for (c, core) in dom.cores.iter().enumerate() {
-                    let Some(core) = core else { continue };
-                    let mut want: Vec<ThreadId> = (dom.threads.iter().enumerate())
-                        .filter_map(|(t, th)| Some((t, th.as_ref()?)))
-                        .flat_map(|(t, th)| {
-                            th.cfg.affinity.iter().filter(|&&a| a == c).map(move |_| t)
-                        })
+                    let mut want: Vec<usize> = (dom.threads.iter().enumerate())
+                        .flat_map(|(t, th)| th.affinity.iter().filter(|&&a| a == c).map(move |_| t))
                         .collect();
-                    want.sort_by_key(|&t| (dom.thread(t).cfg.priority, t));
+                    want.sort_by_key(|&t| (dom.threads[t].priority, t));
                     prop_assert_eq!(&core.candidates, &want);
                 }
             }

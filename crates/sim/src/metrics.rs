@@ -21,9 +21,10 @@ pub type StageTag = &'static str;
 pub struct Metrics {
     /// CPU nanoseconds per stage tag.
     tag_ns: BTreeMap<StageTag, u64>,
-    /// CPU nanoseconds per thread (indexed by `ThreadId`).
+    /// CPU nanoseconds per thread (indexed by `ThreadId`; inside one engine
+    /// domain, by the domain's local thread index).
     thread_busy_ns: Vec<u64>,
-    /// CPU nanoseconds per core (indexed by `CoreId`).
+    /// CPU nanoseconds per core (indexed like `thread_busy_ns`).
     core_busy_ns: Vec<u64>,
     /// Number of context switches charged (a work item ran on a core whose
     /// previous work item belonged to a different thread).
@@ -81,35 +82,32 @@ impl Metrics {
         self.window_start
     }
 
-    /// Folds `other`'s counters into `self` (elementwise sums).
+    /// Folds one engine domain's counters into `self`, whose busy vectors
+    /// are indexed by global id: `threads` and `cores` yield the global id
+    /// of each of `other`'s local slots, in order. The window start is the
+    /// caller's.
     ///
-    /// Used by the sharded engine: each shard accumulates into its own
-    /// `Metrics` (thread/core vectors are globally indexed, so the busy
-    /// slots of different shards are disjoint) and the per-shard instances
-    /// are merged in shard-id order when a report is taken. Because every
-    /// operation here is an order-independent sum, the merged result is
-    /// identical for any shard count — the invariant the determinism suite
-    /// pins.
-    pub fn merge(&mut self, other: &Metrics) {
+    /// Every operation here is an order-independent sum, and domains own
+    /// disjoint ids, so merging them gives the same result in any order —
+    /// the invariant the determinism suite pins.
+    pub(crate) fn merge(
+        &mut self,
+        other: &Metrics,
+        threads: impl IntoIterator<Item = usize>,
+        cores: impl IntoIterator<Item = usize>,
+    ) {
         for (tag, ns) in &other.tag_ns {
             *self.tag_ns.entry(tag).or_insert(0) += ns;
         }
-        if self.thread_busy_ns.len() < other.thread_busy_ns.len() {
-            self.thread_busy_ns.resize(other.thread_busy_ns.len(), 0);
+        for (t, ns) in threads.into_iter().zip(&other.thread_busy_ns) {
+            self.thread_busy_ns[t] += ns;
         }
-        for (i, ns) in other.thread_busy_ns.iter().enumerate() {
-            self.thread_busy_ns[i] += ns;
-        }
-        if self.core_busy_ns.len() < other.core_busy_ns.len() {
-            self.core_busy_ns.resize(other.core_busy_ns.len(), 0);
-        }
-        for (i, ns) in other.core_busy_ns.iter().enumerate() {
-            self.core_busy_ns[i] += ns;
+        for (c, ns) in cores.into_iter().zip(&other.core_busy_ns) {
+            self.core_busy_ns[c] += ns;
         }
         self.context_switches += other.context_switches;
         self.context_switch_ns += other.context_switch_ns;
         self.items_run += other.items_run;
-        self.window_start = self.window_start.min(other.window_start);
     }
 
     /// CPU nanoseconds charged to `tag` in the current window.
@@ -153,6 +151,12 @@ impl Metrics {
         self.core_busy_ns.get(core).copied().unwrap_or(0)
     }
 
+    /// Lengths of the thread and core busy vectors.
+    #[cfg(test)]
+    pub(crate) fn sizes(&self) -> (usize, usize) {
+        (self.thread_busy_ns.len(), self.core_busy_ns.len())
+    }
+
     /// Sum of busy nanoseconds over a contiguous range of cores (e.g. the
     /// cores of one node).
     pub fn cores_busy(&self, cores: std::ops::Range<usize>) -> u64 {
@@ -184,31 +188,34 @@ mod tests {
 
     #[test]
     fn merge_sums_disjoint_shards_order_independently() {
-        // Shard 0 owns thread/core 0, shard 1 owns thread/core 2 (sparse,
-        // globally indexed, different vector lengths).
+        // Shard 0 owns thread/core 0, shard 1 owns threads 1 and 2 and core
+        // 2, each counting by its own local index.
         let mut a = Metrics::new(1, 1);
         a.charge_tag("MP", SimDuration::nanos(100));
         a.charge_thread(0, SimDuration::nanos(40));
         a.charge_core(0, SimDuration::nanos(40));
         a.items_run = 3;
-        let mut b = Metrics::new(3, 3);
+        let mut b = Metrics::new(2, 1);
         b.charge_tag("MP", SimDuration::nanos(11));
         b.charge_tag("OS", SimDuration::nanos(7));
-        b.charge_thread(2, SimDuration::nanos(5));
-        b.charge_core(2, SimDuration::nanos(5));
+        b.charge_thread(1, SimDuration::nanos(5));
+        b.charge_core(0, SimDuration::nanos(5));
         b.context_switches = 2;
         b.context_switch_ns = 2_400;
         b.items_run = 4;
 
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
+        let (mut ab, mut ba) = (Metrics::new(3, 3), Metrics::new(3, 3));
+        ab.merge(&a, [0], [0]);
+        ab.merge(&b, [1, 2], [2]);
+        ba.merge(&b, [1, 2], [2]);
+        ba.merge(&a, [0], [0]);
 
+        assert_eq!(ab, ba);
         for m in [&ab, &ba] {
             assert_eq!(m.tag_nanos("MP"), 111);
             assert_eq!(m.tag_nanos("OS"), 7);
             assert_eq!(m.thread_busy(0), 40);
+            assert_eq!(m.thread_busy(1), 0);
             assert_eq!(m.thread_busy(2), 5);
             assert_eq!(m.core_busy(0), 40);
             assert_eq!(m.core_busy(2), 5);

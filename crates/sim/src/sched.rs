@@ -313,6 +313,12 @@ impl<T> EventQueue<T> {
         self.wheel.pop()
     }
 
+    /// Slots in the wheel.
+    #[cfg(test)]
+    pub fn slot_count(&self) -> usize {
+        self.wheel.slots.len()
+    }
+
     /// Nodes in the wheel's slab, free ones included.
     #[cfg(test)]
     fn slab_len(&self) -> usize {
