@@ -24,8 +24,8 @@
 //! Usage:
 //!
 //! ```text
-//! wallclock [--iters N] [--smoke] [--only NAME] [--sweep] [--jobs N]
-//!           [--trace-out PATH] [--shards N] [--scale-curve] [--check-jobs]
+//! wallclock [--iters N] [--smoke] [--only NAME] [--trace-out PATH]
+//!           [--shards N] [--scale-curve] [--check-jobs]
 //! ```
 //!
 //! `--shards N` sets how many worker threads execute the engine's
@@ -40,10 +40,11 @@
 //! core count — speedup is only meaningful relative to the cores the run
 //! actually had.
 //!
-//! `--check-jobs` runs the smoke figure sweep at `--jobs 1` and `--jobs 2`
-//! and asserts the two-job run is not slower (beyond a noise tolerance):
-//! the longest-cell-first schedule plus share-nothing workers must never
-//! lose to the sequential order, even on a single hardware thread.
+//! `--check-jobs` runs the smoke figure sweep on one and on two worker
+//! threads and asserts the two-job run is not slower (beyond a noise
+//! tolerance): the longest-cell-first schedule plus share-nothing workers
+//! must never lose to the sequential order, even on a single hardware
+//! thread.
 //!
 //! `--trace-out PATH` re-runs each selected scenario with tracing and
 //! windowed telemetry armed, asserts the traced fingerprint is identical
@@ -59,23 +60,18 @@
 //!
 //! Nothing but `--trace-out` writes a file: committed, bounded measurements
 //! are the `benchmark/` package's job (`BENCHMARK.json`). `--smoke` runs a
-//! seconds-scale pass. Each scenario prints a fingerprint hash. `--sweep`
-//! replaces the scenarios with the full figure grid run on `--jobs` worker
-//! threads (see the `figures` binary for the figure-facing variant).
+//! seconds-scale pass. Each scenario prints a fingerprint hash. The chaos
+//! and grow scenarios are `rablock_bench::scenarios` recipes, the same ones
+//! the integration tests pin. The figure grid is the `figures` binary's.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use rablock::sim::{
-    fingerprint_hash, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule,
-    FaultPlan, GrayWindow, LinkFault, Partition, RetryPolicy, SimDuration, SimReport, SimRng,
-    SimTime, WorkItem,
-};
-use rablock::{GroupId, ObjectId, PipelineMode};
+use rablock::sim::{fingerprint_hash, ClusterSim, ClusterSimConfig, SimDuration, SimReport};
+use rablock::{ObjectId, PipelineMode};
 use rablock_bench::sweep::{figure_cells, run_sweep};
-use rablock_bench::{banner, paper_cluster, randwrite_conns, Dataset};
+use rablock_bench::{banner, paper_cluster, randwrite_conns, scenarios, Dataset};
 use rablock_cluster::osd::OsdConfig;
-use rablock_cluster::placement::DEFAULT_OSD_WEIGHT;
 use rablock_cos::CosOptions;
 use rablock_lsm::LsmOptions;
 use rablock_sim::RoundStats;
@@ -208,262 +204,42 @@ fn run_fig7(
     (Sample::of(&report, wall_secs, faults), fp, out)
 }
 
-const CHAOS_PGS: u32 = 8;
-const CHAOS_CONNS: u64 = 4;
-const CHAOS_WRITES_PER_CONN: u64 = 400;
-const CHAOS_READS_PER_CONN: u64 = 100;
-
-fn chaos_oid(conn: u64, k: u64) -> ObjectId {
-    let i = conn * 100 + k;
-    ObjectId::new(GroupId((i % CHAOS_PGS as u64) as u32), i)
-}
-
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
-struct ChaosConn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for ChaosConn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        if i < CHAOS_WRITES_PER_CONN {
-            let k = i % 8;
-            let block = (i / 8) % 16;
-            Some(WorkItem::Write {
-                oid: chaos_oid(self.conn, k),
-                offset: block * 4096,
-                len: 4096,
-                fill: ((self.conn * 97 + k * 31 + block) % 251) as u8,
-            })
-        } else if i < CHAOS_WRITES_PER_CONN + CHAOS_READS_PER_CONN {
-            let j = i - CHAOS_WRITES_PER_CONN;
-            Some(WorkItem::Read {
-                oid: chaos_oid(self.conn, j % 8),
-                offset: (j / 8) * 4096,
-                len: 4096,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// A fixed chaos scenario: drops, duplicates, reordering, a partition, a
-/// gray device, and a crash/restart with a torn NVM tail — with client
-/// retries, heartbeat failure detection, and the history checker armed.
-fn chaos_config() -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = 3;
-    cfg.osds_per_node = 1;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
-    cfg.pg_count = CHAOS_PGS;
-    cfg.queue_depth = 4;
-    cfg.seed = 0xC0FFEE;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        cos: CosOptions::tiny(),
-        ..OsdConfig::default()
-    };
-    cfg.faults = FaultPlan::none()
-        .with_link_fault(LinkFault {
-            link: None,
-            from: SimTime::ZERO,
-            until: ms(10_000),
-            drop_p: 0.01,
-            dup_p: 0.005,
-            reorder_p: 0.05,
-            reorder_max: SimDuration::nanos(200_000),
-            spike_p: 0.02,
-            spike: SimDuration::nanos(500_000),
-        })
-        .with_partition(Partition {
-            a: 0,
-            b: 1,
-            from: ms(8),
-            until: ms(18),
-        })
-        .with_gray_window(GrayWindow {
-            device: 1,
-            from: ms(2),
-            until: ms(25),
-            multiplier: 8.0,
-        })
-        .with_crash(CrashSchedule {
-            process: 0,
-            at: ms(6),
-            restart_at: Some(ms(40)),
-            torn_tail: true,
-        });
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
-    cfg
-}
-
 fn run_chaos(
     measure: SimDuration,
     shards: usize,
     trace: bool,
 ) -> (Sample, Vec<u64>, Option<TraceOut>) {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CHAOS_CONNS)
-        .map(|c| Box::new(ChaosConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let mut cfg = chaos_config();
+    let mut cfg = scenarios::chaos_config();
     cfg.shards = shards;
     if trace {
         arm_trace(&mut cfg);
     }
-    let mut sim = ClusterSim::new(cfg, wl);
-    let objects: Vec<(ObjectId, u64)> = (0..CHAOS_CONNS)
-        .flat_map(|c| (0..8).map(move |k| (chaos_oid(c, k), 1 << 20)))
-        .collect();
-    sim.prefill(&objects);
+    let mut sim = scenarios::CHAOS_LOAD.sim(cfg);
     let (report, wall_secs, faults) = timed(|| sim.run(SimDuration::ZERO, measure));
-    let checker = sim.checker().expect("history checking enabled");
-    let fp = report.fingerprint(Some((checker.writes_acked(), checker.reads_checked())));
+    let fp = scenarios::checked_fingerprint(&sim, &report);
     let out = trace.then(|| trace_out(&sim, &report));
     (Sample::of(&report, wall_secs, faults), fp, out)
 }
 
-// Grow scenario: 16 nodes x 4 OSDs pre-provisioned, 4 in service at start,
-// woven up to 8 and then all 64 by weight churn while the workload runs.
-const GROW_NODES: u32 = 16;
-const GROW_OSDS_PER_NODE: u32 = 4;
-const GROW_OSDS: u32 = GROW_NODES * GROW_OSDS_PER_NODE;
-const GROW_PGS: u32 = 32;
-const GROW_CONNS: u64 = 3;
-
-fn grow_oid(conn: u64, k: u64) -> ObjectId {
-    let i = conn * 100 + k;
-    ObjectId::new(GroupId((i % GROW_PGS as u64) as u32), i)
-}
-
-/// Endless 4 KiB writer over the connection's 8-object namespace: unlike
-/// the fixed-op correctness twin in `tests/chaos.rs`, the bench load never
-/// drains, so both expansion windows and the warmed-up control measure a
-/// cluster under constant pressure.
-struct GrowConn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for GrowConn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        let k = i % 8;
-        let block = (i / 8) % 16;
-        Some(WorkItem::Write {
-            oid: grow_oid(self.conn, k),
-            offset: block * 4096,
-            len: 4096,
-            fill: ((self.conn * 97 + k * 31 + block) % 251) as u8,
-        })
-    }
-}
-
-/// The grow-4->8->64-under-load configuration. With `churn` false the same
-/// 64-OSD topology runs fully in service from the start — the control whose
-/// p99 frames the expansion's degradation window.
-fn grow_config(churn: bool) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = GROW_NODES;
-    cfg.osds_per_node = GROW_OSDS_PER_NODE;
-    cfg.cores_per_node = 6;
-    cfg.priority_threads = 1;
-    cfg.non_priority_threads = 2;
-    cfg.pg_count = GROW_PGS;
-    cfg.queue_depth = 4;
-    cfg.seed = 0xE1A5;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 32 << 20,
-        nvm_bytes: 4 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        cos: CosOptions::tiny(),
-        max_backfill_inflight: 2,
-        backfill_bytes_per_tick: 1 << 20,
-        ..OsdConfig::default()
-    };
-    // No link noise here, unlike the chaos.rs correctness twin: random
-    // drops put 10 ms retry timeouts in both tails and would swamp the
-    // expansion's own interference, which is the thing being measured.
-    cfg.faults = FaultPlan::none();
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
-    if churn {
-        let seed_osds = [0u32, 4, 8, 12];
-        let second = [16u32, 20, 24, 28];
-        cfg.initially_out = (0..GROW_OSDS)
-            .filter(|id| !seed_osds.contains(id))
-            .collect();
-        let mut ops: Vec<ChurnOp> = second
-            .iter()
-            .map(|&osd| ChurnOp {
-                at: ms(8),
-                osd,
-                weight: DEFAULT_OSD_WEIGHT,
-            })
-            .collect();
-        let rest = (0..GROW_OSDS).filter(|id| !seed_osds.contains(id) && !second.contains(id));
-        ops.extend(rest.enumerate().map(|(i, osd)| ChurnOp {
-            at: ms(20) + SimDuration::nanos(100_000) * i as u64,
-            osd,
-            weight: DEFAULT_OSD_WEIGHT,
-        }));
-        cfg.churn = ops;
-    }
-    cfg
-}
-
+/// The grow scenario under an endless writer, so both expansion windows and
+/// the warmed-up control measure a cluster under constant pressure. With
+/// `churn` false the same 64-OSD topology runs fully in service from the
+/// start: the control whose p99 frames the expansion's degradation window.
 fn run_grow(
     measure: SimDuration,
     shards: usize,
     churn: bool,
     trace: bool,
 ) -> (Sample, Vec<u64>, Option<TraceOut>) {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..GROW_CONNS)
-        .map(|c| Box::new(GrowConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let mut cfg = grow_config(churn);
+    // No link noise here, unlike chaos.rs's grow: random drops put 10 ms
+    // retry timeouts in both tails and would swamp the expansion's own
+    // interference, which is the thing being measured.
+    let mut cfg = scenarios::grow_config(0xE1A5, churn);
     cfg.shards = shards;
     if trace {
         arm_trace(&mut cfg);
     }
-    let mut sim = ClusterSim::new(cfg, wl);
-    let objects: Vec<(ObjectId, u64)> = (0..GROW_CONNS)
-        .flat_map(|c| (0..8).map(move |k| (grow_oid(c, k), 256 << 10)))
-        .collect();
-    sim.prefill(&objects);
+    let mut sim = scenarios::grow_load(u64::MAX, 0).sim(cfg);
     // The churn run measures from t0 so the expansion windows (8 ms and
     // 20 ms) land inside the percentile frame. The control warms up past
     // the 64-OSD heartbeat-staggering transient and measures steady state,
@@ -474,8 +250,7 @@ fn run_grow(
         SimDuration::millis(25)
     };
     let (report, wall_secs, faults) = timed(|| sim.run(warmup, measure));
-    let checker = sim.checker().expect("history checking enabled");
-    let fp = report.fingerprint(Some((checker.writes_acked(), checker.reads_checked())));
+    let fp = scenarios::checked_fingerprint(&sim, &report);
     let out = trace.then(|| trace_out(&sim, &report));
     (Sample::of(&report, wall_secs, faults), fp, out)
 }
@@ -662,11 +437,10 @@ fn run_jobs_check() {
     // runners drift minute to minute, and the regression this guards
     // against (PR 5's pre-LPT schedule) was only ~1.14x — a single shot
     // cannot tell that from noise.
-    let ((mut secs1, events1), (mut secs2, events2)) =
-        (run_figure_sweep(true, 1), run_figure_sweep(true, 2));
+    let ((mut secs1, events1), (mut secs2, events2)) = (run_figure_sweep(1), run_figure_sweep(2));
     for _ in 0..2 {
-        secs2 = secs2.min(run_figure_sweep(true, 2).0);
-        secs1 = secs1.min(run_figure_sweep(true, 1).0);
+        secs2 = secs2.min(run_figure_sweep(2).0);
+        secs1 = secs1.min(run_figure_sweep(1).0);
     }
     assert_eq!(
         events1, events2,
@@ -681,7 +455,7 @@ fn run_jobs_check() {
     );
     assert!(
         secs2 <= secs1 * tolerance,
-        "sweep parallelism regression: --jobs 2 took {secs2:.3}s vs --jobs 1 {secs1:.3}s \
+        "sweep parallelism regression: 2 jobs took {secs2:.3}s vs 1 job {secs1:.3}s \
          (tolerance {tolerance}x on {cores} cores)",
     );
     println!("  [jobs] check passed: two jobs are not slower than one");
@@ -819,14 +593,11 @@ fn emit_trace_artifacts(
     );
 }
 
-/// Runs the full figure grid (`--sweep`); returns `(wall seconds, events)`.
-fn run_figure_sweep(smoke: bool, jobs: usize) -> (f64, u64) {
-    let cells = figure_cells(smoke, None);
-    println!(
-        "figure sweep: {} cells on {jobs} jobs{}",
-        cells.len(),
-        if smoke { " (smoke)" } else { "" }
-    );
+/// Runs the smoke figure grid on `jobs` worker threads (`--check-jobs`);
+/// returns `(wall seconds, events)`.
+fn run_figure_sweep(jobs: usize) -> (f64, u64) {
+    let cells = figure_cells(true, None);
+    println!("figure sweep: {} cells on {jobs} jobs (smoke)", cells.len());
     let outcome = run_sweep(cells, jobs);
     let merged = outcome.merged_lines();
     let merged_hash = fingerprint_hash(&merged.bytes().map(u64::from).collect::<Vec<u64>>());
@@ -843,11 +614,7 @@ fn run_figure_sweep(smoke: bool, jobs: usize) -> (f64, u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut sweep = false;
     let mut iters = 3usize;
-    let mut jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let mut only: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut shards = 1usize;
@@ -884,20 +651,8 @@ fn main() {
                     .expect("--iters takes a number");
                 i += 2;
             }
-            "--jobs" => {
-                jobs = args
-                    .get(i + 1)
-                    .expect("--jobs needs a value")
-                    .parse()
-                    .expect("--jobs takes a number");
-                i += 2;
-            }
             "--smoke" => {
                 smoke = true;
-                i += 1;
-            }
-            "--sweep" => {
-                sweep = true;
                 i += 1;
             }
             "--only" => {
@@ -906,7 +661,7 @@ fn main() {
             }
             other => panic!(
                 "unknown argument {other:?} \
-                 (expected --iters/--jobs/--smoke/--sweep/--only/--trace-out\
+                 (expected --iters/--smoke/--only/--trace-out\
                  /--shards/--scale-curve/--check-jobs)"
             ),
         }
@@ -930,11 +685,6 @@ fn main() {
 
     if scale_curve {
         run_scale_curve(smoke);
-        return;
-    }
-
-    if sweep {
-        run_figure_sweep(smoke, jobs);
         return;
     }
 

@@ -6,7 +6,10 @@
 //! `figures` binary runs both. This library also holds what the cells
 //! share: the scaled-down cluster recipe and workload adapters from
 //! `rablock-workload` generators onto the simulation's per-connection
-//! interface.
+//! interface. [`scenarios`] is the kit every chaos, churn and integrity run
+//! builds from: the small fault-tolerant cluster, its per-connection
+//! write-then-read workload, and the chaos, grow and gray-device scenarios,
+//! shared by the integration tests, the examples and `wallclock`.
 //!
 //! ## Scaling
 //!
@@ -22,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod claims;
+pub mod scenarios;
 pub mod sweep;
 
 use rablock::sim::{ClusterSim, ClusterSimConfig, ConnWorkload, SimDuration, SimRng, WorkItem};

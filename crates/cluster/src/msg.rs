@@ -179,24 +179,15 @@ pub struct ScrubEntry {
 /// OSD-to-OSD messages.
 #[derive(Clone, Debug)]
 pub enum PeerMsg {
-    /// Primary-backup replication of a transaction; the replica persists to
-    /// its backend store before acking (stock path).
+    /// Primary-backup replication of a transaction. The replica handles it
+    /// in its own mode: a decoupled replica (§IV-A) logs it to NVM and acks
+    /// at once; every other persists it to its backend store before acking.
     Repop {
         /// Group the transaction belongs to.
         group: GroupId,
         /// Primary-assigned sequence.
         seq: u64,
         /// The transaction to apply.
-        txn: Transaction,
-    },
-    /// Decoupled replication (§IV-A): the replica logs to NVM and acks
-    /// immediately.
-    RepopNvm {
-        /// Group the transaction belongs to.
-        group: GroupId,
-        /// Primary-assigned sequence.
-        seq: u64,
-        /// The transaction to log.
         txn: Transaction,
     },
     /// Replica acknowledgment.
@@ -344,7 +335,6 @@ impl PeerMsg {
     pub fn group(&self) -> GroupId {
         match self {
             PeerMsg::Repop { group, .. }
-            | PeerMsg::RepopNvm { group, .. }
             | PeerMsg::RepAck { group, .. }
             | PeerMsg::PullLog { group, .. }
             | PeerMsg::LogRecords { group, .. }
@@ -383,9 +373,7 @@ impl PeerMsg {
     pub fn wire_bytes(&self) -> u64 {
         MSG_HEADER_BYTES
             + match self {
-                PeerMsg::Repop { txn, .. } | PeerMsg::RepopNvm { txn, .. } => {
-                    txn.user_bytes() + 256
-                }
+                PeerMsg::Repop { txn, .. } => txn.user_bytes() + 256,
                 PeerMsg::RepAck { .. } => 0,
                 PeerMsg::PullLog { .. } => 0,
                 PeerMsg::LogRecords { records, .. } => records.iter().map(|r| r.len() as u64).sum(),

@@ -685,7 +685,6 @@ impl Osd {
         use PeerMsg::*;
         match msg {
             Repop { group, seq, txn } => self.on_repop(from, group, seq, txn),
-            RepopNvm { group, seq, txn } => self.on_repop_nvm(from, group, seq, txn),
             RepAck {
                 seq, from: peer, ..
             } => self.on_rep_ack(seq, peer),

@@ -12,7 +12,7 @@ use rablock_storage::{FxHashMap, GroupId, Op, StoreError, Transaction};
 
 use super::flush::{DeferredRead, StoreCtx};
 use super::{Osd, OsdEffect, DEDUP_WINDOW};
-use crate::msg::{ClientId, ClientReply, OpId};
+use crate::msg::{ClientId, ClientReply, OpId, PeerMsg};
 use crate::placement::ActingSet;
 
 /// The pg-log key of a write, `pglog.{group}.{seq}`, built without the `fmt`
@@ -127,7 +127,7 @@ pub(super) struct TopHalf {
     /// re-acks immediately.
     pub(super) completed: FxHashMap<ClientId, DedupWindow>,
     /// Recently applied replication seqs per group: a duplicate
-    /// `Repop`/`RepopNvm` re-acks without re-applying.
+    /// `Repop` re-acks without re-applying.
     pub(super) replica_applied: FxHashMap<GroupId, DedupWindow>,
 }
 
@@ -179,7 +179,8 @@ impl Osd {
             ticks: 0,
         };
         for &r in &w.waiting_acks {
-            self.send(r, self.repop(group, seq, w.txn.clone()));
+            let txn = w.txn.clone();
+            self.send(r, PeerMsg::Repop { group, seq, txn });
         }
         self.top.inflight_ops.insert((from, op), seq);
         if self.cfg.mode.decoupled() {

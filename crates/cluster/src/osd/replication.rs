@@ -1,7 +1,7 @@
-//! Primary-backup replication: `Repop` (persist, then ack) and `RepopNvm`
-//! (log to NVM, ack at once) at the replica, `RepAck` / `RepNack` back at
-//! the primary, and the retransmits that keep a write moving when either
-//! direction loses a message.
+//! Primary-backup replication: `Repop` at the replica (a decoupled replica
+//! logs to NVM and acks at once, every other persists, then acks),
+//! `RepAck` / `RepNack` back at the primary, and the retransmits that keep
+//! a write moving when either direction loses a message.
 
 use rablock_storage::{GroupId, ObjectId, StoreError, Transaction};
 
@@ -13,16 +13,6 @@ use crate::msg::PeerMsg;
 use crate::placement::OsdId;
 
 impl Osd {
-    /// The replication message for `txn`: a decoupled primary asks its
-    /// replicas to log to NVM, every other mode to persist.
-    pub(super) fn repop(&self, group: GroupId, seq: u64, txn: Transaction) -> PeerMsg {
-        if self.cfg.mode.decoupled() {
-            PeerMsg::RepopNvm { group, seq, txn }
-        } else {
-            PeerMsg::Repop { group, seq, txn }
-        }
-    }
-
     /// Re-sends the replication message for an in-flight write to every
     /// replica that has not acked yet. Nothing is re-applied locally; the
     /// client will be answered by the original operation when it completes.
@@ -31,7 +21,8 @@ impl Osd {
             return;
         };
         for r in w.waiting_acks.clone() {
-            self.send(r, self.repop(group, seq, txn.clone()));
+            let txn = txn.clone();
+            self.send(r, PeerMsg::Repop { group, seq, txn });
         }
     }
 
@@ -101,8 +92,8 @@ impl Osd {
         }
     }
 
-    /// Coupled replication at the replica: apply to the backend, ack once
-    /// the apply is durable.
+    /// Replication at the replica, in this OSD's mode: decoupled (§IV-A)
+    /// logs to NVM and acks at once, every other mode persists first.
     pub(super) fn on_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
         if self.replica_already_applied(group, seq) {
             // Primary retransmit after a lost ack: re-ack only.
@@ -110,6 +101,16 @@ impl Osd {
             return;
         }
         self.note_replica_applied(group, seq);
+        if self.cfg.mode.decoupled() {
+            self.log_repop(from, group, seq, txn);
+        } else {
+            self.persist_repop(from, group, seq, txn);
+        }
+    }
+
+    /// Coupled replication at the replica: apply to the backend, ack once
+    /// the apply is durable.
+    fn persist_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
         if self.cfg.mode.null_transaction() || self.cfg.mode.null_store() {
             self.rep_ack(from, group, seq);
             return;
@@ -136,12 +137,7 @@ impl Osd {
     }
 
     /// Decoupled replication at the replica (§IV-A): log to NVM, ack at once.
-    pub(super) fn on_repop_nvm(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
-        if self.replica_already_applied(group, seq) {
-            self.rep_ack(from, group, seq);
-            return;
-        }
-        self.note_replica_applied(group, seq);
+    fn log_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
         self.note_txn(&txn);
         self.pg_log_note(group, seq, &txn);
         let (bytes, stall) = self.log_append_with_fallback(group, txn);

@@ -189,12 +189,12 @@ fn decoupled_write_acks_without_store() {
         from: ClientId(1),
         req: write_req(1, oid_in(g, 1)),
     });
-    // NVM logged + RepopNvm sent; no store I/O on the write path.
+    // NVM logged + Repop sent; no store I/O on the write path.
     assert!(fx.iter().any(|e| matches!(e, OsdEffect::NvmWritten { .. })));
     assert!(fx.iter().any(|e| matches!(
         e,
         OsdEffect::SendPeer {
-            msg: PeerMsg::RepopNvm { .. },
+            msg: PeerMsg::Repop { .. },
             ..
         }
     )));
@@ -234,7 +234,7 @@ fn decoupled_replica_acks_immediately_from_nvm() {
     );
     let fx = o.handle(OsdInput::Peer {
         from: OsdId(0),
-        msg: PeerMsg::RepopNvm {
+        msg: PeerMsg::Repop {
             group: g,
             seq: 5,
             txn,
@@ -447,7 +447,7 @@ fn retried_write_applies_exactly_once() {
                 matches!(
                     e,
                     OsdEffect::SendPeer {
-                        msg: PeerMsg::RepopNvm { .. },
+                        msg: PeerMsg::Repop { .. },
                         ..
                     }
                 )
@@ -524,7 +524,7 @@ fn duplicate_replication_reacks_without_reapplying() {
     );
     o.handle(OsdInput::Peer {
         from: OsdId(0),
-        msg: PeerMsg::RepopNvm {
+        msg: PeerMsg::Repop {
             group: g,
             seq: 5,
             txn: txn.clone(),
@@ -533,7 +533,7 @@ fn duplicate_replication_reacks_without_reapplying() {
     assert_eq!(o.log_pending(g), 1);
     let fx = o.handle(OsdInput::Peer {
         from: OsdId(0),
-        msg: PeerMsg::RepopNvm {
+        msg: PeerMsg::Repop {
             group: g,
             seq: 5,
             txn,
@@ -1092,7 +1092,7 @@ fn stale_push_with_divergent_content_is_dropped_not_acked() {
     );
     o.handle(OsdInput::Peer {
         from: OsdId(0),
-        msg: PeerMsg::RepopNvm {
+        msg: PeerMsg::Repop {
             group: g,
             seq: 7,
             txn,
@@ -1156,7 +1156,7 @@ fn stale_push_with_matching_content_is_acked_but_not_applied() {
     );
     o.handle(OsdInput::Peer {
         from: OsdId(0),
-        msg: PeerMsg::RepopNvm {
+        msg: PeerMsg::Repop {
             group: g,
             seq: 7,
             txn,
@@ -1259,7 +1259,7 @@ fn heartbeat_retransmits_stale_inflight_writes() {
         !fx.iter().any(|e| matches!(
             e,
             OsdEffect::SendPeer {
-                msg: PeerMsg::RepopNvm { .. },
+                msg: PeerMsg::Repop { .. },
                 ..
             }
         )),
@@ -1270,7 +1270,7 @@ fn heartbeat_retransmits_stale_inflight_writes() {
         fx.iter().any(|e| matches!(
             e,
             OsdEffect::SendPeer {
-                msg: PeerMsg::RepopNvm { seq: 1, .. },
+                msg: PeerMsg::Repop { seq: 1, .. },
                 ..
             }
         )),

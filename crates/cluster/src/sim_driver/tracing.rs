@@ -102,7 +102,7 @@ impl World {
     }
 
     /// The trace ref a replicated-write sub-message belongs to.
-    /// `Repop`/`RepopNvm` are keyed by the *sender* (the primary);
+    /// `Repop` is keyed by the *sender* (the primary);
     /// acks are keyed by the *receiver* (also the primary). Replay
     /// resolves the key; an unregistered key simply drops the span, the
     /// same way the old inline lookup returned `None`.
@@ -114,9 +114,7 @@ impl World {
     ) -> Option<TraceRef> {
         self.trace.as_ref()?;
         match msg {
-            PeerMsg::Repop { seq, .. } | PeerMsg::RepopNvm { seq, .. } => {
-                Some(TraceRef::Rep(from.0, *seq))
-            }
+            PeerMsg::Repop { seq, .. } => Some(TraceRef::Rep(from.0, *seq)),
             PeerMsg::RepAck { seq, .. } | PeerMsg::RepNack { seq, .. } => {
                 Some(TraceRef::Rep(primary_osd, *seq))
             }
@@ -164,15 +162,15 @@ impl World {
     }
 
     /// Span label for the stage an input runs in (mirrors `charge_input`).
-    pub(super) fn input_span_name(input: &OsdInput) -> &'static str {
+    pub(super) fn input_span_name(&self, input: &OsdInput) -> &'static str {
         match input {
             OsdInput::Client { req, .. } => match req {
                 ClientReq::Read { .. } => "rp.read",
                 _ => "rp.primary",
             },
             OsdInput::Peer { msg, .. } => match msg {
+                PeerMsg::Repop { .. } if self.topo.cfg.mode.decoupled() => "rp.replica_nvm",
                 PeerMsg::Repop { .. } => "rp.replica",
-                PeerMsg::RepopNvm { .. } => "rp.replica_nvm",
                 PeerMsg::RepAck { .. } | PeerMsg::RepNack { .. } => "rp.ack",
                 _ => "tp.recovery",
             },
@@ -195,9 +193,9 @@ impl World {
                 self.topo.cfg.costs.nvm_append.as_nanos()
             }
             OsdInput::Peer {
-                msg: PeerMsg::RepopNvm { .. },
+                msg: PeerMsg::Repop { .. },
                 ..
-            } => self.topo.cfg.costs.nvm_append.as_nanos(),
+            } if self.topo.cfg.mode.decoupled() => self.topo.cfg.costs.nvm_append.as_nanos(),
             _ => 0,
         }
     }
@@ -249,7 +247,7 @@ impl World {
         tr.log.push((now, work));
     }
 
-    /// Joins an outgoing `Repop`/`RepopNvm` to its parent op so the
+    /// Joins an outgoing `Repop` to its parent op so the
     /// replay can resolve replica-side and ack-side refs. The sender's
     /// part logs the registration at send time; any consumer of the key
     /// runs at least one network lookahead later in simulated time, so
@@ -262,7 +260,7 @@ impl World {
         cur: Option<TraceRef>,
     ) {
         // `cur` is only ever set with tracing on.
-        if let (Some(id), PeerMsg::Repop { seq, .. } | PeerMsg::RepopNvm { seq, .. }) = (cur, msg) {
+        if let (Some(id), PeerMsg::Repop { seq, .. }) = (cur, msg) {
             let (primary, seq) = (self.osd(osd).id.0, *seq);
             self.trace_log(ctx.now(), TraceOp::RegisterRep { primary, seq, id });
         }

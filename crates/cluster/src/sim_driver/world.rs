@@ -270,14 +270,13 @@ impl World {
             OsdInput::Peer { msg, .. } => match msg {
                 PeerMsg::Repop { .. } => {
                     ctx.spend(RP, c.rp_replica);
-                    if !mode.null_transaction() && !mode.null_store() && !mode.prioritized() {
+                    if mode.decoupled() {
+                        ctx.spend(RP, c.nvm_append);
+                    } else if !mode.null_transaction() && !mode.null_store() && !mode.prioritized()
+                    {
                         ctx.spend(TP, c.tp);
                         ctx.spend(OS, os_submit);
                     }
-                }
-                PeerMsg::RepopNvm { .. } => {
-                    ctx.spend(RP, c.rp_replica);
-                    ctx.spend(RP, c.nvm_append);
                 }
                 PeerMsg::RepAck { .. } | PeerMsg::RepNack { .. } => ctx.spend(RP, c.tp_complete),
                 // Peering, recovery and scrub traffic (`PeerMsg::is_recovery`).
@@ -450,7 +449,7 @@ impl World {
             gate.busy = true;
         }
         let cur = self.trace_of_input(osd, &input);
-        let span_name = Self::input_span_name(&input);
+        let span_name = self.input_span_name(&input);
         let nvm_static = if cur.is_some() {
             self.nvm_charge_of(&input)
         } else {

@@ -6,22 +6,16 @@
 //! Usage: `cargo run --release --example chaos_demo [seed] [drop_p]`
 
 use rablock::sim::{
-    ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, GrayWindow, LinkFault,
-    Partition, RetryPolicy, SimDuration, SimRng, SimTime, WorkItem,
+    ClusterSim, ConnWorkload, CrashSchedule, FaultPlan, GrayWindow, Partition, SimDuration, SimRng,
+    WorkItem,
 };
-use rablock::{GroupId, ObjectId, PipelineMode};
-use rablock_cluster::osd::OsdConfig;
-use rablock_cos::CosOptions;
-use rablock_lsm::LsmOptions;
-
-const PGS: u32 = 8;
+use rablock::{ObjectId, PipelineMode};
+use rablock_bench::scenarios::{
+    conn_oid, fault_tolerant, ms, noisy_link, small_cluster, SMALL_PGS,
+};
 
 fn oid(i: u64) -> ObjectId {
-    ObjectId::new(GroupId((i % PGS as u64) as u32), i)
-}
-
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
+    conn_oid(0, i, SMALL_PGS)
 }
 
 struct Conn {
@@ -53,37 +47,10 @@ impl ConnWorkload for Conn {
 }
 
 fn build(seed: u64, drop_p: f64) -> ClusterSim {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = 3;
-    cfg.osds_per_node = 1;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
-    cfg.pg_count = PGS;
-    cfg.queue_depth = 4;
+    let mut cfg = fault_tolerant(small_cluster(PipelineMode::Dop));
     cfg.seed = seed;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        cos: CosOptions::tiny(),
-        ..OsdConfig::default()
-    };
     cfg.faults = FaultPlan::none()
-        .with_link_fault(LinkFault {
-            link: None,
-            from: SimTime::ZERO,
-            until: ms(10_000),
-            drop_p,
-            dup_p: drop_p / 2.0,
-            reorder_p: 0.05,
-            reorder_max: SimDuration::nanos(200_000),
-            spike_p: 0.02,
-            spike: SimDuration::nanos(500_000),
-        })
+        .with_link_fault(noisy_link(drop_p))
         .with_partition(Partition {
             a: 0,
             b: 1,
@@ -102,16 +69,6 @@ fn build(seed: u64, drop_p: f64) -> ClusterSim {
             restart_at: Some(ms(35)),
             torn_tail: true,
         });
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
     ClusterSim::new(
         cfg,
         vec![Box::new(Conn { cursor: 0 }) as Box<dyn ConnWorkload>],

@@ -6,25 +6,15 @@
 //!
 //! Usage: `cargo run --release --example elastic_grow [seed]`
 
-use rablock::sim::{
-    ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, RetryPolicy, SimDuration, SimRng, SimTime,
-    WorkItem,
-};
-use rablock::{GroupId, ObjectId, PipelineMode};
-use rablock_cluster::osd::OsdConfig;
+use rablock::sim::{ChurnOp, ClusterSim, ConnWorkload, SimDuration, SimRng, WorkItem};
+use rablock::{ObjectId, PipelineMode};
+use rablock_bench::scenarios::{conn_oid, fault_tolerant, ms, small_cluster};
 use rablock_cluster::placement::DEFAULT_OSD_WEIGHT;
-use rablock_cos::CosOptions;
-use rablock_lsm::LsmOptions;
 
 const PGS: u32 = 16;
 
 fn oid(conn: u64, i: u64) -> ObjectId {
-    let k = conn * 100 + i;
-    ObjectId::new(GroupId((k % PGS as u64) as u32), k)
-}
-
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
+    conn_oid(conn, i, PGS)
 }
 
 struct Conn {
@@ -57,28 +47,14 @@ impl ConnWorkload for Conn {
 }
 
 fn build(seed: u64) -> ClusterSim {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
+    let mut cfg = fault_tolerant(small_cluster(PipelineMode::Dop));
     cfg.nodes = 4;
     cfg.osds_per_node = 2;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
     cfg.pg_count = PGS;
-    cfg.queue_depth = 4;
     cfg.seed = seed;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        cos: CosOptions::tiny(),
-        // A deliberately tight backfill throttle so the rebalance queues.
-        max_backfill_inflight: 2,
-        backfill_bytes_per_tick: 1 << 20,
-        ..OsdConfig::default()
-    };
+    // A deliberately tight backfill throttle so the rebalance queues.
+    cfg.osd.max_backfill_inflight = 2;
+    cfg.osd.backfill_bytes_per_tick = 1 << 20;
     // OSD ids are node-major (node*2, node*2+1): boot on the even OSD of
     // each node, keep the odd ones provisioned but weighted out…
     cfg.initially_out = (0..8).filter(|o| o % 2 == 1).collect();
@@ -91,16 +67,6 @@ fn build(seed: u64) -> ClusterSim {
             weight: DEFAULT_OSD_WEIGHT,
         })
         .collect();
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
     let conns = (0..2)
         .map(|c| Box::new(Conn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
         .collect();

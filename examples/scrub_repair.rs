@@ -8,15 +8,11 @@
 //! Usage: `cargo run --release --example scrub_repair [seed] [flips]`
 
 use rablock::sim::{
-    BitRotSchedule, ClusterSim, ClusterSimConfig, ConnWorkload, FaultPlan, RetryPolicy, RotMedia,
-    SimDuration, SimRng, SimTime, WorkItem,
+    BitRotSchedule, ClusterSim, ConnWorkload, FaultPlan, RotMedia, SimDuration, SimRng, WorkItem,
 };
-use rablock::{GroupId, ObjectId, PipelineMode};
-use rablock_cluster::osd::OsdConfig;
-use rablock_cos::CosOptions;
-use rablock_lsm::LsmOptions;
+use rablock::{ObjectId, PipelineMode};
+use rablock_bench::scenarios::{conn_oid, fault_tolerant, ms, small_cluster, SMALL_PGS};
 
-const PGS: u32 = 8;
 const OBJECTS: u64 = 8;
 const BLOCKS: u64 = 16;
 const WRITES: u64 = OBJECTS * BLOCKS;
@@ -24,19 +20,15 @@ const BALLAST: u64 = 256;
 const READS: u64 = WRITES;
 
 fn oid(i: u64) -> ObjectId {
-    ObjectId::new(GroupId((i % PGS as u64) as u32), i)
+    conn_oid(0, i, SMALL_PGS)
 }
 
-/// Ballast objects live far from the real ones; their writes keep the
+/// Ballast objects live far from the real ones (ids 1000..1008, the
+/// objects of a connection 10 that does not exist); their writes keep the
 /// cluster busy long enough for the rot strike and the scrub sweeps to
 /// land inside the run, and push earlier records through the flush window.
 fn ballast_oid(j: u64) -> ObjectId {
-    let k = 1000 + (j % 8);
-    ObjectId::new(GroupId((k % PGS as u64) as u32), k)
-}
-
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
+    conn_oid(10, j % 8, SMALL_PGS)
 }
 
 /// Writes, ballast, then a full read-back sweep of every written block —
@@ -79,30 +71,11 @@ impl ConnWorkload for Conn {
 }
 
 fn build(seed: u64, flips: u32) -> ClusterSim {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = 3;
-    cfg.osds_per_node = 1;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
-    cfg.pg_count = PGS;
-    cfg.queue_depth = 4;
+    let mut cfg = fault_tolerant(small_cluster(PipelineMode::Dop));
     cfg.seed = seed;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        // tiny() models the paper's checksum-free store; integrity needs
-        // the per-block CRCs on.
-        cos: CosOptions {
-            checksums: true,
-            ..CosOptions::tiny()
-        },
-        ..OsdConfig::default()
-    };
+    // tiny() models the paper's checksum-free store; integrity needs the
+    // per-block CRCs on.
+    cfg.osd.cos.checksums = true;
     // Silent corruption against osd 1's committed data, mid-ballast: any
     // flushed block of any object it holds is fair game.
     cfg.faults = FaultPlan::none().with_bit_rot(BitRotSchedule {
@@ -116,16 +89,6 @@ fn build(seed: u64, flips: u32) -> ClusterSim {
     // Deep scrub every sweep, fast cadence so detection lands in-run.
     cfg.scrub_interval = Some(SimDuration::millis(4));
     cfg.scrub_deep_every = 1;
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
     ClusterSim::new(
         cfg,
         vec![Box::new(Conn { cursor: 0 }) as Box<dyn ConnWorkload>],

@@ -15,48 +15,30 @@
 
 use proptest::prelude::*;
 use rablock::sim::{
-    ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, GrayWindow,
-    LinkFault, Partition, RetryPolicy, SimDuration, SimRng, SimTime, WorkItem,
+    ChurnOp, ClusterSimConfig, CrashSchedule, FaultPlan, GrayWindow, LinkFault, Partition,
+    SimDuration,
 };
-use rablock::{GroupId, ObjectId, PipelineMode};
-use rablock_cluster::osd::OsdConfig;
-use rablock_cluster::placement::{OsdMap, DEFAULT_OSD_WEIGHT};
-use rablock_cos::CosOptions;
-use rablock_lsm::LsmOptions;
+use rablock::{GroupId, PipelineMode};
+use rablock_bench::scenarios::{
+    self, cases, fault_tolerant, grow_load, ms, noisy_link, small_cluster, ConnLoad, SMALL_NODES,
+    SMALL_PGS,
+};
+use rablock_cluster::placement::OsdMap;
 
-const PGS: u32 = 8;
-const NODES: usize = 3;
-const CONNS: u64 = 2;
-const WRITES_PER_CONN: u64 = 96;
-const READS_PER_CONN: u64 = 24;
-
-/// Objects are namespaced per connection so no block has two writers —
-/// the history checker's last-acked-value rule then has a unique answer.
-fn oid(conn: u64, k: u64) -> ObjectId {
-    let i = conn * 100 + k;
-    ObjectId::new(GroupId((i % PGS as u64) as u32), i)
-}
-
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
-/// Case count, honoring `PROPTEST_CASES` — an explicit `with_cases` value
-/// otherwise shadows the environment variable, and the extended-chaos CI
-/// job relies on it to dial intensity up without a code change.
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+const NODES: usize = SMALL_NODES as usize;
+/// Two connections of 96 writes then 24 reads over 1 MiB objects.
+const LOAD: ConnLoad = ConnLoad {
+    conns: 2,
+    writes: 96,
+    reads: 24,
+    object_bytes: 1 << 20,
+};
 
 /// Everything one chaos case is derived from.
 #[derive(Debug, Clone, Copy)]
 struct Scenario {
     seed: u64,
     drop_p: f64,
-    dup_p: f64,
     /// Which link pair to partition: 0..3 = storage pairs, 3 = client↔node.
     pair: u8,
     part_from_ms: u64,
@@ -87,7 +69,6 @@ fn scenarios() -> impl Strategy<Value = Scenario> {
                 Scenario {
                     seed,
                     drop_p,
-                    dup_p: drop_p / 2.0,
                     pair: pair % 4,
                     part_from_ms,
                     part_len_ms,
@@ -110,17 +91,7 @@ fn plan(s: &Scenario) -> FaultPlan {
         _ => (client, (s.part_from_ms % NODES as u64) as usize),
     };
     FaultPlan::none()
-        .with_link_fault(LinkFault {
-            link: None,
-            from: SimTime::ZERO,
-            until: ms(10_000),
-            drop_p: s.drop_p,
-            dup_p: s.dup_p,
-            reorder_p: 0.05,
-            reorder_max: SimDuration::nanos(200_000),
-            spike_p: 0.02,
-            spike: SimDuration::nanos(500_000),
-        })
+        .with_link_fault(noisy_link(s.drop_p))
         .with_partition(Partition {
             a,
             b,
@@ -143,41 +114,12 @@ fn plan(s: &Scenario) -> FaultPlan {
 }
 
 fn base_config(seed: u64, faults: FaultPlan) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = NODES as u32;
-    cfg.osds_per_node = 1;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
-    cfg.pg_count = PGS;
-    cfg.queue_depth = 4;
+    let mut cfg = fault_tolerant(small_cluster(PipelineMode::Dop));
     cfg.seed = seed;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        // tiny() models the paper's store (no data checksums); keep the
-        // read-path CRCs on so the digest-consistency invariant has teeth.
-        cos: CosOptions {
-            checksums: true,
-            ..CosOptions::tiny()
-        },
-        ..OsdConfig::default()
-    };
+    // tiny() models the paper's store (no data checksums); keep the
+    // read-path CRCs on so the digest-consistency invariant has teeth.
+    cfg.osd.cos.checksums = true;
     cfg.faults = faults;
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
     cfg
 }
 
@@ -185,47 +127,9 @@ fn config(s: &Scenario) -> ClusterSimConfig {
     base_config(s.seed, plan(s))
 }
 
-struct ChaosConn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for ChaosConn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        if i < WRITES_PER_CONN {
-            let k = i % 8;
-            let block = (i / 8) % 16;
-            Some(WorkItem::Write {
-                oid: oid(self.conn, k),
-                offset: block * 4096,
-                len: 4096,
-                fill: ((self.conn * 97 + k * 31 + block) % 251) as u8,
-            })
-        } else if i < WRITES_PER_CONN + READS_PER_CONN {
-            let j = i - WRITES_PER_CONN;
-            Some(WorkItem::Read {
-                oid: oid(self.conn, j % 8),
-                offset: (j / 8) * 4096,
-                len: 4096,
-            })
-        } else {
-            None
-        }
-    }
-}
-
 /// One full chaos run; returns the outcome counters that must reproduce.
 fn run(s: &Scenario) -> (u64, u64, u64, u64, u64, u64, u64) {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CONNS)
-        .map(|c| Box::new(ChaosConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let mut sim = ClusterSim::new(config(s), wl);
-    let objects: Vec<(ObjectId, u64)> = (0..CONNS)
-        .flat_map(|c| (0..8).map(move |k| (oid(c, k), 1 << 20)))
-        .collect();
-    sim.prefill(&objects);
+    let mut sim = LOAD.sim(config(s));
     let report = sim.run(SimDuration::ZERO, SimDuration::secs(5));
     let checker = sim.checker().expect("history checking enabled");
     (
@@ -273,15 +177,8 @@ fn convergence_scenarios() -> impl Strategy<Value = Convergence> {
 /// Background message chaos confined to the first 60 ms of the run.
 fn converging_link_fault(drop_p: f64) -> LinkFault {
     LinkFault {
-        link: None,
-        from: SimTime::ZERO,
         until: ms(60),
-        drop_p,
-        dup_p: drop_p / 2.0,
-        reorder_p: 0.05,
-        reorder_max: SimDuration::nanos(200_000),
-        spike_p: 0.02,
-        spike: SimDuration::nanos(500_000),
+        ..noisy_link(drop_p)
     }
 }
 
@@ -297,14 +194,7 @@ type ConvergenceOutcome = (
 
 /// One full run followed by post-quiesce health checks.
 fn run_to_convergence(cfg: ClusterSimConfig) -> ConvergenceOutcome {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CONNS)
-        .map(|c| Box::new(ChaosConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let mut sim = ClusterSim::new(cfg, wl);
-    let objects: Vec<(ObjectId, u64)> = (0..CONNS)
-        .flat_map(|c| (0..8).map(move |k| (oid(c, k), 1 << 20)))
-        .collect();
-    sim.prefill(&objects);
+    let mut sim = LOAD.sim(cfg);
     let report = sim.run(SimDuration::ZERO, SimDuration::secs(5));
     let checker = sim.checker().expect("history checking enabled");
     let counters = (
@@ -325,13 +215,13 @@ fn run_to_convergence(cfg: ClusterSimConfig) -> ConvergenceOutcome {
 /// Shared assertions for a convergence outcome.
 fn assert_converged(outcome: &ConvergenceOutcome) -> Result<(), TestCaseError> {
     let ((writes, reads, errors, pushes, _, acked, checked), stuck, divergence, digests) = outcome;
-    let total_ops = CONNS * (WRITES_PER_CONN + READS_PER_CONN);
+    let total_ops = LOAD.total_ops();
     prop_assert!(
         writes + reads + errors >= total_ops,
         "all ops resolved: {writes}+{reads}+{errors} of {total_ops}"
     );
     prop_assert!(
-        *writes >= CONNS * WRITES_PER_CONN / 2,
+        *writes >= LOAD.conns * LOAD.writes / 2,
         "most writes completed: {writes}"
     );
     prop_assert!(acked >= writes, "every counted write was vetted");
@@ -355,7 +245,7 @@ fn assert_converged(outcome: &ConvergenceOutcome) -> Result<(), TestCaseError> {
 /// Crash-and-restart faults for the primary of group 0 (the kill-primary
 /// convergence scenario, shared with the pinned regressions below).
 fn primary_crash_faults(c: &Convergence) -> FaultPlan {
-    let primary = OsdMap::new(NODES as u32, 1, PGS, 2)
+    let primary = OsdMap::new(SMALL_NODES, 1, SMALL_PGS, 2)
         .try_primary(GroupId(0))
         .expect("a full map always has a primary")
         .0 as usize;
@@ -418,12 +308,12 @@ proptest! {
         let first = run(&s);
         let (writes, reads, errors, _, _, acked, checked) = first;
         // Progress: the retry path pushes most ops through the fault window.
-        let total_ops = CONNS * (WRITES_PER_CONN + READS_PER_CONN);
+        let total_ops = LOAD.total_ops();
         prop_assert!(
             writes + reads + errors >= total_ops,
             "all ops resolved (done or surfaced): {writes}+{reads}+{errors} of {total_ops}"
         );
-        prop_assert!(writes >= CONNS * WRITES_PER_CONN / 2, "most writes completed: {writes}");
+        prop_assert!(writes >= LOAD.conns * LOAD.writes / 2, "most writes completed: {writes}");
         prop_assert!(acked >= writes, "every counted write was vetted: {acked} >= {writes}");
         prop_assert!(checked >= reads, "every read was vetted: {checked} >= {reads}");
 
@@ -504,14 +394,8 @@ struct ChurnOutcome {
 }
 
 /// One elastic-ops run: workload + churn plan in, full outcome out.
-fn run_churn(
-    cfg: ClusterSimConfig,
-    wl: Vec<Box<dyn ConnWorkload>>,
-    objects: &[(ObjectId, u64)],
-    measure: SimDuration,
-) -> ChurnOutcome {
-    let mut sim = ClusterSim::new(cfg, wl);
-    sim.prefill(objects);
+fn run_churn(cfg: ClusterSimConfig, load: ConnLoad, measure: SimDuration) -> ChurnOutcome {
+    let mut sim = load.sim(cfg);
     let report = sim.run(SimDuration::ZERO, measure);
     let checker = sim.checker().expect("history checking enabled");
     let acked = checker.writes_acked();
@@ -546,13 +430,8 @@ fn run_churn(
 }
 
 /// Shared assertions: all ops resolved, nothing lost, cluster healed.
-fn assert_churn_converged(
-    o: &ChurnOutcome,
-    conns: u64,
-    writes_per_conn: u64,
-    reads_per_conn: u64,
-) -> Result<(), TestCaseError> {
-    let total_ops = conns * (writes_per_conn + reads_per_conn);
+fn assert_churn_converged(o: &ChurnOutcome, load: ConnLoad) -> Result<(), TestCaseError> {
+    let total_ops = load.total_ops();
     prop_assert!(
         o.writes + o.reads + o.errors >= total_ops,
         "all ops resolved: {}+{}+{} of {total_ops}",
@@ -561,7 +440,7 @@ fn assert_churn_converged(
         o.errors
     );
     prop_assert!(
-        o.writes >= conns * writes_per_conn / 2,
+        o.writes >= load.conns * load.writes / 2,
         "most writes completed: {}",
         o.writes
     );
@@ -585,14 +464,7 @@ fn assert_churn_converged(
     Ok(())
 }
 
-// Grow topology: 16 nodes x 4 OSDs pre-provisioned, 4 in service at start.
-const GROW_NODES: u32 = 16;
-const GROW_OSDS_PER_NODE: u32 = 4;
-const GROW_OSDS: u32 = GROW_NODES * GROW_OSDS_PER_NODE;
-const GROW_PGS: u32 = 32;
-const GROW_CONNS: u64 = 3;
-const GROW_WRITES_PER_CONN: u64 = 512;
-const GROW_READS_PER_CONN: u64 = 64;
+const GROW_LOAD: ConnLoad = grow_load(512, 64);
 /// Declared capacity-imbalance tolerance for the grown cluster. With 16
 /// data-bearing groups x 2 replicas over 64 OSDs the placement is sparse,
 /// so (max-mean)/mean is inherently a few multiples of the mean; the
@@ -600,141 +472,14 @@ const GROW_READS_PER_CONN: u64 = 64;
 /// ~15 and must stay well outside the bound.
 const GROW_IMBALANCE_TOLERANCE: f64 = 9.0;
 
-/// First OSD on each of the first four nodes starts in service.
-fn grow_seed_osds() -> [u32; 4] {
-    [
-        0,
-        GROW_OSDS_PER_NODE,
-        2 * GROW_OSDS_PER_NODE,
-        3 * GROW_OSDS_PER_NODE,
-    ]
-}
-
-/// Second wave: first OSD on each of the next four nodes (4 -> 8).
-fn grow_second_wave() -> [u32; 4] {
-    [
-        4 * GROW_OSDS_PER_NODE,
-        5 * GROW_OSDS_PER_NODE,
-        6 * GROW_OSDS_PER_NODE,
-        7 * GROW_OSDS_PER_NODE,
-    ]
-}
-
-fn grow_oid(conn: u64, k: u64) -> ObjectId {
-    let i = conn * 100 + k;
-    ObjectId::new(GroupId((i % GROW_PGS as u64) as u32), i)
-}
-
-struct GrowConn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for GrowConn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        if i < GROW_WRITES_PER_CONN {
-            let k = i % 8;
-            let block = (i / 8) % 16;
-            Some(WorkItem::Write {
-                oid: grow_oid(self.conn, k),
-                offset: block * 4096,
-                len: 4096,
-                fill: ((self.conn * 97 + k * 31 + block) % 251) as u8,
-            })
-        } else if i < GROW_WRITES_PER_CONN + GROW_READS_PER_CONN {
-            let j = i - GROW_WRITES_PER_CONN;
-            Some(WorkItem::Read {
-                oid: grow_oid(self.conn, j % 8),
-                offset: (j / 8) * 4096,
-                len: 4096,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// Config for the grow-4->8->64-under-load scenario: the full 64-OSD
-/// topology is pre-provisioned with every spare at weight zero, then two
-/// churn waves weave them in while the client workload runs. The backfill
-/// throttle is tightened so the 56-OSD wave visibly queues.
-fn grow_config(seed: u64, drop_p: f64) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = GROW_NODES;
-    cfg.osds_per_node = GROW_OSDS_PER_NODE;
-    cfg.cores_per_node = 6;
-    cfg.priority_threads = 1;
-    cfg.non_priority_threads = 2;
-    cfg.pg_count = GROW_PGS;
-    cfg.queue_depth = 4;
-    cfg.seed = seed;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 32 << 20,
-        nvm_bytes: 4 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        // tiny() models the paper's store (no data checksums); keep the
-        // read-path CRCs on so the digest-consistency invariant has teeth.
-        cos: CosOptions {
-            checksums: true,
-            ..CosOptions::tiny()
-        },
-        max_backfill_inflight: 2,
-        backfill_bytes_per_tick: 1 << 20,
-        ..OsdConfig::default()
-    };
-    cfg.faults = FaultPlan::none().with_link_fault(converging_link_fault(drop_p));
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
-
-    let seed_osds = grow_seed_osds();
-    cfg.initially_out = (0..GROW_OSDS)
-        .filter(|id| !seed_osds.contains(id))
-        .collect();
-    let second = grow_second_wave();
-    let mut churn: Vec<ChurnOp> = second
-        .iter()
-        .map(|&osd| ChurnOp {
-            at: ms(8),
-            osd,
-            weight: DEFAULT_OSD_WEIGHT,
-        })
-        .collect();
-    let rest = (0..GROW_OSDS).filter(|id| !seed_osds.contains(id) && !second.contains(id));
-    churn.extend(rest.enumerate().map(|(i, osd)| ChurnOp {
-        at: ms(20) + SimDuration::nanos(100_000) * i as u64,
-        osd,
-        weight: DEFAULT_OSD_WEIGHT,
-    }));
-    cfg.churn = churn;
-    cfg
-}
-
+/// The grow-4->8->64-under-load scenario (`scenarios::grow_config`) with
+/// the read-path CRCs on and background message chaos confined to the
+/// first 60 ms.
 fn run_grow(seed: u64, drop_p: f64) -> ChurnOutcome {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..GROW_CONNS)
-        .map(|c| Box::new(GrowConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let objects: Vec<(ObjectId, u64)> = (0..GROW_CONNS)
-        .flat_map(|c| (0..8).map(move |k| (grow_oid(c, k), 256 << 10)))
-        .collect();
-    run_churn(
-        grow_config(seed, drop_p),
-        wl,
-        &objects,
-        SimDuration::millis(600),
-    )
+    let mut cfg = scenarios::grow_config(seed, true);
+    cfg.osd.cos.checksums = true;
+    cfg.faults = FaultPlan::none().with_link_fault(converging_link_fault(drop_p));
+    run_churn(cfg, GROW_LOAD, SimDuration::millis(600))
 }
 
 /// Drain scenario on the small 3-OSD topology: one member is weighted to
@@ -754,13 +499,7 @@ fn drain_config(seed: u64, drop_p: f64, drained: u32, at_ms: u64) -> ClusterSimC
 }
 
 fn run_small_churn(cfg: ClusterSimConfig) -> ChurnOutcome {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CONNS)
-        .map(|c| Box::new(ChaosConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let objects: Vec<(ObjectId, u64)> = (0..CONNS)
-        .flat_map(|c| (0..8).map(move |k| (oid(c, k), 1 << 20)))
-        .collect();
-    run_churn(cfg, wl, &objects, SimDuration::secs(5))
+    run_churn(cfg, LOAD, SimDuration::secs(5))
 }
 
 /// Flapping storm: one OSD bounces down/up for `cycles` cycles while the
@@ -812,7 +551,7 @@ proptest! {
         drop_p in 0.002f64..0.015,
     ) {
         let first = run_grow(seed, drop_p);
-        assert_churn_converged(&first, GROW_CONNS, GROW_WRITES_PER_CONN, GROW_READS_PER_CONN)?;
+        assert_churn_converged(&first, GROW_LOAD)?;
         prop_assert!(
             first.pushes >= 1 && first.backfill_bytes > 0,
             "expansion actually moved data: {} pushes, {} bytes",
@@ -848,7 +587,7 @@ proptest! {
         at_ms in 2u64..12,
     ) {
         let first = run_small_churn(drain_config(seed, drop_p, drained, at_ms));
-        assert_churn_converged(&first, CONNS, WRITES_PER_CONN, READS_PER_CONN)?;
+        assert_churn_converged(&first, LOAD)?;
         prop_assert!(
             first.pushes >= 1,
             "drain re-homed data via pushes: {}",
@@ -870,7 +609,7 @@ proptest! {
         cycles in 5usize..8,
     ) {
         let first = run_small_churn(flap_config(seed, drop_p, flapper, cycles));
-        assert_churn_converged(&first, CONNS, WRITES_PER_CONN, READS_PER_CONN)?;
+        assert_churn_converged(&first, LOAD)?;
         prop_assert!(
             first.flaps_damped >= 1,
             "dampening tripped on the storm: {} refused rejoins",
@@ -890,7 +629,7 @@ proptest! {
         downtime_ms in 6u64..10,
     ) {
         let first = run_small_churn(rolling_upgrade_config(seed, drop_p, downtime_ms));
-        assert_churn_converged(&first, CONNS, WRITES_PER_CONN, READS_PER_CONN)?;
+        assert_churn_converged(&first, LOAD)?;
         prop_assert!(
             first.flaps_damped == 0,
             "a clean rolling upgrade never trips dampening: {}",

@@ -11,89 +11,47 @@
 
 use proptest::prelude::*;
 use rablock::sim::{
-    BitRotSchedule, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan,
-    RetryPolicy, RotMedia, SimDuration, SimRng, SimTime, WorkItem,
+    BitRotSchedule, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, RotMedia,
+    SimDuration, SimRng, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
-use rablock_cluster::osd::OsdConfig;
+use rablock_bench::scenarios::{
+    cases, conn_oid, fault_tolerant, ms, small_cluster, ConnLoad, SMALL_NODES, SMALL_PGS,
+};
 use rablock_cluster::placement::OsdMap;
-use rablock_cos::CosOptions;
-use rablock_lsm::LsmOptions;
 
-const PGS: u32 = 8;
-const NODES: usize = 3;
-const CONNS: u64 = 2;
+const NODES: usize = SMALL_NODES as usize;
 const WRITES_PER_CONN: u64 = 96;
-const READS_PER_CONN: u64 = 24;
 /// Blocks the write phase maps per object (96 writes / 8 objects = 12
 /// sequential 4 KiB blocks each). Prefill declares exactly this size so
 /// every rot-eligible block is one a write actually mapped — rot that lands
 /// always lands on real data, never on a hole.
 const BLOCKS_PER_OBJECT: u64 = WRITES_PER_CONN / 8;
 const OBJECT_BYTES: u64 = BLOCKS_PER_OBJECT * 4096;
+/// Two connections of 96 writes then 24 reads, the chaos suite's shape. The
+/// stream wraps at 16 blocks, but 96 writes stop at block 11, so every write
+/// lands inside its 12-block object.
+const LOAD: ConnLoad = ConnLoad {
+    conns: 2,
+    writes: WRITES_PER_CONN,
+    reads: 24,
+    object_bytes: OBJECT_BYTES,
+};
 
-/// Objects are namespaced per connection so no block has two writers.
+/// Object `k` of connection `conn`.
 fn oid(conn: u64, k: u64) -> ObjectId {
-    let i = conn * 100 + k;
-    ObjectId::new(GroupId((i % PGS as u64) as u32), i)
-}
-
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
-/// Case count, honoring `PROPTEST_CASES` — the scrub-chaos CI job relies on
-/// it to dial intensity up without a code change.
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Same write/read shape as the chaos suite: 12 blocks of 8 objects, then a
-/// read sweep over the first blocks of each.
-struct IntegrityConn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for IntegrityConn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        if i < WRITES_PER_CONN {
-            let k = i % 8;
-            let block = (i / 8) % BLOCKS_PER_OBJECT;
-            Some(WorkItem::Write {
-                oid: oid(self.conn, k),
-                offset: block * 4096,
-                len: 4096,
-                fill: ((self.conn * 97 + k * 31 + block) % 251) as u8,
-            })
-        } else if i < WRITES_PER_CONN + READS_PER_CONN {
-            let j = i - WRITES_PER_CONN;
-            Some(WorkItem::Read {
-                oid: oid(self.conn, j % 8),
-                offset: (j / 8) * 4096,
-                len: 4096,
-            })
-        } else {
-            None
-        }
-    }
+    conn_oid(conn, k, SMALL_PGS)
 }
 
 /// Ballast objects for [`FullSweepConn`]: one per group, outside the rot
 /// strike's object range, written purely to stretch wall time and to keep
 /// per-group records flowing so every real write gets flushed to the
-/// backend before the read sweep begins.
-const BALLAST_BASE: u64 = 1000;
+/// backend before the read sweep begins. They take the ids a connection 10
+/// would use (1000..1008); no connection of the run has that number.
 const BALLAST_WRITES: u64 = 384;
 
 fn ballast_oid(j: u64) -> ObjectId {
-    let i = BALLAST_BASE + (j % 8);
-    ObjectId::new(GroupId((i % PGS as u64) as u32), i)
+    oid(10, j % 8)
 }
 
 /// One connection, five phases: (1) write every block of its 8 objects,
@@ -153,41 +111,12 @@ impl ConnWorkload for FullSweepConn {
 }
 
 fn base_config(seed: u64, faults: FaultPlan) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = NODES as u32;
-    cfg.osds_per_node = 1;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
-    cfg.pg_count = PGS;
-    cfg.queue_depth = 4;
+    let mut cfg = fault_tolerant(small_cluster(PipelineMode::Dop));
     cfg.seed = seed;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        // tiny() models the paper's store (no data checksums); integrity
-        // tests need the read-path CRCs on.
-        cos: CosOptions {
-            checksums: true,
-            ..CosOptions::tiny()
-        },
-        ..OsdConfig::default()
-    };
+    // tiny() models the paper's store (no data checksums); integrity
+    // tests need the read-path CRCs on.
+    cfg.osd.cos.checksums = true;
     cfg.faults = faults;
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
     cfg
 }
 
@@ -211,24 +140,11 @@ struct Outcome {
     fingerprint: Vec<u64>,
 }
 
-fn run(cfg: ClusterSimConfig, conns: u64, measure: SimDuration) -> Outcome {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..conns)
-        .map(|c| Box::new(IntegrityConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let objects: Vec<(ObjectId, u64)> = (0..conns)
-        .flat_map(|c| (0..8).map(move |k| (oid(c, k), OBJECT_BYTES)))
-        .collect();
-    run_with(cfg, wl, &objects, measure)
+fn run(cfg: ClusterSimConfig, measure: SimDuration) -> Outcome {
+    run_sim(LOAD.sim(cfg), measure)
 }
 
-fn run_with(
-    cfg: ClusterSimConfig,
-    wl: Vec<Box<dyn ConnWorkload>>,
-    objects: &[(ObjectId, u64)],
-    measure: SimDuration,
-) -> Outcome {
-    let mut sim = ClusterSim::new(cfg, wl);
-    sim.prefill(objects);
+fn run_sim(mut sim: ClusterSim, measure: SimDuration) -> Outcome {
     let report = sim.run(SimDuration::ZERO, measure);
     let checker = sim.checker().expect("history checking enabled");
     let acked = checker.writes_acked();
@@ -256,8 +172,8 @@ fn run_with(
 
 /// Shared assertions: ops resolved, nothing lost, cluster healed, replicas
 /// clean down to checksum metadata.
-fn assert_healed(o: &Outcome, conns: u64) -> Result<(), TestCaseError> {
-    let total_ops = conns * (WRITES_PER_CONN + READS_PER_CONN);
+fn assert_healed(o: &Outcome) -> Result<(), TestCaseError> {
+    let total_ops = LOAD.total_ops();
     prop_assert!(
         o.writes + o.reads + o.errors >= total_ops,
         "all ops resolved: {}+{}+{} of {total_ops}",
@@ -266,7 +182,7 @@ fn assert_healed(o: &Outcome, conns: u64) -> Result<(), TestCaseError> {
         o.errors
     );
     prop_assert!(
-        o.writes >= conns * WRITES_PER_CONN / 2,
+        o.writes >= LOAD.conns * LOAD.writes / 2,
         "most writes completed: {}",
         o.writes
     );
@@ -358,8 +274,8 @@ proptest! {
     /// digest-consistent replicas.
     #[test]
     fn scrub_heals_single_osd_bit_rot(s in rot_scenarios()) {
-        let o = run(rot_config(&s), CONNS, SimDuration::secs(5));
-        assert_healed(&o, CONNS)?;
+        let o = run(rot_config(&s), SimDuration::secs(5));
+        assert_healed(&o)?;
         prop_assert!(
             o.scrubs_completed >= 1,
             "scrub actually ran: {}",
@@ -381,10 +297,10 @@ proptest! {
     /// counter and latency — replays byte-identically from the seed.
     #[test]
     fn bit_rot_history_is_seed_reproducible(s in rot_scenarios()) {
-        let a = run(rot_config(&s), CONNS, SimDuration::secs(5));
-        let b = run(rot_config(&s), CONNS, SimDuration::secs(5));
+        let a = run(rot_config(&s), SimDuration::secs(5));
+        let b = run(rot_config(&s), SimDuration::secs(5));
         prop_assert_eq!(&a, &b, "same seed: identical history");
-        assert_healed(&a, CONNS)?;
+        assert_healed(&a)?;
     }
 }
 
@@ -413,8 +329,8 @@ fn nvm_log_rot_surfaces_at_crash_and_heals() {
     let mut cfg = base_config(0xB17_0707, plan);
     cfg.scrub_interval = Some(SimDuration::millis(10));
     cfg.scrub_deep_every = 1;
-    let o = run(cfg, CONNS, SimDuration::secs(5));
-    assert_healed(&o, CONNS).unwrap_or_else(|e| panic!("{e}"));
+    let o = run(cfg, SimDuration::secs(5));
+    assert_healed(&o).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The dedicated read-path story, scrub disabled so read-repair carries the
@@ -427,7 +343,7 @@ fn nvm_log_rot_surfaces_at_crash_and_heals() {
 fn corrupted_replica_read_redirects_and_heals() {
     // Object raw id g lives in group g; rot the primary of group 0 and
     // restrict the strike to exactly that object.
-    let primary = OsdMap::new(NODES as u32, 1, PGS, 2)
+    let primary = OsdMap::new(SMALL_NODES, 1, SMALL_PGS, 2)
         .try_primary(GroupId(0))
         .expect("a full map always has a primary")
         .0 as usize;
@@ -445,7 +361,9 @@ fn corrupted_replica_read_redirects_and_heals() {
         .map(|k| (oid(0, k), OBJECT_BYTES))
         .chain((0..8).map(|j| (ballast_oid(j), OBJECT_BYTES)))
         .collect();
-    let o = run_with(cfg, wl, &objects, SimDuration::secs(5));
+    let mut sim = ClusterSim::new(cfg, wl);
+    sim.prefill(&objects);
+    let o = run_sim(sim, SimDuration::secs(5));
     let total = SWEEP_TOTAL_OPS;
     assert!(
         o.writes + o.reads + o.errors >= total,
@@ -483,14 +401,7 @@ fn rot_under_a_pushed_block_is_found_by_the_next_deep_scrub() {
     let mut cfg = base_config(0x9A5E_D0B1, FaultPlan::none());
     cfg.scrub_interval = Some(SimDuration::millis(10));
     cfg.scrub_deep_every = 1;
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CONNS)
-        .map(|c| Box::new(IntegrityConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let objects: Vec<(ObjectId, u64)> = (0..CONNS)
-        .flat_map(|c| (0..8).map(move |k| (oid(c, k), OBJECT_BYTES)))
-        .collect();
-    let mut sim = ClusterSim::new(cfg, wl);
-    sim.prefill(&objects);
+    let mut sim = LOAD.sim(cfg);
     // All writes land and flush; scrubs find nothing.
     let clean = sim.run(SimDuration::ZERO, SimDuration::millis(100));
     assert_eq!(clean.scrub_errors_found, 0);
@@ -548,16 +459,11 @@ fn rot_in_a_never_written_block_is_found_by_deep_scrub_and_a_checked_read() {
     let mut cfg = base_config(0x2E80_B10C, FaultPlan::none());
     cfg.scrub_interval = Some(SimDuration::millis(10));
     cfg.scrub_deep_every = 1;
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CONNS)
-        .map(|c| Box::new(IntegrityConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
     // No connection writes `idle`; it only exists.
-    let idle = oid(CONNS, 0);
-    let objects: Vec<(ObjectId, u64)> = (0..CONNS)
-        .flat_map(|c| (0..8).map(move |k| (oid(c, k), OBJECT_BYTES)))
-        .chain([(idle, OBJECT_BYTES)])
-        .collect();
-    let mut sim = ClusterSim::new(cfg, wl);
+    let idle = oid(LOAD.conns, 0);
+    let mut objects = LOAD.objects(SMALL_PGS);
+    objects.push((idle, OBJECT_BYTES));
+    let mut sim = ClusterSim::new(cfg, LOAD.workloads(SMALL_PGS));
     sim.prefill(&objects);
     let clean = sim.run(SimDuration::ZERO, SimDuration::millis(100));
     assert_eq!(clean.scrub_errors_found, 0);
@@ -614,8 +520,8 @@ fn deep_scrub_is_throttle_bounded() {
     cfg.osd.backfill_bytes_per_tick = 64 << 10;
     cfg.scrub_interval = Some(SimDuration::millis(5));
     cfg.scrub_deep_every = 1;
-    let o = run(cfg, CONNS, SimDuration::secs(5));
-    assert_healed(&o, CONNS).unwrap_or_else(|e| panic!("{e}"));
+    let o = run(cfg, SimDuration::secs(5));
+    assert_healed(&o).unwrap_or_else(|e| panic!("{e}"));
     assert!(o.scrubs_completed >= 1, "deep scrub ran");
     assert!(
         o.scrub_throttled_nanos > 0,
@@ -632,13 +538,12 @@ fn deep_scrub_is_throttle_bounded() {
 fn scrub_on_vs_off_client_outcomes_identical() {
     let off = run(
         base_config(0x5C12B, FaultPlan::none()),
-        CONNS,
         SimDuration::secs(5),
     );
     let mut on_cfg = base_config(0x5C12B, FaultPlan::none());
     on_cfg.scrub_interval = Some(SimDuration::millis(5));
     on_cfg.scrub_deep_every = 2;
-    let on = run(on_cfg, CONNS, SimDuration::secs(5));
+    let on = run(on_cfg, SimDuration::secs(5));
     assert_eq!(off.scrubs_completed, 0);
     assert!(on.scrubs_completed >= 1, "scrub ran in the armed config");
     assert_eq!(on.errors_found, 0, "a healthy cluster scrubs clean");

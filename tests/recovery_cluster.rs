@@ -7,55 +7,22 @@
 //! no acknowledged data is lost (checked by the history checker).
 
 use rablock::sim::{
-    ClusterSim, ClusterSimConfig, ConnWorkload, RetryPolicy, SimDuration, SimRng, SimTime, WorkItem,
+    ClusterSim, ClusterSimConfig, ConnWorkload, SimDuration, SimRng, SimTime, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
-use rablock_cluster::osd::OsdConfig;
+use rablock_bench::scenarios::{conn_oid, fault_tolerant, small_cluster, SMALL_PGS};
 use rablock_cluster::placement::OsdId;
-use rablock_cos::CosOptions;
-use rablock_lsm::LsmOptions;
-
-const PGS: u32 = 8;
 
 fn oid(i: u64) -> ObjectId {
-    ObjectId::new(GroupId((i % PGS as u64) as u32), i)
+    conn_oid(0, i, SMALL_PGS)
 }
 
+/// Three nodes, so replication 2 survives one node failure. Failure
+/// detection is heartbeat-driven: `fail_osd` only kills the process, and
+/// the monitor learns of it from the missed-beacon window. Ops stranded on
+/// the dead OSD time out and are retried against the post-failover map.
 fn config() -> ClusterSimConfig {
-    // Three nodes so replication 2 survives one node failure.
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = 3;
-    cfg.osds_per_node = 1;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
-    cfg.pg_count = PGS;
-    cfg.queue_depth = 4;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        cos: CosOptions::tiny(),
-        ..OsdConfig::default()
-    };
-    // Failure detection is heartbeat-driven: `fail_osd` only kills the
-    // process; the monitor learns of it from the missed-beacon window.
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    // Ops stranded on the dead OSD time out and are retried against the
-    // post-failover map instead of being abandoned.
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
-    cfg
+    fault_tolerant(small_cluster(PipelineMode::Dop))
 }
 
 struct WriteThenVerify {
