@@ -8,8 +8,13 @@
 //! `rablock-workload` generators onto the simulation's per-connection
 //! interface. [`scenarios`] is the kit every chaos, churn and integrity run
 //! builds from: the small fault-tolerant cluster, its per-connection
-//! write-then-read workload, and the chaos, grow and gray-device scenarios,
-//! shared by the integration tests, the examples and `wallclock`.
+//! write-then-read workload, and the fig7, chaos, grow, gray-device and
+//! 256-OSD scale scenarios, shared by the integration tests, the examples
+//! and `wallclock`. `wallclock` is the diagnosing tool: it replays the fixed
+//! scenarios once and prints their fingerprints, the grow scenario's p99
+//! degradation window, the engine's per-worker round breakdown and, on
+//! request, their traces. It times nothing; the simulator's speed and memory
+//! are measured by the `benchmark/` package at the workspace root.
 //!
 //! ## Scaling
 //!

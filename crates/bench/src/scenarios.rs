@@ -2,11 +2,12 @@
 //!
 //! The paper's §IV-A-4 recovery story is checked on one small cluster, one
 //! fault-tolerant client and one per-connection write-then-read workload;
-//! the fixed chaos scenario, the grow-under-load topology and the gray-device
-//! scenario are each written once. The integration tests, the `chaos_demo`,
-//! `scrub_repair` and `elastic_grow` examples and the `wallclock` binary take
-//! a recipe and state where they differ as a field override on the returned
-//! config, so a pinned seed means the same run wherever it is replayed.
+//! the fig7 load, the fixed chaos scenario, the grow-under-load topology, the
+//! gray-device scenario and the 256-OSD scale scenario are each written
+//! once. The integration tests, the `chaos_demo`, `scrub_repair` and
+//! `elastic_grow` examples and the `wallclock` binary take a recipe and state
+//! where they differ as a field override on the returned config, so a pinned
+//! seed means the same run wherever it is replayed.
 
 use rablock::sim::{
     ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, GrayWindow,
@@ -17,6 +18,8 @@ use rablock_cluster::osd::OsdConfig;
 use rablock_cluster::placement::DEFAULT_OSD_WEIGHT;
 use rablock_cos::CosOptions;
 use rablock_lsm::LsmOptions;
+
+use crate::{randwrite_conns, Dataset};
 
 /// `n` milliseconds into a run.
 pub fn ms(n: u64) -> SimTime {
@@ -347,4 +350,80 @@ pub fn gray_config() -> ClusterSimConfig {
     cfg.trace = true;
     cfg.slow_op_ring = 16;
     cfg
+}
+
+/// Connections of the fig7 load.
+const FIG7_CONNS: usize = 16;
+
+/// A simulation of `cfg` (the paper cluster, in `crate::paper_cluster`) under
+/// the fig7 load: 16 connections of 4 KiB random writes, one 16 MiB image
+/// each, prefilled.
+pub fn fig7_sim(cfg: ClusterSimConfig) -> ClusterSim {
+    let dataset = Dataset::default_for(FIG7_CONNS);
+    let mut sim = ClusterSim::new(cfg, randwrite_conns(dataset, FIG7_CONNS));
+    sim.prefill(&dataset.all_objects());
+    sim
+}
+
+/// Client connections of the scale scenario, one image each.
+const SCALE_CONNS: usize = 10_000;
+
+/// The scale scenario's cluster: 256 OSDs (32 nodes × 8) of 24 cores, two
+/// threads of each kind per OSD, 512 PGs, replication 2, queue depth 2, seed
+/// `0x5CA1E`. Each OSD has a 512 MiB device, 16 MiB of NVM, flush threshold 8
+/// and a `tiny()` store with 4 partitions and 1 024 onode slots.
+pub fn scale256_config() -> ClusterSimConfig {
+    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
+    cfg.nodes = 32;
+    cfg.osds_per_node = 8;
+    // 8 OSDs x 2 pinned priority threads + a shared pool, matching the
+    // paper testbed's 44-logical-core nodes in spirit.
+    cfg.cores_per_node = 24;
+    cfg.pg_count = 512;
+    cfg.replication = 2;
+    cfg.queue_depth = 2;
+    cfg.seed = 0x5CA1E;
+    cfg.messenger_threads = 2;
+    cfg.pg_threads = 2;
+    cfg.rtc_threads = 2;
+    cfg.priority_threads = 2;
+    cfg.non_priority_threads = 2;
+    cfg.osd = OsdConfig {
+        mode: PipelineMode::Dop,
+        // A device holds only what was written, so a roomy one is cheap;
+        // PG-placement skew can pile ~3x the mean PG count onto one OSD and
+        // the hash can pile those PGs onto one partition, so each partition
+        // needs slack over the ~20 MiB mean.
+        device_bytes: 512 << 20,
+        nvm_bytes: 16 << 20,
+        ring_bytes: 256 << 10,
+        flush_threshold: 8,
+        lsm: LsmOptions::tiny(),
+        // ~156 objects land on each OSD (10k objects x 2 replicas over
+        // 256 OSDs); tiny()'s 128 onode slots are too few.
+        cos: CosOptions {
+            partitions: 4,
+            onode_slots: 1024,
+            ..CosOptions::tiny()
+        },
+        ..OsdConfig::default()
+    };
+    cfg
+}
+
+/// A simulation of `cfg` under the scale scenario's load: 10 000 connections
+/// of 4 KiB random writes, one 256 KiB image each, prefilled as one object
+/// sized to the image (not the 1 MiB stripe default), so 20 000 replicas
+/// over 256 OSDs fit the partition the group hash picks, with skew headroom.
+pub fn scale256_sim(cfg: ClusterSimConfig) -> ClusterSim {
+    let dataset = Dataset {
+        images: SCALE_CONNS as u64,
+        image_bytes: 256 << 10,
+    };
+    let mut sim = ClusterSim::new(cfg, randwrite_conns(dataset, SCALE_CONNS));
+    let objects: Vec<(ObjectId, u64)> = (0..dataset.images)
+        .map(|image| (dataset.object(image, 0).0, dataset.image_bytes))
+        .collect();
+    sim.prefill(&objects);
+    sim
 }

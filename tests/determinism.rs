@@ -10,11 +10,11 @@ use rablock::sim::{
     FaultPlan, LinkFault, RetryPolicy, RotMedia, SimDuration, SimReport, SimRng, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
+use rablock_bench::paper_cluster;
 use rablock_bench::scenarios::{
     self, checked_fingerprint, elastic_cluster, fault_tolerant, ms, noisy_link, ConnLoad,
     CHAOS_LOAD, SMALL_PGS,
 };
-use rablock_bench::{paper_cluster, randwrite_conns, Dataset};
 use rablock_cluster::osd::OsdConfig;
 use rablock_cluster::placement::DEFAULT_OSD_WEIGHT;
 use rablock_cos::CosOptions;
@@ -101,19 +101,16 @@ fn repeated_triple_runs_are_stable() {
     assert_eq!(runs[1], runs[2]);
 }
 
-/// One fig7-style run (the paper-cluster 4 KiB random-write scenario the
-/// wall-clock harness times), with its full metric fingerprint.
+/// One run of the kit's fig7 load on the paper cluster over the 20 ms window
+/// `wallclock --smoke` replays, with its full metric fingerprint.
 fn fig7_fingerprint(trace: bool, shards: usize) -> Vec<u64> {
-    const CONNS: usize = 16;
-    let dataset = Dataset::default_for(CONNS);
     let mut cfg = paper_cluster(PipelineMode::Dop);
     cfg.trace = trace;
     cfg.shards = shards;
     if trace {
         cfg.telemetry_window = Some(SimDuration::millis(2));
     }
-    let mut sim = ClusterSim::new(cfg, randwrite_conns(dataset, CONNS));
-    sim.prefill(&dataset.all_objects());
+    let mut sim = scenarios::fig7_sim(cfg);
     let r = sim.run(SimDuration::ZERO, SimDuration::millis(20));
     assert!(r.writes_done > 0, "fig7 run must make progress");
     r.fingerprint(None)
@@ -285,14 +282,16 @@ fn scrub_fingerprint_sharded(seed: u64, shards: usize) -> Vec<u64> {
 // engine's per-node domains. The partition and the cross-domain merge order
 // are fixed at construction, so the full metric fingerprint must be
 // byte-identical for every worker count, on every scenario family the
-// workspace has: clean (fig7), fault-heavy (chaos), elastic (churn), and
-// integrity (bit rot + scrub).
+// workspace has: clean (fig7), fault-heavy (chaos), elastic (churn and
+// grow), integrity (bit rot + scrub) and scale (256 OSDs). Each family runs
+// at an odd worker count too: three workers leave the round-robin lists
+// uneven, which is where workers steal each other's domains.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn shard_count_is_invisible_to_fingerprint_fig7() {
     let base = fig7_fingerprint(false, 1);
-    for shards in [2usize, 4] {
+    for shards in [2usize, 3, 4] {
         let sharded = fig7_fingerprint(false, shards);
         assert_eq!(
             base, sharded,
@@ -304,7 +303,7 @@ fn shard_count_is_invisible_to_fingerprint_fig7() {
 #[test]
 fn shard_count_is_invisible_to_fingerprint_chaos() {
     let base = chaos_fingerprint_opts(0xC0FFEE, false, 1, None, 100);
-    for shards in [2usize, 4] {
+    for shards in [2usize, 3, 4] {
         let sharded = chaos_fingerprint_opts(0xC0FFEE, false, shards, None, 100);
         assert_eq!(
             base, sharded,
@@ -316,7 +315,7 @@ fn shard_count_is_invisible_to_fingerprint_chaos() {
 #[test]
 fn shard_count_is_invisible_to_fingerprint_churn() {
     let base = churn_fingerprint_sharded(0xE1A5, 1);
-    for shards in [2usize, 4] {
+    for shards in [2usize, 3, 4] {
         let sharded = churn_fingerprint_sharded(0xE1A5, shards);
         assert_eq!(
             base, sharded,
@@ -328,11 +327,61 @@ fn shard_count_is_invisible_to_fingerprint_churn() {
 #[test]
 fn shard_count_is_invisible_to_fingerprint_scrub() {
     let base = scrub_fingerprint_sharded(0xD00D, 1);
-    for shards in [2usize, 4] {
+    for shards in [2usize, 3, 4] {
         let sharded = scrub_fingerprint_sharded(0xD00D, shards);
         assert_eq!(
             base, sharded,
             "scrub: {shards} worker shards must replay the single-thread fingerprint"
+        );
+    }
+}
+
+/// The grow scenario at 1 to 4 workers, traced and not. Untraced, every
+/// worker count replays the one-worker fingerprint. Traced with a 2 ms
+/// telemetry window, it replays it too, except `queue_high_water` (see its
+/// index constant on `SimReport`): a window boundary clips the engine round
+/// in progress, so cross-domain events merge into a queue at another moment
+/// and the peak pending population can move by one; no event moves.
+#[test]
+fn shard_count_and_tracing_are_invisible_to_fingerprint_grow() {
+    let mask = |mut v: Vec<u64>| {
+        v[SimReport::FINGERPRINT_QUEUE_HIGH_WATER] = 0;
+        v
+    };
+    let base = grow_fingerprint(true);
+    for shards in [1usize, 2, 3, 4] {
+        if shards > 1 {
+            let sharded = grow_fingerprint_opts(true, false, shards);
+            assert_eq!(
+                base, sharded,
+                "grow: {shards} worker shards must replay the single-thread fingerprint"
+            );
+        }
+        let traced = grow_fingerprint_opts(true, true, shards);
+        assert_eq!(
+            mask(base.clone()),
+            mask(traced),
+            "grow/{shards} shards: tracing must not perturb the run"
+        );
+    }
+}
+
+/// The kit's 256-OSD, 10 000-connection scale scenario over the 4 ms window
+/// `wallclock --smoke --only scale256` replays, at 1, 2, 4 and 8 workers
+/// over its 33 domains (clients and monitor, then one per node). The
+/// fingerprint is pinned, so this is a golden row as well. About 10 s in a
+/// debug build.
+#[test]
+fn shard_count_is_invisible_to_fingerprint_scale256() {
+    for shards in [1usize, 2, 4, 8] {
+        let mut cfg = scenarios::scale256_config();
+        cfg.shards = shards;
+        let mut sim = scenarios::scale256_sim(cfg);
+        let r = sim.run(SimDuration::ZERO, SimDuration::millis(4));
+        assert_eq!(
+            fingerprint_hash(&r.fingerprint(None)),
+            0xe133_720b_f857_da21,
+            "scale256: {shards} worker shards must replay the pinned fingerprint"
         );
     }
 }
@@ -474,10 +523,22 @@ fn faulty_mixed_hash(mode: PipelineMode) -> u64 {
     fingerprint_hash(&r.fingerprint(None))
 }
 
-/// `wallclock`'s grow run over a 30 ms window, which holds both churn
-/// waves; the churn-free control warms up 25 ms first, as it does there.
+/// The grow scenario `wallclock --only grow` replays over 150 ms, here over a
+/// 30 ms window that holds both churn waves; the churn-free control warms up
+/// 25 ms first, as it does there.
 fn grow_fingerprint(churn: bool) -> Vec<u64> {
-    let mut sim = scenarios::grow_load(u64::MAX, 0).sim(scenarios::grow_config(0xE1A5, churn));
+    grow_fingerprint_opts(churn, false, 1)
+}
+
+/// [`grow_fingerprint`] on `shards` engine workers, traced or not.
+fn grow_fingerprint_opts(churn: bool, trace: bool, shards: usize) -> Vec<u64> {
+    let mut cfg = scenarios::grow_config(0xE1A5, churn);
+    cfg.trace = trace;
+    cfg.shards = shards;
+    if trace {
+        cfg.telemetry_window = Some(SimDuration::millis(2));
+    }
+    let mut sim = scenarios::grow_load(u64::MAX, 0).sim(cfg);
     let warmup = if churn {
         SimDuration::ZERO
     } else {
