@@ -97,13 +97,14 @@ impl Peering {
         self.awaiting_log.contains(&group) || self.awaiting_backfill.contains(&group)
     }
 
-    /// Appends to the group's pg_log, trimming to the bound.
+    /// Appends to the group's pg_log, evicting the oldest entries first so
+    /// the deque never outgrows (and never doubles past) the bound.
     pub(super) fn log_push(&mut self, group: GroupId, entry: PgLogEntry) {
         let log = self.pg_log.entry(group).or_default();
-        log.push_back(entry);
-        while log.len() > PG_LOG_LIMIT {
+        while log.len() >= PG_LOG_LIMIT {
             log.pop_front();
         }
+        log.push_back(entry);
     }
 
     /// The group's pg_log entries, oldest first (none if it has no log).
@@ -561,6 +562,34 @@ mod tests {
     use super::super::{OsdConfig, OsdInput, PipelineMode};
     use super::*;
     use crate::placement::OsdMap;
+
+    fn entry(version: u64) -> PgLogEntry {
+        let oid = ObjectId::new(GroupId(0), version % 7);
+        PgLogEntry {
+            epoch: 1,
+            version,
+            oid,
+            digest: version * 3,
+        }
+    }
+
+    /// After four times the bound the log holds exactly the newest
+    /// `PG_LOG_LIMIT` entries, oldest first, and its deque never grew past
+    /// the bound.
+    #[test]
+    fn the_pg_log_keeps_the_newest_entries_within_its_bound() {
+        let (mut peering, g) = (Peering::default(), GroupId(0));
+        let total = 4 * PG_LOG_LIMIT as u64;
+        for version in 1..=total {
+            peering.log_push(g, entry(version));
+            assert!(peering.pg_log[&g].capacity() <= PG_LOG_LIMIT);
+        }
+        let kept: Vec<PgLogEntry> = peering.log(g).copied().collect();
+        let newest: Vec<PgLogEntry> = (total - PG_LOG_LIMIT as u64 + 1..=total)
+            .map(entry)
+            .collect();
+        assert_eq!(kept, newest);
+    }
 
     /// A spare that has just sent `PullLog` for group 0 after a map change
     /// took a member away, and the OSD it asked.

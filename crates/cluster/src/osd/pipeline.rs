@@ -71,12 +71,11 @@ pub(super) struct DedupWindow {
 }
 
 impl DedupWindow {
-    /// Pushes `id`, forgetting the oldest beyond the bound.
+    /// Pushes `id`, forgetting the oldest first at the bound so the deque
+    /// never outgrows (and never doubles past) it.
     pub(super) fn remember(&mut self, id: u64) {
-        self.order.push_back(id);
-        *self.counts.entry(id).or_default() += 1;
-        while self.order.len() > DEDUP_WINDOW {
-            let old = self.order.pop_front().expect("longer than the bound");
+        while self.order.len() >= DEDUP_WINDOW {
+            let old = self.order.pop_front().expect("at the bound");
             let n = self
                 .counts
                 .get_mut(&old)
@@ -86,6 +85,8 @@ impl DedupWindow {
                 self.counts.remove(&old);
             }
         }
+        self.order.push_back(id);
+        *self.counts.entry(id).or_default() += 1;
     }
 
     pub(super) fn contains(&self, id: u64) -> bool {
@@ -348,12 +349,32 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// After four times the bound the window holds exactly the newest
+    /// `DEDUP_WINDOW` ids, oldest first, duplicates included, and its deque
+    /// never grew past the bound.
+    #[test]
+    fn the_dedup_window_keeps_the_newest_ids_within_its_bound() {
+        let mut window = DedupWindow::default();
+        // Every id twice in a row, so duplicates straddle the eviction edge.
+        let ids: Vec<u64> = (0..4 * DEDUP_WINDOW as u64).map(|i| i / 2).collect();
+        for &id in &ids {
+            window.remember(id);
+            assert!(window.order.capacity() <= DEDUP_WINDOW);
+        }
+        let newest = &ids[ids.len() - DEDUP_WINDOW..];
+        assert!(window.order.iter().eq(newest));
+        for id in 0..2 * DEDUP_WINDOW as u64 {
+            assert_eq!(window.contains(id), newest.contains(&id), "id {id}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The window answers exactly what the plain deque it replaced did:
-        /// a bounded FIFO of ids, duplicates kept, `contains` a scan and
-        /// `forget` a `retain`.
+        /// a bounded FIFO of ids (pushed, then trimmed to the bound),
+        /// duplicates kept, `contains` a scan and `forget` a `retain`; and
+        /// its deque never grows past the bound.
         #[test]
         fn dedup_window_matches_the_plain_deque(
             steps in proptest::collection::vec((0u8..8, 0u64..200), 1..600),
@@ -376,6 +397,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(&window.order, &model);
+                prop_assert!(window.order.capacity() <= DEDUP_WINDOW);
                 for probe in 0..200 {
                     prop_assert_eq!(window.contains(probe), model.contains(&probe));
                 }

@@ -27,6 +27,7 @@
 
 mod btree;
 mod layout;
+mod meta;
 mod metacache;
 mod onode;
 mod partition;

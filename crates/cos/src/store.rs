@@ -10,11 +10,12 @@
 //! big CPU/WAF savings over the LSM backend.
 
 use rablock_storage::{
-    BlockDevice, FxHashMap, GroupId, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op,
+    BlockDevice, FxHashSet, GroupId, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op,
     Segments, StoreError, StoreStats, TraceIo, Transaction,
 };
 
 use crate::layout::{CosOptions, PartGeometry, SUPERBLOCK_BYTES};
+use crate::meta::MetaRecord;
 use crate::partition::Partition;
 
 const SB_MAGIC: u32 = 0x434F_5331; // "COS1"
@@ -39,10 +40,11 @@ pub struct CosObjectStore<D: BlockDevice> {
     dev: D,
     opts: CosOptions,
     partitions: Vec<Partition>,
-    /// Store-level KV records (pg log, object_info_t). Durability comes from
-    /// the NVM operation log above this layer, so they cost no device I/O.
-    /// Never iterated, so hash order cannot leak into a result.
-    meta_kv: FxHashMap<Vec<u8>, Vec<u8>>,
+    /// Store-level KV records (pg log, object_info_t), one allocation each,
+    /// found by key. Durability comes from the NVM operation log above this
+    /// layer, so they cost no device I/O. Never iterated, so hash order
+    /// cannot leak into a result.
+    meta_kv: FxHashSet<MetaRecord>,
     trace: Vec<TraceIo>,
     stats: StoreStats,
 }
@@ -70,7 +72,7 @@ impl<D: BlockDevice> CosObjectStore<D> {
             dev,
             opts,
             partitions,
-            meta_kv: FxHashMap::default(),
+            meta_kv: FxHashSet::default(),
             trace: Vec::new(),
             stats: StoreStats::default(),
         })
@@ -109,7 +111,7 @@ impl<D: BlockDevice> CosObjectStore<D> {
             dev,
             opts,
             partitions,
-            meta_kv: FxHashMap::default(),
+            meta_kv: FxHashSet::default(),
             trace,
             stats,
         })
@@ -237,10 +239,11 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
                     part.set_xattr(dev, oid, &key, value, seq, &opts, &mut tmp)?;
                 }
                 Op::MetaPut { key, value } => {
-                    self.meta_kv.insert(key, value);
+                    // `insert` would keep the old record, value and all.
+                    self.meta_kv.replace(MetaRecord::new(&key, &value));
                 }
                 Op::MetaDelete { key } => {
-                    self.meta_kv.remove(&key);
+                    self.meta_kv.remove(&key[..]);
                 }
                 Op::Delete { oid } => {
                     let idx = self.partition_of(oid.group());
@@ -278,7 +281,7 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
     }
 
     fn get_meta(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.meta_kv.get(key).cloned()
+        self.meta_kv.get(key).map(|r| r.value().to_vec())
     }
 
     fn needs_maintenance(&self) -> bool {
@@ -1032,6 +1035,69 @@ mod tests {
             written_before,
             "pg log rides the NVM op log, not the device"
         );
+    }
+
+    fn meta_put(key: &[u8], value: &[u8]) -> Op {
+        Op::MetaPut {
+            key: key.to_vec(),
+            value: value.to_vec(),
+        }
+    }
+
+    fn meta_delete(key: &[u8]) -> Op {
+        Op::MetaDelete { key: key.to_vec() }
+    }
+
+    fn submit_meta(s: &mut CosObjectStore<MemDisk>, seq: u64, ops: Vec<Op>) {
+        s.submit(Transaction::new(GroupId(0), seq, ops)).unwrap();
+    }
+
+    #[test]
+    fn meta_overwrite_returns_the_second_value() {
+        let mut s = fresh(CosOptions::tiny());
+        submit_meta(&mut s, 1, vec![meta_put(b"pglog.1", b"first")]);
+        submit_meta(&mut s, 2, vec![meta_put(b"pglog.1", b"second, longer")]);
+        assert_eq!(s.get_meta(b"pglog.1"), Some(b"second, longer".to_vec()));
+        assert_eq!(s.meta_kv.len(), 1);
+    }
+
+    #[test]
+    fn meta_delete_of_a_present_and_an_absent_key() {
+        let mut s = fresh(CosOptions::tiny());
+        submit_meta(&mut s, 1, vec![meta_put(b"pglog.1", b"v")]);
+        submit_meta(&mut s, 2, vec![meta_delete(b"pglog.2")]);
+        assert_eq!(s.get_meta(b"pglog.1"), Some(b"v".to_vec()), "absent: no-op");
+        submit_meta(&mut s, 3, vec![meta_delete(b"pglog.1")]);
+        assert_eq!(s.get_meta(b"pglog.1"), None);
+        assert!(s.meta_kv.is_empty());
+    }
+
+    #[test]
+    fn meta_keys_that_prefix_each_other_stay_apart() {
+        let mut s = fresh(CosOptions::tiny());
+        submit_meta(
+            &mut s,
+            1,
+            vec![
+                meta_put(b"pglog.1", b"one"),
+                meta_put(b"pglog.11", b"eleven"),
+            ],
+        );
+        assert_eq!(s.get_meta(b"pglog.1"), Some(b"one".to_vec()));
+        assert_eq!(s.get_meta(b"pglog.11"), Some(b"eleven".to_vec()));
+        assert_eq!(s.get_meta(b"pglog."), None);
+        assert_eq!(s.get_meta(b"pglog.111"), None);
+        submit_meta(&mut s, 2, vec![meta_delete(b"pglog.1")]);
+        assert_eq!(s.get_meta(b"pglog.1"), None);
+        assert_eq!(s.get_meta(b"pglog.11"), Some(b"eleven".to_vec()));
+    }
+
+    #[test]
+    fn meta_empty_value_is_present() {
+        let mut s = fresh(CosOptions::tiny());
+        submit_meta(&mut s, 1, vec![meta_put(b"pglog.1", b"")]);
+        assert_eq!(s.get_meta(b"pglog.1"), Some(Vec::new()));
+        assert_eq!(s.get_meta(b"pglog.2"), None);
     }
 
     #[test]

@@ -229,3 +229,64 @@ proptest! {
         check_all(&mut store2, &model);
     }
 }
+
+/// One step of a meta-record script over a small key space whose keys
+/// prefix each other (`pglog.1`, `pglog.11`, …) and whose values are often
+/// empty.
+#[derive(Debug, Clone)]
+enum MetaStep {
+    Put { key: usize, value: Vec<u8> },
+    Delete { key: usize },
+    Get { key: usize },
+}
+
+const META_KEYS: usize = 6;
+
+fn meta_key(i: usize) -> Vec<u8> {
+    format!("pglog.{}", "1".repeat(i)).into_bytes()
+}
+
+fn meta_steps() -> impl Strategy<Value = Vec<MetaStep>> {
+    proptest::collection::vec(
+        prop_oneof![
+            3 => (0..META_KEYS, proptest::collection::vec(any::<u8>(), 0..200))
+                .prop_map(|(key, value)| MetaStep::Put { key, value }),
+            1 => (0..META_KEYS).prop_map(|key| MetaStep::Delete { key }),
+            2 => (0..META_KEYS).prop_map(|key| MetaStep::Get { key }),
+        ],
+        1..120,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random `MetaPut` / `MetaDelete` / `get_meta` sequences agree with a
+    /// `BTreeMap` model: an overwrite answers its own value, a delete of an
+    /// absent key is a no-op, and no key's record answers for another's.
+    #[test]
+    fn meta_records_match_a_map_model(steps in meta_steps()) {
+        let mut store = CosObjectStore::format(MemDisk::new(8 << 20), CosOptions::tiny()).unwrap();
+        let mut model = std::collections::BTreeMap::<Vec<u8>, Vec<u8>>::new();
+        for (seq, step) in (1u64..).zip(steps) {
+            let op = match step {
+                MetaStep::Put { key, value } => {
+                    model.insert(meta_key(key), value.clone());
+                    Op::MetaPut { key: meta_key(key), value }
+                }
+                MetaStep::Delete { key } => {
+                    model.remove(&meta_key(key));
+                    Op::MetaDelete { key: meta_key(key) }
+                }
+                MetaStep::Get { key } => {
+                    prop_assert_eq!(store.get_meta(&meta_key(key)), model.get(&meta_key(key)).cloned());
+                    continue;
+                }
+            };
+            store.submit(Transaction::new(GroupId(0), seq, vec![op])).unwrap();
+        }
+        for key in 0..META_KEYS {
+            prop_assert_eq!(store.get_meta(&meta_key(key)), model.get(&meta_key(key)).cloned());
+        }
+    }
+}

@@ -12,10 +12,10 @@
 //! moves the transaction itself into the store.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rablock_storage::{
-    Frame, GroupId, NvmRegion, ObjectId, Op, Payload, SmallVec, StoreError, Transaction,
+    Frame, FxHashMap, GroupId, NvmRegion, ObjectId, Op, Payload, SmallVec, StoreError, Transaction,
 };
 
 use crate::entry::{decode_frame, encoded_len, frame_record, LogRecord};
@@ -98,7 +98,8 @@ pub struct GroupLog {
     /// drain is O(1) per record.
     records: VecDeque<Pending>,
     /// Recent operations per object (never overwritten, only appended).
-    index: HashMap<u64, Vec<IndexEntry>>,
+    /// Never iterated, so hash order cannot leak into a result.
+    index: FxHashMap<u64, Vec<IndexEntry>>,
     /// Flush once this many records are pending (paper default: 16).
     pub flush_threshold: usize,
     /// Group version, bumped per append (§IV-C-7: kept in the log).
@@ -113,7 +114,7 @@ impl GroupLog {
             group,
             ring,
             records: VecDeque::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             flush_threshold,
             version: 0,
             scratch: Frame::new(),
