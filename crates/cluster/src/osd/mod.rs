@@ -491,7 +491,7 @@ impl Osd {
     /// backfill full object contents to a joining peer.
     fn note_txn(&mut self, txn: &Transaction) {
         let extents = self.group_extents.entry(txn.group).or_default();
-        for op in &txn.ops {
+        for op in txn.ops.iter() {
             let (oid, end) = match op {
                 Op::Create { oid, size } => (*oid, *size),
                 Op::Write { oid, offset, .. } | Op::WriteV { oid, offset, .. } => {

@@ -133,7 +133,7 @@ impl Osd {
     /// primary-assigned replication seq), trimming to the bound.
     pub(super) fn pg_log_note(&mut self, group: GroupId, version: u64, txn: &Transaction) {
         let epoch = self.map.epoch;
-        for op in &txn.ops {
+        for op in txn.ops.iter() {
             if let Some((oid, digest)) = digest_op(op) {
                 let entry = PgLogEntry {
                     epoch,

@@ -6,6 +6,7 @@
 //! (`flush.rs`) when it cannot.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rablock_oplog::ReadPath;
 use rablock_storage::{FxHashMap, GroupId, Op, StoreError, Transaction};
@@ -42,10 +43,12 @@ pub(super) fn pglog_key(group: GroupId, seq: u64) -> Vec<u8> {
 
 /// The backend transaction for a client mutation. A write carries the
 /// metadata records Ceph attaches to every request (`object_info_t` xattr,
-/// pg-log entry) — the "many key-value writes" of §V-B.
+/// pg-log entry) — the "many key-value writes" of §V-B. Built once per
+/// write: the replicas' messages, the op log, the store and retransmits all
+/// share its ops.
 fn client_txn(group: GroupId, seq: u64, mutation: Op) -> Transaction {
-    let ops = match mutation {
-        Op::Write { oid, .. } => vec![
+    let ops: Arc<[Op]> = match mutation {
+        Op::Write { oid, .. } => Arc::new([
             mutation,
             Op::SetXattr {
                 oid,
@@ -56,10 +59,10 @@ fn client_txn(group: GroupId, seq: u64, mutation: Op) -> Transaction {
                 key: pglog_key(group, seq),
                 value: vec![0x5A; 180],
             },
-        ],
-        create => vec![create],
+        ]),
+        create => Arc::new([create]),
     };
-    Transaction::new(group, seq, ops)
+    Transaction { group, seq, ops }
 }
 
 /// The last [`DEDUP_WINDOW`] ids remembered, duplicates included: the deque
@@ -106,8 +109,8 @@ pub(super) struct WriteOp {
     pub(super) op: OpId,
     pub(super) group: GroupId,
     /// The replicated transaction, kept so the primary itself can retransmit
-    /// to laggard replicas from the heartbeat timer (payloads are refcounted,
-    /// so this clone shares the data bytes).
+    /// to laggard replicas (a client retry, the heartbeat timer). Its ops
+    /// are the slice the replicas' messages and the op log hold.
     pub(super) txn: Transaction,
     pub(super) waiting_acks: ActingSet,
     pub(super) local_done: bool,
@@ -156,10 +159,9 @@ impl Osd {
         }
         if let Some(&seq) = self.top.inflight_ops.get(&(from, op)) {
             // Retry of an op still replicating: the original peer message
-            // may have been lost, so rebuild the identical transaction and
-            // retransmit to laggard replicas only.
-            let txn = client_txn(group, seq, mutation);
-            self.retransmit_pending(seq, group, txn);
+            // may have been lost, so retransmit its transaction to laggard
+            // replicas only.
+            self.retransmit_pending(seq);
             return;
         }
         if self.below_write_quorum(group, from, op) {
@@ -346,8 +348,61 @@ impl Osd {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testkit::*;
+    use super::super::{OsdInput, PipelineMode};
     use super::*;
     use proptest::prelude::*;
+
+    fn repops(fx: &[OsdEffect]) -> Vec<&Transaction> {
+        fx.iter()
+            .filter_map(|e| match e {
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::Repop { txn, .. },
+                    ..
+                } => Some(txn),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A DOP primary builds a write's transaction once: the replica's
+    /// `Repop`, the record in its own op log and its in-flight `WriteOp`
+    /// hold one slice of ops, and a client retry retransmits that slice
+    /// instead of building another.
+    #[test]
+    fn a_dop_write_holds_one_slice_of_ops_in_repop_log_and_write_op() {
+        let mut o = osd(PipelineMode::Dop, 0);
+        let g = a_group_with_primary(&o);
+        let write = |o: &mut Osd| {
+            o.handle(OsdInput::Client {
+                from: ClientId(1),
+                req: write_req(1, oid_in(g, 1)),
+            })
+        };
+        let fx = write(&mut o);
+        let [repop] = repops(&fx)[..] else {
+            panic!("one replica, one Repop")
+        };
+        assert_eq!(
+            repop.ops.len(),
+            3,
+            "write, object_info_t xattr, pg-log entry"
+        );
+        let logged = o.logs[&g].export_records(&mut o.nvm).expect("log reads");
+        let [record] = &logged[..] else {
+            panic!("one logged record")
+        };
+        assert!(Arc::ptr_eq(&repop.ops, &record.txn.ops), "the log copied");
+        let w = &o.top.inflight[&repop.seq];
+        assert!(Arc::ptr_eq(&repop.ops, &w.txn.ops), "the WriteOp copied");
+
+        let fx = write(&mut o);
+        let [retransmit] = repops(&fx)[..] else {
+            panic!("the retry retransmits to the replica")
+        };
+        assert!(Arc::ptr_eq(&retransmit.ops, &repop.ops), "rebuilt");
+        assert_eq!(o.logs[&g].pending(), 1, "the retry was not logged again");
+    }
 
     /// After four times the bound the window holds exactly the newest
     /// `DEDUP_WINDOW` ids, oldest first, duplicates included, and its deque

@@ -14,12 +14,14 @@ use crate::placement::OsdId;
 
 impl Osd {
     /// Re-sends the replication message for an in-flight write to every
-    /// replica that has not acked yet. Nothing is re-applied locally; the
-    /// client will be answered by the original operation when it completes.
-    pub(super) fn retransmit_pending(&mut self, seq: u64, group: GroupId, txn: Transaction) {
+    /// replica that has not acked yet: the write's own transaction, shared.
+    /// Nothing is re-applied locally; the client will be answered by the
+    /// original operation when it completes.
+    pub(super) fn retransmit_pending(&mut self, seq: u64) {
         let Some(w) = self.top.inflight.get(&seq) else {
             return;
         };
+        let (group, txn) = (w.group, w.txn.clone());
         for r in w.waiting_acks.clone() {
             let txn = txn.clone();
             self.send(r, PeerMsg::Repop { group, seq, txn });
@@ -75,7 +77,6 @@ impl Osd {
     pub(super) fn retransmit_stale_inflight(&mut self) {
         let mut seqs: Vec<u64> = self.top.inflight.keys().copied().collect();
         seqs.sort_unstable();
-        let mut stale: Vec<(u64, GroupId, Transaction)> = Vec::new();
         for seq in seqs {
             let w = self.top.inflight.get_mut(&seq).expect("listed");
             if w.waiting_acks.is_empty() {
@@ -84,11 +85,8 @@ impl Osd {
             w.ticks += 1;
             if w.ticks >= 2 {
                 w.ticks = 0;
-                stale.push((seq, w.group, w.txn.clone()));
+                self.retransmit_pending(seq);
             }
-        }
-        for (seq, group, txn) in stale {
-            self.retransmit_pending(seq, group, txn);
         }
     }
 

@@ -159,12 +159,17 @@ impl Onode {
         }
     }
 
-    /// Sets or replaces an xattr.
-    pub fn set_xattr(&mut self, key: &str, value: Vec<u8>) {
+    /// Sets or replaces an xattr. A replaced value is copied into the old
+    /// one's buffer, so rewriting an attribute of the same size allocates
+    /// nothing; a new one grows the list by exactly one entry (an object
+    /// has one or two, and a pushed `Vec` would reserve room for four).
+    pub fn set_xattr(&mut self, key: &str, value: &[u8]) {
         if let Some(slot) = self.xattrs.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
+            slot.1.clear();
+            slot.1.extend_from_slice(value);
         } else {
-            self.xattrs.push((key.to_string(), value));
+            self.xattrs.reserve_exact(1);
+            self.xattrs.push((key.to_string(), value.to_vec()));
         }
     }
 
@@ -383,8 +388,8 @@ mod tests {
             phys: 4096,
             count: 1024,
         });
-        o.set_xattr("snapset", vec![1, 2, 3]);
-        o.set_xattr("oi", vec![9; 40]);
+        o.set_xattr("snapset", &[1, 2, 3]);
+        o.set_xattr("oi", &[9; 40]);
         let (buf, spilled) = o.encode(0).unwrap();
         assert!(spilled.is_empty());
         let (decoded, spill, total) = Onode::decode(&buf).unwrap().unwrap();
@@ -428,17 +433,19 @@ mod tests {
     #[test]
     fn oversized_xattrs_rejected() {
         let mut o = Onode::new(1);
-        o.set_xattr("big", vec![0u8; 300]);
+        o.set_xattr("big", &[0u8; 300]);
         assert!(matches!(o.encode(0), Err(StoreError::InvalidArgument(_))));
     }
 
     #[test]
     fn xattr_overwrite_replaces() {
         let mut o = Onode::new(1);
-        o.set_xattr("k", vec![1]);
-        o.set_xattr("k", vec![2]);
+        o.set_xattr("k", &[1; 64]);
+        o.set_xattr("k", &[2]);
         assert_eq!(o.xattr("k"), Some(&[2u8][..]));
         assert_eq!(o.xattrs.len(), 1);
+        assert_eq!(o.xattrs.capacity(), 1, "one attribute, one slot");
+        assert_eq!(o.xattrs[0].1.capacity(), 64, "the value was reallocated");
     }
 
     #[test]

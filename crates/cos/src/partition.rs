@@ -761,7 +761,7 @@ impl Partition {
         dev: &mut D,
         oid: ObjectId,
         key: &str,
-        value: Vec<u8>,
+        value: &[u8],
         seq: u64,
         opts: &CosOptions,
         trace: &mut Vec<TraceIo>,
@@ -772,6 +772,12 @@ impl Partition {
         onode.version += 1;
         onode.mtime = seq;
         self.persist_onode(dev, slot, opts, false, trace)
+    }
+
+    /// An xattr of an object, if both exist.
+    #[cfg(test)]
+    pub(crate) fn xattr(&self, oid: ObjectId, key: &str) -> Option<&[u8]> {
+        self.onodes.get(&self.slot_of(oid)?)?.xattr(key)
     }
 
     /// Stat (size/version/mtime) of a live object.

@@ -218,29 +218,30 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
         let mut tmp = Vec::new();
         let seq = txn.seq;
         let opts = self.opts.clone();
-        // The transaction is consumed: payloads, xattr values and KV
-        // records move into the store instead of being cloned out of it.
-        for op in txn.ops {
+        // The ops are borrowed: a write payload is a refcount, and an xattr
+        // value or a KV record is copied into the one buffer that keeps it.
+        for op in txn.ops.iter() {
             match op {
                 Op::Create { oid, size } => {
                     let idx = self.partition_of(oid.group());
                     let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
-                    part.create(dev, oid, size, seq, &opts, &mut tmp)?;
+                    part.create(dev, *oid, *size, seq, &opts, &mut tmp)?;
                 }
                 Op::Write { oid, offset, data } => {
-                    self.write(oid, offset, &data.into(), seq, &opts, &mut tmp)?;
+                    let data = data.clone().into();
+                    self.write(*oid, *offset, &data, seq, &opts, &mut tmp)?;
                 }
                 Op::WriteV { oid, offset, data } => {
-                    self.write(oid, offset, &data, seq, &opts, &mut tmp)?;
+                    self.write(*oid, *offset, data, seq, &opts, &mut tmp)?;
                 }
                 Op::SetXattr { oid, key, value } => {
                     let idx = self.partition_of(oid.group());
                     let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
-                    part.set_xattr(dev, oid, &key, value, seq, &opts, &mut tmp)?;
+                    part.set_xattr(dev, *oid, key, value, seq, &opts, &mut tmp)?;
                 }
                 Op::MetaPut { key, value } => {
                     // `insert` would keep the old record, value and all.
-                    self.meta_kv.replace(MetaRecord::new(&key, &value));
+                    self.meta_kv.replace(MetaRecord::new(key, value));
                 }
                 Op::MetaDelete { key } => {
                     self.meta_kv.remove(&key[..]);
@@ -248,7 +249,7 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
                 Op::Delete { oid } => {
                     let idx = self.partition_of(oid.group());
                     let (dev, part) = (&mut self.dev, &mut self.partitions[idx]);
-                    part.delete(dev, oid, seq, &opts, &mut tmp)?;
+                    part.delete(dev, *oid, seq, &opts, &mut tmp)?;
                 }
             }
         }
@@ -1035,6 +1036,53 @@ mod tests {
             written_before,
             "pg log rides the NVM op log, not the device"
         );
+    }
+
+    /// The store borrows a transaction's ops: the op log or a replica's
+    /// message that still holds them finds them intact, the store keeps no
+    /// share of the slice, and what it reads back is what was submitted.
+    #[test]
+    fn a_submitted_transaction_held_elsewhere_keeps_its_ops() {
+        let mut s = fresh(CosOptions::tiny());
+        let o = oid(0, 1);
+        let create = Op::Create {
+            oid: o,
+            size: 64 << 10,
+        };
+        s.submit(Transaction::new(o.group(), 1, vec![create]))
+            .unwrap();
+        let xattr = |fill| Op::SetXattr {
+            oid: o,
+            key: "oi".into(),
+            value: vec![fill; 64],
+        };
+        let ops = vec![
+            Op::Write {
+                oid: o,
+                offset: 4096,
+                data: vec![0xC3; 4096].into(),
+            },
+            xattr(0xA5),
+            meta_put(b"pglog.0.2", &[0x5A; 180]),
+        ];
+        let txn = Transaction::new(o.group(), 2, ops.clone());
+        let held = txn.clone();
+        s.submit(txn).unwrap();
+        assert_eq!(&held.ops[..], &ops[..]);
+        assert_eq!(
+            std::sync::Arc::strong_count(&held.ops),
+            1,
+            "the store kept a share"
+        );
+        assert_eq!(s.read(o, 4096, 4096).unwrap(), vec![0xC3; 4096]);
+        assert_eq!(s.get_meta(b"pglog.0.2"), Some(vec![0x5A; 180]));
+        let idx = s.partition_of(o.group());
+        assert_eq!(s.partitions[idx].xattr(o, "oi"), Some(&[0xA5; 64][..]));
+        // Rewriting the xattr reuses the store's own buffer, not the op's.
+        let next = Transaction::new(o.group(), 3, vec![xattr(0x11)]);
+        s.submit(next).unwrap();
+        assert_eq!(s.partitions[idx].xattr(o, "oi"), Some(&[0x11; 64][..]));
+        assert_eq!(&held.ops[..], &ops[..]);
     }
 
     fn meta_put(key: &[u8], value: &[u8]) -> Op {

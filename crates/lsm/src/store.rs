@@ -377,7 +377,7 @@ impl<D: BlockDevice> LsmObjectStore<D> {
 
 impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
     fn submit(&mut self, txn: Transaction) -> Result<(), StoreError> {
-        let Transaction { seq, ops, .. } = txn;
+        let seq = txn.seq;
         let mut batch: Vec<BatchEntry> = Vec::new();
         // Info updates are coalesced per object within the transaction.
         let mut infos: Vec<(ObjectId, StoredInfo)> = Vec::new();
@@ -429,34 +429,37 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
             Ok(())
         };
 
-        for op in ops {
+        // The ops are borrowed: a key or value the memtable keeps is copied
+        // into its batch entry, a write payload is a refcount.
+        for op in txn.ops.iter() {
             match op {
                 Op::Create { oid, size } => {
                     let idx =
-                        info_of(self, &mut infos, oid, true)?.expect("create always yields info");
+                        info_of(self, &mut infos, *oid, true)?.expect("create always yields info");
                     let info = &mut infos[idx].1;
-                    info.size = info.size.max(size);
+                    info.size = info.size.max(*size);
                     info.version += 1;
                     info.mtime = seq;
                 }
                 Op::Write { oid, offset, data } => {
-                    write(self, &mut infos, &mut batch, oid, offset, &data.into())?;
+                    let data = data.clone().into();
+                    write(self, &mut infos, &mut batch, *oid, *offset, &data)?;
                 }
                 Op::WriteV { oid, offset, data } => {
-                    write(self, &mut infos, &mut batch, oid, offset, &data)?;
+                    write(self, &mut infos, &mut batch, *oid, *offset, data)?;
                 }
                 Op::SetXattr { oid, key, value } => {
-                    let idx = info_of(self, &mut infos, oid, true)?.expect("xattr creates info");
+                    let idx = info_of(self, &mut infos, *oid, true)?.expect("xattr creates info");
                     infos[idx].1.version += 1;
-                    batch.push((xattr_key(oid, &key), Some(value.as_slice().into())));
+                    batch.push((xattr_key(*oid, key), Some(value.as_slice().into())));
                 }
                 Op::MetaPut { key, value } => {
-                    batch.push((meta_key(&key), Some(value.as_slice().into())));
+                    batch.push((meta_key(key), Some(value.as_slice().into())));
                 }
                 Op::MetaDelete { key } => {
-                    batch.push((meta_key(&key), None));
+                    batch.push((meta_key(key), None));
                 }
-                Op::Delete { oid } => {
+                &Op::Delete { oid } => {
                     let Some(idx) = info_of(self, &mut infos, oid, false)? else {
                         return Err(StoreError::NotFound);
                     };
@@ -603,6 +606,44 @@ mod tests {
                 data: data.into(),
             }],
         )
+    }
+
+    /// The store borrows a transaction's ops: the op log or a replica's
+    /// message that still holds them finds them intact, the store keeps no
+    /// share of the slice, and what it reads back is what was submitted.
+    #[test]
+    fn a_submitted_transaction_held_elsewhere_keeps_its_ops() {
+        let mut s = store();
+        let o = oid(1);
+        let ops = vec![
+            Op::Write {
+                oid: o,
+                offset: 4096,
+                data: vec![0xC3; 4096].into(),
+            },
+            Op::SetXattr {
+                oid: o,
+                key: "oi".into(),
+                value: vec![0xA5; 64],
+            },
+            Op::MetaPut {
+                key: b"pglog.0.1".to_vec(),
+                value: vec![0x5A; 180],
+            },
+        ];
+        let txn = Transaction::new(GroupId(0), 1, ops.clone());
+        let held = txn.clone();
+        s.submit(txn).unwrap();
+        assert_eq!(&held.ops[..], &ops[..]);
+        assert_eq!(
+            std::sync::Arc::strong_count(&held.ops),
+            1,
+            "the store kept a share"
+        );
+        assert_eq!(s.read(o, 4096, 4096).unwrap(), vec![0xC3; 4096]);
+        assert_eq!(s.get_meta(b"pglog.0.1"), Some(vec![0x5A; 180]));
+        let value = s.db.get(&xattr_key(o, "oi")).unwrap().expect("xattr");
+        assert_eq!(value, vec![0xA5; 64]);
     }
 
     #[test]

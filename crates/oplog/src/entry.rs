@@ -47,7 +47,7 @@ pub(crate) fn frame_record(frame: &mut Frame, version: u64, seq: u64, txn: &Tran
     put_u32(body, txn.group.0);
     put_u64(body, txn.seq);
     put_u32(body, txn.ops.len() as u32);
-    for op in &txn.ops {
+    for op in txn.ops.iter() {
         let body = frame.bytes_mut();
         match op {
             Op::Create { oid, size } => {
@@ -298,7 +298,7 @@ pub(crate) fn reference_encode(rec: &LogRecord) -> Vec<u8> {
     put_u32(&mut body, rec.txn.group.0);
     put_u64(&mut body, rec.txn.seq);
     put_u32(&mut body, rec.txn.ops.len() as u32);
-    for op in &rec.txn.ops {
+    for op in rec.txn.ops.iter() {
         match op {
             Op::Create { oid, size } => {
                 body.push(0);
@@ -426,7 +426,7 @@ mod tests {
             frame_record(&mut frame, rec.version, rec.seq, &rec.txn);
             let back = decode_frame(&frame).unwrap();
             assert_eq!(back, rec);
-            for (op, original) in back.txn.ops.iter().zip(&rec.txn.ops) {
+            for (op, original) in back.txn.ops.iter().zip(rec.txn.ops.iter()) {
                 if let (Op::Write { data, .. }, Op::Write { data: written, .. }) = (op, original) {
                     let by_ref = std::ptr::eq(data.as_ptr(), written.as_ptr());
                     assert_eq!(by_ref, data.len() >= 512, "{} bytes", data.len());

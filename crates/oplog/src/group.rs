@@ -11,7 +11,6 @@
 //! reference, the index entry holds a view of the same buffer, and a flush
 //! moves the transaction itself into the store.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use rablock_storage::{
@@ -279,7 +278,7 @@ impl GroupLog {
     fn push_record(&mut self, rec: LogRecord, encoded_len: u64) {
         let LogRecord { version, seq, txn } = rec;
         let mut oids = SmallVec::new();
-        for op in &txn.ops {
+        for op in txn.ops.iter() {
             let (oid, kind, offset, data) = match op {
                 Op::Write { oid, offset, data } => {
                     (*oid, IndexKind::Write, *offset, Some(data.clone()))
@@ -499,59 +498,47 @@ impl GroupLog {
         Ok(n)
     }
 
-    /// Every pending record as `(version, seq, transaction)` in log order:
-    /// borrowed from the mirror, or decoded back out of the ring where a
-    /// flush has moved the transaction into the store (such a record is
-    /// left out if NVM rot made it undecodable — it is applied already).
-    fn whole_records(
-        &self,
-        nvm: &mut NvmRegion,
-    ) -> Result<Vec<(u64, u64, Cow<'_, Transaction>)>, StoreError> {
-        let mut out = Vec::with_capacity(self.records.len());
-        let mut skip = 0;
-        for rec in &self.records {
-            let txn = match &rec.txn {
-                Some(txn) => Some(Cow::Borrowed(txn)),
-                None => self.reread(nvm, skip, rec.encoded_len)?.map(Cow::Owned),
-            };
-            out.extend(txn.map(|txn| (rec.version, rec.seq, txn)));
-            skip += rec.encoded_len;
-        }
-        Ok(out)
-    }
-
-    /// Copies of every pending record (a flush that keeps the log, log
-    /// re-apply before a direct store read). Works inside a flush window.
+    /// Every pending record (a flush that keeps the log, log re-apply
+    /// before a direct store read), in log order: the mirror's transaction
+    /// shared, or decoded back out of the ring where a flush has moved it
+    /// into the store (such a record is left out if NVM rot made it
+    /// undecodable — it is applied already). Works inside a flush window.
     ///
     /// # Errors
     ///
     /// Propagates NVM access errors.
     pub fn export_records(&self, nvm: &mut NvmRegion) -> Result<Vec<LogRecord>, StoreError> {
-        let records = self.whole_records(nvm)?;
-        Ok(records
-            .into_iter()
-            .map(|(version, seq, txn)| LogRecord {
-                version,
-                seq,
-                txn: txn.into_owned(),
-            })
-            .collect())
+        let mut out = Vec::with_capacity(self.records.len());
+        let mut skip = 0;
+        for rec in &self.records {
+            let txn = match &rec.txn {
+                Some(txn) => Some(txn.clone()),
+                None => self.reread(nvm, skip, rec.encoded_len)?,
+            };
+            out.extend(txn.map(|txn| LogRecord {
+                version: rec.version,
+                seq: rec.seq,
+                txn,
+            }));
+            skip += rec.encoded_len;
+        }
+        Ok(out)
     }
 
     /// Every pending record in its encoded form (peer recovery, §IV-A-4
-    /// step ⑤), framed from the mirror by reference: no transaction is
-    /// cloned. Works inside a flush window.
+    /// step ⑤), its write payloads framed by reference. Works inside a
+    /// flush window.
     ///
     /// # Errors
     ///
     /// Propagates NVM access errors.
     pub fn export_encoded(&self, nvm: &mut NvmRegion) -> Result<Vec<Vec<u8>>, StoreError> {
         let mut frame = Frame::new();
-        let records = self.whole_records(nvm)?;
+        let records = self.export_records(nvm)?;
         Ok(records
             .iter()
-            .map(|(version, seq, txn)| {
-                frame_record(&mut frame, *version, *seq, txn);
+            .map(|rec| {
+                frame_record(&mut frame, rec.version, rec.seq, &rec.txn);
                 frame.to_vec()
             })
             .collect())

@@ -45,9 +45,16 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// A multiply carries differences only upwards: keys that differ in
+    /// their high bits (a string's last bytes, an [`ObjectId`]'s index above
+    /// its low 12 bits) hash to words that differ only in their high bits.
+    /// Hash tables pick buckets from the low bits, so fold the high half
+    /// down, once, for every key.
+    ///
+    /// [`ObjectId`]: crate::ObjectId
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash ^ (self.hash >> 32)
     }
 
     #[inline]
@@ -63,11 +70,6 @@ impl Hasher for FxHasher {
             // Fold the length in so "ab" and "ab\0" differ.
             self.mix(u64::from_le_bytes(tail) ^ (rem.len() as u64) << 56);
         }
-        // A multiply carries differences only upwards, and a string's last
-        // bytes sit in the high half of its last word: fold the high half
-        // down, because hash tables pick buckets from the low bits.
-        // (Integer keys, which vary in their low bits, skip this.)
-        self.hash ^= self.hash >> 32;
     }
 
     #[inline]
@@ -172,6 +174,19 @@ mod tests {
             .map(|seq| hash_of(&format!("pglog.3.{seq}").into_bytes()) & 0xFFF)
             .collect();
         assert!(buckets.len() > 2000, "{} of 4096 buckets", buckets.len());
+    }
+
+    #[test]
+    fn integer_keys_that_differ_above_bit_12_spread_over_the_low_bits() {
+        // An `ObjectId`'s raw value is `group << 48 | image << 12 | idx`:
+        // the objects of one group at one `idx` differ only from bit 12 up,
+        // and a bare multiply would start them all probing at one bucket.
+        for (group, idx) in [(3u64, 0u64), (511, 7)] {
+            let buckets: std::collections::HashSet<u64> = (0..4096u64)
+                .map(|image| hash_of(&(group << 48 | image << 12 | idx)) & 0xFFF)
+                .collect();
+            assert!(buckets.len() > 2000, "{} of 4096 buckets", buckets.len());
+        }
     }
 
     #[test]

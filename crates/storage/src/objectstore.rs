@@ -9,6 +9,7 @@
 //! backends diverge in CPU cost and write amplification.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::StoreError;
 use crate::payload::{Payload, Segments};
@@ -159,6 +160,10 @@ impl Op {
 }
 
 /// An atomic group of mutations within one logical group.
+///
+/// The ops are one shared, immutable slice: cloning a transaction (for a
+/// replica's message, the operation log, a retransmit) bumps a refcount, and
+/// every consumer borrows the ops, copying only the bytes it keeps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Transaction {
     /// The logical group all ops belong to (backends shard by this).
@@ -166,13 +171,17 @@ pub struct Transaction {
     /// Sequence number assigned by the OSD (drives `mtime`/versioning).
     pub seq: u64,
     /// The mutations, applied in order.
-    pub ops: Vec<Op>,
+    pub ops: Arc<[Op]>,
 }
 
 impl Transaction {
     /// Creates a transaction.
     pub fn new(group: GroupId, seq: u64, ops: Vec<Op>) -> Self {
-        Transaction { group, seq, ops }
+        Transaction {
+            group,
+            seq,
+            ops: ops.into(),
+        }
     }
 
     /// Total user payload bytes in the transaction.
@@ -406,6 +415,43 @@ mod tests {
             ],
         );
         assert_eq!(txn.user_bytes(), 4096);
+    }
+
+    #[test]
+    fn a_cloned_transaction_shares_its_ops_and_compares_by_value() {
+        let oid = ObjectId::new(GroupId(1), 7);
+        let ops = |fill| {
+            vec![
+                Op::Write {
+                    oid,
+                    offset: 0,
+                    data: vec![fill; 4096].into(),
+                },
+                Op::MetaPut {
+                    key: b"pglog.1.1".to_vec(),
+                    value: vec![0x5A; 180],
+                },
+            ]
+        };
+        let txn = Transaction::new(GroupId(1), 1, ops(3));
+        let clone = txn.clone();
+        assert!(
+            Arc::ptr_eq(&txn.ops, &clone.ops),
+            "the clone copied the ops"
+        );
+        assert_eq!(clone, txn);
+        // Equality goes by value, not by the slice's address.
+        let rebuilt = Transaction::new(GroupId(1), 1, ops(3));
+        assert!(!Arc::ptr_eq(&txn.ops, &rebuilt.ops));
+        assert_eq!(rebuilt, txn);
+        assert_ne!(Transaction::new(GroupId(1), 1, ops(4)), txn);
+        assert_ne!(
+            Transaction {
+                seq: 2,
+                ..txn.clone()
+            },
+            txn
+        );
     }
 
     #[test]
