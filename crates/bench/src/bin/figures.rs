@@ -12,7 +12,6 @@
 //!
 //! ```text
 //! figures [--jobs N] [--smoke] [--only PREFIX] [--out PATH] [--shards N]
-//!         [--check-jobs]
 //! ```
 //!
 //! `--jobs` defaults to all cores. `--smoke` shrinks measurement windows
@@ -24,17 +23,11 @@
 //! `results/figures_sweep.txt` at the workspace root, the committed golden
 //! CI compares against. `--shards N` runs every cell's simulation on N
 //! engine worker threads (space-parallel domains); like `--jobs`, it can
-//! only change wall-clock, never a data line.
-//!
-//! `--check-jobs` runs nothing else: it runs the smoke grid on one and on
-//! two worker threads and asserts the two-job run is not slower (beyond a
-//! noise tolerance). The longest-cell-first schedule plus share-nothing
-//! workers must never lose to the sequential order, even on a single
-//! hardware thread.
+//! only change wall-clock, never a data line. The binary times nothing;
+//! the simulator's speed is the `benchmark/` package's to measure.
 
 use std::path::PathBuf;
 
-use rablock::sim::fingerprint_hash;
 use rablock_bench::banner;
 use rablock_bench::claims::{self, Verdict};
 use rablock_bench::sweep::{figure_cells, run_sweep};
@@ -46,63 +39,6 @@ fn workspace_root() -> PathBuf {
     path
 }
 
-/// `--check-jobs`: the sweep-parallelism regression guard. An earlier
-/// schedule had `--jobs 2` *losing* to `--jobs 1` (133.3k vs 151.9k events/sec)
-/// because workers serialized on shared result state and the longest cell
-/// landed last. With longest-first scheduling and share-nothing workers,
-/// two jobs must never be slower than one beyond measurement noise — even
-/// on a single hardware thread, where the best case is a tie.
-fn run_jobs_check() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("jobs check (smoke sweep, {cores} host cores):");
-    // Alternate job counts and keep the min of three runs each: shared
-    // runners drift minute to minute, and the regression this guards
-    // against (the pre-LPT schedule) was only ~1.14x — a single shot
-    // cannot tell that from noise.
-    let ((mut secs1, events1), (mut secs2, events2)) = (run_figure_sweep(1), run_figure_sweep(2));
-    for _ in 0..2 {
-        secs2 = secs2.min(run_figure_sweep(2).0);
-        secs1 = secs1.min(run_figure_sweep(1).0);
-    }
-    assert_eq!(
-        events1, events2,
-        "sweep must execute the same events regardless of job count"
-    );
-    // On one core two jobs can only tie (plus scheduling noise); with real
-    // parallelism available a loss means contention crept back in.
-    let tolerance = if cores >= 2 { 1.10 } else { 1.25 };
-    println!(
-        "  [jobs] jobs=1 {secs1:.3}s  jobs=2 {secs2:.3}s  ratio {:.3} (tolerance {tolerance})",
-        secs2 / secs1,
-    );
-    assert!(
-        secs2 <= secs1 * tolerance,
-        "sweep parallelism regression: 2 jobs took {secs2:.3}s vs 1 job {secs1:.3}s \
-         (tolerance {tolerance}x on {cores} cores)",
-    );
-    println!("  [jobs] check passed: two jobs are not slower than one");
-}
-
-/// Runs the smoke figure grid on `jobs` worker threads (`--check-jobs`);
-/// returns `(wall seconds, events)`.
-fn run_figure_sweep(jobs: usize) -> (f64, u64) {
-    let cells = figure_cells(true, None);
-    println!("figure sweep: {} cells on {jobs} jobs (smoke)", cells.len());
-    let outcome = run_sweep(cells, jobs);
-    let merged = outcome.merged_lines();
-    let merged_hash = fingerprint_hash(&merged.bytes().map(u64::from).collect::<Vec<u64>>());
-    println!("  [sweep] merged output hash {merged_hash:#018x}");
-    println!(
-        "  [sweep] wall {:.3}s  events {}  events/sec {:.0}",
-        outcome.wall_secs,
-        outcome.events,
-        outcome.events as f64 / outcome.wall_secs,
-    );
-    (outcome.wall_secs, outcome.events)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut jobs = std::thread::available_parallelism()
@@ -112,7 +48,6 @@ fn main() {
     let mut only: Option<String> = None;
     let mut out: Option<PathBuf> = None;
     let mut shards = 1usize;
-    let mut check_jobs = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -136,10 +71,6 @@ fn main() {
                 smoke = true;
                 i += 1;
             }
-            "--check-jobs" => {
-                check_jobs = true;
-                i += 1;
-            }
             "--only" => {
                 only = Some(args.get(i + 1).expect("--only needs a value").clone());
                 i += 2;
@@ -149,7 +80,7 @@ fn main() {
                 i += 2;
             }
             other => {
-                panic!("unknown argument {other:?} (expected --jobs/--smoke/--only/--out/--shards/--check-jobs)")
+                panic!("unknown argument {other:?} (expected --jobs/--smoke/--only/--out/--shards)")
             }
         }
     }
@@ -159,10 +90,6 @@ fn main() {
         "all paper figures + ablation grids as one parallel sweep",
     );
     rablock_bench::set_default_shards(shards);
-    if check_jobs {
-        run_jobs_check();
-        return;
-    }
     let cells = figure_cells(smoke, only.as_deref());
     let n = cells.len();
     println!(
@@ -173,20 +100,6 @@ fn main() {
 
     let merged = outcome.merged_lines();
     print!("{merged}");
-    println!(
-        "sweep: {} cells in {:.2}s wall ({} events, {:.0} events/sec aggregate)",
-        outcome.results.len(),
-        outcome.wall_secs,
-        outcome.events,
-        outcome.events as f64 / outcome.wall_secs,
-    );
-    let slowest = outcome
-        .results
-        .iter()
-        .max_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
-    if let Some(s) = slowest {
-        println!("slowest cell: {} ({:.2}s)", s.key, s.wall_secs);
-    }
 
     // Only a full-window run of the whole grid replaces the golden.
     let path = out.or_else(|| {

@@ -201,8 +201,6 @@ pub struct YcsbConn {
     image: u64,
     wl: YcsbWorkload,
     queue: Vec<WorkItem>,
-    op_limit: Option<u64>,
-    issued: u64,
 }
 
 impl YcsbConn {
@@ -213,15 +211,7 @@ impl YcsbConn {
             image,
             wl,
             queue: Vec::new(),
-            op_limit: None,
-            issued: 0,
         }
-    }
-
-    /// Caps the number of YCSB steps.
-    pub fn with_limit(mut self, limit: u64) -> Self {
-        self.op_limit = Some(limit);
-        self
     }
 }
 
@@ -230,12 +220,6 @@ impl ConnWorkload for YcsbConn {
         if let Some(item) = self.queue.pop() {
             return Some(item);
         }
-        if let Some(limit) = self.op_limit {
-            if self.issued >= limit {
-                return None;
-            }
-        }
-        self.issued += 1;
         let step = self.wl.next(rng);
         let mut items: Vec<WorkItem> = step
             .ops

@@ -16,7 +16,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
-use std::time::Instant;
 
 use rablock::sim::{ChurnOp, Component, ConnWorkload, SimDuration, SimReport, SimTime};
 use rablock::PipelineMode;
@@ -80,19 +79,16 @@ impl Cell {
     }
 }
 
-/// A completed cell: its deterministic data line plus (non-deterministic)
-/// per-cell wall time for scheduling diagnostics.
+/// A completed cell: its key and what it reported.
 pub struct CellResult {
     /// The cell's key.
     pub key: String,
     /// The cell's counters and fields.
     pub out: CellOut,
-    /// Wall-clock seconds this cell took (not part of merged output).
-    pub wall_secs: f64,
 }
 
 impl CellResult {
-    /// The deterministic merged-output line for this cell (no timing).
+    /// The deterministic merged-output line for this cell.
     pub fn line(&self) -> String {
         let mut s = format!(
             "cell {} writes={} reads={} events={}",
@@ -108,14 +104,10 @@ impl CellResult {
     }
 }
 
-/// Outcome of a sweep: key-sorted cell results plus aggregate timing.
+/// Outcome of a sweep: the cell results sorted by key.
 pub struct SweepOutcome {
     /// Cell results sorted by key (deterministic merge order).
     pub results: Vec<CellResult>,
-    /// Total wall-clock seconds for the whole sweep.
-    pub wall_secs: f64,
-    /// Sum of events over all cells.
-    pub events: u64,
 }
 
 impl SweepOutcome {
@@ -144,7 +136,6 @@ impl SweepOutcome {
 /// is touched by more than one thread.
 pub fn run_sweep(cells: Vec<Cell>, jobs: usize) -> SweepOutcome {
     let n = cells.len();
-    let t = Instant::now();
     // LPT order. The per-slot mutex is locked exactly once, by the claiming
     // worker — it exists to move the FnOnce out, not to synchronize.
     let mut order: Vec<Cell> = cells;
@@ -167,15 +158,9 @@ pub fn run_sweep(cells: Vec<Cell>, jobs: usize) -> SweepOutcome {
                     .expect("work slot lock")
                     .take()
                     .expect("each index is claimed once");
-                let key = cell.key;
-                let cell_t = Instant::now();
                 let out = (cell.run)();
-                tx.send(CellResult {
-                    key,
-                    out,
-                    wall_secs: cell_t.elapsed().as_secs_f64(),
-                })
-                .expect("collector outlives workers");
+                tx.send(CellResult { key: cell.key, out })
+                    .expect("collector outlives workers");
             });
         }
         drop(tx);
@@ -183,12 +168,7 @@ pub fn run_sweep(cells: Vec<Cell>, jobs: usize) -> SweepOutcome {
     let mut results: Vec<CellResult> = rx.into_iter().collect();
     assert_eq!(results.len(), n, "every cell reports exactly once");
     results.sort_by(|a, b| a.key.cmp(&b.key));
-    let events = results.iter().map(|r| r.out.events).sum();
-    SweepOutcome {
-        results,
-        wall_secs: t.elapsed().as_secs_f64(),
-        events,
-    }
+    SweepOutcome { results }
 }
 
 /// Scales a cell's window down for smoke runs (CI) while keeping the grid
@@ -791,6 +771,9 @@ pub fn figure_cells(smoke: bool, only: Option<&str>) -> Vec<Cell> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -817,19 +800,39 @@ mod tests {
         let cells = figure_cells(true, None);
         // Every cell got an explicit hint (the default is 1).
         assert!(cells.iter().all(|c| c.cost_hint > 1));
+        let hints: HashMap<String, u64> =
+            cells.iter().map(|c| (c.key.clone(), c.cost_hint)).collect();
         // The 16-thread sequential-read cell must outrank the 1-thread one.
-        let hint_of = |key: &str| {
-            cells
-                .iter()
-                .find(|c| c.key == key)
-                .unwrap_or_else(|| panic!("missing {key}"))
-                .cost_hint
-        };
-        assert!(hint_of("fig09/t16/read/dop") > hint_of("fig09/t01/read/dop"));
-        // LPT claim order: after run_sweep's sort, descending hints.
-        let mut order = figure_cells(true, None);
-        order.sort_by(|a, b| b.cost_hint.cmp(&a.cost_hint).then(a.key.cmp(&b.key)));
-        assert!(order.windows(2).all(|w| w[0].cost_hint >= w[1].cost_hint));
+        assert!(hints["fig09/t16/read/dop"] > hints["fig09/t01/read/dop"]);
+        // The claim order `run_sweep` itself produces: on one worker, cells
+        // with the grid's keys and hints, handed over in reverse, note
+        // their key when they run.
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let recorders = cells.into_iter().rev().map(|c| {
+            let (ran, key) = (Arc::clone(&ran), c.key.clone());
+            Cell::new(c.key, move || {
+                ran.lock().unwrap().push(key);
+                CellOut {
+                    events: 0,
+                    writes: 0,
+                    reads: 0,
+                    fields: Vec::new(),
+                }
+            })
+            .cost(c.cost_hint)
+        });
+        run_sweep(recorders.collect(), 1);
+        let ran = ran.lock().unwrap();
+        assert_eq!(ran.len(), hints.len(), "every cell ran once");
+        let claimed: Vec<(u64, &str)> = ran.iter().map(|k| (hints[k], k.as_str())).collect();
+        assert!(
+            claimed
+                .windows(2)
+                .all(|w| w[0].0 > w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)),
+            "descending hint, then key: {claimed:?}"
+        );
+        // The grid has ties, so the key order among them is observed too.
+        assert!(claimed.windows(2).any(|w| w[0].0 == w[1].0));
     }
 
     #[test]

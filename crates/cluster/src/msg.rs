@@ -5,6 +5,7 @@
 //! and each knows its approximate wire size so network serialization and
 //! per-message CPU can be charged faithfully.
 
+use rablock_oplog::LogRecord;
 use rablock_storage::{GroupId, ObjectId, Payload, Segments, StoreError, Transaction};
 
 use crate::placement::{OsdId, OsdMap};
@@ -207,12 +208,13 @@ pub enum PeerMsg {
         /// Requesting OSD.
         from: OsdId,
     },
-    /// Peer recovery: the pending records of a group, encoded.
+    /// Peer recovery: the pending records of a group.
     LogRecords {
         /// Group being synchronized.
         group: GroupId,
-        /// Encoded [`rablock_oplog::LogRecord`]s.
-        records: Vec<Vec<u8>>,
+        /// The records, in log order; on the wire each costs its encoded
+        /// length.
+        records: Vec<LogRecord>,
     },
     /// Peer recovery: flushed object contents of a group, so a joiner whose
     /// backend missed flushes while it was out of the acting set catches up
@@ -376,7 +378,9 @@ impl PeerMsg {
                 PeerMsg::Repop { txn, .. } => txn.user_bytes() + 256,
                 PeerMsg::RepAck { .. } => 0,
                 PeerMsg::PullLog { .. } => 0,
-                PeerMsg::LogRecords { records, .. } => records.iter().map(|r| r.len() as u64).sum(),
+                PeerMsg::LogRecords { records, .. } => {
+                    records.iter().map(LogRecord::encoded_len).sum()
+                }
                 PeerMsg::Backfill { objects, .. } => {
                     objects.iter().map(|(_, data)| 16 + data.len() as u64).sum()
                 }

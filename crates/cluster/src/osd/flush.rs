@@ -64,7 +64,6 @@ pub(super) enum StoreCtx {
     Flush {
         group: GroupId,
         through_version: u64,
-        keep: bool,
     },
     /// Background I/O nobody waits for.
     Background,
@@ -272,15 +271,7 @@ impl Osd {
             StoreCtx::Flush {
                 group,
                 through_version,
-                keep,
             } => {
-                if keep {
-                    // Map-change safety flush: the records stay in the log
-                    // for peer synchronization, and no flush window was
-                    // opened — clearing `flushing` here would let a second
-                    // window overlap one still in flight.
-                    return;
-                }
                 self.log_for(group);
                 let log = self.logs.get_mut(&group).expect("ensured");
                 log.drain_through_version(&mut self.nvm, through_version)
@@ -323,7 +314,6 @@ impl Osd {
         let ctx = StoreCtx::Flush {
             group,
             through_version,
-            keep: false,
         };
         self.store_io(ctx, true);
         self.rt(group).flushing = true;

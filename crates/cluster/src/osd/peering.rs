@@ -357,44 +357,37 @@ impl Osd {
         }
         self.background_io();
         self.send(requester, PeerMsg::Backfill { group, objects });
-        let records: Vec<Vec<u8>> = self.logs.get(&group).map_or_else(Vec::new, |l| {
-            l.export_encoded(&mut self.nvm)
+        let records = self.logs.get(&group).map_or_else(Vec::new, |l| {
+            l.export_records(&mut self.nvm)
                 .expect("log export for a pulling peer")
         });
         self.send(requester, PeerMsg::LogRecords { group, records });
     }
 
-    /// The pulled log records arrive. Bytes that do not decode, or records
-    /// the store cannot take, leave the group waiting: `retry_pulls` re-asks
-    /// on the heartbeat, and a condition that persists shows up in
-    /// `stuck_pgs()` instead of killing the process.
-    pub(super) fn on_log_records(&mut self, group: GroupId, records: Vec<Vec<u8>>) {
+    /// The pulled log records arrive. Records the log or the store cannot
+    /// take leave the group waiting: `retry_pulls` re-asks on the
+    /// heartbeat, and a condition that persists shows up in `stuck_pgs()`
+    /// instead of killing the process.
+    pub(super) fn on_log_records(&mut self, group: GroupId, records: Vec<LogRecord>) {
         if !self.peering.awaiting_log.contains(&group) {
             // Duplicate or unsolicited response: the first import won;
             // re-importing could resurrect stale data.
             return;
         }
-        let decoded: Result<Vec<LogRecord>, _> = records
-            .iter()
-            .map(|raw| LogRecord::decode(raw).map(|(rec, _)| rec))
-            .collect();
-        let Ok(decoded) = decoded else {
-            return;
-        };
-        for r in &decoded {
+        for r in &records {
             self.note_txn(&r.txn);
         }
-        let total: u64 = records.iter().map(|r| r.len() as u64).sum();
+        let total: u64 = records.iter().map(LogRecord::encoded_len).sum();
         let import = self.log_for(group).pending() == 0;
         let applied = if import {
             let log = self.logs.get_mut(&group).expect("ensured");
-            log.import_records(&mut self.nvm, decoded)
+            log.import_records(&mut self.nvm, records)
         } else {
             // Writes already landed here before the pulled records arrived, so
             // the log holds newer data. Apply the pulled (older) records
             // straight to the backend: reads prefer the log, and the eventual
             // flush overwrites with the newer bytes.
-            let mut pulled = decoded.into_iter();
+            let mut pulled = records.into_iter();
             pulled.try_for_each(|r| self.backend.submit(r.txn))
         };
         if applied.is_err() {
@@ -513,13 +506,8 @@ impl Osd {
                 for rec in records {
                     self.backend.submit(rec.txn).expect("recovery flush");
                 }
-                let through_version = self.logs[&group].version();
-                let ctx = StoreCtx::Flush {
-                    group,
-                    through_version,
-                    keep: true,
-                };
-                self.store_io(ctx, true);
+                // No flush window opens: nothing drains when it completes.
+                self.store_io(StoreCtx::Background, true);
             }
         }
         // Newly responsible groups: pull logs from the surviving primary.
@@ -556,7 +544,7 @@ impl Osd {
 
 #[cfg(test)]
 mod tests {
-    use rablock_storage::Payload;
+    use rablock_storage::{Op, Payload};
 
     use super::super::testkit::*;
     use super::super::{OsdConfig, OsdInput, PipelineMode};
@@ -621,25 +609,42 @@ mod tests {
             .collect()
     }
 
-    /// Bytes off the wire that are no log record used to abort the joiner
-    /// (`peer sends valid records: Corrupt("truncated operation-log record")`)
-    /// where a bad `PushObject` is dropped and retried.
+    /// Pulled records the joiner's ring cannot hold (`import_records` says
+    /// `NoSpace`) leave it waiting, like a `Backfill` that does not fit;
+    /// the heartbeat asks again, and records that fit end the wait.
     #[test]
-    fn garbage_log_records_leave_the_joiner_waiting_for_a_retry() {
-        let (mut joiner, source) = joiner(cfg(PipelineMode::Dop, 16));
+    fn records_the_ring_cannot_hold_leave_the_joiner_waiting_for_a_retry() {
+        let config = cfg(PipelineMode::Dop, 16);
+        let (mut joiner, source) = joiner(config.clone());
         let (g, from) = (GroupId(0), source);
-        let records = vec![vec![0xFF; 40]];
+        let record = |len: usize| {
+            let write = Op::Write {
+                oid: oid_in(g, 1),
+                offset: 0,
+                data: Payload::from(vec![7u8; len]),
+            };
+            let txn = Transaction::new(g, 1, vec![write]);
+            vec![LogRecord {
+                version: 1,
+                seq: 1,
+                txn,
+            }]
+        };
+        let records = record(config.ring_bytes as usize);
         let msg = PeerMsg::LogRecords { group: g, records };
         let fx = joiner.handle(OsdInput::Peer { from, msg });
         assert!(fx.is_empty(), "nothing imported, nothing said: {fx:?}");
         assert!(joiner.peering.awaiting_log.contains(&g), "still waiting");
-        // The heartbeat asks again, and a good answer ends the wait.
+        assert_eq!(joiner.log_pending(g), 0);
         let fx = joiner.handle(OsdInput::HeartbeatTick);
         assert!(pulls_of(&fx).contains(&(source, g)), "{fx:?}");
-        let records = Vec::new();
-        let msg = PeerMsg::LogRecords { group: g, records };
+        let msg = PeerMsg::LogRecords {
+            group: g,
+            records: record(4096),
+        };
         joiner.handle(OsdInput::Peer { from, msg });
         assert!(!joiner.peering.awaiting_log.contains(&g));
+        assert_eq!(joiner.log_pending(g), 1);
     }
 
     /// An object that does not fit the joiner's device used to abort it

@@ -453,14 +453,6 @@ impl Monitor {
         )
     }
 
-    /// Admin: removes an OSD (tombstones it) and returns the broadcast.
-    pub fn admin_remove_osd(&mut self, osd: OsdId) -> MonMsg {
-        self.map.remove_osd(osd);
-        MonMsg::MapUpdate {
-            map: self.map.clone(),
-        }
-    }
-
     /// Sweeps for OSDs whose last heartbeat is older than the grace window,
     /// marks them down, and returns the map broadcast if anything changed.
     pub fn check_liveness(&mut self, now_nanos: u64) -> Option<MonMsg> {

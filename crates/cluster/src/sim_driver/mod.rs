@@ -95,8 +95,6 @@ impl<F: FnMut(&mut SimRng) -> Option<WorkItem> + Send> ConnWorkload for F {
 
 /// Cluster-level simulation configuration.
 pub struct ClusterSimConfig {
-    /// Which of the paper's systems to run.
-    pub mode: PipelineMode,
     /// Storage nodes.
     pub nodes: u32,
     /// OSD daemons per node.
@@ -107,7 +105,8 @@ pub struct ClusterSimConfig {
     pub pg_count: u32,
     /// Replication factor.
     pub replication: usize,
-    /// Per-OSD configuration template (backend sizes, flush threshold …).
+    /// Per-OSD configuration template: which of the paper's systems to run
+    /// (`osd.mode`, read by the driver too), backend sizes, flush threshold …
     pub osd: OsdConfig,
     /// Messenger threads per OSD (Original/Cos).
     pub messenger_threads: usize,
@@ -203,7 +202,6 @@ impl ClusterSimConfig {
     /// per node, replication 2 — the paper's testbed scaled to laptop size.
     pub fn defaults(mode: PipelineMode) -> Self {
         ClusterSimConfig {
-            mode,
             nodes: 4,
             osds_per_node: 2,
             cores_per_node: 10,
@@ -437,14 +435,6 @@ impl ClusterSim {
     /// Pending op-log entries of one group on one OSD (recovery tests).
     pub fn log_pending(&self, osd: OsdId, group: GroupId) -> usize {
         self.osd_ref(osd.0 as usize).log_pending(group)
-    }
-
-    /// True when no live primary has recovery in flight and every group with a
-    /// live primary reports [`PgState::Active`]. Post-quiesce chaos runs assert
-    /// this: all peering rounds finished and every peer acked its last push.
-    pub fn all_pgs_active(&self) -> bool {
-        let mut led = self.live_primaries().into_iter();
-        led.all(|(group, i)| self.osd_ref(i).pg_state(group) == PgState::Active)
     }
 
     /// Flushes every live OSD's pending log records into its backend, then

@@ -95,7 +95,7 @@ impl Spawner {
     }
 
     /// The cores and the per-OSD threads of storage node `node`, in the
-    /// layout `cfg.mode` asks for.
+    /// layout `cfg.osd.mode` asks for.
     fn storage_node(
         &mut self,
         cfg: &ClusterSimConfig,
@@ -104,14 +104,14 @@ impl Spawner {
     ) -> Range<usize> {
         let cores = self.sim.add_cores_in(1 + node, cfg.cores_per_node);
         let all: Vec<_> = cores.clone().collect();
-        let prioritized = cfg.mode.prioritized();
+        let prioritized = cfg.osd.mode.prioritized();
         // Dedicated cores for priority threads come off the front.
         let mut next_dedicated = cores.start;
         let first = threads.len();
         let osds = first..first + cfg.osds_per_node as usize;
         for osd in osds.clone() {
             let name = format!("n{node}.osd{osd}");
-            let (msgr, logic) = if cfg.mode.run_to_completion() {
+            let (msgr, logic) = if cfg.osd.mode.run_to_completion() {
                 let rtc = self.pool("rtc", node, format!("{name}.rtc"), cfg.rtc_threads, &all);
                 (rtc.clone(), rtc)
             } else if prioritized {
@@ -263,8 +263,8 @@ impl ClusterSim {
         let osds_per_node = cfg.osds_per_node as usize;
         let total_osds = threads.len();
         let topo = Arc::new(Topology {
-            relay: matches!(cfg.mode, PipelineMode::Original | PipelineMode::Cos),
-            lean: cfg.mode.prioritized(),
+            relay: matches!(cfg.osd.mode, PipelineMode::Original | PipelineMode::Cos),
+            lean: cfg.osd.mode.prioritized(),
             conn_threads: conns.iter().map(|c| c.thread).collect(),
             threads,
             net_hold,
@@ -365,7 +365,7 @@ impl ClusterSim {
         for (conn, &t) in topo.conn_threads.iter().enumerate() {
             self.sim.schedule(SimTime::ZERO, t, Ev::ClientKick { conn });
         }
-        if cfg.mode.decoupled() {
+        if cfg.osd.mode.decoupled() {
             for (osd, th) in threads.iter().enumerate() {
                 let at = SimTime::ZERO + cfg.flush_sweep;
                 self.sim.schedule(at, th.flusher[0], Ev::FlushSweep { osd });

@@ -169,7 +169,7 @@ impl World {
                 _ => "rp.primary",
             },
             OsdInput::Peer { msg, .. } => match msg {
-                PeerMsg::Repop { .. } if self.topo.cfg.mode.decoupled() => "rp.replica_nvm",
+                PeerMsg::Repop { .. } if self.topo.cfg.osd.mode.decoupled() => "rp.replica_nvm",
                 PeerMsg::Repop { .. } => "rp.replica",
                 PeerMsg::RepAck { .. } | PeerMsg::RepNack { .. } => "rp.ack",
                 _ => "tp.recovery",
@@ -188,14 +188,14 @@ impl World {
         match input {
             OsdInput::Client { req, .. }
                 if matches!(req, ClientReq::Write { .. } | ClientReq::Create { .. })
-                    && self.topo.cfg.mode.decoupled() =>
+                    && self.topo.cfg.osd.mode.decoupled() =>
             {
                 self.topo.cfg.costs.nvm_append.as_nanos()
             }
             OsdInput::Peer {
                 msg: PeerMsg::Repop { .. },
                 ..
-            } if self.topo.cfg.mode.decoupled() => self.topo.cfg.costs.nvm_append.as_nanos(),
+            } if self.topo.cfg.osd.mode.decoupled() => self.topo.cfg.costs.nvm_append.as_nanos(),
             _ => 0,
         }
     }

@@ -153,7 +153,7 @@ impl World {
             OsdInput::ScrubStart { group, .. } => (*group, true),
             _ => (GroupId(0), false), // map updates
         };
-        if background && self.topo.cfg.mode.prioritized() {
+        if background && self.topo.cfg.osd.mode.prioritized() {
             self.flusher_thread(osd, group.0 as u64)
         } else {
             self.logic_thread(osd, group)

@@ -227,7 +227,7 @@ impl World {
         input: &OsdInput,
         charge_mp: Option<u64>,
     ) {
-        let (c, mode) = (&self.topo.cfg.costs, self.topo.cfg.mode);
+        let (c, mode) = (&self.topo.cfg.costs, self.topo.cfg.osd.mode);
         if let Some(bytes) = charge_mp {
             ctx.spend(MP, c.recv(bytes, self.topo.lean));
         }
@@ -310,7 +310,8 @@ impl World {
         // §IV-B: under PTC a non-priority thread hands its sends to a priority
         // thread, as every thread of a relay mode hands them to a messenger.
         let via_frontend = self.topo.relay
-            || self.topo.cfg.mode.prioritized() && !self.topo.threads[osd].msgr.contains(&thread);
+            || self.topo.cfg.osd.mode.prioritized()
+                && !self.topo.threads[osd].msgr.contains(&thread);
         for effect in effects.drain(..) {
             match effect {
                 OsdEffect::SendPeer { to, msg } => {
@@ -326,7 +327,7 @@ impl World {
                     }
                 }
                 OsdEffect::Reply { to, msg } => {
-                    if self.topo.cfg.mode.run_to_completion() {
+                    if self.topo.cfg.osd.mode.run_to_completion() {
                         if let Some(gate) = self.rtc_gate.get_mut(&thread) {
                             gate.busy = false;
                             if let Some(ev) = gate.deferred.pop_front() {
@@ -440,7 +441,7 @@ impl World {
         if self.is_dead(osd) {
             return; // failed OSDs process nothing
         }
-        if self.topo.cfg.mode.run_to_completion() && matches!(input, OsdInput::Client { .. }) {
+        if self.topo.cfg.osd.mode.run_to_completion() && matches!(input, OsdInput::Client { .. }) {
             let gate = self.rtc_gate.entry(thread).or_default();
             if gate.busy {
                 gate.deferred.push_back(Ev::osd_in(osd, input, charge_mp));

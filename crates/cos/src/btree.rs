@@ -249,12 +249,6 @@ impl ExtentBTree {
         self.floor(key)
     }
 
-    /// Test-only probe of [`ExtentBTree::ceiling`].
-    #[doc(hidden)]
-    pub fn debug_ceiling(&self, key: u64) -> Option<(u64, u64)> {
-        self.ceiling(key)
-    }
-
     /// Greatest `(start, len)` with `start <= key`.
     fn floor(&self, key: u64) -> Option<(u64, u64)> {
         let mut node = &self.root;

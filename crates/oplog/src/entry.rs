@@ -261,6 +261,12 @@ fn parse(bytes: &[u8], held: &[(usize, Payload)]) -> Result<LogRecord, StoreErro
 }
 
 impl LogRecord {
+    /// Exactly the bytes this record takes in the log, and in its encoded
+    /// form ([`LogRecord::encode`]).
+    pub fn encoded_len(&self) -> u64 {
+        encoded_len(&self.txn)
+    }
+
     /// Serializes the record (length, CRC, header, ops) into a fresh buffer.
     /// Recovery, backfill and tests use this; the append path keeps large
     /// payloads out of the bytes it frames.

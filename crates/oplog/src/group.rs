@@ -525,25 +525,6 @@ impl GroupLog {
         Ok(out)
     }
 
-    /// Every pending record in its encoded form (peer recovery, §IV-A-4
-    /// step ⑤), its write payloads framed by reference. Works inside a
-    /// flush window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NVM access errors.
-    pub fn export_encoded(&self, nvm: &mut NvmRegion) -> Result<Vec<Vec<u8>>, StoreError> {
-        let mut frame = Frame::new();
-        let records = self.export_records(nvm)?;
-        Ok(records
-            .iter()
-            .map(|rec| {
-                frame_record(&mut frame, rec.version, rec.seq, &rec.txn);
-                frame.to_vec()
-            })
-            .collect())
-    }
-
     /// Imports records from a peer into an empty log (replacement node
     /// synchronization, §IV-A-4 steps ⑥–⑦).
     ///
@@ -660,10 +641,11 @@ mod tests {
             .append(&mut flat_nvm, write_txn(1, oid(7), 100, data.to_vec()))
             .unwrap();
         assert_eq!(out, flat_out, "the same bytes of NVM");
-        assert_eq!(
-            g.export_encoded(&mut nvm).unwrap(),
-            flat.export_encoded(&mut flat_nvm).unwrap()
-        );
+        let encoded = |log: &GroupLog, nvm: &mut NvmRegion| -> Vec<Vec<u8>> {
+            let records = log.export_records(nvm).unwrap();
+            records.iter().map(LogRecord::encode).collect()
+        };
+        assert_eq!(encoded(&g, &mut nvm), encoded(&flat, &mut flat_nvm));
         match g.read_path(oid(7), 4000, 500) {
             ReadPath::FromLog(got) => assert_eq!(got, data[3900..4400].to_vec()),
             other => panic!("expected FromLog, got {other:?}"),
@@ -901,8 +883,6 @@ mod tests {
         let all: Vec<Transaction> = first.iter().chain(&later).cloned().collect();
         let whole = g.export_records(&mut nvm).unwrap();
         assert_eq!(whole.iter().map(|r| r.txn.clone()).collect::<Vec<_>>(), all);
-        let encoded: Vec<Vec<u8>> = whole.iter().map(LogRecord::encode).collect();
-        assert_eq!(g.export_encoded(&mut nvm).unwrap(), encoded);
         // A crash inside the window loses nothing: NVM holds all eight.
         let mut crashed = nvm.clone();
         crashed.reboot();
@@ -950,7 +930,6 @@ mod tests {
         assert!(g.rot_bit(&mut nvm, 3 * record + record / 2, 3).unwrap());
         let seqs = |records: Vec<LogRecord>| records.iter().map(|r| r.seq).collect::<Vec<_>>();
         assert_eq!(seqs(g.export_records(&mut nvm).unwrap()), [1, 3, 4]);
-        assert_eq!(g.export_encoded(&mut nvm).unwrap().len(), 3);
         assert_eq!(g.drain_for_flush(&mut nvm, usize::MAX).unwrap().len(), 3);
     }
 

@@ -150,14 +150,6 @@ pub struct DeviceStats {
     pub total_latency_ns: u64,
 }
 
-impl DeviceStats {
-    /// Mean device latency over all commands.
-    pub fn mean_latency(&self) -> SimDuration {
-        let n = self.reads + self.writes + self.flushes;
-        SimDuration::nanos(self.total_latency_ns.checked_div(n).unwrap_or(0))
-    }
-}
-
 /// A simulated device instance: profile + per-way occupancy.
 #[derive(Debug, Clone)]
 pub struct Device {

@@ -988,11 +988,6 @@ impl<M> Simulation<M> {
         self.domains.len()
     }
 
-    /// The domain owning thread `t`.
-    pub fn domain_of_thread(&self, t: ThreadId) -> usize {
-        self.registry.threads[t].domain as usize
-    }
-
     /// Sets the conservative lookahead: the minimum delay every cross-domain
     /// `send_after` is guaranteed to carry (in practice, the minimum
     /// cross-domain link latency). Rounds execute the window

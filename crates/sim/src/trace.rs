@@ -305,11 +305,6 @@ impl Recorder {
         });
     }
 
-    /// True if `id` is currently being tracked.
-    pub fn is_open(&self, id: TraceId) -> bool {
-        self.ops.contains_key(&id.0)
-    }
-
     /// Records a span for `id` (ignored if the op is unknown). Zero-length
     /// spans still contribute to component totals but are not stored.
     pub fn span(
