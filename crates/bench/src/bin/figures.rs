@@ -11,7 +11,7 @@
 //! Usage:
 //!
 //! ```text
-//! figures [--jobs N] [--smoke] [--only PREFIX] [--out PATH] [--shards N]
+//! figures [--jobs N] [--smoke] [--only PREFIX] [--out PATH]
 //! ```
 //!
 //! `--jobs` defaults to all cores. `--smoke` shrinks measurement windows
@@ -21,10 +21,10 @@
 //! data lines (timing-free, deterministic) go to stdout and to `--out`; a
 //! full-window run of the whole grid writes them by default to
 //! `results/figures_sweep.txt` at the workspace root, the committed golden
-//! CI compares against. `--shards N` runs every cell's simulation on N
-//! engine worker threads (space-parallel domains); like `--jobs`, it can
-//! only change wall-clock, never a data line. The binary times nothing;
-//! the simulator's speed is the `benchmark/` package's to measure.
+//! CI compares against. Each cell's simulation runs on the engine workers
+//! its own config names; that every worker count gives the same data lines
+//! is `tests/determinism.rs`'s to pin. The binary times nothing; the
+//! simulator's speed is the `benchmark/` package's to measure.
 
 use std::path::PathBuf;
 
@@ -47,18 +47,9 @@ fn main() {
     let mut smoke = false;
     let mut only: Option<String> = None;
     let mut out: Option<PathBuf> = None;
-    let mut shards = 1usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--shards" => {
-                shards = args
-                    .get(i + 1)
-                    .expect("--shards needs a value")
-                    .parse()
-                    .expect("--shards takes a number");
-                i += 2;
-            }
             "--jobs" => {
                 jobs = args
                     .get(i + 1)
@@ -80,7 +71,7 @@ fn main() {
                 i += 2;
             }
             other => {
-                panic!("unknown argument {other:?} (expected --jobs/--smoke/--only/--out/--shards)")
+                panic!("unknown argument {other:?} (expected --jobs/--smoke/--only/--out)")
             }
         }
     }
@@ -89,11 +80,10 @@ fn main() {
         "figures",
         "all paper figures + ablation grids as one parallel sweep",
     );
-    rablock_bench::set_default_shards(shards);
     let cells = figure_cells(smoke, only.as_deref());
     let n = cells.len();
     println!(
-        "{n} cells, {jobs} jobs, {shards} engine shards{}",
+        "{n} cells, {jobs} jobs{}",
         if smoke { " (smoke)" } else { "" }
     );
     let outcome = run_sweep(cells, jobs);

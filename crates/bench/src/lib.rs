@@ -186,7 +186,7 @@ impl ConnWorkload for FioConn {
         if let Some(item) = self.queue.pop() {
             return Some(item);
         }
-        let op = self.job.next(rng)?;
+        let op = self.job.next_op(rng);
         let mut items = self.dataset.work_items(self.image, op);
         items.reverse();
         let first = items.pop()?;
@@ -281,27 +281,8 @@ impl ConnWorkload for SeqWriteThenRead {
     }
 }
 
-/// Process-wide default worker-shard count for harness simulations (the
-/// `--shards N` flag). Shards only pick how many OS threads execute the
-/// engine's domains — results are byte-identical for every value — so a
-/// global default is safe: it can change wall-clock, never output.
-static DEFAULT_SHARDS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-
-/// Sets the default shard count every subsequent [`run_sim`] uses (first
-/// call wins; later calls are ignored). Harness `--shards N` flags call
-/// this once at startup.
-pub fn set_default_shards(shards: usize) {
-    let _ = DEFAULT_SHARDS.set(shards.max(1));
-}
-
-/// The current default shard count (1 unless [`set_default_shards`] ran).
-pub fn default_shards() -> usize {
-    *DEFAULT_SHARDS.get().unwrap_or(&1)
-}
-
-/// Builds a cluster, prefills the dataset, runs warmup + measurement.
-/// Configs that leave `shards` at 1 inherit the process default (the
-/// `--shards` flag); an explicit per-config override wins.
+/// Builds a cluster, prefills the dataset, runs warmup + measurement, on
+/// the config's own `shards` workers.
 pub fn run_sim(
     cfg: ClusterSimConfig,
     dataset: Dataset,
@@ -309,10 +290,6 @@ pub fn run_sim(
     warmup: SimDuration,
     measure: SimDuration,
 ) -> rablock::sim::SimReport {
-    let mut cfg = cfg;
-    if cfg.shards <= 1 {
-        cfg.shards = default_shards();
-    }
     let mut sim = ClusterSim::new(cfg, workloads);
     sim.prefill(&dataset.all_objects());
     sim.run(warmup, measure)

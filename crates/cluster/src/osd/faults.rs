@@ -63,10 +63,12 @@ impl Osd {
     }
 
     /// Fault injection: flips `flips` bits in this OSD's NVM operation-log
-    /// rings (committed record bytes). The in-memory record mirror stays
-    /// clean, so the damage is latent until a crash makes recovery re-read
-    /// the ring — where the record CRC rejects the rotted suffix. Returns
-    /// how many flips landed (0 when no ring holds queued records).
+    /// rings (committed record bytes). NVM rot is latent until a crash: a
+    /// live log answers flushes, re-applies and pulling peers from its
+    /// in-memory mirror, for every queued record, inside a flush window or
+    /// not, and only recovery reads the ring — where the record CRC rejects
+    /// the rotted suffix. Returns how many flips landed (0 when no ring
+    /// holds queued records).
     pub fn inject_nvm_rot(&mut self, flips: u32, seed: u64) -> u64 {
         let mut groups: Vec<GroupId> = self
             .logs

@@ -11,8 +11,9 @@ use crate::placement::OsdId;
 
 /// What a pending store token is serving, as seen by the tracing layer.
 ///
-/// A read-only classification of the OSD's internal [`StoreCtx`]; the driver
-/// uses it to map device completions back to the client op they serve.
+/// A read-only classification of the OSD's internal store-completion
+/// context; the driver uses it to map device completions back to the client
+/// op they serve.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum StoreTokenOp {
     /// Local persist of an in-flight primary write.
@@ -171,13 +172,10 @@ impl Osd {
     /// Re-applies the group's pending (NVM-durable, unflushed) log records
     /// to the backend so a direct backend read observes every acked write.
     /// The records stay pending — re-applying them again later is
-    /// idempotent — so this never races the count-based flush completion.
+    /// idempotent — so a flush window open over them is left as it was.
     pub(super) fn sync_group_log(&mut self, group: GroupId) {
         if self.logs.get(&group).is_some_and(|l| l.pending() > 0) {
-            let records = self.logs[&group]
-                .export_records(&mut self.nvm)
-                .expect("log export for re-apply");
-            for rec in records {
+            for rec in self.logs[&group].export_records() {
                 self.backend.submit(rec.txn).expect("log re-apply for read");
             }
             let _ = self.backend.take_trace();
@@ -294,7 +292,7 @@ impl Osd {
             // backfill; hold off — the backfill's arrival re-arms the flush.
             return;
         }
-        let Some(log) = self.logs.get_mut(&group) else {
+        let Some(log) = self.logs.get(&group) else {
             return;
         };
         if log.pending() == 0 {
@@ -304,11 +302,8 @@ impl Osd {
         }
         // Submit the batch to the backend; the log entries are drained only
         // once the store writes are durable (§IV-A-3: remove after flush).
-        // The transactions themselves move into the store: until then a
-        // record needs only its place in the ring and in the index.
         let through_version = log.version();
-        let txns = log.begin_flush(&mut self.nvm).expect("flush batch");
-        for txn in txns {
+        for txn in log.begin_flush() {
             self.backend.submit(txn).expect("flush submit");
         }
         let ctx = StoreCtx::Flush {

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rablock_oplog::LogRecord;
+use rablock_oplog::{GroupLog, LogRecord};
 use rablock_storage::{FxHashMap, GroupId, ObjectId, Segments, Transaction};
 
 use super::digest::digest_op;
@@ -357,10 +357,10 @@ impl Osd {
         }
         self.background_io();
         self.send(requester, PeerMsg::Backfill { group, objects });
-        let records = self.logs.get(&group).map_or_else(Vec::new, |l| {
-            l.export_records(&mut self.nvm)
-                .expect("log export for a pulling peer")
-        });
+        let records = self
+            .logs
+            .get(&group)
+            .map_or_else(Vec::new, GroupLog::export_records);
         self.send(requester, PeerMsg::LogRecords { group, records });
     }
 
@@ -497,9 +497,7 @@ impl Osd {
             if old_set.contains(&self.id) {
                 // Survivor: persist pending data but keep the log so the
                 // replacement can synchronize from it.
-                let records = self.logs[&group]
-                    .export_records(&mut self.nvm)
-                    .expect("log export for recovery flush");
+                let records = self.logs[&group].export_records();
                 if records.is_empty() {
                     continue;
                 }

@@ -388,7 +388,7 @@ mod tests {
             3,
             "write, object_info_t xattr, pg-log entry"
         );
-        let logged = o.logs[&g].export_records(&mut o.nvm).expect("log reads");
+        let logged = o.logs[&g].export_records();
         let [record] = &logged[..] else {
             panic!("one logged record")
         };

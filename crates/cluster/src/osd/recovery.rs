@@ -317,10 +317,14 @@ impl Osd {
             // write we hold, so applying it can only heal.
         }
         if self.cfg.mode.decoupled() && self.rt(group).flushing {
-            // A flush is mid-air for this group: completion will remove a
-            // *count* of oldest records, so draining the log inline here would
-            // make it discard newer ones. Stay silent; the primary re-pushes on
-            // its next heartbeat and flush windows are short.
+            // A flush is mid-air for this group. Draining the log inline
+            // would be safe: completion releases by version watermark
+            // (`drain_through_version`) and would find none of its records
+            // left, as after the full-ring fallback. The guard stays
+            // because dropping it changes which pushes apply now and which
+            // on a re-push, and so the chaos and grow fingerprints. Stay
+            // silent; the primary re-pushes on its next heartbeat and flush
+            // windows are short.
             return;
         }
         if self.logs.get(&group).is_some_and(|l| l.pending() > 0) {

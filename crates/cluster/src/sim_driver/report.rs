@@ -306,14 +306,16 @@ impl ClusterSim {
     }
 
     /// The engine's account of its parallel rounds (see
-    /// [`Simulation::round_stats`]): zeros unless
-    /// [`ClusterSimConfig::shards`] put the run on several workers.
+    /// [`Simulation::round_stats`](rablock_sim::Simulation::round_stats)):
+    /// zeros unless [`ClusterSimConfig::shards`](super::ClusterSimConfig::shards)
+    /// put the run on several workers.
     pub fn round_stats(&self) -> &rablock_sim::RoundStats {
         self.sim.round_stats()
     }
 
     /// The telemetry time-series sampled during the measured phase (empty
-    /// unless [`ClusterSimConfig::telemetry_window`] was set).
+    /// unless [`ClusterSimConfig::telemetry_window`](super::ClusterSimConfig::telemetry_window)
+    /// was set).
     pub fn telemetry(&self) -> &TimeSeries {
         &self.timeseries
     }

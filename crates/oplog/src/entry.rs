@@ -8,10 +8,8 @@
 //! write payloads left out by reference, so appending a client's 4 KiB write
 //! copies the few dozen bytes around it, not the write.
 
-use rablock_storage::crc::{crc32_splice, crc32_update, FrameCrc};
-use rablock_storage::{
-    Frame, FrameReader, GroupId, ObjectId, Op, Payload, StoreError, Transaction,
-};
+use rablock_storage::crc::{crc32, FrameCrc};
+use rablock_storage::{Frame, GroupId, ObjectId, Op, Payload, StoreError, Transaction};
 
 /// One durable record in a group's operation log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,12 +90,6 @@ pub(crate) fn frame_record(frame: &mut Frame, version: u64, seq: u64, txn: &Tran
     header[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes the record `frame` holds. A write payload the frame holds in one
-/// piece comes back as that very buffer, unscanned.
-pub(crate) fn decode_frame(frame: &Frame) -> Result<LogRecord, StoreError> {
-    parse(frame.bytes(), frame.held())
-}
-
 /// Exactly the bytes a record of `txn` takes in the log: a sum of field
 /// sizes, so whether it fits can be known without framing it.
 pub(crate) fn encoded_len(txn: &Transaction) -> u64 {
@@ -142,13 +134,18 @@ fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     buf.extend_from_slice(b);
 }
 
-/// Reads a record's fields out of its stream, failing on a truncated one.
-struct Reader<'a>(FrameReader<'a>);
+/// Reads a record's fields out of its bytes, failing on a truncated one.
+struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    /// The next `len` bytes, which must all lie in one byte run.
+    /// The next `len` bytes.
     fn take(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
-        self.0.take(len).ok_or_else(trunc)
+        if len > self.0.len() {
+            return Err(trunc());
+        }
+        let (field, rest) = self.0.split_at(len);
+        self.0 = rest;
+        Ok(field)
     }
     fn u32(&mut self) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(
@@ -168,13 +165,9 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
-    /// The next length-prefixed payload: the held buffer itself where
-    /// exactly one makes it up, a copy assembled from byte runs and held
-    /// pieces otherwise (an inline payload, or one part of which rot made
-    /// the region take back as bytes).
+    /// The next length-prefixed payload, copied out.
     fn payload(&mut self) -> Result<Payload, StoreError> {
-        let len = self.u32()? as usize;
-        self.0.payload(len).ok_or_else(trunc)
+        Ok(self.bytes()?.into())
     }
 }
 
@@ -182,30 +175,16 @@ fn trunc() -> StoreError {
     StoreError::Corrupt("truncated operation-log record".into())
 }
 
-/// Decodes the record whose stream is `bytes` with each `held` payload
-/// spliced in before `bytes[at]`: exactly one record, nothing after it.
-fn parse(bytes: &[u8], held: &[(usize, Payload)]) -> Result<LogRecord, StoreError> {
-    let mut r = Reader(FrameReader::new(bytes, held));
-    let stream_len = r.0.remaining();
-    let len = r.u32()? as u64;
+/// Decodes the record whose bytes are `bytes`: exactly one record, nothing
+/// after it.
+fn parse(bytes: &[u8]) -> Result<LogRecord, StoreError> {
+    let mut r = Reader(bytes);
+    let len = r.u32()? as usize;
     let stored_crc = r.u32()?;
-    if FRAME_HEADER as u64 + len != stream_len {
+    if FRAME_HEADER + len != bytes.len() {
         return Err(trunc());
     }
-    // A held payload is immutable, so its memoized checksum stands in for
-    // its bytes; every byte run is scanned.
-    let mut state = !0;
-    let mut scanned = FRAME_HEADER;
-    for (at, payload) in held {
-        let run = bytes.get(scanned..*at).ok_or_else(trunc)?;
-        state = crc32_splice(
-            crc32_update(state, run),
-            payload.crc32(),
-            payload.len() as u64,
-        );
-        scanned = *at;
-    }
-    if !crc32_update(state, &bytes[scanned..]) != stored_crc {
+    if crc32(&bytes[FRAME_HEADER..]) != stored_crc {
         return Err(StoreError::Corrupt(
             "operation-log record crc mismatch".into(),
         ));
@@ -248,11 +227,6 @@ fn parse(bytes: &[u8], held: &[(usize, Payload)]) -> Result<LogRecord, StoreErro
             t => return Err(StoreError::Corrupt(format!("unknown op tag {t}"))),
         });
     }
-    if r.0.held_left() > 0 {
-        return Err(StoreError::Corrupt(
-            "operation-log record holds a payload outside its writes".into(),
-        ));
-    }
     Ok(LogRecord {
         version,
         seq,
@@ -287,12 +261,9 @@ impl LogRecord {
         let prefix = raw.get(..4).ok_or_else(trunc)?;
         let len = FRAME_HEADER + u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
         let record = raw.get(..len).ok_or_else(trunc)?;
-        Ok((parse(record, &[])?, len))
+        Ok((parse(record)?, len))
     }
 }
-
-#[cfg(test)]
-use rablock_storage::crc::crc32;
 
 /// The record format written out flat, with no frame and no splice: the
 /// reference the segmented framing is pinned against.
@@ -394,7 +365,6 @@ pub(crate) fn threshold_records() -> Vec<LogRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rablock_storage::NvmPiece;
 
     #[test]
     fn frame_stream_is_the_flat_reference_with_large_payloads_by_reference() {
@@ -423,55 +393,6 @@ mod tests {
             let (back, used) = LogRecord::decode(&flat).unwrap();
             assert_eq!((back, used), (rec, flat.len()));
         }
-    }
-
-    #[test]
-    fn a_frame_decodes_to_its_record_however_nvm_holds_the_payloads() {
-        let mut frame = Frame::default();
-        for rec in threshold_records() {
-            frame_record(&mut frame, rec.version, rec.seq, &rec.txn);
-            let back = decode_frame(&frame).unwrap();
-            assert_eq!(back, rec);
-            for (op, original) in back.txn.ops.iter().zip(rec.txn.ops.iter()) {
-                if let (Op::Write { data, .. }, Op::Write { data: written, .. }) = (op, original) {
-                    let by_ref = std::ptr::eq(data.as_ptr(), written.as_ptr());
-                    assert_eq!(by_ref, data.len() >= 512, "{} bytes", data.len());
-                }
-            }
-            // Read back in other pieces: every held payload as two views
-            // (of two buffers, so that the frame cannot join them again), or
-            // with its first part taken back as bytes (rot).
-            let (mut split, mut mixed) = (Frame::default(), Frame::default());
-            for piece in frame.pieces() {
-                match piece {
-                    NvmPiece::Bytes(run) => {
-                        split.bytes_mut().extend_from_slice(run);
-                        mixed.bytes_mut().extend_from_slice(run);
-                    }
-                    NvmPiece::Held(payload) => {
-                        let (head, tail) = (
-                            payload.slice(0, 100),
-                            payload.slice(100, payload.len() - 100),
-                        );
-                        split.hold(head.to_vec().into());
-                        split.hold(tail.clone());
-                        mixed.bytes_mut().extend_from_slice(&head);
-                        mixed.hold(tail);
-                    }
-                }
-            }
-            assert_eq!(decode_frame(&split).unwrap(), rec);
-            assert_eq!(decode_frame(&mixed).unwrap(), rec);
-            assert_eq!(mixed.to_vec(), frame.to_vec());
-        }
-        // A held piece where fields are expected is not a record of ours.
-        let raw = sample().encode();
-        let mut odd = Frame::default();
-        odd.bytes_mut().extend_from_slice(&raw[..20]);
-        odd.hold(raw[20..30].into());
-        odd.bytes_mut().extend_from_slice(&raw[30..]);
-        assert_eq!(odd.to_vec(), raw);
-        assert!(matches!(decode_frame(&odd), Err(StoreError::Corrupt(_))));
     }
 
     fn sample() -> LogRecord {

@@ -9,7 +9,8 @@
 //!
 //! A logged write exists once: its payload is framed into the ring by
 //! reference, the index entry holds a view of the same buffer, and a flush
-//! moves the transaction itself into the store.
+//! hands the store a shared clone of the transaction. The mirror answers
+//! every caller; only recovery reads the ring.
 
 use std::collections::VecDeque;
 
@@ -17,7 +18,7 @@ use rablock_storage::{
     Frame, FxHashMap, GroupId, NvmRegion, ObjectId, Op, Payload, SmallVec, StoreError, Transaction,
 };
 
-use crate::entry::{decode_frame, encoded_len, frame_record, LogRecord};
+use crate::entry::{encoded_len, frame_record, LogRecord};
 use crate::ring::NvmRing;
 
 /// What kind of operation an index entry tracks.
@@ -81,11 +82,9 @@ struct Pending {
     encoded_len: u64,
     /// The objects whose index entries point at this record.
     oids: SmallVec<u64, 2>,
-    /// The logged transaction, until a flush moves it into the store. A
-    /// *submitted* record (`None`) keeps only what releasing it takes: its
-    /// transaction is already applied to the store, and whoever still wants
-    /// it whole inside the flush window decodes it back out of the ring.
-    txn: Option<Transaction>,
+    /// The logged transaction; a flush hands the store a shared clone and
+    /// the record keeps its own until the flush window closes.
+    txn: Transaction,
 }
 
 /// The operation log and index cache of one logical group.
@@ -308,7 +307,7 @@ impl GroupLog {
             seq,
             encoded_len,
             oids,
-            txn: Some(txn),
+            txn,
         });
     }
 
@@ -385,41 +384,6 @@ impl GroupLog {
         ReadPath::FlushThenStore
     }
 
-    /// Decodes the record of `len` bytes that starts `skip` bytes past the
-    /// ring's tail, for a record whose transaction a flush moved into the
-    /// store. `None` if NVM rot made it undecodable: the mirror no longer
-    /// has it either, but the store does — it is applied already.
-    fn reread(
-        &self,
-        nvm: &mut NvmRegion,
-        skip: u64,
-        len: u64,
-    ) -> Result<Option<Transaction>, StoreError> {
-        let record = self.ring.read_queued(nvm, skip, len)?;
-        Ok(decode_frame(&record).ok().map(|rec| rec.txn))
-    }
-
-    /// Moves the transactions of the `n` oldest records out of the mirror,
-    /// leaving the records *submitted*. One that was submitted before is
-    /// read back from the ring.
-    fn take_transactions(
-        &mut self,
-        nvm: &mut NvmRegion,
-        n: usize,
-    ) -> Result<Vec<Transaction>, StoreError> {
-        let mut out = Vec::with_capacity(n);
-        let mut skip = 0;
-        for i in 0..n {
-            let encoded_len = self.records[i].encoded_len;
-            match self.records[i].txn.take() {
-                Some(txn) => out.push(txn),
-                None => out.extend(self.reread(nvm, skip, encoded_len)?),
-            }
-            skip += encoded_len;
-        }
-        Ok(out)
-    }
-
     /// Releases the `n` oldest records: their index entries and their NVM
     /// space, with one tail advance (and one persisted header write) for
     /// the whole batch — group commit on the consume side.
@@ -455,23 +419,19 @@ impl GroupLog {
         max: usize,
     ) -> Result<Vec<Transaction>, StoreError> {
         let n = max.min(self.records.len());
-        let txns = self.take_transactions(nvm, n)?;
+        let txns = self.records.iter().take(n).map(|r| r.txn.clone()).collect();
         self.release_front(nvm, n)?;
         Ok(txns)
     }
 
-    /// Opens a flush window: moves every pending transaction out, in log
+    /// Opens a flush window: every pending transaction, shared, in log
     /// order, for the caller to submit to the store. The records stay
     /// queued, indexed and in NVM — reads are still served from the index
     /// and a crash still recovers them — until
     /// [`GroupLog::drain_through_version`] of the version observed now
     /// closes the window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NVM access errors.
-    pub fn begin_flush(&mut self, nvm: &mut NvmRegion) -> Result<Vec<Transaction>, StoreError> {
-        self.take_transactions(nvm, self.records.len())
+    pub fn begin_flush(&self) -> Vec<Transaction> {
+        self.records.iter().map(|r| r.txn.clone()).collect()
     }
 
     /// Releases every record whose log version is at most `version`
@@ -499,30 +459,17 @@ impl GroupLog {
     }
 
     /// Every pending record (a flush that keeps the log, log re-apply
-    /// before a direct store read), in log order: the mirror's transaction
-    /// shared, or decoded back out of the ring where a flush has moved it
-    /// into the store (such a record is left out if NVM rot made it
-    /// undecodable — it is applied already). Works inside a flush window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NVM access errors.
-    pub fn export_records(&self, nvm: &mut NvmRegion) -> Result<Vec<LogRecord>, StoreError> {
-        let mut out = Vec::with_capacity(self.records.len());
-        let mut skip = 0;
-        for rec in &self.records {
-            let txn = match &rec.txn {
-                Some(txn) => Some(txn.clone()),
-                None => self.reread(nvm, skip, rec.encoded_len)?,
-            };
-            out.extend(txn.map(|txn| LogRecord {
+    /// before a direct store read, a pulling peer), in log order, its
+    /// transaction shared with the mirror. Works inside a flush window.
+    pub fn export_records(&self) -> Vec<LogRecord> {
+        self.records
+            .iter()
+            .map(|rec| LogRecord {
                 version: rec.version,
                 seq: rec.seq,
-                txn,
-            }));
-            skip += rec.encoded_len;
-        }
-        Ok(out)
+                txn: rec.txn.clone(),
+            })
+            .collect()
     }
 
     /// Imports records from a peer into an empty log (replacement node
@@ -641,21 +588,17 @@ mod tests {
             .append(&mut flat_nvm, write_txn(1, oid(7), 100, data.to_vec()))
             .unwrap();
         assert_eq!(out, flat_out, "the same bytes of NVM");
-        let encoded = |log: &GroupLog, nvm: &mut NvmRegion| -> Vec<Vec<u8>> {
-            let records = log.export_records(nvm).unwrap();
-            records.iter().map(LogRecord::encode).collect()
+        let encoded = |log: &GroupLog| -> Vec<Vec<u8>> {
+            log.export_records().iter().map(LogRecord::encode).collect()
         };
-        assert_eq!(encoded(&g, &mut nvm), encoded(&flat, &mut flat_nvm));
+        assert_eq!(encoded(&g), encoded(&flat));
         match g.read_path(oid(7), 4000, 500) {
             ReadPath::FromLog(got) => assert_eq!(got, data[3900..4400].to_vec()),
             other => panic!("expected FromLog, got {other:?}"),
         }
         nvm.reboot();
         let recovered = GroupLog::recover(&mut nvm, GroupId(1), 0, 1 << 20, 16).unwrap();
-        assert_eq!(
-            recovered.export_records(&mut nvm).unwrap(),
-            flat.export_records(&mut flat_nvm).unwrap()
-        );
+        assert_eq!(recovered.export_records(), flat.export_records());
     }
 
     #[test]
@@ -728,11 +671,11 @@ mod tests {
             .unwrap();
         }
         g.drain_for_flush(&mut nvm, 2).unwrap();
-        let exported = g.export_records(&mut nvm).unwrap();
+        let exported = g.export_records();
         nvm.reboot();
         let g2 = GroupLog::recover(&mut nvm, GroupId(1), 0, 1 << 20, 16).unwrap();
         assert_eq!(g2.pending(), 4);
-        assert_eq!(g2.export_records(&mut nvm).unwrap(), exported);
+        assert_eq!(g2.export_records(), exported);
         assert_eq!(g2.version(), g.version());
         // Index works after recovery: oid(0) has exactly one pending write
         // left (seq 3 at offset 30; seq 0 was drained before the crash).
@@ -851,12 +794,12 @@ mod tests {
             g.append(&mut nvm, txn.clone()).unwrap();
         }
         let through = g.version();
-        // Opening the window moves the transactions out; nothing else moves.
-        assert_eq!(g.begin_flush(&mut nvm).unwrap(), first);
+        // Opening the window shares the transactions; nothing moves.
+        assert_eq!(g.begin_flush(), first);
         assert_eq!(g.pending(), 5);
-        let exported = g.export_records(&mut nvm).unwrap();
+        let exported = g.export_records();
         let txns: Vec<Transaction> = exported.iter().map(|r| r.txn.clone()).collect();
-        assert_eq!(txns, first, "read back out of the ring");
+        assert_eq!(txns, first, "still the mirror's");
         assert_eq!(exported[4].version, through);
         for (back, txn) in txns.iter().zip(&first) {
             let (Op::Write { data: back, .. }, Op::Write { data, .. }) =
@@ -881,13 +824,13 @@ mod tests {
             g.append(&mut nvm, txn.clone()).unwrap();
         }
         let all: Vec<Transaction> = first.iter().chain(&later).cloned().collect();
-        let whole = g.export_records(&mut nvm).unwrap();
+        let whole = g.export_records();
         assert_eq!(whole.iter().map(|r| r.txn.clone()).collect::<Vec<_>>(), all);
         // A crash inside the window loses nothing: NVM holds all eight.
         let mut crashed = nvm.clone();
         crashed.reboot();
         let recovered = GroupLog::recover(&mut crashed, GroupId(1), 0, 1 << 20, 16).unwrap();
-        assert_eq!(recovered.export_records(&mut crashed).unwrap(), whole);
+        assert_eq!(recovered.export_records(), whole);
         // Closing the window releases the submitted records and only them.
         assert_eq!(g.drain_through_version(&mut nvm, through).unwrap(), 5);
         assert_eq!(g.pending(), 3);
@@ -904,7 +847,7 @@ mod tests {
             g.append(&mut nvm, txn.clone()).unwrap();
         }
         let through = g.version();
-        g.begin_flush(&mut nvm).unwrap();
+        g.begin_flush();
         for txn in &txns[4..] {
             g.append(&mut nvm, txn.clone()).unwrap();
         }
@@ -915,22 +858,34 @@ mod tests {
     }
 
     #[test]
-    fn rot_under_a_submitted_record_drops_only_its_redundant_copy() {
-        let (mut nvm, mut g) = fresh();
-        let txns: Vec<Transaction> = (1..=3).map(block_txn).collect();
-        for txn in &txns {
-            g.append(&mut nvm, txn.clone()).unwrap();
+    fn rot_under_any_queued_record_is_latent_until_a_reboot() {
+        let txns: Vec<Transaction> = (1..=4).map(block_txn).collect();
+        // The second record, inside the window, or the fourth, after it.
+        for rotted in [1u64, 3] {
+            let (mut nvm, mut g) = fresh();
+            for txn in &txns[..3] {
+                g.append(&mut nvm, txn.clone()).unwrap();
+            }
+            assert_eq!(g.begin_flush(), txns[..3]);
+            g.append(&mut nvm, txns[3].clone()).unwrap();
+            let record = g.nvm_used() / 4;
+            assert!(g
+                .rot_bit(&mut nvm, rotted * record + record / 2, 3)
+                .unwrap());
+            assert_eq!(g.begin_flush(), txns);
+            let exported: Vec<Transaction> =
+                g.export_records().into_iter().map(|r| r.txn).collect();
+            assert_eq!(exported, txns);
+            let mut crashed = nvm.clone();
+            assert_eq!(g.drain_for_flush(&mut nvm, usize::MAX).unwrap(), txns);
+            // A reboot reads the ring, and cuts at the rotted record.
+            crashed.reboot();
+            let (g2, discarded) =
+                GroupLog::recover_truncating(&mut crashed, GroupId(1), 0, 1 << 20, 16).unwrap();
+            assert_eq!(discarded, (4 - rotted) * record);
+            let kept: Vec<Transaction> = g2.export_records().into_iter().map(|r| r.txn).collect();
+            assert_eq!(kept, txns[..rotted as usize]);
         }
-        g.begin_flush(&mut nvm).unwrap();
-        g.append(&mut nvm, block_txn(4)).unwrap();
-        // A flip inside the second record, and one inside the fourth, whose
-        // transaction the mirror still holds.
-        let record = g.nvm_used() / 4;
-        assert!(g.rot_bit(&mut nvm, record + record / 2, 3).unwrap());
-        assert!(g.rot_bit(&mut nvm, 3 * record + record / 2, 3).unwrap());
-        let seqs = |records: Vec<LogRecord>| records.iter().map(|r| r.seq).collect::<Vec<_>>();
-        assert_eq!(seqs(g.export_records(&mut nvm).unwrap()), [1, 3, 4]);
-        assert_eq!(g.drain_for_flush(&mut nvm, usize::MAX).unwrap().len(), 3);
     }
 
     #[test]
@@ -976,12 +931,7 @@ mod tests {
             let (g2, discarded) =
                 GroupLog::recover_truncating(&mut nvm, GroupId(1), 0, 1 << 20, 16).unwrap();
             assert_eq!(discarded, (4 - survivors) * record);
-            let kept: Vec<Transaction> = g2
-                .export_records(&mut nvm)
-                .unwrap()
-                .into_iter()
-                .map(|r| r.txn)
-                .collect();
+            let kept: Vec<Transaction> = g2.export_records().into_iter().map(|r| r.txn).collect();
             assert_eq!(kept, txns[..survivors as usize]);
         }
     }
@@ -995,10 +945,10 @@ mod tests {
         }
         let mut nvm_b = NvmRegion::new(1 << 20);
         let mut b = GroupLog::format(&mut nvm_b, GroupId(1), 0, 1 << 20, 16).unwrap();
-        let exported = a.export_records(&mut nvm_a).unwrap();
+        let exported = a.export_records();
         b.import_records(&mut nvm_b, exported.clone()).unwrap();
         assert_eq!(b.pending(), 5);
-        assert_eq!(b.export_records(&mut nvm_b).unwrap(), exported);
+        assert_eq!(b.export_records(), exported);
         assert!(
             b.import_records(&mut nvm_b, exported).is_err(),
             "non-empty import rejected"

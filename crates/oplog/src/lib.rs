@@ -18,8 +18,10 @@
 //! reference (the NVM region keeps the writer's buffer as an extent; the
 //! byte stream is what [`LogRecord::encode`] gives), the index cache holds a
 //! view of the same buffer for reads, and a flush
-//! ([`GroupLog::begin_flush`]) moves the transaction into the store while
-//! the record stays queued until the store I/O completes.
+//! ([`GroupLog::begin_flush`]) hands the store a shared clone of the
+//! transaction while the record stays queued, its own clone with it, until
+//! the store I/O completes. Every caller is answered from that in-memory
+//! mirror; only recovery reads the ring.
 //!
 //! Strong consistency falls out of the structure: a read either finds a
 //! single covering write in the index cache (served straight from NVM), or

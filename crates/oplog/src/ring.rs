@@ -264,28 +264,14 @@ impl NvmRing {
     ///
     /// Propagates NVM access errors.
     pub fn queued_bytes(&self, nvm: &mut NvmRegion) -> Result<Vec<u8>, StoreError> {
-        Ok(self.read_queued(nvm, 0, self.used())?.to_vec())
-    }
-
-    /// Reads `len` queued bytes starting `skip` bytes past the tail, as a
-    /// frame: what the region holds by reference stays by reference.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NVM access errors.
-    pub(crate) fn read_queued(
-        &self,
-        nvm: &mut NvmRegion,
-        skip: u64,
-        len: u64,
-    ) -> Result<Frame, StoreError> {
-        debug_assert!(skip + len <= self.used(), "reading past the head");
-        let mut frame = Frame::default();
-        let from = self.tail + skip;
-        for (at, chunk) in self.spans(from, from + len) {
-            nvm.read_frame(at, chunk, &mut frame)?;
+        let mut out = vec![0; self.used() as usize];
+        let mut filled = 0;
+        for (at, chunk) in self.spans(self.tail, self.head) {
+            let end = filled + chunk as usize;
+            nvm.read_into(at, &mut out[filled..end])?;
+            filled = end;
         }
-        Ok(frame)
+        Ok(out)
     }
 }
 

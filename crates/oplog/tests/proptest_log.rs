@@ -13,7 +13,7 @@ enum LogOp {
         fill: u8,
     },
     Drain(u8),
-    /// Open a flush window (move every pending transaction out).
+    /// Open a flush window (share every pending transaction with the store).
     BeginFlush,
     /// Close the open window, if any (the store I/O completed).
     CompleteFlush,
@@ -69,8 +69,8 @@ proptest! {
                     pending.push((log.version(), txn));
                 }
                 LogOp::Drain(n) => {
-                    // Submitted records drain like any other: read back
-                    // out of the ring, in log order.
+                    // Records inside a window drain like any other, in
+                    // log order.
                     let drained = log.drain_for_flush(&mut nvm, n as usize).unwrap();
                     let expect: Vec<(u64, Transaction)> = pending.drain(..drained.len()).collect();
                     prop_assert_eq!(drained, txns_of(&expect));
@@ -78,7 +78,7 @@ proptest! {
                 LogOp::BeginFlush => {
                     if window.is_none() {
                         window = Some(log.version());
-                        prop_assert_eq!(log.begin_flush(&mut nvm).unwrap(), txns_of(&pending));
+                        prop_assert_eq!(log.begin_flush(), txns_of(&pending));
                     }
                 }
                 LogOp::CompleteFlush => {
@@ -98,13 +98,13 @@ proptest! {
             }
             prop_assert_eq!(log.pending(), pending.len());
             let whole: Vec<Transaction> =
-                log.export_records(&mut nvm).unwrap().into_iter().map(|r| r.txn).collect();
+                log.export_records().into_iter().map(|r| r.txn).collect();
             prop_assert_eq!(whole, txns_of(&pending));
         }
         // Final recovery must reproduce exactly the pending suffix.
         nvm.reboot();
         let recovered = GroupLog::recover(&mut nvm, GroupId(3), 0, 1 << 20, usize::MAX).unwrap();
-        let txns: Vec<Transaction> = recovered.export_records(&mut nvm).unwrap().into_iter().map(|r| r.txn).collect();
+        let txns: Vec<Transaction> = recovered.export_records().into_iter().map(|r| r.txn).collect();
         prop_assert_eq!(txns, txns_of(&pending));
     }
 
@@ -155,7 +155,7 @@ proptest! {
         let (recovered, discarded) =
             GroupLog::recover_truncating(&mut nvm, GroupId(3), 0, 1 << 20, usize::MAX).unwrap();
         let kept: Vec<Transaction> =
-            recovered.export_records(&mut nvm).unwrap().into_iter().map(|r| r.txn).collect();
+            recovered.export_records().into_iter().map(|r| r.txn).collect();
         prop_assert_eq!(&kept, &txns[..victim],
             "exactly the records before the flipped one survive");
         prop_assert_eq!(discarded, offsets[txns.len()] - offsets[victim],

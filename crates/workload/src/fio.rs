@@ -63,9 +63,6 @@ pub struct FioJob {
     block_size: u64,
     range: u64,
     cursor: u64,
-    issued: u64,
-    /// Optional cap on operations (None = run forever).
-    pub op_limit: Option<u64>,
 }
 
 impl FioJob {
@@ -83,8 +80,6 @@ impl FioJob {
             block_size,
             range,
             cursor: 0,
-            issued: 0,
-            op_limit: None,
         }
     }
 
@@ -93,23 +88,7 @@ impl FioJob {
         self.block_size
     }
 
-    /// Operations issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Generates the next operation, or `None` past the op limit.
-    pub fn next(&mut self, rng: &mut impl Rng) -> Option<WlOp> {
-        if let Some(limit) = self.op_limit {
-            if self.issued >= limit {
-                return None;
-            }
-        }
-        self.issued += 1;
-        Some(self.next_op(rng))
-    }
-
-    /// Generates the next operation unconditionally.
+    /// Generates the next operation.
     pub fn next_op(&mut self, rng: &mut impl Rng) -> WlOp {
         let blocks = self.range / self.block_size;
         let (kind, offset) = match self.pattern {
@@ -182,17 +161,5 @@ mod tests {
             .count();
         let pct = reads as f64 / n as f64;
         assert!((0.77..0.83).contains(&pct), "read ratio {pct}");
-    }
-
-    #[test]
-    fn op_limit_terminates() {
-        let mut j = FioJob::new(AccessPattern::RandRead, 512, 4096);
-        j.op_limit = Some(3);
-        let mut r = rng();
-        assert!(j.next(&mut r).is_some());
-        assert!(j.next(&mut r).is_some());
-        assert!(j.next(&mut r).is_some());
-        assert!(j.next(&mut r).is_none());
-        assert_eq!(j.issued(), 3);
     }
 }
