@@ -181,25 +181,21 @@ impl Onode {
             .map(|(_, v)| v.as_slice())
     }
 
-    /// Encodes into the fixed 512-byte record.
+    /// Encodes into the fixed 512-byte record, allocating nothing.
     ///
     /// The first [`INLINE_EXTENTS`] extents embed inline; the rest are
-    /// returned for the caller to persist in the spill block referenced by
-    /// `spill_block` (pass 0 when everything fits).
+    /// returned, a slice of the extent map, for the caller to persist in the
+    /// spill block referenced by `spill_block` (pass 0 when everything
+    /// fits).
     ///
     /// # Errors
     ///
     /// [`StoreError::InvalidArgument`] if the xattr map exceeds its inline
     /// area, or if extents spill but `spill_block` is 0.
-    pub fn encode(&self, spill_block: u64) -> Result<([u8; ONODE_BYTES], Vec<Extent>), StoreError> {
+    pub fn encode(&self, spill_block: u64) -> Result<([u8; ONODE_BYTES], &[Extent]), StoreError> {
         let mut buf = [0u8; ONODE_BYTES];
-        let spilled: Vec<Extent> = self
-            .extents
-            .entries()
-            .iter()
-            .skip(INLINE_EXTENTS)
-            .copied()
-            .collect();
+        let entries = self.extents.entries();
+        let spilled = &entries[INLINE_EXTENTS.min(entries.len())..];
         if !spilled.is_empty() && spill_block == 0 {
             return Err(StoreError::InvalidArgument(
                 "extent map spills but no spill block provided".into(),
@@ -228,25 +224,27 @@ impl Onode {
             put(&mut buf, &e.count.to_le_bytes(), &mut w);
         }
         w = HEADER_BYTES + INLINE_EXTENTS * EXTENT_BYTES;
-        // Xattrs: u16 count, then (u8 klen, key, u16 vlen, value)*.
-        let mut xa = Vec::new();
-        xa.extend_from_slice(&(self.xattrs.len() as u16).to_le_bytes());
+        // Xattrs: u16 count, then (u8 klen, key, u16 vlen, value)*, sized
+        // before any of it is written.
+        let mut xattr_bytes = 2;
         for (k, v) in &self.xattrs {
             if k.len() > u8::MAX as usize || v.len() > u16::MAX as usize {
                 return Err(StoreError::InvalidArgument("oversized xattr".into()));
             }
-            xa.push(k.len() as u8);
-            xa.extend_from_slice(k.as_bytes());
-            xa.extend_from_slice(&(v.len() as u16).to_le_bytes());
-            xa.extend_from_slice(v);
+            xattr_bytes += 1 + k.len() + 2 + v.len();
         }
-        if xa.len() > XATTR_AREA {
+        if xattr_bytes > XATTR_AREA {
             return Err(StoreError::InvalidArgument(format!(
-                "xattr map of {} bytes exceeds inline area of {XATTR_AREA}",
-                xa.len()
+                "xattr map of {xattr_bytes} bytes exceeds inline area of {XATTR_AREA}"
             )));
         }
-        put(&mut buf, &xa, &mut w);
+        put(&mut buf, &(self.xattrs.len() as u16).to_le_bytes(), &mut w);
+        for (k, v) in &self.xattrs {
+            put(&mut buf, &[k.len() as u8], &mut w);
+            put(&mut buf, k.as_bytes(), &mut w);
+            put(&mut buf, &(v.len() as u16).to_le_bytes(), &mut w);
+            put(&mut buf, v, &mut w);
+        }
         let crc = crate::crc32(&buf[..ONODE_BYTES - 4]);
         buf[ONODE_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
         Ok((buf, spilled))

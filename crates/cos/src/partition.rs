@@ -303,7 +303,7 @@ impl Partition {
         let onode = self.onodes.get(&slot).expect("still live");
         let (rec, spilled) = onode.encode(spill_block)?;
         if !spilled.is_empty() {
-            let raw = encode_spill(&spilled);
+            let raw = encode_spill(spilled);
             dev.write_at(self.geom.block_off(spill_block), &raw)?;
             trace.push(TraceIo {
                 kind: TraceKind::Write,

@@ -230,6 +230,44 @@ proptest! {
     }
 }
 
+/// The one case these properties ever shrank to, replayed by name: a write
+/// to a deleted object recreates it, sized by the write. Under each
+/// metadata-path configuration, and through a remount where the device
+/// holds all of it.
+#[test]
+fn a_write_to_a_deleted_object_recreates_it() {
+    let script = [
+        StoreOp::Delete { obj: 2 },
+        StoreOp::Write {
+            obj: 2,
+            offset: 0,
+            len: 1,
+            fill: 0,
+        },
+    ];
+    for (cache, prealloc) in [(false, false), (false, true), (true, false), (true, true)] {
+        let opts = CosOptions {
+            metadata_cache: cache,
+            pre_allocate: prealloc,
+            ..CosOptions::tiny()
+        };
+        let (mut store, model) = run_script(opts.clone(), &script, &flat_write);
+        assert_eq!(model[2].as_ref().map(|(size, _)| *size), Some(1));
+        check_all(&mut store, &model);
+        if cache {
+            // Dirty onodes stay in the cache's NVM below its high water, so
+            // a remount of the device alone does not see them (as in
+            // `mount_round_trips_state`).
+            continue;
+        }
+        while store.needs_maintenance() {
+            store.maintenance();
+        }
+        let mut remounted = CosObjectStore::mount(store.into_device(), opts).unwrap();
+        check_all(&mut remounted, &model);
+    }
+}
+
 /// One step of a meta-record script over a small key space whose keys
 /// prefix each other (`pglog.1`, `pglog.11`, …) and whose values are often
 /// empty.

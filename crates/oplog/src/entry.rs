@@ -4,12 +4,13 @@
 //! id, version, sequence number — plus the full transaction (offset, data,
 //! operation type per op), CRC-framed so recovery can trust what it reads.
 //!
-//! A record is framed as a [`Frame`]: the encoded stream with its large
-//! write payloads left out by reference, so appending a client's 4 KiB write
-//! copies the few dozen bytes around it, not the write.
+//! The log never encodes a record to append it: the NVM region holds the
+//! record itself (a [`LogRecord`] is an [`Encode`] value) and encodes it
+//! only when something reads those bytes — recovery, fault injection,
+//! tests. Its length is a sum of field sizes, known without encoding.
 
-use rablock_storage::crc::{crc32, FrameCrc};
-use rablock_storage::{Frame, GroupId, ObjectId, Op, Payload, StoreError, Transaction};
+use rablock_storage::crc::crc32;
+use rablock_storage::{Encode, GroupId, ObjectId, Op, Payload, StoreError, Transaction};
 
 /// One durable record in a group's operation log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,73 +26,8 @@ pub struct LogRecord {
 /// Length prefix plus CRC in front of every record body.
 const FRAME_HEADER: usize = 8;
 
-/// Frames the record `(version, seq, txn)` into `frame`, replacing its
-/// contents: the encoded stream with its large write payloads held by
-/// reference, so appending a client's 4 KiB write copies the few dozen bytes
-/// around it, not the write. Which payloads are large enough is
-/// [`FrameCrc`]'s splice threshold.
-pub(crate) fn frame_record(frame: &mut Frame, version: u64, seq: u64, txn: &Transaction) {
-    frame.clear();
-    let body = frame.bytes_mut();
-    // The 8-byte frame (length + CRC) is reserved up front and
-    // backpatched once the body is known.
-    body.extend_from_slice(&[0u8; FRAME_HEADER]);
-    // The record CRC is kept while the body is built, so large write
-    // payloads contribute a *memoized* checksum instead of being
-    // re-scanned for every replica's append of the same shared buffer.
-    let mut crc = FrameCrc::new(FRAME_HEADER);
-    put_u64(body, version);
-    put_u64(body, seq);
-    put_u32(body, txn.group.0);
-    put_u64(body, txn.seq);
-    put_u32(body, txn.ops.len() as u32);
-    for op in txn.ops.iter() {
-        let body = frame.bytes_mut();
-        match op {
-            Op::Create { oid, size } => {
-                body.push(0);
-                put_u64(body, oid.raw());
-                put_u64(body, *size);
-            }
-            Op::Write { oid, offset, data } => {
-                put_write(frame, &mut crc, *oid, *offset, data);
-            }
-            // Flattened: the log has one kind of write. (No caller logs
-            // one of these: pushes and backfill bypass the log.)
-            Op::WriteV { oid, offset, data } => {
-                let flat = data.clone().into_payload();
-                put_write(frame, &mut crc, *oid, *offset, &flat);
-            }
-            Op::SetXattr { oid, key, value } => {
-                body.push(2);
-                put_u64(body, oid.raw());
-                put_bytes(body, key.as_bytes());
-                put_bytes(body, value);
-            }
-            Op::MetaPut { key, value } => {
-                body.push(3);
-                put_bytes(body, key);
-                put_bytes(body, value);
-            }
-            Op::MetaDelete { key } => {
-                body.push(4);
-                put_bytes(body, key);
-            }
-            Op::Delete { oid } => {
-                body.push(5);
-                put_u64(body, oid.raw());
-            }
-        }
-    }
-    let crc = crc.finish(frame.bytes());
-    let body_len = (frame.len() - FRAME_HEADER as u64) as u32;
-    let header = &mut frame.bytes_mut()[..FRAME_HEADER];
-    header[0..4].copy_from_slice(&body_len.to_le_bytes());
-    header[4..8].copy_from_slice(&crc.to_le_bytes());
-}
-
 /// Exactly the bytes a record of `txn` takes in the log: a sum of field
-/// sizes, so whether it fits can be known without framing it.
+/// sizes, so whether it fits can be known without encoding it.
 pub(crate) fn encoded_len(txn: &Transaction) -> u64 {
     let bytes = |b: usize| 4 + b;
     let ops: usize = txn
@@ -112,15 +48,12 @@ pub(crate) fn encoded_len(txn: &Transaction) -> u64 {
     (FRAME_HEADER + 32 + ops) as u64
 }
 
-/// Frames one data write; a payload long enough to stay out of the framed
-/// bytes is held in its place.
-fn put_write(frame: &mut Frame, crc: &mut FrameCrc, oid: ObjectId, offset: u64, data: &Payload) {
-    let body = frame.bytes_mut();
-    body.push(1);
-    put_u64(body, oid.raw());
-    put_u64(body, offset);
-    put_u32(body, data.len() as u32);
-    frame.append_payload_crc(crc, data);
+/// The fields of a data write before its bytes.
+fn put_write_header(buf: &mut Vec<u8>, oid: ObjectId, offset: u64, len: usize) {
+    buf.push(1);
+    put_u64(buf, oid.raw());
+    put_u64(buf, offset);
+    put_u32(buf, len as u32);
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -241,13 +174,62 @@ impl LogRecord {
         encoded_len(&self.txn)
     }
 
-    /// Serializes the record (length, CRC, header, ops) into a fresh buffer.
-    /// Recovery, backfill and tests use this; the append path keeps large
-    /// payloads out of the bytes it frames.
+    /// Serializes the record (length, CRC, header, ops) into a fresh buffer:
+    /// the bytes it takes in the log, which only a read of the ring, fault
+    /// injection and tests ask for.
     pub fn encode(&self) -> Vec<u8> {
-        let mut frame = Frame::new();
-        frame_record(&mut frame, self.version, self.seq, &self.txn);
-        frame.to_vec()
+        let mut raw = Vec::with_capacity(self.encoded_len() as usize);
+        // The 8-byte frame (length + CRC) is reserved up front and
+        // backpatched once the body is known.
+        raw.extend_from_slice(&[0u8; FRAME_HEADER]);
+        put_u64(&mut raw, self.version);
+        put_u64(&mut raw, self.seq);
+        put_u32(&mut raw, self.txn.group.0);
+        put_u64(&mut raw, self.txn.seq);
+        put_u32(&mut raw, self.txn.ops.len() as u32);
+        for op in self.txn.ops.iter() {
+            match op {
+                Op::Create { oid, size } => {
+                    raw.push(0);
+                    put_u64(&mut raw, oid.raw());
+                    put_u64(&mut raw, *size);
+                }
+                Op::Write { oid, offset, data } => {
+                    put_write_header(&mut raw, *oid, *offset, data.len());
+                    raw.extend_from_slice(data);
+                }
+                // Flattened: the log has one kind of write. (No caller logs
+                // one of these: pushes and backfill bypass the log.)
+                Op::WriteV { oid, offset, data } => {
+                    put_write_header(&mut raw, *oid, *offset, data.len());
+                    data.iter().for_each(|view| raw.extend_from_slice(view));
+                }
+                Op::SetXattr { oid, key, value } => {
+                    raw.push(2);
+                    put_u64(&mut raw, oid.raw());
+                    put_bytes(&mut raw, key.as_bytes());
+                    put_bytes(&mut raw, value);
+                }
+                Op::MetaPut { key, value } => {
+                    raw.push(3);
+                    put_bytes(&mut raw, key);
+                    put_bytes(&mut raw, value);
+                }
+                Op::MetaDelete { key } => {
+                    raw.push(4);
+                    put_bytes(&mut raw, key);
+                }
+                Op::Delete { oid } => {
+                    raw.push(5);
+                    put_u64(&mut raw, oid.raw());
+                }
+            }
+        }
+        let body_len = (raw.len() - FRAME_HEADER) as u32;
+        let crc = crc32(&raw[FRAME_HEADER..]);
+        raw[0..4].copy_from_slice(&body_len.to_le_bytes());
+        raw[4..8].copy_from_slice(&crc.to_le_bytes());
+        raw
     }
 
     /// Decodes one record from the start of `raw`; returns the record and
@@ -265,63 +247,29 @@ impl LogRecord {
     }
 }
 
-/// The record format written out flat, with no frame and no splice: the
-/// reference the segmented framing is pinned against.
-#[cfg(test)]
-pub(crate) fn reference_encode(rec: &LogRecord) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_u64(&mut body, rec.version);
-    put_u64(&mut body, rec.seq);
-    put_u32(&mut body, rec.txn.group.0);
-    put_u64(&mut body, rec.txn.seq);
-    put_u32(&mut body, rec.txn.ops.len() as u32);
-    for op in rec.txn.ops.iter() {
-        match op {
-            Op::Create { oid, size } => {
-                body.push(0);
-                put_u64(&mut body, oid.raw());
-                put_u64(&mut body, *size);
-            }
-            Op::Write { oid, offset, data } => {
-                body.push(1);
-                put_u64(&mut body, oid.raw());
-                put_u64(&mut body, *offset);
-                put_bytes(&mut body, data);
-            }
-            Op::WriteV { .. } => unreachable!("the reference knows flat writes only"),
-            Op::SetXattr { oid, key, value } => {
-                body.push(2);
-                put_u64(&mut body, oid.raw());
-                put_bytes(&mut body, key.as_bytes());
-                put_bytes(&mut body, value);
-            }
-            Op::MetaPut { key, value } => {
-                body.push(3);
-                put_bytes(&mut body, key);
-                put_bytes(&mut body, value);
-            }
-            Op::MetaDelete { key } => {
-                body.push(4);
-                put_bytes(&mut body, key);
-            }
-            Op::Delete { oid } => {
-                body.push(5);
-                put_u64(&mut body, oid.raw());
-            }
-        }
+impl Encode for LogRecord {
+    fn encoded_len(&self) -> u64 {
+        LogRecord::encoded_len(self)
     }
-    let mut raw = Vec::new();
-    put_u32(&mut raw, body.len() as u32);
-    put_u32(&mut raw, crc32(&body));
-    raw.extend_from_slice(&body);
-    raw
+
+    fn encode(&self) -> Vec<u8> {
+        #[cfg(test)]
+        ENCODES.with(|n| n.set(n.get() + 1));
+        LogRecord::encode(self)
+    }
 }
 
-/// Records around the by-reference threshold: write payloads of 0, 511, 512
-/// and 4096 bytes, a slice of a larger buffer, and several writes (held and
-/// inline) in one transaction between other ops.
 #[cfg(test)]
-pub(crate) fn threshold_records() -> Vec<LogRecord> {
+thread_local! {
+    /// Records this thread's media encoded (through [`Encode`]).
+    pub(crate) static ENCODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Records of many shapes: write payloads of 0, 511, 512 and 4096 bytes, a
+/// slice of a larger buffer, and several writes in one transaction between
+/// other ops.
+#[cfg(test)]
+pub(crate) fn varied_records() -> Vec<LogRecord> {
     let group = GroupId(3);
     let oid = ObjectId::new(group, 9);
     let backing: Payload = (0..3 * 4096)
@@ -367,32 +315,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_stream_is_the_flat_reference_with_large_payloads_by_reference() {
-        let mut frame = Frame::default();
-        for rec in threshold_records().into_iter().chain([sample()]) {
-            let flat = reference_encode(&rec);
-            assert_eq!(rec.encode(), flat, "record {}", rec.version);
-            assert_eq!(encoded_len(&rec.txn), flat.len() as u64);
-            frame_record(&mut frame, rec.version, rec.seq, &rec.txn);
-            assert_eq!(frame.len(), flat.len() as u64);
-            // Exactly the write payloads of at least 512 bytes stay views of
-            // the writer's buffer; everything else is framed bytes.
-            let large: Vec<&Payload> = rec
-                .txn
-                .ops
-                .iter()
-                .filter_map(|op| match op {
-                    Op::Write { data, .. } if data.len() >= 512 => Some(data),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(frame.held().len(), large.len());
-            for ((_, held), data) in frame.held().iter().zip(large) {
-                assert!(std::ptr::eq(held.as_ptr(), data.as_ptr()));
-            }
-            let (back, used) = LogRecord::decode(&flat).unwrap();
-            assert_eq!((back, used), (rec, flat.len()));
+    fn the_encoding_is_the_pinned_format() {
+        let mut all = Vec::new();
+        for rec in varied_records().into_iter().chain([sample()]) {
+            let raw = rec.encode();
+            assert_eq!(encoded_len(&rec.txn), raw.len() as u64);
+            let (back, used) = LogRecord::decode(&raw).unwrap();
+            assert_eq!((back, used), (rec, raw.len()));
+            all.extend_from_slice(&raw);
         }
+        // What the frame-splicing encoder wrote for the same records (its
+        // flat reference, `reference_encode`, agreed byte for byte).
+        assert_eq!((all.len(), crc32(&all)), (26_824, 0xC37D_894D));
     }
 
     fn sample() -> LogRecord {
@@ -429,10 +363,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_crc_identical_with_and_without_splice() {
-        // A record whose payload crosses the splice threshold must encode
-        // byte-identically to the flat computation (decode re-checks the
-        // CRC over the raw bytes, so a mismatch would fail here).
+    fn the_stored_crc_is_the_crc_of_the_body() {
+        // Decode re-checks the CRC over the raw bytes, so a mismatch would
+        // fail there too.
         let oid = ObjectId::new(GroupId(3), 9);
         let rec = LogRecord {
             version: 5,

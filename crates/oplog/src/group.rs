@@ -7,18 +7,21 @@
 //! are never overwritten — each one tracks one operation in the log
 //! (paper: "We do not overwrite them").
 //!
-//! A logged write exists once: its payload is framed into the ring by
-//! reference, the index entry holds a view of the same buffer, and a flush
-//! hands the store a shared clone of the transaction. The mirror answers
-//! every caller; only recovery reads the ring.
+//! A logged record exists once: the mirror and the ring's NVM extents share
+//! it (the region encodes it only if something reads the ring), the index
+//! entry holds a view of its payload, and a flush hands the store a shared
+//! clone of the transaction. The mirror answers every caller; only recovery
+//! reads the ring.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rablock_storage::{
-    Frame, FxHashMap, GroupId, NvmRegion, ObjectId, Op, Payload, SmallVec, StoreError, Transaction,
+    Encoded, FxHashMap, GroupId, NvmRegion, ObjectId, Op, Payload, Record, SmallVec, StoreError,
+    Transaction,
 };
 
-use crate::entry::{encoded_len, frame_record, LogRecord};
+use crate::entry::{encoded_len, LogRecord};
 use crate::ring::NvmRing;
 
 /// What kind of operation an index entry tracks.
@@ -76,15 +79,14 @@ pub struct AppendOutcome {
 /// One queued record in the in-memory mirror of the ring.
 #[derive(Debug, Clone)]
 struct Pending {
-    version: u64,
-    seq: u64,
+    /// The logged record, shared with the ring's NVM extents; a flush hands
+    /// the store a shared clone of its transaction and the record stays
+    /// until the flush window closes.
+    record: Arc<Encoded<LogRecord>>,
     /// Bytes the record takes in the ring.
     encoded_len: u64,
     /// The objects whose index entries point at this record.
     oids: SmallVec<u64, 2>,
-    /// The logged transaction; a flush hands the store a shared clone and
-    /// the record keeps its own until the flush window closes.
-    txn: Transaction,
 }
 
 /// The operation log and index cache of one logical group.
@@ -95,15 +97,14 @@ pub struct GroupLog {
     /// Mirror of the ring, in log order. A deque so the flush path's FIFO
     /// drain is O(1) per record.
     records: VecDeque<Pending>,
-    /// Recent operations per object (never overwritten, only appended).
+    /// Recent operations per object, oldest first (never overwritten, only
+    /// appended; released from the front, as records leave in log order).
     /// Never iterated, so hash order cannot leak into a result.
     index: FxHashMap<u64, Vec<IndexEntry>>,
     /// Flush once this many records are pending (paper default: 16).
     pub flush_threshold: usize,
     /// Group version, bumped per append (§IV-C-7: kept in the log).
     version: u64,
-    /// The record being framed; kept so appends do not allocate.
-    scratch: Frame,
 }
 
 impl GroupLog {
@@ -115,7 +116,6 @@ impl GroupLog {
             index: FxHashMap::default(),
             flush_threshold,
             version: 0,
-            scratch: Frame::new(),
         }
     }
 
@@ -154,7 +154,7 @@ impl GroupLog {
             match LogRecord::decode(&raw[pos..]) {
                 Ok((rec, consumed)) => {
                     g.version = g.version.max(rec.version);
-                    g.push_record(rec, consumed as u64);
+                    g.push_record(Arc::new(Encoded::new(rec)), consumed as u64);
                     pos += consumed;
                 }
                 Err(e) => return Ok((g, Some(((raw.len() - pos) as u64, e)))),
@@ -273,11 +273,11 @@ impl GroupLog {
         self.ring.used()
     }
 
-    /// Indexes `rec` and queues it at the back of the mirror.
-    fn push_record(&mut self, rec: LogRecord, encoded_len: u64) {
-        let LogRecord { version, seq, txn } = rec;
+    /// Indexes `record` and queues it at the back of the mirror.
+    fn push_record(&mut self, record: Arc<Encoded<LogRecord>>, encoded_len: u64) {
+        let LogRecord { version, seq, .. } = **record;
         let mut oids = SmallVec::new();
-        for op in txn.ops.iter() {
+        for op in record.txn.ops.iter() {
             let (oid, kind, offset, data) = match op {
                 Op::Write { oid, offset, data } => {
                     (*oid, IndexKind::Write, *offset, Some(data.clone()))
@@ -303,11 +303,9 @@ impl GroupLog {
             });
         }
         self.records.push_back(Pending {
-            version,
-            seq,
+            record,
             encoded_len,
             oids,
-            txn,
         });
     }
 
@@ -332,14 +330,13 @@ impl GroupLog {
     ) -> Result<AppendOutcome, StoreError> {
         debug_assert_eq!(txn.group, self.group, "transaction routed to wrong group");
         let version = self.version + 1;
-        frame_record(&mut self.scratch, version, txn.seq, &txn);
-        let nvm_bytes = self.scratch.len();
-        let appended = self.ring.append(nvm, &self.scratch);
-        self.scratch.clear();
-        appended?;
-        self.version = version;
         let seq = txn.seq;
-        self.push_record(LogRecord { version, seq, txn }, nvm_bytes);
+        let record = Arc::new(Encoded::new(LogRecord { version, seq, txn }));
+        let view = Record::new(record.clone());
+        let nvm_bytes = view.len();
+        self.ring.append(nvm, &view)?;
+        self.version = version;
+        self.push_record(record, nvm_bytes);
         Ok(AppendOutcome {
             needs_flush: self.records.len() >= self.flush_threshold,
             nvm_bytes,
@@ -394,9 +391,13 @@ impl GroupLog {
         let mut released = 0u64;
         for rec in self.records.drain(..n) {
             released += rec.encoded_len;
+            // Records leave in log order, so a record's entries are the
+            // oldest of each object it touches.
+            let version = rec.record.version;
             for oid in &rec.oids {
                 if let Some(entries) = self.index.get_mut(oid) {
-                    entries.retain(|e| e.seq != rec.seq);
+                    let done = entries.iter().take_while(|e| e.version == version).count();
+                    entries.drain(..done);
                     if entries.is_empty() {
                         self.index.remove(oid);
                     }
@@ -419,7 +420,12 @@ impl GroupLog {
         max: usize,
     ) -> Result<Vec<Transaction>, StoreError> {
         let n = max.min(self.records.len());
-        let txns = self.records.iter().take(n).map(|r| r.txn.clone()).collect();
+        let txns = self
+            .records
+            .iter()
+            .take(n)
+            .map(|r| r.record.txn.clone())
+            .collect();
         self.release_front(nvm, n)?;
         Ok(txns)
     }
@@ -431,7 +437,7 @@ impl GroupLog {
     /// [`GroupLog::drain_through_version`] of the version observed now
     /// closes the window.
     pub fn begin_flush(&self) -> Vec<Transaction> {
-        self.records.iter().map(|r| r.txn.clone()).collect()
+        self.records.iter().map(|r| r.record.txn.clone()).collect()
     }
 
     /// Releases every record whose log version is at most `version`
@@ -452,7 +458,7 @@ impl GroupLog {
         let n = self
             .records
             .iter()
-            .take_while(|r| r.version <= version)
+            .take_while(|r| r.record.version <= version)
             .count();
         self.release_front(nvm, n)?;
         Ok(n)
@@ -464,11 +470,7 @@ impl GroupLog {
     pub fn export_records(&self) -> Vec<LogRecord> {
         self.records
             .iter()
-            .map(|rec| LogRecord {
-                version: rec.version,
-                seq: rec.seq,
-                txn: rec.txn.clone(),
-            })
+            .map(|rec| (*rec.record).clone())
             .collect()
     }
 
@@ -491,18 +493,15 @@ impl GroupLog {
         }
         // All-or-nothing batch append: one persisted header write covers the
         // whole import, and a NoSpace failure leaves the log untouched.
-        let frames: Vec<Frame> = records
-            .iter()
-            .map(|rec| {
-                let mut frame = Frame::new();
-                frame_record(&mut frame, rec.version, rec.seq, &rec.txn);
-                frame
-            })
+        let shared: Vec<Arc<Encoded<LogRecord>>> = records
+            .into_iter()
+            .map(|rec| Arc::new(Encoded::new(rec)))
             .collect();
-        self.ring.append_batch(nvm, &frames)?;
-        for (rec, frame) in records.into_iter().zip(frames) {
+        let views: Vec<Record> = shared.iter().map(|rec| Record::new(rec.clone())).collect();
+        self.ring.append_batch(nvm, &views)?;
+        for (rec, view) in shared.into_iter().zip(&views) {
             self.version = self.version.max(rec.version);
-            self.push_record(rec, frame.len());
+            self.push_record(rec, view.len());
         }
         Ok(())
     }
@@ -885,6 +884,75 @@ mod tests {
             assert_eq!(discarded, (4 - rotted) * record);
             let kept: Vec<Transaction> = g2.export_records().into_iter().map(|r| r.txn).collect();
             assert_eq!(kept, txns[..rotted as usize]);
+        }
+    }
+
+    /// Encodings of log records made on this thread so far.
+    fn encodes() -> usize {
+        crate::entry::ENCODES.with(std::cell::Cell::get)
+    }
+
+    /// The queued records' bytes, as `LogRecord::encode` gives them.
+    fn queued_encodings(g: &GroupLog) -> Vec<u8> {
+        g.records.iter().flat_map(|p| p.record.encode()).collect()
+    }
+
+    #[test]
+    fn the_ring_encodes_a_record_only_when_its_bytes_are_read_and_then_once() {
+        // A ring of about fifteen 4 KiB records, lapped many times over.
+        let len = 64 << 10;
+        let mut nvm = NvmRegion::new(len);
+        let mut g = GroupLog::format(&mut nvm, GroupId(1), 0, len, 16).unwrap();
+        let before = encodes();
+        let mut seq = 0;
+        for round in 0..60 {
+            for _ in 0..7 {
+                seq += 1;
+                g.append(&mut nvm, block_txn(seq)).unwrap();
+            }
+            if round % 3 == 0 {
+                let through = g.version();
+                assert_eq!(g.begin_flush().len(), g.pending());
+                g.export_records();
+                g.drain_through_version(&mut nvm, through).unwrap();
+            } else {
+                g.drain_for_flush(&mut nvm, 5).unwrap();
+            }
+        }
+        assert!(nvm.bytes_written() > 20 * len, "the ring went round");
+        assert_eq!(encodes(), before, "appends and drains encode nothing");
+        // Reading the ring encodes each queued record once, and keeps it.
+        let queued = g.pending();
+        assert!(queued > 2);
+        let expected = queued_encodings(&g);
+        assert_eq!(g.ring.queued_bytes(&mut nvm).unwrap(), expected);
+        assert_eq!(encodes(), before + queued);
+        assert_eq!(g.ring.queued_bytes(&mut nvm).unwrap(), expected);
+        assert_eq!(encodes(), before + queued, "each encoding kept");
+        // Tearing the tail or rotting a bit reads the record it damages,
+        // encoding it once; the rest of its bytes are that encoding.
+        for tear in [true, false] {
+            let (mut nvm, mut g) = fresh();
+            for seq in 1..=4 {
+                g.append(&mut nvm, block_txn(seq)).unwrap();
+            }
+            let before = encodes();
+            let mut expected = queued_encodings(&g);
+            let record = expected.len() / 4;
+            if tear {
+                assert!(g.tear_tail(&mut nvm).unwrap());
+                let newest = &mut expected[3 * record..];
+                newest[record - record / 2..]
+                    .iter_mut()
+                    .for_each(|b| *b ^= 0xFF);
+            } else {
+                let nth = 2 * record + record / 3;
+                assert!(g.rot_bit(&mut nvm, nth as u64, 6).unwrap());
+                expected[nth] ^= 1 << 6;
+            }
+            assert_eq!(encodes(), before + 1, "the damaged record, once");
+            assert_eq!(g.ring.queued_bytes(&mut nvm).unwrap(), expected);
+            assert_eq!(encodes(), before + 4, "then the three others");
         }
     }
 

@@ -12,12 +12,13 @@
 //! * [`NvmRing`] — the persistent ring buffer under each log, with a
 //!   CRC-protected header so a crashed node recovers its log from NVM.
 //! * [`LogRecord`] — CRC-framed record carrying (group, version, sequence,
-//!   transaction).
+//!   transaction), encoded only when the ring is read.
 //!
-//! A logged write exists once. Its payload is framed into the ring by
-//! reference (the NVM region keeps the writer's buffer as an extent; the
-//! byte stream is what [`LogRecord::encode`] gives), the index cache holds a
-//! view of the same buffer for reads, and a flush
+//! A logged write exists once. The ring writes the record itself: the NVM
+//! region holds it by reference and encodes it only if something reads the
+//! ring (the byte stream is what [`LogRecord::encode`] gives, and every NVM
+//! byte count is its length), the in-memory mirror shares the same record,
+//! the index cache holds a view of its payload for reads, and a flush
 //! ([`GroupLog::begin_flush`]) hands the store a shared clone of the
 //! transaction while the record stays queued, its own clone with it, until
 //! the store I/O completes. Every caller is answered from that in-memory

@@ -7,13 +7,14 @@
 //! crashed node recovers its log by scanning `[tail, head)`.
 
 use rablock_storage::crc::crc32;
-use rablock_storage::{Frame, NvmRegion, StoreError};
+use rablock_storage::{NvmRegion, Record, StoreError};
 
 const HEADER_BYTES: u64 = 48;
 const MAGIC: u32 = 0x4F50_4C47; // "OPLG"
-/// A persistent ring of encoded log records inside an [`NvmRegion`] slice.
-/// [`GroupLog`](crate::GroupLog) appends to it; the large write payloads of
-/// a record stay in the region by reference until the tail passes them.
+/// A persistent ring of log records inside an [`NvmRegion`] slice.
+/// [`GroupLog`](crate::GroupLog) appends to it; the region holds each
+/// record by reference, unencoded until a read of the ring needs its
+/// bytes, until the tail passes it.
 #[derive(Debug, Clone)]
 pub struct NvmRing {
     base: u64,
@@ -130,20 +131,23 @@ impl NvmRing {
         })
     }
 
-    /// Appends one framed record. Records may wrap around the region end
-    /// (split into two physical writes); the logical stream stays
-    /// contiguous.
+    /// Appends one record. Records may wrap around the region end (split
+    /// into two physical writes); the logical stream stays contiguous.
     ///
     /// # Errors
     ///
     /// [`StoreError::NoSpace`] when the ring cannot take the record — the
     /// caller must flush synchronously first (paper §IV-A: when NVM is full
     /// the logging degenerates to synchronous flushing).
-    pub(crate) fn append(&mut self, nvm: &mut NvmRegion, record: &Frame) -> Result<(), StoreError> {
+    pub(crate) fn append(
+        &mut self,
+        nvm: &mut NvmRegion,
+        record: &Record,
+    ) -> Result<(), StoreError> {
         self.append_batch(nvm, std::slice::from_ref(record))
     }
 
-    /// Appends a batch of framed records with a single header update at the
+    /// Appends a batch of records with a single header update at the
     /// end (group-commit admission: one persisted head advance covers the
     /// whole batch). All-or-nothing: space for the entire batch is checked up
     /// front, so a [`StoreError::NoSpace`] leaves the persisted state
@@ -155,9 +159,9 @@ impl NvmRing {
     pub(crate) fn append_batch(
         &mut self,
         nvm: &mut NvmRegion,
-        records: &[Frame],
+        records: &[Record],
     ) -> Result<(), StoreError> {
-        let total: u64 = records.iter().map(Frame::len).sum();
+        let total: u64 = records.iter().map(Record::len).sum();
         if total > self.available() {
             return Err(StoreError::NoSpace);
         }
@@ -171,20 +175,22 @@ impl NvmRing {
         self.write_header(nvm)
     }
 
-    /// Writes one record at the head as one frame write, or as two where it
-    /// wraps around the region end (a held payload there is sliced in two,
-    /// not copied).
-    fn write_record(&mut self, nvm: &mut NvmRegion, record: &Frame) -> Result<(), StoreError> {
+    /// Writes one record at the head as one record write, or as two views
+    /// of it where it wraps around the region end.
+    fn write_record(&mut self, nvm: &mut NvmRegion, record: &Record) -> Result<(), StoreError> {
         let len = record.len();
-        let spans = self.spans(self.head, self.head + len);
-        record.split(spans, |at, part| nvm.write_frame(at, part))?;
+        let mut done = 0;
+        for (at, chunk) in self.spans(self.head, self.head + len) {
+            nvm.write_record(at, record.slice(done, chunk))?;
+            done += chunk;
+        }
         self.head += len;
         Ok(())
     }
 
     /// Consumes `len` bytes from the tail (one or more records were flushed;
     /// a drained batch advances the tail once for the whole batch) and
-    /// releases the payloads the region held for them.
+    /// releases the records the region held for them.
     pub fn consume(&mut self, nvm: &mut NvmRegion, len: u64) -> Result<(), StoreError> {
         debug_assert!(self.tail + len <= self.head, "consuming past the head");
         let old_tail = self.tail;
@@ -211,8 +217,8 @@ impl NvmRing {
         self.release(nvm, self.head, old_head)
     }
 
-    /// Unpins whatever the region holds by reference for the logical bytes
-    /// `[from, to)`, which just left the queue.
+    /// Unpins the records the region holds for the logical bytes `[from,
+    /// to)`, which just left the queue.
     fn release(&self, nvm: &mut NvmRegion, from: u64, to: u64) -> Result<(), StoreError> {
         for (at, chunk) in self.spans(from, to) {
             nvm.release(at, chunk)?;
@@ -278,12 +284,27 @@ impl NvmRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rablock_storage::{Encode, Encoded};
+    use std::sync::Arc;
 
-    fn raw(bytes: &[u8]) -> Frame {
-        Frame::from(bytes)
+    /// Bytes as a value: the ring stores whatever record it is handed.
+    #[derive(Debug)]
+    struct Raw(Vec<u8>);
+
+    impl Encode for Raw {
+        fn encoded_len(&self) -> u64 {
+            self.0.len() as u64
+        }
+        fn encode(&self) -> Vec<u8> {
+            self.0.clone()
+        }
     }
 
-    fn bytes(fill: u8, len: usize) -> Frame {
+    fn raw(bytes: &[u8]) -> Record {
+        Record::new(Arc::new(Encoded::new(Raw(bytes.to_vec()))))
+    }
+
+    fn bytes(fill: u8, len: usize) -> Record {
         raw(&vec![fill; len])
     }
 
@@ -421,18 +442,17 @@ mod tests {
 
     #[test]
     fn segmented_appends_leave_the_flat_record_stream_also_across_the_wrap() {
-        use crate::entry::{frame_record, reference_encode, threshold_records};
+        use crate::entry::varied_records;
 
         // A ring a little larger than the biggest record (12.5 KiB), so most
-        // appends wrap, somewhere inside a by-reference payload or around it.
+        // appends wrap, somewhere inside a write payload or around it.
         let (mut nvm, mut r) = ring(14_000);
-        let records = threshold_records();
-        let mut frame = Frame::default();
+        let records = varied_records();
         let mut queued: Vec<Vec<u8>> = Vec::new();
         let mut written = nvm.bytes_written();
         for lap in 0..40 {
             for rec in &records {
-                let flat = reference_encode(rec);
+                let flat = rec.encode();
                 while r.available() < flat.len() as u64 {
                     let oldest = queued.remove(0);
                     r.consume(&mut nvm, oldest.len() as u64).unwrap();
@@ -441,8 +461,8 @@ mod tests {
                     // queued records and the header, not a lap of the ring.
                     assert!(nvm.resident_bytes() <= r.used() + HEADER_BYTES);
                 }
-                frame_record(&mut frame, rec.version, rec.seq, &rec.txn);
-                r.append(&mut nvm, &frame).unwrap();
+                let record = Record::new(Arc::new(Encoded::new(rec.clone())));
+                r.append(&mut nvm, &record).unwrap();
                 written += flat.len() as u64 + HEADER_BYTES;
                 queued.push(flat);
                 assert_eq!(

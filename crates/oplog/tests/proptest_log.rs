@@ -1,7 +1,7 @@
 //! Model-based property tests for the NVM operation log.
 
 use proptest::prelude::*;
-use rablock_oplog::GroupLog;
+use rablock_oplog::{GroupLog, ReadPath};
 use rablock_storage::{GroupId, NvmRegion, ObjectId, Op, StoreError, Transaction};
 
 #[derive(Debug, Clone)]
@@ -11,6 +11,8 @@ enum LogOp {
         offset: u64,
         len: u16,
         fill: u8,
+        /// The record also sets an xattr of the object: two index entries.
+        xattr: bool,
     },
     Drain(u8),
     /// Open a flush window (share every pending transaction with the store).
@@ -23,8 +25,8 @@ enum LogOp {
 fn script() -> impl Strategy<Value = Vec<LogOp>> {
     proptest::collection::vec(
         prop_oneof![
-            5 => (0u64..8, 0u64..32_768, 1u16..2048, any::<u8>())
-                .prop_map(|(obj, offset, len, fill)| LogOp::Append { obj, offset, len, fill }),
+            5 => (0u64..8, 0u64..32_768, 1u16..2048, any::<u8>(), any::<bool>())
+                .prop_map(|(obj, offset, len, fill, xattr)| LogOp::Append { obj, offset, len, fill, xattr }),
             2 => (1u8..8).prop_map(LogOp::Drain),
             1 => Just(LogOp::BeginFlush),
             1 => Just(LogOp::CompleteFlush),
@@ -42,7 +44,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The log is an exact FIFO of acknowledged transactions, across
-    /// arbitrary drain points, flush windows and reboots (NVM recovery).
+    /// arbitrary drain points, flush windows and reboots (NVM recovery),
+    /// and its index answers reads from exactly the pending records.
     #[test]
     fn log_is_a_durable_fifo(ops in script()) {
         let mut nvm = NvmRegion::new(1 << 20);
@@ -57,13 +60,13 @@ proptest! {
         let mut seq = 0u64;
         for op in ops {
             match op {
-                LogOp::Append { obj, offset, len, fill } => {
+                LogOp::Append { obj, offset, len, fill, xattr } => {
                     seq += 1;
-                    let txn = Transaction::new(
-                        GroupId(3),
-                        seq,
-                        vec![Op::Write { oid: oid(obj), offset, data: vec![fill; len as usize].into() }],
-                    );
+                    let mut ops = vec![Op::Write { oid: oid(obj), offset, data: vec![fill; len as usize].into() }];
+                    if xattr {
+                        ops.push(Op::SetXattr { oid: oid(obj), key: "oi".into(), value: vec![fill] });
+                    }
+                    let txn = Transaction::new(GroupId(3), seq, ops);
                     prop_assert!(log.fits(&txn), "a 1 MiB ring never fills here");
                     log.append(&mut nvm, txn.clone()).unwrap();
                     pending.push((log.version(), txn));
@@ -100,6 +103,25 @@ proptest! {
             let whole: Vec<Transaction> =
                 log.export_records().into_iter().map(|r| r.txn).collect();
             prop_assert_eq!(whole, txns_of(&pending));
+            // The newest pending write of each object answers a read of its
+            // range from the log when it is the object's only one.
+            for obj in 0..8 {
+                let writes: Vec<(u64, &rablock_storage::Payload)> = pending
+                    .iter()
+                    .filter_map(|(_, txn)| match &txn.ops[0] {
+                        Op::Write { oid: o, offset, data } if *o == oid(obj) => Some((*offset, data)),
+                        _ => None,
+                    })
+                    .collect();
+                let got = writes.last().map(|(offset, data)| {
+                    log.read_path(oid(obj), *offset, data.len() as u64)
+                });
+                match (writes.len(), got) {
+                    (0, _) => prop_assert_eq!(log.read_path(oid(obj), 0, 1), ReadPath::Store),
+                    (1, Some(got)) => prop_assert_eq!(got, ReadPath::FromLog(writes[0].1.clone())),
+                    (_, got) => prop_assert_eq!(got, Some(ReadPath::FlushThenStore)),
+                }
+            }
         }
         // Final recovery must reproduce exactly the pending suffix.
         nvm.reboot();

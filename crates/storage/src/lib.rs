@@ -10,8 +10,10 @@
 //!   ramdisk-emulated NVM. It and [`MemDisk`] are faces of one sparse
 //!   medium that holds only what was written, payloads by reference.
 //! * [`Frame`] — a byte stream whose large payloads are held by reference:
-//!   what the operation log, the write-ahead log and SST files write, and
-//!   what the medium keeps without copying.
+//!   what the write-ahead log and SST files write, and what the medium
+//!   keeps without copying.
+//! * [`Record`] / [`Encoded`] — a value the medium holds by reference and
+//!   encodes only when a read needs its bytes: an operation-log record.
 //! * [`crc`] — the one CRC-32 every framed storage format uses,
 //!   with the streaming and splice forms that keep shared payloads unread.
 //! * [`digest`] — the content digest replicas and recovery pushes are
@@ -44,6 +46,7 @@ mod medium;
 mod nvm;
 mod objectstore;
 mod payload;
+mod record;
 mod smallvec;
 
 pub use blockdev::{BlockDevice, DevCounters, MemDisk};
@@ -57,4 +60,5 @@ pub use objectstore::{
     TraceIo, TraceKind, Transaction,
 };
 pub use payload::{Payload, Segments};
+pub use record::{Encode, Encoded, Record};
 pub use smallvec::SmallVec;

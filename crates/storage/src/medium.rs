@@ -1,15 +1,17 @@
 //! The one in-memory medium under every simulated device.
 //!
-//! A [`Medium`] is a sparse map of what was written: byte writes as extents
-//! of bytes it owns, payload writes as the writer's (immutable, refcounted)
-//! buffers held by reference, at any offset. A range nobody wrote, or one
-//! cut out, reads as zeros and costs nothing, so a medium of any capacity
-//! is free until written. [`NvmRegion`](crate::NvmRegion) and
-//! [`MemDisk`](crate::MemDisk) are faces over it that keep their own
-//! counters.
+//! A [`Medium`] is a sparse map of what was written, at any offset, as
+//! three kinds of extent: byte writes as bytes it owns, payload writes as
+//! the writer's (immutable, refcounted) buffers held by reference, and
+//! record writes as views of a shared [`Record`] it encodes only when a
+//! read needs the bytes. A range nobody wrote, or one cut out, reads as
+//! zeros and costs nothing, so a medium of any capacity is free until
+//! written. [`NvmRegion`](crate::NvmRegion) and [`MemDisk`](crate::MemDisk)
+//! are faces over it that keep their own counters.
 
 use crate::frame::{Frame, NvmPiece};
 use crate::payload::Payload;
+use crate::record::Record;
 
 /// Granularity of the extent map. Extents are bucketed by zone and never
 /// cross a zone boundary, so the extents of a range are found in the zones
@@ -30,20 +32,55 @@ fn zone_of(offset: u64) -> usize {
     (offset / ZONE_BYTES) as usize
 }
 
-/// What the medium keeps of one written range.
+/// What the medium keeps of one written range: one of three kinds, nested
+/// in two so that an extent is no larger than a held payload (40 bytes; a
+/// third variant at the top would cost every extent a tag word).
 #[derive(Debug, Clone)]
 enum Extent {
-    /// Bytes of a byte write, in a buffer the medium owns.
-    Owned(Vec<u8>),
+    /// A range that reads as bytes in memory.
+    Flat(Flat),
     /// (A view of) a payload of a by-reference write.
     Held(Payload),
+}
+
+/// The extents that read as bytes in memory.
+#[derive(Debug, Clone)]
+enum Flat {
+    /// Bytes of a byte write, in a buffer the medium owns.
+    Owned(Vec<u8>),
+    /// (A view of) a record, encoded when something reads it.
+    Record(Record),
+}
+
+impl Flat {
+    /// The bytes, encoding a record if nothing has yet.
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Flat::Owned(bytes) => bytes,
+            Flat::Record(record) => record.bytes(),
+        }
+    }
 }
 
 impl Extent {
     fn len(&self) -> u64 {
         match self {
-            Extent::Owned(bytes) => bytes.len() as u64,
+            Extent::Flat(Flat::Owned(bytes)) => bytes.len() as u64,
+            Extent::Flat(Flat::Record(record)) => record.len(),
             Extent::Held(payload) => payload.len() as u64,
+        }
+    }
+
+    /// The `len` bytes from `from` on: owned bytes copied, views re-sliced.
+    fn slice(&self, from: u64, len: u64) -> Extent {
+        match self {
+            Extent::Flat(Flat::Owned(bytes)) => {
+                Extent::Flat(Flat::Owned(bytes[from as usize..][..len as usize].to_vec()))
+            }
+            Extent::Flat(Flat::Record(record)) => {
+                Extent::Flat(Flat::Record(record.slice(from, len)))
+            }
+            Extent::Held(payload) => Extent::Held(payload.slice(from as usize, len as usize)),
         }
     }
 }
@@ -92,7 +129,7 @@ impl Zones {
 pub(crate) enum Run<'a> {
     /// Bytes nobody wrote (or that were cut out): zeros.
     Zeros(u64),
-    /// Bytes the medium owns.
+    /// Bytes the medium owns, or a record's encoding.
     Bytes(&'a [u8]),
     /// (Part of) a payload held by reference.
     Held(&'a Payload),
@@ -149,26 +186,28 @@ impl Medium {
     }
 
     /// Bytes in buffers the medium owns: the lengths of its byte extents
-    /// (held payloads are the writers' buffers).
+    /// (held payloads are the writers' buffers, records the writers'
+    /// values).
     pub(crate) fn resident_bytes(&self) -> u64 {
         let extents = self.zones.extents();
         extents
             .map(|(_, extent)| match extent {
-                Extent::Owned(bytes) => bytes.len() as u64,
-                Extent::Held(_) => 0,
+                Extent::Flat(Flat::Owned(bytes)) => bytes.len() as u64,
+                Extent::Flat(Flat::Record(_)) | Extent::Held(_) => 0,
             })
             .sum()
     }
 
-    /// Bytes the medium stores, owned or held: the lengths of all its
-    /// extents.
+    /// Bytes the medium stores, owned, held or recorded: the lengths of all
+    /// its extents.
     pub(crate) fn stored_bytes(&self) -> u64 {
         let extents = self.zones.extents();
         extents.map(|(_, extent)| extent.len()).sum()
     }
 
     /// Walks the (bounds-checked) range `[offset, offset + len)` in order:
-    /// each extent as the kind it is, maximal runs of zeros between them.
+    /// each extent as the kind it is (a record as the bytes of its
+    /// encoding), maximal runs of zeros between them.
     pub(crate) fn runs(&self, offset: u64, len: u64, mut run: impl FnMut(Run<'_>)) {
         let end = offset + len;
         let (mut pos, mut zeros) = (offset, 0);
@@ -189,7 +228,7 @@ impl Medium {
                 let to = (at + extent.len()).min(zone_end);
                 let (from, until) = ((pos - at) as usize, (to - at) as usize);
                 match extent {
-                    Extent::Owned(bytes) => run(Run::Bytes(&bytes[from..until])),
+                    Extent::Flat(flat) => run(Run::Bytes(&flat.bytes()[from..until])),
                     Extent::Held(payload) if until - from == payload.len() => {
                         run(Run::Held(payload))
                     }
@@ -254,7 +293,7 @@ impl Medium {
             Some((at, Extent::Held(payload))) => {
                 return Whole::Held(payload.slice((offset - at) as usize, len as usize))
             }
-            Some((_, Extent::Owned(_))) => return Whole::Mixed,
+            Some((_, Extent::Flat(_))) => return Whole::Mixed,
             None => {}
         }
         let mut whole = Whole::Nothing;
@@ -285,7 +324,8 @@ impl Medium {
         let end = offset + data.len() as u64;
         if let Some(zone) = self.zones.get_mut(zone_of(offset)) {
             let slot = zone.partition_point(|(at, _)| *at <= offset);
-            if let Some((at, Extent::Owned(bytes))) = slot.checked_sub(1).map(|s| &mut zone[s]) {
+            let last = slot.checked_sub(1).map(|s| &mut zone[s]);
+            if let Some((at, Extent::Flat(Flat::Owned(bytes)))) = last {
                 if *at + bytes.len() as u64 >= end {
                     let from = (offset - *at) as usize;
                     bytes[from..from + data.len()].copy_from_slice(data);
@@ -298,28 +338,38 @@ impl Medium {
 
     /// Writes the (bounds-checked) `payload` at `offset`, held: the
     /// one-piece case of [`Medium::write`], which a store writing a block
-    /// by reference takes for every block. It touches one zone when the
-    /// payload lies in one, and replaces an extent of exactly its range in
-    /// place.
+    /// by reference takes for every block.
     pub(crate) fn write_held(&mut self, offset: u64, payload: Payload) {
-        let len = payload.len() as u64;
+        self.write_view(offset, Extent::Held(payload));
+    }
+
+    /// Writes the (bounds-checked) `record` at `offset`, held by reference
+    /// and not encoded: the record's length is known without its bytes.
+    pub(crate) fn write_record(&mut self, offset: u64, record: Record) {
+        self.write_view(offset, Extent::Flat(Flat::Record(record)));
+    }
+
+    /// Writes the view `extent` at `offset`. It touches one zone when the
+    /// view lies in one, and replaces an extent of exactly its range in
+    /// place.
+    fn write_view(&mut self, offset: u64, extent: Extent) {
+        let len = extent.len();
         if len == 0 {
             return;
         }
         let end = offset + len;
         if zone_of(offset) != zone_of(end - 1) {
-            return self.write(offset, len, [NvmPiece::Held(&payload)]);
+            self.cut(offset, end);
+            return self.insert_zoned(offset, extent);
         }
         let zone = self.zones.make(zone_of(offset));
         let first = zone.partition_point(|(at, extent)| at + extent.len() <= offset);
         match zone.get_mut(first) {
-            Some((at, extent)) if *at == offset && extent.len() == len => {
-                *extent = Extent::Held(payload);
-            }
+            Some((at, old)) if *at == offset && old.len() == len => *old = extent,
             _ => {
                 cut_zone(zone, offset, end);
                 let slot = zone.partition_point(|(at, _)| *at < offset);
-                insert_into(zone, slot, (offset, Extent::Held(payload)));
+                insert_into(zone, slot, (offset, extent));
             }
         }
     }
@@ -346,28 +396,14 @@ impl Medium {
                     while !bytes.is_empty() {
                         let room = (PAGE_BYTES - at % PAGE_BYTES) as usize;
                         let (run, rest) = bytes.split_at(room.min(bytes.len()));
-                        self.insert(at, Extent::Owned(run.to_vec()));
+                        self.insert(at, Extent::Flat(Flat::Owned(run.to_vec())));
                         at += run.len() as u64;
                         bytes = rest;
                     }
                 }
                 NvmPiece::Held(payload) => {
-                    let room = (ZONE_BYTES - at % ZONE_BYTES) as usize;
-                    if payload.len() <= room {
-                        at += payload.len() as u64;
-                        if !payload.is_empty() {
-                            self.insert(at - payload.len() as u64, Extent::Held(payload.clone()));
-                        }
-                        continue;
-                    }
-                    let mut done = 0;
-                    while done < payload.len() {
-                        let take =
-                            ((ZONE_BYTES - at % ZONE_BYTES) as usize).min(payload.len() - done);
-                        self.insert(at, Extent::Held(payload.slice(done, take)));
-                        at += take as u64;
-                        done += take;
-                    }
+                    self.insert_zoned(at, Extent::Held(payload.clone()));
+                    at += payload.len() as u64;
                 }
             }
         }
@@ -400,6 +436,25 @@ impl Medium {
         }
     }
 
+    /// Puts a view that overlaps no extent into the zones it lies in, one
+    /// slice of it per zone.
+    fn insert_zoned(&mut self, mut at: u64, extent: Extent) {
+        let len = extent.len();
+        if len <= ZONE_BYTES - at % ZONE_BYTES {
+            if len > 0 {
+                self.insert(at, extent);
+            }
+            return;
+        }
+        let mut done = 0;
+        while done < len {
+            let take = (ZONE_BYTES - at % ZONE_BYTES).min(len - done);
+            self.insert(at, extent.slice(done, take));
+            at += take;
+            done += take;
+        }
+    }
+
     /// Puts an extent that overlaps none into its zone.
     fn insert(&mut self, at: u64, extent: Extent) {
         let zone = self.zones.make(zone_of(at));
@@ -416,12 +471,16 @@ impl Medium {
             + chunks * std::mem::size_of::<[Zone; CHUNK_ZONES]>()
     }
 
-    /// Every extent as `(start, length, held)`, in order.
+    /// Every extent as `(start, length, held)`, in order: `held` for a
+    /// view, of a payload or of a record.
     #[cfg(test)]
     pub(crate) fn extents(&self) -> Vec<(u64, u64, bool)> {
         let extents = self.zones.extents();
         extents
-            .map(|(at, extent)| (*at, extent.len(), matches!(extent, Extent::Held(_))))
+            .map(|(at, extent)| {
+                let owned = matches!(extent, Extent::Flat(Flat::Owned(_)));
+                (*at, extent.len(), !owned)
+            })
             .collect()
     }
 }
@@ -445,21 +504,17 @@ fn cut_zone(zone: &mut Zone, start: u64, end: u64) {
     // What the last one it overlaps has past the range stays.
     let (at, extent) = &zone[last - 1];
     let after = (at + extent.len() > end).then(|| {
-        let from = (end - at) as usize;
-        let rest = match extent {
-            Extent::Owned(bytes) => Extent::Owned(bytes[from..].to_vec()),
-            Extent::Held(payload) => Extent::Held(payload.slice(from, payload.len() - from)),
-        };
-        (end, rest)
+        let from = end - at;
+        (end, extent.slice(from, extent.len() - from))
     });
     // So does what the first has before it.
     let mut keep = first;
     let (at, extent) = &mut zone[first];
     if *at < start {
-        let before = (start - *at) as usize;
+        let before = start - *at;
         match extent {
-            Extent::Owned(bytes) => bytes.truncate(before),
-            Extent::Held(payload) => *payload = payload.slice(0, before),
+            Extent::Flat(Flat::Owned(bytes)) => bytes.truncate(before as usize),
+            view => *view = view.slice(0, before),
         }
         keep += 1;
     }
@@ -475,6 +530,14 @@ pub(crate) mod spec;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_extent_is_no_larger_than_a_held_payload() {
+        assert_eq!(
+            std::mem::size_of::<Extent>(),
+            std::mem::size_of::<Payload>()
+        );
+    }
 
     #[test]
     fn a_write_at_the_top_of_a_large_medium_allocates_one_chunk() {

@@ -2,13 +2,17 @@
 //!
 //! A face beside a flat byte array, and beside each byte who holds it: no
 //! one (it reads as zero), the medium (a byte write's copy), the writer (a
-//! view of the writer's very byte), or the medium's own copy of a block
-//! (the one copy an odd segmentation costs [`MemDisk`]). Reads by bytes,
-//! by frame and (where the face has them) by payload must agree with the
-//! array; a frame read must hand each byte back as the kind of piece its
-//! holder says; the medium must own exactly the bytes the model says are
-//! owned; and after `clone()` the two copies diverge without reaching each
-//! other or any buffer a writer or a reader still holds.
+//! view of the writer's very byte), the medium's own copy of a block (the
+//! one copy an odd segmentation costs [`MemDisk`]), or a record (a view of
+//! a value the medium encodes when read). Reads by bytes and (where the
+//! face has them) by frame and by payload must agree with the array; a
+//! frame read must hand each byte back as the kind of piece its holder
+//! says; the medium must own exactly the bytes the model says are owned;
+//! every record is encoded at most once, whatever its views went through;
+//! and after `clone()` the two copies diverge without reaching each other
+//! or any buffer or value a writer or a reader still holds.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -18,6 +22,7 @@ use crate::frame::Frame;
 use crate::medium::{Medium, ZONE_BYTES};
 use crate::nvm::NvmRegion;
 use crate::payload::{zero_block, Payload, Segments};
+use crate::record::{Counted, Encoded, Record};
 
 /// Five zones and a bit: writes cross zone and page boundaries and the end.
 pub(crate) const MODEL_BYTES: usize = 5 * ZONE_BYTES as usize + 100;
@@ -32,12 +37,14 @@ pub(crate) trait Face: Clone {
 
     fn medium(&self) -> &Medium;
     fn write_bytes(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError>;
-    fn write_views(&mut self, offset: u64, data: &Segments) -> Result<(), StoreError>;
-    fn write_frame(&mut self, offset: u64, frame: &Frame) -> Result<(), StoreError>;
-    /// `None` where the face cannot release.
+    /// `None` (for this and every other `Option`) where the face has no
+    /// such call.
+    fn write_views(&mut self, offset: u64, data: &Segments) -> Option<Result<(), StoreError>>;
+    fn write_frame(&mut self, offset: u64, frame: &Frame) -> Option<Result<(), StoreError>>;
+    fn write_record(&mut self, offset: u64, record: Record) -> Option<Result<(), StoreError>>;
     fn release(&mut self, offset: u64, len: u64) -> Option<Result<(), StoreError>>;
     fn read_bytes(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError>;
-    fn read_frame(&mut self, offset: u64, len: usize) -> Result<Frame, StoreError>;
+    fn read_frame(&mut self, offset: u64, len: usize) -> Option<Result<Frame, StoreError>>;
     /// `None` where the face has no payload read.
     fn read_payload(&mut self, offset: u64, len: usize) -> Option<Result<Payload, StoreError>>;
     fn traffic(&self) -> DevCounters;
@@ -53,11 +60,14 @@ impl Face for MemDisk {
     fn write_bytes(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         self.write_at(offset, data)
     }
-    fn write_views(&mut self, offset: u64, data: &Segments) -> Result<(), StoreError> {
-        self.write_segments_at(offset, data)
+    fn write_views(&mut self, offset: u64, data: &Segments) -> Option<Result<(), StoreError>> {
+        Some(self.write_segments_at(offset, data))
     }
-    fn write_frame(&mut self, offset: u64, frame: &Frame) -> Result<(), StoreError> {
-        BlockDevice::write_frame(self, offset, frame)
+    fn write_frame(&mut self, offset: u64, frame: &Frame) -> Option<Result<(), StoreError>> {
+        Some(BlockDevice::write_frame(self, offset, frame))
+    }
+    fn write_record(&mut self, _: u64, _: Record) -> Option<Result<(), StoreError>> {
+        None
     }
     fn release(&mut self, _: u64, _: u64) -> Option<Result<(), StoreError>> {
         None
@@ -65,10 +75,10 @@ impl Face for MemDisk {
     fn read_bytes(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
         self.read_at(offset, buf)
     }
-    fn read_frame(&mut self, offset: u64, len: usize) -> Result<Frame, StoreError> {
+    fn read_frame(&mut self, offset: u64, len: usize) -> Option<Result<Frame, StoreError>> {
         let mut frame = Frame::new();
-        BlockDevice::read_frame(self, offset, len, &mut frame)?;
-        Ok(frame)
+        let read = BlockDevice::read_frame(self, offset, len, &mut frame);
+        Some(read.map(|()| frame))
     }
     fn read_payload(&mut self, offset: u64, len: usize) -> Option<Result<Payload, StoreError>> {
         Some(self.read_payload_at(offset, len))
@@ -88,13 +98,14 @@ impl Face for NvmRegion {
     fn write_bytes(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
         self.write(offset, data)
     }
-    fn write_views(&mut self, offset: u64, data: &Segments) -> Result<(), StoreError> {
-        let mut frame = Frame::new();
-        data.iter().for_each(|view| frame.hold(view.clone()));
-        NvmRegion::write_frame(self, offset, &frame)
+    fn write_views(&mut self, _: u64, _: &Segments) -> Option<Result<(), StoreError>> {
+        None
     }
-    fn write_frame(&mut self, offset: u64, frame: &Frame) -> Result<(), StoreError> {
-        NvmRegion::write_frame(self, offset, frame)
+    fn write_frame(&mut self, _: u64, _: &Frame) -> Option<Result<(), StoreError>> {
+        None
+    }
+    fn write_record(&mut self, offset: u64, record: Record) -> Option<Result<(), StoreError>> {
+        Some(NvmRegion::write_record(self, offset, record))
     }
     fn release(&mut self, offset: u64, len: u64) -> Option<Result<(), StoreError>> {
         Some(NvmRegion::release(self, offset, len))
@@ -102,10 +113,8 @@ impl Face for NvmRegion {
     fn read_bytes(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
         self.read_into(offset, buf)
     }
-    fn read_frame(&mut self, offset: u64, len: usize) -> Result<Frame, StoreError> {
-        let mut frame = Frame::new();
-        NvmRegion::read_frame(self, offset, len as u64, &mut frame)?;
-        Ok(frame)
+    fn read_frame(&mut self, _: u64, _: usize) -> Option<Result<Frame, StoreError>> {
+        None
     }
     fn read_payload(&mut self, _: u64, _: usize) -> Option<Result<Payload, StoreError>> {
         None
@@ -127,6 +136,10 @@ pub(crate) enum Act {
     Views,
     /// A frame: byte runs and held views, alternating, in `parts`.
     Frame,
+    /// Views of one record, in `parts`, each written on its own at the
+    /// next offset (as a log ring writes a record that wraps its end, but
+    /// in order).
+    Record,
     Release,
 }
 
@@ -173,6 +186,7 @@ pub(crate) fn steps() -> impl Strategy<Value = Vec<Step>> {
         3 => Just(Act::Bytes),
         3 => Just(Act::Views),
         3 => Just(Act::Frame),
+        3 => Just(Act::Record),
         1 => Just(Act::Release),
     ];
     let step = (
@@ -207,6 +221,8 @@ enum Holder {
     Lent(usize),
     /// The medium, as a block it copied and holds as a payload.
     Copy,
+    /// A record, held by reference and read as its encoding.
+    Recorded,
 }
 
 struct Pair<F> {
@@ -216,6 +232,8 @@ struct Pair<F> {
     counters: DevCounters,
     /// Every payload handed in or out, with its bytes at that time.
     loans: Vec<(Payload, Vec<u8>)>,
+    /// Every record value written, its bytes its value's own.
+    records: Vec<Arc<Encoded<Counted>>>,
 }
 
 impl<F: Face> Pair<F> {
@@ -271,6 +289,7 @@ impl<F: Face> Pair<F> {
                 }
                 return self.read_back(step.read);
             }
+            Act::Record => return self.write_record(step, &data),
             Act::Bytes => {
                 let got = self.face.write_bytes(step.offset, &data);
                 assert_eq!(got.is_ok(), ok);
@@ -278,7 +297,9 @@ impl<F: Face> Pair<F> {
             Act::Views => {
                 let mut views = Segments::new();
                 parts.iter().for_each(|(view, _)| views.push(view.clone()));
-                let got = self.face.write_views(step.offset, &views);
+                let Some(got) = self.face.write_views(step.offset, &views) else {
+                    return self.read_back(step.read);
+                };
                 assert_eq!(got.is_ok(), ok);
             }
             Act::Frame => {
@@ -290,7 +311,9 @@ impl<F: Face> Pair<F> {
                         frame.bytes_mut().extend_from_slice(part);
                     }
                 }
-                let got = self.face.write_frame(step.offset, &frame);
+                let Some(got) = self.face.write_frame(step.offset, &frame) else {
+                    return self.read_back(step.read);
+                };
                 assert_eq!(got.is_ok(), ok);
             }
         }
@@ -330,6 +353,35 @@ impl<F: Face> Pair<F> {
         self.read_back(step.read);
     }
 
+    /// Writes `data` as views of one record whose value has `step.lead`
+    /// bytes before them and three after, a view per part, each on its own
+    /// at the next offset; then reads back.
+    fn write_record(&mut self, step: &Step, data: &[u8]) {
+        let lead = (0..step.lead).map(|i| (i as u8).wrapping_mul(7) ^ step.fill);
+        let value: Vec<u8> = lead.chain(data.iter().copied()).chain([0xA5; 3]).collect();
+        let (shared, record) = Counted::record(value);
+        let (mut at, mut from) = (step.offset, 0);
+        for &part in &step.parts {
+            let view = record.slice((step.lead + from) as u64, part as u64);
+            let Some(got) = self.face.write_record(at, view) else {
+                return self.read_back(step.read);
+            };
+            let ok = Self::in_bounds(at, part);
+            assert_eq!(got.is_ok(), ok);
+            self.count(ok, part, true);
+            if ok {
+                let range = at as usize..at as usize + part;
+                self.model[range.clone()].copy_from_slice(&data[from..from + part]);
+                self.holder[range].fill(Some(Holder::Recorded));
+            }
+            at += part as u64;
+            from += part;
+        }
+        assert_eq!(shared.encodes(), 0, "a record write does not encode");
+        self.records.push(shared);
+        self.read_back(step.read);
+    }
+
     /// Reads `[offset, offset + len)` back every way the face can.
     fn read_back(&mut self, (offset, len): (u64, usize)) {
         let ok = Self::in_bounds(offset, len);
@@ -339,7 +391,9 @@ impl<F: Face> Pair<F> {
         assert_eq!(got.is_ok(), ok);
         self.count(ok, len, false);
         if !ok {
-            assert!(self.face.read_frame(offset, len).is_err());
+            if let Some(got) = self.face.read_frame(offset, len) {
+                assert!(got.is_err());
+            }
             if let Some(got) = self.face.read_payload(offset, len) {
                 assert!(got.is_err());
             }
@@ -348,39 +402,8 @@ impl<F: Face> Pair<F> {
         }
         assert!(buf == self.model[range.clone()], "bytes at {offset}+{len}");
         // Piece by piece: each byte as the kind of piece its holder says.
-        let frame = self.face.read_frame(offset, len).unwrap();
-        self.count(true, len, false);
-        assert!(
-            frame.to_vec() == self.model[range.clone()],
-            "frame at {offset}+{len}"
-        );
-        let mut pos = range.start;
-        let mut held = frame.held().iter().peekable();
-        let mut in_bytes = 0;
-        while pos < range.end {
-            match held.next_if(|(at, _)| *at == in_bytes) {
-                Some((_, view)) => {
-                    for (i, holder) in self.holder[pos..pos + view.len()].iter().enumerate() {
-                        match holder {
-                            Some(Holder::Lent(addr)) => {
-                                assert_eq!(view.as_ptr() as usize + i, *addr, "a view, not a copy")
-                            }
-                            Some(Holder::Copy) => {}
-                            other => panic!("{other:?} byte at {} handed out held", pos + i),
-                        }
-                    }
-                    pos += view.len();
-                }
-                None => {
-                    let holder = self.holder[pos];
-                    assert!(
-                        matches!(holder, None | Some(Holder::Owned)),
-                        "{holder:?} byte at {pos} handed out as bytes"
-                    );
-                    pos += 1;
-                    in_bytes += 1;
-                }
-            }
+        if let Some(frame) = self.face.read_frame(offset, len) {
+            self.check_frame(frame.unwrap(), range.clone());
         }
         // As one payload: a range one buffer holds is that buffer, a whole
         // never-written block is the zero view, and nothing else says zero.
@@ -416,6 +439,45 @@ impl<F: Face> Pair<F> {
         assert_eq!(self.face.traffic(), self.counters);
     }
 
+    /// Checks a frame read of `range`: the model's bytes, each handed back
+    /// as the kind of piece its holder says.
+    fn check_frame(&mut self, frame: Frame, range: std::ops::Range<usize>) {
+        let (offset, len) = (range.start, range.len());
+        self.count(true, len, false);
+        assert!(
+            frame.to_vec() == self.model[range.clone()],
+            "frame at {offset}+{len}"
+        );
+        let mut pos = range.start;
+        let mut held = frame.held().iter().peekable();
+        let mut in_bytes = 0;
+        while pos < range.end {
+            match held.next_if(|(at, _)| *at == in_bytes) {
+                Some((_, view)) => {
+                    for (i, holder) in self.holder[pos..pos + view.len()].iter().enumerate() {
+                        match holder {
+                            Some(Holder::Lent(addr)) => {
+                                assert_eq!(view.as_ptr() as usize + i, *addr, "a view, not a copy")
+                            }
+                            Some(Holder::Copy) => {}
+                            other => panic!("{other:?} byte at {} handed out held", pos + i),
+                        }
+                    }
+                    pos += view.len();
+                }
+                None => {
+                    let holder = self.holder[pos];
+                    assert!(
+                        matches!(holder, None | Some(Holder::Owned | Holder::Recorded)),
+                        "{holder:?} byte at {pos} handed out as bytes"
+                    );
+                    pos += 1;
+                    in_bytes += 1;
+                }
+            }
+        }
+    }
+
     fn check_image(&mut self) {
         let mut image = vec![0; MODEL_BYTES];
         self.face.read_bytes(0, &mut image).unwrap();
@@ -431,6 +493,11 @@ impl<F: Face> Pair<F> {
         for (payload, then) in &self.loans {
             assert!(payload == then, "a loaned buffer changed");
         }
+        // However its views were cut, overwritten, released or cloned, a
+        // record was encoded at most once.
+        for shared in &self.records {
+            assert!(shared.encodes() <= 1, "{} encodings", shared.encodes());
+        }
     }
 }
 
@@ -443,6 +510,7 @@ pub(crate) fn run<F: Face>(face: F, before: &[Step], after: &[Step]) {
         holder: vec![None; MODEL_BYTES],
         counters: DevCounters::default(),
         loans: Vec::new(),
+        records: Vec::new(),
     };
     for step in before {
         a.apply(step);
@@ -453,6 +521,7 @@ pub(crate) fn run<F: Face>(face: F, before: &[Step], after: &[Step]) {
         holder: a.holder.clone(),
         counters: a.counters,
         loans: a.loans.clone(),
+        records: a.records.clone(),
     };
     for step in after {
         if step.on_fork {

@@ -6,10 +6,16 @@
 //! whose writes are durable the moment they complete (battery-backed
 //! semantics), with traffic counters so NVM consumption can be reported. It
 //! holds only what was written: a region nobody wrote costs no memory.
+//!
+//! Of the medium's three kinds of extent, a region writes two: bytes it
+//! owns (a [`write`](NvmRegion::write)) and records it holds by reference
+//! and encodes only when read (a [`write_record`](NvmRegion::write_record),
+//! an operation log's append). Held payloads, the third kind, are what a
+//! [`MemDisk`](crate::MemDisk) keeps for by-reference block writes.
 
 use crate::error::StoreError;
-use crate::frame::Frame;
 use crate::medium::Medium;
+use crate::record::Record;
 
 /// A byte-addressable persistent memory region.
 ///
@@ -21,14 +27,13 @@ use crate::medium::Medium;
 /// [`MemDisk`](crate::MemDisk) and allocates nothing up front. A byte
 /// [`write`](NvmRegion::write) is kept as bytes the region owns (rewriting
 /// part of them, as a log rewrites its header, copies in place); a
-/// [`write_frame`](NvmRegion::write_frame) keeps the frame's bytes the
-/// same way and its held payloads as the (immutable, refcounted) buffers
-/// themselves, uncopied. A range nobody wrote, or one
-/// [released](NvmRegion::release), reads as zeros. A reader gets back the
-/// kind of piece the writer handed in: a write over part of a held payload
-/// leaves the rest of it held, and nothing written here ever reaches a
-/// buffer the writer still holds. A held payload keeps its whole backing
-/// buffer alive until all of it is overwritten or released.
+/// [`write_record`](NvmRegion::write_record) keeps the [`Record`] itself,
+/// unencoded, until a read needs its bytes. A range nobody wrote, or one
+/// [released](NvmRegion::release), reads as zeros. A write over part of a
+/// record leaves the rest of it a view of the same record, sharing one
+/// encoding, and nothing written here ever reaches a value or encoding the
+/// writer still holds. A record view keeps its whole value alive until all
+/// of it is overwritten or released.
 ///
 /// ```
 /// use rablock_storage::NvmRegion;
@@ -107,22 +112,6 @@ impl NvmRegion {
         Ok(())
     }
 
-    /// Reads `len` bytes at `offset` and appends them to `out`: what byte
-    /// writes stored, and zeros where nothing is, as bytes; what payloads
-    /// a frame write stored as held views of the writer's buffers (uncopied
-    /// — a reader that keeps one keeps that buffer, checksum memo
-    /// included).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::OutOfBounds`] if the range exceeds capacity.
-    pub fn read_frame(&mut self, offset: u64, len: u64, out: &mut Frame) -> Result<(), StoreError> {
-        self.check(offset, len)?;
-        self.bytes_read += len;
-        self.medium.read_frame(offset, len, out);
-        Ok(())
-    }
-
     /// Durably writes `data` at `offset`.
     ///
     /// # Errors
@@ -135,18 +124,17 @@ impl NvmRegion {
         Ok(())
     }
 
-    /// Durably writes the stream of `frame` at `offset`, as one write: the
-    /// same result and the same counters as [`NvmRegion::write`] of
-    /// [`Frame::to_vec`], but the frame's held payloads are kept by
-    /// reference.
+    /// Durably writes `record` at `offset`: the same result and the same
+    /// counters as [`NvmRegion::write`] of [`Record::bytes`], but the
+    /// record is kept by reference and encoded only when a read needs it.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::OutOfBounds`] if the range exceeds capacity.
-    pub fn write_frame(&mut self, offset: u64, frame: &Frame) -> Result<(), StoreError> {
-        self.check(offset, frame.len())?;
-        self.bytes_written += frame.len();
-        self.medium.write(offset, frame.len(), frame.pieces());
+    pub fn write_record(&mut self, offset: u64, record: Record) -> Result<(), StoreError> {
+        self.check(offset, record.len())?;
+        self.bytes_written += record.len();
+        self.medium.write_record(offset, record);
         Ok(())
     }
 
@@ -195,15 +183,12 @@ impl NvmRegion {
 mod tests {
     use super::*;
     use crate::medium::Run;
-    use crate::payload::Payload;
+    use crate::record::Counted;
     use proptest::prelude::*;
 
-    /// A frame of one view, held: what a by-reference write of `payload`
-    /// writes.
-    fn one_view(payload: &Payload) -> Frame {
-        let mut frame = Frame::new();
-        frame.hold(payload.clone());
-        frame
+    /// `bytes` as a record.
+    fn record(bytes: &[u8]) -> Record {
+        Counted::record(bytes.to_vec()).1
     }
 
     #[test]
@@ -217,8 +202,7 @@ mod tests {
     fn contents_survive_reboot_counters_do_not() {
         let mut nvm = NvmRegion::new(1024);
         nvm.write(0, b"persist").unwrap();
-        nvm.write_frame(7, &one_view(&b"ed by reference".as_slice().into()))
-            .unwrap();
+        nvm.write_record(7, record(b"ed by reference")).unwrap();
         nvm.reboot();
         assert_eq!(nvm.read(0, 22).unwrap(), b"persisted by reference");
         assert_eq!(nvm.bytes_written(), 0);
@@ -229,9 +213,7 @@ mod tests {
     fn bounds_checked() {
         let mut nvm = NvmRegion::new(10);
         assert!(nvm.write(8, b"toolong").is_err());
-        assert!(nvm
-            .write_frame(8, &one_view(&b"toolong".as_slice().into()))
-            .is_err());
+        assert!(nvm.write_record(8, record(b"toolong")).is_err());
         assert!(nvm.read(9, 2).is_err());
         assert!(nvm.read(u64::MAX, 1).is_err());
         assert!(nvm.read(0, u64::MAX).is_err(), "no buffer of that size");
@@ -244,8 +226,7 @@ mod tests {
         assert_eq!(nvm.resident_bytes(), 0);
         assert_eq!(nvm.read((64 << 20) - 5000, 5000).unwrap(), vec![0; 5000]);
         nvm.write(1 << 20, b"12345678").unwrap();
-        nvm.write_frame(2 << 20, &one_view(&vec![9; 4096].into()))
-            .unwrap();
+        nvm.write_record(2 << 20, record(&[9; 4096])).unwrap();
         assert_eq!(nvm.resident_bytes(), 8 + 4096);
         assert_eq!(nvm.medium.extents().len(), 2);
         nvm.release(1 << 20, 1 << 20).unwrap();
@@ -256,7 +237,7 @@ mod tests {
     }
 
     /// Where the first stored piece of `[offset, offset + len)` lies in
-    /// memory: the region's own buffer, or the writer's.
+    /// memory: the region's own buffer, or a record's encoding.
     fn first_piece(nvm: &mut NvmRegion, offset: u64, len: u64) -> *const u8 {
         let mut first = None;
         nvm.medium.runs(offset, len, |run| {
@@ -295,24 +276,25 @@ mod tests {
     }
 
     #[test]
-    fn payload_write_is_kept_by_reference_until_taken_back_or_released() {
+    fn a_record_is_kept_by_reference_and_encoded_once_when_read() {
         let mut nvm = NvmRegion::new(64 << 10);
-        let backing: Payload = (0..3 * 4096)
-            .map(|i| (i / 7) as u8)
-            .collect::<Vec<_>>()
-            .into();
-        let view = backing.slice(100, 8000);
-        nvm.write_frame(20_000, &one_view(&view)).unwrap();
+        let backing: Vec<u8> = (0..3 * 4096).map(|i| (i / 7) as u8).collect();
+        let (shared, whole) = Counted::record(backing.clone());
+        let view = whole.slice(100, 8000);
+        nvm.write_record(20_000, view.clone()).unwrap();
         assert_eq!(nvm.medium.extents(), [(20_000, 8000, true)]);
-        let held = first_piece(&mut nvm, 20_000, 8000);
-        assert!(std::ptr::eq(held, backing[100..].as_ptr()));
         assert_eq!(nvm.bytes_written(), 8000);
+        assert_eq!(shared.encodes(), 0, "a write does not encode");
         assert_eq!(
             nvm.read(19_990, 8020).unwrap()[10..8010],
             backing[100..8100]
         );
+        assert_eq!(shared.encodes(), 1, "a read does");
+        let held = first_piece(&mut nvm, 20_000, 8000);
+        assert!(std::ptr::eq(held, shared.bytes()[100..].as_ptr()));
         // A byte write into the extent takes back what it covers and leaves
-        // the rest held; the writer's buffer is untouched.
+        // the rest views of the same record, reading the same encoding; the
+        // writer's value is untouched.
         nvm.write(20_010, b"xyz").unwrap();
         assert_eq!(
             nvm.medium.extents(),
@@ -320,27 +302,33 @@ mod tests {
         );
         assert!(std::ptr::eq(
             first_piece(&mut nvm, 20_013, 10),
-            backing[113..].as_ptr()
+            shared.bytes()[113..].as_ptr()
         ));
         let got = nvm.read(20_000, 8000).unwrap();
         assert_eq!(got[..10], backing[100..110]);
         assert_eq!(&got[10..13], b"xyz");
         assert_eq!(got[13..], backing[113..8100]);
-        assert_eq!(view, backing[100..8100].to_vec());
+        assert_eq!(view.bytes(), &backing[100..8100]);
+        assert_eq!(shared.original(), &backing[..]);
+        // A clone shares the record and its encoding.
+        let mut clone = nvm.clone();
+        clone.write(20_000, &[0; 8000]).unwrap();
+        assert_eq!(nvm.read(20_013, 10).unwrap(), backing[113..123]);
+        assert_eq!(shared.encodes(), 1, "one encoding for every view");
         // Release drops exactly the range.
-        nvm.write_frame(0, &one_view(&view)).unwrap();
-        nvm.write_frame(8000, &one_view(&view)).unwrap();
+        nvm.write_record(0, view.clone()).unwrap();
+        nvm.write_record(8000, view.clone()).unwrap();
         nvm.release(0, 15_999).unwrap();
         let rest = nvm.read(8000, 8000).unwrap();
-        assert_eq!((&rest[..7999], rest[7999]), (&[0; 7999][..], view[7999]));
+        assert_eq!((&rest[..7999], rest[7999]), (&[0; 7999][..], backing[8099]));
         nvm.release(8000, 8000).unwrap();
         assert_eq!(nvm.medium.extents().len(), 3, "the extents at 20 000");
     }
 
     proptest! {
-        /// The medium's one spec ([`crate::medium::spec`]), read through
-        /// this face: byte reads and frame reads, with the region's byte
-        /// counters, and releases.
+        /// The medium's one spec ([`crate::medium::spec`]) through this
+        /// face: byte writes, record writes, releases and byte reads, with
+        /// the region's byte counters.
         #[test]
         fn matches_flat_byte_array(
             before in crate::medium::spec::steps(),
