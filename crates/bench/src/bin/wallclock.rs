@@ -9,8 +9,9 @@
 //! load) and scale256 (256 OSDs under 10 000 connections), all built from
 //! `rablock_bench::scenarios`. For each it prints
 //!
-//! * its fingerprint hash (FNV-1a over `SimReport::fingerprint`, the word
-//!   list the tests pin), the same for every `--shards` value;
+//! * its fingerprint hash (FNV-1a over the words of `SimReport::fingerprint`,
+//!   which `results/golden/` pins by name), the same for every `--shards`
+//!   value;
 //! * for grow, the p99 write latency next to the p99 of a churn-free control
 //!   on the same 64 OSDs: the expansion's degradation window;
 //! * with `--shards N` above 1, where the engine's workers spent their
@@ -31,8 +32,8 @@
 //! `.telemetry.csv` and `.attribution.csv` siblings. With `--only` the JSON
 //! lands at PATH exactly; otherwise each scenario gets a `-<name>` suffix. A
 //! traced run may print another fingerprint than an untraced one: its
-//! telemetry slices can move the `queue_high_water` word, and no other (see
-//! `SimReport::FINGERPRINT_QUEUE_HIGH_WATER`).
+//! telemetry slices can move the `queue_high_water` word, and no other
+//! (DESIGN.md §13).
 //!
 //! Shard invariance, tracing passivity and same-seed replay are pinned by
 //! `tests/determinism.rs`, the 256-OSD fingerprint included.

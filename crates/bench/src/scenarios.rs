@@ -10,8 +10,9 @@
 //! seed means the same run wherever it is replayed.
 
 use rablock::sim::{
-    ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, GrayWindow,
-    LinkFault, Partition, RetryPolicy, SimDuration, SimReport, SimRng, SimTime, WorkItem,
+    ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, Fingerprint,
+    GrayWindow, LinkFault, Partition, RetryPolicy, SimDuration, SimReport, SimRng, SimTime,
+    WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
 use rablock_cluster::osd::OsdConfig;
@@ -136,7 +137,7 @@ impl ConnLoad {
 
 /// A run's full metric fingerprint with the history checker's verdicts
 /// (writes acked, reads checked) folded in.
-pub fn checked_fingerprint(sim: &ClusterSim, report: &SimReport) -> Vec<u64> {
+pub fn checked_fingerprint(sim: &ClusterSim, report: &SimReport) -> Fingerprint {
     let checker = sim.checker().expect("history checking enabled");
     report.fingerprint(Some((checker.writes_acked(), checker.reads_checked())))
 }

@@ -317,14 +317,23 @@ impl Osd {
             // write we hold, so applying it can only heal.
         }
         if self.cfg.mode.decoupled() && self.rt(group).flushing {
-            // A flush is mid-air for this group. Draining the log inline
-            // would be safe: completion releases by version watermark
-            // (`drain_through_version`) and would find none of its records
-            // left, as after the full-ring fallback. The guard stays
-            // because dropping it changes which pushes apply now and which
-            // on a re-push, and so the chaos and grow fingerprints. Stay
-            // silent; the primary re-pushes on its next heartbeat and flush
-            // windows are short.
+            // A flush is mid-air for this group. Applying now can roll back
+            // writes only this replica holds. A primary that restarted after
+            // a crash pushes while its own pull of this group from us (log
+            // records and backfill) is still in flight. Its snapshot then
+            // lacks the writes we took while it was down, and its newest
+            // entry is a write it made after the restart, at a newer epoch.
+            // So `latest <= pushed` holds above, and the push would overwrite
+            // those writes here while the pull restores them on the primary:
+            // the replicas diverge. In the cases that show it, this group's
+            // flush window here opened just after the restart and closed
+            // after that pull landed, so staying silent defers the apply to
+            // the heartbeat re-push, read after the pull. The guard covers
+            // only pushes inside a window; a primary that held its pushes
+            // until its own pull landed would close the race. Without this
+            // guard, the first case of `healed_cluster_regressions` and
+            // `kill_primary_mid_replication_converges` end with replicas
+            // that differ.
             return;
         }
         if self.logs.get(&group).is_some_and(|l| l.pending() > 0) {

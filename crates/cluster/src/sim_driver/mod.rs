@@ -43,7 +43,7 @@ use crate::osd::{Osd, OsdConfig, PgState, PipelineMode};
 use crate::placement::{OsdId, OsdMap};
 use crate::retry::RetryPolicy;
 
-pub use report::{fingerprint_hash, SimReport};
+pub use report::{fingerprint_hash, Fingerprint, SimReport, Word};
 
 use client::LatencyRecorder;
 use report::SamplerState;

@@ -101,20 +101,14 @@ impl SimReport {
         }
     }
 
-    /// Position of `queue_high_water` in [`SimReport::fingerprint`]. It is
-    /// the one word that measures the *engine* rather than the simulation:
-    /// how many events sit pending at once depends on when cross-domain
-    /// events merge into the destination queue, which is what the lookahead
-    /// window batches — so a comparison across window sizes masks it.
-    pub const FINGERPRINT_QUEUE_HIGH_WATER: usize = 10;
-
     /// Everything a run is allowed to vary by between two executions of the
-    /// same seed — nothing — flattened to integers so equality is
+    /// same seed — nothing — as named integer words, so equality is
     /// byte-for-byte: raw counters, latency percentiles in nanoseconds, CPU
-    /// percentages as IEEE-754 bit patterns, store/device accounting, and
-    /// (when history checking is on) the checker's `(writes_acked,
-    /// reads_checked)` verdict counts.
-    pub fn fingerprint(&self, checker: Option<(u64, u64)>) -> Vec<u64> {
+    /// percentages, store/device accounting, and (when history checking is
+    /// on) the checker's `writes_acked` / `reads_checked` verdict counts.
+    /// A word is named after the report field it comes from (`writes_done`,
+    /// `write_lat.p99`, `node_cpu_pct[2]`, `store.wal_bytes`).
+    pub fn fingerprint(&self, checker: Option<(u64, u64)>) -> Fingerprint {
         // Exhaustive on purpose: a new report field does not compile until
         // someone decides here whether it is fingerprinted.
         let SimReport {
@@ -170,69 +164,119 @@ impl SimReport {
             bytes_written,
             total_latency_ns,
         } = *device;
-        let mut v = vec![
-            duration.as_nanos(),
-            *writes_done,
-            *reads_done,
-            write_iops.to_bits(),
-            read_iops.to_bits(),
-            *context_switches,
-            *events_processed,
-            *nvm_bytes,
-            *nvm_full_stalls,
-            *client_errors,
-            *queue_high_water,
-            *recovery_pushes,
-            *backfill_bytes,
-            *degraded_objects,
-            *backfill_queued,
-            *backfill_throttled_nanos,
-            *flaps_damped,
-            *scrubs_completed,
-            *scrub_errors_found,
-            *scrub_errors_repaired,
-            *scrub_bytes,
-            *scrub_throttled_nanos,
-            *read_checksum_errors,
+        let count = |name: &str, n: u64| (name.to_string(), Word::Count(n));
+        let real = |name: &str, x: f64| (name.to_string(), Word::Real(x.to_bits()));
+        let mut fp = vec![
+            count("duration", duration.as_nanos()),
+            count("writes_done", *writes_done),
+            count("reads_done", *reads_done),
+            real("write_iops", *write_iops),
+            real("read_iops", *read_iops),
+            count("context_switches", *context_switches),
+            count("events_processed", *events_processed),
+            count("nvm_bytes", *nvm_bytes),
+            count("nvm_full_stalls", *nvm_full_stalls),
+            count("client_errors", *client_errors),
+            count("queue_high_water", *queue_high_water),
+            count("recovery_pushes", *recovery_pushes),
+            count("backfill_bytes", *backfill_bytes),
+            count("degraded_objects", *degraded_objects),
+            count("backfill_queued", *backfill_queued),
+            count("backfill_throttled_nanos", *backfill_throttled_nanos),
+            count("flaps_damped", *flaps_damped),
+            count("scrubs_completed", *scrubs_completed),
+            count("scrub_errors_found", *scrub_errors_found),
+            count("scrub_errors_repaired", *scrub_errors_repaired),
+            count("scrub_bytes", *scrub_bytes),
+            count("scrub_throttled_nanos", *scrub_throttled_nanos),
+            count("read_checksum_errors", *read_checksum_errors),
         ];
-        debug_assert_eq!(v[Self::FINGERPRINT_QUEUE_HIGH_WATER], *queue_high_water);
-        let lat = write_lat.fields().into_iter().chain(read_lat.fields());
-        v.extend(lat.map(|d| d.as_nanos()));
-        let cpu = node_cpu_pct
-            .iter()
-            .chain(tag_cpu_pct.values())
-            .chain(class_cpu_pct.values());
-        v.extend(cpu.map(|p| p.to_bits()));
-        v.extend([
-            user_bytes,
-            wal_bytes,
-            flush_bytes,
-            compaction_bytes,
-            data_bytes,
-            metadata_bytes,
-            superblock_bytes,
-            read_bytes,
-            transactions,
-            reads,
-            writes,
-            flushes,
-            bytes_read,
-            bytes_written,
-            total_latency_ns,
+        for (lat, summary) in [("write_lat", write_lat), ("read_lat", read_lat)] {
+            let fields = ["mean", "p50", "p95", "p99", "p999"]
+                .iter()
+                .zip(summary.fields());
+            fp.extend(fields.map(|(f, d)| count(&format!("{lat}.{f}"), d.as_nanos())));
+        }
+        let nodes = node_cpu_pct.iter().enumerate();
+        fp.extend(nodes.map(|(i, p)| real(&format!("node_cpu_pct[{i}]"), *p)));
+        for (map, pcts) in [
+            ("tag_cpu_pct", tag_cpu_pct),
+            ("class_cpu_pct", class_cpu_pct),
+        ] {
+            fp.extend(pcts.iter().map(|(k, p)| real(&format!("{map}[{k}]"), *p)));
+        }
+        fp.extend([
+            count("store.user_bytes", user_bytes),
+            count("store.wal_bytes", wal_bytes),
+            count("store.flush_bytes", flush_bytes),
+            count("store.compaction_bytes", compaction_bytes),
+            count("store.data_bytes", data_bytes),
+            count("store.metadata_bytes", metadata_bytes),
+            count("store.superblock_bytes", superblock_bytes),
+            count("store.read_bytes", read_bytes),
+            count("store.transactions", transactions),
+            count("device.reads", reads),
+            count("device.writes", writes),
+            count("device.flushes", flushes),
+            count("device.bytes_read", bytes_read),
+            count("device.bytes_written", bytes_written),
+            count("device.total_latency_ns", total_latency_ns),
         ]);
-        v.extend(
-            checker
-                .into_iter()
-                .flat_map(|(acked, checked)| [acked, checked]),
-        );
-        v
+        if let Some((acked, checked)) = checker {
+            fp.extend([
+                count("writes_acked", acked),
+                count("reads_checked", checked),
+            ]);
+        }
+        fp
     }
 }
 
-/// FNV-1a over fingerprint words: one hash line to print and compare.
-pub fn fingerprint_hash(words: &[u64]) -> u64 {
+/// A run's fingerprint: every simulated result as a `(name, word)` pair, in
+/// the fixed order [`SimReport::fingerprint`] lists them.
+pub type Fingerprint = Vec<(String, Word)>;
+
+/// One fingerprint word. An `f64` is kept as its IEEE-754 bit pattern, so
+/// equality is byte-for-byte; it prints as the shortest decimal that parses
+/// back to the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Word {
+    /// A counter, a byte count or a duration in nanoseconds.
+    Count(u64),
+    /// The bits of an `f64` (IOPS, CPU percentages).
+    Real(u64),
+}
+
+impl std::fmt::Display for Word {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Word::Count(n) => write!(f, "{n}"),
+            Word::Real(bits) => write!(f, "{:?}", f64::from_bits(bits)),
+        }
+    }
+}
+
+impl std::str::FromStr for Word {
+    type Err = std::num::ParseFloatError;
+
+    /// A `u64` is a [`Word::Count`]; anything else must parse as an `f64`.
+    fn from_str(s: &str) -> Result<Word, Self::Err> {
+        match s.parse() {
+            Ok(n) => Ok(Word::Count(n)),
+            Err(_) => s.parse::<f64>().map(|x| Word::Real(x.to_bits())),
+        }
+    }
+}
+
+/// FNV-1a over the fingerprint's words in order (names excluded): one hash
+/// line to print and compare. The multiplier is `0x1_0000_01b3`, not the
+/// 64-bit FNV prime; every recorded hash uses it.
+pub fn fingerprint_hash(fp: &[(String, Word)]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+    let bytes = fp
+        .iter()
+        .flat_map(|(_, Word::Count(n) | Word::Real(n))| n.to_le_bytes());
+    for b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1_0000_01b3);
     }

@@ -70,8 +70,8 @@ pub mod sim {
     pub use rablock_cluster::invariants::HistoryChecker;
     pub use rablock_cluster::retry::RetryPolicy;
     pub use rablock_cluster::sim_driver::{
-        fingerprint_hash, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, SimReport, WorkItem,
-        MON_NODE,
+        fingerprint_hash, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, Fingerprint,
+        SimReport, Word, WorkItem, MON_NODE,
     };
     pub use rablock_sim::{
         chrome_trace_json, AttributionReport, BitRotSchedule, Component, CrashSchedule, FaultEvent,

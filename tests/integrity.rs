@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use rablock::sim::{
-    BitRotSchedule, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, RotMedia,
-    SimDuration, SimRng, WorkItem,
+    BitRotSchedule, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan,
+    Fingerprint, RotMedia, SimDuration, SimRng, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
 use rablock_bench::scenarios::{
@@ -137,7 +137,7 @@ struct Outcome {
     stuck: Vec<String>,
     divergence: Vec<String>,
     digests: Vec<String>,
-    fingerprint: Vec<u64>,
+    fingerprint: Fingerprint,
 }
 
 fn run(cfg: ClusterSimConfig, measure: SimDuration) -> Outcome {
