@@ -287,7 +287,7 @@ impl Osd {
         if self.rt(group).flushing {
             return;
         }
-        if self.peering.awaiting_backfill.contains(&group) {
+        if self.peering.awaiting_backfill(group) {
             // Flushing now could later be clobbered by the in-flight
             // backfill; hold off — the backfill's arrival re-arms the flush.
             return;

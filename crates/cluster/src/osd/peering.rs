@@ -69,6 +69,19 @@ impl PgRecovery {
     }
 }
 
+/// A group this OSD is joining (§IV-A-4): where it pulls from, and which
+/// halves of the pull (log records, backfill) have not landed yet.
+struct Join {
+    /// A member of the *previous* acting set, i.e. an OSD that actually
+    /// holds the data: after a weighted expansion an entire acting set can
+    /// be fresh joiners, so pulling from the new set would get nothing.
+    source: OsdId,
+    log: bool,
+    /// Flushes and cold store reads wait for it, so a late backfill cannot
+    /// clobber newer data.
+    backfill: bool,
+}
+
 /// Peering's volatile state. The pg_log is rebuilt from the recovered NVM
 /// log on restart; everything else is re-derived from the next map.
 #[derive(Default)]
@@ -78,23 +91,20 @@ pub(super) struct Peering {
     pub(super) pg_log: FxHashMap<GroupId, VecDeque<PgLogEntry>>,
     /// Active peering/recovery rounds for groups this OSD leads.
     pub(super) rounds: BTreeMap<GroupId, PgRecovery>,
-    /// Groups whose pulled log records have not arrived yet.
-    pub(super) awaiting_log: BTreeSet<GroupId>,
-    /// Groups whose backfill has not arrived yet: flushes and cold store
-    /// reads are held back so a late backfill cannot clobber newer data.
-    pub(super) awaiting_backfill: BTreeSet<GroupId>,
-    /// Chosen synchronization source per awaited group: a member of the
-    /// *previous* acting set, i.e. an OSD that actually holds the data.
-    /// After a weighted expansion an entire acting set can be fresh
-    /// joiners, so pulling from the new set would "succeed" with nothing.
-    pull_sources: BTreeMap<GroupId, OsdId>,
+    /// Groups this OSD is joining, until both halves of the pull land.
+    joins: BTreeMap<GroupId, Join>,
 }
 
 impl Peering {
     /// True while this OSD is itself still synchronizing the group: it is
     /// not authoritative for it yet.
     pub(super) fn joining(&self, group: GroupId) -> bool {
-        self.awaiting_log.contains(&group) || self.awaiting_backfill.contains(&group)
+        self.joins.contains_key(&group)
+    }
+
+    /// True while the group's pulled backfill has not landed here.
+    pub(super) fn awaiting_backfill(&self, group: GroupId) -> bool {
+        self.joins.get(&group).is_some_and(|j| j.backfill)
     }
 
     /// Appends to the group's pg_log, evicting the oldest entries first so
@@ -112,10 +122,13 @@ impl Peering {
         self.pg_log.get(&group).into_iter().flatten()
     }
 
-    /// One half of a pull has landed; once both have, forget its source.
-    fn pull_landed(&mut self, group: GroupId) {
-        if !self.joining(group) {
-            self.pull_sources.remove(&group);
+    /// One half of a pull has landed; once both have, the join is over.
+    fn landed(&mut self, group: GroupId, half: fn(&mut Join) -> &mut bool) {
+        if let Some(join) = self.joins.get_mut(&group) {
+            *half(join) = false;
+            if !join.log && !join.backfill {
+                self.joins.remove(&group);
+            }
         }
     }
 }
@@ -202,9 +215,16 @@ impl Osd {
         self.send(to, PeerMsg::PgQuery { group, epoch, from });
     }
 
-    fn pull_log(&mut self, to: OsdId, group: GroupId) {
+    /// Starts (or restarts) joining the group: pulls it from `source`.
+    pub(super) fn start_join(&mut self, group: GroupId, source: OsdId) {
+        let join = Join {
+            source,
+            log: true,
+            backfill: true,
+        };
+        self.peering.joins.insert(group, join);
         let from = self.id;
-        self.send(to, PeerMsg::PullLog { group, from });
+        self.send(source, PeerMsg::PullLog { group, from });
     }
 
     /// Enters Peering for every group this OSD now leads: drops rounds for
@@ -315,21 +335,18 @@ impl Osd {
     /// have not arrived (the originals may have been dropped or cut off by a
     /// partition). Driven by the heartbeat timer.
     pub(super) fn retry_pulls(&mut self) {
-        let mut groups: Vec<GroupId> = self.peering.awaiting_log.iter().copied().collect();
-        groups.extend(self.peering.awaiting_backfill.iter().copied());
-        groups.sort();
-        groups.dedup();
-        for group in groups {
+        let (map, from) = (&self.map, self.id);
+        for (&group, join) in &mut self.peering.joins {
             // Prefer the recorded data-holding source; fall back to a
             // current acting-set peer only if the source has since died.
-            let source = self.peering.pull_sources.get(&group).copied();
-            let peer = source
-                .filter(|&o| self.map.osd(o).up)
-                .or_else(|| self.replicas_of(group).first().copied());
-            if let Some(peer) = peer {
-                self.peering.pull_sources.insert(group, peer);
-                self.pull_log(peer, group);
+            if !map.osd(join.source).up {
+                match map.acting_set(group).into_iter().find(|&o| o != from) {
+                    Some(peer) => join.source = peer,
+                    None => continue,
+                }
             }
+            let (to, msg) = (join.source, PeerMsg::PullLog { group, from });
+            self.fx.push(OsdEffect::SendPeer { to, msg });
         }
     }
 
@@ -337,10 +354,9 @@ impl Osd {
     /// pending log records on top.
     pub(super) fn on_pull_log(&mut self, group: GroupId, requester: OsdId) {
         if self.peering.joining(group) {
-            // Not authoritative yet: this OSD is itself still synchronizing the
-            // group. Answering now would hand the requester an empty "complete"
-            // backfill. Stay silent — the requester's pull retry re-drives the
-            // transfer once our own synchronization lands.
+            // Not authoritative yet: answering would hand the requester an
+            // empty "complete" backfill. Its pull retry re-drives the transfer
+            // once our own pull has landed.
             return;
         }
         // Bring the backend up to date with the group's pending records first,
@@ -369,7 +385,7 @@ impl Osd {
     /// heartbeat, and a condition that persists shows up in `stuck_pgs()`
     /// instead of killing the process.
     pub(super) fn on_log_records(&mut self, group: GroupId, records: Vec<LogRecord>) {
-        if !self.peering.awaiting_log.contains(&group) {
+        if !self.peering.joins.get(&group).is_some_and(|j| j.log) {
             // Duplicate or unsolicited response: the first import won;
             // re-importing could resurrect stale data.
             return;
@@ -399,15 +415,14 @@ impl Osd {
         } else {
             self.background_io();
         }
-        self.peering.awaiting_log.remove(&group);
-        self.peering.pull_landed(group);
+        self.peering.landed(group, |j| &mut j.log);
     }
 
     /// The pulled object contents arrive. An object the store cannot take
     /// (a device that is too small) leaves the group waiting like a bad
     /// record does; re-applying whole objects on the retry is idempotent.
     pub(super) fn on_backfill(&mut self, group: GroupId, objects: Vec<(ObjectId, Segments)>) {
-        if !self.peering.awaiting_backfill.contains(&group) {
+        if !self.peering.awaiting_backfill(group) {
             return; // duplicate or unsolicited
         }
         for (oid, data) in objects {
@@ -419,8 +434,7 @@ impl Osd {
                 return;
             }
         }
-        self.peering.awaiting_backfill.remove(&group);
-        self.peering.pull_landed(group);
+        self.peering.landed(group, |j| &mut j.backfill);
         self.background_io();
         self.kick_maintenance();
         // Flushes and cold reads were held back while waiting; let them go now.
@@ -531,10 +545,7 @@ impl Osd {
                 .find(|&o| o != self.id && self.map.osd(o).up)
                 .or_else(|| new_set.into_iter().find(|&o| o != self.id));
             if let Some(peer) = peer {
-                self.peering.awaiting_log.insert(group);
-                self.peering.awaiting_backfill.insert(group);
-                self.peering.pull_sources.insert(group, peer);
-                self.pull_log(peer, group);
+                self.start_join(group, peer);
             }
         }
     }
@@ -632,7 +643,7 @@ mod tests {
         let msg = PeerMsg::LogRecords { group: g, records };
         let fx = joiner.handle(OsdInput::Peer { from, msg });
         assert!(fx.is_empty(), "nothing imported, nothing said: {fx:?}");
-        assert!(joiner.peering.awaiting_log.contains(&g), "still waiting");
+        assert!(joiner.peering.joins[&g].log, "still waiting");
         assert_eq!(joiner.log_pending(g), 0);
         let fx = joiner.handle(OsdInput::HeartbeatTick);
         assert!(pulls_of(&fx).contains(&(source, g)), "{fx:?}");
@@ -641,7 +652,7 @@ mod tests {
             records: record(4096),
         };
         joiner.handle(OsdInput::Peer { from, msg });
-        assert!(!joiner.peering.awaiting_log.contains(&g));
+        assert!(!joiner.peering.joins[&g].log, "the backfill is still due");
         assert_eq!(joiner.log_pending(g), 1);
     }
 
@@ -664,16 +675,13 @@ mod tests {
         let msg = backfill(too_big, 12 << 20);
         let fx = joiner.handle(OsdInput::Peer { from, msg });
         assert!(fx.is_empty(), "the partial trace is dropped: {fx:?}");
-        assert!(
-            joiner.peering.awaiting_backfill.contains(&g),
-            "still waiting"
-        );
+        assert!(joiner.peering.awaiting_backfill(g), "still waiting");
         let fx = joiner.handle(OsdInput::HeartbeatTick);
         assert!(pulls_of(&fx).contains(&(source, g)), "{fx:?}");
         // What fits lands, re-applied whole, and ends the wait.
         let msg = backfill(fits, 64 << 10);
         joiner.handle(OsdInput::Peer { from, msg });
-        assert!(!joiner.peering.awaiting_backfill.contains(&g));
+        assert!(!joiner.peering.awaiting_backfill(g));
         assert!(joiner.object_digest(fits, 64 << 10).is_some());
     }
 }

@@ -310,7 +310,7 @@ impl Osd {
                 ReadPath::FromLog(data) => self.reply(from, ClientReply::Data { op, data }),
                 // The backend may still miss data the backfill will bring;
                 // park the read until it arrives.
-                ReadPath::Store if self.peering.awaiting_backfill.contains(&group) => {
+                ReadPath::Store if self.peering.awaiting_backfill(group) => {
                     self.rt(group).waiting_reads.push(dr)
                 }
                 ReadPath::Store => self.defer_read(dr),
