@@ -184,6 +184,10 @@ impl Osd {
     /// unacked pushes and `backfill_bytes_per_tick` bytes per tick window.
     /// A throttled push is deferred — it stays in the round's missing set
     /// and the heartbeat-driven retry re-offers it next window.
+    ///
+    /// A sender still joining the group holds the push (its snapshot lacks
+    /// what the peer took while it was away): not throttled, left where it
+    /// was, re-offered by the heartbeat once its own pull has landed.
     pub(super) fn push_object_to(
         &mut self,
         group: GroupId,
@@ -192,6 +196,9 @@ impl Osd {
         oid: ObjectId,
         backfilling: bool,
     ) {
+        if self.peering.joining(group) {
+            return;
+        }
         let key = (group, peer, oid.raw());
         if !self.budget.has_push_slot(&key) {
             return;
@@ -316,32 +323,12 @@ impl Osd {
             // latest <= pushed: the snapshot was read after every
             // write we hold, so applying it can only heal.
         }
-        if self.cfg.mode.decoupled() && self.rt(group).flushing {
-            // A flush is mid-air for this group. Applying now can roll back
-            // writes only this replica holds. A primary that restarted after
-            // a crash pushes while its own pull of this group from us (log
-            // records and backfill) is still in flight. Its snapshot then
-            // lacks the writes we took while it was down, and its newest
-            // entry is a write it made after the restart, at a newer epoch.
-            // So `latest <= pushed` holds above, and the push would overwrite
-            // those writes here while the pull restores them on the primary:
-            // the replicas diverge. In the cases that show it, this group's
-            // flush window here opened just after the restart and closed
-            // after that pull landed, so staying silent defers the apply to
-            // the heartbeat re-push, read after the pull. The guard covers
-            // only pushes inside a window; a primary that held its pushes
-            // until its own pull landed would close the race. Without this
-            // guard, the first case of `healed_cluster_regressions` and
-            // `kill_primary_mid_replication_converges` end with replicas
-            // that differ.
-            return;
-        }
         if self.logs.get(&group).is_some_and(|l| l.pending() > 0) {
-            // Pending (older, per the guard above) records for this
-            // group would otherwise flush over the pushed bytes
-            // later — and a full-object push is far too large for
-            // the NVM ring to ride behind them in log order. Drain
-            // them to the backend first, then apply the push on top.
+            // Pending records for this group are no newer than the snapshot
+            // (`latest <= pushed` above) and would otherwise flush over the
+            // pushed bytes later — and a full-object push is far too large
+            // for the NVM ring to ride behind them in log order. Drain them
+            // to the backend first, then apply the push on top.
             let mut log = self.logs.remove(&group).expect("checked above");
             let drained = log
                 .drain_for_flush(&mut self.nvm, usize::MAX)
@@ -407,7 +394,116 @@ impl Osd {
 
 #[cfg(test)]
 mod tests {
+    use rablock_storage::{Payload, StoreError};
+
+    use super::super::testkit::*;
+    use super::super::{digest_bytes, OsdEffect, OsdInput, PgState, PipelineMode};
     use super::*;
+    use crate::msg::{ClientId, ClientReply, ClientReq, OpId, ScrubEntry};
+    use crate::placement::OsdMap;
+
+    fn pushes_of(fx: &[OsdEffect]) -> Vec<ObjectId> {
+        fx.iter()
+            .filter_map(|e| match e {
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::PushObject { entry, .. },
+                    ..
+                } => Some(entry.oid),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A primary that is still joining a group (back from a restart, its
+    /// pull in flight) holds every push of the group: a nacked write's, its
+    /// round's missing objects (`push_missing` on the heartbeat), a scrub
+    /// repair and a fetch's answer. Its snapshot would lack what the peer
+    /// took while it was away. A held push is not a throttled one, and the
+    /// first heartbeat after both halves of the pull have landed pushes.
+    #[test]
+    fn a_joining_primary_holds_its_pushes_until_its_pull_lands() {
+        let map3 = OsdMap::new(3, 1, 8, 2);
+        // The primary has the smaller id, so a scrub tie votes for its copy.
+        let g = (0..8)
+            .map(GroupId)
+            .find(|&g| map3.acting_set(g)[0] < map3.acting_set(g)[1])
+            .expect("some group");
+        let (primary, peer) = (map3.acting_set(g)[0], map3.acting_set(g)[1]);
+        let mut prim = Osd::new(primary, cfg(PipelineMode::Dop, 16), map3);
+        for i in 0..3 {
+            let req = write_req(i + 1, oid_in(g, i));
+            prim.handle(OsdInput::Client {
+                from: ClientId(1),
+                req,
+            });
+        }
+        let deep = false;
+        prim.handle(OsdInput::ScrubStart { group: g, deep });
+        prim.start_join(g, peer);
+        let queued = prim.backfill_queued();
+        let (epoch, from) = (prim.map().epoch, peer);
+        let mut held = Vec::new();
+        // The peer refuses the first write's repop: a nack round.
+        let error = StoreError::NoSpace;
+        let nack = PeerMsg::RepNack {
+            group: g,
+            seq: 1,
+            from,
+            error,
+        };
+        held.extend(prim.handle(OsdInput::Peer { from, msg: nack }));
+        assert_eq!(prim.pg_state(g), PgState::Recovering);
+        // Its scrub map disagrees on object 1 and lacks the others.
+        let (stamp_epoch, version) = prim.pg_latest(g, oid_in(g, 1));
+        let entry = ScrubEntry {
+            oid_raw: oid_in(g, 1).raw(),
+            size: 4096,
+            digest: 0xBAD,
+            damaged: false,
+            epoch: stamp_epoch,
+            version,
+        };
+        let entries = vec![entry];
+        let map = PeerMsg::ScrubMap {
+            group: g,
+            epoch,
+            from,
+            entries,
+        };
+        held.extend(prim.handle(OsdInput::Peer { from, msg: map }));
+        assert!(prim.scrub_errors_found > 0, "the scrub wants repairs");
+        let oid = oid_in(g, 0);
+        let fetch = PeerMsg::ScrubFetch {
+            group: g,
+            epoch,
+            oid,
+            from,
+        };
+        held.extend(prim.handle(OsdInput::Peer { from, msg: fetch }));
+        held.extend(prim.handle(OsdInput::HeartbeatTick));
+        assert_eq!(pushes_of(&held), vec![], "{held:?}");
+        assert_eq!(prim.backfill_queued(), queued, "held, not throttled");
+
+        // The backfill lands; the log records have not: still joining.
+        let objects = Vec::new();
+        let backfill = PeerMsg::Backfill { group: g, objects };
+        prim.handle(OsdInput::Peer {
+            from,
+            msg: backfill,
+        });
+        let fx = prim.handle(OsdInput::HeartbeatTick);
+        assert_eq!(pushes_of(&fx), vec![], "{fx:?}");
+        let records = Vec::new();
+        let log = PeerMsg::LogRecords { group: g, records };
+        let fx = prim.handle(OsdInput::Peer { from, msg: log });
+        assert_eq!(pushes_of(&fx), vec![], "no new wake-up path: {fx:?}");
+
+        let fx = prim.handle(OsdInput::HeartbeatTick);
+        let pushed: BTreeSet<ObjectId> = pushes_of(&fx).into_iter().collect();
+        let all = (0..3).map(|i| oid_in(g, i)).collect();
+        assert_eq!(pushed, all, "{fx:?}");
+        assert_eq!(prim.backfill_queued(), queued);
+    }
 
     /// The admission rules as `push_object_to`, `on_scrub_start` and the
     /// heartbeat arm wrote them inline before the budget was one value.
@@ -468,5 +564,275 @@ mod tests {
         assert!(b.has_push_slot(&key(1)) && b.admit_scan(100));
         b.new_window();
         assert_eq!((b.queued, throttled(&b)), (3, (21, 14)));
+    }
+
+    #[test]
+    fn backfill_throttle_caps_inflight_pushes_and_drains_on_ack() {
+        let map3 = OsdMap::new(3, 1, 8, 2);
+        let cfg = OsdConfig {
+            max_backfill_inflight: 1,
+            ..cfg(PipelineMode::Dop, 16)
+        };
+        let g = GroupId(0);
+        let set = map3.acting_set(g);
+        let (primary, secondary) = (set[0], set[1]);
+        let spare = (0..3).map(OsdId).find(|o| !set.contains(o)).unwrap();
+        let mut prim = Osd::new(primary, cfg, map3.clone());
+        for i in 0..3 {
+            prim.handle(OsdInput::Client {
+                from: ClientId(1),
+                req: write_req(i, oid_in(g, i)),
+            });
+        }
+        let mut new_map = map3.clone();
+        new_map.mark_down(spare);
+        prim.handle(OsdInput::MapUpdate(new_map));
+        let epoch = prim.map().epoch;
+        let count_pushes = |fx: &[OsdEffect]| {
+            fx.iter()
+                .filter_map(|e| match e {
+                    OsdEffect::SendPeer {
+                        msg: PeerMsg::PushObject { entry, .. },
+                        ..
+                    } => Some(entry.oid),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        // Empty peer log: three objects need backfill, but the throttle
+        // admits only one push into the window; the rest are queued.
+        let fx = prim.handle(OsdInput::Peer {
+            from: secondary,
+            msg: PeerMsg::PgInfo {
+                group: g,
+                epoch,
+                from: secondary,
+                entries: Vec::new(),
+            },
+        });
+        let first = count_pushes(&fx);
+        assert_eq!(first.len(), 1, "inflight cap of 1: {fx:?}");
+        assert!(prim.backfill_queued() >= 2, "deferred work is counted");
+        assert_eq!(prim.pg_state(g), PgState::Backfilling);
+        // The tick closes the throttled window (accruing throttled time) and
+        // the retransmit sweep again offers everything — still one push.
+        let throttled_before = prim.backfill_throttled_nanos();
+        let fx = prim.handle(OsdInput::HeartbeatTick);
+        assert!(prim.backfill_throttled_nanos() > throttled_before);
+        assert_eq!(count_pushes(&fx).len(), 1, "still capped after tick");
+        // An ack frees the slot mid-window: the next object goes out
+        // immediately without waiting for the tick.
+        let fx = prim.handle(OsdInput::Peer {
+            from: secondary,
+            msg: PeerMsg::PushAck {
+                group: g,
+                epoch,
+                oid: first[0],
+                from: secondary,
+            },
+        });
+        let next = count_pushes(&fx);
+        assert_eq!(next.len(), 1, "ack drains the queue: {fx:?}");
+        assert_ne!(next[0], first[0], "a different object rides the slot");
+    }
+
+    #[test]
+    fn push_with_bad_checksum_is_dropped() {
+        let mut o = osd(PipelineMode::Dop, 1);
+        let g = a_group_led_by_another(&o);
+        let oid = oid_in(g, 1);
+        let fx = o.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: PeerMsg::PushObject {
+                group: g,
+                epoch: 1,
+                entry: Box::new(PgLogEntry {
+                    epoch: 1,
+                    version: 4,
+                    oid,
+                    digest: 9,
+                }),
+                data: Payload::from(vec![5; 4096]).into(),
+                content_digest: 0xDEAD, // wrong
+            },
+        });
+        assert!(fx.is_empty(), "corrupt push ignored: {fx:?}");
+        assert_eq!(o.object_digest(oid, 4096), None, "nothing applied");
+    }
+
+    /// The same object as a recovery push: the store refused the empty
+    /// write, no ack went out, and the primary re-pushed on every heartbeat
+    /// with the group stuck in Recovering.
+    #[test]
+    fn push_of_a_zero_length_object_is_applied_and_acked() {
+        let mut o = osd(PipelineMode::Dop, 1);
+        let g = a_group_led_by_another(&o);
+        let oid = oid_in(g, 1);
+        let fx = o.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: PeerMsg::PushObject {
+                group: g,
+                epoch: 1,
+                entry: Box::new(PgLogEntry {
+                    epoch: 1,
+                    version: 4,
+                    oid,
+                    digest: 9,
+                }),
+                data: Segments::new(),
+                content_digest: digest_bytes(&[]),
+            },
+        });
+        assert!(
+            fx.iter().any(|e| matches!(
+                e,
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::PushAck { oid: acked, .. },
+                    ..
+                } if *acked == oid
+            )),
+            "the empty push is acked: {fx:?}"
+        );
+        assert!(o.object_digest(oid, 0).is_some(), "the bare create landed");
+        assert_eq!(o.group_extent_map(g), vec![(oid, 0)]);
+    }
+
+    #[test]
+    fn stale_push_with_divergent_content_is_dropped_not_acked() {
+        let mut o = osd(PipelineMode::Dop, 1);
+        let g = a_group_led_by_another(&o);
+        let oid = oid_in(g, 1);
+        // The replica applies a current write at (epoch 1, version 7)...
+        let txn = Transaction::new(
+            g,
+            7,
+            vec![Op::Write {
+                oid,
+                offset: 0,
+                data: vec![9; 4096].into(),
+            }],
+        );
+        o.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: PeerMsg::Repop {
+                group: g,
+                seq: 7,
+                txn,
+            },
+        });
+        // ...then an older push with *different* bytes arrives. Acking it
+        // would clear the primary's missing mark while the replicas still
+        // diverge, so it must be dropped silently — the primary's heartbeat
+        // retry re-reads fresh content and pushes again.
+        let stale = vec![1u8; 4096];
+        let fx = o.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: PeerMsg::PushObject {
+                group: g,
+                epoch: 1,
+                entry: Box::new(PgLogEntry {
+                    epoch: 1,
+                    version: 3,
+                    oid,
+                    digest: 1,
+                }),
+                content_digest: digest_bytes(&stale),
+                data: Payload::from(stale).into(),
+            },
+        });
+        assert!(fx.is_empty(), "divergent stale push dropped: {fx:?}");
+        // The newer log record survives: reads serve fill 9, not fill 1.
+        let fx = o.handle(OsdInput::Client {
+            from: ClientId(2),
+            req: ClientReq::Read {
+                op: OpId(1),
+                oid,
+                offset: 0,
+                len: 4096,
+            },
+        });
+        let data = fx.iter().find_map(|e| match e {
+            OsdEffect::Reply {
+                msg: ClientReply::Data { data, .. },
+                ..
+            } => Some(data.clone()),
+            _ => None,
+        });
+        assert_eq!(data, Some(vec![9u8; 4096].into()));
+    }
+
+    #[test]
+    fn stale_push_with_matching_content_is_acked_but_not_applied() {
+        let mut o = osd(PipelineMode::Dop, 1);
+        let g = a_group_led_by_another(&o);
+        let oid = oid_in(g, 1);
+        // The replica holds (epoch 1, version 7) with fill 9.
+        let txn = Transaction::new(
+            g,
+            7,
+            vec![Op::Write {
+                oid,
+                offset: 0,
+                data: vec![9; 4096].into(),
+            }],
+        );
+        o.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: PeerMsg::Repop {
+                group: g,
+                seq: 7,
+                txn,
+            },
+        });
+        // An older-versioned push whose bytes already match the local object
+        // (a torn-tail-restarted primary can never out-version the replica
+        // even when content agrees). It must be acked — without the ack the
+        // primary retries forever and the PG wedges in Recovering — but the
+        // newer local record must not be rolled back.
+        let same = vec![9u8; 4096];
+        let fx = o.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: PeerMsg::PushObject {
+                group: g,
+                epoch: 1,
+                entry: Box::new(PgLogEntry {
+                    epoch: 1,
+                    version: 3,
+                    oid,
+                    digest: digest_bytes(&same),
+                }),
+                content_digest: digest_bytes(&same),
+                data: Payload::from(same).into(),
+            },
+        });
+        assert!(
+            fx.iter().any(|e| matches!(
+                e,
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::PushAck { .. },
+                    ..
+                }
+            )),
+            "matching stale push acked: {fx:?}"
+        );
+        // Version 7 stays newest: a later same-object push at version 5
+        // with divergent bytes is still rejected.
+        let stale = vec![1u8; 4096];
+        let fx = o.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: PeerMsg::PushObject {
+                group: g,
+                epoch: 1,
+                entry: Box::new(PgLogEntry {
+                    epoch: 1,
+                    version: 5,
+                    oid,
+                    digest: 1,
+                }),
+                content_digest: digest_bytes(&stale),
+                data: Payload::from(stale).into(),
+            },
+        });
+        assert!(fx.is_empty(), "divergent push after ack dropped: {fx:?}");
     }
 }

@@ -465,12 +465,10 @@ impl Osd {
         oid: ObjectId,
         requester: OsdId,
     ) {
-        if self.peering.joining(group) {
-            return; // not authoritative; requester rotates sources
-        }
-        // Serve the heal through the throttled push machinery; if
-        // our own copy turns out rotten too, the push is silently
-        // skipped and the requester's rotation finds another peer.
+        // Serve the heal through the throttled push machinery; if we are
+        // still joining the group, or our own copy turns out rotten too,
+        // the push is silently skipped and the requester's rotation finds
+        // another peer.
         self.push_object_to(group, epoch, requester, oid, false);
     }
 

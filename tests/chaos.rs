@@ -272,6 +272,13 @@ fn primary_crash_faults(c: &Convergence) -> FaultPlan {
 ///   its log tail to a torn NVM write could never out-version the replica's
 ///   newest entry, and the replica silently refused every (byte-identical)
 ///   push.
+/// * Both catch a restarted primary that pushes before its own pull of the
+///   group has landed: its snapshot lacks the writes the replica took while
+///   it was down, and applying it rolls them back on the replica while the
+///   pull restores them on the primary, so the replicas differ (fixed by a
+///   joining sender holding its pushes). The second is the case
+///   `kill_primary_mid_replication_converges` draws at case seed
+///   `0x95e310c32d8bf83`.
 #[test]
 fn healed_cluster_regressions() {
     let cases = [
