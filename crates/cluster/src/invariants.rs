@@ -158,18 +158,33 @@ pub type ReplicaListing = (String, Vec<(u64, Option<u64>)>);
 /// Post-quiesce recovery checks use this: after faults stop and recovery
 /// converges, every acting-set member must produce identical listings.
 pub fn diff_replica_digests(replicas: &[ReplicaListing]) -> Vec<String> {
+    diff_listings(
+        replicas,
+        |&entry| entry,
+        |oid, label, got, ref_label, reference| {
+            format!("object {oid:#x}: {label} has {got:?}, {ref_label} has {reference:?}")
+        },
+    )
+}
+
+/// The diff both replica checks share: every object any listing names, in
+/// id order, each replica's value (`None` when it lacks the object or
+/// cannot serve it) against the first listing's, one `describe(oid, label,
+/// got, ref_label, reference)` per disagreement.
+fn diff_listings<E, T: Copy + PartialEq>(
+    replicas: &[(String, Vec<E>)],
+    value: impl Fn(&E) -> (u64, Option<T>),
+    describe: impl Fn(u64, &str, Option<T>, &str, Option<T>) -> String,
+) -> Vec<String> {
     let mut out = Vec::new();
     let Some((ref_label, _)) = replicas.first() else {
         return out;
     };
-    let maps: Vec<HashMap<u64, Option<u64>>> = replicas
+    let maps: Vec<HashMap<u64, Option<T>>> = replicas
         .iter()
-        .map(|(_, entries)| entries.iter().copied().collect())
+        .map(|(_, entries)| entries.iter().map(&value).collect())
         .collect();
-    let mut oids: Vec<u64> = replicas
-        .iter()
-        .flat_map(|(_, entries)| entries.iter().map(|(oid, _)| *oid))
-        .collect();
+    let mut oids: Vec<u64> = maps.iter().flat_map(|m| m.keys().copied()).collect();
     oids.sort_unstable();
     oids.dedup();
     for oid in oids {
@@ -177,9 +192,7 @@ pub fn diff_replica_digests(replicas: &[ReplicaListing]) -> Vec<String> {
         for ((label, _), map) in replicas.iter().zip(&maps).skip(1) {
             let got = map.get(&oid).copied().flatten();
             if got != reference {
-                out.push(format!(
-                    "object {oid:#x}: {label} has {got:?}, {ref_label} has {reference:?}"
-                ));
+                out.push(describe(oid, label, got, ref_label, reference));
             }
         }
     }
@@ -205,33 +218,13 @@ pub type DigestListing = (String, Vec<(u64, u64, u64)>);
 /// the originally-written bytes) — that is exactly the gap deep scrub
 /// closes by re-reading data.
 pub fn replica_digest_consistency(replicas: &[DigestListing]) -> Vec<String> {
-    let mut out = Vec::new();
-    let Some((ref_label, _)) = replicas.first() else {
-        return out;
-    };
-    let maps: Vec<HashMap<u64, (u64, u64)>> = replicas
-        .iter()
-        .map(|(_, entries)| entries.iter().map(|&(o, s, d)| (o, (s, d))).collect())
-        .collect();
-    let mut oids: Vec<u64> = replicas
-        .iter()
-        .flat_map(|(_, entries)| entries.iter().map(|(o, _, _)| *o))
-        .collect();
-    oids.sort_unstable();
-    oids.dedup();
-    for oid in oids {
-        let reference = maps[0].get(&oid).copied();
-        for ((label, _), map) in replicas.iter().zip(&maps).skip(1) {
-            let got = map.get(&oid).copied();
-            if got != reference {
-                out.push(format!(
-                    "object {oid:#x}: {label} persists (size, csum digest) {got:?}, \
-                     {ref_label} persists {reference:?}"
-                ));
-            }
-        }
-    }
-    out
+    let value = |&(oid, size, digest): &(u64, u64, u64)| (oid, Some((size, digest)));
+    diff_listings(replicas, value, |oid, label, got, ref_label, reference| {
+        format!(
+            "object {oid:#x}: {label} persists (size, csum digest) {got:?}, \
+             {ref_label} persists {reference:?}"
+        )
+    })
 }
 
 /// Relative capacity imbalance across a set of OSD fill levels: the largest
@@ -242,31 +235,26 @@ pub fn replica_digest_consistency(replicas: &[DigestListing]) -> Vec<String> {
 /// Pass the fill of *placement-eligible* OSDs only — drained and removed
 /// OSDs legitimately hold stale bytes while their groups hand off.
 pub fn capacity_imbalance(fills: &[u64]) -> f64 {
-    if fills.is_empty() {
-        return 0.0;
+    match (mean_fill(fills), fills.iter().max()) {
+        (Some(mean), Some(&max)) => (max as f64 - mean) / mean,
+        _ => 0.0,
     }
+}
+
+/// The mean fill, `None` when the set holds no bytes at all.
+fn mean_fill(fills: &[u64]) -> Option<f64> {
     let total: u64 = fills.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let mean = total as f64 / fills.len() as f64;
-    let max = *fills.iter().max().expect("non-empty") as f64;
-    (max - mean) / mean
+    (total > 0).then(|| total as f64 / fills.len() as f64)
 }
 
 /// Asserts the capacity-imbalance invariant after quiesce: no OSD may
 /// exceed the mean fill by more than `tolerance` (e.g. 1.0 = 100% over
 /// mean). Returns one description per violation; empty means balanced.
 pub fn check_capacity_imbalance(fills: &[u64], tolerance: f64) -> Vec<String> {
+    let Some(mean) = mean_fill(fills) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
-    if fills.is_empty() {
-        return out;
-    }
-    let total: u64 = fills.iter().sum();
-    if total == 0 {
-        return out;
-    }
-    let mean = total as f64 / fills.len() as f64;
     for (i, &fill) in fills.iter().enumerate() {
         let dev = (fill as f64 - mean) / mean;
         if dev > tolerance {

@@ -19,12 +19,14 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// Applies `txn`, dropping the partial trace of one the store refuses.
     pub(super) fn submit(&mut self, txn: Transaction) -> Result<(), StoreError> {
-        match self {
+        let applied = match self {
             Backend::Lsm(s) => s.submit(txn),
             Backend::Cos(s) => s.submit(txn),
             Backend::Null => Ok(()),
-        }
+        };
+        applied.inspect_err(|_| drop(self.take_trace()))
     }
 
     /// The range as the views the store holds it in: what scrub, push and

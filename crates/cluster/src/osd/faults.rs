@@ -122,32 +122,28 @@ impl Osd {
         groups.sort();
         let mut discarded_total = 0;
         for group in groups {
-            let old = self.logs.remove(&group).expect("listed above");
+            let old = &self.logs[&group];
             let (base, len) = (old.nvm_base(), old.nvm_region_len());
             if torn_tail {
                 let _ = old.tear_tail(&mut self.nvm);
             }
-            let (mut log, discarded) = GroupLog::recover_truncating(
-                &mut self.nvm,
-                group,
-                base,
-                len,
-                self.cfg.flush_threshold,
-            )
-            .expect("log recovers after reboot");
+            let threshold = self.cfg.flush_threshold;
+            let recovered =
+                GroupLog::recover_truncating(&mut self.nvm, group, base, len, threshold);
+            let (log, discarded) = recovered.expect("log recovers after reboot");
             discarded_total += discarded;
-            if log.pending() > 0 {
-                let txns = log
-                    .drain_for_flush(&mut self.nvm, usize::MAX)
-                    .expect("restart drain");
-                for txn in txns {
-                    self.note_txn(&txn);
-                    self.pg_log_note(group, txn.seq, &txn);
-                    self.backend.submit(txn).expect("restart drain submit");
-                }
-                let _ = self.backend.take_trace();
-            }
             self.logs.insert(group, log);
+            // Versions the store refuses stay out of the pg_log, so peering
+            // pushes them here again.
+            let txns = self.logs[&group].begin_flush();
+            let applied = self.drain_pending(group).is_ok();
+            let _ = self.backend.take_trace();
+            for txn in &txns {
+                self.note_txn(txn);
+                if applied {
+                    self.pg_log_note(group, txn.seq, txn);
+                }
+            }
         }
         discarded_total
     }
@@ -203,7 +199,7 @@ mod tests {
         // flush: a flush window with its store token out, a deferred read.
         let fx = o.handle(OsdInput::FlushGroup { group: g });
         let flush = tokens_of(&fx)[0];
-        assert_eq!(o.store_token_op(flush), Some(StoreTokenOp::Flush));
+        assert_eq!(o.token_op(flush), Some(StoreTokenOp::Flush));
         let cold = oid_in(g2, 9);
         o.bootstrap_object(cold, 4096);
         let req = ClientReq::Read {
@@ -217,7 +213,11 @@ mod tests {
             OsdEffect::WakeRead { token } => Some(*token),
             _ => None,
         });
-        assert_eq!(o.deferred_read_op(read), Some((from, OpId(9))));
+        let read_op = StoreTokenOp::Read {
+            client: from,
+            op: OpId(9),
+        };
+        assert_eq!(o.token_op(read), Some(read_op));
         // peering + recovery: a backfill round with one push out and two
         // throttled behind it; g2's round has nothing to heal and ends.
         let mut next = map.clone();
@@ -284,8 +284,8 @@ mod tests {
 
         assert_eq!(durable(&o), before, "the durable side is kept");
         assert_eq!(o.inflight_client_op(1), None);
-        assert_eq!(o.store_token_op(flush), None);
-        assert_eq!(o.deferred_read_op(read), None);
+        assert_eq!(o.token_op(flush), None);
+        assert_eq!(o.token_op(read), None);
         assert!(o.pending_groups().is_empty(), "the log was drained");
         assert_eq!(
             (o.pg_state(g), o.pg_state(g2)),

@@ -118,8 +118,17 @@ impl Osd {
         v
     }
 
-    fn classify(&self, ctx: &StoreCtx) -> StoreTokenOp {
-        match *ctx {
+    /// Classifies what a store `token` the driver holds is serving: a
+    /// pending device I/O, a deferred read or a deferred submit (tokens come
+    /// from one counter, so at most one of them). Read-only probe for the
+    /// tracing layer; never mutates OSD state.
+    pub fn token_op(&self, token: u64) -> Option<StoreTokenOp> {
+        let b = &self.bottom;
+        if let Some(&DeferredRead { client, op, .. }) = b.deferred_reads.get(&token) {
+            return Some(StoreTokenOp::Read { client, op });
+        }
+        let submit = b.deferred_submits.get(&token).map(|d| &d.ctx);
+        Some(match *b.pending_store.get(&token).or(submit)? {
             StoreCtx::WriteLocal { seq } => match self.inflight_client_op(seq) {
                 Some((client, op)) => StoreTokenOp::PrimaryWrite { client, op },
                 None => StoreTokenOp::Background,
@@ -130,30 +139,7 @@ impl Osd {
             StoreCtx::Read { client, op, .. } => StoreTokenOp::Read { client, op },
             StoreCtx::Flush { .. } => StoreTokenOp::Flush,
             StoreCtx::Background => StoreTokenOp::Background,
-        }
-    }
-
-    /// Classifies what a pending store-completion `token` is serving.
-    /// Read-only probe for the tracing layer; never mutates OSD state.
-    pub fn store_token_op(&self, token: u64) -> Option<StoreTokenOp> {
-        let ctx = self.bottom.pending_store.get(&token)?;
-        Some(self.classify(ctx))
-    }
-
-    /// The client op behind a deferred store read `token`, if any.
-    /// Read-only probe for the tracing layer.
-    pub fn deferred_read_op(&self, token: u64) -> Option<(ClientId, OpId)> {
-        self.bottom
-            .deferred_reads
-            .get(&token)
-            .map(|d| (d.client, d.op))
-    }
-
-    /// Classifies the op behind a deferred store submit `token`, if any.
-    /// Read-only probe for the tracing layer.
-    pub fn deferred_submit_op(&self, token: u64) -> Option<StoreTokenOp> {
-        let d = self.bottom.deferred_submits.get(&token)?;
-        Some(self.classify(&d.ctx))
+        })
     }
 
     /// Applies every pending log record to the backend without draining the
@@ -165,7 +151,7 @@ impl Osd {
         let mut groups: Vec<GroupId> = self.logs.keys().copied().collect();
         groups.sort();
         for group in groups {
-            self.sync_group_log(group);
+            let _ = self.sync_group_log(group);
         }
     }
 
@@ -173,12 +159,34 @@ impl Osd {
     /// to the backend so a direct backend read observes every acked write.
     /// The records stay pending — re-applying them again later is
     /// idempotent — so a flush window open over them is left as it was.
-    pub(super) fn sync_group_log(&mut self, group: GroupId) {
-        if self.logs.get(&group).is_some_and(|l| l.pending() > 0) {
-            for rec in self.logs[&group].export_records() {
-                self.backend.submit(rec.txn).expect("log re-apply for read");
-            }
-            let _ = self.backend.take_trace();
+    pub(super) fn sync_group_log(&mut self, group: GroupId) -> Result<(), StoreError> {
+        self.submit_pending(group)?;
+        let _ = self.backend.take_trace();
+        Ok(())
+    }
+
+    /// The one way from the op log to the store: submits every pending
+    /// record of `group` in log order and returns the log version it
+    /// submitted through. It releases nothing and takes no trace: each
+    /// caller releases (`drain_through_version` of that version) and
+    /// charges the device I/O its own way. On a store error every record
+    /// stays pending; applying one again is idempotent.
+    pub(super) fn submit_pending(&mut self, group: GroupId) -> Result<u64, StoreError> {
+        let Some(log) = self.logs.get(&group) else {
+            return Ok(0);
+        };
+        for txn in log.begin_flush() {
+            self.backend.submit(txn)?;
+        }
+        Ok(log.version())
+    }
+
+    /// [`Osd::submit_pending`], then the release of what it submitted.
+    pub(super) fn drain_pending(&mut self, group: GroupId) -> Result<usize, StoreError> {
+        let through = self.submit_pending(group)?;
+        match self.logs.get_mut(&group) {
+            Some(log) => log.drain_through_version(&mut self.nvm, through),
+            None => Ok(0),
         }
     }
 
@@ -270,10 +278,10 @@ impl Osd {
                 group,
                 through_version,
             } => {
-                self.log_for(group);
-                let log = self.logs.get_mut(&group).expect("ensured");
-                log.drain_through_version(&mut self.nvm, through_version)
-                    .expect("drain flushed records");
+                if let Some(log) = self.logs.get_mut(&group) {
+                    // Only an out-of-range NVM header write fails a release.
+                    let _ = log.drain_through_version(&mut self.nvm, through_version);
+                }
                 self.rt(group).flushing = false;
                 self.serve_waiting_reads(group);
                 // Re-arm if the log refilled while flushing.
@@ -302,10 +310,19 @@ impl Osd {
         }
         // Submit the batch to the backend; the log entries are drained only
         // once the store writes are durable (§IV-A-3: remove after flush).
-        let through_version = log.version();
-        for txn in log.begin_flush() {
-            self.backend.submit(txn).expect("flush submit");
-        }
+        let through_version = match self.submit_pending(group) {
+            Ok(version) => version,
+            Err(error) => {
+                // A refused flush opens no window: the records stay pending
+                // and in NVM (acked data is still served from the log),
+                // parked reads get the error, and the next sweep retries.
+                for dr in std::mem::take(&mut self.rt(group).waiting_reads) {
+                    let error = error.clone();
+                    self.reply(dr.client, ClientReply::Error { op: dr.op, error });
+                }
+                return;
+            }
+        };
         let ctx = StoreCtx::Flush {
             group,
             through_version,
@@ -320,24 +337,13 @@ impl Osd {
             return;
         };
         if let Err(error) = self.backend.submit(txn) {
-            let _ = self.backend.take_trace();
             match ctx {
                 StoreCtx::ReplicaPersist {
                     primary,
                     group,
                     seq,
-                } => {
-                    self.nack_failed_apply(primary, group, seq, error);
-                }
-                StoreCtx::WriteLocal { seq } => {
-                    // Primary-side apply failure: fail the op back to the
-                    // client instead of leaving it in flight forever.
-                    if let Some(w) = self.top.inflight.remove(&seq) {
-                        self.top.inflight_ops.remove(&(w.client, w.op));
-                        self.pg_log_unnote(w.group, seq);
-                        self.reply(w.client, ClientReply::Error { op: w.op, error });
-                    }
-                }
+                } => self.nack_failed_apply(primary, group, seq, error),
+                StoreCtx::WriteLocal { seq } => self.fail_write(seq, error),
                 _ => {}
             }
             return;
@@ -375,5 +381,119 @@ impl Osd {
             self.bottom.maint_scheduled = true;
             self.fx.push(OsdEffect::WakeMaintenance);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rablock_storage::{GroupId, ObjectId, Payload, StoreError};
+
+    use super::super::testkit::*;
+    use super::super::{Osd, OsdConfig, OsdEffect, OsdInput, PipelineMode};
+    use crate::msg::{ClientId, ClientReply, ClientReq, OpId, PeerMsg};
+    use crate::placement::OsdId;
+
+    fn client(req: ClientReq) -> OsdInput {
+        let from = ClientId(1);
+        OsdInput::Client { from, req }
+    }
+
+    fn read(op: u64, oid: ObjectId) -> OsdInput {
+        let (op, offset, len) = (OpId(op), 0, 4096);
+        client(ClientReq::Read {
+            op,
+            oid,
+            offset,
+            len,
+        })
+    }
+
+    fn reply_to(fx: &[OsdEffect], want: OpId) -> Option<&ClientReply> {
+        fx.iter().find_map(|e| match e {
+            OsdEffect::Reply { msg, .. } if msg.op() == want => Some(msg),
+            _ => None,
+        })
+    }
+
+    fn refused(reply: Option<&ClientReply>) -> bool {
+        let no_space = StoreError::NoSpace;
+        matches!(reply, Some(ClientReply::Error { error, .. }) if *error == no_space)
+    }
+
+    /// A DOP primary on a device too small for a 12 MiB object, with a
+    /// create of one logged in `g`: flushing that record is what the store
+    /// refuses.
+    fn refusing_store(flush_threshold: usize) -> (Osd, GroupId) {
+        let small = OsdConfig {
+            device_bytes: 8 << 20,
+            ..cfg(PipelineMode::Dop, flush_threshold)
+        };
+        let mut o = Osd::new(OsdId(0), small, map());
+        let g = a_group_with_primary(&o);
+        let (op, oid, size) = (OpId(100), oid_in(g, 100), 12 << 20);
+        o.handle(client(ClientReq::Create { op, oid, size }));
+        (o, g)
+    }
+
+    /// A flush the store refuses used to abort the OSD (`flush submit`).
+    /// It opens no window: the records stay pending and in NVM, an acked
+    /// block is still served from the log, a read parked on the flush gets
+    /// a retryable error, and the next sweep finds the group again.
+    #[test]
+    fn a_flush_the_store_refuses_keeps_its_records_and_does_not_panic() {
+        let (mut o, g) = refusing_store(16);
+        let acked = oid_in(g, 1);
+        o.handle(client(write_req(1, acked)));
+        let replica = o.map().acting_set(g)[1];
+        let msg = PeerMsg::RepAck {
+            group: g,
+            seq: 2,
+            from: replica,
+        };
+        let fx = o.handle(OsdInput::Peer { from: replica, msg });
+        let done = reply_to(&fx, OpId(1));
+        assert!(matches!(done, Some(ClientReply::Done { .. })), "{fx:?}");
+        let pending = o.log_pending(g);
+        assert_eq!(pending, 2);
+
+        // The created object's read must flush first: it parks.
+        let fx = o.handle(read(3, oid_in(g, 100)));
+        let wake = |e: &OsdEffect| matches!(e, OsdEffect::WakeFlush { group } if *group == g);
+        assert!(fx.iter().any(wake), "{fx:?}");
+        let fx = o.handle(OsdInput::FlushGroup { group: g });
+        assert!(refused(reply_to(&fx, OpId(3))), "{fx:?}");
+        assert!(tokens_of(&fx).is_empty(), "no flush window: {fx:?}");
+        assert_eq!(o.log_pending(g), pending);
+        assert_eq!(o.pending_groups(), vec![g], "the sweep tries again");
+
+        let fx = o.handle(read(4, acked));
+        let Some(ClientReply::Data { data, .. }) = reply_to(&fx, OpId(4)) else {
+            panic!("the acked block is served from the log: {fx:?}");
+        };
+        assert_eq!(*data, Payload::from(vec![7u8; 4096]));
+    }
+
+    /// A write whose NVM-full drain the store refuses used to abort the OSD
+    /// (`flush submit`). The write fails back to its client instead, leaves
+    /// the pg_log, and its retry is admitted again rather than re-acked.
+    #[test]
+    fn a_write_whose_nvm_full_drain_fails_gets_a_retryable_error() {
+        let (mut o, g) = refusing_store(usize::MAX);
+        let mut refusal = None;
+        for i in 1..200 {
+            let before = o.log_pending(g);
+            let fx = o.handle(client(write_req(i, oid_in(g, i))));
+            if let Some(reply) = reply_to(&fx, OpId(i)) {
+                refusal = Some((i, reply.clone(), before));
+                break;
+            }
+        }
+        let (i, reply, before) = refusal.expect("the ring fills");
+        assert!(refused(Some(&reply)), "{reply:?}");
+        assert_eq!(o.nvm_full_stalls, 1);
+        assert_eq!(o.log_pending(g), before, "the records stay pending");
+        assert_eq!(o.pg_latest(g, oid_in(g, i)), (0, 0), "un-noted");
+        let fx = o.handle(client(write_req(i, oid_in(g, i))));
+        assert!(refused(reply_to(&fx, OpId(i))), "{fx:?}");
     }
 }

@@ -530,7 +530,7 @@ impl Osd {
     /// up to date with the group's pending log records (reads prefer the
     /// log, so the backend alone may be stale).
     fn read_synced(&mut self, oid: ObjectId, len: u64) -> Option<Segments> {
-        self.sync_group_log(oid.group());
+        self.sync_group_log(oid.group()).ok()?;
         let r = self.backend.read_segments(oid, 0, len);
         let _ = self.backend.take_trace();
         r.ok()

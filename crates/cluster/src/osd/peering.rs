@@ -361,7 +361,10 @@ impl Osd {
         }
         // Bring the backend up to date with the group's pending records first,
         // so the shipped contents include every write this survivor has acked.
-        self.sync_group_log(group);
+        // A store that refuses them leaves the pull unanswered for a retry.
+        if self.sync_group_log(group).is_err() {
+            return;
+        }
         // Backfill first: full object contents, so the joiner catches up on
         // everything flushed before the failure. The joiner applies these
         // before importing the pending records below.
@@ -407,7 +410,6 @@ impl Osd {
             pulled.try_for_each(|r| self.backend.submit(r.txn))
         };
         if applied.is_err() {
-            let _ = self.backend.take_trace();
             return;
         }
         if import {
@@ -430,7 +432,6 @@ impl Osd {
             let txn = whole_object_txn(group, self.seq, oid, data);
             self.note_txn(&txn);
             if self.backend.submit(txn).is_err() {
-                let _ = self.backend.take_trace();
                 return;
             }
         }
@@ -503,22 +504,12 @@ impl Osd {
         let mut groups: Vec<GroupId> = self.logs.keys().copied().collect();
         groups.sort();
         for group in groups {
-            let new_set = self.map.acting_set(group);
-            if !new_set.contains(&self.id) {
-                continue;
-            }
-            let old_set = old.acting_set(group);
-            if old_set.contains(&self.id) {
-                // Survivor: persist pending data but keep the log so the
-                // replacement can synchronize from it.
-                let records = self.logs[&group].export_records();
-                if records.is_empty() {
-                    continue;
-                }
-                for rec in records {
-                    self.backend.submit(rec.txn).expect("recovery flush");
-                }
-                // No flush window opens: nothing drains when it completes.
+            let member = |map: &OsdMap| map.acting_set(group).contains(&self.id);
+            let survivor = member(&self.map) && member(&old) && self.logs[&group].pending() > 0;
+            if survivor && self.submit_pending(group).is_ok() {
+                // Persist pending data but keep the log so the replacement
+                // can synchronize from it. No flush window opens: nothing
+                // drains when it completes. Refused records stay pending.
                 self.store_io(StoreCtx::Background, true);
             }
         }
@@ -556,8 +547,9 @@ mod tests {
     use rablock_storage::{Op, Payload};
 
     use super::super::testkit::*;
-    use super::super::{OsdConfig, OsdInput, PipelineMode};
+    use super::super::{OsdConfig, OsdInput, PgState, PipelineMode};
     use super::*;
+    use crate::msg::{ClientId, ClientReply, ClientReq, OpId};
     use crate::placement::OsdMap;
 
     fn entry(version: u64) -> PgLogEntry {
@@ -683,5 +675,230 @@ mod tests {
         joiner.handle(OsdInput::Peer { from, msg });
         assert!(!joiner.peering.awaiting_backfill(g));
         assert!(joiner.object_digest(fits, 64 << 10).is_some());
+    }
+
+    #[test]
+    fn survivor_keeps_log_and_new_member_pulls_it() {
+        // Three nodes so replication 2 survives one failure.
+        let map3 = OsdMap::new(3, 1, 8, 2);
+        let cfg = cfg(PipelineMode::Dop, 16);
+        // Find a group and its acting set.
+        let g = GroupId(0);
+        let set = map3.acting_set(g);
+        let (primary, secondary) = (set[0], set[1]);
+        let spare = (0..3).map(OsdId).find(|o| !set.contains(o)).unwrap();
+        let mut prim = Osd::new(primary, cfg.clone(), map3.clone());
+        // Log a few writes at the primary.
+        for i in 0..3 {
+            prim.handle(OsdInput::Client {
+                from: ClientId(1),
+                req: write_req(i, oid_in(g, i)),
+            });
+        }
+        assert_eq!(prim.log_pending(g), 3);
+        // Secondary dies; map moves the group to include the spare.
+        let mut new_map = map3.clone();
+        new_map.mark_down(secondary);
+        let new_set = new_map.acting_set(g);
+        assert!(new_set.contains(&spare), "spare takes over");
+        let fx = prim.handle(OsdInput::MapUpdate(new_map.clone()));
+        // Survivor flushed-but-kept its log.
+        assert_eq!(prim.log_pending(g), 3, "entries kept for peer sync");
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, OsdEffect::StoreIo { wait: true, .. })));
+        // Spare joins: pulls the log.
+        let mut joiner = Osd::new(spare, cfg, map3.clone());
+        let fx = joiner.handle(OsdInput::MapUpdate(new_map));
+        let pull = fx.iter().find_map(|e| match e {
+            OsdEffect::SendPeer {
+                to,
+                msg: PeerMsg::PullLog { group, .. },
+            } => Some((*to, *group)),
+            _ => None,
+        });
+        let (peer, group) = pull.expect("joiner pulls the log");
+        assert_eq!(group, g);
+        // Route the pull to the survivor and the records back.
+        let fx = prim.handle(OsdInput::Peer {
+            from: peer,
+            msg: PeerMsg::PullLog {
+                group: g,
+                from: spare,
+            },
+        });
+        let records = fx
+            .into_iter()
+            .find_map(|e| match e {
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::LogRecords { records, .. },
+                    ..
+                } => Some(records),
+                _ => None,
+            })
+            .expect("survivor exports records");
+        assert_eq!(records.len(), 3);
+        joiner.handle(OsdInput::Peer {
+            from: primary,
+            msg: PeerMsg::LogRecords { group: g, records },
+        });
+        assert_eq!(
+            joiner.log_pending(g),
+            3,
+            "log replicated to the replacement"
+        );
+        // The joiner can now serve a strongly consistent read from its log.
+        let fx = joiner.handle(OsdInput::Client {
+            from: ClientId(9),
+            req: ClientReq::Read {
+                op: OpId(99),
+                oid: oid_in(g, 2),
+                offset: 0,
+                len: 4096,
+            },
+        });
+        assert!(fx.iter().any(|e| matches!(
+            e,
+            OsdEffect::Reply {
+                msg: ClientReply::Data { .. },
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn peering_backfills_a_peer_with_no_shared_history() {
+        let map3 = OsdMap::new(3, 1, 8, 2);
+        let cfg = cfg(PipelineMode::Dop, 16);
+        let g = GroupId(0);
+        let set = map3.acting_set(g);
+        let (primary, secondary) = (set[0], set[1]);
+        let spare = (0..3).map(OsdId).find(|o| !set.contains(o)).unwrap();
+        let mut prim = Osd::new(primary, cfg.clone(), map3.clone());
+        let mut peer = Osd::new(secondary, cfg, map3.clone());
+        for i in 0..3 {
+            prim.handle(OsdInput::Client {
+                from: ClientId(1),
+                req: write_req(i, oid_in(g, i)),
+            });
+        }
+        // Epoch bump that keeps the acting set: the primary re-peers.
+        let mut new_map = map3.clone();
+        new_map.mark_down(spare);
+        let fx = prim.handle(OsdInput::MapUpdate(new_map.clone()));
+        let query = fx.iter().find_map(|e| match e {
+            OsdEffect::SendPeer {
+                to,
+                msg: PeerMsg::PgQuery { group, epoch, .. },
+            } if *group == g => Some((*to, *epoch)),
+            _ => None,
+        });
+        let (to, epoch) = query.expect("primary queries the acting set");
+        assert_eq!(to, secondary);
+        assert_eq!(epoch, new_map.epoch);
+        assert_eq!(prim.pg_state(g), PgState::Peering);
+        // The secondary answers with an empty log (it has nothing): the
+        // primary backfills every object it tracks.
+        let fx = prim.handle(OsdInput::Peer {
+            from: secondary,
+            msg: PeerMsg::PgInfo {
+                group: g,
+                epoch,
+                from: secondary,
+                entries: Vec::new(),
+            },
+        });
+        assert_eq!(prim.pg_state(g), PgState::Backfilling);
+        let pushes: Vec<PeerMsg> = fx
+            .iter()
+            .filter_map(|e| match e {
+                OsdEffect::SendPeer {
+                    to,
+                    msg: msg @ PeerMsg::PushObject { .. },
+                } if *to == secondary => Some(msg.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pushes.len(), 3, "all three objects pushed: {fx:?}");
+        assert!(prim.backfill_bytes > 0);
+        // Applying the pushes at the peer acks each one back; feeding the
+        // acks to the primary ends the round.
+        peer.handle(OsdInput::MapUpdate(new_map));
+        for push in pushes {
+            let fx = peer.handle(OsdInput::Peer {
+                from: primary,
+                msg: push,
+            });
+            let ack = fx
+                .into_iter()
+                .find_map(|e| match e {
+                    OsdEffect::SendPeer {
+                        msg: msg @ PeerMsg::PushAck { .. },
+                        ..
+                    } => Some(msg),
+                    _ => None,
+                })
+                .expect("peer acks an applied push");
+            prim.handle(OsdInput::Peer {
+                from: secondary,
+                msg: ack,
+            });
+        }
+        assert_eq!(prim.pg_state(g), PgState::Active);
+        assert_eq!(prim.degraded_objects(), 0);
+        // The pushed bytes are now readable at the peer.
+        assert_eq!(
+            peer.object_digest(oid_in(g, 1), 4096),
+            prim.object_digest(oid_in(g, 1), 4096),
+        );
+    }
+
+    /// An object created with size 0 is tracked at length 0, so a pull ships
+    /// it with empty content. The joiner used to panic on it (`backfill
+    /// apply: InvalidArgument("zero-length write")`).
+    #[test]
+    fn backfill_of_a_zero_length_object_applies_the_bare_create() {
+        let mut survivor = osd(PipelineMode::Dop, 0);
+        let g = a_group_with_primary(&survivor);
+        let oid = oid_in(g, 1);
+        survivor.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: ClientReq::Create {
+                op: OpId(1),
+                oid,
+                size: 0,
+            },
+        });
+        let fx = survivor.handle(OsdInput::Peer {
+            from: OsdId(1),
+            msg: PeerMsg::PullLog {
+                group: g,
+                from: OsdId(1),
+            },
+        });
+        let backfill = fx
+            .into_iter()
+            .find_map(|e| match e {
+                OsdEffect::SendPeer {
+                    msg: msg @ PeerMsg::Backfill { .. },
+                    ..
+                } => Some(msg),
+                _ => None,
+            })
+            .expect("the pull is answered");
+        let PeerMsg::Backfill { objects, .. } = &backfill else {
+            unreachable!()
+        };
+        assert_eq!(objects.len(), 1);
+        assert!(objects[0].1.is_empty(), "shipped with no content");
+
+        let mut joiner = osd(PipelineMode::Dop, 1);
+        joiner.start_join(g, OsdId(0));
+        joiner.handle(OsdInput::Peer {
+            from: OsdId(0),
+            msg: backfill,
+        });
+        assert_eq!(joiner.group_extent_map(g), vec![(oid, 0)]);
+        assert!(joiner.object_digest(oid, 0).is_some(), "the object exists");
     }
 }

@@ -208,7 +208,7 @@ impl Osd {
 
     /// Stock write path: replicate and persist before acking (Fig. 3-a).
     fn write_coupled(&mut self, seq: u64, mut w: WriteOp) {
-        let (from, op, txn) = (w.client, w.op, w.txn.clone());
+        let txn = w.txn.clone();
         w.local_done = self.cfg.mode.null_transaction() || self.cfg.mode.null_store();
         let local_done = w.local_done;
         self.top.inflight.insert(seq, w);
@@ -223,29 +223,40 @@ impl Osd {
             return;
         }
         if let Err(error) = self.backend.submit(txn) {
-            self.top.inflight.remove(&seq);
-            self.top.inflight_ops.remove(&(from, op));
-            self.reply(from, ClientReply::Error { op, error });
-            return;
+            return self.fail_write(seq, error);
         }
         self.store_io(StoreCtx::WriteLocal { seq }, true);
         self.kick_maintenance();
     }
 
+    /// Fails the in-flight write `seq`, which the store or the log refused:
+    /// it leaves the pg_log, and its client gets a retryable error.
+    pub(super) fn fail_write(&mut self, seq: u64, error: StoreError) {
+        if let Some(w) = self.top.inflight.remove(&seq) {
+            self.top.inflight_ops.remove(&(w.client, w.op));
+            self.pg_log_unnote(w.group, seq);
+            self.reply(w.client, ClientReply::Error { op: w.op, error });
+        }
+    }
+
     /// Decoupled write path (Fig. 3-b): log to NVM, replicate, ack; flush
     /// later in batches.
-    fn write_decoupled(&mut self, seq: u64, mut w: WriteOp) {
-        let (bytes, stall) = self.log_append_with_fallback(w.group, w.txn.clone());
+    fn write_decoupled(&mut self, seq: u64, w: WriteOp) {
+        let (group, txn) = (w.group, w.txn.clone());
+        self.top.inflight.insert(seq, w);
+        let (bytes, stall) = match self.log_append_with_fallback(group, txn) {
+            Ok(logged) => logged,
+            Err(error) => return self.fail_write(seq, error),
+        };
         self.fx.push(OsdEffect::NvmWritten { bytes });
-        w.local_done = stall.is_none();
         if let Some(token) = stall {
             // Synchronous-flush backpressure: the ack waits until the
             // forced flush is durable.
             let ctx = StoreCtx::WriteLocal { seq };
             self.bottom.pending_store.insert(token, ctx);
+        } else if let Some(w) = self.top.inflight.get_mut(&seq) {
+            w.local_done = true;
         }
-        let group = w.group;
-        self.top.inflight.insert(seq, w);
         self.wake_flush_if_due(group);
         self.try_complete_write(seq);
     }
@@ -256,41 +267,31 @@ impl Osd {
     /// the NVM bytes written plus, on a stall, the store token the caller
     /// must wait on before acknowledging — that wait is the backpressure
     /// that keeps a log-ahead system device-bound under sustained load.
+    /// A refused bypass, drain or append is the caller's error to answer.
     pub(super) fn log_append_with_fallback(
         &mut self,
         group: GroupId,
         txn: Transaction,
-    ) -> (u64, Option<u64>) {
+    ) -> Result<(u64, Option<u64>), StoreError> {
         // Oversized writes bypass the log entirely: a record that cannot
         // fit the ring is persisted synchronously to the backend (real
         // journals cap entry sizes the same way).
         let estimated = txn.user_bytes() + 2048;
         if estimated + 64 >= self.cfg.ring_bytes {
-            self.backend.submit(txn).expect("oversized bypass submit");
+            self.backend.submit(txn)?;
             let token = self.store_io(StoreCtx::Background, true);
             self.kick_maintenance();
-            return (0, Some(token));
+            return Ok((0, Some(token)));
         }
-        // Take the log out to satisfy the borrow checker across the flush path.
-        self.log_for(group);
-        let mut log = self.logs.remove(&group).expect("ensured above");
         let mut stall_token = None;
-        if !log.fits(&txn) {
+        if !self.log_for(group).fits(&txn) {
             self.nvm_full_stalls += 1;
-            let txns = log
-                .drain_for_flush(&mut self.nvm, usize::MAX)
-                .expect("drain succeeds");
-            for t in txns {
-                self.backend.submit(t).expect("flush submit");
-            }
+            self.drain_pending(group)?;
             stall_token = Some(self.store_io(StoreCtx::Background, true));
         }
-        let bytes = log
-            .append(&mut self.nvm, txn)
-            .unwrap_or_else(|e| panic!("{}: unexpected op-log error: {e}", self.id))
-            .nvm_bytes;
-        self.logs.insert(group, log);
-        (bytes, stall_token)
+        let log = self.logs.get_mut(&group).expect("ensured above");
+        let bytes = log.append(&mut self.nvm, txn)?.nvm_bytes;
+        Ok((bytes, stall_token))
     }
 
     pub(super) fn on_client_read(&mut self, dr: DeferredRead) {

@@ -323,20 +323,13 @@ impl Osd {
             // latest <= pushed: the snapshot was read after every
             // write we hold, so applying it can only heal.
         }
-        if self.logs.get(&group).is_some_and(|l| l.pending() > 0) {
-            // Pending records for this group are no newer than the snapshot
-            // (`latest <= pushed` above) and would otherwise flush over the
-            // pushed bytes later — and a full-object push is far too large
-            // for the NVM ring to ride behind them in log order. Drain them
-            // to the backend first, then apply the push on top.
-            let mut log = self.logs.remove(&group).expect("checked above");
-            let drained = log
-                .drain_for_flush(&mut self.nvm, usize::MAX)
-                .expect("drain before push apply");
-            for t in drained {
-                self.backend.submit(t).expect("pre-push flush submit");
-            }
-            self.logs.insert(group, log);
+        // Pending records for this group are no newer than the snapshot
+        // (`latest <= pushed` above) and would otherwise flush over the
+        // pushed bytes later — and a full-object push is far too large for
+        // the NVM ring to ride behind them in log order. Drain them first,
+        // then apply the push on top; if the store refuses, stay silent.
+        if self.drain_pending(group).is_err() {
+            return;
         }
         self.seq += 1;
         let txn = whole_object_txn(group, self.seq, oid, data);
@@ -352,7 +345,6 @@ impl Osd {
             Err(_) => {
                 // Could not apply (e.g. no space): stay silent so the primary
                 // keeps counting us missing and retries.
-                let _ = self.backend.take_trace();
                 self.pg_log_unnote(group, entry.version);
                 return;
             }

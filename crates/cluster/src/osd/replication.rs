@@ -138,7 +138,10 @@ impl Osd {
     fn log_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
         self.note_txn(&txn);
         self.pg_log_note(group, seq, &txn);
-        let (bytes, stall) = self.log_append_with_fallback(group, txn);
+        let (bytes, stall) = match self.log_append_with_fallback(group, txn) {
+            Ok(logged) => logged,
+            Err(error) => return self.nack_failed_apply(from, group, seq, error),
+        };
         self.fx.push(OsdEffect::NvmWritten { bytes });
         match stall {
             None => self.rep_ack(from, group, seq),

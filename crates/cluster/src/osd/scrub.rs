@@ -168,7 +168,8 @@ impl Osd {
     /// scrubs always read everything, so rotted blocks trip their checksum
     /// and mark the entry damaged.
     fn scrub_local_map(&mut self, group: GroupId, deep: bool) -> Vec<ScrubEntry> {
-        self.sync_group_log(group);
+        // A refused re-apply leaves the map describing what the store holds.
+        let _ = self.sync_group_log(group);
         let extents = self.group_extent_map(group);
         let mut entries = Vec::with_capacity(extents.len());
         for (oid, len) in extents {

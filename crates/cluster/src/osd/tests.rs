@@ -607,95 +607,6 @@ fn heartbeat_tick_emits_beacon() {
 }
 
 #[test]
-fn survivor_keeps_log_and_new_member_pulls_it() {
-    // Three nodes so replication 2 survives one failure.
-    let map3 = OsdMap::new(3, 1, 8, 2);
-    let cfg = cfg(PipelineMode::Dop, 16);
-    // Find a group and its acting set.
-    let g = GroupId(0);
-    let set = map3.acting_set(g);
-    let (primary, secondary) = (set[0], set[1]);
-    let spare = (0..3).map(OsdId).find(|o| !set.contains(o)).unwrap();
-    let mut prim = Osd::new(primary, cfg.clone(), map3.clone());
-    // Log a few writes at the primary.
-    for i in 0..3 {
-        prim.handle(OsdInput::Client {
-            from: ClientId(1),
-            req: write_req(i, oid_in(g, i)),
-        });
-    }
-    assert_eq!(prim.log_pending(g), 3);
-    // Secondary dies; map moves the group to include the spare.
-    let mut new_map = map3.clone();
-    new_map.mark_down(secondary);
-    let new_set = new_map.acting_set(g);
-    assert!(new_set.contains(&spare), "spare takes over");
-    let fx = prim.handle(OsdInput::MapUpdate(new_map.clone()));
-    // Survivor flushed-but-kept its log.
-    assert_eq!(prim.log_pending(g), 3, "entries kept for peer sync");
-    assert!(fx
-        .iter()
-        .any(|e| matches!(e, OsdEffect::StoreIo { wait: true, .. })));
-    // Spare joins: pulls the log.
-    let mut joiner = Osd::new(spare, cfg, map3.clone());
-    let fx = joiner.handle(OsdInput::MapUpdate(new_map));
-    let pull = fx.iter().find_map(|e| match e {
-        OsdEffect::SendPeer {
-            to,
-            msg: PeerMsg::PullLog { group, .. },
-        } => Some((*to, *group)),
-        _ => None,
-    });
-    let (peer, group) = pull.expect("joiner pulls the log");
-    assert_eq!(group, g);
-    // Route the pull to the survivor and the records back.
-    let fx = prim.handle(OsdInput::Peer {
-        from: peer,
-        msg: PeerMsg::PullLog {
-            group: g,
-            from: spare,
-        },
-    });
-    let records = fx
-        .into_iter()
-        .find_map(|e| match e {
-            OsdEffect::SendPeer {
-                msg: PeerMsg::LogRecords { records, .. },
-                ..
-            } => Some(records),
-            _ => None,
-        })
-        .expect("survivor exports records");
-    assert_eq!(records.len(), 3);
-    joiner.handle(OsdInput::Peer {
-        from: primary,
-        msg: PeerMsg::LogRecords { group: g, records },
-    });
-    assert_eq!(
-        joiner.log_pending(g),
-        3,
-        "log replicated to the replacement"
-    );
-    // The joiner can now serve a strongly consistent read from its log.
-    let fx = joiner.handle(OsdInput::Client {
-        from: ClientId(9),
-        req: ClientReq::Read {
-            op: OpId(99),
-            oid: oid_in(g, 2),
-            offset: 0,
-            len: 4096,
-        },
-    });
-    assert!(fx.iter().any(|e| matches!(
-        e,
-        OsdEffect::Reply {
-            msg: ClientReply::Data { .. },
-            ..
-        }
-    )));
-}
-
-#[test]
 fn replica_apply_failure_nacks_instead_of_panicking() {
     let mut o = osd(PipelineMode::Original, 1);
     let g = a_group_led_by_another(&o);
@@ -804,142 +715,6 @@ fn rep_nack_completes_write_degraded_and_pushes_recovery() {
     assert!(fx.is_empty(), "{fx:?}");
     assert_eq!(o.degraded_objects(), 0);
     assert_eq!(o.pg_state(g), PgState::Active);
-}
-
-#[test]
-fn peering_backfills_a_peer_with_no_shared_history() {
-    let map3 = OsdMap::new(3, 1, 8, 2);
-    let cfg = cfg(PipelineMode::Dop, 16);
-    let g = GroupId(0);
-    let set = map3.acting_set(g);
-    let (primary, secondary) = (set[0], set[1]);
-    let spare = (0..3).map(OsdId).find(|o| !set.contains(o)).unwrap();
-    let mut prim = Osd::new(primary, cfg.clone(), map3.clone());
-    let mut peer = Osd::new(secondary, cfg, map3.clone());
-    for i in 0..3 {
-        prim.handle(OsdInput::Client {
-            from: ClientId(1),
-            req: write_req(i, oid_in(g, i)),
-        });
-    }
-    // Epoch bump that keeps the acting set: the primary re-peers.
-    let mut new_map = map3.clone();
-    new_map.mark_down(spare);
-    let fx = prim.handle(OsdInput::MapUpdate(new_map.clone()));
-    let query = fx.iter().find_map(|e| match e {
-        OsdEffect::SendPeer {
-            to,
-            msg: PeerMsg::PgQuery { group, epoch, .. },
-        } if *group == g => Some((*to, *epoch)),
-        _ => None,
-    });
-    let (to, epoch) = query.expect("primary queries the acting set");
-    assert_eq!(to, secondary);
-    assert_eq!(epoch, new_map.epoch);
-    assert_eq!(prim.pg_state(g), PgState::Peering);
-    // The secondary answers with an empty log (it has nothing): the
-    // primary backfills every object it tracks.
-    let fx = prim.handle(OsdInput::Peer {
-        from: secondary,
-        msg: PeerMsg::PgInfo {
-            group: g,
-            epoch,
-            from: secondary,
-            entries: Vec::new(),
-        },
-    });
-    assert_eq!(prim.pg_state(g), PgState::Backfilling);
-    let pushes: Vec<PeerMsg> = fx
-        .iter()
-        .filter_map(|e| match e {
-            OsdEffect::SendPeer {
-                to,
-                msg: msg @ PeerMsg::PushObject { .. },
-            } if *to == secondary => Some(msg.clone()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(pushes.len(), 3, "all three objects pushed: {fx:?}");
-    assert!(prim.backfill_bytes > 0);
-    // Applying the pushes at the peer acks each one back; feeding the
-    // acks to the primary ends the round.
-    peer.handle(OsdInput::MapUpdate(new_map));
-    for push in pushes {
-        let fx = peer.handle(OsdInput::Peer {
-            from: primary,
-            msg: push,
-        });
-        let ack = fx
-            .into_iter()
-            .find_map(|e| match e {
-                OsdEffect::SendPeer {
-                    msg: msg @ PeerMsg::PushAck { .. },
-                    ..
-                } => Some(msg),
-                _ => None,
-            })
-            .expect("peer acks an applied push");
-        prim.handle(OsdInput::Peer {
-            from: secondary,
-            msg: ack,
-        });
-    }
-    assert_eq!(prim.pg_state(g), PgState::Active);
-    assert_eq!(prim.degraded_objects(), 0);
-    // The pushed bytes are now readable at the peer.
-    assert_eq!(
-        peer.object_digest(oid_in(g, 1), 4096),
-        prim.object_digest(oid_in(g, 1), 4096),
-    );
-}
-
-/// An object created with size 0 is tracked at length 0, so a pull ships
-/// it with empty content. The joiner used to panic on it (`backfill
-/// apply: InvalidArgument("zero-length write")`).
-#[test]
-fn backfill_of_a_zero_length_object_applies_the_bare_create() {
-    let mut survivor = osd(PipelineMode::Dop, 0);
-    let g = a_group_with_primary(&survivor);
-    let oid = oid_in(g, 1);
-    survivor.handle(OsdInput::Client {
-        from: ClientId(1),
-        req: ClientReq::Create {
-            op: OpId(1),
-            oid,
-            size: 0,
-        },
-    });
-    let fx = survivor.handle(OsdInput::Peer {
-        from: OsdId(1),
-        msg: PeerMsg::PullLog {
-            group: g,
-            from: OsdId(1),
-        },
-    });
-    let backfill = fx
-        .into_iter()
-        .find_map(|e| match e {
-            OsdEffect::SendPeer {
-                msg: msg @ PeerMsg::Backfill { .. },
-                ..
-            } => Some(msg),
-            _ => None,
-        })
-        .expect("the pull is answered");
-    let PeerMsg::Backfill { objects, .. } = &backfill else {
-        unreachable!()
-    };
-    assert_eq!(objects.len(), 1);
-    assert!(objects[0].1.is_empty(), "shipped with no content");
-
-    let mut joiner = osd(PipelineMode::Dop, 1);
-    joiner.start_join(g, OsdId(0));
-    joiner.handle(OsdInput::Peer {
-        from: OsdId(0),
-        msg: backfill,
-    });
-    assert_eq!(joiner.group_extent_map(g), vec![(oid, 0)]);
-    assert!(joiner.object_digest(oid, 0).is_some(), "the object exists");
 }
 
 #[test]

@@ -134,10 +134,11 @@ impl World {
         }
     }
 
-    /// Trace ref of the op behind a pending store I/O token, if any.
+    /// Trace ref of the op behind a store token (a pending device I/O, a
+    /// deferred read or a deferred submit), if any.
     fn trace_of_token(&self, osd: usize, token: u64) -> Option<TraceRef> {
         self.osd(osd)
-            .store_token_op(token)
+            .token_op(token)
             .and_then(|op| self.trace_of_store_op(op))
     }
 
@@ -148,15 +149,9 @@ impl World {
         match input {
             OsdInput::Client { from, req } => Some(TraceRef::Tid(Self::tid_of(*from, req.op()))),
             OsdInput::Peer { from, msg } => self.trace_of_peer_msg(self.osd(osd).id.0, *from, msg),
-            OsdInput::StoreDurable { token } => self.trace_of_token(osd, *token),
-            OsdInput::ReadFromStore { token } => self
-                .osd(osd)
-                .deferred_read_op(*token)
-                .map(|(c, o)| TraceRef::Tid(Self::tid_of(c, o))),
-            OsdInput::SubmitDeferred { token } => self
-                .osd(osd)
-                .deferred_submit_op(*token)
-                .and_then(|op| self.trace_of_store_op(op)),
+            OsdInput::StoreDurable { token }
+            | OsdInput::ReadFromStore { token }
+            | OsdInput::SubmitDeferred { token } => self.trace_of_token(osd, *token),
             _ => None,
         }
     }

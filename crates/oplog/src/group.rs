@@ -407,9 +407,11 @@ impl GroupLog {
         self.ring.consume(nvm, released)
     }
 
-    /// Drains up to `max` oldest records for flushing to the backend store
-    /// (the non-priority thread's batch). Index entries and NVM space are
-    /// released; the paper then deletes the corresponding store state.
+    /// Drains up to `max` oldest records for flushing to the backend store,
+    /// releasing their index entries and NVM space before the caller has
+    /// submitted them. A flush that must survive a store error takes
+    /// [`GroupLog::begin_flush`] and releases with
+    /// [`GroupLog::drain_through_version`] instead.
     ///
     /// # Errors
     ///
@@ -431,7 +433,8 @@ impl GroupLog {
     }
 
     /// Opens a flush window: every pending transaction, shared, in log
-    /// order, for the caller to submit to the store. The records stay
+    /// order, for the caller to submit to the store (the caller may also
+    /// keep the records, or release them at once). The records stay
     /// queued, indexed and in NVM — reads are still served from the index
     /// and a crash still recovers them — until
     /// [`GroupLog::drain_through_version`] of the version observed now
@@ -464,9 +467,8 @@ impl GroupLog {
         Ok(n)
     }
 
-    /// Every pending record (a flush that keeps the log, log re-apply
-    /// before a direct store read, a pulling peer), in log order, its
-    /// transaction shared with the mirror. Works inside a flush window.
+    /// Every pending record (the answer to a pulling peer), in log order,
+    /// its transaction shared with the mirror. Works inside a flush window.
     pub fn export_records(&self) -> Vec<LogRecord> {
         self.records
             .iter()

@@ -7,8 +7,9 @@
 //!
 //! * [`GroupLog`] — per-logical-group operation log + index cache. Appends
 //!   are W1/W2 of the paper's write path; [`GroupLog::read_path`] is the
-//!   R1/R2/R3 read decision; [`GroupLog::drain_for_flush`] is the
-//!   non-priority thread's batch.
+//!   R1/R2/R3 read decision; [`GroupLog::begin_flush`] hands the
+//!   non-priority thread its batch and [`GroupLog::drain_through_version`]
+//!   releases it once the store has it.
 //! * [`NvmRing`] — the persistent ring buffer under each log, with a
 //!   CRC-protected header so a crashed node recovers its log from NVM.
 //! * [`LogRecord`] — CRC-framed record carrying (group, version, sequence,
