@@ -200,32 +200,30 @@ pub enum PeerMsg {
         /// Which replica acks.
         from: OsdId,
     },
-    /// Peer recovery: request the pending operation-log records of a group
-    /// (§IV-A-4 synchronization).
+    /// Peer recovery: a joiner asks for a group's objects and pending
+    /// operation-log records (§IV-A-4 synchronization), answered by one
+    /// [`PeerMsg::PullReply`].
     PullLog {
         /// Group to synchronize.
         group: GroupId,
         /// Requesting OSD.
         from: OsdId,
     },
-    /// Peer recovery: the pending records of a group.
-    LogRecords {
-        /// Group being synchronized.
-        group: GroupId,
-        /// The records, in log order; on the wire each costs its encoded
-        /// length.
-        records: Vec<LogRecord>,
-    },
-    /// Peer recovery: flushed object contents of a group, so a joiner whose
-    /// backend missed flushes while it was out of the acting set catches up
-    /// (the log transfer alone only covers still-pending operations).
-    Backfill {
+    /// Peer recovery: the answer to [`PeerMsg::PullLog`], in one message.
+    /// The objects catch up a joiner whose backend missed flushes while it
+    /// was out of the acting set; the records are what the sender's log
+    /// still holds unflushed.
+    PullReply {
         /// Group being synchronized.
         group: GroupId,
         /// `(object, full content)` pairs: the sender's complete state,
-        /// read after syncing its backend with pending log records. Each
-        /// content is the views the sender's store returned, unassembled.
+        /// read after syncing its backend with its pending log records.
+        /// Each content is the views the sender's store returned,
+        /// unassembled.
         objects: Vec<(ObjectId, Segments)>,
+        /// The sender's pending records, in log order; on the wire each
+        /// costs its encoded length.
+        records: Vec<LogRecord>,
     },
     /// Peering: the new primary asks an acting-set peer for its pg_log so it
     /// can compute the peer's missing set.
@@ -339,8 +337,7 @@ impl PeerMsg {
             PeerMsg::Repop { group, .. }
             | PeerMsg::RepAck { group, .. }
             | PeerMsg::PullLog { group, .. }
-            | PeerMsg::LogRecords { group, .. }
-            | PeerMsg::Backfill { group, .. }
+            | PeerMsg::PullReply { group, .. }
             | PeerMsg::PgQuery { group, .. }
             | PeerMsg::PgInfo { group, .. }
             | PeerMsg::PushObject { group, .. }
@@ -359,8 +356,7 @@ impl PeerMsg {
         matches!(
             self,
             PeerMsg::PullLog { .. }
-                | PeerMsg::LogRecords { .. }
-                | PeerMsg::Backfill { .. }
+                | PeerMsg::PullReply { .. }
                 | PeerMsg::PgQuery { .. }
                 | PeerMsg::PgInfo { .. }
                 | PeerMsg::PushObject { .. }
@@ -378,11 +374,12 @@ impl PeerMsg {
                 PeerMsg::Repop { txn, .. } => txn.user_bytes() + 256,
                 PeerMsg::RepAck { .. } => 0,
                 PeerMsg::PullLog { .. } => 0,
-                PeerMsg::LogRecords { records, .. } => {
-                    records.iter().map(LogRecord::encoded_len).sum()
-                }
-                PeerMsg::Backfill { objects, .. } => {
-                    objects.iter().map(|(_, data)| 16 + data.len() as u64).sum()
+                PeerMsg::PullReply {
+                    objects, records, ..
+                } => {
+                    let contents: u64 =
+                        objects.iter().map(|(_, data)| 16 + data.len() as u64).sum();
+                    contents + records.iter().map(LogRecord::encoded_len).sum::<u64>()
                 }
                 PeerMsg::PgQuery { .. } => 0,
                 // 32 bytes per serialized pg_log entry.

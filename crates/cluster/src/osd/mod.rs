@@ -639,7 +639,8 @@ impl Osd {
         // the window via retry_recovery).
         self.budget.new_window();
         // Piggy-back peer-recovery retries on the liveness timer: a lost
-        // PullLog/LogRecords/Backfill would otherwise wedge the join forever.
+        // PullLog or PullReply, or a reply the store refused, would
+        // otherwise wedge the join forever.
         self.retry_pulls();
         // Same for lost peering queries and recovery pushes, and for
         // replication messages of writes stuck on laggard replicas.
@@ -695,8 +696,11 @@ impl Osd {
                 ..
             } => self.on_rep_nack(group, seq, peer),
             PullLog { group, from: peer } => self.on_pull_log(group, peer),
-            LogRecords { group, records } => self.on_log_records(group, records),
-            Backfill { group, objects } => self.on_backfill(group, objects),
+            PullReply {
+                group,
+                objects,
+                records,
+            } => self.on_pull_reply(group, objects, records),
             PgQuery {
                 group,
                 epoch,

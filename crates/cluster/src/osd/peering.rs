@@ -3,8 +3,8 @@
 //! peer for theirs (`PgQuery` / `PgInfo`), diffs them against its own and
 //! cuts the missing sets `recovery.rs` then pushes — and the join is its
 //! other half (§IV-A-4): survivors flush their operation logs but keep them,
-//! a new member pulls log and object contents from one of them (`PullLog`,
-//! answered by `Backfill` and `LogRecords`).
+//! a new member pulls object contents and log records from one of them
+//! (`PullLog`, answered by one `PullReply` that carries both).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -69,19 +69,6 @@ impl PgRecovery {
     }
 }
 
-/// A group this OSD is joining (§IV-A-4): where it pulls from, and which
-/// halves of the pull (log records, backfill) have not landed yet.
-struct Join {
-    /// A member of the *previous* acting set, i.e. an OSD that actually
-    /// holds the data: after a weighted expansion an entire acting set can
-    /// be fresh joiners, so pulling from the new set would get nothing.
-    source: OsdId,
-    log: bool,
-    /// Flushes and cold store reads wait for it, so a late backfill cannot
-    /// clobber newer data.
-    backfill: bool,
-}
-
 /// Peering's volatile state. The pg_log is rebuilt from the recovered NVM
 /// log on restart; everything else is re-derived from the next map.
 #[derive(Default)]
@@ -91,20 +78,20 @@ pub(super) struct Peering {
     pub(super) pg_log: FxHashMap<GroupId, VecDeque<PgLogEntry>>,
     /// Active peering/recovery rounds for groups this OSD leads.
     pub(super) rounds: BTreeMap<GroupId, PgRecovery>,
-    /// Groups this OSD is joining, until both halves of the pull land.
-    joins: BTreeMap<GroupId, Join>,
+    /// Groups this OSD is joining (§IV-A-4), until the pull's reply
+    /// applies, each with the OSD it pulls from: a member of the *previous*
+    /// acting set, i.e. an OSD that actually holds the data (after a
+    /// weighted expansion an entire acting set can be fresh joiners, so
+    /// pulling from the new set would get nothing).
+    joins: BTreeMap<GroupId, OsdId>,
 }
 
 impl Peering {
     /// True while this OSD is itself still synchronizing the group: it is
-    /// not authoritative for it yet.
+    /// not authoritative for it yet, and its flushes and cold store reads
+    /// wait, so the pulled objects cannot clobber newer data.
     pub(super) fn joining(&self, group: GroupId) -> bool {
         self.joins.contains_key(&group)
-    }
-
-    /// True while the group's pulled backfill has not landed here.
-    pub(super) fn awaiting_backfill(&self, group: GroupId) -> bool {
-        self.joins.get(&group).is_some_and(|j| j.backfill)
     }
 
     /// Appends to the group's pg_log, evicting the oldest entries first so
@@ -120,16 +107,6 @@ impl Peering {
     /// The group's pg_log entries, oldest first (none if it has no log).
     fn log(&self, group: GroupId) -> impl Iterator<Item = &PgLogEntry> {
         self.pg_log.get(&group).into_iter().flatten()
-    }
-
-    /// One half of a pull has landed; once both have, the join is over.
-    fn landed(&mut self, group: GroupId, half: fn(&mut Join) -> &mut bool) {
-        if let Some(join) = self.joins.get_mut(&group) {
-            *half(join) = false;
-            if !join.log && !join.backfill {
-                self.joins.remove(&group);
-            }
-        }
     }
 }
 
@@ -217,12 +194,7 @@ impl Osd {
 
     /// Starts (or restarts) joining the group: pulls it from `source`.
     pub(super) fn start_join(&mut self, group: GroupId, source: OsdId) {
-        let join = Join {
-            source,
-            log: true,
-            backfill: true,
-        };
-        self.peering.joins.insert(group, join);
+        self.peering.joins.insert(group, source);
         let from = self.id;
         self.send(source, PeerMsg::PullLog { group, from });
     }
@@ -331,31 +303,32 @@ impl Osd {
         }
     }
 
-    /// Re-sends `PullLog` for every group whose pulled records or backfill
-    /// have not arrived (the originals may have been dropped or cut off by a
-    /// partition). Driven by the heartbeat timer.
+    /// Re-sends `PullLog` for every group whose pull has not been answered
+    /// and applied (the original or its reply may have been dropped or cut
+    /// off by a partition, or the store refused the reply). Driven by the
+    /// heartbeat timer.
     pub(super) fn retry_pulls(&mut self) {
         let (map, from) = (&self.map, self.id);
-        for (&group, join) in &mut self.peering.joins {
+        for (&group, source) in &mut self.peering.joins {
             // Prefer the recorded data-holding source; fall back to a
             // current acting-set peer only if the source has since died.
-            if !map.osd(join.source).up {
+            if !map.osd(*source).up {
                 match map.acting_set(group).into_iter().find(|&o| o != from) {
-                    Some(peer) => join.source = peer,
+                    Some(peer) => *source = peer,
                     None => continue,
                 }
             }
-            let (to, msg) = (join.source, PeerMsg::PullLog { group, from });
+            let (to, msg) = (*source, PeerMsg::PullLog { group, from });
             self.fx.push(OsdEffect::SendPeer { to, msg });
         }
     }
 
-    /// A joiner pulls: ship it the group's full object contents, then the
-    /// pending log records on top.
+    /// A joiner pulls: ship it the group's full object contents and the
+    /// pending log records on top, in one reply.
     pub(super) fn on_pull_log(&mut self, group: GroupId, requester: OsdId) {
         if self.peering.joining(group) {
             // Not authoritative yet: answering would hand the requester an
-            // empty "complete" backfill. Its pull retry re-drives the transfer
+            // empty "complete" group. Its pull retry re-drives the transfer
             // once our own pull has landed.
             return;
         }
@@ -365,9 +338,6 @@ impl Osd {
         if self.sync_group_log(group).is_err() {
             return;
         }
-        // Backfill first: full object contents, so the joiner catches up on
-        // everything flushed before the failure. The joiner applies these
-        // before importing the pending records below.
         let mut objects = Vec::new();
         for (oid, len) in self.group_extent_map(group) {
             if let Ok(data) = self.backend.read_segments(oid, 0, len) {
@@ -375,57 +345,38 @@ impl Osd {
             }
         }
         self.background_io();
-        self.send(requester, PeerMsg::Backfill { group, objects });
         let records = self
             .logs
             .get(&group)
             .map_or_else(Vec::new, GroupLog::export_records);
-        self.send(requester, PeerMsg::LogRecords { group, records });
-    }
-
-    /// The pulled log records arrive. Records the log or the store cannot
-    /// take leave the group waiting: `retry_pulls` re-asks on the
-    /// heartbeat, and a condition that persists shows up in `stuck_pgs()`
-    /// instead of killing the process.
-    pub(super) fn on_log_records(&mut self, group: GroupId, records: Vec<LogRecord>) {
-        if !self.peering.joins.get(&group).is_some_and(|j| j.log) {
-            // Duplicate or unsolicited response: the first import won;
-            // re-importing could resurrect stale data.
-            return;
-        }
-        for r in &records {
-            self.note_txn(&r.txn);
-        }
-        let total: u64 = records.iter().map(LogRecord::encoded_len).sum();
-        let import = self.log_for(group).pending() == 0;
-        let applied = if import {
-            let log = self.logs.get_mut(&group).expect("ensured");
-            log.import_records(&mut self.nvm, records)
-        } else {
-            // Writes already landed here before the pulled records arrived, so
-            // the log holds newer data. Apply the pulled (older) records
-            // straight to the backend: reads prefer the log, and the eventual
-            // flush overwrites with the newer bytes.
-            let mut pulled = records.into_iter();
-            pulled.try_for_each(|r| self.backend.submit(r.txn))
+        let reply = PeerMsg::PullReply {
+            group,
+            objects,
+            records,
         };
-        if applied.is_err() {
-            return;
-        }
-        if import {
-            self.fx.push(OsdEffect::NvmWritten { bytes: total });
-        } else {
-            self.background_io();
-        }
-        self.peering.landed(group, |j| &mut j.log);
+        self.send(requester, reply);
     }
 
-    /// The pulled object contents arrive. An object the store cannot take
-    /// (a device that is too small) leaves the group waiting like a bad
-    /// record does; re-applying whole objects on the retry is idempotent.
-    pub(super) fn on_backfill(&mut self, group: GroupId, objects: Vec<(ObjectId, Segments)>) {
-        if !self.peering.awaiting_backfill(group) {
-            return; // duplicate or unsolicited
+    /// The pull's reply lands, and with it the join ends. Each object is
+    /// applied whole: the joiner may hold nothing of the group. The records
+    /// go into an empty log. A log that is not empty already holds newer
+    /// data written here, and a ring that cannot hold them says `NoSpace`;
+    /// either way the records go to the store instead, where the objects
+    /// (read after the source synced) already hold their bytes. A store
+    /// that refuses an object or a record leaves the join open:
+    /// `retry_pulls` asks again on the heartbeat, re-applying whole objects
+    /// is idempotent, and a condition that persists shows up in
+    /// `stuck_pgs()` instead of killing the process.
+    pub(super) fn on_pull_reply(
+        &mut self,
+        group: GroupId,
+        objects: Vec<(ObjectId, Segments)>,
+        records: Vec<LogRecord>,
+    ) {
+        if !self.peering.joining(group) {
+            // Duplicate or unsolicited: the first reply won; applying
+            // another could resurrect stale data.
+            return;
         }
         for (oid, data) in objects {
             self.seq += 1;
@@ -435,10 +386,24 @@ impl Osd {
                 return;
             }
         }
-        self.peering.landed(group, |j| &mut j.backfill);
+        for r in &records {
+            self.note_txn(&r.txn);
+        }
+        let (empty, nvm) = (self.log_for(group).pending() == 0, &mut self.nvm);
+        let log = self.logs.get_mut(&group);
+        if empty && log.is_some_and(|log| log.import_records(nvm, &records).is_ok()) {
+            let bytes = records.iter().map(LogRecord::encoded_len).sum();
+            self.fx.push(OsdEffect::NvmWritten { bytes });
+        } else {
+            let mut pulled = records.into_iter();
+            if pulled.try_for_each(|r| self.backend.submit(r.txn)).is_err() {
+                return;
+            }
+        }
+        self.peering.joins.remove(&group);
         self.background_io();
         self.kick_maintenance();
-        // Flushes and cold reads were held back while waiting; let them go now.
+        // Flushes and cold reads were held back while joining; let them go now.
         let needs_flush = self
             .logs
             .get(&group)
@@ -610,42 +575,82 @@ mod tests {
             .collect()
     }
 
-    /// Pulled records the joiner's ring cannot hold (`import_records` says
-    /// `NoSpace`) leave it waiting, like a `Backfill` that does not fit;
-    /// the heartbeat asks again, and records that fit end the wait.
-    #[test]
-    fn records_the_ring_cannot_hold_leave_the_joiner_waiting_for_a_retry() {
-        let config = cfg(PipelineMode::Dop, 16);
-        let (mut joiner, source) = joiner(config.clone());
-        let (g, from) = (GroupId(0), source);
-        let record = |len: usize| {
-            let write = Op::Write {
-                oid: oid_in(g, 1),
-                offset: 0,
-                data: Payload::from(vec![7u8; len]),
-            };
-            let txn = Transaction::new(g, 1, vec![write]);
-            vec![LogRecord {
-                version: 1,
-                seq: 1,
-                txn,
-            }]
+    /// A pull's reply for group 0: each `(oid, len)` of `objects` whole,
+    /// `len` bytes of 7s, and one record that writes `record_len` bytes of
+    /// 7s to object 1 (no record if `record_len` is 0).
+    fn reply(objects: &[(ObjectId, usize)], record_len: usize) -> PeerMsg {
+        let g = GroupId(0);
+        let fill = |len: usize| Payload::from(vec![7u8; len]);
+        let objects = objects
+            .iter()
+            .map(|&(oid, len)| (oid, fill(len).into()))
+            .collect();
+        let write = Op::Write {
+            oid: oid_in(g, 1),
+            offset: 0,
+            data: fill(record_len),
         };
-        let records = record(config.ring_bytes as usize);
-        let msg = PeerMsg::LogRecords { group: g, records };
+        let txn = Transaction::new(g, 1, vec![write]);
+        let record = LogRecord {
+            version: 1,
+            seq: 1,
+            txn,
+        };
+        let records = if record_len == 0 {
+            vec![]
+        } else {
+            vec![record]
+        };
+        PeerMsg::PullReply {
+            group: g,
+            objects,
+            records,
+        }
+    }
+
+    /// Pulled records the joiner's ring cannot hold (`import_records` says
+    /// `NoSpace`) go to the store instead, and the join ends with them.
+    #[test]
+    fn records_the_ring_cannot_hold_go_to_the_store_and_end_the_join() {
+        let config = cfg(PipelineMode::Dop, 16);
+        let len = config.ring_bytes as usize;
+        let (mut joiner, from) = joiner(config);
+        let g = GroupId(0);
+        let oid = oid_in(g, 1);
+        let fx = joiner.handle(OsdInput::Peer {
+            from,
+            msg: reply(&[], len),
+        });
+        assert!(!joiner.peering.joining(g), "joined: {fx:?}");
+        assert_eq!(joiner.log_pending(g), 0, "nothing imported");
+        let stored = joiner.debug_read(oid, len as u64);
+        assert_eq!(stored, Some(Payload::from(vec![7u8; len])));
+        let fx = joiner.handle(OsdInput::HeartbeatTick);
+        assert!(!pulls_of(&fx).contains(&(from, g)), "{fx:?}");
+    }
+
+    /// Records neither the ring nor the store can take leave the join
+    /// open, though the objects before them applied; the heartbeat asks
+    /// again, and a reply whose records fit ends the join.
+    #[test]
+    fn records_the_store_refuses_leave_the_join_open() {
+        let small = OsdConfig {
+            device_bytes: 8 << 20,
+            ..cfg(PipelineMode::Dop, 16)
+        };
+        let (mut joiner, source) = joiner(small);
+        let (g, from) = (GroupId(0), source);
+        let other = oid_in(g, 2);
+        let msg = reply(&[(other, 4096)], 12 << 20);
         let fx = joiner.handle(OsdInput::Peer { from, msg });
-        assert!(fx.is_empty(), "nothing imported, nothing said: {fx:?}");
-        assert!(joiner.peering.joins[&g].log, "still waiting");
+        assert!(joiner.peering.joining(g), "still joining: {fx:?}");
         assert_eq!(joiner.log_pending(g), 0);
         let fx = joiner.handle(OsdInput::HeartbeatTick);
         assert!(pulls_of(&fx).contains(&(source, g)), "{fx:?}");
-        let msg = PeerMsg::LogRecords {
-            group: g,
-            records: record(4096),
-        };
+        let msg = reply(&[(other, 4096)], 4096);
         joiner.handle(OsdInput::Peer { from, msg });
-        assert!(!joiner.peering.joins[&g].log, "the backfill is still due");
-        assert_eq!(joiner.log_pending(g), 1);
+        assert!(!joiner.peering.joining(g));
+        assert_eq!(joiner.log_pending(g), 1, "imported");
     }
 
     /// An object that does not fit the joiner's device used to abort it
@@ -659,22 +664,77 @@ mod tests {
         };
         let (mut joiner, source) = joiner(small);
         let (g, from) = (GroupId(0), source);
-        let backfill = |oid, len: usize| {
-            let objects = vec![(oid, Payload::from(vec![7u8; len]).into())];
-            PeerMsg::Backfill { group: g, objects }
-        };
         let (fits, too_big) = (oid_in(g, 1), oid_in(g, 2));
-        let msg = backfill(too_big, 12 << 20);
+        let msg = reply(&[(too_big, 12 << 20)], 0);
         let fx = joiner.handle(OsdInput::Peer { from, msg });
         assert!(fx.is_empty(), "the partial trace is dropped: {fx:?}");
-        assert!(joiner.peering.awaiting_backfill(g), "still waiting");
+        assert!(joiner.peering.joining(g), "still waiting");
         let fx = joiner.handle(OsdInput::HeartbeatTick);
         assert!(pulls_of(&fx).contains(&(source, g)), "{fx:?}");
         // What fits lands, re-applied whole, and ends the wait.
-        let msg = backfill(fits, 64 << 10);
+        let msg = reply(&[(fits, 64 << 10)], 0);
         joiner.handle(OsdInput::Peer { from, msg });
-        assert!(!joiner.peering.awaiting_backfill(g));
+        assert!(!joiner.peering.joining(g));
         assert!(joiner.object_digest(fits, 64 << 10).is_some());
+    }
+
+    /// A joiner holds a cold store read and a due flush of the group until
+    /// the pull's reply applies, then lets both go: the flush opens its
+    /// window, and the read, served once the window closes, sees the
+    /// pulled object.
+    #[test]
+    fn a_joiner_releases_its_parked_read_and_due_flush_with_the_reply() {
+        let (mut joiner, from) = joiner(cfg(PipelineMode::Dop, 2));
+        let g = GroupId(0);
+        for seq in 1..=2 {
+            let write = Op::Write {
+                oid: oid_in(g, seq),
+                offset: 0,
+                data: Payload::from(vec![1u8; 4096]),
+            };
+            let txn = Transaction::new(g, seq, vec![write]);
+            let msg = PeerMsg::Repop { group: g, seq, txn };
+            joiner.handle(OsdInput::Peer { from, msg });
+        }
+        assert_eq!(joiner.log_pending(g), 2, "a flush is due");
+        let cold = oid_in(g, 3);
+        let read = ClientReq::Read {
+            op: OpId(7),
+            oid: cold,
+            offset: 0,
+            len: 4096,
+        };
+        let fx = joiner.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: read,
+        });
+        assert!(fx.is_empty(), "the cold read parks: {fx:?}");
+        let fx = joiner.handle(OsdInput::FlushGroup { group: g });
+        assert!(fx.is_empty(), "the flush is held: {fx:?}");
+
+        let fx = joiner.handle(OsdInput::Peer {
+            from,
+            msg: reply(&[(cold, 4096)], 0),
+        });
+        let wake = |e: &OsdEffect| matches!(e, OsdEffect::WakeFlush { group } if *group == g);
+        assert!(fx.iter().any(wake), "the reply re-arms the flush: {fx:?}");
+        let fx = joiner.handle(OsdInput::FlushGroup { group: g });
+        let tokens = tokens_of(&fx);
+        assert_eq!(tokens.len(), 1, "the flush window opens: {fx:?}");
+        let fx = joiner.handle(OsdInput::StoreDurable { token: tokens[0] });
+        let fx = match tokens_of(&fx)[..] {
+            [token] => joiner.handle(OsdInput::StoreDurable { token }),
+            _ => fx,
+        };
+        let data = fx.iter().find_map(|e| match e {
+            OsdEffect::Reply {
+                msg: ClientReply::Data { op: OpId(7), data },
+                ..
+            } => Some(data.clone()),
+            _ => None,
+        });
+        assert_eq!(data, Some(Payload::from(vec![7u8; 4096])), "{fx:?}");
+        assert_eq!(joiner.log_pending(g), 0);
     }
 
     #[test]
@@ -727,20 +787,23 @@ mod tests {
                 from: spare,
             },
         });
-        let records = fx
+        let reply = fx
             .into_iter()
             .find_map(|e| match e {
                 OsdEffect::SendPeer {
-                    msg: PeerMsg::LogRecords { records, .. },
+                    msg: msg @ PeerMsg::PullReply { .. },
                     ..
-                } => Some(records),
+                } => Some(msg),
                 _ => None,
             })
-            .expect("survivor exports records");
-        assert_eq!(records.len(), 3);
+            .expect("survivor answers the pull");
+        let PeerMsg::PullReply { records, .. } = &reply else {
+            unreachable!()
+        };
+        assert_eq!(records.len(), 3, "survivor exports records");
         joiner.handle(OsdInput::Peer {
             from: primary,
-            msg: PeerMsg::LogRecords { group: g, records },
+            msg: reply,
         });
         assert_eq!(
             joiner.log_pending(g),
@@ -880,13 +943,13 @@ mod tests {
             .into_iter()
             .find_map(|e| match e {
                 OsdEffect::SendPeer {
-                    msg: msg @ PeerMsg::Backfill { .. },
+                    msg: msg @ PeerMsg::PullReply { .. },
                     ..
                 } => Some(msg),
                 _ => None,
             })
             .expect("the pull is answered");
-        let PeerMsg::Backfill { objects, .. } = &backfill else {
+        let PeerMsg::PullReply { objects, .. } = &backfill else {
             unreachable!()
         };
         assert_eq!(objects.len(), 1);

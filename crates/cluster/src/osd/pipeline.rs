@@ -309,9 +309,9 @@ impl Osd {
             });
             match path {
                 ReadPath::FromLog(data) => self.reply(from, ClientReply::Data { op, data }),
-                // The backend may still miss data the backfill will bring;
-                // park the read until it arrives.
-                ReadPath::Store if self.peering.awaiting_backfill(group) => {
+                // The backend may still miss data the pull will bring;
+                // park the read until its reply applies.
+                ReadPath::Store if self.peering.joining(group) => {
                     self.rt(group).waiting_reads.push(dr)
                 }
                 ReadPath::Store => self.defer_read(dr),

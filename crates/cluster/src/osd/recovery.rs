@@ -411,7 +411,7 @@ mod tests {
     /// round's missing objects (`push_missing` on the heartbeat), a scrub
     /// repair and a fetch's answer. Its snapshot would lack what the peer
     /// took while it was away. A held push is not a throttled one, and the
-    /// first heartbeat after both halves of the pull have landed pushes.
+    /// first heartbeat after the pull's reply has applied pushes.
     #[test]
     fn a_joining_primary_holds_its_pushes_until_its_pull_lands() {
         let map3 = OsdMap::new(3, 1, 8, 2);
@@ -476,18 +476,14 @@ mod tests {
         assert_eq!(pushes_of(&held), vec![], "{held:?}");
         assert_eq!(prim.backfill_queued(), queued, "held, not throttled");
 
-        // The backfill lands; the log records have not: still joining.
-        let objects = Vec::new();
-        let backfill = PeerMsg::Backfill { group: g, objects };
-        prim.handle(OsdInput::Peer {
-            from,
-            msg: backfill,
-        });
-        let fx = prim.handle(OsdInput::HeartbeatTick);
-        assert_eq!(pushes_of(&fx), vec![], "{fx:?}");
-        let records = Vec::new();
-        let log = PeerMsg::LogRecords { group: g, records };
-        let fx = prim.handle(OsdInput::Peer { from, msg: log });
+        // The pull's reply lands and ends the join.
+        let (objects, records) = (Vec::new(), Vec::new());
+        let reply = PeerMsg::PullReply {
+            group: g,
+            objects,
+            records,
+        };
+        let fx = prim.handle(OsdInput::Peer { from, msg: reply });
         assert_eq!(pushes_of(&fx), vec![], "no new wake-up path: {fx:?}");
 
         let fx = prim.handle(OsdInput::HeartbeatTick);

@@ -249,32 +249,6 @@ fn decoupled_replica_acks_immediately_from_nvm() {
 }
 
 #[test]
-fn flush_cycle_drains_log_after_durable() {
-    let mut o = osd(PipelineMode::Dop, 0);
-    let g = a_group_with_primary(&o);
-    let mut wake = None;
-    for i in 0..4 {
-        let fx = o.handle(OsdInput::Client {
-            from: ClientId(1),
-            req: write_req(i, oid_in(g, i)),
-        });
-        for e in fx {
-            if let OsdEffect::WakeFlush { group } = e {
-                wake = Some(group);
-            }
-        }
-    }
-    assert_eq!(wake, Some(g), "threshold of 4 reached");
-    assert_eq!(o.log_pending(g), 4);
-    let fx = o.handle(OsdInput::FlushGroup { group: g });
-    let toks = tokens_of(&fx);
-    assert_eq!(toks.len(), 1);
-    assert_eq!(o.log_pending(g), 4, "entries stay until durable");
-    o.handle(OsdInput::StoreDurable { token: toks[0] });
-    assert_eq!(o.log_pending(g), 0, "drained after durable");
-}
-
-#[test]
 fn decoupled_read_served_from_log() {
     let mut o = osd(PipelineMode::Dop, 0);
     let g = a_group_with_primary(&o);
@@ -304,51 +278,6 @@ fn decoupled_read_served_from_log() {
         Some(vec![7u8; 200].into()),
         "read served from the operation log"
     );
-}
-
-#[test]
-fn decoupled_read_of_cold_object_defers_to_store() {
-    let mut o = osd(PipelineMode::Dop, 0);
-    let g = a_group_with_primary(&o);
-    let oid = oid_in(g, 9);
-    // Write then flush so the log is empty, store has the data.
-    o.handle(OsdInput::Client {
-        from: ClientId(1),
-        req: write_req(1, oid),
-    });
-    let fx = o.handle(OsdInput::FlushGroup { group: g });
-    for t in tokens_of(&fx) {
-        o.handle(OsdInput::StoreDurable { token: t });
-    }
-    let fx = o.handle(OsdInput::Client {
-        from: ClientId(1),
-        req: ClientReq::Read {
-            op: OpId(2),
-            oid,
-            offset: 0,
-            len: 4096,
-        },
-    });
-    let token = fx.iter().find_map(|e| match e {
-        OsdEffect::WakeRead { token } => Some(*token),
-        _ => None,
-    });
-    let token = token.expect("cold read goes via non-priority thread");
-    let fx = o.handle(OsdInput::ReadFromStore { token });
-    let toks = tokens_of(&fx);
-    let fx = if toks.is_empty() {
-        fx
-    } else {
-        o.handle(OsdInput::StoreDurable { token: toks[0] })
-    };
-    let reply = fx.iter().find_map(|e| match e {
-        OsdEffect::Reply {
-            msg: ClientReply::Data { data, .. },
-            ..
-        } => Some(data.clone()),
-        _ => None,
-    });
-    assert_eq!(reply, Some(vec![7u8; 4096].into()));
 }
 
 #[test]
@@ -402,36 +331,6 @@ fn maintenance_reschedules_until_clean() {
     }
     assert!(steps >= 1, "maintenance ran");
     assert!(!o.backend().needs_maintenance(), "backend eventually clean");
-}
-
-#[test]
-fn nvm_exhaustion_forces_synchronous_flush() {
-    let mut o = osd(PipelineMode::Dop, 0);
-    let g = a_group_with_primary(&o);
-    // Huge flush threshold so nothing drains; tiny ring fills up.
-    for (_, log) in o.logs.iter_mut() {
-        log.flush_threshold = usize::MAX;
-    }
-    let mut i = 0;
-    while o.nvm_full_stalls == 0 && i < 200 {
-        let fx = o.handle(OsdInput::Client {
-            from: ClientId(1),
-            req: write_req(i, oid_in(g, i)),
-        });
-        // Raise the threshold on the lazily created log too.
-        if let Some(log) = o.logs.get_mut(&g) {
-            log.flush_threshold = usize::MAX;
-        }
-        for t in tokens_of(&fx) {
-            o.handle(OsdInput::StoreDurable { token: t });
-        }
-        i += 1;
-    }
-    assert!(
-        o.nvm_full_stalls > 0,
-        "ring filled and forced a stall flush"
-    );
-    assert!(o.log_pending(g) <= 1, "stall drained the log");
 }
 
 #[test]

@@ -37,15 +37,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: one attempt, `timeout_nanos` patience.
-    pub fn no_retries(timeout_nanos: u64) -> Self {
-        RetryPolicy {
-            timeout_nanos,
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The backoff to sleep after attempt number `attempt` (1-based) fails,
     /// with `jitter_unit` a uniform draw in `[0, 1)`.
     pub fn backoff_nanos(&self, attempt: u32, jitter_unit: f64) -> u64 {
@@ -105,8 +96,5 @@ mod tests {
         assert!(p.should_retry(1));
         assert!(p.should_retry(2));
         assert!(!p.should_retry(3));
-        let once = RetryPolicy::no_retries(5);
-        assert_eq!(once.timeout_nanos, 5);
-        assert!(!once.should_retry(1));
     }
 }

@@ -477,7 +477,9 @@ impl GroupLog {
     }
 
     /// Imports records from a peer into an empty log (replacement node
-    /// synchronization, §IV-A-4 steps ⑥–⑦).
+    /// synchronization, §IV-A-4 steps ⑥–⑦). Each imported record shares
+    /// its transaction with the caller's, and the caller keeps its records
+    /// to apply elsewhere if the import is refused.
     ///
     /// # Errors
     ///
@@ -486,7 +488,7 @@ impl GroupLog {
     pub fn import_records(
         &mut self,
         nvm: &mut NvmRegion,
-        records: Vec<LogRecord>,
+        records: &[LogRecord],
     ) -> Result<(), StoreError> {
         if !self.records.is_empty() {
             return Err(StoreError::InvalidArgument(
@@ -496,8 +498,8 @@ impl GroupLog {
         // All-or-nothing batch append: one persisted header write covers the
         // whole import, and a NoSpace failure leaves the log untouched.
         let shared: Vec<Arc<Encoded<LogRecord>>> = records
-            .into_iter()
-            .map(|rec| Arc::new(Encoded::new(rec)))
+            .iter()
+            .map(|rec| Arc::new(Encoded::new(rec.clone())))
             .collect();
         let views: Vec<Record> = shared.iter().map(|rec| Record::new(rec.clone())).collect();
         self.ring.append_batch(nvm, &views)?;
@@ -1016,11 +1018,11 @@ mod tests {
         let mut nvm_b = NvmRegion::new(1 << 20);
         let mut b = GroupLog::format(&mut nvm_b, GroupId(1), 0, 1 << 20, 16).unwrap();
         let exported = a.export_records();
-        b.import_records(&mut nvm_b, exported.clone()).unwrap();
+        b.import_records(&mut nvm_b, &exported).unwrap();
         assert_eq!(b.pending(), 5);
         assert_eq!(b.export_records(), exported);
         assert!(
-            b.import_records(&mut nvm_b, exported).is_err(),
+            b.import_records(&mut nvm_b, &exported).is_err(),
             "non-empty import rejected"
         );
     }

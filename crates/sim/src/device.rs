@@ -107,18 +107,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Ramdisk-emulated NVM (paper §V-A uses an 8 GB ramdisk per node).
-    /// Sub-microsecond persistence; bandwidth far above any workload here.
-    pub fn ramdisk_nvm() -> Self {
-        DeviceProfile {
-            ways: 16,
-            read_base: SimDuration::nanos(200),
-            write_base: SimDuration::nanos(350),
-            read_bw: 20.0e9,
-            write_bw: 16.0e9,
-        }
-    }
-
     /// Service time for one request on one way.
     pub fn service(&self, req: IoRequest) -> SimDuration {
         let (base, bw) = match req.kind {
@@ -325,7 +313,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_and_reset() {
-        let mut dev = Device::new("ssd", DeviceProfile::ramdisk_nvm());
+        let mut dev = Device::new("ssd", DeviceProfile::nvme_pm1725a(SsdState::Steady));
         dev.submit(SimTime::ZERO, IoRequest::write(100));
         dev.submit(SimTime::ZERO, IoRequest::read(50));
         dev.submit(SimTime::ZERO, IoRequest::flush());

@@ -16,8 +16,6 @@ pub struct Link {
     /// Serialization bandwidth in bytes/second.
     pub bandwidth: f64,
     busy_until: SimTime,
-    bytes_sent: u64,
-    messages_sent: u64,
 }
 
 impl Link {
@@ -35,8 +33,6 @@ impl Link {
             latency,
             bandwidth,
             busy_until: SimTime::ZERO,
-            bytes_sent: 0,
-            messages_sent: 0,
         }
     }
 
@@ -46,8 +42,6 @@ impl Link {
         let start = now.max(self.busy_until);
         let serialize = SimDuration::from_secs_f64(bytes as f64 / self.bandwidth);
         self.busy_until = start + serialize;
-        self.bytes_sent += bytes;
-        self.messages_sent += 1;
         self.busy_until + self.latency
     }
 
@@ -58,16 +52,6 @@ impl Link {
     /// (see `Simulation::set_lookahead`).
     pub fn lookahead(&self) -> SimDuration {
         self.latency
-    }
-
-    /// Total bytes pushed through this direction.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total messages pushed through this direction.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
     }
 }
 
@@ -91,8 +75,6 @@ mod tests {
         let b = l.transfer(SimTime::ZERO, 1_000_000); // queues behind a
         assert_eq!(a, SimTime::from_nanos(1_000_000));
         assert_eq!(b, SimTime::from_nanos(2_000_000));
-        assert_eq!(l.bytes_sent(), 2_000_000);
-        assert_eq!(l.messages_sent(), 2);
     }
 
     #[test]

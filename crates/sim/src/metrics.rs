@@ -130,17 +130,6 @@ impl Metrics {
         self.tag_nanos(tag) as f64 / window as f64 * 100.0
     }
 
-    /// Total CPU usage (% of one logical core) across all tags and
-    /// context-switch overhead, over the window ending at `now`.
-    pub fn total_cpu_pct(&self, now: SimTime) -> f64 {
-        let window = now.saturating_since(self.window_start).as_nanos();
-        if window == 0 {
-            return 0.0;
-        }
-        let busy: u64 = self.core_busy_ns.iter().sum();
-        busy as f64 / window as f64 * 100.0
-    }
-
     /// Busy nanoseconds of one thread in the current window.
     pub fn thread_busy(&self, thread: usize) -> u64 {
         self.thread_busy_ns.get(thread).copied().unwrap_or(0)
@@ -176,7 +165,6 @@ mod tests {
         m.charge_core(0, SimDuration::nanos(500));
         let now = SimTime::from_nanos(2_000);
         assert!((m.tag_cpu_pct("MP", now) - 50.0).abs() < 1e-9);
-        assert!((m.total_cpu_pct(now) - 50.0).abs() < 1e-9);
     }
 
     #[test]

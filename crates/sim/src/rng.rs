@@ -72,13 +72,6 @@ impl SimRng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p
     }
-
-    /// An exponentially distributed value with the given mean (for Poisson
-    /// arrival processes).
-    pub fn exp_f64(&mut self, mean: f64) -> f64 {
-        let u: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        -mean * u.ln()
-    }
 }
 
 impl RngCore for SimRng {
@@ -135,14 +128,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(r.below(10) < 10);
         }
-    }
-
-    #[test]
-    fn exp_mean_roughly_correct() {
-        let mut r = SimRng::seed(4);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| r.exp_f64(5.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 5.0).abs() < 0.3, "mean {mean} too far from 5.0");
     }
 }

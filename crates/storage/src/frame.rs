@@ -2,11 +2,12 @@
 //!
 //! A [`Frame`] is what a writer that keeps payloads out of its encoded bytes
 //! builds, and what a store that keeps them by reference reads back: the
-//! encoded bytes with each held [`Payload`] spliced in at its place. An
-//! operation-log record, a write-ahead-log batch and an SST file are framed
-//! this way, so none of them copies the 4 KiB values it carries, and the
-//! media under them ([`NvmRegion`](crate::NvmRegion),
-//! [`MemDisk`](crate::MemDisk)) keep those values as the writer's buffers.
+//! encoded bytes with each held [`Payload`] spliced in at its place. A
+//! write-ahead-log batch and an SST file are framed this way, so neither
+//! copies the 4 KiB values it carries, and [`MemDisk`](crate::MemDisk)
+//! keeps those values as the writer's buffers. An operation-log record is
+//! not framed: [`NvmRegion`](crate::NvmRegion) holds it as a
+//! [`Record`](crate::Record) and encodes it only when its bytes are read.
 
 use crate::crc::{FrameCrc, SPLICE_MIN};
 use crate::payload::Payload;
@@ -253,11 +254,6 @@ impl<'a> FrameReader<'a> {
             held,
             left: (bytes.len() + held_len) as u64,
         }
-    }
-
-    /// Held payloads not yet read.
-    pub fn held_left(&self) -> usize {
-        self.held.len()
     }
 
     /// Stream bytes not yet read.
