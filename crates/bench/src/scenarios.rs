@@ -11,7 +11,7 @@
 
 use rablock::sim::{
     ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, Fingerprint,
-    GrayWindow, LinkFault, Partition, RetryPolicy, SimDuration, SimReport, SimRng, SimTime,
+    GrayWindow, LinkFault, Partition, RetryPolicy, SimDuration, SimReport, SimRng, SimTime, Word,
     WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
@@ -133,6 +133,13 @@ impl ConnLoad {
         sim.prefill(&self.objects(pgs));
         sim
     }
+
+    /// Runs [`ConnLoad::sim`] of `cfg` for `measure` and returns its outcome.
+    pub fn run(&self, cfg: ClusterSimConfig, measure: SimDuration) -> Outcome {
+        let mut sim = self.sim(cfg);
+        let report = sim.run(SimDuration::ZERO, measure);
+        Outcome::of(&mut sim, &report)
+    }
 }
 
 /// A run's full metric fingerprint with the history checker's verdicts
@@ -140,6 +147,71 @@ impl ConnLoad {
 pub fn checked_fingerprint(sim: &ClusterSim, report: &SimReport) -> Fingerprint {
     let checker = sim.checker().expect("history checking enabled");
     report.fingerprint(Some((checker.writes_acked(), checker.reads_checked())))
+}
+
+/// The verdict of one finished fault run: its [`checked_fingerprint`] and
+/// what it left unhealed ([`ClusterSim::unhealed`]). Two runs of one seed
+/// must give equal outcomes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Outcome {
+    /// Every simulated result of the run, with the checker's verdicts.
+    pub fingerprint: Fingerprint,
+    /// Non-Active groups and differing replicas after the run.
+    pub unhealed: Vec<String>,
+}
+
+impl Outcome {
+    /// The outcome of `sim`, whose run reported `report`. This syncs every
+    /// backend with its log, so read anything else of `sim` first.
+    pub fn of(sim: &mut ClusterSim, report: &SimReport) -> Outcome {
+        let fingerprint = checked_fingerprint(sim, report);
+        let unhealed = sim.unhealed();
+        Outcome {
+            fingerprint,
+            unhealed,
+        }
+    }
+
+    /// The fingerprint's counter `name` (`writes_done`, `recovery_pushes`).
+    pub fn count(&self, name: &str) -> u64 {
+        match self.fingerprint.iter().find(|(n, _)| n == name) {
+            Some(&(_, Word::Count(n))) => n,
+            _ => panic!("the fingerprint has no counter {name}"),
+        }
+    }
+
+    /// The fault run of `load` converged: every op resolved (done or
+    /// surfaced as an error), at least half the writes done, every counted
+    /// write and read vetted by the history checker, and nothing left
+    /// unhealed.
+    pub fn converged(&self, load: ConnLoad) -> Result<(), String> {
+        let [writes, reads, errors, acked, checked] = [
+            "writes_done",
+            "reads_done",
+            "client_errors",
+            "writes_acked",
+            "reads_checked",
+        ]
+        .map(|name| self.count(name));
+        let total = load.total_ops();
+        if writes + reads + errors < total {
+            return Err(format!(
+                "ops unresolved: {writes}+{reads}+{errors} of {total}"
+            ));
+        }
+        if writes < load.conns * load.writes / 2 {
+            return Err(format!("fewer than half the writes done: {writes}"));
+        }
+        if acked < writes || checked < reads {
+            let vetted =
+                format!("{acked} acks for {writes} writes, {checked} checks for {reads} reads");
+            return Err(format!("the checker missed ops: {vetted}"));
+        }
+        if !self.unhealed.is_empty() {
+            return Err(format!("unhealed after quiesce: {:?}", self.unhealed));
+        }
+        Ok(())
+    }
 }
 
 /// Storage nodes of the small cluster, one OSD each.
@@ -272,7 +344,6 @@ pub fn elastic_cluster(nodes: u32, pgs: u32) -> ClusterSimConfig {
         cos: CosOptions::tiny(),
         max_backfill_inflight: 2,
         backfill_bytes_per_tick: 1 << 20,
-        ..OsdConfig::default()
     };
     cfg
 }

@@ -143,88 +143,57 @@ impl HistoryChecker {
     }
 }
 
-/// One replica's object listing for divergence checking: a display label
-/// plus `(raw object id, content digest)` pairs, `None` digest meaning the
-/// replica could not serve the object.
-pub type ReplicaListing = (String, Vec<(u64, Option<u64>)>);
-
-/// Compares per-replica `(object, digest)` listings and describes every
-/// object whose content differs between replicas. Each listing is a
-/// `(label, entries)` pair; a `None` digest means the replica could not
-/// serve the object at all. The first listing is the reference. Returns
-/// one description per divergent object; empty means byte-identical
-/// replicas (under a collision-resistant digest).
-///
-/// Post-quiesce recovery checks use this: after faults stop and recovery
-/// converges, every acting-set member must produce identical listings.
-pub fn diff_replica_digests(replicas: &[ReplicaListing]) -> Vec<String> {
-    diff_listings(
-        replicas,
-        |&entry| entry,
-        |oid, label, got, ref_label, reference| {
-            format!("object {oid:#x}: {label} has {got:?}, {ref_label} has {reference:?}")
-        },
-    )
+/// One replica's copy of one object, as the quiesce check compares it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ObjectCopy {
+    /// Digest of the bytes the replica serves; `None` when it cannot serve
+    /// them.
+    pub content: Option<u64>,
+    /// The persisted `(size, checksum-vector digest)`, read from metadata
+    /// alone; `None` when the backend keeps no checksums or the replica does
+    /// not track the object.
+    pub csum: Option<(u64, u64)>,
 }
 
-/// The diff both replica checks share: every object any listing names, in
-/// id order, each replica's value (`None` when it lacks the object or
-/// cannot serve it) against the first listing's, one `describe(oid, label,
-/// got, ref_label, reference)` per disagreement.
-fn diff_listings<E, T: Copy + PartialEq>(
-    replicas: &[(String, Vec<E>)],
-    value: impl Fn(&E) -> (u64, Option<T>),
-    describe: impl Fn(u64, &str, Option<T>, &str, Option<T>) -> String,
-) -> Vec<String> {
+/// One replica's listing: a display label plus `(raw object id, copy)`
+/// pairs.
+pub type ReplicaListing = (String, Vec<(u64, ObjectCopy)>);
+
+/// Compares per-replica listings and describes every object whose copies
+/// differ, by content or by persisted checksum metadata. The first listing
+/// is the reference; an object a listing does not name counts as a copy
+/// with neither value. Returns one description per differing copy, in
+/// object order; empty means the replicas are byte-identical (under a
+/// collision-resistant digest) and persist the same checksums.
+///
+/// The two halves see different faults: bit rot under a correct checksum
+/// vector leaves the metadata equal (the checksums still describe the
+/// bytes written) and shows only in the content digest, which re-reads
+/// the data, as deep scrub does.
+pub fn diff_replica_digests(replicas: &[ReplicaListing]) -> Vec<String> {
     let mut out = Vec::new();
     let Some((ref_label, _)) = replicas.first() else {
         return out;
     };
-    let maps: Vec<HashMap<u64, Option<T>>> = replicas
+    let maps: Vec<HashMap<u64, ObjectCopy>> = replicas
         .iter()
-        .map(|(_, entries)| entries.iter().map(&value).collect())
+        .map(|(_, entries)| entries.iter().copied().collect())
         .collect();
     let mut oids: Vec<u64> = maps.iter().flat_map(|m| m.keys().copied()).collect();
     oids.sort_unstable();
     oids.dedup();
     for oid in oids {
-        let reference = maps[0].get(&oid).copied().flatten();
+        let reference = maps[0].get(&oid).copied().unwrap_or_default();
         for ((label, _), map) in replicas.iter().zip(&maps).skip(1) {
-            let got = map.get(&oid).copied().flatten();
+            let got = map.get(&oid).copied().unwrap_or_default();
             if got != reference {
-                out.push(describe(oid, label, got, ref_label, reference));
+                out.push(format!(
+                    "object {oid:#x}: {label} has {got:?}, {ref_label} has {reference:?}"
+                ));
             }
         }
     }
     out
-}
-
-/// One replica's persistent-checksum listing for consistency checking: a
-/// display label plus `(raw object id, size, checksum-vector digest)`
-/// triples as reported by the backend's light-scrub metadata (no data
-/// blocks are read to produce one).
-pub type DigestListing = (String, Vec<(u64, u64, u64)>);
-
-/// Replica digest consistency: every acting-set member must persist the
-/// same `(size, checksum-vector digest)` for every object of the group.
-/// Returns one description per disagreeing object; empty means the
-/// persistent checksum metadata is identical across replicas.
-///
-/// This is the *metadata* companion to [`diff_replica_digests`]: it
-/// compares what the checksums say the content is, without reading any
-/// data, so it is cheap enough to assert at quiesce in every chaos and
-/// churn property test. Note the deliberate blind spot: bit rot under a
-/// correct checksum vector is invisible here (the checksums still describe
-/// the originally-written bytes) — that is exactly the gap deep scrub
-/// closes by re-reading data.
-pub fn replica_digest_consistency(replicas: &[DigestListing]) -> Vec<String> {
-    let value = |&(oid, size, digest): &(u64, u64, u64)| (oid, Some((size, digest)));
-    diff_listings(replicas, value, |oid, label, got, ref_label, reference| {
-        format!(
-            "object {oid:#x}: {label} persists (size, csum digest) {got:?}, \
-             {ref_label} persists {reference:?}"
-        )
-    })
 }
 
 /// Relative capacity imbalance across a set of OSD fill levels: the largest
@@ -235,38 +204,14 @@ pub fn replica_digest_consistency(replicas: &[DigestListing]) -> Vec<String> {
 /// Pass the fill of *placement-eligible* OSDs only — drained and removed
 /// OSDs legitimately hold stale bytes while their groups hand off.
 pub fn capacity_imbalance(fills: &[u64]) -> f64 {
-    match (mean_fill(fills), fills.iter().max()) {
-        (Some(mean), Some(&max)) => (max as f64 - mean) / mean,
+    let total: u64 = fills.iter().sum();
+    match fills.iter().max() {
+        Some(&max) if total > 0 => {
+            let mean = total as f64 / fills.len() as f64;
+            (max as f64 - mean) / mean
+        }
         _ => 0.0,
     }
-}
-
-/// The mean fill, `None` when the set holds no bytes at all.
-fn mean_fill(fills: &[u64]) -> Option<f64> {
-    let total: u64 = fills.iter().sum();
-    (total > 0).then(|| total as f64 / fills.len() as f64)
-}
-
-/// Asserts the capacity-imbalance invariant after quiesce: no OSD may
-/// exceed the mean fill by more than `tolerance` (e.g. 1.0 = 100% over
-/// mean). Returns one description per violation; empty means balanced.
-pub fn check_capacity_imbalance(fills: &[u64], tolerance: f64) -> Vec<String> {
-    let Some(mean) = mean_fill(fills) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (i, &fill) in fills.iter().enumerate() {
-        let dev = (fill as f64 - mean) / mean;
-        if dev > tolerance {
-            out.push(format!(
-                "osd index {i}: fill {fill} exceeds mean {mean:.0} by {:.0}% \
-                 (tolerance {:.0}%)",
-                dev * 100.0,
-                tolerance * 100.0
-            ));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -329,11 +274,19 @@ mod tests {
         h.read_checked(oid(), 0, 4, &[0xAA, 0xAA, 0xBB, 0xAA]);
     }
 
+    type Entry = (u64, Option<u64>, Option<(u64, u64)>);
+
+    /// A listing of `(oid, content digest, persisted checksums)` copies.
+    fn listing(label: &str, copies: &[Entry]) -> ReplicaListing {
+        let copy = |&(oid, content, csum): &Entry| (oid, ObjectCopy { content, csum });
+        (label.to_string(), copies.iter().map(copy).collect())
+    }
+
     #[test]
     fn identical_replica_digests_diff_clean() {
         let replicas = vec![
-            ("osd0".to_string(), vec![(1, Some(10)), (2, Some(20))]),
-            ("osd1".to_string(), vec![(2, Some(20)), (1, Some(10))]),
+            listing("osd0", &[(1, Some(10), None), (2, Some(20), None)]),
+            listing("osd1", &[(2, Some(20), None), (1, Some(10), None)]),
         ];
         assert!(diff_replica_digests(&replicas).is_empty());
     }
@@ -341,8 +294,8 @@ mod tests {
     #[test]
     fn divergent_and_missing_objects_are_described() {
         let replicas = vec![
-            ("osd0".to_string(), vec![(1, Some(10)), (2, Some(20))]),
-            ("osd1".to_string(), vec![(1, Some(11))]),
+            listing("osd0", &[(1, Some(10), None), (2, Some(20), None)]),
+            listing("osd1", &[(1, Some(11), None)]),
         ];
         let diffs = diff_replica_digests(&replicas);
         // Object 1 differs, object 2 is absent on osd1.
@@ -353,31 +306,29 @@ mod tests {
 
     #[test]
     fn unreadable_on_both_sides_is_not_divergence() {
-        let replicas = vec![
-            ("osd0".to_string(), vec![(1, None)]),
-            ("osd1".to_string(), vec![(1, None)]),
-        ];
+        let unreadable = [(1, None, None)];
+        let replicas = vec![listing("osd0", &unreadable), listing("osd1", &unreadable)];
         assert!(diff_replica_digests(&replicas).is_empty());
     }
 
     #[test]
     fn digest_consistency_flags_size_and_digest_drift() {
-        let replicas = vec![
-            ("osd0".to_string(), vec![(1, 4096, 10), (2, 8192, 20)]),
-            ("osd1".to_string(), vec![(1, 4096, 10), (2, 8192, 20)]),
+        let persisted = [
+            (1, Some(7), Some((4096, 10))),
+            (2, Some(7), Some((8192, 20))),
         ];
-        assert!(replica_digest_consistency(&replicas).is_empty());
-        let replicas = vec![
-            ("osd0".to_string(), vec![(1, 4096, 10), (2, 8192, 20)]),
-            ("osd1".to_string(), vec![(1, 8192, 10), (2, 8192, 21)]),
+        let replicas = vec![listing("osd0", &persisted), listing("osd1", &persisted)];
+        assert!(diff_replica_digests(&replicas).is_empty());
+        // Equal content, drifted metadata: one description per object.
+        let drifted = [
+            (1, Some(7), Some((8192, 10))),
+            (2, Some(7), Some((8192, 21))),
         ];
-        let diffs = replica_digest_consistency(&replicas);
+        let replicas = vec![listing("osd0", &persisted), listing("osd1", &drifted)];
+        let diffs = diff_replica_digests(&replicas);
         assert_eq!(diffs.len(), 2, "{diffs:?}");
-        let replicas = vec![
-            ("osd0".to_string(), vec![(1, 4096, 10)]),
-            ("osd1".to_string(), Vec::new()),
-        ];
-        assert_eq!(replica_digest_consistency(&replicas).len(), 1);
+        let replicas = vec![listing("osd0", &persisted[..1]), listing("osd1", &[])];
+        assert_eq!(diff_replica_digests(&replicas).len(), 1);
     }
 
     #[test]
@@ -388,10 +339,6 @@ mod tests {
         // Mean 100, max 150 → 50% over mean.
         let im = capacity_imbalance(&[50, 100, 150]);
         assert!((im - 0.5).abs() < 1e-9, "{im}");
-        assert!(check_capacity_imbalance(&[50, 100, 150], 0.6).is_empty());
-        let violations = check_capacity_imbalance(&[50, 100, 150], 0.4);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("osd index 2"), "{violations:?}");
     }
 
     #[test]

@@ -162,9 +162,6 @@ pub struct OsdConfig {
     /// (the bytes/sec budget, denominated in ticks). A full budget always
     /// admits at least one push so oversized objects cannot wedge recovery.
     pub backfill_bytes_per_tick: u64,
-    /// Simulated nanoseconds represented by one heartbeat tick; converts
-    /// throttled tick windows into the `backfill_throttled_nanos` metric.
-    pub backfill_tick_nanos: u64,
 }
 
 impl Default for OsdConfig {
@@ -185,7 +182,6 @@ impl Default for OsdConfig {
             },
             max_backfill_inflight: 16,
             backfill_bytes_per_tick: 4 << 20,
-            backfill_tick_nanos: 1_000_000,
         }
     }
 }
@@ -552,15 +548,14 @@ impl Osd {
         self.budget.queued
     }
 
-    /// Simulated time spent in tick windows where the throttle deferred at
-    /// least one push (`backfill_tick_nanos` per such window).
-    pub fn backfill_throttled_nanos(&self) -> u64 {
-        self.budget.push_throttled_nanos
+    /// Heartbeat windows in which the throttle deferred at least one push.
+    pub fn backfill_throttled_windows(&self) -> u64 {
+        self.budget.push_throttled_windows
     }
 
-    /// Simulated time scrub starts spent deferred by the throttle.
-    pub fn scrub_throttled_nanos(&self) -> u64 {
-        self.budget.scan_throttled_nanos
+    /// Heartbeat windows in which the throttle deferred a deep-scrub start.
+    pub fn scrub_throttled_windows(&self) -> u64 {
+        self.budget.scan_throttled_windows
     }
 
     fn send(&mut self, to: OsdId, msg: PeerMsg) {

@@ -366,7 +366,7 @@ impl Osd {
     /// that refuses an object or a record leaves the join open:
     /// `retry_pulls` asks again on the heartbeat, re-applying whole objects
     /// is idempotent, and a condition that persists shows up in
-    /// `stuck_pgs()` instead of killing the process.
+    /// `ClusterSim::unhealed` instead of killing the process.
     pub(super) fn on_pull_reply(
         &mut self,
         group: GroupId,

@@ -52,15 +52,13 @@ type PushKey = (GroupId, OsdId, u64);
 pub(super) struct BackgroundBudget {
     max_inflight: usize,
     bytes_per_tick: u64,
-    tick_nanos: u64,
     window: Window,
     /// Recovery pushes deferred so far.
     pub(super) queued: u64,
-    /// Simulated time spent in windows that deferred at least one push
-    /// (`tick_nanos` per such window).
-    pub(super) push_throttled_nanos: u64,
-    /// The same for windows that deferred a deep-scrub start.
-    pub(super) scan_throttled_nanos: u64,
+    /// Closed windows that deferred at least one push.
+    pub(super) push_throttled_windows: u64,
+    /// Closed windows that deferred a deep-scrub start.
+    pub(super) scan_throttled_windows: u64,
 }
 
 /// What the current window has admitted. Dies with the process.
@@ -88,11 +86,10 @@ impl BackgroundBudget {
         BackgroundBudget {
             max_inflight: cfg.max_backfill_inflight,
             bytes_per_tick: cfg.backfill_bytes_per_tick,
-            tick_nanos: cfg.backfill_tick_nanos,
             window: Window::full(cfg.backfill_bytes_per_tick),
             queued: 0,
-            push_throttled_nanos: 0,
-            scan_throttled_nanos: 0,
+            push_throttled_windows: 0,
+            scan_throttled_windows: 0,
         }
     }
 
@@ -102,16 +99,12 @@ impl BackgroundBudget {
         self.window = Window::full(self.bytes_per_tick);
     }
 
-    /// The heartbeat opens a new window: the one that closes is accounted
-    /// as throttled time if it deferred anything, the bytes are replenished
-    /// and unacked pushes may go out again.
+    /// The heartbeat opens a new window: the one that closes is counted as
+    /// throttled if it deferred anything, the bytes are replenished and
+    /// unacked pushes may go out again.
     pub(super) fn new_window(&mut self) {
-        if self.window.push_deferred {
-            self.push_throttled_nanos += self.tick_nanos;
-        }
-        if self.window.scan_deferred {
-            self.scan_throttled_nanos += self.tick_nanos;
-        }
+        self.push_throttled_windows += u64::from(self.window.push_deferred);
+        self.scan_throttled_windows += u64::from(self.window.scan_deferred);
         self.forget_window();
     }
 
@@ -500,11 +493,10 @@ mod tests {
         let cfg = OsdConfig {
             max_backfill_inflight: 2,
             backfill_bytes_per_tick: 100,
-            backfill_tick_nanos: 7,
             ..OsdConfig::default()
         };
         let key = |i: u64| (GroupId(0), OsdId(1), i);
-        let throttled = |b: &BackgroundBudget| (b.push_throttled_nanos, b.scan_throttled_nanos);
+        let throttled = |b: &BackgroundBudget| (b.push_throttled_windows, b.scan_throttled_windows);
         let mut b = BackgroundBudget::new(&cfg);
 
         // A full budget admits one object however large; the partly (here:
@@ -519,7 +511,7 @@ mod tests {
         assert!(!b.admit_scan(1));
         assert_eq!(throttled(&b), (0, 0), "accounted when the window closes");
         b.new_window();
-        assert_eq!(throttled(&b), (7, 7), "one tick per deferring window");
+        assert_eq!(throttled(&b), (1, 1), "one per deferring window");
 
         // The new window is full again and has forgotten what was in flight.
         assert!(b.has_push_slot(&key(1)) && b.admit_push(key(1), 60));
@@ -527,7 +519,7 @@ mod tests {
         assert!(b.has_push_slot(&key(2)) && !b.admit_push(key(2), 1));
         assert_eq!(b.queued, 2);
         b.new_window();
-        assert_eq!(throttled(&b), (14, 7), "only the pushes were deferred");
+        assert_eq!(throttled(&b), (2, 1), "only the pushes were deferred");
 
         // The in-flight cap is checked before any bytes are: at the cap even
         // an empty object is deferred, and an ack frees the slot at once.
@@ -541,17 +533,17 @@ mod tests {
         assert!(!b.admit_scan(1_000));
         b.new_window();
         assert!(b.admit_scan(1_000), "a full budget admits one");
-        assert_eq!(throttled(&b), (21, 14));
+        assert_eq!(throttled(&b), (3, 2));
         // A window that deferred nothing is not accounted; a crash forgets
         // the window and keeps the counters.
         b.new_window();
-        assert_eq!(throttled(&b), (21, 14));
+        assert_eq!(throttled(&b), (3, 2));
         assert!(b.has_push_slot(&key(1)) && b.admit_push(key(1), 100));
         assert!(!b.admit_scan(1));
         b.forget_window();
         assert!(b.has_push_slot(&key(1)) && b.admit_scan(100));
         b.new_window();
-        assert_eq!((b.queued, throttled(&b)), (3, (21, 14)));
+        assert_eq!((b.queued, throttled(&b)), (3, (3, 2)));
     }
 
     #[test]
@@ -602,11 +594,11 @@ mod tests {
         assert_eq!(first.len(), 1, "inflight cap of 1: {fx:?}");
         assert!(prim.backfill_queued() >= 2, "deferred work is counted");
         assert_eq!(prim.pg_state(g), PgState::Backfilling);
-        // The tick closes the throttled window (accruing throttled time) and
+        // The tick closes the throttled window (counting it as throttled) and
         // the retransmit sweep again offers everything — still one push.
-        let throttled_before = prim.backfill_throttled_nanos();
+        let throttled_before = prim.backfill_throttled_windows();
         let fx = prim.handle(OsdInput::HeartbeatTick);
-        assert!(prim.backfill_throttled_nanos() > throttled_before);
+        assert!(prim.backfill_throttled_windows() > throttled_before);
         assert_eq!(count_pushes(&fx).len(), 1, "still capped after tick");
         // An ack frees the slot mid-window: the next object goes out
         // immediately without waiting for the tick.

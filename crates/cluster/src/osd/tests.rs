@@ -2,7 +2,7 @@
 //! not yet moved beside the protocol they test, one sans-io `Osd` (or two)
 //! driven input by input. Tests written since sit beside their code.
 
-use rablock_storage::{GroupId, Op, Payload, Segments, StoreError, Transaction};
+use rablock_storage::{GroupId, Payload, Segments, StoreError};
 
 use super::pipeline::pglog_key;
 use super::testkit::*;
@@ -140,46 +140,6 @@ fn coupled_write_completes_after_local_persist_and_ack() {
 }
 
 #[test]
-fn replica_acks_only_after_durable() {
-    let mut o = osd(PipelineMode::Original, 1);
-    let g = a_group_led_by_another(&o);
-    let oid = oid_in(g, 1);
-    let txn = Transaction::new(
-        g,
-        5,
-        vec![Op::Write {
-            oid,
-            offset: 0,
-            data: vec![1; 4096].into(),
-        }],
-    );
-    let fx = o.handle(OsdInput::Peer {
-        from: OsdId(0),
-        msg: PeerMsg::Repop {
-            group: g,
-            seq: 5,
-            txn,
-        },
-    });
-    assert!(!fx.iter().any(|e| matches!(
-        e,
-        OsdEffect::SendPeer {
-            msg: PeerMsg::RepAck { .. },
-            ..
-        }
-    )));
-    let toks = tokens_of(&fx);
-    let fx = o.handle(OsdInput::StoreDurable { token: toks[0] });
-    assert!(fx.iter().any(|e| matches!(
-        e,
-        OsdEffect::SendPeer {
-            msg: PeerMsg::RepAck { seq: 5, .. },
-            ..
-        }
-    )));
-}
-
-#[test]
 fn decoupled_write_acks_without_store() {
     let mut o = osd(PipelineMode::Dop, 0);
     let g = a_group_with_primary(&o);
@@ -214,38 +174,6 @@ fn decoupled_write_acks_without_store() {
             ..
         }
     )));
-}
-
-#[test]
-fn decoupled_replica_acks_immediately_from_nvm() {
-    let mut o = osd(PipelineMode::Dop, 1);
-    let g = a_group_led_by_another(&o);
-    let oid = oid_in(g, 1);
-    let txn = Transaction::new(
-        g,
-        5,
-        vec![Op::Write {
-            oid,
-            offset: 0,
-            data: vec![1; 4096].into(),
-        }],
-    );
-    let fx = o.handle(OsdInput::Peer {
-        from: OsdId(0),
-        msg: PeerMsg::Repop {
-            group: g,
-            seq: 5,
-            txn,
-        },
-    });
-    assert!(fx.iter().any(|e| matches!(
-        e,
-        OsdEffect::SendPeer {
-            msg: PeerMsg::RepAck { .. },
-            ..
-        }
-    )));
-    assert_eq!(o.log_pending(g), 1);
 }
 
 #[test]
@@ -406,47 +334,6 @@ fn retried_write_applies_exactly_once() {
 }
 
 #[test]
-fn duplicate_replication_reacks_without_reapplying() {
-    let mut o = osd(PipelineMode::Dop, 1);
-    let g = a_group_led_by_another(&o);
-    let oid = oid_in(g, 1);
-    let txn = Transaction::new(
-        g,
-        5,
-        vec![Op::Write {
-            oid,
-            offset: 0,
-            data: vec![1; 4096].into(),
-        }],
-    );
-    o.handle(OsdInput::Peer {
-        from: OsdId(0),
-        msg: PeerMsg::Repop {
-            group: g,
-            seq: 5,
-            txn: txn.clone(),
-        },
-    });
-    assert_eq!(o.log_pending(g), 1);
-    let fx = o.handle(OsdInput::Peer {
-        from: OsdId(0),
-        msg: PeerMsg::Repop {
-            group: g,
-            seq: 5,
-            txn,
-        },
-    });
-    assert!(fx.iter().any(|e| matches!(
-        e,
-        OsdEffect::SendPeer {
-            msg: PeerMsg::RepAck { seq: 5, .. },
-            ..
-        }
-    )));
-    assert_eq!(o.log_pending(g), 1, "duplicate not re-logged");
-}
-
-#[test]
 fn restart_truncates_torn_tail_and_drains_log() {
     let mut o = osd(PipelineMode::Dop, 0);
     let g = a_group_with_primary(&o);
@@ -503,117 +390,6 @@ fn heartbeat_tick_emits_beacon() {
     let mut o = osd(PipelineMode::Dop, 0);
     let fx = o.handle(OsdInput::HeartbeatTick);
     assert!(fx.iter().any(|e| matches!(e, OsdEffect::Heartbeat)));
-}
-
-#[test]
-fn replica_apply_failure_nacks_instead_of_panicking() {
-    let mut o = osd(PipelineMode::Original, 1);
-    let g = a_group_led_by_another(&o);
-    let oid = oid_in(g, 1);
-    // A zero-length write is rejected by every backend.
-    let bad = Transaction::new(
-        g,
-        5,
-        vec![Op::Write {
-            oid,
-            offset: 0,
-            data: Vec::new().into(),
-        }],
-    );
-    let fx = o.handle(OsdInput::Peer {
-        from: OsdId(0),
-        msg: PeerMsg::Repop {
-            group: g,
-            seq: 5,
-            txn: bad,
-        },
-    });
-    assert!(
-        fx.iter().any(|e| matches!(
-            e,
-            OsdEffect::SendPeer {
-                to: OsdId(0),
-                msg: PeerMsg::RepNack { seq: 5, .. },
-            }
-        )),
-        "failed apply NACKs back to the primary: {fx:?}"
-    );
-    // The failed seq was un-noted: a retransmit with a good payload is
-    // applied for real (store I/O), not re-acked from the dedup window.
-    let good = Transaction::new(
-        g,
-        5,
-        vec![Op::Write {
-            oid,
-            offset: 0,
-            data: vec![3; 4096].into(),
-        }],
-    );
-    let fx = o.handle(OsdInput::Peer {
-        from: OsdId(0),
-        msg: PeerMsg::Repop {
-            group: g,
-            seq: 5,
-            txn: good,
-        },
-    });
-    assert_eq!(tokens_of(&fx).len(), 1, "retransmit applied: {fx:?}");
-}
-
-#[test]
-fn rep_nack_completes_write_degraded_and_pushes_recovery() {
-    let mut o = osd(PipelineMode::Original, 0);
-    let g = a_group_with_primary(&o);
-    let oid = oid_in(g, 1);
-    let fx = o.handle(OsdInput::Client {
-        from: ClientId(1),
-        req: write_req(1, oid),
-    });
-    let toks = tokens_of(&fx);
-    o.handle(OsdInput::StoreDurable { token: toks[0] });
-    // Replica refuses the repop: the write completes without it and the
-    // primary immediately pushes the object to heal the divergence.
-    let replica = o.map().acting_set(g)[1];
-    let fx = o.handle(OsdInput::Peer {
-        from: replica,
-        msg: PeerMsg::RepNack {
-            group: g,
-            seq: 1,
-            from: replica,
-            error: StoreError::NoSpace,
-        },
-    });
-    assert!(fx.iter().any(|e| matches!(
-        e,
-        OsdEffect::Reply {
-            msg: ClientReply::Done { .. },
-            ..
-        }
-    )));
-    let push = fx.iter().find_map(|e| match e {
-        OsdEffect::SendPeer {
-            to,
-            msg: PeerMsg::PushObject { entry, .. },
-        } => Some((*to, **entry)),
-        _ => None,
-    });
-    let (to, entry) = push.expect("recovery push follows the NACK");
-    assert_eq!(to, replica);
-    assert_eq!(entry.oid, oid);
-    assert!(o.degraded_objects() > 0);
-    // The replica's ack for the push clears the recovery round.
-    let fx = o.handle(OsdInput::Peer {
-        from: replica,
-        msg: PeerMsg::PushAck {
-            group: g,
-            epoch: o.map().epoch,
-            oid,
-            from: replica,
-        },
-    });
-    assert!(fx.is_empty(), "{fx:?}");
-    assert_eq!(o.degraded_objects(), 0);
-    assert_eq!(o.pg_state(g), PgState::Active);
 }
 
 #[test]

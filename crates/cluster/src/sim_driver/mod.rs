@@ -38,7 +38,7 @@ use rablock_sim::{
 use rablock_storage::{GroupId, ObjectId, Payload};
 
 use crate::costs::CostModel;
-use crate::invariants::{DigestListing, HistoryChecker, ReplicaListing};
+use crate::invariants::{diff_replica_digests, HistoryChecker, ObjectCopy, ReplicaListing};
 use crate::osd::{Osd, OsdConfig, PgState, PipelineMode};
 use crate::placement::{OsdId, OsdMap};
 use crate::retry::RetryPolicy;
@@ -305,43 +305,6 @@ impl ClusterSim {
         Some(self.osd_ref(holder).map().clone())
     }
 
-    /// Re-applies every live OSD's pending log records to its backend, so
-    /// that backend reads observe every acknowledged write.
-    fn sync_live_backends(&mut self) {
-        for i in 0..self.osd_count {
-            if !self.is_dead(i) {
-                self.osd_mut_ref(i).sync_backend_with_log();
-            }
-        }
-    }
-
-    /// Every group whose primary under the current map is alive, with that
-    /// primary's OSD index.
-    fn live_primaries(&self) -> Vec<(GroupId, usize)> {
-        let Some(map) = self.current_map() else {
-            return Vec::new();
-        };
-        let groups = (0..map.pg_count).map(GroupId);
-        let led = groups.filter_map(|g| Some((g, map.try_primary(g)?.0 as usize)));
-        led.filter(|&(_, i)| !self.is_dead(i)).collect()
-    }
-
-    /// The live acting-set members of every group (by OSD index) under the
-    /// current map, skipping groups with fewer than two: where replicas
-    /// can be compared.
-    fn replicated_groups(&self) -> Vec<(GroupId, Vec<usize>)> {
-        let Some(map) = self.current_map() else {
-            return Vec::new();
-        };
-        let groups = (0..map.pg_count).map(GroupId);
-        let members = groups.map(|group| {
-            let set = map.acting_set(group).into_iter();
-            let live = set.map(|o| o.0 as usize).filter(|&i| !self.is_dead(i));
-            (group, live.collect::<Vec<usize>>())
-        });
-        members.filter(|(_, m)| m.len() >= 2).collect()
-    }
-
     /// Creates every object of `objects` on all replicas directly in the
     /// backends (instant provisioning, like creating RBD images before the
     /// measured run).
@@ -380,11 +343,6 @@ impl ClusterSim {
     /// Client operations surfaced as errors so far (fault-injection runs).
     pub fn client_errors(&self) -> u64 {
         self.parts[0].client_errors
-    }
-
-    /// Rejoins the monitor's flap dampening has refused so far.
-    pub fn flaps_damped(&self) -> u64 {
-        self.parts[0].monitor.flaps_damped()
     }
 
     /// Per-OSD logical fill: the bytes of every extent a live,
@@ -437,76 +395,74 @@ impl ClusterSim {
         self.osd_ref(osd.0 as usize).log_pending(group)
     }
 
-    /// Flushes every live OSD's pending log records into its backend, then
-    /// compares replica contents object by object: for each group, every live
-    /// acting-set member must serve byte-identical data. Returns human-readable
-    /// mismatch descriptions; empty means the replicas converged. Mutates
-    /// backends (log re-apply), so call only after the run finished.
-    pub fn replica_divergence(&mut self) -> Vec<String> {
+    /// Everything a finished run left unhealed, one line each; empty means
+    /// healed. Syncs every live OSD's pending log records into its backend,
+    /// then walks the groups of the current map once. A group is listed when
+    /// its live primary does not report it Active; an object, when the
+    /// group's live acting-set members disagree on it, by the digest of the
+    /// bytes they serve or by the `(size, checksum-vector digest)` they
+    /// persist (see [`diff_replica_digests`]). Mutates backends (log
+    /// re-apply), so call it only after the run.
+    pub fn unhealed(&mut self) -> Vec<String> {
         let mut out = Vec::new();
-        self.sync_live_backends();
-        for (group, members) in self.replicated_groups() {
-            // Union of the extents any member tracks for the group.
-            let mut extents: BTreeMap<u64, (ObjectId, u64)> = BTreeMap::new();
-            for &m in &members {
-                for (oid, len) in self.osd_ref(m).group_extent_map(group) {
-                    let e = extents.entry(oid.raw()).or_insert((oid, len));
-                    e.1 = e.1.max(len);
+        let Some(map) = self.current_map() else {
+            return out;
+        };
+        for i in 0..self.osd_count {
+            if !self.is_dead(i) {
+                self.osd_mut_ref(i).sync_backend_with_log();
+            }
+        }
+        for group in (0..map.pg_count).map(GroupId) {
+            let live = |o: OsdId| Some(o.0 as usize).filter(|&i| !self.is_dead(i));
+            if let Some(i) = map.try_primary(group).and_then(live) {
+                let (osd, g) = (self.osd_ref(i), group.0);
+                let state = osd.pg_state(group);
+                if state != PgState::Active {
+                    let outstanding = osd.degraded_objects();
+                    out.push(format!(
+                        "group {g}: {state:?} at osd{i}, {outstanding} objects outstanding"
+                    ));
                 }
             }
-            let extents: Vec<(ObjectId, u64)> = extents.into_values().collect();
-            let mut listings: Vec<ReplicaListing> = Vec::with_capacity(members.len());
-            for &m in &members {
-                let osd = self.osd_mut_ref(m);
-                let entries = extents
-                    .iter()
-                    .map(|&(oid, len)| (oid.raw(), osd.object_digest(oid, len)))
-                    .collect();
-                listings.push((format!("osd{m}"), entries));
-            }
-            for d in crate::invariants::diff_replica_digests(&listings) {
-                out.push(format!("group {}: {d}", group.0));
+            let members: Vec<usize> = map.acting_set(group).into_iter().filter_map(live).collect();
+            if members.len() >= 2 {
+                let listings = self.replica_listings(group, &members);
+                let diffs = diff_replica_digests(&listings).into_iter();
+                out.extend(diffs.map(|d| format!("group {}: {d}", group.0)));
             }
         }
         out
     }
 
-    /// Persistent-checksum consistency across live acting replicas: every
-    /// member of every group must persist the same `(size, checksum-vector
-    /// digest)` for every object it holds (see
-    /// [`crate::invariants::replica_digest_consistency`]). Metadata-only —
-    /// no data blocks are read — and vacuously clean for backends that do
-    /// not persist checksums. Mutates backends (log re-apply), so call only
-    /// after the run finished.
-    pub fn replica_digest_inconsistency(&mut self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.sync_live_backends();
-        for (group, members) in self.replicated_groups() {
-            let listings: Vec<DigestListing> = members
-                .iter()
-                .map(|&m| {
-                    let entries = self
-                        .osd_ref(m)
-                        .group_extent_map(group)
-                        .into_iter()
-                        .filter_map(|(oid, _)| {
-                            self.osd_ref(m)
-                                .object_csum_digest(oid)
-                                .map(|(size, digest)| (oid.raw(), size, digest))
-                        })
-                        .collect();
-                    (format!("osd{m}"), entries)
-                })
-                .collect();
-            for d in crate::invariants::replica_digest_consistency(&listings) {
-                out.push(format!("group {}: {d}", group.0));
+    /// Each member's copy of every object any member tracks for `group`,
+    /// read at the longest extent any of them tracks. A member reports
+    /// persisted checksums only for the objects it tracks itself.
+    fn replica_listings(&mut self, group: GroupId, members: &[usize]) -> Vec<ReplicaListing> {
+        let mut extents: BTreeMap<u64, (ObjectId, u64)> = BTreeMap::new();
+        for &m in members {
+            for (oid, len) in self.osd_ref(m).group_extent_map(group) {
+                let e = extents.entry(oid.raw()).or_insert((oid, len));
+                e.1 = e.1.max(len);
             }
         }
-        out
+        let mut listings = Vec::with_capacity(members.len());
+        for &m in members {
+            let osd = self.osd_mut_ref(m);
+            let tracked = osd.group_extent_map(group);
+            let copies = extents.values().map(|&(oid, len)| {
+                let tracks = tracked.binary_search_by_key(&oid.raw(), |(o, _)| o.raw());
+                let csum = tracks.ok().and_then(|_| osd.object_csum_digest(oid));
+                let content = osd.object_digest(oid, len);
+                (oid.raw(), ObjectCopy { content, csum })
+            });
+            listings.push((format!("osd{m}"), copies.collect()));
+        }
+        listings
     }
 
-    /// Raw object bytes as served by one OSD's backend (diagnostics; call
-    /// after [`ClusterSim::replica_divergence`] so logs are synced).
+    /// Raw object bytes as served by one OSD's backend once it applied the
+    /// group's pending log records (diagnostics).
     pub fn object_bytes(&mut self, osd: usize, oid: ObjectId, len: u64) -> Option<Payload> {
         self.osd_mut_ref(osd).debug_read(oid, len)
     }
@@ -529,23 +485,6 @@ impl ClusterSim {
             o.scrub_errors_repaired,
             o.read_checksum_errors,
         )
-    }
-
-    /// One line per non-Active PG at its current primary, plus its count of
-    /// outstanding recovery pushes (diagnostics for stuck recovery).
-    pub fn stuck_pgs(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (group, i) in self.live_primaries() {
-            let state = self.osd_ref(i).pg_state(group);
-            if state != PgState::Active {
-                out.push(format!(
-                    "group {}: {state:?} at osd{i}, {} objects outstanding",
-                    group.0,
-                    self.osd_ref(i).degraded_objects(),
-                ));
-            }
-        }
-        out
     }
 
     /// Runs for `warmup`, discards all statistics, then runs for `measure`

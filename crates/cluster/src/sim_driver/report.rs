@@ -305,10 +305,17 @@ impl ClusterSim {
             last: self.sim.now(),
             writes: self.parts[0].writes_done,
             reads: self.parts[0].reads_done,
-            throttled: self.osds().map(Osd::backfill_throttled_nanos).sum(),
+            throttled: self.throttled_nanos(Osd::backfill_throttled_windows),
             scrub_errors: self.osds().map(|o| o.scrub_errors_found).sum(),
             osd_busy: self.osd_threads.iter().map(busy).collect(),
         }
+    }
+
+    /// Simulated time spent in throttled background windows, summed over
+    /// OSDs: each heartbeat opens a window, so a window lasts one period.
+    fn throttled_nanos(&self, windows: fn(&Osd) -> u64) -> u64 {
+        let period = self.topo.cfg.heartbeat_period.map_or(0, |p| p.as_nanos());
+        self.osds().map(windows).sum::<u64>() * period
     }
 
     /// Re-anchors the sampler's counter snapshots to "now" (post-reset).
@@ -438,7 +445,7 @@ impl ClusterSim {
             recovery_pushes: osds().map(|o| o.recovery_pushes).sum(),
             backfill_bytes: osds().map(|o| o.backfill_bytes).sum(),
             backfill_queued: osds().map(Osd::backfill_queued).sum(),
-            backfill_throttled_nanos: osds().map(Osd::backfill_throttled_nanos).sum(),
+            backfill_throttled_nanos: self.throttled_nanos(Osd::backfill_throttled_windows),
             flaps_damped: w0.monitor.flaps_damped(),
             degraded_objects: osds().map(Osd::degraded_objects).sum(),
             queue_high_water: self.sim.queue_high_water(),
@@ -446,7 +453,7 @@ impl ClusterSim {
             scrub_errors_found: osds().map(|o| o.scrub_errors_found).sum(),
             scrub_errors_repaired: osds().map(|o| o.scrub_errors_repaired).sum(),
             scrub_bytes: osds().map(|o| o.scrub_bytes).sum(),
-            scrub_throttled_nanos: osds().map(Osd::scrub_throttled_nanos).sum(),
+            scrub_throttled_nanos: self.throttled_nanos(Osd::scrub_throttled_windows),
             read_checksum_errors: osds().map(|o| o.read_checksum_errors).sum(),
         }
     }

@@ -226,13 +226,7 @@ impl ClusterSim {
             t.device = spawner.sim.add_device_in(1 + t.node, device);
         }
 
-        // Denominate the backfill throttle's per-tick byte budget in actual
-        // heartbeat periods when detection is armed, so throttled time is
-        // accounted in the same clock the retries run on.
-        let mut osd_cfg = cfg.osd.clone();
-        if let Some(period) = cfg.heartbeat_period {
-            osd_cfg.backfill_tick_nanos = period.as_nanos();
-        }
+        let osd_cfg = cfg.osd.clone();
         let mut osds =
             (0..threads.len() as u32).map(|id| Osd::new(OsdId(id), osd_cfg.clone(), map.clone()));
 

@@ -6,51 +6,25 @@
 //!
 //! Usage: `cargo run --release --example elastic_grow [seed]`
 
-use rablock::sim::{ChurnOp, ClusterSim, ConnWorkload, SimDuration, SimRng, WorkItem};
-use rablock::{ObjectId, PipelineMode};
-use rablock_bench::scenarios::{conn_oid, fault_tolerant, ms, small_cluster};
+use rablock::sim::{ChurnOp, ClusterSimConfig, SimDuration};
+use rablock::PipelineMode;
+use rablock_bench::scenarios::{fault_tolerant, ms, small_cluster, ConnLoad, Outcome};
+use rablock_cluster::invariants::capacity_imbalance;
 use rablock_cluster::placement::DEFAULT_OSD_WEIGHT;
 
-const PGS: u32 = 16;
+/// Two connections of 256 writes then 64 reads over 256 KiB objects.
+const LOAD: ConnLoad = ConnLoad {
+    conns: 2,
+    writes: 256,
+    reads: 64,
+    object_bytes: 256 << 10,
+};
 
-fn oid(conn: u64, i: u64) -> ObjectId {
-    conn_oid(conn, i, PGS)
-}
-
-struct Conn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for Conn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        if i < 256 {
-            Some(WorkItem::Write {
-                oid: oid(self.conn, i % 8),
-                offset: ((i / 8) % 16) * 4096,
-                len: 4096,
-                fill: ((self.conn * 97 + i) % 251) as u8,
-            })
-        } else if i < 320 {
-            let j = i - 256;
-            Some(WorkItem::Read {
-                oid: oid(self.conn, j % 8),
-                offset: (j / 8) * 4096,
-                len: 4096,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-fn build(seed: u64) -> ClusterSim {
+fn config(seed: u64) -> ClusterSimConfig {
     let mut cfg = fault_tolerant(small_cluster(PipelineMode::Dop));
     cfg.nodes = 4;
     cfg.osds_per_node = 2;
-    cfg.pg_count = PGS;
+    cfg.pg_count = 16;
     cfg.seed = seed;
     // A deliberately tight backfill throttle so the rebalance queues.
     cfg.osd.max_backfill_inflight = 2;
@@ -67,33 +41,15 @@ fn build(seed: u64) -> ClusterSim {
             weight: DEFAULT_OSD_WEIGHT,
         })
         .collect();
-    let conns = (0..2)
-        .map(|c| Box::new(Conn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    ClusterSim::new(cfg, conns)
+    cfg
 }
 
-#[allow(clippy::type_complexity)]
-fn run(seed: u64) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, Vec<u64>) {
-    let mut sim = build(seed);
-    let objects: Vec<_> = (0..2u64)
-        .flat_map(|c| (0..8u64).map(move |i| (oid(c, i), 256 << 10)))
-        .collect();
-    sim.prefill(&objects);
+/// The run's outcome and the fill of every OSD in service at its end.
+fn run(seed: u64) -> (Outcome, Vec<u64>) {
+    let mut sim = LOAD.sim(config(seed));
     let report = sim.run(SimDuration::ZERO, SimDuration::secs(2));
-    let checker = sim.checker().expect("history checking enabled");
-    (
-        report.writes_done,
-        report.reads_done,
-        report.client_errors,
-        checker.writes_acked(),
-        checker.reads_checked(),
-        report.recovery_pushes,
-        report.backfill_bytes,
-        report.backfill_queued,
-        sim.capacity_imbalance().to_bits(),
-        sim.osd_fill_bytes().into_iter().map(|(_, b)| b).collect(),
-    )
+    let fills = sim.osd_fill_bytes().into_iter().map(|(_, b)| b).collect();
+    (Outcome::of(&mut sim, &report), fills)
 }
 
 fn main() {
@@ -103,7 +59,18 @@ fn main() {
     println!("4 nodes x 2 OSDs; boots on 4 OSDs, the other 4 weave in at 8 ms under load");
 
     let first = run(seed);
-    let (w, r, e, acked, checked, pushes, bf_bytes, bf_queued, imb, ref fills) = first;
+    let (outcome, fills) = &first;
+    let [w, r, e, acked, checked, pushes, bf_bytes, bf_queued] = [
+        "writes_done",
+        "reads_done",
+        "client_errors",
+        "writes_acked",
+        "reads_checked",
+        "recovery_pushes",
+        "backfill_bytes",
+        "backfill_queued",
+    ]
+    .map(|name| outcome.count(name));
     println!("writes_done={w} reads_done={r} client_errors={e} writes_acked={acked} reads_checked={checked}");
     println!("recovery_pushes={pushes} backfill_bytes={bf_bytes} backfill_queued={bf_queued}");
     let filled = fills.iter().filter(|&&b| b > 0).count();
@@ -111,10 +78,9 @@ fn main() {
         "capacity: {} of {} OSDs hold data, max/mean fill imbalance {:.2}",
         filled,
         fills.len(),
-        f64::from_bits(imb)
+        capacity_imbalance(fills)
     );
-    assert!(w + r + e >= 2 * 320, "all ops resolved");
-    assert!(checked >= r, "every read vetted against acked writes");
+    outcome.converged(LOAD).expect("the cluster converges");
     assert!(pushes >= 1, "the expansion must move data");
     assert!(filled >= 6, "joiners must take a share of the data");
 

@@ -11,7 +11,7 @@ use rablock::sim::{
     BitRotSchedule, ClusterSim, ConnWorkload, FaultPlan, RotMedia, SimDuration, SimRng, WorkItem,
 };
 use rablock::{ObjectId, PipelineMode};
-use rablock_bench::scenarios::{conn_oid, fault_tolerant, ms, small_cluster, SMALL_PGS};
+use rablock_bench::scenarios::{conn_oid, fault_tolerant, ms, small_cluster, Outcome, SMALL_PGS};
 
 const OBJECTS: u64 = 8;
 const BLOCKS: u64 = 16;
@@ -95,30 +95,13 @@ fn build(seed: u64, flips: u32) -> ClusterSim {
     )
 }
 
-#[allow(clippy::type_complexity)]
-fn run(seed: u64, flips: u32) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
+fn run(seed: u64, flips: u32) -> Outcome {
     let mut sim = build(seed, flips);
     let mut objects: Vec<(ObjectId, u64)> = (0..OBJECTS).map(|i| (oid(i), BLOCKS * 4096)).collect();
     objects.extend((0..8).map(|j| (ballast_oid(j), (BALLAST / 8) * 4096)));
     sim.prefill(&objects);
     let report = sim.run(SimDuration::ZERO, SimDuration::secs(5));
-    let divergence = sim.replica_digest_inconsistency();
-    assert!(
-        divergence.is_empty(),
-        "replicas must agree at quiesce: {divergence:?}"
-    );
-    let checker = sim.checker().expect("history checking enabled");
-    (
-        report.writes_done,
-        report.reads_done,
-        report.client_errors,
-        checker.writes_acked(),
-        checker.reads_checked(),
-        report.scrubs_completed,
-        report.scrub_errors_found,
-        report.scrub_errors_repaired,
-        report.read_checksum_errors,
-    )
+    Outcome::of(&mut sim, &report)
 }
 
 fn main() {
@@ -129,7 +112,18 @@ fn main() {
     println!("fault: {flips} silent bit flips on osd1's committed data @6ms; deep scrub every 4ms");
 
     let first = run(seed, flips);
-    let (w, r, e, acked, checked, scrubs, found, repaired, read_csum) = first;
+    let [w, r, e, acked, checked, scrubs, found, repaired, read_csum] = [
+        "writes_done",
+        "reads_done",
+        "client_errors",
+        "writes_acked",
+        "reads_checked",
+        "scrubs_completed",
+        "scrub_errors_found",
+        "scrub_errors_repaired",
+        "read_checksum_errors",
+    ]
+    .map(|name| first.count(name));
     println!("writes_done={w} reads_done={r} client_errors={e} writes_acked={acked} reads_checked={checked}");
     println!("scrubs_completed={scrubs} errors_found={found} errors_repaired={repaired} read_checksum_errors={read_csum}");
     assert_eq!(e, 0, "no client ever sees the corruption");
@@ -137,6 +131,11 @@ fn main() {
     assert!(scrubs > 0, "scrub cadence ran");
     assert!(found > 0, "deep scrub must catch the rotten copies");
     assert!(repaired > 0, "scrub repair must heal them");
+    let unhealed = &first.unhealed;
+    assert!(
+        unhealed.is_empty(),
+        "replicas must agree at quiesce: {unhealed:?}"
+    );
 
     let second = run(seed, flips);
     assert_eq!(first, second, "same seed must replay the identical history");

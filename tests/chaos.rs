@@ -11,7 +11,7 @@
 //! 1. No acknowledged write is ever lost and every read is explainable
 //!    (the checker panics the run otherwise).
 //! 2. The whole fault history is seed-reproducible: running the identical
-//!    configuration twice yields byte-identical outcome counters.
+//!    configuration twice yields the same [`Outcome`], fingerprint and all.
 
 use proptest::prelude::*;
 use rablock::sim::{
@@ -20,8 +20,8 @@ use rablock::sim::{
 };
 use rablock::{GroupId, PipelineMode};
 use rablock_bench::scenarios::{
-    self, cases, fault_tolerant, grow_load, ms, noisy_link, small_cluster, ConnLoad, SMALL_NODES,
-    SMALL_PGS,
+    self, cases, fault_tolerant, grow_load, ms, noisy_link, small_cluster, ConnLoad, Outcome,
+    SMALL_NODES, SMALL_PGS,
 };
 use rablock_cluster::placement::OsdMap;
 
@@ -127,20 +127,9 @@ fn config(s: &Scenario) -> ClusterSimConfig {
     base_config(s.seed, plan(s))
 }
 
-/// One full chaos run; returns the outcome counters that must reproduce.
-fn run(s: &Scenario) -> (u64, u64, u64, u64, u64, u64, u64) {
-    let mut sim = LOAD.sim(config(s));
-    let report = sim.run(SimDuration::ZERO, SimDuration::secs(5));
-    let checker = sim.checker().expect("history checking enabled");
-    (
-        report.writes_done,
-        report.reads_done,
-        report.client_errors,
-        report.nvm_bytes,
-        report.context_switches,
-        checker.writes_acked(),
-        checker.reads_checked(),
-    )
+/// One run of [`LOAD`] on the small cluster for 5 s.
+fn run(cfg: ClusterSimConfig) -> Outcome {
+    LOAD.run(cfg, SimDuration::secs(5))
 }
 
 /// Everything a convergence case is derived from. Unlike [`Scenario`],
@@ -182,63 +171,11 @@ fn converging_link_fault(drop_p: f64) -> LinkFault {
     }
 }
 
-/// Outcome of a convergence run: reproducible counters, any PGs still not
-/// Active after quiesce, any replica content divergence, and any replica
-/// checksum-metadata (size + csum digest) inconsistency.
-type ConvergenceOutcome = (
-    (u64, u64, u64, u64, u64, u64, u64),
-    Vec<String>,
-    Vec<String>,
-    Vec<String>,
-);
-
-/// One full run followed by post-quiesce health checks.
-fn run_to_convergence(cfg: ClusterSimConfig) -> ConvergenceOutcome {
-    let mut sim = LOAD.sim(cfg);
-    let report = sim.run(SimDuration::ZERO, SimDuration::secs(5));
-    let checker = sim.checker().expect("history checking enabled");
-    let counters = (
-        report.writes_done,
-        report.reads_done,
-        report.client_errors,
-        report.recovery_pushes,
-        report.backfill_bytes,
-        checker.writes_acked(),
-        checker.reads_checked(),
-    );
-    let stuck = sim.stuck_pgs();
-    let divergence = sim.replica_divergence();
-    let digests = sim.replica_digest_inconsistency();
-    (counters, stuck, divergence, digests)
-}
-
-/// Shared assertions for a convergence outcome.
-fn assert_converged(outcome: &ConvergenceOutcome) -> Result<(), TestCaseError> {
-    let ((writes, reads, errors, pushes, _, acked, checked), stuck, divergence, digests) = outcome;
-    let total_ops = LOAD.total_ops();
-    prop_assert!(
-        writes + reads + errors >= total_ops,
-        "all ops resolved: {writes}+{reads}+{errors} of {total_ops}"
-    );
-    prop_assert!(
-        *writes >= LOAD.conns * LOAD.writes / 2,
-        "most writes completed: {writes}"
-    );
-    prop_assert!(acked >= writes, "every counted write was vetted");
-    prop_assert!(checked >= reads, "every read was vetted");
-    prop_assert!(*pushes >= 1, "recovery actually ran: {pushes} pushes");
-    prop_assert!(
-        stuck.is_empty(),
-        "every PG is Active after quiesce: {stuck:?}"
-    );
-    prop_assert!(
-        divergence.is_empty(),
-        "replicas byte-identical after recovery: {divergence:?}"
-    );
-    prop_assert!(
-        digests.is_empty(),
-        "replica checksum metadata consistent after recovery: {digests:?}"
-    );
+/// A crash-and-restart run converged, and recovery ran to get there.
+fn recovered(o: &Outcome) -> Result<(), TestCaseError> {
+    o.converged(LOAD).map_err(TestCaseError::fail)?;
+    let pushes = o.count("recovery_pushes");
+    prop_assert!(pushes >= 1, "recovery actually ran: {pushes} pushes");
     Ok(())
 }
 
@@ -298,8 +235,8 @@ fn healed_cluster_regressions() {
         },
     ];
     for c in cases {
-        let outcome = run_to_convergence(base_config(c.seed, primary_crash_faults(&c)));
-        assert_converged(&outcome).unwrap_or_else(|e| panic!("case {c:?}: {e}"));
+        let outcome = run(base_config(c.seed, primary_crash_faults(&c)));
+        recovered(&outcome).unwrap_or_else(|e| panic!("case {c:?}: {e}"));
     }
 }
 
@@ -309,23 +246,14 @@ proptest! {
     /// Under a randomized mix of drops, duplicates, reordering, a partition,
     /// a gray device, and a crash/restart: no acked write is lost, every
     /// read is explainable (checker panics otherwise), the cluster makes
-    /// progress, and the same seed replays the identical history.
+    /// progress and has healed by the end of the 5 s run, and the same seed
+    /// replays the identical history.
     #[test]
     fn invariants_hold_and_history_replays(s in scenarios()) {
-        let first = run(&s);
-        let (writes, reads, errors, _, _, acked, checked) = first;
-        // Progress: the retry path pushes most ops through the fault window.
-        let total_ops = LOAD.total_ops();
-        prop_assert!(
-            writes + reads + errors >= total_ops,
-            "all ops resolved (done or surfaced): {writes}+{reads}+{errors} of {total_ops}"
-        );
-        prop_assert!(writes >= LOAD.conns * LOAD.writes / 2, "most writes completed: {writes}");
-        prop_assert!(acked >= writes, "every counted write was vetted: {acked} >= {writes}");
-        prop_assert!(checked >= reads, "every read was vetted: {checked} >= {reads}");
-
+        let first = run(config(&s));
+        first.converged(LOAD).map_err(TestCaseError::fail)?;
         // Determinism: an identical configuration replays byte-identically.
-        let second = run(&s);
+        let second = run(config(&s));
         prop_assert_eq!(first, second, "same seed, same fault history, same outcome");
     }
 
@@ -336,9 +264,9 @@ proptest! {
     /// byte-identical replicas. The whole history is seed-reproducible.
     #[test]
     fn kill_primary_mid_replication_converges(c in convergence_scenarios()) {
-        let first = run_to_convergence(base_config(c.seed, primary_crash_faults(&c)));
-        assert_converged(&first)?;
-        let second = run_to_convergence(base_config(c.seed, primary_crash_faults(&c)));
+        let first = run(base_config(c.seed, primary_crash_faults(&c)));
+        recovered(&first)?;
+        let second = run(base_config(c.seed, primary_crash_faults(&c)));
         prop_assert_eq!(first, second, "same seed, same recovery history");
     }
 
@@ -363,9 +291,9 @@ proptest! {
             }
             f
         };
-        let first = run_to_convergence(base_config(c.seed, faults()));
-        assert_converged(&first)?;
-        let second = run_to_convergence(base_config(c.seed, faults()));
+        let first = run(base_config(c.seed, faults()));
+        recovered(&first)?;
+        let second = run(base_config(c.seed, faults()));
         prop_assert_eq!(first, second, "same seed, same recovery history");
     }
 }
@@ -379,98 +307,6 @@ proptest! {
 // prefixed `churn_` so CI can dial their intensity independently.
 // ---------------------------------------------------------------------------
 
-/// Everything an elastic-operations run observes, flattened so determinism
-/// checks are plain equality. Imbalance is carried as IEEE-754 bits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChurnOutcome {
-    writes: u64,
-    reads: u64,
-    errors: u64,
-    pushes: u64,
-    backfill_bytes: u64,
-    backfill_queued: u64,
-    backfill_throttled_nanos: u64,
-    flaps_damped: u64,
-    acked: u64,
-    checked: u64,
-    stuck: Vec<String>,
-    divergence: Vec<String>,
-    digests: Vec<String>,
-    imbalance_bits: u64,
-    filled_osds: usize,
-}
-
-/// One elastic-ops run: workload + churn plan in, full outcome out.
-fn run_churn(cfg: ClusterSimConfig, load: ConnLoad, measure: SimDuration) -> ChurnOutcome {
-    let mut sim = load.sim(cfg);
-    let report = sim.run(SimDuration::ZERO, measure);
-    let checker = sim.checker().expect("history checking enabled");
-    let acked = checker.writes_acked();
-    let checked = checker.reads_checked();
-    let imbalance = sim.capacity_imbalance();
-    let filled_osds = sim
-        .osd_fill_bytes()
-        .iter()
-        .filter(|&&(_, bytes)| bytes > 0)
-        .count();
-    let flaps_damped = sim.flaps_damped();
-    let stuck = sim.stuck_pgs();
-    let divergence = sim.replica_divergence();
-    let digests = sim.replica_digest_inconsistency();
-    ChurnOutcome {
-        writes: report.writes_done,
-        reads: report.reads_done,
-        errors: report.client_errors,
-        pushes: report.recovery_pushes,
-        backfill_bytes: report.backfill_bytes,
-        backfill_queued: report.backfill_queued,
-        backfill_throttled_nanos: report.backfill_throttled_nanos,
-        flaps_damped,
-        acked,
-        checked,
-        stuck,
-        divergence,
-        digests,
-        imbalance_bits: imbalance.to_bits(),
-        filled_osds,
-    }
-}
-
-/// Shared assertions: all ops resolved, nothing lost, cluster healed.
-fn assert_churn_converged(o: &ChurnOutcome, load: ConnLoad) -> Result<(), TestCaseError> {
-    let total_ops = load.total_ops();
-    prop_assert!(
-        o.writes + o.reads + o.errors >= total_ops,
-        "all ops resolved: {}+{}+{} of {total_ops}",
-        o.writes,
-        o.reads,
-        o.errors
-    );
-    prop_assert!(
-        o.writes >= load.conns * load.writes / 2,
-        "most writes completed: {}",
-        o.writes
-    );
-    prop_assert!(o.acked >= o.writes, "every counted write was vetted");
-    prop_assert!(o.checked >= o.reads, "every read was vetted");
-    prop_assert!(
-        o.stuck.is_empty(),
-        "every PG is Active after quiesce: {:?}",
-        o.stuck
-    );
-    prop_assert!(
-        o.divergence.is_empty(),
-        "replicas byte-identical after rebalance: {:?}",
-        o.divergence
-    );
-    prop_assert!(
-        o.digests.is_empty(),
-        "replica checksum metadata consistent after rebalance: {:?}",
-        o.digests
-    );
-    Ok(())
-}
-
 const GROW_LOAD: ConnLoad = grow_load(512, 64);
 /// Declared capacity-imbalance tolerance for the grown cluster. With 16
 /// data-bearing groups x 2 replicas over 64 OSDs the placement is sparse,
@@ -481,12 +317,18 @@ const GROW_IMBALANCE_TOLERANCE: f64 = 9.0;
 
 /// The grow-4->8->64-under-load scenario (`scenarios::grow_config`) with
 /// the read-path CRCs on and background message chaos confined to the
-/// first 60 ms.
-fn run_grow(seed: u64, drop_p: f64) -> ChurnOutcome {
+/// first 60 ms: its outcome, how many OSDs hold data at the end, and the
+/// capacity imbalance.
+fn run_grow(seed: u64, drop_p: f64) -> (Outcome, usize, f64) {
     let mut cfg = scenarios::grow_config(seed, true);
     cfg.osd.cos.checksums = true;
     cfg.faults = FaultPlan::none().with_link_fault(converging_link_fault(drop_p));
-    run_churn(cfg, GROW_LOAD, SimDuration::millis(600))
+    let mut sim = GROW_LOAD.sim(cfg);
+    let report = sim.run(SimDuration::ZERO, SimDuration::millis(600));
+    let fills = sim.osd_fill_bytes();
+    let filled = fills.iter().filter(|&&(_, bytes)| bytes > 0).count();
+    let imbalance = sim.capacity_imbalance();
+    (Outcome::of(&mut sim, &report), filled, imbalance)
 }
 
 /// Drain scenario on the small 3-OSD topology: one member is weighted to
@@ -503,10 +345,6 @@ fn drain_config(seed: u64, drop_p: f64, drained: u32, at_ms: u64) -> ClusterSimC
         weight: 0,
     }];
     cfg
-}
-
-fn run_small_churn(cfg: ClusterSimConfig) -> ChurnOutcome {
-    run_churn(cfg, LOAD, SimDuration::secs(5))
 }
 
 /// Flapping storm: one OSD bounces down/up for `cycles` cycles while the
@@ -558,26 +396,22 @@ proptest! {
         drop_p in 0.002f64..0.015,
     ) {
         let first = run_grow(seed, drop_p);
-        assert_churn_converged(&first, GROW_LOAD)?;
+        let (outcome, filled, imbalance) = &first;
+        outcome.converged(GROW_LOAD).map_err(TestCaseError::fail)?;
+        let pushes = outcome.count("recovery_pushes");
+        let bytes = outcome.count("backfill_bytes");
         prop_assert!(
-            first.pushes >= 1 && first.backfill_bytes > 0,
-            "expansion actually moved data: {} pushes, {} bytes",
-            first.pushes,
-            first.backfill_bytes
+            pushes >= 1 && bytes > 0,
+            "expansion actually moved data: {pushes} pushes, {bytes} bytes"
         );
+        let queued = outcome.count("backfill_queued");
         prop_assert!(
-            first.backfill_queued >= 1,
-            "the 56-OSD wave must queue against the throttle: {} queued",
-            first.backfill_queued
+            queued >= 1,
+            "the 56-OSD wave must queue against the throttle: {queued} queued"
         );
+        prop_assert!(*filled >= 12, "data spread onto the new OSDs: {filled} hold bytes");
         prop_assert!(
-            first.filled_osds >= 12,
-            "data spread onto the new OSDs: {} hold bytes",
-            first.filled_osds
-        );
-        let imbalance = f64::from_bits(first.imbalance_bits);
-        prop_assert!(
-            imbalance.is_finite() && imbalance <= GROW_IMBALANCE_TOLERANCE,
+            imbalance.is_finite() && *imbalance <= GROW_IMBALANCE_TOLERANCE,
             "capacity imbalance within tolerance: {imbalance:.2} <= {GROW_IMBALANCE_TOLERANCE}"
         );
         let second = run_grow(seed, drop_p);
@@ -593,14 +427,11 @@ proptest! {
         drained in 0u32..3,
         at_ms in 2u64..12,
     ) {
-        let first = run_small_churn(drain_config(seed, drop_p, drained, at_ms));
-        assert_churn_converged(&first, LOAD)?;
-        prop_assert!(
-            first.pushes >= 1,
-            "drain re-homed data via pushes: {}",
-            first.pushes
-        );
-        let second = run_small_churn(drain_config(seed, drop_p, drained, at_ms));
+        let first = run(drain_config(seed, drop_p, drained, at_ms));
+        first.converged(LOAD).map_err(TestCaseError::fail)?;
+        let pushes = first.count("recovery_pushes");
+        prop_assert!(pushes >= 1, "drain re-homed data via pushes: {pushes}");
+        let second = run(drain_config(seed, drop_p, drained, at_ms));
         prop_assert_eq!(first, second, "same seed, same drain history");
     }
 
@@ -615,14 +446,11 @@ proptest! {
         flapper in 0usize..3,
         cycles in 5usize..8,
     ) {
-        let first = run_small_churn(flap_config(seed, drop_p, flapper, cycles));
-        assert_churn_converged(&first, LOAD)?;
-        prop_assert!(
-            first.flaps_damped >= 1,
-            "dampening tripped on the storm: {} refused rejoins",
-            first.flaps_damped
-        );
-        let second = run_small_churn(flap_config(seed, drop_p, flapper, cycles));
+        let first = run(flap_config(seed, drop_p, flapper, cycles));
+        first.converged(LOAD).map_err(TestCaseError::fail)?;
+        let damped = first.count("flaps_damped");
+        prop_assert!(damped >= 1, "dampening tripped on the storm: {damped} refused rejoins");
+        let second = run(flap_config(seed, drop_p, flapper, cycles));
         prop_assert_eq!(first, second, "same seed, same storm history");
     }
 
@@ -635,14 +463,11 @@ proptest! {
         drop_p in 0.002f64..0.02,
         downtime_ms in 6u64..10,
     ) {
-        let first = run_small_churn(rolling_upgrade_config(seed, drop_p, downtime_ms));
-        assert_churn_converged(&first, LOAD)?;
-        prop_assert!(
-            first.flaps_damped == 0,
-            "a clean rolling upgrade never trips dampening: {}",
-            first.flaps_damped
-        );
-        let second = run_small_churn(rolling_upgrade_config(seed, drop_p, downtime_ms));
+        let first = run(rolling_upgrade_config(seed, drop_p, downtime_ms));
+        first.converged(LOAD).map_err(TestCaseError::fail)?;
+        let damped = first.count("flaps_damped");
+        prop_assert!(damped == 0, "a clean rolling upgrade never trips dampening: {damped}");
+        let second = run(rolling_upgrade_config(seed, drop_p, downtime_ms));
         prop_assert_eq!(first, second, "same seed, same upgrade history");
     }
 }

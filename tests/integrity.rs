@@ -11,12 +11,12 @@
 
 use proptest::prelude::*;
 use rablock::sim::{
-    BitRotSchedule, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan,
-    Fingerprint, RotMedia, SimDuration, SimRng, WorkItem,
+    BitRotSchedule, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, RotMedia,
+    SimDuration, SimRng, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
 use rablock_bench::scenarios::{
-    cases, conn_oid, fault_tolerant, ms, small_cluster, ConnLoad, SMALL_NODES, SMALL_PGS,
+    cases, conn_oid, fault_tolerant, ms, small_cluster, ConnLoad, Outcome, SMALL_NODES, SMALL_PGS,
 };
 use rablock_cluster::placement::OsdMap;
 
@@ -120,92 +120,6 @@ fn base_config(seed: u64, faults: FaultPlan) -> ClusterSimConfig {
     cfg
 }
 
-/// Everything one integrity run observes, flattened so determinism checks
-/// are plain equality.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Outcome {
-    writes: u64,
-    reads: u64,
-    errors: u64,
-    scrubs_completed: u64,
-    errors_found: u64,
-    errors_repaired: u64,
-    scrub_throttled_nanos: u64,
-    read_checksum_errors: u64,
-    acked: u64,
-    checked: u64,
-    stuck: Vec<String>,
-    divergence: Vec<String>,
-    digests: Vec<String>,
-    fingerprint: Fingerprint,
-}
-
-fn run(cfg: ClusterSimConfig, measure: SimDuration) -> Outcome {
-    run_sim(LOAD.sim(cfg), measure)
-}
-
-fn run_sim(mut sim: ClusterSim, measure: SimDuration) -> Outcome {
-    let report = sim.run(SimDuration::ZERO, measure);
-    let checker = sim.checker().expect("history checking enabled");
-    let acked = checker.writes_acked();
-    let checked = checker.reads_checked();
-    let stuck = sim.stuck_pgs();
-    let divergence = sim.replica_divergence();
-    let digests = sim.replica_digest_inconsistency();
-    Outcome {
-        writes: report.writes_done,
-        reads: report.reads_done,
-        errors: report.client_errors,
-        scrubs_completed: report.scrubs_completed,
-        errors_found: report.scrub_errors_found,
-        errors_repaired: report.scrub_errors_repaired,
-        scrub_throttled_nanos: report.scrub_throttled_nanos,
-        read_checksum_errors: report.read_checksum_errors,
-        acked,
-        checked,
-        stuck,
-        divergence,
-        digests,
-        fingerprint: report.fingerprint(Some((acked, checked))),
-    }
-}
-
-/// Shared assertions: ops resolved, nothing lost, cluster healed, replicas
-/// clean down to checksum metadata.
-fn assert_healed(o: &Outcome) -> Result<(), TestCaseError> {
-    let total_ops = LOAD.total_ops();
-    prop_assert!(
-        o.writes + o.reads + o.errors >= total_ops,
-        "all ops resolved: {}+{}+{} of {total_ops}",
-        o.writes,
-        o.reads,
-        o.errors
-    );
-    prop_assert!(
-        o.writes >= LOAD.conns * LOAD.writes / 2,
-        "most writes completed: {}",
-        o.writes
-    );
-    prop_assert!(o.acked >= o.writes, "every counted write was vetted");
-    prop_assert!(o.checked >= o.reads, "every read was vetted");
-    prop_assert!(
-        o.stuck.is_empty(),
-        "every PG is Active after quiesce: {:?}",
-        o.stuck
-    );
-    prop_assert!(
-        o.divergence.is_empty(),
-        "replicas byte-identical after healing: {:?}",
-        o.divergence
-    );
-    prop_assert!(
-        o.digests.is_empty(),
-        "replica checksum metadata consistent after healing: {:?}",
-        o.digests
-    );
-    Ok(())
-}
-
 /// One bit-rot chaos case: where the rot lands, how hard, and how the scrub
 /// cadence is tuned. All strikes target a single OSD, so no object ever has
 /// `size` (= 2) corrupt replicas — the regime the headline invariant covers.
@@ -274,18 +188,15 @@ proptest! {
     /// digest-consistent replicas.
     #[test]
     fn scrub_heals_single_osd_bit_rot(s in rot_scenarios()) {
-        let o = run(rot_config(&s), SimDuration::secs(5));
-        assert_healed(&o)?;
+        let o = LOAD.run(rot_config(&s), SimDuration::secs(5));
+        o.converged(LOAD).map_err(TestCaseError::fail)?;
+        let scrubs = o.count("scrubs_completed");
+        prop_assert!(scrubs >= 1, "scrub actually ran: {scrubs}");
+        let found = o.count("scrub_errors_found");
+        let repaired = o.count("scrub_errors_repaired");
         prop_assert!(
-            o.scrubs_completed >= 1,
-            "scrub actually ran: {}",
-            o.scrubs_completed
-        );
-        prop_assert!(
-            o.errors_repaired <= o.errors_found,
-            "repairs never exceed findings: {} repaired of {} found",
-            o.errors_repaired,
-            o.errors_found
+            repaired <= found,
+            "repairs never exceed findings: {repaired} repaired of {found} found"
         );
     }
 }
@@ -297,10 +208,10 @@ proptest! {
     /// counter and latency — replays byte-identically from the seed.
     #[test]
     fn bit_rot_history_is_seed_reproducible(s in rot_scenarios()) {
-        let a = run(rot_config(&s), SimDuration::secs(5));
-        let b = run(rot_config(&s), SimDuration::secs(5));
+        let a = LOAD.run(rot_config(&s), SimDuration::secs(5));
+        let b = LOAD.run(rot_config(&s), SimDuration::secs(5));
         prop_assert_eq!(&a, &b, "same seed: identical history");
-        assert_healed(&a)?;
+        a.converged(LOAD).map_err(TestCaseError::fail)?;
     }
 }
 
@@ -329,8 +240,8 @@ fn nvm_log_rot_surfaces_at_crash_and_heals() {
     let mut cfg = base_config(0xB17_0707, plan);
     cfg.scrub_interval = Some(SimDuration::millis(10));
     cfg.scrub_deep_every = 1;
-    let o = run(cfg, SimDuration::secs(5));
-    assert_healed(&o).unwrap_or_else(|e| panic!("{e}"));
+    let o = LOAD.run(cfg, SimDuration::secs(5));
+    o.converged(LOAD).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The dedicated read-path story, scrub disabled so read-repair carries the
@@ -363,32 +274,30 @@ fn corrupted_replica_read_redirects_and_heals() {
         .collect();
     let mut sim = ClusterSim::new(cfg, wl);
     sim.prefill(&objects);
-    let o = run_sim(sim, SimDuration::secs(5));
+    let report = sim.run(SimDuration::ZERO, SimDuration::secs(5));
+    let o = Outcome::of(&mut sim, &report);
+    let [writes, reads, errors] =
+        ["writes_done", "reads_done", "client_errors"].map(|w| o.count(w));
     let total = SWEEP_TOTAL_OPS;
     assert!(
-        o.writes + o.reads + o.errors >= total,
-        "all ops resolved: {}+{}+{} of {total}",
-        o.writes,
-        o.reads,
-        o.errors
+        writes + reads + errors >= total,
+        "all ops resolved: {writes}+{reads}+{errors} of {total}"
     );
-    assert_eq!(o.errors, 0, "redirects absorb every checksum mismatch");
+    assert_eq!(errors, 0, "redirects absorb every checksum mismatch");
+    let detected = o.count("read_checksum_errors");
     assert!(
-        o.read_checksum_errors >= 1,
-        "the corrupt read was detected on the rotted primary: {}",
-        o.read_checksum_errors
+        detected >= 1,
+        "the corrupt read was detected on the rotted primary: {detected}"
     );
-    assert_eq!(o.scrubs_completed, 0, "scrub stayed out of this one");
-    assert!(o.stuck.is_empty(), "PGs Active: {:?}", o.stuck);
+    assert_eq!(
+        o.count("scrubs_completed"),
+        0,
+        "scrub stayed out of this one"
+    );
     assert!(
-        o.divergence.is_empty(),
+        o.unhealed.is_empty(),
         "read-repair left a healed replica behind: {:?}",
-        o.divergence
-    );
-    assert!(
-        o.digests.is_empty(),
-        "checksum metadata consistent after read-repair: {:?}",
-        o.digests
+        o.unhealed
     );
 }
 
@@ -443,9 +352,8 @@ fn rot_under_a_pushed_block_is_found_by_the_next_deep_scrub() {
         "rot under pushed blocks was found: {found_2} after {found_1}"
     );
     assert_eq!(repaired_2, found_2, "and repaired");
-    assert!(sim.stuck_pgs().is_empty(), "{:?}", sim.stuck_pgs());
-    assert!(sim.replica_divergence().is_empty());
-    assert!(sim.replica_digest_inconsistency().is_empty());
+    let unhealed = sim.unhealed();
+    assert!(unhealed.is_empty(), "{unhealed:?}");
     assert_eq!(sim.client_errors(), 0);
 }
 
@@ -494,9 +402,8 @@ fn rot_in_a_never_written_block_is_found_by_deep_scrub_and_a_checked_read() {
         sim.object_bytes(victim, idle, OBJECT_BYTES),
         Some(zeros.into())
     );
-    assert!(sim.stuck_pgs().is_empty(), "{:?}", sim.stuck_pgs());
-    assert!(sim.replica_divergence().is_empty());
-    assert!(sim.replica_digest_inconsistency().is_empty());
+    let unhealed = sim.unhealed();
+    assert!(unhealed.is_empty(), "{unhealed:?}");
     assert_eq!(sim.client_errors(), 0);
 }
 
@@ -520,13 +427,13 @@ fn deep_scrub_is_throttle_bounded() {
     cfg.osd.backfill_bytes_per_tick = 64 << 10;
     cfg.scrub_interval = Some(SimDuration::millis(5));
     cfg.scrub_deep_every = 1;
-    let o = run(cfg, SimDuration::secs(5));
-    assert_healed(&o).unwrap_or_else(|e| panic!("{e}"));
-    assert!(o.scrubs_completed >= 1, "deep scrub ran");
+    let o = LOAD.run(cfg, SimDuration::secs(5));
+    o.converged(LOAD).unwrap_or_else(|e| panic!("{e}"));
+    assert!(o.count("scrubs_completed") >= 1, "deep scrub ran");
+    let throttled = o.count("scrub_throttled_nanos");
     assert!(
-        o.scrub_throttled_nanos > 0,
-        "the byte budget actually deferred scrub work: {}",
-        o.scrub_throttled_nanos
+        throttled > 0,
+        "the byte budget actually deferred scrub work: {throttled}"
     );
 }
 
@@ -536,24 +443,36 @@ fn deep_scrub_is_throttle_bounded() {
 /// correctness may not.)
 #[test]
 fn scrub_on_vs_off_client_outcomes_identical() {
-    let off = run(
+    let off = LOAD.run(
         base_config(0x5C12B, FaultPlan::none()),
         SimDuration::secs(5),
     );
     let mut on_cfg = base_config(0x5C12B, FaultPlan::none());
     on_cfg.scrub_interval = Some(SimDuration::millis(5));
     on_cfg.scrub_deep_every = 2;
-    let on = run(on_cfg, SimDuration::secs(5));
-    assert_eq!(off.scrubs_completed, 0);
-    assert!(on.scrubs_completed >= 1, "scrub ran in the armed config");
-    assert_eq!(on.errors_found, 0, "a healthy cluster scrubs clean");
-    for o in [&off, &on] {
-        assert_eq!(o.errors, 0, "no client errors on a healthy cluster");
-        assert!(o.stuck.is_empty() && o.divergence.is_empty() && o.digests.is_empty());
-    }
+    let on = LOAD.run(on_cfg, SimDuration::secs(5));
+    assert_eq!(off.count("scrubs_completed"), 0);
+    assert!(
+        on.count("scrubs_completed") >= 1,
+        "scrub ran in the armed config"
+    );
     assert_eq!(
-        (off.writes, off.reads, off.acked, off.checked),
-        (on.writes, on.reads, on.acked, on.checked),
+        on.count("scrub_errors_found"),
+        0,
+        "a healthy cluster scrubs clean"
+    );
+    for o in [&off, &on] {
+        assert_eq!(
+            o.count("client_errors"),
+            0,
+            "no client errors on a healthy cluster"
+        );
+        assert!(o.unhealed.is_empty(), "{:?}", o.unhealed);
+    }
+    let seen = ["writes_done", "reads_done", "writes_acked", "reads_checked"];
+    assert_eq!(
+        seen.map(|w| off.count(w)),
+        seen.map(|w| on.count(w)),
         "client-visible outcomes identical with scrub on vs off"
     );
 }
