@@ -683,6 +683,11 @@ mod tests {
         repo_file("results/figures_sweep.txt")
     }
 
+    /// The one command that re-records the committed sweep, for a move
+    /// made on purpose.
+    const RERECORD: &str = "if on purpose, re-record it: cargo run --release -p rablock-bench \
+        --bin figures -- --jobs 2 --out results/figures_sweep.txt";
+
     /// The cell keys a check reads.
     fn cells(check: &Check) -> Vec<&'static str> {
         match check {
@@ -719,7 +724,7 @@ mod tests {
             .map(|c| c.key)
             .collect();
         grid.sort();
-        assert_eq!(committed, grid);
+        assert_eq!(committed, grid, "{RERECORD}");
         assert_eq!(committed.len(), 71);
     }
 

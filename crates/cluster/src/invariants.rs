@@ -15,12 +15,14 @@
 //! one byte value, and each block has at most one writer at a time (blocks
 //! are partitioned across client connections). Under that discipline the
 //! legal values of a block at any instant are exactly: the last acked fill,
-//! or the fill of a still-pending (issued, unacked) write.
+//! or the fill of a still-pending (issued, unacked) write. A block of a
+//! prefilled object (see [`HistoryChecker::prefilled`]) starts as zeros, so
+//! until a write to it is acked zeros are legal too.
 //!
 //! Violations panic with a precise description, so a failing seeded chaos
 //! run is its own reproducer.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::msg::{ClientId, OpId};
 use rablock_storage::ObjectId;
@@ -43,6 +45,8 @@ pub struct HistoryChecker {
     blocks: HashMap<BlockKey, BlockState>,
     /// Issued writes by `(client, op)`, for ack resolution.
     ops: HashMap<(u32, u64), BlockKey>,
+    /// Raw ids of the objects the run prefilled with zeros.
+    prefilled: HashSet<u64>,
     /// Completed reads checked so far.
     reads_checked: u64,
     /// Writes acked so far.
@@ -57,6 +61,12 @@ impl HistoryChecker {
 
     fn key(oid: ObjectId, offset: u64, len: u64) -> BlockKey {
         (oid.raw(), offset, len)
+    }
+
+    /// Records that `oid` was created zero-filled before the run: each of its
+    /// blocks holds zeros until a write to it is acked.
+    pub fn prefilled(&mut self, oid: ObjectId) {
+        self.prefilled.insert(oid.raw());
     }
 
     /// Records that `client` issued write `op` filling the block with `fill`.
@@ -101,7 +111,8 @@ impl HistoryChecker {
     /// # Panics
     ///
     /// Panics if the data is torn (not a single fill byte) or the fill value
-    /// does not correspond to the last acked write or a still-pending write.
+    /// does not correspond to the last acked write, a still-pending write,
+    /// or, before any write to it is acked, the block's initial zeros.
     pub fn read_checked(&mut self, oid: ObjectId, offset: u64, len: u64, data: &[u8]) {
         self.reads_checked += 1;
         assert_eq!(
@@ -116,10 +127,12 @@ impl HistoryChecker {
             "torn read of {oid:?} [{offset}, +{len}): mixed fill bytes"
         );
         let block = self.blocks.get(&Self::key(oid, offset, len));
+        let initial = fill == 0 && self.prefilled.contains(&oid.raw());
         let legal = match block {
             // Never written: any fill would be suspect, but drivers only
             // read written blocks; an untracked block accepts zeros.
             None => fill == 0,
+            Some(b) if b.last_acked.is_none() && initial => true,
             Some(b) => b.last_acked == Some(fill) || b.pending.iter().any(|(_, _, f)| *f == fill),
         };
         assert!(
@@ -242,6 +255,34 @@ mod tests {
         // Both old-acked and new-pending values are linearizable outcomes.
         h.read_checked(oid(), 0, 4, &[0xAA; 4]);
         h.read_checked(oid(), 0, 4, &[0xBB; 4]);
+    }
+
+    /// A prefilled block holds zeros until a write to it is acked: a read
+    /// racing the first write may see them, one after the ack may not.
+    #[test]
+    fn a_prefilled_block_reads_zeros_until_a_write_is_acked() {
+        let mut h = HistoryChecker::new();
+        h.prefilled(oid());
+        h.write_issued(ClientId(0), OpId(1), oid(), 0, 4, 0xAA);
+        h.read_checked(oid(), 0, 4, &[0; 4]);
+        h.read_checked(oid(), 0, 4, &[0xAA; 4]);
+        let other = ObjectId::new(GroupId(3), 8);
+        h.write_issued(ClientId(0), OpId(2), other, 0, 4, 0xBB);
+        let unfilled = std::panic::catch_unwind(move || h.read_checked(other, 0, 4, &[0; 4]));
+        assert!(
+            unfilled.is_err(),
+            "zeros of an object the run never prefilled"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "history violation")]
+    fn a_prefilled_block_with_an_acked_write_never_reads_zeros() {
+        let mut h = HistoryChecker::new();
+        h.prefilled(oid());
+        h.write_issued(ClientId(0), OpId(1), oid(), 0, 4, 0xAA);
+        h.write_acked(ClientId(0), OpId(1));
+        h.read_checked(oid(), 0, 4, &[0; 4]);
     }
 
     #[test]

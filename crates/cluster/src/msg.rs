@@ -225,14 +225,15 @@ pub enum PeerMsg {
         /// costs its encoded length.
         records: Vec<LogRecord>,
     },
-    /// Peering: the new primary asks an acting-set peer for its pg_log so it
-    /// can compute the peer's missing set.
+    /// Peering: a primary asks an acting-set peer for its pg_log so it can
+    /// compute the peer's missing set, and a joiner asks each candidate, so
+    /// it can pick whom to pull from.
     PgQuery {
         /// Group being peered.
         group: GroupId,
         /// Map epoch the primary is peering at (stale replies are ignored).
         epoch: u64,
-        /// The querying primary.
+        /// The querying primary or joiner.
         from: OsdId,
     },
     /// Peering: a peer's pg_log, in reply to [`PeerMsg::PgQuery`].
@@ -243,6 +244,10 @@ pub enum PeerMsg {
         epoch: u64,
         /// The replying peer.
         from: OsdId,
+        /// The peer holds no finished copy of the group: it is joining it,
+        /// or left it (or crashed) before its join ended. A bit of the
+        /// header on the wire.
+        joining: bool,
         /// The peer's full (bounded) pg_log for the group.
         entries: Vec<PgLogEntry>,
     },

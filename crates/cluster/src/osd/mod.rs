@@ -328,7 +328,7 @@ pub struct Osd {
     top: TopHalf,
     /// Store tokens, flush windows and deferred store work (`flush.rs`).
     bottom: BottomHalf,
-    /// pg_log, peering rounds and the joiner's pulls (`peering.rs`).
+    /// pg_log, peering rounds and joins (`peering.rs`).
     peering: Peering,
     /// The throttle recovery pushes and deep scrubs share (`recovery.rs`).
     budget: BackgroundBudget,
@@ -633,11 +633,8 @@ impl Osd {
         // the byte budget, and let unacked pushes retransmit (they re-enter
         // the window via retry_recovery).
         self.budget.new_window();
-        // Piggy-back peer-recovery retries on the liveness timer: a lost
-        // PullLog or PullReply, or a reply the store refused, would
-        // otherwise wedge the join forever.
-        self.retry_pulls();
-        // Same for lost peering queries and recovery pushes, and for
+        // Piggy-back retries on the liveness timer: lost peering queries,
+        // pulls and recovery pushes, a pull's reply the store refused, and
         // replication messages of writes stuck on laggard replicas.
         self.retry_recovery();
         self.retransmit_stale_inflight();
@@ -705,8 +702,9 @@ impl Osd {
                 group,
                 epoch,
                 from: peer,
+                joining,
                 entries,
-            } => self.on_pg_info(group, epoch, peer, entries),
+            } => self.on_pg_info(group, epoch, peer, joining, entries),
             PushObject {
                 group,
                 epoch,

@@ -1,11 +1,15 @@
 //! Peering: who holds what after the map changed. The bounded per-group
-//! write log (pg_log) is its currency — a new primary asks every acting-set
-//! peer for theirs (`PgQuery` / `PgInfo`), diffs them against its own and
-//! cuts the missing sets `recovery.rs` then pushes — and the join is its
-//! other half (§IV-A-4): survivors flush their operation logs but keep them,
-//! a new member pulls object contents and log records from one of them
-//! (`PullLog`, answered by one `PullReply` that carries both).
+//! write log (pg_log) is its currency. A primary that holds a group asks its
+//! acting-set peers for theirs (`PgQuery` / `PgInfo`), diffs them against
+//! its own and cuts the missing sets `recovery.rs` then pushes. A member
+//! that does not hold a group clean joins it in the same round (§IV-A-4):
+//! it asks every up member of every acting set the group has had since it
+//! last held it clean, and pulls object contents and log records, in one
+//! `PullReply`, from the one the evidence names; survivors flush their
+//! operation logs but keep them for it. A joining primary diffs once its
+//! join has ended.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rablock_oplog::{GroupLog, LogRecord};
@@ -25,7 +29,7 @@ pub enum PgState {
     Active,
     /// Serving I/O with fewer than `replication` members (above `min_size`).
     Degraded,
-    /// The primary is collecting pg_log infos from the acting set.
+    /// The primary is collecting pg_log infos, or joining the group.
     Peering,
     /// Log-replay recovery: pushing individually missing objects to peers
     /// whose logs overlap the primary's.
@@ -39,8 +43,17 @@ pub enum PgState {
     Inconsistent,
 }
 
-/// Per-group recovery bookkeeping at the primary, created on a map-epoch
-/// change and dropped once every peer acked its last push.
+/// Where a join stands: asking the candidates for their infos, or pulling
+/// from the one they named, which answered as joining or not.
+#[derive(Copy, Clone, Debug)]
+enum Join {
+    Asking,
+    Pulling(OsdId, bool),
+}
+
+/// One group's round at this OSD for the current map epoch: at a primary
+/// that holds the group, its peering and recovery, dropped once every peer
+/// acked its last push; at a member that does not hold it clean, its join.
 pub(super) struct PgRecovery {
     /// Map epoch this peering round belongs to; stale replies are ignored.
     pub(super) epoch: u64,
@@ -48,12 +61,14 @@ pub(super) struct PgRecovery {
     pub(super) state: PgState,
     /// Peers whose [`PeerMsg::PgInfo`] has not arrived yet.
     awaiting_infos: BTreeSet<OsdId>,
-    /// Collected peer logs (by peer), kept until the missing sets are cut.
-    infos: BTreeMap<OsdId, Vec<PgLogEntry>>,
+    /// Collected peer infos (by peer): whether it is joining, and its log.
+    infos: BTreeMap<OsdId, (bool, Vec<PgLogEntry>)>,
     /// Outstanding pushes per peer, keyed by raw object id for stable order.
     pub(super) missing: BTreeMap<OsdId, BTreeMap<u64, ObjectId>>,
     /// Peers being healed by full backfill rather than log replay.
     pub(super) backfill_peers: BTreeSet<OsdId>,
+    /// The join, while this OSD is joining the group.
+    join: Option<Join>,
 }
 
 impl PgRecovery {
@@ -65,6 +80,7 @@ impl PgRecovery {
             infos: BTreeMap::new(),
             missing: BTreeMap::new(),
             backfill_peers: BTreeSet::new(),
+            join: None,
         }
     }
 }
@@ -76,22 +92,22 @@ pub(super) struct Peering {
     /// Bounded versioned write log per group (`(epoch, version, oid,
     /// digest)` per applied op): the peering currency.
     pub(super) pg_log: FxHashMap<GroupId, VecDeque<PgLogEntry>>,
-    /// Active peering/recovery rounds for groups this OSD leads.
+    /// This epoch's rounds: peering and recovery of the groups this OSD
+    /// leads, and its joins.
     pub(super) rounds: BTreeMap<GroupId, PgRecovery>,
-    /// Groups this OSD is joining (§IV-A-4), until the pull's reply
-    /// applies, each with the OSD it pulls from: a member of the *previous*
-    /// acting set, i.e. an OSD that actually holds the data (after a
-    /// weighted expansion an entire acting set can be fresh joiners, so
-    /// pulling from the new set would get nothing).
-    joins: BTreeMap<GroupId, OsdId>,
+    /// The groups this OSD does not hold clean (decoupled mode), each with
+    /// the members of every acting set the group has had since it last did
+    /// (the candidates a join asks), and whether it left the group holding
+    /// it clean (its copy whole as of then). A join's end removes the group.
+    pub(super) unclean: BTreeMap<GroupId, (BTreeSet<OsdId>, bool)>,
 }
 
 impl Peering {
-    /// True while this OSD is itself still synchronizing the group: it is
-    /// not authoritative for it yet, and its flushes and cold store reads
+    /// True while this OSD is itself still joining the group: it is not
+    /// authoritative for it yet, and its flushes and cold store reads
     /// wait, so the pulled objects cannot clobber newer data.
     pub(super) fn joining(&self, group: GroupId) -> bool {
-        self.joins.contains_key(&group)
+        self.rounds.get(&group).is_some_and(|r| r.join.is_some())
     }
 
     /// Appends to the group's pg_log, evicting the oldest entries first so
@@ -108,6 +124,30 @@ impl Peering {
     fn log(&self, group: GroupId) -> impl Iterator<Item = &PgLogEntry> {
         self.pg_log.get(&group).into_iter().flatten()
     }
+}
+
+/// A candidate's rank in the source rule: its newest pg_log entry, then
+/// whether it is in the group's acting set `set` (a member takes every
+/// write from here on), then the lower id.
+type Rank = ((u64, u64), bool, Reverse<OsdId>);
+
+fn rank<'a>(osd: OsdId, log: impl Iterator<Item = &'a PgLogEntry>, set: &[OsdId]) -> Rank {
+    let newest = log.map(|e| (e.epoch, e.version)).max();
+    (newest.unwrap_or_default(), set.contains(&osd), Reverse(osd))
+}
+
+/// The one source rule, over each candidate's `(joining, rank)`. A joiner
+/// pulls from the best candidate that is not joining. When every candidate
+/// is joining, the best of them and this OSD (ranked `me`) ends its join
+/// and answers from its store: `None` when that is this OSD. Two joiners
+/// that are each other's only candidates rank the same evidence, so they
+/// name the same one.
+fn pick_source(me: Rank, infos: &[(bool, Rank)]) -> Option<(bool, OsdId)> {
+    let clean = infos.iter().filter(|i| !i.0).max_by_key(|i| i.1);
+    let itself = (true, me);
+    let all = infos.iter().chain([&itself]);
+    let &(joining, (_, _, Reverse(best))) = clean.or_else(|| all.max_by_key(|i| i.1))?;
+    (best != me.2 .0).then_some((joining, best))
 }
 
 impl Osd {
@@ -177,14 +217,27 @@ impl Osd {
         }
     }
 
-    /// Objects this primary knows to be missing on some acting-set peer
-    /// (outstanding recovery pushes). Zero once the cluster has healed.
+    /// Objects of the group this primary knows to be missing on some
+    /// acting-set peer: its round's outstanding pushes.
+    pub fn outstanding(&self, group: GroupId) -> u64 {
+        let round = self.peering.rounds.get(&group);
+        round.map_or(0, |r| r.missing.values().map(|m| m.len() as u64).sum())
+    }
+
+    /// [`Osd::outstanding`] over every group. Zero once the cluster healed.
     pub fn degraded_objects(&self) -> u64 {
-        self.peering
-            .rounds
-            .values()
-            .map(|r| r.missing.values().map(|m| m.len() as u64).sum::<u64>())
-            .sum()
+        let groups = self.peering.rounds.keys();
+        groups.map(|&g| self.outstanding(g)).sum()
+    }
+
+    /// What this OSD's join of the group waits on, if it is joining it: the
+    /// candidates yet to answer, or the one it pulls from.
+    pub fn join_waits(&self, group: GroupId) -> Option<String> {
+        let round = self.peering.rounds.get(&group)?;
+        Some(match round.join? {
+            Join::Asking => format!("infos from {:?}", round.awaiting_infos),
+            Join::Pulling(from, _) => format!("a pull from {from}"),
+        })
     }
 
     fn pg_query(&mut self, to: OsdId, group: GroupId, epoch: u64) {
@@ -192,33 +245,101 @@ impl Osd {
         self.send(to, PeerMsg::PgQuery { group, epoch, from });
     }
 
-    /// Starts (or restarts) joining the group: pulls it from `source`.
-    pub(super) fn start_join(&mut self, group: GroupId, source: OsdId) {
-        self.peering.joins.insert(group, source);
+    fn pull(&mut self, to: OsdId, group: GroupId) {
         let from = self.id;
-        self.send(source, PeerMsg::PullLog { group, from });
+        self.send(to, PeerMsg::PullLog { group, from });
     }
 
-    /// Enters Peering for every group this OSD now leads: drops rounds for
-    /// groups it no longer leads and queries each acting-set peer for its
-    /// pg_log. Solo groups (no peers up) have nobody to heal and skip it.
-    fn start_peering(&mut self) {
-        let epoch = self.map.epoch;
+    /// Records what a map change from acting set `was` to `now` says of a
+    /// group this OSD does not hold clean: if it held the group and is out
+    /// of it now, it left it clean; otherwise the group gains both sets as
+    /// candidates, and one it is back in is no longer left clean.
+    fn note_holders(&mut self, group: GroupId, was: &[OsdId], now: &[OsdId]) {
+        let id = self.id;
+        let tracked = self.peering.unclean.contains_key(&group);
+        let held = was.contains(&id) && !tracked;
+        // A set that did not move changes no standing the last map gave.
+        if (held && now.contains(&id)) || (was == now && (tracked || held)) {
+            return;
+        }
+        let past = self.peering.unclean.entry(group);
+        let (candidates, left_clean) = past.or_insert((BTreeSet::new(), held));
+        *left_clean &= !now.contains(&id);
+        candidates.extend(was.iter().chain(now).filter(|&&o| o != id));
+    }
+
+    /// Opens the group's round at this epoch, if it has one. A member that
+    /// does not hold the group clean joins it and asks every up candidate;
+    /// a primary that holds it asks its acting-set peers.
+    pub(super) fn open_round(&mut self, group: GroupId) {
+        self.peering.rounds.remove(&group);
         let (map, id) = (&self.map, self.id);
-        let rounds = &mut self.peering.rounds;
-        rounds.retain(|&g, _| map.try_primary(g) == Some(id));
-        for g in 0..self.map.pg_count {
-            let group = GroupId(g);
-            let set = self.map.acting_set(group);
-            if set.first() != Some(&self.id) || set.len() < 2 {
-                continue;
+        let set = map.acting_set(group);
+        let joins = set.contains(&id) && self.peering.unclean.contains_key(&group);
+        let ask: BTreeSet<OsdId> = if joins {
+            let candidates = self.peering.unclean[&group].0.iter().copied();
+            candidates.filter(|&o| map.osd(o).up).collect()
+        } else if set.first() == Some(&id) && set.len() >= 2 {
+            set.into_iter().filter(|&o| o != id).collect()
+        } else {
+            return;
+        };
+        let round = PgRecovery::new(map.epoch, PgState::Peering, ask);
+        let join = joins.then_some(Join::Asking);
+        self.peering
+            .rounds
+            .insert(group, PgRecovery { join, ..round });
+        self.ask(group);
+    }
+
+    /// Asks every peer the group's round still awaits for its info. A join
+    /// that awaits no answer chooses its source at once.
+    fn ask(&mut self, group: GroupId) {
+        let round = &self.peering.rounds[&group];
+        let (epoch, peers) = (round.epoch, round.awaiting_infos.clone());
+        let chooses = round.join.is_some() && peers.is_empty();
+        for peer in peers {
+            self.pg_query(peer, group, epoch);
+        }
+        if chooses {
+            self.choose_source(group);
+        }
+    }
+
+    /// Every candidate answered: the source rule names whom this joiner
+    /// pulls from, or ends its join here.
+    fn choose_source(&mut self, group: GroupId) {
+        let set = self.map.acting_set(group);
+        let me = rank(self.id, self.peering.log(group), &set);
+        let round = self.peering.rounds.get_mut(&group).expect("a join");
+        let infos = std::mem::take(&mut round.infos).into_iter();
+        let infos: Vec<_> = infos
+            .map(|(o, (j, log))| (j, rank(o, log.iter(), &set)))
+            .collect();
+        match pick_source(me, &infos) {
+            Some((joining, from)) => {
+                round.join = Some(Join::Pulling(from, joining));
+                self.pull(from, group);
             }
-            let peers: BTreeSet<OsdId> = set.into_iter().filter(|&o| o != self.id).collect();
-            for &peer in &peers {
-                self.pg_query(peer, group, epoch);
-            }
-            let round = PgRecovery::new(epoch, PgState::Peering, peers);
-            self.peering.rounds.insert(group, round);
+            None => self.end_join(group),
+        }
+    }
+
+    /// The join ends: this OSD holds the group clean, and a primary goes on
+    /// to the diff against its peers, asking them afresh. The flushes and
+    /// cold reads the join held go now.
+    fn end_join(&mut self, group: GroupId) {
+        self.peering.unclean.remove(&group);
+        self.open_round(group);
+        self.background_io();
+        self.kick_maintenance();
+        let due = self
+            .logs
+            .get(&group)
+            .is_some_and(|l| l.pending() >= l.flush_threshold);
+        let rt = self.rt(group);
+        if (due || !rt.waiting_reads.is_empty()) && !rt.flushing {
+            self.fx.push(OsdEffect::WakeFlush { group });
         }
     }
 
@@ -227,33 +348,24 @@ impl Osd {
     /// history with ours (empty while we have entries) fell off the log tail
     /// and gets a full backfill of every object we track for the group.
     fn finish_peering(&mut self, group: GroupId) {
-        let my_log: Vec<PgLogEntry> = self.peering.log(group).copied().collect();
         // Newest entry per object on our side.
         let mut latest: BTreeMap<u64, PgLogEntry> = BTreeMap::new();
-        for e in &my_log {
+        for e in self.peering.log(group) {
             let slot = latest.entry(e.oid.raw()).or_insert(*e);
             if (e.epoch, e.version) > (slot.epoch, slot.version) {
                 *slot = *e;
             }
         }
         let all_extents = self.group_extent_map(group);
-        let Some(rec) = self.peering.rounds.get_mut(&group) else {
-            return;
-        };
-        let infos = std::mem::take(&mut rec.infos);
-        let mut any_backfill = false;
-        let mut any_missing = false;
-        for (peer, entries) in infos {
-            let peer_keys: BTreeSet<(u64, u64, u64)> =
-                entries.iter().map(PgLogEntry::key).collect();
-            let mut need: BTreeMap<u64, ObjectId> = BTreeMap::new();
-            if entries.is_empty() && !my_log.is_empty() {
+        let rec = self.peering.rounds.get_mut(&group).expect("a round");
+        for (peer, (_, entries)) in std::mem::take(&mut rec.infos) {
+            let need: BTreeMap<u64, ObjectId> = if entries.is_empty() && !latest.is_empty() {
                 // No shared history: backfill everything we track.
-                for &(oid, _) in &all_extents {
-                    need.insert(oid.raw(), oid);
-                }
                 rec.backfill_peers.insert(peer);
-                any_backfill = true;
+                all_extents
+                    .iter()
+                    .map(|&(oid, _)| (oid.raw(), oid))
+                    .collect()
             } else {
                 // Log replay: push the objects whose newest entry the peer
                 // lacks. Entries the peer has that *we* lack (e.g. a write
@@ -261,65 +373,47 @@ impl Osd {
                 // left alone: overwriting them could destroy an acked write
                 // the peer is authoritative for — the joiner pull on our own
                 // rejoin is what heals us from the peer, never the reverse.
-                for e in latest.values() {
-                    if !peer_keys.contains(&e.key()) {
-                        need.insert(e.oid.raw(), e.oid);
-                    }
-                }
-            }
+                let keys: BTreeSet<_> = entries.iter().map(PgLogEntry::key).collect();
+                let lacks = latest.values().filter(|e| !keys.contains(&e.key()));
+                lacks.map(|e| (e.oid.raw(), e.oid)).collect()
+            };
             if !need.is_empty() {
-                any_missing = true;
                 rec.missing.insert(peer, need);
             }
         }
-        if !any_missing {
+        if rec.missing.is_empty() {
             self.peering.rounds.remove(&group);
             return;
         }
-        rec.state = if any_backfill {
-            PgState::Backfilling
-        } else {
+        rec.state = if rec.backfill_peers.is_empty() {
             PgState::Recovering
+        } else {
+            PgState::Backfilling
         };
         self.push_missing(group);
     }
 
-    /// Heartbeat-driven recovery retries: lost queries are re-asked and
-    /// outstanding pushes re-sent, so a dropped message can never wedge a
-    /// peering round.
+    /// Heartbeat-driven retries, so a dropped message can never wedge a
+    /// round: lost queries are re-asked (a peer gone down is no longer
+    /// awaited) and outstanding pushes re-sent. A pull is re-sent to a
+    /// source that is up and answered as not joining (the pull or its reply
+    /// may have been lost, or the store refused the reply); one that
+    /// answered as joining may have chosen otherwise since, so the join
+    /// asks every candidate again, as it does when its source went down.
     pub(super) fn retry_recovery(&mut self) {
         let groups: Vec<GroupId> = self.peering.rounds.keys().copied().collect();
         for group in groups {
-            let round = &self.peering.rounds[&group];
-            if round.state == PgState::Peering {
-                let epoch = round.epoch;
-                let waiting: Vec<OsdId> = round.awaiting_infos.iter().copied().collect();
-                for peer in waiting {
-                    self.pg_query(peer, group, epoch);
+            let map = &self.map;
+            let round = self.peering.rounds.get_mut(&group).expect("listed");
+            match round.join {
+                Some(Join::Pulling(from, false)) if map.osd(from).up => self.pull(from, group),
+                Some(Join::Pulling(..)) => self.open_round(group),
+                _ if round.state == PgState::Peering => {
+                    round.awaiting_infos.retain(|&o| map.osd(o).up);
+                    self.ask(group);
                 }
-            } else {
-                self.push_missing(group);
+                _ => self.push_missing(group),
             }
-        }
-    }
-
-    /// Re-sends `PullLog` for every group whose pull has not been answered
-    /// and applied (the original or its reply may have been dropped or cut
-    /// off by a partition, or the store refused the reply). Driven by the
-    /// heartbeat timer.
-    pub(super) fn retry_pulls(&mut self) {
-        let (map, from) = (&self.map, self.id);
-        for (&group, source) in &mut self.peering.joins {
-            // Prefer the recorded data-holding source; fall back to a
-            // current acting-set peer only if the source has since died.
-            if !map.osd(*source).up {
-                match map.acting_set(group).into_iter().find(|&o| o != from) {
-                    Some(peer) => *source = peer,
-                    None => continue,
-                }
-            }
-            let (to, msg) = (*source, PeerMsg::PullLog { group, from });
-            self.fx.push(OsdEffect::SendPeer { to, msg });
         }
     }
 
@@ -327,9 +421,9 @@ impl Osd {
     /// pending log records on top, in one reply.
     pub(super) fn on_pull_log(&mut self, group: GroupId, requester: OsdId) {
         if self.peering.joining(group) {
-            // Not authoritative yet: answering would hand the requester an
-            // empty "complete" group. Its pull retry re-drives the transfer
-            // once our own pull has landed.
+            // Not authoritative yet: answering would hand the requester a
+            // copy this OSD has not finished. The requester asks again on
+            // its heartbeat once this join has ended.
             return;
         }
         // Bring the backend up to date with the group's pending records first,
@@ -363,10 +457,10 @@ impl Osd {
     /// data written here, and a ring that cannot hold them says `NoSpace`;
     /// either way the records go to the store instead, where the objects
     /// (read after the source synced) already hold their bytes. A store
-    /// that refuses an object or a record leaves the join open:
-    /// `retry_pulls` asks again on the heartbeat, re-applying whole objects
-    /// is idempotent, and a condition that persists shows up in
-    /// `ClusterSim::unhealed` instead of killing the process.
+    /// that refuses an object or a record leaves the join open: the
+    /// heartbeat pulls again, re-applying whole objects is idempotent, and
+    /// a condition that persists shows up in `ClusterSim::unhealed` instead
+    /// of killing the process.
     pub(super) fn on_pull_reply(
         &mut self,
         group: GroupId,
@@ -400,27 +494,22 @@ impl Osd {
                 return;
             }
         }
-        self.peering.joins.remove(&group);
-        self.background_io();
-        self.kick_maintenance();
-        // Flushes and cold reads were held back while joining; let them go now.
-        let needs_flush = self
-            .logs
-            .get(&group)
-            .is_some_and(|l| l.pending() >= l.flush_threshold);
-        let has_readers = !self.rt(group).waiting_reads.is_empty();
-        if (needs_flush || has_readers) && !self.rt(group).flushing {
-            self.fx.push(OsdEffect::WakeFlush { group });
-        }
+        self.end_join(group);
     }
 
+    /// Answers a round's ask with this OSD's pg_log for the group, and
+    /// whether it is joining: it holds no finished copy, because it is
+    /// joining the group or left it (or crashed) before its join ended.
     pub(super) fn on_pg_query(&mut self, group: GroupId, epoch: u64, requester: OsdId) {
         let entries = self.peering.log(group).copied().collect();
+        let past = self.peering.unclean.get(&group);
+        let joining = past.is_some_and(|&(_, left_clean)| !left_clean);
         let from = self.id;
         let info = PeerMsg::PgInfo {
             group,
             epoch,
             from,
+            joining,
             entries,
         };
         self.send(requester, info);
@@ -431,77 +520,55 @@ impl Osd {
         group: GroupId,
         epoch: u64,
         peer: OsdId,
+        joining: bool,
         entries: Vec<PgLogEntry>,
     ) {
-        let finish = match self.peering.rounds.get_mut(&group) {
-            Some(rec) if rec.epoch == epoch && rec.state == PgState::Peering => {
-                if rec.awaiting_infos.remove(&peer) {
-                    rec.infos.insert(peer, entries);
-                }
-                rec.awaiting_infos.is_empty()
-            }
-            // Stale epoch or no round in flight: a retransmitted
-            // reply from a superseded peering; drop it.
-            _ => false,
+        // A stale epoch, no round in flight, or a duplicate is a reply
+        // from a superseded ask; drop it.
+        let round = self.peering.rounds.get_mut(&group);
+        let Some(rec) = round.filter(|r| r.epoch == epoch) else {
+            return;
         };
-        if finish {
-            self.finish_peering(group);
+        if !rec.awaiting_infos.remove(&peer) {
+            return;
+        }
+        rec.infos.insert(peer, (joining, entries));
+        match (rec.awaiting_infos.is_empty(), rec.join.is_some()) {
+            (true, true) => self.choose_source(group),
+            (true, false) => self.finish_peering(group),
+            (false, _) => {}
         }
     }
 
     /// §IV-A-4 failure handling: on a map change, surviving members flush
-    /// their logs *without* removing entries (step ④), and a newly joined
-    /// member pulls the log from the surviving primary (steps ⑥–⑦).
+    /// their logs *without* removing entries (step ④), and a member that
+    /// does not hold a group clean joins it (steps ⑥–⑦).
     pub(super) fn on_map_update(&mut self, map: OsdMap) {
         if map.epoch <= self.map.epoch {
             return;
         }
         let old = std::mem::replace(&mut self.map, map);
         self.abort_scrubs();
-        if !self.cfg.mode.null_transaction() && !self.cfg.mode.null_store() {
-            // Every epoch change re-peers the groups this OSD now leads;
-            // stale rounds for groups it lost are dropped inside.
-            self.start_peering();
-        }
-        if !self.cfg.mode.decoupled() {
-            return;
-        }
-        let mut groups: Vec<GroupId> = self.logs.keys().copied().collect();
-        groups.sort();
-        for group in groups {
-            let member = |map: &OsdMap| map.acting_set(group).contains(&self.id);
-            let survivor = member(&self.map) && member(&old) && self.logs[&group].pending() > 0;
-            if survivor && self.submit_pending(group).is_ok() {
-                // Persist pending data but keep the log so the replacement
-                // can synchronize from it. No flush window opens: nothing
+        let decoupled = self.cfg.mode.decoupled();
+        let rounds = !self.cfg.mode.null_transaction() && !self.cfg.mode.null_store();
+        for group in (0..self.map.pg_count).map(GroupId) {
+            let now = self.map.acting_set(group);
+            if decoupled {
+                self.note_holders(group, &old.acting_set(group), &now);
+            }
+            // The rounds of the last epoch end, but an open join of a group
+            // this OSD is still in goes on.
+            let member = now.contains(&self.id);
+            if rounds && !(member && self.peering.joining(group)) {
+                self.open_round(group);
+            }
+            let pending = self.logs.get(&group).is_some_and(|l| l.pending() > 0);
+            let survivor = decoupled && member && !self.peering.joining(group);
+            if survivor && pending && self.submit_pending(group).is_ok() {
+                // Persist pending data but keep the log so a joiner can
+                // synchronize from it. No flush window opens: nothing
                 // drains when it completes. Refused records stay pending.
                 self.store_io(StoreCtx::Background, true);
-            }
-        }
-        // Newly responsible groups: pull logs from the surviving primary.
-        let my_groups: Vec<GroupId> = (0..self.map.pg_count).map(GroupId).collect();
-        for group in my_groups {
-            let new_set = self.map.acting_set(group);
-            if !new_set.contains(&self.id) {
-                continue;
-            }
-            let old_set = old.acting_set(group);
-            if old.osds.get(self.id.0 as usize).map(|o| o.up) == Some(true)
-                && old_set.contains(&self.id)
-            {
-                continue; // already a member
-            }
-            // Synchronize from an OSD that actually holds the group's data:
-            // a still-up member of the *previous* acting set (a drained OSD
-            // stays up exactly so it can serve as this handoff source).
-            // After a large expansion every new-set peer can be a fresh
-            // joiner with nothing, so the new set is only a fallback.
-            let peer = old_set
-                .into_iter()
-                .find(|&o| o != self.id && self.map.osd(o).up)
-                .or_else(|| new_set.into_iter().find(|&o| o != self.id));
-            if let Some(peer) = peer {
-                self.start_join(group, peer);
             }
         }
     }
@@ -546,7 +613,8 @@ mod tests {
     }
 
     /// A spare that has just sent `PullLog` for group 0 after a map change
-    /// took a member away, and the OSD it asked.
+    /// took a member away, and the OSD it pulls from: the one up candidate,
+    /// which answered its ask as holding the group clean.
     fn joiner(cfg: OsdConfig) -> (Osd, OsdId) {
         let map = OsdMap::new(3, 1, 8, 2);
         let g = GroupId(0);
@@ -555,12 +623,120 @@ mod tests {
         let mut next = map.clone();
         next.mark_down(set[1]);
         let mut joiner = Osd::new(spare, cfg, map);
-        let fx = joiner.handle(OsdInput::MapUpdate(next));
-        assert!(
-            pulls_of(&fx).contains(&(set[0], g)),
-            "the joiner pulls: {fx:?}"
-        );
+        let fx = joiner.handle(OsdInput::MapUpdate(next.clone()));
+        assert_eq!(asks_of(&fx, g), vec![set[0]], "the joiner asks: {fx:?}");
+        let (epoch, from) = (next.epoch, set[0]);
+        let msg = info(g, epoch, from, false);
+        let fx = joiner.handle(OsdInput::Peer { from, msg });
+        assert_eq!(pulls_of(&fx), vec![(set[0], g)], "the joiner pulls: {fx:?}");
         (joiner, set[0])
+    }
+
+    /// Whom the effects ask for their infos on `group`.
+    fn asks_of(fx: &[OsdEffect], group: GroupId) -> Vec<OsdId> {
+        fx.iter()
+            .filter_map(|e| match e {
+                OsdEffect::SendPeer {
+                    to,
+                    msg: PeerMsg::PgQuery { group: g, .. },
+                } if *g == group => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The one message of `kind` among the effects, taken out.
+    fn sent(fx: Vec<OsdEffect>, kind: impl Fn(&PeerMsg) -> bool) -> PeerMsg {
+        let mut msgs = fx.into_iter().filter_map(|e| match e {
+            OsdEffect::SendPeer { msg, .. } if kind(&msg) => Some(msg),
+            _ => None,
+        });
+        let msg = msgs.next().expect("the message is sent");
+        assert!(msgs.next().is_none(), "one such message");
+        msg
+    }
+
+    /// The map that moves group 0 off both its members onto the other two
+    /// of four OSDs, which join it as each other's only up candidates.
+    fn both_members_down() -> (OsdMap, OsdMap, GroupId) {
+        let (map, g) = (OsdMap::new(4, 1, 8, 2), GroupId(0));
+        let mut next = map.clone();
+        for o in map.acting_set(g) {
+            next.mark_down(o);
+        }
+        (map, next, g)
+    }
+
+    /// Two joiners that are each other's only candidates. Each answers the
+    /// other's ask as joining, both rank the same evidence, and the one it
+    /// names ends its join and answers from its store: the newer pg_log
+    /// entry (`evidence`: the higher id logged a write before the map
+    /// moved), else the lower id. The other's pull lands and ends its join
+    /// too. Returns the OSD that answered from its store.
+    fn two_joiners(evidence: bool) -> OsdId {
+        let (map, next, g) = both_members_down();
+        let set = next.acting_set(g);
+        let (lo, hi) = (set[0].min(set[1]), set[0].max(set[1]));
+        let cfg = cfg(PipelineMode::Dop, 16);
+        let mut osds = [lo, hi].map(|id| Osd::new(id, cfg.clone(), map.clone()));
+        if evidence {
+            let create = Op::Create {
+                oid: oid_in(g, 1),
+                size: 0,
+            };
+            let txn = Transaction::new(g, 1, vec![create]);
+            let msg = PeerMsg::Repop {
+                group: g,
+                seq: 1,
+                txn,
+            };
+            osds[1].handle(OsdInput::Peer { from: lo, msg });
+        }
+        let is_ask = |m: &PeerMsg| matches!(m, PeerMsg::PgQuery { group, .. } if group.0 == 0);
+        let asks = osds.each_mut().map(|o| {
+            let fx = o.handle(OsdInput::MapUpdate(next.clone()));
+            assert_eq!(asks_of(&fx, g).len(), 1, "{fx:?}");
+            sent(fx, is_ask)
+        });
+        let is_info = |m: &PeerMsg| matches!(m, PeerMsg::PgInfo { joining: true, .. });
+        let infos = asks.map(|ask| {
+            let PeerMsg::PgQuery { from, .. } = ask else {
+                unreachable!()
+            };
+            let o = osds.iter_mut().find(|o| o.id != from).expect("the other");
+            sent(o.handle(OsdInput::Peer { from, msg: ask }), is_info)
+        });
+        let mut pulls = Vec::new();
+        for (i, info) in infos.into_iter().enumerate() {
+            let from = osds[1 - i].id;
+            let fx = osds[i].handle(OsdInput::Peer { from, msg: info });
+            pulls.extend(pulls_of(&fx).into_iter().map(|(to, _)| (i, to)));
+        }
+        let [(joiner, source)] = pulls[..] else {
+            panic!("exactly one joiner pulls: {pulls:?}");
+        };
+        let store = 1 - joiner;
+        assert_eq!(osds[store].id, source);
+        assert!(!osds[store].peering.joining(g), "answers from its store");
+        let waits = osds[joiner].join_waits(g);
+        assert_eq!(waits, Some(format!("a pull from {source}")));
+        let from = osds[joiner].id;
+        let msg = PeerMsg::PullLog { group: g, from };
+        let is_reply = |m: &PeerMsg| matches!(m, PeerMsg::PullReply { .. });
+        let reply = sent(osds[store].handle(OsdInput::Peer { from, msg }), is_reply);
+        let from = source;
+        osds[joiner].handle(OsdInput::Peer { from, msg: reply });
+        assert_eq!(osds[joiner].join_waits(g), None, "joined");
+        source
+    }
+
+    #[test]
+    fn two_joiners_that_are_each_others_only_candidates_both_end_their_joins() {
+        let (_, next, g) = both_members_down();
+        let set = next.acting_set(g);
+        let (lo, hi) = (set[0].min(set[1]), set[0].max(set[1]));
+        assert_eq!(two_joiners(false), lo, "a tie goes to the lower id");
+        assert_eq!(two_joiners(true), hi, "the newer entry wins");
     }
 
     fn pulls_of(fx: &[OsdEffect]) -> Vec<(OsdId, GroupId)> {
@@ -767,9 +943,19 @@ mod tests {
         assert!(fx
             .iter()
             .any(|e| matches!(e, OsdEffect::StoreIo { wait: true, .. })));
-        // Spare joins: pulls the log.
+        // Spare joins: asks the survivor, which holds the group clean, and
+        // pulls the log from it.
         let mut joiner = Osd::new(spare, cfg, map3.clone());
-        let fx = joiner.handle(OsdInput::MapUpdate(new_map));
+        let fx = joiner.handle(OsdInput::MapUpdate(new_map.clone()));
+        assert_eq!(asks_of(&fx, g), vec![primary], "the one up candidate");
+        let (group, epoch, from) = (g, new_map.epoch, spare);
+        let ask = PeerMsg::PgQuery { group, epoch, from };
+        let fx = prim.handle(OsdInput::Peer { from, msg: ask });
+        let info = sent(fx, |m| matches!(m, PeerMsg::PgInfo { joining: false, .. }));
+        let fx = joiner.handle(OsdInput::Peer {
+            from: primary,
+            msg: info,
+        });
         let pull = fx.iter().find_map(|e| match e {
             OsdEffect::SendPeer {
                 to,
@@ -864,12 +1050,7 @@ mod tests {
         // primary backfills every object it tracks.
         let fx = prim.handle(OsdInput::Peer {
             from: secondary,
-            msg: PeerMsg::PgInfo {
-                group: g,
-                epoch,
-                from: secondary,
-                entries: Vec::new(),
-            },
+            msg: info(g, epoch, secondary, false),
         });
         assert_eq!(prim.pg_state(g), PgState::Backfilling);
         let pushes: Vec<PeerMsg> = fx
@@ -956,7 +1137,7 @@ mod tests {
         assert!(objects[0].1.is_empty(), "shipped with no content");
 
         let mut joiner = osd(PipelineMode::Dop, 1);
-        joiner.start_join(g, OsdId(0));
+        join_from(&mut joiner, g, OsdId(0));
         joiner.handle(OsdInput::Peer {
             from: OsdId(0),
             msg: backfill,

@@ -424,7 +424,7 @@ mod tests {
         }
         let deep = false;
         prim.handle(OsdInput::ScrubStart { group: g, deep });
-        prim.start_join(g, peer);
+        join_from(&mut prim, g, peer);
         let queued = prim.backfill_queued();
         let (epoch, from) = (prim.map().epoch, peer);
         let mut held = Vec::new();
@@ -437,7 +437,7 @@ mod tests {
             error,
         };
         held.extend(prim.handle(OsdInput::Peer { from, msg: nack }));
-        assert_eq!(prim.pg_state(g), PgState::Recovering);
+        assert_eq!(prim.pg_state(g), PgState::Peering, "joining");
         // Its scrub map disagrees on object 1 and lacks the others.
         let (stamp_epoch, version) = prim.pg_latest(g, oid_in(g, 1));
         let entry = ScrubEntry {
@@ -583,12 +583,7 @@ mod tests {
         // admits only one push into the window; the rest are queued.
         let fx = prim.handle(OsdInput::Peer {
             from: secondary,
-            msg: PeerMsg::PgInfo {
-                group: g,
-                epoch,
-                from: secondary,
-                entries: Vec::new(),
-            },
+            msg: info(g, epoch, secondary, false),
         });
         let first = count_pushes(&fx);
         assert_eq!(first.len(), 1, "inflight cap of 1: {fx:?}");

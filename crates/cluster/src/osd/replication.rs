@@ -73,15 +73,22 @@ impl Osd {
     /// Heartbeat-driven replication retransmit: an in-flight write still
     /// waiting on replica acks after two ticks has very likely lost either
     /// the repop or the ack; re-send to the laggards. This is what guarantees
-    /// replicas converge even when the *client* has given up on the op.
+    /// replicas converge even when the *client* has given up on the op. A
+    /// write of a group this OSD no longer leads fails retryably instead:
+    /// the new primary drops its repops, and the client retries there.
     pub(super) fn retransmit_stale_inflight(&mut self) {
         let mut seqs: Vec<u64> = self.top.inflight.keys().copied().collect();
         seqs.sort_unstable();
         for seq in seqs {
-            let w = self.top.inflight.get_mut(&seq).expect("listed");
+            let w = &self.top.inflight[&seq];
             if w.waiting_acks.is_empty() {
                 continue;
             }
+            if self.map.try_primary(w.group) != Some(self.id) {
+                self.fail_write(seq, StoreError::Degraded);
+                continue;
+            }
+            let w = self.top.inflight.get_mut(&seq).expect("listed");
             w.ticks += 1;
             if w.ticks >= 2 {
                 w.ticks = 0;
@@ -93,6 +100,11 @@ impl Osd {
     /// Replication at the replica, in this OSD's mode: decoupled (§IV-A)
     /// logs to NVM and acks at once, every other mode persists first.
     pub(super) fn on_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
+        if self.map.try_primary(group) == Some(self.id) {
+            // From an OSD that led the group before the map moved and took
+            // a write late: this OSD numbers the group's writes now.
+            return;
+        }
         if self.replica_already_applied(group, seq) {
             // Primary retransmit after a lost ack: re-ack only.
             self.rep_ack(from, group, seq);

@@ -119,8 +119,9 @@ impl Osd {
             }
             return;
         }
-        if self.peering.rounds.contains_key(&group) || self.peering.joining(group) {
-            // Recovery owns the group right now; scrub once it settles.
+        if self.peering.rounds.contains_key(&group) {
+            // Peering, a join or recovery owns the group right now; scrub
+            // once it settles.
             self.scrub.enqueue(group, deep);
             return;
         }

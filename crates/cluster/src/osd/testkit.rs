@@ -4,8 +4,8 @@ pub(super) use rablock_cos::CosOptions;
 pub(super) use rablock_lsm::LsmOptions;
 use rablock_storage::{GroupId, ObjectId};
 
-use super::{Osd, OsdConfig, OsdEffect, PipelineMode};
-use crate::msg::{ClientReq, OpId};
+use super::{Osd, OsdConfig, OsdEffect, OsdInput, PipelineMode};
+use crate::msg::{ClientReq, OpId, PeerMsg};
 use crate::placement::{OsdId, OsdMap};
 
 pub(super) fn map() -> OsdMap {
@@ -70,4 +70,27 @@ pub(super) fn tokens_of(fx: &[OsdEffect]) -> Vec<u64> {
             _ => None,
         })
         .collect()
+}
+
+/// `from`'s answer to an ask for `group` at `epoch`: an empty pg_log, and
+/// whether `from` is joining the group.
+pub(super) fn info(group: GroupId, epoch: u64, from: OsdId, joining: bool) -> PeerMsg {
+    PeerMsg::PgInfo {
+        group,
+        epoch,
+        from,
+        joining,
+        entries: Vec::new(),
+    }
+}
+
+/// Opens `o`'s join of `group` with `source` as its one candidate, and has
+/// `source` answer the ask as holding the group clean: `o` pulls from it.
+/// Returns the effects, the ask and the pull among them.
+pub(super) fn join_from(o: &mut Osd, group: GroupId, source: OsdId) -> Vec<OsdEffect> {
+    let candidates = [source].into();
+    o.peering.unclean.insert(group, (candidates, false));
+    o.open_round(group);
+    let msg = info(group, o.map().epoch, source, false);
+    o.handle(OsdInput::Peer { from: source, msg })
 }

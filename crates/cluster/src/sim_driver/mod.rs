@@ -307,9 +307,13 @@ impl ClusterSim {
 
     /// Creates every object of `objects` on all replicas directly in the
     /// backends (instant provisioning, like creating RBD images before the
-    /// measured run).
+    /// measured run), and tells the history checker, if armed, that their
+    /// blocks start as zeros.
     pub fn prefill(&mut self, objects: &[(ObjectId, u64)]) {
         for &(oid, size) in objects {
+            if let Some(checker) = self.parts[0].checker.as_mut() {
+                checker.prefilled(oid);
+            }
             let set = self.parts[0].map.acting_set(oid.group());
             for osd in set {
                 self.osd_mut_ref(osd.0 as usize).bootstrap_object(oid, size);
@@ -398,7 +402,9 @@ impl ClusterSim {
     /// Everything a finished run left unhealed, one line each; empty means
     /// healed. Syncs every live OSD's pending log records into its backend,
     /// then walks the groups of the current map once. A group is listed when
-    /// its live primary does not report it Active; an object, when the
+    /// its live primary does not report it Active, with the group's own
+    /// outstanding pushes; a join, when a live acting-set member is still
+    /// joining the group, with what it waits on; an object, when the
     /// group's live acting-set members disagree on it, by the digest of the
     /// bytes they serve or by the `(size, checksum-vector digest)` they
     /// persist (see [`diff_replica_digests`]). Mutates backends (log
@@ -419,13 +425,21 @@ impl ClusterSim {
                 let (osd, g) = (self.osd_ref(i), group.0);
                 let state = osd.pg_state(group);
                 if state != PgState::Active {
-                    let outstanding = osd.degraded_objects();
+                    let outstanding = osd.outstanding(group);
                     out.push(format!(
                         "group {g}: {state:?} at osd{i}, {outstanding} objects outstanding"
                     ));
                 }
             }
             let members: Vec<usize> = map.acting_set(group).into_iter().filter_map(live).collect();
+            for &m in &members {
+                if let Some(waits) = self.osd_ref(m).join_waits(group) {
+                    out.push(format!(
+                        "group {}: osd{m} still joining, waits for {waits}",
+                        group.0
+                    ));
+                }
+            }
             if members.len() >= 2 {
                 let listings = self.replica_listings(group, &members);
                 let diffs = diff_replica_digests(&listings).into_iter();

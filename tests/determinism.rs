@@ -14,7 +14,7 @@ use std::path::Path;
 use proptest::prelude::*;
 use rablock::sim::{
     BitRotSchedule, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, FaultPlan, Fingerprint,
-    LinkFault, RetryPolicy, RotMedia, SimDuration, SimRng, Word, WorkItem,
+    LinkFault, RetryPolicy, RotMedia, SimDuration, SimReport, SimRng, Word, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
 use rablock_bench::paper_cluster;
@@ -157,9 +157,8 @@ fn tracing_is_invisible_to_fingerprint_chaos_wheel() {
 /// the first OSD of each node in service, grows to 16 via two weight-churn
 /// waves, while one OSD flaps through 6 down/up cycles (tripping the
 /// monitor's dampening) and the backfill throttle is tightened enough to
-/// queue. Exercises every counter the elastic-operations work added. The
-/// fingerprint gains the run's `capacity_imbalance`.
-fn churn_fingerprint(shards: usize) -> Fingerprint {
+/// queue. Exercises every counter the elastic-operations work added.
+fn churn_run(shards: usize) -> (ClusterSim, SimReport) {
     let mut cfg = fault_tolerant(elastic_cluster(4, SMALL_PGS));
     cfg.seed = 0xE1A5;
     cfg.shards = shards;
@@ -198,6 +197,12 @@ fn churn_fingerprint(shards: usize) -> Fingerprint {
     let mut sim = load.sim(cfg);
     let r = sim.run(SimDuration::ZERO, SimDuration::millis(100));
     assert!(r.writes_done > 0, "churn run must make progress");
+    (sim, r)
+}
+
+/// The churn scenario's fingerprint, with the run's `capacity_imbalance`.
+fn churn_fingerprint(shards: usize) -> Fingerprint {
+    let (sim, r) = churn_run(shards);
     let mut fp = checked_fingerprint(&sim, &r);
     let imbalance = sim.capacity_imbalance().to_bits();
     fp.push(("capacity_imbalance".into(), Word::Real(imbalance)));
@@ -415,7 +420,7 @@ fn faulty_mixed(mode: PipelineMode) -> Fingerprint {
 /// The grow scenario `wallclock --only grow` replays over 150 ms, here over a
 /// 30 ms window that holds both churn waves; the churn-free control warms up
 /// 25 ms first, as it does there.
-fn grow_fingerprint(churn: bool, trace: bool, shards: usize) -> Fingerprint {
+fn grow_run(churn: bool, trace: bool, shards: usize) -> (ClusterSim, SimReport) {
     let mut cfg = scenarios::grow_config(0xE1A5, churn);
     cfg.trace = trace;
     cfg.shards = shards;
@@ -429,7 +434,29 @@ fn grow_fingerprint(churn: bool, trace: bool, shards: usize) -> Fingerprint {
         SimDuration::millis(25)
     };
     let r = sim.run(warmup, SimDuration::millis(30));
+    (sim, r)
+}
+
+fn grow_fingerprint(churn: bool, trace: bool, shards: usize) -> Fingerprint {
+    let (sim, r) = grow_run(churn, trace, shards);
     checked_fingerprint(&sim, &r)
+}
+
+/// The churn scenario and the churn-free grow control end their windows
+/// with every join closed and no group owing a push: `unhealed()` is empty
+/// (it names every member still joining and every group's outstanding
+/// pushes), and the report's `degraded_objects` is 0. Two joiners that each
+/// wait for the other to answer first would leave both joins open here.
+#[test]
+fn churn_and_grow_control_end_with_no_open_join() {
+    let runs = [
+        ("churn", churn_run(1)),
+        ("grow_control", grow_run(false, false, 1)),
+    ];
+    for (scenario, (mut sim, r)) in runs {
+        assert_eq!(sim.unhealed(), Vec::<String>::new(), "{scenario}");
+        assert_eq!(r.degraded_objects, 0, "{scenario}");
+    }
 }
 
 /// `tests/observability.rs`'s gray-device scenario.
