@@ -6,10 +6,10 @@
 //! (`flush.rs`) when it cannot.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rablock_oplog::ReadPath;
-use rablock_storage::{FxHashMap, GroupId, Op, StoreError, Transaction};
+use rablock_storage::{FxHashMap, GroupId, Op, Payload, StoreError, Transaction};
 
 use super::flush::{DeferredRead, StoreCtx};
 use super::{Osd, OsdEffect, DEDUP_WINDOW};
@@ -41,6 +41,15 @@ pub(super) fn pglog_key(group: GroupId, seq: u64) -> Vec<u8> {
     key
 }
 
+/// The pg-log value every write carries: 180 bytes of filler standing for
+/// an encoded entry, the same for every write, so built once per process
+/// and shared. Both stores keep it by reference for as long as they keep
+/// the record.
+fn pglog_value() -> Payload {
+    static VALUE: OnceLock<Payload> = OnceLock::new();
+    VALUE.get_or_init(|| vec![0x5A; 180].into()).clone()
+}
+
 /// The backend transaction for a client mutation. A write carries the
 /// metadata records Ceph attaches to every request (`object_info_t` xattr,
 /// pg-log entry) — the "many key-value writes" of §V-B. Built once per
@@ -57,7 +66,7 @@ fn client_txn(group: GroupId, seq: u64, mutation: Op) -> Transaction {
             },
             Op::MetaPut {
                 key: pglog_key(group, seq),
-                value: vec![0x5A; 180],
+                value: pglog_value(),
             },
         ]),
         create => Arc::new([create]),
@@ -403,6 +412,33 @@ mod tests {
         };
         assert!(Arc::ptr_eq(&retransmit.ops, &repop.ops), "rebuilt");
         assert_eq!(o.logs[&g].pending(), 1, "the retry was not logged again");
+    }
+
+    /// Two writes' pg-log records carry one value buffer: `client_txn`
+    /// builds it once, not per write.
+    #[test]
+    fn the_pg_log_values_of_two_writes_are_one_buffer() {
+        let mut o = osd(PipelineMode::Dop, 0);
+        let g = a_group_with_primary(&o);
+        let [(key1, value1), (key2, value2)] = [1, 2].map(|op| {
+            let fx = o.handle(OsdInput::Client {
+                from: ClientId(1),
+                req: write_req(op, oid_in(g, op)),
+            });
+            let [repop] = repops(&fx)[..] else {
+                panic!("one replica, one Repop")
+            };
+            let Some(Op::MetaPut { key, value }) = repop.ops.last() else {
+                panic!("a write ends with its pg-log record")
+            };
+            (key.clone(), value.clone())
+        });
+        assert_ne!(key1, key2, "each write has its own key");
+        assert_eq!(value1.len(), 180);
+        assert!(
+            std::ptr::eq(value1.as_ptr(), value2.as_ptr()),
+            "the value was built per write"
+        );
     }
 
     /// After four times the bound the window holds exactly the newest

@@ -241,7 +241,7 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
                 }
                 Op::MetaPut { key, value } => {
                     // `insert` would keep the old record, value and all.
-                    self.meta_kv.replace(MetaRecord::new(key, value));
+                    self.meta_kv.replace(MetaRecord::new(key, value.clone()));
                 }
                 Op::MetaDelete { key } => {
                     self.meta_kv.remove(&key[..]);
@@ -342,7 +342,7 @@ impl<D: BlockDevice> std::fmt::Debug for CosObjectStore<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rablock_storage::MemDisk;
+    use rablock_storage::{MemDisk, Payload};
 
     fn oid(group: u32, i: u64) -> ObjectId {
         ObjectId::new(GroupId(group), i)
@@ -1026,7 +1026,7 @@ mod tests {
             1,
             vec![Op::MetaPut {
                 key: b"pglog.1".to_vec(),
-                value: vec![3; 100],
+                value: vec![3; 100].into(),
             }],
         ))
         .unwrap();
@@ -1088,7 +1088,7 @@ mod tests {
     fn meta_put(key: &[u8], value: &[u8]) -> Op {
         Op::MetaPut {
             key: key.to_vec(),
-            value: value.to_vec(),
+            value: value.into(),
         }
     }
 
@@ -1098,6 +1098,46 @@ mod tests {
 
     fn submit_meta(s: &mut CosObjectStore<MemDisk>, seq: u64, ops: Vec<Op>) {
         s.submit(Transaction::new(GroupId(0), seq, ops)).unwrap();
+    }
+
+    /// The store keeps the submitted value by reference: its record is a
+    /// view of the op's buffer, and `get_meta` answers that buffer's bytes.
+    #[test]
+    fn a_stored_meta_value_is_the_submitted_payload() {
+        let mut s = fresh(CosOptions::tiny());
+        let value: Payload = vec![0x5A; 180].into();
+        let put = Op::MetaPut {
+            key: b"pglog.0.1".to_vec(),
+            value: value.clone(),
+        };
+        submit_meta(&mut s, 1, vec![put]);
+        let record = s.meta_kv.get(&b"pglog.0.1"[..]).expect("stored");
+        assert!(
+            std::ptr::eq(record.value().as_ptr(), value.as_ptr()),
+            "the store copied the value"
+        );
+        assert_eq!(s.get_meta(b"pglog.0.1"), Some(vec![0x5A; 180]));
+    }
+
+    /// An overwrite leaves no view of the first value in the store.
+    #[test]
+    fn a_meta_overwrite_drops_the_old_view() {
+        let mut s = fresh(CosOptions::tiny());
+        let (first, second): (Payload, Payload) = (vec![1; 180].into(), vec![2; 90].into());
+        for (seq, value) in [(1, &first), (2, &second)] {
+            let put = Op::MetaPut {
+                key: b"pglog.0.1".to_vec(),
+                value: value.clone(),
+            };
+            submit_meta(&mut s, seq, vec![put]);
+        }
+        assert_eq!(s.meta_kv.len(), 1);
+        let record = s.meta_kv.get(&b"pglog.0.1"[..]).expect("stored");
+        assert!(
+            std::ptr::eq(record.value().as_ptr(), second.as_ptr()),
+            "the store kept the first value"
+        );
+        assert_eq!(s.get_meta(b"pglog.0.1"), Some(vec![2; 90]));
     }
 
     #[test]

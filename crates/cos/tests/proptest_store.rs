@@ -310,7 +310,7 @@ proptest! {
             let op = match step {
                 MetaStep::Put { key, value } => {
                     model.insert(meta_key(key), value.clone());
-                    Op::MetaPut { key: meta_key(key), value }
+                    Op::MetaPut { key: meta_key(key), value: value.into() }
                 }
                 MetaStep::Delete { key } => {
                     model.remove(&meta_key(key));

@@ -429,8 +429,9 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
             Ok(())
         };
 
-        // The ops are borrowed: a key or value the memtable keeps is copied
-        // into its batch entry, a write payload is a refcount.
+        // The ops are borrowed: a key or xattr value the memtable keeps is
+        // copied into its batch entry, a write payload or meta value is a
+        // refcount.
         for op in txn.ops.iter() {
             match op {
                 Op::Create { oid, size } => {
@@ -454,7 +455,7 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                     batch.push((xattr_key(*oid, key), Some(value.as_slice().into())));
                 }
                 Op::MetaPut { key, value } => {
-                    batch.push((meta_key(key), Some(value.as_slice().into())));
+                    batch.push((meta_key(key), Some(value.clone())));
                 }
                 Op::MetaDelete { key } => {
                     batch.push((meta_key(key), None));
@@ -628,7 +629,7 @@ mod tests {
             },
             Op::MetaPut {
                 key: b"pglog.0.1".to_vec(),
-                value: vec![0x5A; 180],
+                value: vec![0x5A; 180].into(),
             },
         ];
         let txn = Transaction::new(GroupId(0), 1, ops.clone());
@@ -732,7 +733,7 @@ mod tests {
             vec![
                 Op::MetaPut {
                     key: b"pglog.0.42".to_vec(),
-                    value: vec![1, 2, 3],
+                    value: vec![1, 2, 3].into(),
                 },
                 Op::Write {
                     oid: oid(1),

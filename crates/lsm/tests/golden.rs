@@ -155,7 +155,7 @@ fn device_image_trace_and_stats_are_pinned() {
                     write(rng.below(BLOCKS_PER_OBJECT) * 4096, 4096),
                     Op::MetaPut {
                         key,
-                        value: vec![fill; 30 + rng.below(170) as usize],
+                        value: vec![fill; 30 + rng.below(170) as usize].into(),
                     },
                 ]
             }

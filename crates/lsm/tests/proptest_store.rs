@@ -179,7 +179,7 @@ fn drive(
                     &mut store,
                     vec![Op::MetaPut {
                         key: meta_key(key),
-                        value,
+                        value: value.into(),
                     }],
                 )
                 .unwrap();

@@ -149,7 +149,7 @@ fn parse(bytes: &[u8]) -> Result<LogRecord, StoreError> {
             }
             3 => Op::MetaPut {
                 key: r.bytes()?.to_vec(),
-                value: r.bytes()?.to_vec(),
+                value: r.payload()?,
             },
             4 => Op::MetaDelete {
                 key: r.bytes()?.to_vec(),
@@ -296,7 +296,7 @@ pub(crate) fn varied_records() -> Vec<LogRecord> {
             write(8192, backing.slice(4096, 8192)),
             Op::MetaPut {
                 key: b"pglog.3.7".to_vec(),
-                value: vec![0x5A; 180],
+                value: vec![0x5A; 180].into(),
             },
         ],
     ];
@@ -351,7 +351,7 @@ mod tests {
                     },
                     Op::MetaPut {
                         key: b"pglog.3.7".to_vec(),
-                        value: vec![5; 30],
+                        value: vec![5; 30].into(),
                     },
                     Op::MetaDelete {
                         key: b"pglog.3.1".to_vec(),

@@ -133,8 +133,8 @@ pub enum Op {
     MetaPut {
         /// Record key.
         key: Vec<u8>,
-        /// Record value.
-        value: Vec<u8>,
+        /// Record value (refcounted: a store keeps a view, not a copy).
+        value: Payload,
     },
     /// Deletes a store-level key/value record.
     MetaDelete {
@@ -405,7 +405,7 @@ mod tests {
                 },
                 Op::MetaPut {
                     key: b"pglog".to_vec(),
-                    value: vec![0; 200],
+                    value: vec![0; 200].into(),
                 },
                 Op::SetXattr {
                     oid,
@@ -429,7 +429,7 @@ mod tests {
                 },
                 Op::MetaPut {
                     key: b"pglog.1.1".to_vec(),
-                    value: vec![0x5A; 180],
+                    value: vec![0x5A; 180].into(),
                 },
             ]
         };
