@@ -278,10 +278,13 @@ enum MetaStep {
     Get { key: usize },
 }
 
-const META_KEYS: usize = 6;
+/// The lengths of the model's keys: on both sides of the 22 bytes a record
+/// holds inline, and at that limit.
+const META_KEY_LENS: [usize; 8] = [6, 9, 21, 22, 23, 24, 31, 64];
+const META_KEYS: usize = META_KEY_LENS.len();
 
 fn meta_key(i: usize) -> Vec<u8> {
-    format!("pglog.{}", "1".repeat(i)).into_bytes()
+    format!("pglog.{}", "1".repeat(META_KEY_LENS[i] - "pglog.".len())).into_bytes()
 }
 
 fn meta_steps() -> impl Strategy<Value = Vec<MetaStep>> {
@@ -301,7 +304,8 @@ proptest! {
 
     /// Random `MetaPut` / `MetaDelete` / `get_meta` sequences agree with a
     /// `BTreeMap` model: an overwrite answers its own value, a delete of an
-    /// absent key is a no-op, and no key's record answers for another's.
+    /// absent key is a no-op, and no key's record answers for another's,
+    /// whether the record holds its key inline or on the heap.
     #[test]
     fn meta_records_match_a_map_model(steps in meta_steps()) {
         let mut store = CosObjectStore::format(MemDisk::new(8 << 20), CosOptions::tiny()).unwrap();

@@ -33,8 +33,8 @@ fn zone_of(offset: u64) -> usize {
 }
 
 /// What the medium keeps of one written range: one of three kinds, nested
-/// in two so that an extent is no larger than a held payload (40 bytes; a
-/// third variant at the top would cost every extent a tag word).
+/// in two, the kinds that read as bytes in memory and held payloads. An
+/// extent is 32 bytes, a record view (24) and a tag.
 #[derive(Debug, Clone)]
 enum Extent {
     /// A range that reads as bytes in memory.
@@ -532,10 +532,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn an_extent_is_no_larger_than_a_held_payload() {
+    fn an_extent_is_a_record_view_and_a_tag() {
+        assert_eq!(std::mem::size_of::<Record>(), 24);
         assert_eq!(
             std::mem::size_of::<Extent>(),
-            std::mem::size_of::<Payload>()
+            std::mem::size_of::<Record>() + 8
         );
     }
 

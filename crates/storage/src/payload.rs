@@ -43,30 +43,48 @@ struct CrcMemo {
     zeros: bool,
 }
 
-/// An immutable, cheaply-cloneable, slice-able byte buffer.
-///
-/// Cloning bumps a refcount; slicing shares the same allocation. Equality
-/// and hashing are by byte content, so types embedding a `Payload` can keep
-/// their derived `PartialEq`/`Eq` semantics.
-#[derive(Clone)]
-pub struct Payload {
-    buf: Arc<[u8]>,
-    off: usize,
-    len: usize,
+/// What every clone and view of one buffer shares, under one refcount: the
+/// bytes and their memo.
+struct Shared {
+    bytes: Box<[u8]>,
     /// Lets hot paths that checksum the same (interned, refcounted) buffer
     /// over and over pay the scan once. See [`Payload::crc32`].
-    checksum: Arc<CrcMemo>,
+    memo: CrcMemo,
+}
+
+/// An immutable, cheaply-cloneable, slice-able byte buffer.
+///
+/// Cloning bumps one refcount; slicing shares the same allocation. The
+/// handle is two words: the shared buffer and a `u32` window into it, so a
+/// buffer is under 4 GiB. Equality and hashing are by byte content, so
+/// types embedding a `Payload` can keep their derived `PartialEq`/`Eq`
+/// semantics.
+#[derive(Clone)]
+pub struct Payload {
+    shared: Arc<Shared>,
+    off: u32,
+    len: u32,
 }
 
 impl Payload {
-    /// An empty payload (no allocation is shared, but none is needed).
-    pub fn empty() -> Payload {
+    /// A view of all of `bytes`, with `memo` as what is known of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is 4 GiB or longer.
+    fn whole(bytes: Box<[u8]>, memo: CrcMemo) -> Payload {
+        let len = u32::try_from(bytes.len()).expect("a payload buffer is under 4 GiB");
         Payload {
-            buf: Arc::from([] as [u8; 0]),
+            shared: Arc::new(Shared { bytes, memo }),
             off: 0,
-            len: 0,
-            checksum: Arc::default(),
+            len,
         }
+    }
+
+    /// An empty payload: one allocation, the shared handle (an empty buffer
+    /// allocates nothing).
+    pub fn empty() -> Payload {
+        Payload::whole(Box::default(), CrcMemo::default())
     }
 
     /// `len` zero bytes that say so: every clone and slice answers
@@ -75,30 +93,26 @@ impl Payload {
     /// blocks, the holes of a [`Segments`] — so their consumers need not read
     /// them.
     pub fn zeros(len: usize) -> Payload {
-        let buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
-        let checksum = CrcMemo {
-            full: OnceLock::from(crc32(&buf)),
+        let bytes = vec![0u8; len].into_boxed_slice();
+        let memo = CrcMemo {
+            full: OnceLock::from(crc32(&bytes)),
             zeros: true,
             ..CrcMemo::default()
         };
-        Payload {
-            buf,
-            off: 0,
-            len,
-            checksum: Arc::new(checksum),
-        }
+        Payload::whole(bytes, memo)
     }
 
     /// True when this is a view of a [`Payload::zeros`] buffer, so every byte
     /// is zero. False says nothing: other buffers may hold zeros too.
     #[inline]
     pub fn is_zeros(&self) -> bool {
-        self.checksum.zeros
+        self.shared.memo.zeros
     }
 
     /// Number of bytes in this view.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True when the view holds no bytes.
@@ -107,8 +121,16 @@ impl Payload {
     }
 
     /// The bytes of this view.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        let off = self.off as usize;
+        &self.shared.bytes[off..off + self.len()]
+    }
+
+    /// True when this view covers its whole backing buffer.
+    #[inline]
+    fn is_whole(&self) -> bool {
+        self.off == 0 && self.len() == self.shared.bytes.len()
     }
 
     /// A zero-copy sub-range view sharing the same allocation.
@@ -118,33 +140,33 @@ impl Payload {
     /// Panics if `offset + len` exceeds this view's length.
     pub fn slice(&self, offset: usize, len: usize) -> Payload {
         assert!(
-            offset + len <= self.len,
+            offset + len <= self.len(),
             "slice [{offset}, +{len}) out of payload of {} bytes",
             self.len
         );
+        // Both fit: the window lies in a buffer of under 4 GiB.
         Payload {
-            buf: Arc::clone(&self.buf),
-            off: self.off + offset,
-            len,
-            checksum: Arc::clone(&self.checksum),
+            shared: Arc::clone(&self.shared),
+            off: self.off + offset as u32,
+            len: len as u32,
         }
     }
 
     /// This view and `next` as one view, when `next` continues this one in
     /// the same buffer (as the two halves of a view a store cut in two do).
     pub(crate) fn joined(&self, next: &Payload) -> Option<Payload> {
-        (Arc::ptr_eq(&self.buf, &next.buf) && self.off + self.len == next.off).then(|| Payload {
-            buf: Arc::clone(&self.buf),
-            off: self.off,
-            len: self.len + next.len,
-            checksum: Arc::clone(&self.checksum),
+        (Arc::ptr_eq(&self.shared, &next.shared) && self.off + self.len == next.off).then(|| {
+            Payload {
+                shared: Arc::clone(&self.shared),
+                off: self.off,
+                len: self.len + next.len,
+            }
         })
     }
 
     /// A payload of `len` bytes written in place: `fill` gets the zeroed
     /// buffer before anyone else can see it. For results assembled from
-    /// several sources, which would otherwise be staged in a `Vec` and
-    /// copied once more into the shared allocation.
+    /// several sources, and for fills that can fail.
     ///
     /// # Errors
     ///
@@ -153,14 +175,9 @@ impl Payload {
         len: usize,
         fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
     ) -> Result<Payload, E> {
-        let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
-        fill(Arc::get_mut(&mut buf).expect("not shared yet"))?;
-        Ok(Payload {
-            buf,
-            off: 0,
-            len,
-            checksum: Arc::default(),
-        })
+        let mut bytes = vec![0u8; len].into_boxed_slice();
+        fill(&mut bytes)?;
+        Ok(Payload::whole(bytes, CrcMemo::default()))
     }
 
     /// The CRC-32 ([`crate::crc::crc32`]) of this view, memoized when the
@@ -170,20 +187,22 @@ impl Payload {
     /// stores checksum, keep and re-verify an object-sized buffer block by
     /// block). Any other view is computed directly.
     pub fn crc32(&self) -> u32 {
-        if self.off == 0 && self.len == self.buf.len() {
-            return *self.checksum.full.get_or_init(|| crc32(&self.buf));
+        let Shared { bytes, memo } = &*self.shared;
+        if self.is_whole() {
+            return *memo.full.get_or_init(|| crc32(bytes));
         }
-        if self.len != CRC_BLOCK || !self.off.is_multiple_of(CRC_BLOCK) {
+        let off = self.off as usize;
+        if self.len() != CRC_BLOCK || !off.is_multiple_of(CRC_BLOCK) {
             return crc32(self.as_slice());
         }
-        let cells = self.checksum.blocks.get_or_init(|| {
-            (0..self.buf.len() / CRC_BLOCK)
+        let cells = memo.blocks.get_or_init(|| {
+            (0..bytes.len() / CRC_BLOCK)
                 .map(|_| AtomicU64::new(0))
                 .collect()
         });
         // Relaxed: a cell publishes nothing but its own value, and a reader
         // that misses a concurrent fill only repeats the scan.
-        let cell = &cells[self.off / CRC_BLOCK];
+        let cell = &cells[off / CRC_BLOCK];
         let known = cell.load(Ordering::Relaxed);
         if known != 0 {
             return known as u32;
@@ -199,8 +218,9 @@ impl Payload {
     /// write buffer for their pg_log entries. Any other view is computed
     /// directly.
     pub fn digest(&self) -> u64 {
-        if self.off == 0 && self.len == self.buf.len() {
-            return *self.checksum.digest.get_or_init(|| digest_bytes(&self.buf));
+        if self.is_whole() {
+            let Shared { bytes, memo } = &*self.shared;
+            return *memo.digest.get_or_init(|| digest_bytes(bytes));
         }
         digest_bytes(self.as_slice())
     }
@@ -232,25 +252,16 @@ impl AsRef<[u8]> for Payload {
 }
 
 impl From<Vec<u8>> for Payload {
+    /// Keeps the `Vec`'s buffer (shrunk to its length if it has spare
+    /// capacity): the bytes are not copied.
     fn from(v: Vec<u8>) -> Payload {
-        let len = v.len();
-        Payload {
-            buf: Arc::from(v),
-            off: 0,
-            len,
-            checksum: Arc::default(),
-        }
+        Payload::whole(v.into_boxed_slice(), CrcMemo::default())
     }
 }
 
 impl From<&[u8]> for Payload {
     fn from(s: &[u8]) -> Payload {
-        Payload {
-            buf: Arc::from(s),
-            off: 0,
-            len: s.len(),
-            checksum: Arc::default(),
-        }
+        Payload::whole(s.into(), CrcMemo::default())
     }
 }
 
@@ -612,6 +623,29 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_is_two_words() {
+        assert_eq!(std::mem::size_of::<Payload>(), 16);
+        let p: Payload = vec![7u8; 100].into();
+        assert_eq!(Arc::strong_count(&p.shared), 1);
+        let q = p.clone();
+        let s = q.slice(10, 20);
+        assert_eq!(Arc::strong_count(&p.shared), 3, "one count per handle");
+        drop((q, s));
+        assert_eq!(Arc::strong_count(&p.shared), 1);
+    }
+
+    #[test]
+    fn a_payload_from_a_vec_keeps_its_buffer() {
+        let v: Vec<u8> = (0u8..200).collect();
+        assert_eq!(v.capacity(), v.len());
+        let at = v.as_ptr();
+        let p = Payload::from(v);
+        assert!(std::ptr::eq(p.as_ptr(), at), "the bytes were copied");
+        assert_eq!(p.len(), 200);
+        assert_eq!(p[199], 199);
+    }
+
+    #[test]
     fn slice_is_zero_copy_and_bounded() {
         let p: Payload = (0u8..100).collect::<Vec<u8>>().into();
         let s = p.slice(10, 20);
@@ -653,13 +687,13 @@ mod tests {
     #[test]
     fn digest_is_memoized_for_full_views_and_exact_for_slices() {
         let p: Payload = (0u8..=255).cycle().take(5000).collect::<Vec<u8>>().into();
-        assert!(p.checksum.digest.get().is_none(), "computed when asked");
+        assert!(p.shared.memo.digest.get().is_none(), "computed when asked");
         assert_eq!(p.digest(), digest_bytes(&p));
-        assert_eq!(p.checksum.digest.get(), Some(&digest_bytes(&p)));
+        assert_eq!(p.shared.memo.digest.get(), Some(&digest_bytes(&p)));
         // Poisoned: the whole buffer, through any view of all of it, answers
         // from the memo; a partial view never reads it.
         let q: Payload = p.to_vec().into();
-        q.checksum.digest.set(0xBAD).unwrap();
+        q.shared.memo.digest.set(0xBAD).unwrap();
         assert_eq!(q.clone().digest(), 0xBAD);
         assert_eq!(q.slice(0, q.len()).digest(), 0xBAD);
         for (at, len) in [(0, 4999), (1, 4999), (100, 1000), (7, 0)] {
@@ -676,7 +710,7 @@ mod tests {
     }
 
     fn filled_cells(p: &Payload) -> Option<usize> {
-        let cells = p.checksum.blocks.get()?;
+        let cells = p.shared.memo.blocks.get()?;
         Some(
             cells
                 .iter()
@@ -698,7 +732,7 @@ mod tests {
                 assert_eq!(filled_cells(&p), Some(blocks));
             }
             assert!(
-                p.checksum.full.get().is_none(),
+                p.shared.memo.full.get().is_none(),
                 "block views leave it alone"
             );
         }
@@ -711,7 +745,7 @@ mod tests {
         let whole_then_block = p.slice(0, 3 * CRC_BLOCK).slice(CRC_BLOCK, CRC_BLOCK);
         let tail_then_block = q.slice(CRC_BLOCK, 2 * CRC_BLOCK).slice(0, CRC_BLOCK);
         assert!(
-            p.checksum.blocks.get().is_none(),
+            p.shared.memo.blocks.get().is_none(),
             "slicing allocates nothing"
         );
         assert_eq!(
@@ -721,7 +755,7 @@ mod tests {
         assert_eq!(filled_cells(&q), Some(1), "the clone sees the filled cell");
         // Poison the cell: a second, independently made view of the same
         // block must answer from the memo, not from a new scan.
-        let cell = &p.checksum.blocks.get().unwrap()[1];
+        let cell = &p.shared.memo.blocks.get().unwrap()[1];
         cell.store(CRC_KNOWN | 0xDEAD_BEEF, Ordering::Relaxed);
         assert_eq!(tail_then_block.crc32(), 0xDEAD_BEEF);
         assert_eq!(q.slice(0, CRC_BLOCK).crc32(), crc32(&p[..CRC_BLOCK]));
@@ -741,16 +775,16 @@ mod tests {
         for view in &views {
             assert_eq!(view.crc32(), crc32(view));
         }
-        assert!(p.checksum.blocks.get().is_none(), "no table was made");
-        assert!(p.checksum.full.get().is_none());
+        assert!(p.shared.memo.blocks.get().is_none(), "no table was made");
+        assert!(p.shared.memo.full.get().is_none());
         // A full view uses the full memo even when it is one aligned block.
         let one = ramp(1, 0);
         assert_eq!(one.slice(0, CRC_BLOCK).crc32(), crc32(&one));
-        assert!(one.checksum.full.get().is_some());
-        assert!(one.checksum.blocks.get().is_none());
+        assert!(one.shared.memo.full.get().is_some());
+        assert!(one.shared.memo.blocks.get().is_none());
         assert_eq!(p.crc32(), crc32(&p));
-        assert!(p.checksum.full.get().is_some());
-        assert!(p.checksum.blocks.get().is_none());
+        assert!(p.shared.memo.full.get().is_some());
+        assert!(p.shared.memo.blocks.get().is_none());
     }
 
     #[test]
@@ -777,12 +811,10 @@ mod tests {
 
     #[test]
     fn one_segment_is_the_payload_itself() {
-        // No wider than the payload it stands in for in every message, and
-        // a round trip through it is the same view of the same buffer.
-        assert_eq!(
-            std::mem::size_of::<Segments>(),
-            std::mem::size_of::<Payload>()
-        );
+        // Four words at most in every message that carries it (the list of
+        // several views and their total), and a round trip through it is
+        // the same view of the same buffer.
+        assert!(std::mem::size_of::<Segments>() <= 32);
         let p = ramp(2, 0).slice(CRC_BLOCK, CRC_BLOCK);
         let segs = Segments::from(p.clone());
         assert!(matches!(segs.0, Repr::One(_)), "nothing allocated");
@@ -817,7 +849,11 @@ mod tests {
             let flat = vec![0u8; n];
             let z = Payload::zeros(n);
             assert!(z.is_zeros() && z == flat);
-            assert_eq!(z.checksum.full.get(), Some(&crc32(&flat)), "from the start");
+            assert_eq!(
+                z.shared.memo.full.get(),
+                Some(&crc32(&flat)),
+                "from the start"
+            );
             assert_eq!(z.crc32(), crc32(&flat));
             let s = z.slice(n / 3, n / 2);
             assert!(s.is_zeros() && s.clone().is_zeros());
@@ -850,7 +886,7 @@ mod tests {
         for part in object.iter() {
             part.crc32(); // the sender's verify_block
         }
-        for (i, cell) in backing.checksum.blocks.get().unwrap().iter().enumerate() {
+        for (i, cell) in backing.shared.memo.blocks.get().unwrap().iter().enumerate() {
             cell.store(CRC_KNOWN | (0xBAD0 + i as u64), Ordering::Relaxed);
         }
         let sent = object.clone(); // the message

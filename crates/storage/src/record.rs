@@ -91,18 +91,23 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Encoded<T> {
 
 /// A view of the bytes of a shared [`Encoded`] value: what a medium holds
 /// for a record written by reference. `Clone` and [`Record::slice`] share
-/// the value, and with it the one encoding.
+/// the value, and with it the one encoding. The window is two `u32`s, so
+/// a value encodes to under 4 GiB.
 #[derive(Clone)]
 pub struct Record {
     shared: Arc<Encoded<dyn Encode>>,
-    from: u64,
-    len: u64,
+    from: u32,
+    len: u32,
 }
 
 impl Record {
     /// A view of all of `shared`'s bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value encodes to 4 GiB or more.
     pub fn new<T: Encode + 'static>(shared: Arc<Encoded<T>>) -> Record {
-        let len = shared.encoded_len();
+        let len = u32::try_from(shared.encoded_len()).expect("a record is under 4 GiB");
         Record {
             shared,
             from: 0,
@@ -112,7 +117,7 @@ impl Record {
 
     /// Length of the view in bytes.
     pub fn len(&self) -> u64 {
-        self.len
+        self.len.into()
     }
 
     /// True for a view of no bytes.
@@ -127,11 +132,12 @@ impl Record {
     ///
     /// Panics if the range reaches past the view.
     pub fn slice(&self, from: u64, len: u64) -> Record {
-        assert!(from + len <= self.len, "slice past the record view");
+        assert!(from + len <= self.len(), "slice past the record view");
+        // Both fit: the window lies in a value of under 4 GiB.
         Record {
             shared: self.shared.clone(),
-            from: self.from + from,
-            len,
+            from: self.from + from as u32,
+            len: len as u32,
         }
     }
 
