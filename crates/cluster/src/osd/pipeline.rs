@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 use rablock_oplog::ReadPath;
-use rablock_storage::{FxHashMap, GroupId, Op, Payload, StoreError, Transaction};
+use rablock_storage::{FxHashMap, GroupId, Key, Op, Payload, StoreError, Transaction};
 
 use super::flush::{DeferredRead, StoreCtx};
 use super::{Osd, OsdEffect, DEDUP_WINDOW};
@@ -17,11 +17,13 @@ use crate::msg::{ClientId, ClientReply, OpId, PeerMsg};
 use crate::placement::ActingSet;
 
 /// The pg-log key of a write, `pglog.{group}.{seq}`, built without the `fmt`
-/// machinery: every write takes one on every replica. The bytes are what
-/// `format!` gave, since the LSM backend writes the key to its WAL.
-pub(super) fn pglog_key(group: GroupId, seq: u64) -> Vec<u8> {
-    fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
-        let mut digits = [0u8; 20];
+/// machinery and straight into a [`Key`]: every write takes one on every
+/// replica, and one under 23 bytes (any of a group under 1 000 and a
+/// sequence under 10^12) allocates nothing. The bytes are what `format!`
+/// gave, since the LSM backend writes the key to its WAL.
+pub(super) fn pglog_key(group: GroupId, seq: u64) -> Key {
+    /// `v` in decimal, at the end of `digits`.
+    fn decimal(digits: &mut [u8; 20], mut v: u64) -> &[u8] {
         let mut at = digits.len();
         loop {
             at -= 1;
@@ -31,14 +33,20 @@ pub(super) fn pglog_key(group: GroupId, seq: u64) -> Vec<u8> {
                 break;
             }
         }
-        out.extend_from_slice(&digits[at..]);
+        &digits[at..]
     }
-    let mut key = Vec::with_capacity(6 + 10 + 1 + 20);
-    key.extend_from_slice(b"pglog.");
-    push_decimal(&mut key, group.0 as u64);
-    key.push(b'.');
-    push_decimal(&mut key, seq);
-    key
+    let (mut g, mut s) = ([0; 20], [0; 20]);
+    let (group, seq) = (decimal(&mut g, group.0.into()), decimal(&mut s, seq));
+    Key::concat(&[b"pglog.", group, b".", seq])
+}
+
+/// The `object_info_t` xattr value every write carries: 64 bytes of filler
+/// standing for an encoded `object_info_t`, the same for every write, so
+/// built once per process and shared. The LSM backend keeps it by
+/// reference; COS copies it into the onode.
+fn object_info_value() -> Payload {
+    static VALUE: OnceLock<Payload> = OnceLock::new();
+    VALUE.get_or_init(|| vec![0xA5; 64].into()).clone()
 }
 
 /// The pg-log value every write carries: 180 bytes of filler standing for
@@ -62,7 +70,7 @@ fn client_txn(group: GroupId, seq: u64, mutation: Op) -> Transaction {
             Op::SetXattr {
                 oid,
                 key: "oi".into(),
-                value: vec![0xA5; 64],
+                value: object_info_value(),
             },
             Op::MetaPut {
                 key: pglog_key(group, seq),
@@ -375,6 +383,22 @@ mod tests {
             .collect()
     }
 
+    #[test]
+    fn pglog_key_matches_format() {
+        for (g, seq) in [
+            (0, 0),
+            (7, 9),
+            (10, 100),
+            (u32::MAX, u64::MAX),
+            (123, 1 << 40),
+        ] {
+            assert_eq!(
+                &pglog_key(GroupId(g), seq)[..],
+                format!("pglog.{g}.{seq}").as_bytes()
+            );
+        }
+    }
+
     /// A DOP primary builds a write's transaction once: the replica's
     /// `Repop`, the record in its own op log and its in-flight `WriteOp`
     /// hold one slice of ops, and a client retry retransmits that slice
@@ -418,9 +442,42 @@ mod tests {
     /// builds it once, not per write.
     #[test]
     fn the_pg_log_values_of_two_writes_are_one_buffer() {
+        let [(key1, value1), (key2, value2)] = two_writes_ops().map(|ops| {
+            let Some(Op::MetaPut { key, value }) = ops.last() else {
+                panic!("a write ends with its pg-log record")
+            };
+            (key.clone(), value.clone())
+        });
+        assert_ne!(key1, key2, "each write has its own key");
+        assert!(key1.is_inline() && key2.is_inline());
+        assert_eq!(value1.len(), 180);
+        assert!(
+            std::ptr::eq(value1.as_ptr(), value2.as_ptr()),
+            "the value was built per write"
+        );
+    }
+
+    /// The `"oi"` xattr values of two writes are one buffer too.
+    #[test]
+    fn the_object_info_values_of_two_writes_are_one_buffer() {
+        let [value1, value2] = two_writes_ops().map(|ops| {
+            let Some(Op::SetXattr { value, .. }) = ops.get(1) else {
+                panic!("a write's second op is its object_info_t xattr")
+            };
+            value.clone()
+        });
+        assert_eq!(value1.len(), 64);
+        assert!(
+            std::ptr::eq(value1.as_ptr(), value2.as_ptr()),
+            "the value was built per write"
+        );
+    }
+
+    /// The ops of two client writes as the primary replicates them.
+    fn two_writes_ops() -> [Arc<[Op]>; 2] {
         let mut o = osd(PipelineMode::Dop, 0);
         let g = a_group_with_primary(&o);
-        let [(key1, value1), (key2, value2)] = [1, 2].map(|op| {
+        [1, 2].map(|op| {
             let fx = o.handle(OsdInput::Client {
                 from: ClientId(1),
                 req: write_req(op, oid_in(g, op)),
@@ -428,17 +485,8 @@ mod tests {
             let [repop] = repops(&fx)[..] else {
                 panic!("one replica, one Repop")
             };
-            let Some(Op::MetaPut { key, value }) = repop.ops.last() else {
-                panic!("a write ends with its pg-log record")
-            };
-            (key.clone(), value.clone())
-        });
-        assert_ne!(key1, key2, "each write has its own key");
-        assert_eq!(value1.len(), 180);
-        assert!(
-            std::ptr::eq(value1.as_ptr(), value2.as_ptr()),
-            "the value was built per write"
-        );
+            repop.ops.clone()
+        })
     }
 
     /// After four times the bound the window holds exactly the newest

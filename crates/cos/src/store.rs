@@ -241,7 +241,8 @@ impl<D: BlockDevice> ObjectStore for CosObjectStore<D> {
                 }
                 Op::MetaPut { key, value } => {
                     // `insert` would keep the old record, value and all.
-                    self.meta_kv.replace(MetaRecord::new(key, value.clone()));
+                    self.meta_kv
+                        .replace(MetaRecord::new(key.clone(), value.clone()));
                 }
                 Op::MetaDelete { key } => {
                     self.meta_kv.remove(&key[..]);
@@ -576,7 +577,7 @@ mod tests {
             vec![Op::SetXattr {
                 oid: a,
                 key: "oi".into(),
-                value: vec![9, 9],
+                value: vec![9, 9].into(),
             }],
         ))
         .unwrap();
@@ -1025,7 +1026,7 @@ mod tests {
             GroupId(0),
             1,
             vec![Op::MetaPut {
-                key: b"pglog.1".to_vec(),
+                key: b"pglog.1".into(),
                 value: vec![3; 100].into(),
             }],
         ))
@@ -1054,7 +1055,7 @@ mod tests {
         let xattr = |fill| Op::SetXattr {
             oid: o,
             key: "oi".into(),
-            value: vec![fill; 64],
+            value: vec![fill; 64].into(),
         };
         let ops = vec![
             Op::Write {
@@ -1087,13 +1088,13 @@ mod tests {
 
     fn meta_put(key: &[u8], value: &[u8]) -> Op {
         Op::MetaPut {
-            key: key.to_vec(),
+            key: key.into(),
             value: value.into(),
         }
     }
 
     fn meta_delete(key: &[u8]) -> Op {
-        Op::MetaDelete { key: key.to_vec() }
+        Op::MetaDelete { key: key.into() }
     }
 
     fn submit_meta(s: &mut CosObjectStore<MemDisk>, seq: u64, ops: Vec<Op>) {
@@ -1107,7 +1108,7 @@ mod tests {
         let mut s = fresh(CosOptions::tiny());
         let value: Payload = vec![0x5A; 180].into();
         let put = Op::MetaPut {
-            key: b"pglog.0.1".to_vec(),
+            key: b"pglog.0.1".into(),
             value: value.clone(),
         };
         submit_meta(&mut s, 1, vec![put]);
@@ -1126,7 +1127,7 @@ mod tests {
         let (first, second): (Payload, Payload) = (vec![1; 180].into(), vec![2; 90].into());
         for (seq, value) in [(1, &first), (2, &second)] {
             let put = Op::MetaPut {
-                key: b"pglog.0.1".to_vec(),
+                key: b"pglog.0.1".into(),
                 value: value.clone(),
             };
             submit_meta(&mut s, seq, vec![put]);

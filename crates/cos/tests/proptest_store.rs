@@ -314,11 +314,11 @@ proptest! {
             let op = match step {
                 MetaStep::Put { key, value } => {
                     model.insert(meta_key(key), value.clone());
-                    Op::MetaPut { key: meta_key(key), value: value.into() }
+                    Op::MetaPut { key: meta_key(key).into(), value: value.into() }
                 }
                 MetaStep::Delete { key } => {
                     model.remove(&meta_key(key));
-                    Op::MetaDelete { key: meta_key(key) }
+                    Op::MetaDelete { key: meta_key(key).into() }
                 }
                 MetaStep::Get { key } => {
                     prop_assert_eq!(store.get_meta(&meta_key(key)), model.get(&meta_key(key)).cloned());

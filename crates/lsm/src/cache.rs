@@ -6,39 +6,52 @@
 //! keys with a byte-capacity bound, write-through on updates. Values are
 //! [`Payload`]s, so a cached block shares the writer's buffer.
 
-use rablock_storage::{FxHashMap, Payload};
+use std::hash::BuildHasher;
 
-/// "No neighbour" in the recency list.
-const NIL: usize = usize::MAX;
+use rablock_storage::{FxBuildHasher, Key, Payload};
+
+/// "No neighbour" in the recency list, and "no slot" in an index bucket.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
 struct Node {
-    key: Vec<u8>,
+    /// The entry's one copy of its key: the index finds slots by it.
+    key: Key,
     value: Payload,
+    /// Of `key`, so the index can move and regrow without rehashing.
+    hash: u64,
     /// Towards the most recently used entry.
-    prev: usize,
+    prev: u32,
     /// Towards the least recently used entry.
-    next: usize,
+    next: u32,
 }
 
 /// A byte-bounded LRU cache from block keys to block contents.
 ///
 /// Entries live in a slab and are threaded on a doubly linked recency list,
 /// so hit, insert and eviction are all O(1) however full the cache is (a
-/// full cache evicts on every insert).
+/// full cache evicts on every insert). The key-to-slot map is an
+/// open-addressed table of slot numbers that compares against the slots'
+/// own keys, so each entry's key is held once, inline when short.
 #[derive(Debug)]
 pub struct BlockCache {
     capacity_bytes: usize,
     used_bytes: usize,
-    map: FxHashMap<Vec<u8>, usize>,
+    /// Slot numbers, `NIL` where empty: linear probing from a key's hash,
+    /// a power of two long and at most half full.
+    index: Vec<u32>,
     nodes: Vec<Option<Node>>,
-    free: Vec<usize>,
+    free: Vec<u32>,
     /// Most recently used entry.
-    head: usize,
+    head: u32,
     /// Least recently used entry: the next eviction victim.
-    tail: usize,
+    tail: u32,
     hits: u64,
     misses: u64,
+}
+
+fn hash(key: &[u8]) -> u64 {
+    FxBuildHasher::default().hash_one(key)
 }
 
 impl BlockCache {
@@ -48,7 +61,7 @@ impl BlockCache {
         BlockCache {
             capacity_bytes,
             used_bytes: 0,
-            map: FxHashMap::default(),
+            index: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -58,55 +71,137 @@ impl BlockCache {
         }
     }
 
-    fn node(&mut self, i: usize) -> &mut Node {
-        self.nodes[i].as_mut().expect("linked slot is occupied")
+    fn node(&self, i: u32) -> &Node {
+        self.nodes[i as usize]
+            .as_ref()
+            .expect("linked slot is occupied")
     }
 
-    fn unlink(&mut self, i: usize) {
+    fn node_mut(&mut self, i: u32) -> &mut Node {
+        self.nodes[i as usize]
+            .as_mut()
+            .expect("linked slot is occupied")
+    }
+
+    /// The slot holding `key`.
+    fn find(&self, key: &[u8]) -> Option<u32> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mask = self.index.len() - 1;
+        let h = hash(key);
+        let mut b = h as usize & mask;
+        loop {
+            match self.index[b] {
+                NIL => return None,
+                i => {
+                    let n = self.node(i);
+                    if n.hash == h && *n.key == *key {
+                        return Some(i);
+                    }
+                }
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Files slot `i` (whose key the index does not hold) in the index,
+    /// doubling the table first if it would pass half full.
+    fn index_insert(&mut self, i: u32) {
+        let live = self.nodes.len() - self.free.len();
+        if live * 2 > self.index.len() {
+            let doubled = vec![NIL; (self.index.len() * 2).max(16)];
+            let table = std::mem::replace(&mut self.index, doubled);
+            for slot in table.into_iter().filter(|&s| s != NIL) {
+                self.place(slot);
+            }
+        }
+        self.place(i);
+    }
+
+    /// Puts slot `i` in the first empty bucket from its key's home.
+    fn place(&mut self, i: u32) {
+        let mask = self.index.len() - 1;
+        let mut b = self.node(i).hash as usize & mask;
+        while self.index[b] != NIL {
+            b = (b + 1) & mask;
+        }
+        self.index[b] = i;
+    }
+
+    /// Takes slot `i` out of the index, shifting back each later entry of
+    /// its probe run that may move into the hole, so no lookup ever stops
+    /// short of an entry.
+    fn index_remove(&mut self, i: u32) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.node(i).hash as usize & mask;
+        while self.index[hole] != i {
+            hole = (hole + 1) & mask;
+        }
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let slot = self.index[b];
+            if slot == NIL {
+                break;
+            }
+            let home = self.node(slot).hash as usize & mask;
+            // The hole lies on the entry's path from its home.
+            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
+                self.index[hole] = slot;
+                hole = b;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    fn unlink(&mut self, i: u32) {
         let (prev, next) = {
             let n = self.node(i);
             (n.prev, n.next)
         };
         match prev {
             NIL => self.head = next,
-            p => self.node(p).next = next,
+            p => self.node_mut(p).next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.node(n).prev = prev,
+            n => self.node_mut(n).prev = prev,
         }
     }
 
-    fn push_front(&mut self, i: usize) {
+    fn push_front(&mut self, i: u32) {
         let old_head = self.head;
-        let n = self.node(i);
+        let n = self.node_mut(i);
         n.prev = NIL;
         n.next = old_head;
         match old_head {
             NIL => self.tail = i,
-            h => self.node(h).prev = i,
+            h => self.node_mut(h).prev = i,
         }
         self.head = i;
     }
 
-    fn touch(&mut self, i: usize) {
+    fn touch(&mut self, i: u32) {
         if self.head != i {
             self.unlink(i);
             self.push_front(i);
         }
     }
 
-    fn remove(&mut self, i: usize) {
+    fn remove(&mut self, i: u32) {
         self.unlink(i);
-        let node = self.nodes[i].take().expect("linked slot is occupied");
-        self.map.remove(&node.key);
+        self.index_remove(i);
+        let node = self.nodes[i as usize]
+            .take()
+            .expect("linked slot is occupied");
         self.used_bytes -= node.value.len() + node.key.len();
         self.free.push(i);
     }
 
     /// Looks up a block, refreshing its recency.
     pub fn get(&mut self, key: &[u8]) -> Option<Payload> {
-        match self.map.get(key).copied() {
+        match self.find(key) {
             Some(i) => {
                 self.hits += 1;
                 self.touch(i);
@@ -124,31 +219,32 @@ impl BlockCache {
         if self.capacity_bytes == 0 || value.len() > self.capacity_bytes {
             return;
         }
-        if let Some(i) = self.map.get(key).copied() {
+        if let Some(i) = self.find(key) {
             let new_len = value.len();
-            let old = std::mem::replace(&mut self.node(i).value, value);
+            let old = std::mem::replace(&mut self.node_mut(i).value, value);
             self.used_bytes = self.used_bytes - old.len() + new_len;
             self.touch(i);
         } else {
             self.used_bytes += value.len() + key.len();
             let node = Some(Node {
-                key: key.to_vec(),
+                key: Key::new(key),
                 value,
+                hash: hash(key),
                 prev: NIL,
                 next: NIL,
             });
             let i = match self.free.pop() {
                 Some(i) => {
-                    self.nodes[i] = node;
+                    self.nodes[i as usize] = node;
                     i
                 }
                 None => {
                     self.nodes.push(node);
-                    self.nodes.len() - 1
+                    u32::try_from(self.nodes.len() - 1).expect("under 2^32 entries")
                 }
             };
+            self.index_insert(i);
             self.push_front(i);
-            self.map.insert(key.to_vec(), i);
         }
         while self.used_bytes > self.capacity_bytes && self.tail != NIL {
             self.remove(self.tail);
@@ -157,7 +253,7 @@ impl BlockCache {
 
     /// Drops a block (the backing data was invalidated).
     pub fn invalidate(&mut self, key: &[u8]) {
-        if let Some(i) = self.map.get(key).copied() {
+        if let Some(i) = self.find(key) {
             self.remove(i);
         }
     }
@@ -336,8 +432,12 @@ mod tests {
                 hits: 0,
                 misses: 0,
             };
-            // Keys of different lengths, so key bytes matter to the budget.
-            let key = |k: u8| vec![k; 1 + (k % 5) as usize];
+            // Keys of 0 to 64 bytes, so key bytes matter to the budget:
+            // on both sides of the 22-byte inline limit, prefixes of each
+            // other, some ending in 0x00.
+            let key = |k: u8| -> Vec<u8> {
+                (0..(k as usize * 17) % 65).map(|i| (i % 3 * i) as u8).collect()
+            };
             for op in script {
                 match op {
                     CacheOp::Put(k, fill, len) => {
@@ -355,8 +455,8 @@ mod tests {
                 }
                 prop_assert_eq!(lru.used_bytes(), model.used_bytes);
                 prop_assert_eq!(lru.stats(), (model.hits, model.misses));
-                let mut resident: Vec<&Vec<u8>> = lru.map.keys().collect();
-                let mut expected: Vec<&Vec<u8>> = model.map.keys().collect();
+                let mut resident: Vec<&[u8]> = lru.nodes.iter().flatten().map(|n| &n.key[..]).collect();
+                let mut expected: Vec<&[u8]> = model.map.keys().map(|k| &k[..]).collect();
                 resident.sort();
                 expected.sort();
                 prop_assert_eq!(resident, expected);

@@ -232,7 +232,7 @@ mod tests {
 
     fn kv(i: u64) -> crate::wal::BatchEntry {
         (
-            format!("key{:08}", i).into_bytes(),
+            format!("key{:08}", i).into_bytes().into(),
             Some(vec![(i % 251) as u8; 64].into()),
         )
     }
@@ -287,7 +287,7 @@ mod tests {
         for round in 0u64..40 {
             for i in 0..50 {
                 let key = format!("dup{:04}", i).into_bytes();
-                db.apply(&[(key, Some(vec![round as u8; 128].into()))])
+                db.apply(&[(key.into(), Some(vec![round as u8; 128].into()))])
                     .unwrap();
                 while db.needs_maintenance() {
                     db.maintenance().unwrap();
@@ -326,7 +326,7 @@ mod tests {
     fn scattered(i: u64) -> crate::wal::BatchEntry {
         let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
         (
-            format!("key{k:08}-{i:06}").into_bytes(),
+            format!("key{k:08}-{i:06}").into_bytes().into(),
             Some(vec![(i % 251) as u8; 200].into()),
         )
     }
@@ -406,7 +406,7 @@ mod tests {
         };
         let mut db = Db::open(MemDisk::new(16 << 20), opts).unwrap();
         for i in 0..300 {
-            db.apply(&[(key(i), Some(value.clone()))]).unwrap();
+            db.apply(&[(key(i).into(), Some(value.clone()))]).unwrap();
             while db.needs_maintenance() {
                 db.maintenance().unwrap();
             }

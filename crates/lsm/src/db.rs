@@ -31,7 +31,7 @@ const MANIFEST_MAGIC: u32 = 0x4D41_4E46; // "MANF"
 /// use rablock_storage::MemDisk;
 /// # fn main() -> Result<(), rablock_storage::StoreError> {
 /// let mut db = Db::open(MemDisk::new(8 << 20), LsmOptions::tiny())?;
-/// db.apply(&[(b"k".to_vec(), Some(b"v".to_vec().into()))])?;
+/// db.apply(&[(b"k".into(), Some(b"v".to_vec().into()))])?;
 /// assert_eq!(db.get(b"k")?.as_deref(), Some(&b"v"[..]));
 /// # Ok(())
 /// # }
@@ -58,6 +58,9 @@ pub struct Db<D: BlockDevice> {
     /// The one SST builder of flush and compaction; its file-image buffer
     /// is reused, so building a file touches no fresh memory.
     pub(crate) sst_writer: SstWriter,
+    /// The framed manifest being written, kept so checkpoints (one per
+    /// flush and per raw-segment change) do not allocate.
+    manifest: Vec<u8>,
     trace: Vec<TraceIo>,
     stats: StoreStats,
     /// Times a writer had to wait for a synchronous flush (stall).
@@ -104,6 +107,7 @@ impl<D: BlockDevice> Db<D> {
             compact_cursor: vec![0; opts.levels],
             raw_segments: std::collections::BTreeSet::new(),
             sst_writer: SstWriter::new(opts.block_bytes),
+            manifest: Vec::new(),
             trace: Vec::new(),
             stats: StoreStats::default(),
             stalls: 0,
@@ -214,7 +218,7 @@ impl<D: BlockDevice> Db<D> {
             if hit_result.is_none() {
                 // Deeper levels: non-overlapping, binary search by range.
                 for level in &self.levels[1..] {
-                    let idx = level.partition_point(|s| s.max_key.as_slice() < key);
+                    let idx = level.partition_point(|s| *s.max_key < *key);
                     if idx < level.len() && level[idx].covers(key) {
                         if let Some(hit) = sst_get(dev, geom, &level[idx], key, &mut tmp)? {
                             hit_result = Some(hit);
@@ -354,49 +358,52 @@ impl<D: BlockDevice> Db<D> {
     /// Serializes and checkpoints the manifest into the alternate slot.
     pub(crate) fn write_manifest(&mut self) -> Result<(), StoreError> {
         self.manifest_version += 1;
-        let mut body = Vec::new();
-        put_u32(&mut body, MANIFEST_MAGIC);
-        put_u64(&mut body, self.manifest_version);
-        put_u64(&mut body, self.next_sst_id);
-        put_u64(&mut body, self.wal.base_epoch);
-        put_u64(&mut body, self.wal.current_epoch);
-        put_u64(&mut body, self.replay_from);
-        put_u32(&mut body, self.levels.len() as u32);
+        let framed = &mut self.manifest;
+        framed.clear();
+        // Length and CRC, backpatched once the body is known.
+        framed.extend_from_slice(&[0; 8]);
+        put_u32(framed, MANIFEST_MAGIC);
+        put_u64(framed, self.manifest_version);
+        put_u64(framed, self.next_sst_id);
+        put_u64(framed, self.wal.base_epoch);
+        put_u64(framed, self.wal.current_epoch);
+        put_u64(framed, self.replay_from);
+        put_u32(framed, self.levels.len() as u32);
         for level in &self.levels {
-            put_u32(&mut body, level.len() as u32);
+            put_u32(framed, level.len() as u32);
             for sst in level {
-                put_u64(&mut body, sst.id);
-                put_u64(&mut body, sst.len);
-                put_u64(&mut body, sst.entries);
-                put_u32(&mut body, sst.segments.len() as u32);
+                put_u64(framed, sst.id);
+                put_u64(framed, sst.len);
+                put_u64(framed, sst.entries);
+                put_u32(framed, sst.segments.len() as u32);
                 for &seg in &sst.segments {
-                    put_u32(&mut body, seg);
+                    put_u32(framed, seg);
                 }
-                put_bytes(&mut body, &sst.min_key);
-                put_bytes(&mut body, &sst.max_key);
+                put_bytes(framed, &sst.min_key);
+                put_bytes(framed, &sst.max_key);
             }
         }
-        put_u32(&mut body, self.raw_segments.len() as u32);
+        put_u32(framed, self.raw_segments.len() as u32);
         for &seg in &self.raw_segments {
-            put_u32(&mut body, seg);
+            put_u32(framed, seg);
         }
-        let mut framed = Vec::with_capacity(body.len() + 8);
-        put_u32(&mut framed, body.len() as u32);
-        put_u32(&mut framed, crc32(&body));
-        framed.extend_from_slice(&body);
-        if framed.len() as u64 > self.opts.manifest_slot_bytes {
+        let body_len = (framed.len() - 8) as u32;
+        let crc = crc32(&framed[8..]);
+        framed[..4].copy_from_slice(&body_len.to_le_bytes());
+        framed[4..8].copy_from_slice(&crc.to_le_bytes());
+        let len = framed.len() as u64;
+        if len > self.opts.manifest_slot_bytes {
             return Err(StoreError::Corrupt(format!(
-                "manifest of {} bytes exceeds slot of {}",
-                framed.len(),
+                "manifest of {len} bytes exceeds slot of {}",
                 self.opts.manifest_slot_bytes
             )));
         }
         let slot = (self.manifest_version % 2) * self.opts.manifest_slot_bytes;
-        self.dev.write_at(slot, &framed)?;
+        self.dev.write_at(slot, &self.manifest)?;
         self.dev.flush()?;
         self.record(TraceIo {
             kind: TraceKind::Write,
-            bytes: framed.len() as u64,
+            bytes: len,
             category: IoCategory::Superblock,
         });
         self.record(TraceIo {
@@ -481,8 +488,8 @@ impl<D: BlockDevice> Db<D> {
                 for _ in 0..nseg {
                     segments.push(cur.get_u32().ok_or_else(trunc)?);
                 }
-                let min_key = cur.get_bytes().ok_or_else(trunc)?.to_vec();
-                let max_key = cur.get_bytes().ok_or_else(trunc)?.to_vec();
+                let min_key = cur.get_bytes().ok_or_else(trunc)?.into();
+                let max_key = cur.get_bytes().ok_or_else(trunc)?.into();
                 let mut sst = Sst {
                     id,
                     segments,
@@ -670,7 +677,7 @@ impl<D: BlockDevice> Db<D> {
         let memtables = self.immutables.iter().map(|(_, imm)| imm);
         for (k, v) in memtables.chain([&self.mem]).flat_map(Memtable::iter) {
             if k.starts_with(prefix) {
-                merged.insert(k.clone(), v.clone());
+                merged.insert(k.to_vec(), v.clone());
             }
         }
         Ok(merged

@@ -16,7 +16,8 @@
 
 use rablock_storage::crc::crc32;
 use rablock_storage::{
-    BlockDevice, Frame, FrameReader, IoCategory, NvmPiece, Payload, StoreError, TraceIo, TraceKind,
+    BlockDevice, Frame, FrameReader, IoCategory, Key, NvmPiece, Payload, StoreError, TraceIo,
+    TraceKind,
 };
 
 use crate::alloc::SegAlloc;
@@ -31,7 +32,7 @@ const FOOTER_BYTES: u64 = 8 + 4 + 4 + 8 + 4 + 4;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexEntry {
     /// First key stored in the block.
-    pub first_key: Vec<u8>,
+    pub first_key: Key,
     /// Logical file offset of the block.
     pub offset: u64,
     /// Block length in bytes.
@@ -48,9 +49,9 @@ pub struct Sst {
     /// Logical file length in bytes.
     pub len: u64,
     /// Smallest key in the file.
-    pub min_key: Vec<u8>,
+    pub min_key: Key,
     /// Largest key in the file.
-    pub max_key: Vec<u8>,
+    pub max_key: Key,
     /// Number of records (tombstones included).
     pub entries: u64,
     /// Block index (always resident; reloaded from the footer on open).
@@ -62,12 +63,12 @@ pub struct Sst {
 impl Sst {
     /// True if `key` could be inside this file's key range.
     pub fn covers(&self, key: &[u8]) -> bool {
-        self.min_key.as_slice() <= key && key <= self.max_key.as_slice()
+        *self.min_key <= *key && *key <= *self.max_key
     }
 
     /// True if this file's range overlaps `[min, max]`.
     pub fn overlaps(&self, min: &[u8], max: &[u8]) -> bool {
-        !(self.max_key.as_slice() < min || max < self.min_key.as_slice())
+        !(*self.max_key < *min || *max < *self.min_key)
     }
 }
 
@@ -281,7 +282,7 @@ impl SstWriter {
         let logical = self.file.len();
         let block_start = *self.open_block.get_or_insert_with(|| {
             self.index.push(IndexEntry {
-                first_key: key.to_vec(),
+                first_key: key.into(),
                 offset: logical,
                 len: 0, // set when the block closes
             });
@@ -425,7 +426,7 @@ impl SstWriter {
             segments,
             len,
             min_key: self.index[0].first_key.clone(),
-            max_key: self.file.bytes()[last_key].to_vec(),
+            max_key: self.file.bytes()[last_key].into(),
             entries,
             index: std::mem::take(&mut self.index),
             bloom,
@@ -450,7 +451,7 @@ pub fn sst_get<D: BlockDevice>(
         return Ok(None);
     }
     // Last block whose first key <= key.
-    let block_idx = match sst.index.partition_point(|e| e.first_key.as_slice() <= key) {
+    let block_idx = match sst.index.partition_point(|e| *e.first_key <= *key) {
         0 => return Ok(None),
         n => n - 1,
     };
@@ -560,7 +561,7 @@ pub fn load_index<D: BlockDevice>(
         let first_key = cur
             .get_bytes()
             .ok_or_else(|| StoreError::Corrupt("truncated index entry".into()))?
-            .to_vec();
+            .into();
         let offset = cur
             .get_u64()
             .ok_or_else(|| StoreError::Corrupt("truncated index entry".into()))?;

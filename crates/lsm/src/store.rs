@@ -8,9 +8,11 @@
 //! stored as LSM values, object metadata and the per-request Ceph records
 //! (`object_info_t`, pg log) are LSM keys too.
 
+use std::mem::take;
+
 use rablock_storage::{
-    BlockDevice, FxHashMap, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, Payload,
-    Segments, StoreError, StoreStats, TraceIo, Transaction,
+    BlockDevice, FxHashMap, Key, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, Payload,
+    Segments, SmallVec, StoreError, StoreStats, TraceIo, Transaction,
 };
 
 use crate::cache::BlockCache;
@@ -22,39 +24,30 @@ use crate::wal::BatchEntry;
 /// Data is chunked into blocks of this size inside the LSM.
 pub const LSM_BLOCK_BYTES: u64 = 4096;
 
-fn info_key(oid: ObjectId) -> Vec<u8> {
-    let mut k = vec![b'M'];
-    put_u64(&mut k, oid.raw());
-    k
+// The store's keys, each written straight into a [`Key`]: every one but a
+// long xattr name or meta key is held inline. The object id is
+// little-endian, the generation and block or chunk big-endian.
+
+fn info_key(oid: ObjectId) -> Key {
+    Key::concat(&[b"M", &oid.raw().to_le_bytes()])
 }
 
-fn data_key(oid: ObjectId, generation: u32, block: u64) -> Vec<u8> {
-    let mut k = vec![b'D'];
-    put_u64(&mut k, oid.raw());
-    k.extend_from_slice(&generation.to_be_bytes());
-    k.extend_from_slice(&block.to_be_bytes());
-    k
+fn data_key(oid: ObjectId, generation: u32, block: u64) -> Key {
+    let (oid, generation) = (oid.raw().to_le_bytes(), generation.to_be_bytes());
+    Key::concat(&[b"D", &oid, &generation, &block.to_be_bytes()])
 }
 
-fn xattr_key(oid: ObjectId, name: &str) -> Vec<u8> {
-    let mut k = vec![b'X'];
-    put_u64(&mut k, oid.raw());
-    k.extend_from_slice(name.as_bytes());
-    k
+fn xattr_key(oid: ObjectId, name: &str) -> Key {
+    Key::concat(&[b"X", &oid.raw().to_le_bytes(), name.as_bytes()])
 }
 
-fn raw_key(oid: ObjectId, generation: u32, chunk: u64) -> Vec<u8> {
-    let mut k = vec![b'R'];
-    put_u64(&mut k, oid.raw());
-    k.extend_from_slice(&generation.to_be_bytes());
-    k.extend_from_slice(&chunk.to_be_bytes());
-    k
+fn raw_key(oid: ObjectId, generation: u32, chunk: u64) -> Key {
+    let (oid, generation) = (oid.raw().to_le_bytes(), generation.to_be_bytes());
+    Key::concat(&[b"R", &oid, &generation, &chunk.to_be_bytes()])
 }
 
-fn meta_key(user_key: &[u8]) -> Vec<u8> {
-    let mut k = vec![b'K'];
-    k.extend_from_slice(user_key);
-    k
+fn meta_key(user_key: &[u8]) -> Key {
+    Key::concat(&[b"K", user_key])
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -153,6 +146,11 @@ pub struct LsmObjectStore<D: BlockDevice> {
     /// changes the picture, instead of spinning callers that loop on
     /// [`ObjectStore::needs_maintenance`].
     maintenance_failed: bool,
+    /// One transaction's batch and per-object infos, kept so `submit`
+    /// allocates neither; both are empty between transactions, so they pin
+    /// no value.
+    batch: Vec<BatchEntry>,
+    infos: Vec<(ObjectId, StoredInfo)>,
     user_bytes: u64,
     transactions: u64,
 }
@@ -183,6 +181,8 @@ impl<D: BlockDevice> LsmObjectStore<D> {
             raw_chunks,
             cache,
             maintenance_failed: false,
+            batch: Vec::new(),
+            infos: Vec::new(),
             user_bytes: 0,
             transactions: 0,
         })
@@ -233,7 +233,9 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         let chunk_bytes = self.db.segment_bytes();
         let first_chunk = offset / chunk_bytes;
         let last_chunk = (end - 1) / chunk_bytes;
-        let mut kv_ranges: Vec<(u64, u64)> = Vec::new();
+        // A client write spans one chunk, two where it straddles a
+        // boundary; a longer write spills to the heap.
+        let mut kv_ranges: SmallVec<(u64, u64), 2> = SmallVec::new();
         for chunk in first_chunk..=last_chunk {
             let c_start = chunk * chunk_bytes;
             let c_end = c_start + chunk_bytes;
@@ -373,14 +375,16 @@ impl<D: BlockDevice> LsmObjectStore<D> {
         }
         Ok(())
     }
-}
 
-impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
-    fn submit(&mut self, txn: Transaction) -> Result<(), StoreError> {
+    /// Builds `txn`'s batch into `batch`, coalescing info updates per
+    /// object in `infos`, and applies it as one atomic write.
+    fn apply_txn(
+        &mut self,
+        txn: &Transaction,
+        batch: &mut Vec<BatchEntry>,
+        infos: &mut Vec<(ObjectId, StoredInfo)>,
+    ) -> Result<(), StoreError> {
         let seq = txn.seq;
-        let mut batch: Vec<BatchEntry> = Vec::new();
-        // Info updates are coalesced per object within the transaction.
-        let mut infos: Vec<(ObjectId, StoredInfo)> = Vec::new();
         let info_of = |store: &mut Self,
                        infos: &mut Vec<(ObjectId, StoredInfo)>,
                        oid: ObjectId,
@@ -429,14 +433,13 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
             Ok(())
         };
 
-        // The ops are borrowed: a key or xattr value the memtable keeps is
-        // copied into its batch entry, a write payload or meta value is a
-        // refcount.
+        // The ops are borrowed: a key the memtable keeps is copied into its
+        // batch entry (inline when short), a write payload, xattr value or
+        // meta value is a refcount.
         for op in txn.ops.iter() {
             match op {
                 Op::Create { oid, size } => {
-                    let idx =
-                        info_of(self, &mut infos, *oid, true)?.expect("create always yields info");
+                    let idx = info_of(self, infos, *oid, true)?.expect("create always yields info");
                     let info = &mut infos[idx].1;
                     info.size = info.size.max(*size);
                     info.version += 1;
@@ -444,15 +447,15 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                 }
                 Op::Write { oid, offset, data } => {
                     let data = data.clone().into();
-                    write(self, &mut infos, &mut batch, *oid, *offset, &data)?;
+                    write(self, infos, batch, *oid, *offset, &data)?;
                 }
                 Op::WriteV { oid, offset, data } => {
-                    write(self, &mut infos, &mut batch, *oid, *offset, data)?;
+                    write(self, infos, batch, *oid, *offset, data)?;
                 }
                 Op::SetXattr { oid, key, value } => {
-                    let idx = info_of(self, &mut infos, *oid, true)?.expect("xattr creates info");
+                    let idx = info_of(self, infos, *oid, true)?.expect("xattr creates info");
                     infos[idx].1.version += 1;
-                    batch.push((xattr_key(*oid, key), Some(value.as_slice().into())));
+                    batch.push((xattr_key(*oid, key), Some(value.clone())));
                 }
                 Op::MetaPut { key, value } => {
                     batch.push((meta_key(key), Some(value.clone())));
@@ -461,7 +464,7 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                     batch.push((meta_key(key), None));
                 }
                 &Op::Delete { oid } => {
-                    let Some(idx) = info_of(self, &mut infos, oid, false)? else {
+                    let Some(idx) = info_of(self, infos, oid, false)? else {
                         return Err(StoreError::NotFound);
                     };
                     let generation = infos[idx].1.generation;
@@ -486,16 +489,27 @@ impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
                 }
             }
         }
-        for (oid, info) in infos {
+        for &(oid, info) in infos.iter() {
             let key = info_key(oid);
             let encoded = info.encode();
             self.cache.put(&key, encoded.clone());
             batch.push((key, Some(encoded)));
         }
         self.maintenance_failed = false;
-        self.db.apply(&batch)?;
+        self.db.apply(batch)?;
         self.transactions += 1;
         Ok(())
+    }
+}
+
+impl<D: BlockDevice> ObjectStore for LsmObjectStore<D> {
+    fn submit(&mut self, txn: Transaction) -> Result<(), StoreError> {
+        let (mut batch, mut infos) = (take(&mut self.batch), take(&mut self.infos));
+        let applied = self.apply_txn(&txn, &mut batch, &mut infos);
+        batch.clear();
+        infos.clear();
+        (self.batch, self.infos) = (batch, infos);
+        applied
     }
 
     fn read_segments(
@@ -625,10 +639,10 @@ mod tests {
             Op::SetXattr {
                 oid: o,
                 key: "oi".into(),
-                value: vec![0xA5; 64],
+                value: vec![0xA5; 64].into(),
             },
             Op::MetaPut {
-                key: b"pglog.0.1".to_vec(),
+                key: b"pglog.0.1".into(),
                 value: vec![0x5A; 180].into(),
             },
         ];
@@ -732,7 +746,7 @@ mod tests {
             1,
             vec![
                 Op::MetaPut {
-                    key: b"pglog.0.42".to_vec(),
+                    key: b"pglog.0.42".into(),
                     value: vec![1, 2, 3].into(),
                 },
                 Op::Write {
@@ -748,7 +762,7 @@ mod tests {
             GroupId(0),
             2,
             vec![Op::MetaDelete {
-                key: b"pglog.0.42".to_vec(),
+                key: b"pglog.0.42".into(),
             }],
         ))
         .unwrap();

@@ -12,12 +12,12 @@
 //! length-prefixed value.
 
 use rablock_storage::crc::{crc32, FrameCrc};
-use rablock_storage::{BlockDevice, Frame, Payload, StoreError};
+use rablock_storage::{BlockDevice, Frame, Key, Payload, StoreError};
 
 use crate::util::{put_bytes, put_u32, put_u64, Cursor};
 
 /// One write in a batch: key plus value (`None` = delete).
-pub type BatchEntry = (Vec<u8>, Option<Payload>);
+pub type BatchEntry = (Key, Option<Payload>);
 
 /// Frame header: length + CRC + epoch.
 const HEADER_BYTES: u64 = 4 + 4 + 8;
@@ -175,7 +175,7 @@ pub fn decode_batch(payload: &[u8]) -> Option<Vec<BatchEntry>> {
     let mut batch = Vec::new();
     for _ in 0..count {
         let flag = cur.get_bytes_raw(1)?[0];
-        let key = cur.get_bytes()?.to_vec();
+        let key = cur.get_bytes()?.into();
         let value = match flag {
             0 => Some(Payload::from(cur.get_bytes()?)),
             _ => None,
@@ -191,7 +191,7 @@ mod tests {
     use rablock_storage::{CrashDisk, CrashPlan, MemDisk};
 
     fn put(key: &[u8], value: &[u8]) -> Vec<BatchEntry> {
-        vec![(key.to_vec(), Some(value.into()))]
+        vec![(key.into(), Some(value.into()))]
     }
 
     fn scan_batches<D: BlockDevice>(wal: &Wal, dev: &mut D) -> Vec<(u64, Vec<BatchEntry>)> {
@@ -207,9 +207,9 @@ mod tests {
         let mut dev = MemDisk::new(1 << 16);
         let mut wal = Wal::new(0, 1 << 16, 1);
         let mixed = vec![
-            (b"a".to_vec(), Some(b"first".as_slice().into())),
-            (b"gone".to_vec(), None),
-            (b"big".to_vec(), Some(vec![7u8; 4096].into())),
+            (b"a".into(), Some(b"first".as_slice().into())),
+            (b"gone".into(), None),
+            (b"big".into(), Some(vec![7u8; 4096].into())),
         ];
         wal.append(&mut dev, &mixed).unwrap();
         wal.append(&mut dev, &put(b"b", b"second")).unwrap();
@@ -227,14 +227,14 @@ mod tests {
         let backing: Payload = (0u8..=255).cycle().take(9000).collect::<Vec<u8>>().into();
         let mut batches: Vec<Vec<BatchEntry>> = [0usize, 511, 512, 4096]
             .iter()
-            .map(|&len| vec![(b"key".to_vec(), Some(vec![0xA5u8; len].into()))])
+            .map(|&len| vec![(b"key".into(), Some(vec![0xA5u8; len].into()))])
             .collect();
-        batches.push(vec![(b"window".to_vec(), Some(backing.slice(123, 4096)))]);
+        batches.push(vec![(b"window".into(), Some(backing.slice(123, 4096)))]);
         batches.push(vec![
-            (b"a".to_vec(), Some(backing.clone())),
-            (b"info".to_vec(), Some(vec![1u8; 28].into())),
-            (b"dead".to_vec(), None),
-            (b"b".to_vec(), Some(backing.slice(512, 512))),
+            (b"a".into(), Some(backing.clone())),
+            (b"info".into(), Some(vec![1u8; 28].into())),
+            (b"dead".into(), None),
+            (b"b".into(), Some(backing.slice(512, 512))),
         ]);
         let mut dev = MemDisk::new(1 << 16);
         let mut wal = Wal::new(0, 1 << 16, 3);

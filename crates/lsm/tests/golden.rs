@@ -144,7 +144,7 @@ fn device_image_trace_and_stats_are_pinned() {
             70..=75 => vec![Op::SetXattr {
                 oid: o,
                 key: format!("attr{}", rng.below(4)),
-                value: vec![fill; 8 + rng.below(64) as usize],
+                value: vec![fill; 8 + rng.below(64) as usize].into(),
             }],
             76..=83 => {
                 let key = format!("pglog.0.{seq}").into_bytes();
@@ -154,14 +154,14 @@ fn device_image_trace_and_stats_are_pinned() {
                 vec![
                     write(rng.below(BLOCKS_PER_OBJECT) * 4096, 4096),
                     Op::MetaPut {
-                        key,
+                        key: key.into(),
                         value: vec![fill; 30 + rng.below(170) as usize].into(),
                     },
                 ]
             }
             84..=87 if !meta_keys.is_empty() => {
                 let key = meta_keys.swap_remove(rng.below(meta_keys.len() as u64) as usize);
-                vec![Op::MetaDelete { key }]
+                vec![Op::MetaDelete { key: key.into() }]
             }
             88..=90 if store.stat(o).is_some() => vec![Op::Delete { oid: o }],
             91..=93 => {

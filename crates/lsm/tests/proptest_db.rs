@@ -42,11 +42,11 @@ proptest! {
             match op {
                 DbOp::Put(k, f, l) => {
                     let v = Payload::from(vec![f; l as usize]);
-                    db.apply(&[(key(k), Some(v.clone()))]).unwrap();
+                    db.apply(&[(key(k).into(), Some(v.clone()))]).unwrap();
                     model.insert(key(k), v);
                 }
                 DbOp::Delete(k) => {
-                    db.apply(&[(key(k), None)]).unwrap();
+                    db.apply(&[(key(k).into(), None)]).unwrap();
                     model.remove(&key(k));
                 }
                 DbOp::Get(k) => {
@@ -75,11 +75,11 @@ proptest! {
             match op {
                 DbOp::Put(k, f, l) => {
                     let v = Payload::from(vec![f; l as usize]);
-                    db.apply(&[(key(k), Some(v.clone()))]).unwrap();
+                    db.apply(&[(key(k).into(), Some(v.clone()))]).unwrap();
                     model.insert(key(k), v);
                 }
                 DbOp::Delete(k) => {
-                    db.apply(&[(key(k), None)]).unwrap();
+                    db.apply(&[(key(k).into(), None)]).unwrap();
                     model.remove(&key(k));
                 }
                 DbOp::Get(_) => {}

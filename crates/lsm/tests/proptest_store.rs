@@ -167,7 +167,7 @@ fn drive(
                     vec![Op::SetXattr {
                         oid: oid(obj),
                         key: "oi".into(),
-                        value: vec![fill; 40],
+                        value: vec![fill; 40].into(),
                     }],
                 )
                 .unwrap();
@@ -178,7 +178,7 @@ fn drive(
                 submit(
                     &mut store,
                     vec![Op::MetaPut {
-                        key: meta_key(key),
+                        key: meta_key(key).into(),
                         value: value.into(),
                     }],
                 )
@@ -186,7 +186,13 @@ fn drive(
             }
             StoreOp::MetaDelete { key } => {
                 model.meta.remove(&key);
-                submit(&mut store, vec![Op::MetaDelete { key: meta_key(key) }]).unwrap();
+                submit(
+                    &mut store,
+                    vec![Op::MetaDelete {
+                        key: meta_key(key).into(),
+                    }],
+                )
+                .unwrap();
             }
             StoreOp::Delete { obj } => {
                 let existed = model.size.remove(&obj).is_some();

@@ -144,15 +144,15 @@ fn parse(bytes: &[u8]) -> Result<LogRecord, StoreError> {
                 let oid = ObjectId::from_raw(r.u64()?);
                 let key = String::from_utf8(r.bytes()?.to_vec())
                     .map_err(|_| StoreError::Corrupt("non-utf8 xattr key".into()))?;
-                let value = r.bytes()?.to_vec();
+                let value = r.payload()?;
                 Op::SetXattr { oid, key, value }
             }
             3 => Op::MetaPut {
-                key: r.bytes()?.to_vec(),
+                key: r.bytes()?.into(),
                 value: r.payload()?,
             },
             4 => Op::MetaDelete {
-                key: r.bytes()?.to_vec(),
+                key: r.bytes()?.into(),
             },
             5 => Op::Delete {
                 oid: ObjectId::from_raw(r.u64()?),
@@ -280,7 +280,7 @@ pub(crate) fn varied_records() -> Vec<LogRecord> {
     let xattr = Op::SetXattr {
         oid,
         key: "oi".into(),
-        value: vec![0xA5; 64],
+        value: vec![0xA5; 64].into(),
     };
     let ops: Vec<Vec<Op>> = vec![
         vec![write(0, Payload::empty())],
@@ -295,7 +295,7 @@ pub(crate) fn varied_records() -> Vec<LogRecord> {
             write(4096, backing.slice(100, 100)),
             write(8192, backing.slice(4096, 8192)),
             Op::MetaPut {
-                key: b"pglog.3.7".to_vec(),
+                key: b"pglog.3.7".into(),
                 value: vec![0x5A; 180].into(),
             },
         ],
@@ -347,14 +347,14 @@ mod tests {
                     Op::SetXattr {
                         oid,
                         key: "oi".into(),
-                        value: vec![1, 2],
+                        value: vec![1, 2].into(),
                     },
                     Op::MetaPut {
-                        key: b"pglog.3.7".to_vec(),
+                        key: b"pglog.3.7".into(),
                         value: vec![5; 30].into(),
                     },
                     Op::MetaDelete {
-                        key: b"pglog.3.1".to_vec(),
+                        key: b"pglog.3.1".into(),
                     },
                     Op::Delete { oid },
                 ],

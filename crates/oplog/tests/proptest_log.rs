@@ -64,7 +64,7 @@ proptest! {
                     seq += 1;
                     let mut ops = vec![Op::Write { oid: oid(obj), offset, data: vec![fill; len as usize].into() }];
                     if xattr {
-                        ops.push(Op::SetXattr { oid: oid(obj), key: "oi".into(), value: vec![fill] });
+                        ops.push(Op::SetXattr { oid: oid(obj), key: "oi".into(), value: vec![fill].into() });
                     }
                     let txn = Transaction::new(GroupId(3), seq, ops);
                     prop_assert!(log.fits(&txn), "a 1 MiB ring never fills here");

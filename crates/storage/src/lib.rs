@@ -14,6 +14,8 @@
 //!   keeps without copying.
 //! * [`Record`] / [`Encoded`] — a value the medium holds by reference and
 //!   encodes only when a read needs its bytes: an operation-log record.
+//! * [`Key`] — a short byte-string key held inline, ordered and hashed as
+//!   its bytes: the key type of both stores' in-memory maps.
 //! * [`crc`] — the one CRC-32 every framed storage format uses,
 //!   with the streaming and splice forms that keep shared payloads unread.
 //! * [`digest`] — the content digest replicas and recovery pushes are
@@ -42,6 +44,7 @@ pub mod digest;
 mod error;
 mod frame;
 mod fxhash;
+mod key;
 mod medium;
 mod nvm;
 mod objectstore;
@@ -54,6 +57,7 @@ pub use crash::{CrashDisk, CrashPlan};
 pub use error::StoreError;
 pub use frame::{Frame, FrameReader, NvmPiece};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use key::Key;
 pub use nvm::NvmRegion;
 pub use objectstore::{
     GroupId, IoCategory, MaintenanceReport, ObjectId, ObjectInfo, ObjectStore, Op, StoreStats,

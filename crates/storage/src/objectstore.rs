@@ -12,6 +12,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::StoreError;
+use crate::key::Key;
 use crate::payload::{Payload, Segments};
 
 /// Identifier of an object within the cluster.
@@ -125,21 +126,21 @@ pub enum Op {
         oid: ObjectId,
         /// Attribute name.
         key: String,
-        /// Attribute value.
-        value: Vec<u8>,
+        /// Attribute value (refcounted: a store that keeps it keeps a view).
+        value: Payload,
     },
     /// Writes a store-level key/value record (Ceph's `object_info_t`,
     /// `snapset`, pg-log entries ride on this).
     MetaPut {
-        /// Record key.
-        key: Vec<u8>,
+        /// Record key (inline when short: building one allocates nothing).
+        key: Key,
         /// Record value (refcounted: a store keeps a view, not a copy).
         value: Payload,
     },
     /// Deletes a store-level key/value record.
     MetaDelete {
         /// Record key.
-        key: Vec<u8>,
+        key: Key,
     },
     /// Deletes an object (backends may defer the actual deallocation).
     Delete {
@@ -404,13 +405,13 @@ mod tests {
                     data: vec![0; 4096].into(),
                 },
                 Op::MetaPut {
-                    key: b"pglog".to_vec(),
+                    key: b"pglog".into(),
                     value: vec![0; 200].into(),
                 },
                 Op::SetXattr {
                     oid,
                     key: "v".into(),
-                    value: vec![1],
+                    value: vec![1].into(),
                 },
             ],
         );
@@ -428,7 +429,7 @@ mod tests {
                     data: vec![fill; 4096].into(),
                 },
                 Op::MetaPut {
-                    key: b"pglog.1.1".to_vec(),
+                    key: b"pglog.1.1".into(),
                     value: vec![0x5A; 180].into(),
                 },
             ]

@@ -37,7 +37,8 @@ fn lsm_crash_loses_nothing_acknowledged() {
     let mut db = Db::open(CrashDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
     for i in 0..500u64 {
         let k = format!("key{:04}", i % 100).into_bytes();
-        db.apply(&[(k, Some(vec![i as u8; 64].into()))]).unwrap();
+        db.apply(&[(k.into(), Some(vec![i as u8; 64].into()))])
+            .unwrap();
         while db.needs_maintenance() {
             db.maintenance().unwrap();
         }
@@ -60,7 +61,7 @@ fn lsm_crash_loses_nothing_acknowledged() {
 #[test]
 fn lsm_torn_wal_tail_is_dropped_cleanly() {
     let mut db = Db::open(CrashDisk::new(16 << 20), LsmOptions::tiny()).unwrap();
-    db.apply(&[(b"committed".to_vec(), Some(b"yes".to_vec().into()))])
+    db.apply(&[(b"committed".into(), Some(b"yes".to_vec().into()))])
         .unwrap();
     let mut dev = db.into_device();
     // Tear the very last write (the most recent WAL record).
