@@ -212,8 +212,8 @@ impl Osd {
     /// Wakes a flusher once the group's log has reached its threshold,
     /// unless a flush window is already open.
     pub(super) fn wake_flush_if_due(&mut self, group: GroupId) {
-        let log = self.log_for(group);
-        let due = log.pending() >= log.flush_threshold;
+        let log = self.logs.get(&group);
+        let due = log.is_some_and(|log| log.pending() >= log.flush_threshold);
         if due && !self.rt(group).flushing {
             self.fx.push(OsdEffect::WakeFlush { group });
         }
@@ -256,9 +256,14 @@ impl Osd {
     }
 
     pub(super) fn on_store_durable(&mut self, token: u64) {
-        let Some(ctx) = self.bottom.pending_store.remove(&token) else {
-            return;
-        };
+        if let Some(ctx) = self.bottom.pending_store.remove(&token) {
+            self.stored(ctx);
+        }
+    }
+
+    /// What `ctx` waited for is done: its store I/O is durable, or the mode
+    /// had nothing to wait for.
+    pub(super) fn stored(&mut self, ctx: StoreCtx) {
         match ctx {
             StoreCtx::WriteLocal { seq } => {
                 if let Some(w) = self.top.inflight.get_mut(&seq) {
@@ -288,6 +293,21 @@ impl Osd {
                 self.wake_flush_if_due(group);
             }
             StoreCtx::Background => {}
+        }
+    }
+
+    /// The log or the store refused the write `ctx` persists: its client
+    /// gets a retryable error at a primary, its primary a `RepNack` at a
+    /// replica.
+    pub(super) fn refused(&mut self, ctx: StoreCtx, error: StoreError) {
+        match ctx {
+            StoreCtx::WriteLocal { seq } => self.fail_write(seq, error),
+            StoreCtx::ReplicaPersist {
+                primary,
+                group,
+                seq,
+            } => self.nack_failed_apply(primary, group, seq, error),
+            StoreCtx::Read { .. } | StoreCtx::Flush { .. } | StoreCtx::Background => {}
         }
     }
 
@@ -333,20 +353,16 @@ impl Osd {
     }
 
     pub(super) fn on_submit_deferred(&mut self, token: u64) {
-        let Some(DeferredSubmit { txn, ctx }) = self.bottom.deferred_submits.remove(&token) else {
-            return;
-        };
+        if let Some(DeferredSubmit { txn, ctx }) = self.bottom.deferred_submits.remove(&token) {
+            self.submit_now(txn, ctx);
+        }
+    }
+
+    /// Submits `txn` to the backend on this thread; `ctx` is answered once
+    /// its device I/O is durable, or refused at once.
+    pub(super) fn submit_now(&mut self, txn: Transaction, ctx: StoreCtx) {
         if let Err(error) = self.backend.submit(txn) {
-            match ctx {
-                StoreCtx::ReplicaPersist {
-                    primary,
-                    group,
-                    seq,
-                } => self.nack_failed_apply(primary, group, seq, error),
-                StoreCtx::WriteLocal { seq } => self.fail_write(seq, error),
-                _ => {}
-            }
-            return;
+            return self.refused(ctx, error);
         }
         self.store_io(ctx, true);
         self.kick_maintenance();
@@ -386,7 +402,7 @@ impl Osd {
 
 #[cfg(test)]
 mod tests {
-    use rablock_storage::{GroupId, ObjectId, Payload, StoreError};
+    use rablock_storage::{GroupId, ObjectId, Payload, StoreError, Transaction};
 
     use super::super::testkit::*;
     use super::super::{Osd, OsdConfig, OsdEffect, OsdInput, PipelineMode};
@@ -495,6 +511,43 @@ mod tests {
         assert_eq!(o.pg_latest(g, oid_in(g, i)), (0, 0), "un-noted");
         let fx = o.handle(client(write_req(i, oid_in(g, i))));
         assert!(refused(reply_to(&fx, OpId(i))), "{fx:?}");
+    }
+
+    /// An NVM region with room for one ring refuses a write to a second
+    /// group, without aborting the OSD, through `persist`'s one failure
+    /// path: a retryable error to the client at a primary, a `RepNack` at a
+    /// replica.
+    #[test]
+    fn a_write_to_a_group_nvm_has_no_ring_for_is_refused() {
+        let base = cfg(PipelineMode::Dop, 16);
+        let one_ring = OsdConfig {
+            nvm_bytes: base.ring_bytes,
+            ..base
+        };
+        let mut o = Osd::new(OsdId(0), one_ring, map());
+        let led = (0..8).map(GroupId).filter(|&g| o.map().primary(g) == o.id);
+        let led: Vec<GroupId> = led.collect();
+        let fx = o.handle(client(write_req(1, oid_in(led[0], 1))));
+        assert!(fx.iter().any(|e| matches!(e, OsdEffect::NvmWritten { .. })));
+        let fx = o.handle(client(write_req(2, oid_in(led[1], 1))));
+        assert!(refused(reply_to(&fx, OpId(2))), "{fx:?}");
+        assert_eq!(o.log_pending(led[1]), 0);
+
+        let other = (0..8).map(GroupId).find(|&g| o.map().primary(g) != o.id);
+        let g = other.expect("a group led by the other OSD");
+        let (primary, txn) = (o.map().primary(g), Transaction::new(g, 5, Vec::new()));
+        let msg = PeerMsg::Repop {
+            group: g,
+            seq: 5,
+            txn,
+        };
+        let fx = o.handle(OsdInput::Peer { from: primary, msg });
+        let nack = |e: &OsdEffect| {
+            let no_space = StoreError::NoSpace;
+            matches!(e, OsdEffect::SendPeer { to, msg: PeerMsg::RepNack { seq: 5, error, .. } }
+                if *to == primary && *error == no_space)
+        };
+        assert!(fx.iter().any(nack), "{fx:?}");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! The [`PipelineMode`] selects which of the paper's systems this OSD is:
 //! stock Ceph (`Original`), the roofline variants (`RtcV1..V3`), the
 //! ablations (`Cos`, `Ptc`), the full proposed system (`Dop`), or the
-//! no-storage-processing upper bound (`Ideal`).
+//! no-storage-processing upper bound (`Ideal`). [`PipelineMode::shape`] is
+//! the one table of what each is — a [`Threading`] and a [`StoragePath`] — and
+//! the OSD and both drivers decide by matching those, never the mode.
 //!
 //! One protocol per file, each an `impl Osd` block over the state value it
 //! owns: `pipeline` (the top half: client writes and reads, the dedup
@@ -38,7 +40,8 @@ use rablock_cos::{CosObjectStore, CosOptions};
 use rablock_lsm::{LsmObjectStore, LsmOptions};
 use rablock_oplog::GroupLog;
 use rablock_storage::{
-    FxHashMap, GroupId, MemDisk, NvmRegion, ObjectId, Op, Payload, Segments, TraceIo, Transaction,
+    FxHashMap, GroupId, MemDisk, NvmRegion, ObjectId, Op, Payload, Segments, StoreError, TraceIo,
+    Transaction,
 };
 
 use crate::msg::{ClientId, ClientReply, ClientReq, OpId, PeerMsg};
@@ -90,49 +93,86 @@ pub enum PipelineMode {
     Ideal,
 }
 
+/// How a mode lays out an OSD's threads.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Threading {
+    /// Stock Ceph: messenger threads relay every message to and from a
+    /// pool of PG threads.
+    Pool,
+    /// One thread per connection runs each operation to completion, one at
+    /// a time (§III-B).
+    RunToCompletion,
+    /// Priority threads on dedicated cores run the I/O path; non-priority
+    /// threads take everything else (§IV-B), behind the event-driven
+    /// messenger.
+    Prioritized,
+}
+
+/// Where a mode runs a write's and a read's storage work.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum StoragePath {
+    /// Nowhere: no transaction, no store; writes complete and reads answer
+    /// zeros at once (MP+RP only).
+    Nowhere,
+    /// The transaction is built but the store is a no-op (MP+RP+TP).
+    TxnOnly,
+    /// On the thread that handles the operation, before it completes.
+    Inline,
+    /// On a non-priority thread, before the operation completes.
+    Deferred,
+    /// Logged to NVM before the operation completes, flushed to the store
+    /// in batches by non-priority threads (§IV-A).
+    NvmLog,
+}
+
+impl StoragePath {
+    /// Whether the mode keeps what is written, so there is data to peer
+    /// over and scrub.
+    pub fn keeps_data(self) -> bool {
+        match self {
+            StoragePath::Nowhere | StoragePath::TxnOnly => false,
+            StoragePath::Inline | StoragePath::Deferred | StoragePath::NvmLog => true,
+        }
+    }
+}
+
 impl PipelineMode {
-    /// True for modes using the NVM operation log (top/bottom-half split).
-    pub fn decoupled(self) -> bool {
-        matches!(self, PipelineMode::Dop)
+    /// The one table of what each of the paper's systems is: how it lays
+    /// out its threads and where its storage work runs (§III, Fig. 1).
+    pub fn shape(self) -> (Threading, StoragePath) {
+        use StoragePath::*;
+        use Threading::*;
+        match self {
+            PipelineMode::Original | PipelineMode::Cos => (Pool, Inline),
+            PipelineMode::RtcV1 => (RunToCompletion, Inline),
+            PipelineMode::RtcV2 => (RunToCompletion, TxnOnly),
+            PipelineMode::RtcV3 => (RunToCompletion, Nowhere),
+            PipelineMode::Ptc => (Prioritized, Deferred),
+            PipelineMode::Dop => (Prioritized, NvmLog),
+            PipelineMode::Ideal => (Prioritized, Nowhere),
+        }
     }
 
-    /// True for modes with priority/non-priority thread control.
-    pub fn prioritized(self) -> bool {
-        matches!(
-            self,
-            PipelineMode::Ptc | PipelineMode::Dop | PipelineMode::Ideal
-        )
+    /// Where this mode runs its storage work.
+    pub fn storage(self) -> StoragePath {
+        self.shape().1
     }
 
-    /// True for the roofline run-to-completion variants.
-    pub fn run_to_completion(self) -> bool {
-        matches!(
-            self,
-            PipelineMode::RtcV1 | PipelineMode::RtcV2 | PipelineMode::RtcV3
-        )
-    }
-
-    /// True when transaction processing is skipped entirely (MP+RP only).
-    pub fn null_transaction(self) -> bool {
-        matches!(self, PipelineMode::RtcV3 | PipelineMode::Ideal)
-    }
-
-    /// True when the backend store is a no-op (but TP still runs).
-    pub fn null_store(self) -> bool {
-        matches!(self, PipelineMode::RtcV2)
-    }
-
-    /// True for modes backed by the LSM (BlueStore-like) store.
-    pub fn lsm_backend(self) -> bool {
-        matches!(self, PipelineMode::Original | PipelineMode::RtcV1)
-    }
-
-    /// True for modes backed by the CPU-efficient object store.
-    pub fn cos_backend(self) -> bool {
-        matches!(
-            self,
-            PipelineMode::Cos | PipelineMode::Ptc | PipelineMode::Dop
-        )
+    /// The store behind the mode: the BlueStore-like LSM for stock Ceph and
+    /// RTC-v1, the CPU-efficient object store for the ablations and DOP,
+    /// none where the mode keeps no data.
+    fn backend(self, cfg: &OsdConfig) -> Backend {
+        match self {
+            PipelineMode::Original | PipelineMode::RtcV1 => Backend::Lsm(
+                LsmObjectStore::open(MemDisk::new(cfg.device_bytes), cfg.lsm.clone())
+                    .expect("LSM backend formats"),
+            ),
+            PipelineMode::Cos | PipelineMode::Ptc | PipelineMode::Dop => Backend::Cos(
+                CosObjectStore::format(MemDisk::new(cfg.device_bytes), cfg.cos.clone())
+                    .expect("COS backend formats"),
+            ),
+            PipelineMode::RtcV2 | PipelineMode::RtcV3 | PipelineMode::Ideal => Backend::Null,
+        }
     }
 }
 
@@ -364,19 +404,7 @@ impl Osd {
     /// Panics if the backend cannot be formatted with the given config —
     /// that is a configuration error worth failing loudly on.
     pub fn new(id: OsdId, cfg: OsdConfig, map: OsdMap) -> Self {
-        let backend = if cfg.mode.lsm_backend() {
-            Backend::Lsm(
-                LsmObjectStore::open(MemDisk::new(cfg.device_bytes), cfg.lsm.clone())
-                    .expect("LSM backend formats"),
-            )
-        } else if cfg.mode.cos_backend() {
-            Backend::Cos(
-                CosObjectStore::format(MemDisk::new(cfg.device_bytes), cfg.cos.clone())
-                    .expect("COS backend formats"),
-            )
-        } else {
-            Backend::Null
-        };
+        let backend = cfg.mode.backend(&cfg);
         Osd {
             id,
             nvm: NvmRegion::new(cfg.nvm_bytes),
@@ -403,11 +431,6 @@ impl Osd {
             scrubs_completed: 0,
             read_checksum_errors: 0,
         }
-    }
-
-    /// The pipeline mode this OSD runs as.
-    pub fn mode(&self) -> PipelineMode {
-        self.cfg.mode
     }
 
     /// The backend store (statistics access).
@@ -461,14 +484,14 @@ impl Osd {
         set
     }
 
-    fn log_for(&mut self, group: GroupId) -> &mut GroupLog {
+    /// The group's log, its ring carved from NVM on first use; `NoSpace`
+    /// when the region has no room left for another ring.
+    fn log_for(&mut self, group: GroupId) -> Result<&mut GroupLog, StoreError> {
         if !self.logs.contains_key(&group) {
             let base = self.nvm_next;
-            assert!(
-                base + self.cfg.ring_bytes <= self.nvm.capacity(),
-                "{}: NVM exhausted allocating ring for {group}",
-                self.id
-            );
+            if base + self.cfg.ring_bytes > self.nvm.capacity() {
+                return Err(StoreError::NoSpace);
+            }
             self.nvm_next += self.cfg.ring_bytes;
             let log = GroupLog::format(
                 &mut self.nvm,
@@ -480,7 +503,7 @@ impl Osd {
             .expect("ring formats in fresh NVM");
             self.logs.insert(group, log);
         }
-        self.logs.get_mut(&group).expect("just inserted")
+        Ok(self.logs.get_mut(&group).expect("just inserted"))
     }
 
     /// Records the byte extents a transaction touches, so this OSD can later

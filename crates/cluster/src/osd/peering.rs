@@ -18,7 +18,7 @@ use rablock_storage::{FxHashMap, GroupId, ObjectId, Segments, Transaction};
 use super::digest::digest_op;
 use super::flush::StoreCtx;
 use super::recovery::whole_object_txn;
-use super::{Osd, OsdEffect, PG_LOG_LIMIT};
+use super::{Osd, OsdEffect, StoragePath, PG_LOG_LIMIT};
 use crate::msg::{PeerMsg, PgLogEntry};
 use crate::placement::{OsdId, OsdMap};
 
@@ -483,8 +483,8 @@ impl Osd {
         for r in &records {
             self.note_txn(&r.txn);
         }
-        let (empty, nvm) = (self.log_for(group).pending() == 0, &mut self.nvm);
-        let log = self.logs.get_mut(&group);
+        let empty = self.log_for(group).is_ok_and(|log| log.pending() == 0);
+        let (log, nvm) = (self.logs.get_mut(&group), &mut self.nvm);
         if empty && log.is_some_and(|log| log.import_records(nvm, &records).is_ok()) {
             let bytes = records.iter().map(LogRecord::encoded_len).sum();
             self.fx.push(OsdEffect::NvmWritten { bytes });
@@ -549,11 +549,11 @@ impl Osd {
         }
         let old = std::mem::replace(&mut self.map, map);
         self.abort_scrubs();
-        let decoupled = self.cfg.mode.decoupled();
-        let rounds = !self.cfg.mode.null_transaction() && !self.cfg.mode.null_store();
+        let storage = self.cfg.mode.storage();
+        let (logged, rounds) = (storage == StoragePath::NvmLog, storage.keeps_data());
         for group in (0..self.map.pg_count).map(GroupId) {
             let now = self.map.acting_set(group);
-            if decoupled {
+            if logged {
                 self.note_holders(group, &old.acting_set(group), &now);
             }
             // The rounds of the last epoch end, but an open join of a group
@@ -563,7 +563,7 @@ impl Osd {
                 self.open_round(group);
             }
             let pending = self.logs.get(&group).is_some_and(|l| l.pending() > 0);
-            let survivor = decoupled && member && !self.peering.joining(group);
+            let survivor = logged && member && !self.peering.joining(group);
             if survivor && pending && self.submit_pending(group).is_ok() {
                 // Persist pending data but keep the log so a joiner can
                 // synchronize from it. No flush window opens: nothing

@@ -1,9 +1,10 @@
 //! The top half: what a priority thread does with a client request. A write
 //! is admitted exactly once (the dedup windows), given a sequence number,
-//! replicated, and either logged to NVM and acked (decoupled, Fig. 3-b) or
-//! persisted to the backend first (coupled, Fig. 3-a); a read is answered
-//! from the operation log when it can be and handed to the bottom half
-//! (`flush.rs`) when it cannot.
+//! replicated, and persisted where the mode's storage path says — the one
+//! `persist` a replica's `Repop` takes too: logged to NVM and acked
+//! (decoupled, Fig. 3-b) or persisted to the backend first (Fig. 3-a). A
+//! read is answered from the operation log when it can be and handed to the
+//! bottom half (`flush.rs`) when it cannot.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -12,7 +13,7 @@ use rablock_oplog::ReadPath;
 use rablock_storage::{FxHashMap, GroupId, Key, Op, Payload, StoreError, Transaction};
 
 use super::flush::{DeferredRead, StoreCtx};
-use super::{Osd, OsdEffect, DEDUP_WINDOW};
+use super::{Osd, OsdEffect, StoragePath, DEDUP_WINDOW};
 use crate::msg::{ClientId, ClientReply, OpId, PeerMsg};
 use crate::placement::ActingSet;
 
@@ -203,11 +204,9 @@ impl Osd {
             self.send(r, PeerMsg::Repop { group, seq, txn });
         }
         self.top.inflight_ops.insert((from, op), seq);
-        if self.cfg.mode.decoupled() {
-            self.write_decoupled(seq, w);
-        } else {
-            self.write_coupled(seq, w);
-        }
+        let txn = w.txn.clone();
+        self.top.inflight.insert(seq, w);
+        self.persist(txn, StoreCtx::WriteLocal { seq });
     }
 
     /// The `min_size` quorum gate (Ceph semantics): mutations are refused
@@ -223,29 +222,6 @@ impl Osd {
         true
     }
 
-    /// Stock write path: replicate and persist before acking (Fig. 3-a).
-    fn write_coupled(&mut self, seq: u64, mut w: WriteOp) {
-        let txn = w.txn.clone();
-        w.local_done = self.cfg.mode.null_transaction() || self.cfg.mode.null_store();
-        let local_done = w.local_done;
-        self.top.inflight.insert(seq, w);
-        if local_done {
-            self.try_complete_write(seq);
-            return;
-        }
-        if self.cfg.mode.prioritized() {
-            // PTC: the priority thread never does storage processing; hand
-            // the transaction to a non-priority thread (§IV-B).
-            self.defer_submit(txn, StoreCtx::WriteLocal { seq });
-            return;
-        }
-        if let Err(error) = self.backend.submit(txn) {
-            return self.fail_write(seq, error);
-        }
-        self.store_io(StoreCtx::WriteLocal { seq }, true);
-        self.kick_maintenance();
-    }
-
     /// Fails the in-flight write `seq`, which the store or the log refused:
     /// it leaves the pg_log, and its client gets a retryable error.
     pub(super) fn fail_write(&mut self, seq: u64, error: StoreError) {
@@ -256,26 +232,42 @@ impl Osd {
         }
     }
 
-    /// Decoupled write path (Fig. 3-b): log to NVM, replicate, ack; flush
-    /// later in batches.
-    fn write_decoupled(&mut self, seq: u64, w: WriteOp) {
-        let (group, txn) = (w.group, w.txn.clone());
-        self.top.inflight.insert(seq, w);
+    /// The one way a write reaches local storage, at its primary
+    /// (`WriteLocal`) and at a replica (`ReplicaPersist`) alike, wherever
+    /// the mode runs storage work. `ctx` goes through [`Osd::stored`] when
+    /// the write is done — at once, once its store I/O is durable, or once
+    /// the drain it forced is — and through [`Osd::refused`] when the log or
+    /// the store refuses it.
+    pub(super) fn persist(&mut self, txn: Transaction, ctx: StoreCtx) {
+        match self.cfg.mode.storage() {
+            StoragePath::Nowhere | StoragePath::TxnOnly => self.stored(ctx),
+            // Stock path (Fig. 3-a): persist before completing.
+            StoragePath::Inline => self.submit_now(txn, ctx),
+            // PTC: the priority thread never does storage processing; hand
+            // the transaction to a non-priority thread (§IV-B).
+            StoragePath::Deferred => self.defer_submit(txn, ctx),
+            StoragePath::NvmLog => self.log_write(txn, ctx),
+        }
+    }
+
+    /// Decoupled persist (Fig. 3-b): log to NVM and complete at once; the
+    /// group's records reach the store later, in batches.
+    fn log_write(&mut self, txn: Transaction, ctx: StoreCtx) {
+        let group = txn.group;
         let (bytes, stall) = match self.log_append_with_fallback(group, txn) {
             Ok(logged) => logged,
-            Err(error) => return self.fail_write(seq, error),
+            Err(error) => return self.refused(ctx, error),
         };
         self.fx.push(OsdEffect::NvmWritten { bytes });
-        if let Some(token) = stall {
-            // Synchronous-flush backpressure: the ack waits until the
+        match stall {
+            None => self.stored(ctx),
+            // Synchronous-flush backpressure: completion waits until the
             // forced flush is durable.
-            let ctx = StoreCtx::WriteLocal { seq };
-            self.bottom.pending_store.insert(token, ctx);
-        } else if let Some(w) = self.top.inflight.get_mut(&seq) {
-            w.local_done = true;
+            Some(token) => {
+                self.bottom.pending_store.insert(token, ctx);
+            }
         }
         self.wake_flush_if_due(group);
-        self.try_complete_write(seq);
     }
 
     /// Appends to the group log; when NVM is full, forces a synchronous
@@ -285,7 +277,7 @@ impl Osd {
     /// must wait on before acknowledging — that wait is the backpressure
     /// that keeps a log-ahead system device-bound under sustained load.
     /// A refused bypass, drain or append is the caller's error to answer.
-    pub(super) fn log_append_with_fallback(
+    fn log_append_with_fallback(
         &mut self,
         group: GroupId,
         txn: Transaction,
@@ -301,7 +293,7 @@ impl Osd {
             return Ok((0, Some(token)));
         }
         let mut stall_token = None;
-        if !self.log_for(group).fits(&txn) {
+        if !self.log_for(group)?.fits(&txn) {
             self.nvm_full_stalls += 1;
             self.drain_pending(group)?;
             stall_token = Some(self.store_io(StoreCtx::Background, true));
@@ -313,38 +305,36 @@ impl Osd {
 
     pub(super) fn on_client_read(&mut self, dr: DeferredRead) {
         let (from, op) = (dr.client, dr.op);
-        if self.cfg.mode.null_transaction() {
-            // No storage processing: answer immediately (Ideal / RTC-v3).
-            let data = vec![0; dr.len as usize].into();
-            self.reply(from, ClientReply::Data { op, data });
-            return;
+        match self.cfg.mode.storage() {
+            StoragePath::Nowhere => {
+                let data = vec![0; dr.len as usize].into();
+                self.reply(from, ClientReply::Data { op, data });
+            }
+            StoragePath::TxnOnly | StoragePath::Inline => self.read_store_now(dr),
+            StoragePath::Deferred => self.defer_read(dr),
+            StoragePath::NvmLog => self.read_logged(dr),
         }
-        if self.cfg.mode.decoupled() {
-            let group = dr.oid.group();
-            let path = self.logs.get(&group).map_or(ReadPath::Store, |log| {
-                log.read_path(dr.oid, dr.offset, dr.len)
-            });
-            match path {
-                ReadPath::FromLog(data) => self.reply(from, ClientReply::Data { op, data }),
-                // The backend may still miss data the pull will bring;
-                // park the read until its reply applies.
-                ReadPath::Store if self.peering.joining(group) => {
-                    self.rt(group).waiting_reads.push(dr)
-                }
-                ReadPath::Store => self.defer_read(dr),
-                ReadPath::FlushThenStore => {
-                    self.rt(group).waiting_reads.push(dr);
-                    if !self.rt(group).flushing {
-                        self.fx.push(OsdEffect::WakeFlush { group });
-                    }
+    }
+
+    /// A decoupled read: from the log when it holds the range, else from
+    /// the store on a non-priority thread, after the flush the range needs.
+    fn read_logged(&mut self, dr: DeferredRead) {
+        let (from, op, group) = (dr.client, dr.op, dr.oid.group());
+        let path = self.logs.get(&group).map_or(ReadPath::Store, |log| {
+            log.read_path(dr.oid, dr.offset, dr.len)
+        });
+        match path {
+            ReadPath::FromLog(data) => self.reply(from, ClientReply::Data { op, data }),
+            // The backend may still miss data the pull will bring; park the
+            // read until its reply applies.
+            ReadPath::Store if self.peering.joining(group) => self.rt(group).waiting_reads.push(dr),
+            ReadPath::Store => self.defer_read(dr),
+            ReadPath::FlushThenStore => {
+                self.rt(group).waiting_reads.push(dr);
+                if !self.rt(group).flushing {
+                    self.fx.push(OsdEffect::WakeFlush { group });
                 }
             }
-        } else if self.cfg.mode.prioritized() {
-            // PTC: store reads happen on non-priority threads too.
-            self.defer_read(dr);
-        } else {
-            // Stock thread-pool / RTC modes: read the backend inline.
-            self.read_store_now(dr);
         }
     }
 
@@ -369,6 +359,7 @@ mod tests {
     use super::super::testkit::*;
     use super::super::{OsdInput, PipelineMode};
     use super::*;
+    use crate::placement::OsdId;
     use proptest::prelude::*;
 
     fn repops(fx: &[OsdEffect]) -> Vec<&Transaction> {
@@ -381,6 +372,123 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    fn done(fx: &[OsdEffect]) -> bool {
+        let done = |e: &OsdEffect| {
+            matches!(
+                e,
+                OsdEffect::Reply {
+                    msg: ClientReply::Done { .. },
+                    ..
+                }
+            )
+        };
+        fx.iter().any(done)
+    }
+
+    fn rep_acked(fx: &[OsdEffect]) -> bool {
+        let ack = |e: &OsdEffect| {
+            matches!(
+                e,
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::RepAck { .. },
+                    ..
+                }
+            )
+        };
+        fx.iter().any(ack)
+    }
+
+    /// Checks that `fx`, the effects of a write reaching `o`'s `persist`,
+    /// show what `o`'s storage path names, answers what they leave waiting
+    /// and returns the effects of the input that completed the persist.
+    fn persisted(o: &mut Osd, fx: Vec<OsdEffect>) -> Vec<OsdEffect> {
+        let mode = o.cfg.mode;
+        let nvm = fx.iter().any(|e| matches!(e, OsdEffect::NvmWritten { .. }));
+        let store = fx.iter().any(|e| matches!(e, OsdEffect::StoreIo { .. }));
+        let submit = fx.iter().find_map(|e| match e {
+            OsdEffect::WakeSubmit { token } => Some(*token),
+            _ => None,
+        });
+        let waited = |fx: &[OsdEffect]| match tokens_of(fx)[..] {
+            [token] => token,
+            _ => panic!("{mode:?}: one waited StoreIo: {fx:?}"),
+        };
+        match mode.storage() {
+            StoragePath::Nowhere | StoragePath::TxnOnly => {
+                assert!(!nvm && !store && submit.is_none(), "{mode:?}: {fx:?}");
+                fx
+            }
+            StoragePath::NvmLog => {
+                assert!(nvm && !store && submit.is_none(), "{mode:?}: {fx:?}");
+                fx
+            }
+            StoragePath::Inline => {
+                assert!(!nvm && submit.is_none(), "{mode:?}: {fx:?}");
+                let token = waited(&fx);
+                o.handle(OsdInput::StoreDurable { token })
+            }
+            StoragePath::Deferred => {
+                assert!(!nvm && !store, "{mode:?}: {fx:?}");
+                let token = submit.expect("the submit goes to a non-priority thread");
+                let fx = o.handle(OsdInput::SubmitDeferred { token });
+                let token = waited(&fx);
+                o.handle(OsdInput::StoreDurable { token })
+            }
+        }
+    }
+
+    /// In every mode a primary's write and a replica's `Repop` reach the
+    /// one `persist` and show the effects the mode's storage path names: a
+    /// waited `StoreIo` (inline), a `WakeSubmit` (deferred), an
+    /// `NvmWritten` and no store I/O (NVM log), or nothing to wait for. A
+    /// write completes once persisted and acked by its replica, and a
+    /// replica acks once persisted.
+    #[test]
+    fn every_mode_persists_a_write_where_its_storage_path_says() {
+        use PipelineMode::*;
+        for mode in [Original, RtcV1, RtcV2, RtcV3, Cos, Ptc, Dop, Ideal] {
+            let waits = matches!(mode.storage(), StoragePath::Inline | StoragePath::Deferred);
+
+            let mut o = osd(mode, 0);
+            let g = a_group_with_primary(&o);
+            let write = OsdInput::Client {
+                from: ClientId(1),
+                req: write_req(1, oid_in(g, 1)),
+            };
+            let fx = o.handle(write);
+            assert_eq!(repops(&fx).len(), 1, "{mode:?}: {fx:?}");
+            assert!(!done(&fx), "{mode:?}: the replica has not acked");
+            let replica = o.map().acting_set(g)[1];
+            let msg = PeerMsg::RepAck {
+                group: g,
+                seq: 1,
+                from: replica,
+            };
+            let acked = o.handle(OsdInput::Peer { from: replica, msg });
+            assert_eq!(done(&acked), !waits, "{mode:?}: {acked:?}");
+            let stored = persisted(&mut o, fx);
+            assert_eq!(done(&stored), waits, "{mode:?}: {stored:?}");
+
+            let mut o = osd(mode, 1);
+            let g = a_group_led_by_another(&o);
+            let data = vec![1; 4096].into();
+            let (oid, offset) = (oid_in(g, 1), 0);
+            let txn = client_txn(g, 5, Op::Write { oid, offset, data });
+            let msg = PeerMsg::Repop {
+                group: g,
+                seq: 5,
+                txn,
+            };
+            let fx = o.handle(OsdInput::Peer {
+                from: OsdId(0),
+                msg,
+            });
+            assert_eq!(rep_acked(&fx), !waits, "{mode:?}: {fx:?}");
+            let stored = persisted(&mut o, fx);
+            assert!(rep_acked(&stored), "{mode:?}: {stored:?}");
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Primary-backup replication: `Repop` at the replica (a decoupled replica
-//! logs to NVM and acks at once, every other persists, then acks),
-//! `RepAck` / `RepNack` back at the primary, and the retransmits that keep
-//! a write moving when either direction loses a message.
+//! Primary-backup replication: `Repop` at the replica (persisted as the
+//! primary persists its own write, then acked), `RepAck` / `RepNack` back at
+//! the primary, and the retransmits that keep a write moving when either
+//! direction loses a message.
 
 use rablock_storage::{GroupId, ObjectId, StoreError, Transaction};
 
 use super::digest::digest_op;
 use super::flush::StoreCtx;
 use super::peering::{PgRecovery, PgState};
-use super::{Osd, OsdEffect};
+use super::Osd;
 use crate::msg::PeerMsg;
 use crate::placement::OsdId;
 
@@ -97,8 +97,9 @@ impl Osd {
         }
     }
 
-    /// Replication at the replica, in this OSD's mode: decoupled (§IV-A)
-    /// logs to NVM and acks at once, every other mode persists first.
+    /// Replication at the replica: the write persists as the primary's own
+    /// does, through [`Osd::persist`], and the ack follows when it is done —
+    /// at once from NVM (§IV-A), once the store has it otherwise.
     pub(super) fn on_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
         if self.map.try_primary(group) == Some(self.id) {
             // From an OSD that led the group before the map moved and took
@@ -111,65 +112,17 @@ impl Osd {
             return;
         }
         self.note_replica_applied(group, seq);
-        if self.cfg.mode.decoupled() {
-            self.log_repop(from, group, seq, txn);
-        } else {
-            self.persist_repop(from, group, seq, txn);
-        }
-    }
-
-    /// Coupled replication at the replica: apply to the backend, ack once
-    /// the apply is durable.
-    fn persist_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
-        if self.cfg.mode.null_transaction() || self.cfg.mode.null_store() {
-            self.rep_ack(from, group, seq);
-            return;
-        }
         self.note_txn(&txn);
         self.pg_log_note(group, seq, &txn);
         let primary = from;
-        let ctx = StoreCtx::ReplicaPersist {
-            primary,
-            group,
-            seq,
-        };
-        if self.cfg.mode.prioritized() {
-            self.defer_submit(txn, ctx);
-            return;
-        }
-        match self.backend.submit(txn) {
-            Ok(()) => {
-                self.store_io(ctx, true);
-                self.kick_maintenance();
-            }
-            Err(error) => self.nack_failed_apply(primary, group, seq, error),
-        }
-    }
-
-    /// Decoupled replication at the replica (§IV-A): log to NVM, ack at once.
-    fn log_repop(&mut self, from: OsdId, group: GroupId, seq: u64, txn: Transaction) {
-        self.note_txn(&txn);
-        self.pg_log_note(group, seq, &txn);
-        let (bytes, stall) = match self.log_append_with_fallback(group, txn) {
-            Ok(logged) => logged,
-            Err(error) => return self.nack_failed_apply(from, group, seq, error),
-        };
-        self.fx.push(OsdEffect::NvmWritten { bytes });
-        match stall {
-            None => self.rep_ack(from, group, seq),
-            Some(token) => {
-                // Backpressure on the replica too: ack only after the
-                // forced flush lands.
-                let primary = from;
-                let ctx = StoreCtx::ReplicaPersist {
-                    primary,
-                    group,
-                    seq,
-                };
-                self.bottom.pending_store.insert(token, ctx);
-            }
-        }
-        self.wake_flush_if_due(group);
+        self.persist(
+            txn,
+            StoreCtx::ReplicaPersist {
+                primary,
+                group,
+                seq,
+            },
+        );
     }
 
     pub(super) fn on_rep_ack(&mut self, seq: u64, replica: OsdId) {
@@ -437,5 +390,39 @@ mod tests {
         assert!(fx.is_empty(), "{fx:?}");
         assert_eq!(o.degraded_objects(), 0);
         assert_eq!(o.pg_state(g), PgState::Active);
+    }
+
+    #[test]
+    fn heartbeat_retransmits_stale_inflight_writes() {
+        let mut o = osd(PipelineMode::Dop, 0);
+        let g = a_group_with_primary(&o);
+        o.handle(OsdInput::Client {
+            from: ClientId(1),
+            req: write_req(1, oid_in(g, 1)),
+        });
+        // The repop (or its ack) was lost; after two heartbeat ticks the
+        // primary re-sends it on its own, without any client retry.
+        let fx = o.handle(OsdInput::HeartbeatTick);
+        assert!(
+            !fx.iter().any(|e| matches!(
+                e,
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::Repop { .. },
+                    ..
+                }
+            )),
+            "first tick only ages the op"
+        );
+        let fx = o.handle(OsdInput::HeartbeatTick);
+        assert!(
+            fx.iter().any(|e| matches!(
+                e,
+                OsdEffect::SendPeer {
+                    msg: PeerMsg::Repop { seq: 1, .. },
+                    ..
+                }
+            )),
+            "second tick retransmits: {fx:?}"
+        );
     }
 }

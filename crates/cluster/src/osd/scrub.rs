@@ -105,7 +105,7 @@ impl Osd {
     /// keeps running; starts blocked by an active recovery, an unfinished join,
     /// or the deep-read throttle are queued and retried on the heartbeat.
     pub(super) fn on_scrub_start(&mut self, group: GroupId, deep: bool) {
-        if self.cfg.mode.null_transaction() || self.cfg.mode.null_store() {
+        if !self.cfg.mode.storage().keeps_data() {
             return; // no data to scrub
         }
         if self.map.try_primary(group) != Some(self.id) {
@@ -418,7 +418,7 @@ impl Osd {
         deep: bool,
         requester: OsdId,
     ) {
-        if self.cfg.mode.null_transaction() || self.cfg.mode.null_store() {
+        if !self.cfg.mode.storage().keeps_data() {
             return;
         }
         if self.peering.joining(group) {

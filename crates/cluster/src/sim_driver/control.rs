@@ -103,7 +103,7 @@ impl World {
         if self.is_dead(osd) {
             return;
         }
-        self.charge_input(ctx, &OsdInput::HeartbeatTick, None);
+        self.charge_input(ctx, osd, &OsdInput::HeartbeatTick, None);
         self.handle_with_scratch(ctx, thread, osd, OsdInput::HeartbeatTick, None);
     }
 

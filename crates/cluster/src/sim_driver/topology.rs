@@ -20,7 +20,7 @@ use super::world::{Ev, World};
 use super::{ClusterSim, ClusterSimConfig, ConnWorkload};
 use crate::invariants::HistoryChecker;
 use crate::msg::ClientId;
-use crate::osd::{Osd, PipelineMode};
+use crate::osd::{Osd, StoragePath, Threading};
 use crate::placement::{Monitor, OsdId, OsdMap};
 
 pub(super) struct OsdThreads {
@@ -41,9 +41,11 @@ pub(super) struct OsdThreads {
 /// thread and connection tables built from it.
 pub(super) struct Topology {
     pub(super) cfg: ClusterSimConfig,
-    /// Stock thread-pool modes: messenger threads relay to PG threads.
-    pub(super) relay: bool,
-    /// Proposed-system event-driven messenger (cheaper MP).
+    /// How the mode lays out each OSD's threads.
+    pub(super) threading: Threading,
+    /// Where the mode runs storage work.
+    pub(super) storage: StoragePath,
+    /// The prioritized layout's event-driven messenger (cheaper MP).
     pub(super) lean: bool,
     pub(super) threads: Vec<OsdThreads>,
     /// Client thread per connection, so storage parts can address replies
@@ -104,35 +106,40 @@ impl Spawner {
     ) -> Range<usize> {
         let cores = self.sim.add_cores_in(1 + node, cfg.cores_per_node);
         let all: Vec<_> = cores.clone().collect();
-        let prioritized = cfg.osd.mode.prioritized();
+        let (threading, _) = cfg.osd.mode.shape();
         // Dedicated cores for priority threads come off the front.
         let mut next_dedicated = cores.start;
         let first = threads.len();
         let osds = first..first + cfg.osds_per_node as usize;
         for osd in osds.clone() {
             let name = format!("n{node}.osd{osd}");
-            let (msgr, logic) = if cfg.osd.mode.run_to_completion() {
-                let rtc = self.pool("rtc", node, format!("{name}.rtc"), cfg.rtc_threads, &all);
-                (rtc.clone(), rtc)
-            } else if prioritized {
-                let prio: Vec<_> = (0..cfg.priority_threads)
-                    .map(|i| {
-                        let core = next_dedicated;
-                        next_dedicated += 1;
-                        assert!(
-                            core < cores.end,
-                            "not enough cores on node {node} to pin priority threads"
-                        );
-                        let name = format!("{name}.prio{i}");
-                        self.thread("priority", 1 + node, name, vec![core], Priority::High)
-                    })
-                    .collect();
-                (prio.clone(), prio)
-            } else {
-                let msgr = format!("{name}.msgr");
-                let msgr = self.pool("msgr", node, msgr, cfg.messenger_threads, &all);
-                let pg = self.pool("pg", node, format!("{name}.pg"), cfg.pg_threads, &all);
-                (msgr, pg)
+            let (msgr, logic) = match threading {
+                Threading::RunToCompletion => {
+                    let rtc = format!("{name}.rtc");
+                    let rtc = self.pool("rtc", node, rtc, cfg.rtc_threads, &all);
+                    (rtc.clone(), rtc)
+                }
+                Threading::Prioritized => {
+                    let prio: Vec<_> = (0..cfg.priority_threads)
+                        .map(|i| {
+                            let core = next_dedicated;
+                            next_dedicated += 1;
+                            assert!(
+                                core < cores.end,
+                                "not enough cores on node {node} to pin priority threads"
+                            );
+                            let name = format!("{name}.prio{i}");
+                            self.thread("priority", 1 + node, name, vec![core], Priority::High)
+                        })
+                        .collect();
+                    (prio.clone(), prio)
+                }
+                Threading::Pool => {
+                    let msgr = format!("{name}.msgr");
+                    let msgr = self.pool("msgr", node, msgr, cfg.messenger_threads, &all);
+                    let pg = self.pool("pg", node, format!("{name}.pg"), cfg.pg_threads, &all);
+                    (msgr, pg)
+                }
             };
             threads.push(OsdThreads {
                 msgr,
@@ -146,7 +153,7 @@ impl Spawner {
         // Non-priority threads share the remaining (non-dedicated) cores
         // plus, at lower priority, the dedicated ones ("leave it to the
         // OS scheduler" in the paper).
-        if prioritized {
+        if threading == Threading::Prioritized {
             let mut aff: Vec<_> = (next_dedicated..cores.end).collect();
             assert!(!aff.is_empty(), "no shared cores left on node {node}");
             aff.extend(cores.start..next_dedicated);
@@ -256,9 +263,11 @@ impl ClusterSim {
         let Spawner { sim, classes } = spawner;
         let osds_per_node = cfg.osds_per_node as usize;
         let total_osds = threads.len();
+        let (threading, storage) = cfg.osd.mode.shape();
         let topo = Arc::new(Topology {
-            relay: matches!(cfg.osd.mode, PipelineMode::Original | PipelineMode::Cos),
-            lean: cfg.osd.mode.prioritized(),
+            threading,
+            storage,
+            lean: threading == Threading::Prioritized,
             conn_threads: conns.iter().map(|c| c.thread).collect(),
             threads,
             net_hold,
@@ -359,7 +368,7 @@ impl ClusterSim {
         for (conn, &t) in topo.conn_threads.iter().enumerate() {
             self.sim.schedule(SimTime::ZERO, t, Ev::ClientKick { conn });
         }
-        if cfg.osd.mode.decoupled() {
+        if topo.storage == StoragePath::NvmLog {
             for (osd, th) in threads.iter().enumerate() {
                 let at = SimTime::ZERO + cfg.flush_sweep;
                 self.sim.schedule(at, th.flusher[0], Ev::FlushSweep { osd });

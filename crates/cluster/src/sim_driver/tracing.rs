@@ -14,7 +14,7 @@ use rablock_sim::{
 
 use super::world::{Ev, World};
 use super::ClusterSim;
-use crate::msg::{ClientId, ClientReq, OpId, PeerMsg};
+use crate::msg::{ClientId, OpId, PeerMsg};
 use crate::osd::{OsdInput, StoreTokenOp};
 use crate::placement::OsdId;
 
@@ -153,45 +153,6 @@ impl World {
             | OsdInput::ReadFromStore { token }
             | OsdInput::SubmitDeferred { token } => self.trace_of_token(osd, *token),
             _ => None,
-        }
-    }
-
-    /// Span label for the stage an input runs in (mirrors `charge_input`).
-    pub(super) fn input_span_name(&self, input: &OsdInput) -> &'static str {
-        match input {
-            OsdInput::Client { req, .. } => match req {
-                ClientReq::Read { .. } => "rp.read",
-                _ => "rp.primary",
-            },
-            OsdInput::Peer { msg, .. } => match msg {
-                PeerMsg::Repop { .. } if self.topo.cfg.osd.mode.decoupled() => "rp.replica_nvm",
-                PeerMsg::Repop { .. } => "rp.replica",
-                PeerMsg::RepAck { .. } | PeerMsg::RepNack { .. } => "rp.ack",
-                _ => "tp.recovery",
-            },
-            OsdInput::StoreDurable { .. } => "tp.complete",
-            OsdInput::ReadFromStore { .. } => "os.read",
-            OsdInput::SubmitDeferred { .. } => "os.submit",
-            OsdInput::FlushGroup { .. } => "os.flush",
-            _ => "osd",
-        }
-    }
-
-    /// The fixed NVM-append CPU `charge_input` folds into this input, in
-    /// nanoseconds (attributed to `Component::Nvm`, not `Service`).
-    pub(super) fn nvm_charge_of(&self, input: &OsdInput) -> u64 {
-        match input {
-            OsdInput::Client { req, .. }
-                if matches!(req, ClientReq::Write { .. } | ClientReq::Create { .. })
-                    && self.topo.cfg.osd.mode.decoupled() =>
-            {
-                self.topo.cfg.costs.nvm_append.as_nanos()
-            }
-            OsdInput::Peer {
-                msg: PeerMsg::Repop { .. },
-                ..
-            } if self.topo.cfg.osd.mode.decoupled() => self.topo.cfg.costs.nvm_append.as_nanos(),
-            _ => 0,
         }
     }
 

@@ -16,7 +16,7 @@ use super::world::{Ev, World};
 use super::MON_NODE;
 use crate::costs::{CLIENT, MP};
 use crate::msg::{ClientId, ClientReply, ClientReq, MonMsg, PeerMsg};
-use crate::osd::OsdInput;
+use crate::osd::{OsdInput, Threading};
 use crate::placement::OsdId;
 
 impl World {
@@ -118,7 +118,7 @@ impl World {
                 TraceOp::Span(id, "net.request", track, leaves, flight, Component::Network),
             );
         }
-        let via = self.topo.relay.then_some(conn as u64);
+        let via = (self.topo.threading == Threading::Pool).then_some(conn as u64);
         if let Some(gap) = dup {
             let req = req.clone();
             let (t, ev) = self.arrival(osd, OsdInput::Client { from, req }, bytes, via);
@@ -153,7 +153,7 @@ impl World {
             OsdInput::ScrubStart { group, .. } => (*group, true),
             _ => (GroupId(0), false), // map updates
         };
-        if background && self.topo.cfg.osd.mode.prioritized() {
+        if background && self.topo.threading == Threading::Prioritized {
             self.flusher_thread(osd, group.0 as u64)
         } else {
             self.logic_thread(osd, group)

@@ -14,7 +14,7 @@ use super::tracing::{PartTrace, TraceRef};
 use crate::costs::{MP, MT, OS, RP, TP};
 use crate::invariants::HistoryChecker;
 use crate::msg::{ClientId, ClientReply, ClientReq, PeerMsg};
-use crate::osd::{Osd, OsdEffect, OsdInput};
+use crate::osd::{Backend, Osd, OsdEffect, OsdInput, StoragePath, Threading};
 use crate::placement::{Monitor, OsdId, OsdMap};
 
 /// Simulation events.
@@ -220,82 +220,113 @@ impl World {
         }
     }
 
-    /// Charges stage CPU for processing `input` on the current thread.
+    /// Charges stage CPU for processing `input` on the current thread, by
+    /// what the input is and where the mode runs storage work. Returns the
+    /// span the work is traced as and the NVM-append nanoseconds it charged
+    /// (traced as `Component::Nvm`, not `Service`).
     pub(super) fn charge_input(
         &self,
         ctx: &mut Ctx<'_, Ev>,
+        osd: usize,
         input: &OsdInput,
         charge_mp: Option<u64>,
-    ) {
-        let (c, mode) = (&self.topo.cfg.costs, self.topo.cfg.osd.mode);
+    ) -> (&'static str, u64) {
+        let c = &self.topo.cfg.costs;
         if let Some(bytes) = charge_mp {
             ctx.spend(MP, c.recv(bytes, self.topo.lean));
         }
-        let os_submit = if mode.lsm_backend() {
-            c.os_lsm_submit
-        } else {
-            c.os_cos_submit
+        let os_submit = || match self.osd(osd).backend() {
+            Backend::Lsm(_) => c.os_lsm_submit,
+            Backend::Cos(_) | Backend::Null => c.os_cos_submit,
         };
-        match input {
-            OsdInput::Client { req, .. } => match req {
-                ClientReq::Write { .. } | ClientReq::Create { .. } => {
-                    ctx.spend(RP, c.rp_primary);
-                    if mode.null_transaction() {
-                        // MP+RP only.
-                    } else if mode.decoupled() {
-                        ctx.spend(RP, c.nvm_append);
-                    } else if mode.prioritized() {
-                        // PTC: TP/OS charged when the non-priority thread
-                        // runs the deferred submit.
-                    } else {
-                        ctx.spend(TP, c.tp);
-                        if !mode.null_store() {
-                            ctx.spend(OS, os_submit);
-                        }
-                    }
+        let tp_os = |ctx: &mut Ctx<'_, Ev>, os: SimDuration| {
+            ctx.spend(TP, c.tp);
+            ctx.spend(OS, os);
+        };
+        let nvm_append = |ctx: &mut Ctx<'_, Ev>| {
+            ctx.spend(RP, c.nvm_append);
+            c.nvm_append.as_nanos()
+        };
+        let (path, mut nvm) = (self.topo.storage, 0);
+        let span = match input {
+            OsdInput::Client {
+                req: ClientReq::Read { .. },
+                ..
+            } => {
+                match path {
+                    StoragePath::Nowhere => {} // immediate reply
+                    StoragePath::TxnOnly | StoragePath::Inline => tp_os(ctx, c.os_read),
+                    StoragePath::Deferred => ctx.spend(RP, c.wake),
+                    StoragePath::NvmLog => ctx.spend(RP, c.log_read),
                 }
-                ClientReq::Read { .. } => {
-                    if mode.null_transaction() {
-                        // immediate reply
-                    } else if mode.decoupled() {
-                        ctx.spend(RP, c.log_read);
-                    } else if mode.prioritized() {
-                        ctx.spend(RP, c.wake);
-                    } else {
-                        ctx.spend(TP, c.tp);
-                        ctx.spend(OS, c.os_read);
-                    }
+                "rp.read"
+            }
+            OsdInput::Client { .. } => {
+                ctx.spend(RP, c.rp_primary);
+                match path {
+                    // PTC charges TP/OS when the non-priority thread runs
+                    // the deferred submit.
+                    StoragePath::Nowhere | StoragePath::Deferred => {}
+                    StoragePath::TxnOnly => ctx.spend(TP, c.tp),
+                    StoragePath::Inline => tp_os(ctx, os_submit()),
+                    StoragePath::NvmLog => nvm = nvm_append(ctx),
                 }
-            },
+                "rp.primary"
+            }
             OsdInput::Peer { msg, .. } => match msg {
                 PeerMsg::Repop { .. } => {
                     ctx.spend(RP, c.rp_replica);
-                    if mode.decoupled() {
-                        ctx.spend(RP, c.nvm_append);
-                    } else if !mode.null_transaction() && !mode.null_store() && !mode.prioritized()
-                    {
-                        ctx.spend(TP, c.tp);
-                        ctx.spend(OS, os_submit);
+                    match path {
+                        // A replica is charged no TP where the store does
+                        // nothing, an RTC-v2 primary's TP notwithstanding.
+                        StoragePath::Nowhere | StoragePath::TxnOnly | StoragePath::Deferred => {
+                            "rp.replica"
+                        }
+                        StoragePath::Inline => {
+                            tp_os(ctx, os_submit());
+                            "rp.replica"
+                        }
+                        StoragePath::NvmLog => {
+                            nvm = nvm_append(ctx);
+                            "rp.replica_nvm"
+                        }
                     }
                 }
-                PeerMsg::RepAck { .. } | PeerMsg::RepNack { .. } => ctx.spend(RP, c.tp_complete),
+                PeerMsg::RepAck { .. } | PeerMsg::RepNack { .. } => {
+                    ctx.spend(RP, c.tp_complete);
+                    "rp.ack"
+                }
                 // Peering, recovery and scrub traffic (`PeerMsg::is_recovery`).
-                _ => ctx.spend(TP, c.tp),
+                _ => {
+                    ctx.spend(TP, c.tp);
+                    "tp.recovery"
+                }
             },
-            OsdInput::StoreDurable { .. } => ctx.spend(TP, c.tp_complete),
-            OsdInput::FlushGroup { .. } => {
-                // Per-record costs are charged via the StoreIo trace below.
+            OsdInput::StoreDurable { .. } => {
+                ctx.spend(TP, c.tp_complete);
+                "tp.complete"
             }
-            OsdInput::ReadFromStore { .. } => ctx.spend(OS, c.os_read),
+            // Per-record costs are charged as the StoreIo trace is replayed.
+            OsdInput::FlushGroup { .. } => "os.flush",
+            OsdInput::ReadFromStore { .. } => {
+                ctx.spend(OS, c.os_read);
+                "os.read"
+            }
             OsdInput::SubmitDeferred { .. } => {
-                ctx.spend(TP, c.tp);
-                ctx.spend(OS, os_submit);
+                tp_os(ctx, os_submit());
+                "os.submit"
             }
-            OsdInput::ScrubStart { .. } => ctx.spend(TP, c.tp),
-            OsdInput::MaintStep => {}
-            OsdInput::HeartbeatTick => ctx.spend(RP, c.wake),
-            OsdInput::MapUpdate(_) => ctx.spend(TP, c.tp),
-        }
+            OsdInput::MaintStep => "osd",
+            OsdInput::HeartbeatTick => {
+                ctx.spend(RP, c.wake);
+                "osd"
+            }
+            OsdInput::ScrubStart { .. } | OsdInput::MapUpdate(_) => {
+                ctx.spend(TP, c.tp);
+                "osd"
+            }
+        };
+        (span, nvm)
     }
 
     fn apply_effects(
@@ -307,11 +338,13 @@ impl World {
         flush_batch: bool,
         cur: Option<TraceRef>,
     ) {
-        // §IV-B: under PTC a non-priority thread hands its sends to a priority
-        // thread, as every thread of a relay mode hands them to a messenger.
-        let via_frontend = self.topo.relay
-            || self.topo.cfg.osd.mode.prioritized()
-                && !self.topo.threads[osd].msgr.contains(&thread);
+        let via_frontend = match self.topo.threading {
+            // Every thread of the pool hands its sends to a messenger.
+            Threading::Pool => true,
+            Threading::RunToCompletion => false,
+            // §IV-B: a non-priority thread hands its sends to a priority one.
+            Threading::Prioritized => !self.topo.threads[osd].msgr.contains(&thread),
+        };
         for effect in effects.drain(..) {
             match effect {
                 OsdEffect::SendPeer { to, msg } => {
@@ -327,12 +360,11 @@ impl World {
                     }
                 }
                 OsdEffect::Reply { to, msg } => {
-                    if self.topo.cfg.osd.mode.run_to_completion() {
-                        if let Some(gate) = self.rtc_gate.get_mut(&thread) {
-                            gate.busy = false;
-                            if let Some(ev) = gate.deferred.pop_front() {
-                                ctx.send(thread, ev);
-                            }
+                    // Only run-to-completion threads have a gate to open.
+                    if let Some(gate) = self.rtc_gate.get_mut(&thread) {
+                        gate.busy = false;
+                        if let Some(ev) = gate.deferred.pop_front() {
+                            ctx.send(thread, ev);
                         }
                     }
                     if via_frontend {
@@ -441,7 +473,8 @@ impl World {
         if self.is_dead(osd) {
             return; // failed OSDs process nothing
         }
-        if self.topo.cfg.osd.mode.run_to_completion() && matches!(input, OsdInput::Client { .. }) {
+        let rtc = self.topo.threading == Threading::RunToCompletion;
+        if rtc && matches!(input, OsdInput::Client { .. }) {
             let gate = self.rtc_gate.entry(thread).or_default();
             if gate.busy {
                 gate.deferred.push_back(Ev::osd_in(osd, input, charge_mp));
@@ -450,19 +483,13 @@ impl World {
             gate.busy = true;
         }
         let cur = self.trace_of_input(osd, &input);
-        let span_name = self.input_span_name(&input);
-        let nvm_static = if cur.is_some() {
-            self.nvm_charge_of(&input)
-        } else {
-            0
-        };
         if let Some(tr) = self.trace.as_mut() {
             tr.pending_nvm = 0;
         }
-        self.charge_input(ctx, &input, charge_mp);
+        let (span, nvm) = self.charge_input(ctx, osd, &input, charge_mp);
         self.handle_with_scratch(ctx, thread, osd, input, cur);
         if let Some(id) = cur {
-            self.trace_osd_work(ctx, osd, id, span_name, nvm_static);
+            self.trace_osd_work(ctx, osd, id, span, nvm);
         }
     }
 
@@ -481,10 +508,10 @@ impl World {
             self.io_wait.remove(&(osd, token));
             let cur = self.trace_io_done(ctx.now(), osd, token);
             let input = OsdInput::StoreDurable { token };
-            self.charge_input(ctx, &input, None);
+            let (span, nvm) = self.charge_input(ctx, osd, &input, None);
             self.handle_with_scratch(ctx, thread, osd, input, cur);
             if let Some(id) = cur {
-                self.trace_osd_work(ctx, osd, id, "tp.complete", 0);
+                self.trace_osd_work(ctx, osd, id, span, nvm);
             }
         }
     }
