@@ -8,6 +8,84 @@ use super::testkit::*;
 use super::*;
 
 #[test]
+fn coupled_write_completes_after_local_persist_and_ack() {
+    let mut o = osd(PipelineMode::Original, 0);
+    let g = a_group_with_primary(&o);
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid_in(g, 1)),
+    });
+    // Repop sent, local store submitted, no reply yet.
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::SendPeer {
+            msg: PeerMsg::Repop { .. },
+            ..
+        }
+    )));
+    assert!(!fx.iter().any(|e| matches!(e, OsdEffect::Reply { .. })));
+    let toks = tokens_of(&fx);
+    assert_eq!(toks.len(), 1);
+    // Local durable alone: still waiting for the replica.
+    let fx = o.handle(OsdInput::StoreDurable { token: toks[0] });
+    assert!(!fx.iter().any(|e| matches!(e, OsdEffect::Reply { .. })));
+    // Replica ack: now the client gets its reply.
+    let replica = o.map().acting_set(g)[1];
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::RepAck {
+            group: g,
+            seq: 1,
+            from: replica,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::Reply {
+            msg: ClientReply::Done { .. },
+            ..
+        }
+    )));
+}
+
+#[test]
+fn decoupled_write_acks_without_store() {
+    let mut o = osd(PipelineMode::Dop, 0);
+    let g = a_group_with_primary(&o);
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid_in(g, 1)),
+    });
+    // NVM logged + Repop sent; no store I/O on the write path.
+    assert!(fx.iter().any(|e| matches!(e, OsdEffect::NvmWritten { .. })));
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::SendPeer {
+            msg: PeerMsg::Repop { .. },
+            ..
+        }
+    )));
+    assert!(tokens_of(&fx).is_empty());
+    // One replica ack completes the op.
+    let replica = o.map().acting_set(g)[1];
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::RepAck {
+            group: g,
+            seq: 1,
+            from: replica,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(
+        e,
+        OsdEffect::Reply {
+            msg: ClientReply::Done { .. },
+            ..
+        }
+    )));
+}
+
+#[test]
 fn decoupled_read_served_from_log() {
     let mut o = osd(PipelineMode::Dop, 0);
     let g = a_group_with_primary(&o);
@@ -37,6 +115,27 @@ fn decoupled_read_served_from_log() {
         Some(vec![7u8; 200].into()),
         "read served from the operation log"
     );
+}
+
+#[test]
+fn rtc_v3_skips_storage_entirely() {
+    let mut o = osd(PipelineMode::RtcV3, 0);
+    let g = a_group_with_primary(&o);
+    let fx = o.handle(OsdInput::Client {
+        from: ClientId(1),
+        req: write_req(1, oid_in(g, 1)),
+    });
+    assert!(tokens_of(&fx).is_empty(), "no store I/O in RTC-v3");
+    let replica = o.map().acting_set(g)[1];
+    let fx = o.handle(OsdInput::Peer {
+        from: replica,
+        msg: PeerMsg::RepAck {
+            group: g,
+            seq: 1,
+            from: replica,
+        },
+    });
+    assert!(fx.iter().any(|e| matches!(e, OsdEffect::Reply { .. })));
 }
 
 #[test]
